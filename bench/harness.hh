@@ -6,8 +6,8 @@
  *
  * Reproduction policy: the substrate is a simulator, not the authors'
  * phones, so harnesses check *shape* — orderings, unsupported/OOM
- * patterns, and rough factors — and print paper vs measured for
- * EXPERIMENTS.md. See DESIGN.md Section 6.
+ * patterns, and rough factors — and print paper vs measured side by
+ * side. ROADMAP.md item 5 tabulates the paper-vs-measured magnitudes.
  */
 
 #ifndef FLASHMEM_BENCH_HARNESS_HH

@@ -8,8 +8,8 @@
  * conversions (except SmartMem, which eliminates them), buffer-path
  * execution (ExecuTorch), and operator-support gaps (NCNN's missing
  * GPU LayerNorm). Trait values are calibrated so the published
- * qualitative ordering of Tables 1/7/8 reproduces; see EXPERIMENTS.md
- * for paper-vs-measured numbers.
+ * qualitative ordering of Tables 1/7/8 reproduces; ROADMAP.md item 5
+ * tabulates the paper-vs-measured magnitudes.
  */
 
 #ifndef FLASHMEM_BASELINES_FRAMEWORK_HH

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -169,14 +170,27 @@ TimeSeries::peak() const
     return p;
 }
 
+namespace {
+
+/** First point strictly later than @p time (the points are time-sorted). */
+std::vector<TimeSeries::Point>::const_iterator
+firstAfter(const std::vector<TimeSeries::Point> &points, SimTime time)
+{
+    return std::upper_bound(points.begin(), points.end(), time,
+                            [](SimTime t, const TimeSeries::Point &pt) {
+                                return t < pt.time;
+                            });
+}
+
+} // namespace
+
 double
 TimeSeries::maxOver(SimTime start, SimTime end) const
 {
     double best = valueAt(start);
-    for (const auto &pt : points_) {
-        if (pt.time > start && pt.time <= end)
-            best = std::max(best, pt.value);
-    }
+    for (auto it = firstAfter(points_, start);
+         it != points_.end() && it->time <= end; ++it)
+        best = std::max(best, it->value);
     return best;
 }
 
@@ -186,18 +200,13 @@ TimeSeries::timeWeightedAverage(SimTime start, SimTime end) const
     if (points_.empty() || end <= start)
         return 0.0;
     double area = 0.0;
-    double current = 0.0;
+    double current = valueAt(start);
     SimTime cursor = start;
-    for (const auto &pt : points_) {
-        if (pt.time <= start) {
-            current = pt.value;
-            continue;
-        }
-        if (pt.time >= end)
-            break;
-        area += current * static_cast<double>(pt.time - cursor);
-        cursor = pt.time;
-        current = pt.value;
+    for (auto it = firstAfter(points_, start);
+         it != points_.end() && it->time < end; ++it) {
+        area += current * static_cast<double>(it->time - cursor);
+        cursor = it->time;
+        current = it->value;
     }
     area += current * static_cast<double>(end - cursor);
     return area / static_cast<double>(end - start);
@@ -214,13 +223,8 @@ TimeSeries::timeWeightedAverage() const
 double
 TimeSeries::valueAt(SimTime time) const
 {
-    double current = 0.0;
-    for (const auto &pt : points_) {
-        if (pt.time > time)
-            break;
-        current = pt.value;
-    }
-    return current;
+    auto it = firstAfter(points_, time);
+    return it == points_.begin() ? 0.0 : std::prev(it)->value;
 }
 
 } // namespace flashmem

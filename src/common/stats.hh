@@ -79,7 +79,13 @@ class P2Quantile
 
 /**
  * Step-function time series, e.g. bytes of live memory over simulated
- * time. Samples must be appended in non-decreasing time order.
+ * time. Samples must be appended in non-decreasing time order, and
+ * same-timestamp samples collapse into one, so the stored points are
+ * sorted by strictly increasing time. Window queries (valueAt, maxOver,
+ * timeWeightedAverage over [start, end]) therefore binary-search to the
+ * first point after start and walk only the window: O(log n + k) for
+ * k points inside it, however long the history before it. peak() stays
+ * a full O(n) scan.
  */
 class TimeSeries
 {
@@ -96,7 +102,7 @@ class TimeSeries
     bool empty() const { return points_.empty(); }
     const std::vector<Point> &points() const { return points_; }
 
-    /** Largest recorded value. */
+    /** Largest recorded value (scans every point). */
     double peak() const;
 
     /** Largest value in effect anywhere inside [start, end]. */

@@ -277,7 +277,7 @@ TEST(NaiveOverlap, Figure9Ordering)
     EXPECT_LT(same, always);
     // The paper reports up to 4.3x (Always-Next) / 2.4x (Same-Op) on
     // real devices; the simulator reproduces the ordering and a clear
-    // gap, though the magnitude is damped (see EXPERIMENTS.md).
+    // gap, though the magnitude is damped (ROADMAP.md item 5).
     EXPECT_GT(static_cast<double>(always) / flash, 1.15);
     EXPECT_LT(static_cast<double>(always) / flash, 8.0);
 }

@@ -318,6 +318,155 @@ TEST(TimeSeries, WindowedAverageSubrange)
     EXPECT_DOUBLE_EQ(ts.timeWeightedAverage(150, 250), 25.0);
 }
 
+TEST(TimeSeries, MaxOverWindow)
+{
+    TimeSeries ts;
+    ts.record(10, 1.0);
+    ts.record(20, 7.0);
+    ts.record(30, 3.0);
+    // The value in effect at start counts, even if set before it.
+    EXPECT_DOUBLE_EQ(ts.maxOver(25, 40), 7.0);
+    EXPECT_DOUBLE_EQ(ts.maxOver(30, 40), 3.0);
+    // Points up to and including end count.
+    EXPECT_DOUBLE_EQ(ts.maxOver(10, 19), 1.0);
+    EXPECT_DOUBLE_EQ(ts.maxOver(10, 20), 7.0);
+    EXPECT_DOUBLE_EQ(ts.maxOver(0, 5), 0.0);
+    EXPECT_DOUBLE_EQ(ts.maxOver(20, 10), 7.0);
+}
+
+// Linear-scan reference implementations of the window queries. They
+// visit every point from t = 0, so any difference in which points the
+// binary-searched queries visit, or in their summation order, shows as
+// a bit difference.
+double
+linearValueAt(const std::vector<TimeSeries::Point> &points, SimTime time)
+{
+    double current = 0.0;
+    for (const auto &pt : points) {
+        if (pt.time > time)
+            break;
+        current = pt.value;
+    }
+    return current;
+}
+
+double
+linearMaxOver(const std::vector<TimeSeries::Point> &points, SimTime start,
+              SimTime end)
+{
+    double best = linearValueAt(points, start);
+    for (const auto &pt : points) {
+        if (pt.time > start && pt.time <= end)
+            best = std::max(best, pt.value);
+    }
+    return best;
+}
+
+double
+linearAverage(const std::vector<TimeSeries::Point> &points, SimTime start,
+              SimTime end)
+{
+    if (points.empty() || end <= start)
+        return 0.0;
+    double area = 0.0;
+    double current = 0.0;
+    SimTime cursor = start;
+    for (const auto &pt : points) {
+        if (pt.time <= start) {
+            current = pt.value;
+            continue;
+        }
+        if (pt.time >= end)
+            break;
+        area += current * static_cast<double>(pt.time - cursor);
+        cursor = pt.time;
+        current = pt.value;
+    }
+    area += current * static_cast<double>(end - cursor);
+    return area / static_cast<double>(end - start);
+}
+
+/**
+ * Seeded random step series. Time steps of 0 exercise same-timestamp
+ * collapses; a small palette of values (0 included) makes repeated
+ * values common; non-integral values make the average's rounding depend
+ * on the summation order.
+ */
+TimeSeries
+randomStepSeries(Rng &rng, int samples)
+{
+    std::vector<double> palette = {0.0};
+    for (int i = 0; i < 5; ++i)
+        palette.push_back(rng.uniform(0.0, 1e9));
+    TimeSeries ts;
+    SimTime t = rng.uniformInt(-50, 50);
+    for (int i = 0; i < samples; ++i) {
+        t += rng.uniformInt(0, 4) == 0 ? 0 : rng.uniformInt(1, 1000);
+        ts.record(t, palette[static_cast<std::size_t>(
+                         rng.uniformInt(0, 5))]);
+    }
+    return ts;
+}
+
+TEST(TimeSeries, WindowQueriesMatchLinearScanOracle)
+{
+    Rng rng(2024);
+    for (int series = 0; series < 40; ++series) {
+        int samples = series == 0 ? 0 : static_cast<int>(
+                                            rng.uniformInt(1, 300));
+        TimeSeries ts = randomStepSeries(rng, samples);
+        const auto &pts = ts.points();
+        for (std::size_t i = 1; i < pts.size(); ++i)
+            ASSERT_LT(pts[i - 1].time, pts[i].time);
+
+        // Probe times: on every sample, one either side of it, before
+        // the first and after the last sample, and random ones between.
+        std::vector<SimTime> probes = {-1000, 0};
+        for (const auto &pt : pts) {
+            probes.push_back(pt.time - 1);
+            probes.push_back(pt.time);
+            probes.push_back(pt.time + 1);
+        }
+        SimTime last = pts.empty() ? 0 : pts.back().time;
+        probes.push_back(last + 1000);
+        for (int i = 0; i < 20; ++i)
+            probes.push_back(rng.uniformInt(-100, last + 100));
+
+        // Windows: every probe against itself (start == end), against
+        // a random probe in both orders (so end < start occurs), and
+        // against points before and after the series.
+        std::vector<std::pair<SimTime, SimTime>> windows;
+        for (SimTime p : probes) {
+            SimTime q = probes[static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(probes.size()) - 1))];
+            windows.push_back({p, p});
+            windows.push_back({p, q});
+            windows.push_back({q, p});
+            windows.push_back({-1000, p});
+            windows.push_back({p, last + 1000});
+        }
+
+        for (SimTime p : probes)
+            ASSERT_EQ(ts.valueAt(p), linearValueAt(pts, p))
+                << "series " << series << " t=" << p;
+        for (auto [start, end] : windows) {
+            ASSERT_EQ(ts.maxOver(start, end),
+                      linearMaxOver(pts, start, end))
+                << "series " << series << " [" << start << ", " << end
+                << "]";
+            ASSERT_EQ(ts.timeWeightedAverage(start, end),
+                      linearAverage(pts, start, end))
+                << "series " << series << " [" << start << ", " << end
+                << "]";
+        }
+        if (pts.size() >= 2) {
+            ASSERT_EQ(ts.timeWeightedAverage(),
+                      linearAverage(pts, pts.front().time, last))
+                << "series " << series;
+        }
+    }
+}
+
 TEST(StrUtil, Formatting)
 {
     EXPECT_EQ(formatDouble(3.14159, 2), "3.14");

@@ -45,11 +45,16 @@ TEST(EventScheduler, FifoPolicyMatchesSeedFifoDrain)
 {
     // The event-driven drain under the FIFO policy must reproduce the
     // seed scheduler (compile once, run in order, start at
-    // max(arrival, device free)) exactly.
+    // max(arrival, device free)) exactly. Each run's memory numbers and
+    // duration must also equal a solo run of the same compiled model on
+    // a fresh simulator: they may not depend on the device's history,
+    // even when one run's last trace point and the next run's first
+    // collapse into one (back-to-back runs).
     FlashMem fm(DeviceProfile::onePlus12());
     auto queue = interleavedWorkload(
-        {ModelId::ResNet50, ModelId::DepthAnythingS}, 2,
+        {ModelId::ResNet50, ModelId::DepthAnythingS, ModelId::ViT}, 40,
         milliseconds(20), 11);
+    ASSERT_EQ(queue.size(), 120u);
 
     EventScheduler sched(fm);
     auto out = sched.run(queue, FifoPolicy{});
@@ -57,23 +62,39 @@ TEST(EventScheduler, FifoPolicyMatchesSeedFifoDrain)
 
     // Reference drain, replicating the seed FIFO scheduler inline.
     std::map<ModelId, core::CompiledModel> compiled;
+    std::map<ModelId, core::RunResult> solo;
     for (const auto &req : queue) {
-        if (!compiled.count(req.model))
-            compiled.emplace(req.model,
-                             fm.compile(models::buildModel(req.model)));
+        if (compiled.count(req.model))
+            continue;
+        const auto &c =
+            compiled
+                .emplace(req.model,
+                         fm.compile(models::buildModel(req.model)))
+                .first->second;
+        GpuSimulator fresh(fm.device());
+        solo.emplace(req.model, fm.execute(fresh, c, 0));
     }
     GpuSimulator sim(fm.device());
     SimTime free_at = 0;
+    std::size_t back_to_back = 0;
     for (std::size_t i = 0; i < queue.size(); ++i) {
         SimTime start = std::max(queue[i].arrival, free_at);
+        back_to_back += i > 0 && start == free_at;
         auto r = fm.execute(sim, compiled.at(queue[i].model), start);
-        EXPECT_EQ(out.runs[i].model, r.model);
-        EXPECT_EQ(out.runs[i].start, r.start);
-        EXPECT_EQ(out.runs[i].end, r.end);
-        EXPECT_EQ(out.runs[i].arrival, queue[i].arrival);
+        const auto &run = out.runs[i];
+        EXPECT_EQ(run.model, r.model);
+        EXPECT_EQ(run.start, r.start);
+        EXPECT_EQ(run.end, r.end);
+        EXPECT_EQ(run.arrival, queue[i].arrival);
+        const auto &s = solo.at(queue[i].model);
+        EXPECT_EQ(run.peakMemory, s.peakMemory) << "run " << i;
+        EXPECT_EQ(run.avgMemoryBytes, s.avgMemoryBytes) << "run " << i;
+        EXPECT_EQ(run.end - run.start, s.end - s.start) << "run " << i;
         free_at = r.end;
     }
     EXPECT_EQ(out.makespan, free_at);
+    // The queue exercises the back-to-back collapse, not just idle gaps.
+    EXPECT_GT(back_to_back, queue.size() / 2);
 }
 
 TEST(EventScheduler, TraceLivesInTheOutcome)
