@@ -36,18 +36,15 @@
  * from models calibration never saw) with the gate on a
  * fully-calibrated oracle estimator vs the deployed warm-only view
  * whose cold estimates ride the GBT predicted tier.
- * `--admission-only PATH` runs just this study and writes a
- * standalone fragment for tools/run_benchmarks.sh `--only admission`.
  *
  * The observability study (`serving_obs` JSON section) times the
  * 200k-request crash_midrun fault scenario with tracing off, on, and
  * off again (median of three runs per pass): the off/off delta is the
  * machine's noise floor, the on/off ratio is the recorder's true
  * overhead, and the traced outcome must equal the untraced one
- * bit-for-bit. `--obs-only PATH` writes the standalone fragment for
- * tools/run_benchmarks.sh `--only obs`; `--trace PATH` exports a
- * Chrome/Perfetto trace (ui.perfetto.dev) of a representative faulty
- * overload run with the arrival gate engaged.
+ * bit-for-bit. `--trace PATH` exports a Chrome/Perfetto trace
+ * (ui.perfetto.dev) of a representative faulty overload run with the
+ * arrival gate engaged.
  */
 
 #include "bench/harness.hh"
@@ -853,27 +850,6 @@ runObsStudy(const Arm &arm)
     return {ok, json.str()};
 }
 
-/** `--obs-only PATH`: run just the observability study and write a
- * standalone {"serving_obs": ...} fragment for the section merge in
- * tools/run_benchmarks.sh (`--only obs`). */
-int
-runObsOnly(const char *path)
-{
-    core::PlanMemo memo(1024);
-    auto arm =
-        calibrateArm(memo, ThreadPool::defaultThreadCount());
-    auto [ok, json] = runObsStudy(arm);
-    std::ofstream out(path);
-    out << "{\n" << json << "\n}\n";
-    if (out.good()) {
-        std::cout << "wrote " << path << "\n";
-    } else {
-        std::cerr << "failed to write " << path << "\n";
-        ok = false;
-    }
-    return ok ? 0 : 1;
-}
-
 /** Bit-exact equality of the determinism-relevant figures. */
 bool
 figuresIdentical(const PolicyFigures &a, const PolicyFigures &b)
@@ -945,28 +921,6 @@ runShardingDeterminismCheck()
     return identical && exercised ? 0 : 1;
 }
 
-/** `--admission-only PATH`: run just the admission study and write a
- * standalone {"serving_admission": ...} fragment for the section
- * merge in tools/run_benchmarks.sh (`--only admission`). */
-int
-runAdmissionOnly(const char *path)
-{
-    core::PlanMemo memo(1024);
-    int threads = ThreadPool::defaultThreadCount();
-    auto arm = calibrateArm(memo, threads);
-    auto study = runAdmissionStudy(arm, memo, threads);
-    auto [ok, ajson] = reportAdmissionStudy(study);
-    std::ofstream out(path);
-    out << "{\n" << ajson << "\n}\n";
-    if (out.good()) {
-        std::cout << "wrote " << path << "\n";
-    } else {
-        std::cerr << "failed to write " << path << "\n";
-        ok = false;
-    }
-    return ok ? 0 : 1;
-}
-
 int
 runDeterminismCheck()
 {
@@ -1016,10 +970,6 @@ main(int argc, char **argv)
     if (argc > 1 &&
         std::strcmp(argv[1], "--sharding-determinism") == 0)
         return runShardingDeterminismCheck();
-    if (argc > 2 && std::strcmp(argv[1], "--admission-only") == 0)
-        return runAdmissionOnly(argv[2]);
-    if (argc > 2 && std::strcmp(argv[1], "--obs-only") == 0)
-        return runObsOnly(argv[2]);
     if (argc > 2 && std::strcmp(argv[1], "--trace") == 0)
         return runTraceExport(argv[2]);
 

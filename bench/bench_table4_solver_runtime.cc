@@ -7,13 +7,15 @@
  * workstation; the checks are (a) every plan lands OPTIMAL or FEASIBLE,
  * and (b) cost grows with model scale.
  *
- * Additionally proves out the solver rewrite: the trail-based engine is
- * compared head-to-head against the seed DFS ("baseline") on identical
- * CP models — exhaustively solved instances must agree on optimum and
- * status, and fixed-decision-budget instances measure wall time per
- * decision. The PASS bar is a >= 5x aggregate reduction in solver wall
- * time (equivalently decisions/s). A final section demonstrates the
- * plan memo: re-planning an unchanged model reuses cached incumbents.
+ * Part 1 runs the CP solver on eight OPG-window-shaped instances: three
+ * solved to exhaustion (status OPTIMAL, a fixed optimum) and five
+ * truncated at a 400k-decision budget at LC-OPG window scale. Per
+ * instance it reports status, objective and the deterministic work
+ * counters (decisions, propagations, backtracks) next to wall time;
+ * the regression gate holds the counters exactly, so a change that
+ * makes the search do more work fails on any host. Parts 3 and 4
+ * demonstrate the plan memo (re-planning an unchanged model reuses
+ * cached incumbents) and merge-time re-balancing.
  *
  * A final portfolio section measures the inside-one-window parallel
  * search: symmetry breaking's conflict reduction on interchangeable
@@ -22,15 +24,12 @@
  * decision budget, and byte-determinism across pool sizes 1/2/8.
  *
  * With an argument, also writes the measurements as JSON (consumed by
- * tools/run_benchmarks.sh -> BENCH_table4.json). With
- * `--portfolio-only PATH` runs just the portfolio section and writes
- * its JSON fragment to PATH (tools/run_benchmarks.sh --only portfolio).
+ * tools/run_benchmarks.sh -> BENCH_table4.json).
  */
 
 #include "bench/harness.hh"
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -51,7 +50,6 @@ using namespace flashmem;
 using solver::CpModel;
 using solver::CpSolver;
 using solver::LinearTerm;
-using solver::SearchEngine;
 using solver::SolveResult;
 using solver::SolverParams;
 using solver::VarId;
@@ -142,34 +140,6 @@ opgWindowInstance(const std::string &name, int weights, int layers,
     return inst;
 }
 
-struct EngineRun
-{
-    SolveResult base;
-    SolveResult trail;
-};
-
-EngineRun
-runBothEngines(const Instance &inst, double time_limit)
-{
-    EngineRun out;
-    for (auto engine : {SearchEngine::Baseline, SearchEngine::Trail}) {
-        SolverParams p;
-        p.engine = engine;
-        p.timeLimitSeconds = time_limit;
-        p.maxDecisions = inst.decisionBudget;
-        auto r = CpSolver(p).solve(inst.model, &inst.hint);
-        (engine == SearchEngine::Baseline ? out.base : out.trail) =
-            std::move(r);
-    }
-    return out;
-}
-
-double
-decisionsPerSecond(const SolveResult &r)
-{
-    return static_cast<double>(r.decisions) / (r.wallSeconds + 1e-12);
-}
-
 /**
  * Fully interchangeable OPG window: every weight has the same total
  * size and the same consumer set (all layers), so every per-weight
@@ -244,9 +214,8 @@ symWindowInstance(const std::string &name, int weights, int layers,
  * (d) Informational: Llama2-70B whole-plan wall time, single vs
  *     portfolio, plus the symmetry rows the planner adds by default.
  *
- * Returns {ok, fragment}; the fragment is the `"solver_portfolio"`
- * member without a trailing comma, shared by the full run and
- * --portfolio-only.
+ * Returns {ok, json}; the json is the `"solver_portfolio"` member
+ * without a trailing comma.
  */
 std::pair<bool, std::string>
 reportPortfolioStudy()
@@ -507,23 +476,6 @@ reportPortfolioStudy()
     return {ok, json.str()};
 }
 
-/** `--portfolio-only PATH`: portfolio section alone, as a JSON
- *  fragment for tools/run_benchmarks.sh --only portfolio. */
-int
-runPortfolioOnly(const char *path)
-{
-    auto [ok, pjson] = reportPortfolioStudy();
-    std::ofstream out(path);
-    out << "{\n" << pjson << "\n}\n";
-    if (out.good()) {
-        std::cout << "\nwrote " << path << "\n";
-    } else {
-        std::cerr << "failed to write " << path << "\n";
-        ok = false;
-    }
-    return ok ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -532,23 +484,19 @@ main(int argc, char **argv)
     using namespace flashmem;
     using namespace flashmem::bench;
 
-    if (argc > 2 && std::strcmp(argv[1], "--portfolio-only") == 0)
-        return runPortfolioOnly(argv[2]);
-
     bool ok = true;
     std::ostringstream json;
     json << "{\n";
 
     // ------------------------------------------------------------------
-    // Part 1: trail engine vs seed DFS on identical CP models.
-    // Exhaustive instances prove identical optima/statuses; budgeted
-    // instances measure wall time for the same number of decisions.
+    // Part 1: the CP solver on OPG-window-shaped models. Exhaustive
+    // instances must prove their optimum; budgeted instances must end
+    // no worse than their warm-start hint.
     // ------------------------------------------------------------------
-    printHeading(std::cout,
-                 "Solver rewrite: trail engine vs seed DFS (same models)");
+    printHeading(std::cout, "CP solver: OPG-window instances");
 
     std::vector<Instance> suite;
-    // Run-to-OPTIMAL instances (small enough for the seed DFS).
+    // Run-to-OPTIMAL instances.
     suite.push_back(opgWindowInstance("opt-w8-l5", 8, 5, 2, 5, 1, 0));
     suite.push_back(opgWindowInstance("opt-w9-l5", 9, 5, 2, 6, 7, 0));
     suite.push_back(opgWindowInstance("opt-w8-l4", 8, 4, 2, 6, 11, 0));
@@ -564,80 +512,48 @@ main(int argc, char **argv)
     suite.push_back(
         opgWindowInstance("win-w72-l14", 72, 14, 6, 36, 13, 400000));
 
-    Table cmp({"Instance", "Status", "Objective", "Seed (s)",
-               "Trail (s)", "Seed dec/s", "Trail dec/s", "Speedup"});
-    double wall_base = 0.0, wall_trail = 0.0;
-    std::uint64_t dec_base = 0, dec_trail = 0;
+    Table cmp({"Instance", "Status", "Objective", "Decisions",
+               "Propagations", "Backtracks", "Wall (s)"});
+    bool solver_ok = true;
     json << "  \"solver_comparison\": {\n    \"instances\": [\n";
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const auto &inst = suite[i];
-        auto r = runBothEngines(inst, 60.0);
-        ok &= r.base.status == r.trail.status;
-        ok &= r.base.feasible() && r.trail.feasible();
+        SolverParams p;
+        p.timeLimitSeconds = 60.0;
+        p.maxDecisions = inst.decisionBudget;
+        auto r = CpSolver(p).solve(inst.model, &inst.hint);
         if (inst.decisionBudget == 0) {
-            // Run to exhaustion: optima are defined and must match.
-            ok &= r.base.status == solver::SolveStatus::Optimal;
-            ok &= r.base.objective == r.trail.objective;
+            // Run to exhaustion: the optimum is proven.
+            solver_ok &= r.status == solver::SolveStatus::Optimal;
         } else {
-            // Budget-truncated anytime results: each engine seeds its
-            // incumbent from the hint, so neither may end worse than
-            // the hint's objective (the invariant both guarantee).
+            // Budget-truncated anytime result: the incumbent is seeded
+            // from the hint, so it may not end worse than the hint.
             std::int64_t hint_obj = 0;
             for (const auto &t : inst.model.objective())
                 hint_obj += t.coef * inst.hint[t.var];
-            ok &= r.base.objective <= hint_obj;
-            ok &= r.trail.objective <= hint_obj;
+            solver_ok &= r.feasible() && r.objective <= hint_obj;
         }
-        wall_base += r.base.wallSeconds;
-        wall_trail += r.trail.wallSeconds;
-        dec_base += r.base.decisions;
-        dec_trail += r.trail.decisions;
-        std::string obj_cell = std::to_string(r.trail.objective);
-        if (r.base.objective != r.trail.objective)
-            obj_cell += " (seed " + std::to_string(r.base.objective) +
-                        ")";
-        cmp.addRow({inst.name, solver::solveStatusName(r.trail.status),
-                    obj_cell,
-                    formatDouble(r.base.wallSeconds, 3),
-                    formatDouble(r.trail.wallSeconds, 3),
-                    formatDouble(decisionsPerSecond(r.base), 0),
-                    formatDouble(decisionsPerSecond(r.trail), 0),
-                    formatDouble(r.base.wallSeconds /
-                                     (r.trail.wallSeconds + 1e-12),
-                                 1) +
-                        "x"});
+        cmp.addRow({inst.name, solver::solveStatusName(r.status),
+                    std::to_string(r.objective),
+                    std::to_string(r.decisions),
+                    std::to_string(r.propagations),
+                    std::to_string(r.backtracks),
+                    formatDouble(r.wallSeconds, 3)});
         json << "      {\"name\": \"" << inst.name << "\", \"status\": \""
-             << solver::solveStatusName(r.trail.status)
-             << "\", \"objective\": " << r.trail.objective
-             << ", \"seed_wall_s\": " << r.base.wallSeconds
-             << ", \"trail_wall_s\": " << r.trail.wallSeconds
-             << ", \"seed_decisions\": " << r.base.decisions
-             << ", \"trail_decisions\": " << r.trail.decisions << "}"
+             << solver::solveStatusName(r.status)
+             << "\", \"objective\": " << r.objective
+             << ", \"decisions\": " << r.decisions
+             << ", \"propagations\": " << r.propagations
+             << ", \"backtracks\": " << r.backtracks
+             << ", \"wall_s\": " << r.wallSeconds << "}"
              << (i + 1 < suite.size() ? "," : "") << "\n";
     }
     cmp.print(std::cout);
-
-    double wall_speedup = wall_base / (wall_trail + 1e-12);
-    double dps_base = static_cast<double>(dec_base) / (wall_base + 1e-12);
-    double dps_trail =
-        static_cast<double>(dec_trail) / (wall_trail + 1e-12);
-    double dps_ratio = dps_trail / (dps_base + 1e-12);
-    std::cout << "\nAggregate: seed " << formatDouble(wall_base, 2)
-              << " s @ " << formatDouble(dps_base, 0)
-              << " dec/s; trail " << formatDouble(wall_trail, 2)
-              << " s @ " << formatDouble(dps_trail, 0) << " dec/s -> "
-              << formatDouble(wall_speedup, 1) << "x wall, "
-              << formatDouble(dps_ratio, 1) << "x dec/s\n";
-    bool speedup_ok = wall_speedup >= 5.0 || dps_ratio >= 5.0;
-    ok &= speedup_ok;
-    std::cout << ">=5x solver speedup (identical statuses everywhere, "
-                 "identical optima on exhausted instances): "
-              << (speedup_ok ? "PASS" : "FAIL") << "\n";
-    json << "    ],\n    \"aggregate_wall_speedup\": " << wall_speedup
-         << ",\n    \"aggregate_decisions_per_sec_seed\": " << dps_base
-         << ",\n    \"aggregate_decisions_per_sec_trail\": " << dps_trail
-         << ",\n    \"decisions_per_sec_ratio\": " << dps_ratio
-         << "\n  },\n";
+    ok &= solver_ok;
+    std::cout << "\nExhaustive instances OPTIMAL, budgeted instances no "
+                 "worse than their hint: "
+              << (solver_ok ? "PASS" : "FAIL") << "\n";
+    json << "    ]\n  },\n";
 
     // ------------------------------------------------------------------
     // Part 2: Table 4 — LC-OPG offline breakdown per model.

@@ -26,6 +26,11 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 /** Objective scaling: lambda/mu mapped onto integer coefficients. */
 constexpr std::int64_t kObjScale = 100;
 
+/** C4 soft-threshold relaxation factor per fallback round. */
+constexpr double kSoftThresholdGrowth = 1.3;
+/** Fallback rounds before the greedy backup takes over a window. */
+constexpr int kMaxFallbackRounds = 2;
+
 /**
  * Ledger-checked chunk placement step shared by the greedy warm start,
  * the merge-time clamp, and the re-balancing pass: take up to @p want
@@ -417,8 +422,8 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
 
     if (!r.feasible()) {
         // Tier 1: soft-threshold relaxation of C_l.
-        if (st.round < params_.maxFallbackRounds) {
-            st.relax *= params_.softThresholdGrowth;
+        if (st.round < kMaxFallbackRounds) {
+            st.relax *= kSoftThresholdGrowth;
             ++result.softRelaxations;
             ++st.round;
             return false;
@@ -456,7 +461,7 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
     double preload_frac =
         window_bytes ? static_cast<double>(preload_bytes) / window_bytes
                      : 0.0;
-    if (preload_frac > 0.8 && st.round < params_.maxFallbackRounds) {
+    if (preload_frac > 0.8 && st.round < kMaxFallbackRounds) {
         std::size_t worst = 0;
         std::int64_t worst_chunks = -1;
         for (std::size_t k = 0; k < weights.size(); ++k) {
@@ -674,7 +679,6 @@ LcOpgPlanner::plan(PlanStats *stats)
         solver::SolverParams sp;
         sp.timeLimitSeconds = params_.solverTimePerWindow;
         sp.maxDecisions = params_.solverDecisionsPerWindow;
-        sp.engine = params_.solverEngine;
         sp.restartConflictBase = params_.restartConflictBase;
         auto submitRound = [&](WindowSolveState &st) {
             st.rm = buildWindowModel(*st.in, st.relax, st.forced);

@@ -80,10 +80,6 @@ struct OpgParams
     std::uint64_t solverDecisionsPerWindow = 20000;
     /** Wall-clock backstop per window, seconds. */
     double solverTimePerWindow = 0.5;
-    /** C4 soft-threshold relaxation factor per fallback round. */
-    double softThresholdGrowth = 1.3;
-    /** Fallback rounds before the greedy backup takes over a window. */
-    int maxFallbackRounds = 2;
     /**
      * Explicit preload list (paper Section 5.4: "weights can also be
      * explicitly specified by directly adding their names to the
@@ -120,8 +116,6 @@ struct OpgParams
      * authoritative ledgers.
      */
     bool mergeRebalance = true;
-    /** CP search kernel (Baseline kept for before/after benches). */
-    solver::SearchEngine solverEngine = solver::SearchEngine::Trail;
     /**
      * Luby restart base (conflicts) for window solves; 0 = off.
      * Useful on budget-truncated (FEASIBLE) windows, where restarts

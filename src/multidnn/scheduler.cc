@@ -328,8 +328,7 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
         }
     }
 
-    const bool memory_aware =
-        policy.memoryAware() && cfg_.replanOnBudgetShift;
+    const bool memory_aware = policy.memoryAware();
     const bool faulty = !cfg_.faults.empty();
     DeviceCluster cluster(cfg_.cluster);
     std::vector<gpusim::GpuSimulator> sims;

@@ -57,8 +57,6 @@ struct SchedulerConfig
      * small ready-set fluctuations do not trigger re-plan churn (and
      * the per-budget artifact cache stays small). */
     Bytes budgetQuantum = mib(64);
-    /** Master switch for on-device re-planning on budget shifts. */
-    bool replanOnBudgetShift = true;
     /** Cluster shape: device count, placement policy, cross-request
      * init/exec overlap (see multidnn/device.hh). The default is the
      * single serialized device of the original scheduler. */

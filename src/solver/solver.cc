@@ -15,6 +15,9 @@ namespace {
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 
+/** Multiplicative activity bump applied per conflict (VSIDS-style). */
+constexpr double kActivityDecay = 1.05;
+
 /** Floor division robust to negative operands. */
 std::int64_t
 divFloor(std::int64_t a, std::int64_t b)
@@ -60,8 +63,6 @@ luby(std::uint64_t i)
         i -= (1ull << (k - 1)) - 1;
     }
 }
-
-// ===================================================== Trail engine
 
 /**
  * Trail-based DFS branch and bound. Per-node cost is proportional to
@@ -461,7 +462,7 @@ struct TrailSearch
             bump(imp.x);
             bump(imp.y);
         }
-        activityInc *= params.activityDecay;
+        activityInc *= kActivityDecay;
     }
 
     void
@@ -709,259 +710,6 @@ struct TrailSearch
     }
 };
 
-// ================================================== Baseline engine
-
-/**
- * The seed DFS, kept verbatim as the before/after comparison point and
- * differential oracle: full lb/ub snapshots per node, full constraint
- * sweeps per propagation pass, O(V) variable scans.
- */
-struct BaselineState
-{
-    const CpModel *model = nullptr;
-    SolverParams params;
-    std::vector<std::int64_t> lb, ub;
-    // Incumbent.
-    bool haveIncumbent = false;
-    std::vector<std::int64_t> best;
-    std::int64_t bestObjective = kInf;
-    // Stats / limits.
-    std::uint64_t decisions = 0;
-    std::uint64_t propagations = 0;
-    std::uint64_t backtracks = 0;
-    std::uint64_t restarts = 0; ///< always 0: no restarts in the seed DFS
-    bool limitHit = false;
-    bool cancelled = false; ///< always false: the board is Trail-only
-    // Snapshots at the last incumbent improvement (see SolveResult).
-    std::uint64_t improveDecisions = 0;
-    std::uint64_t improvePropagations = 0;
-    std::uint64_t improveBacktracks = 0;
-    std::uint64_t improveRestarts = 0;
-    // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
-    std::chrono::steady_clock::time_point deadline;
-
-    bool
-    timeUp()
-    {
-        // Check the clock sparingly; decisions dominate runtime.
-        if ((decisions & 0x3F) == 0 &&
-            // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
-            std::chrono::steady_clock::now() >= deadline) {
-            limitHit = true;
-        }
-        if (params.maxDecisions && decisions >= params.maxDecisions)
-            limitHit = true;
-        return limitHit;
-    }
-
-    /** Uniform entry point with TrailSearch (no restart schedule). */
-    bool run() { return search(); }
-
-    std::int64_t
-    objectiveMin() const
-    {
-        std::int64_t s = 0;
-        for (const auto &t : model->objective())
-            s += t.coef * (t.coef >= 0 ? lb[t.var] : ub[t.var]);
-        return s;
-    }
-
-    /**
-     * Bounds propagation to fixpoint over linear constraints and
-     * implications. @return false on a domain wipe-out (conflict).
-     */
-    bool
-    propagate()
-    {
-        for (int pass = 0; pass < params.maxPropagationPasses; ++pass) {
-            ++propagations;
-            bool changed = false;
-
-            for (const auto &c : model->constraints()) {
-                // Current sum bounds.
-                std::int64_t smin = 0, smax = 0;
-                for (const auto &t : c.terms) {
-                    if (t.coef >= 0) {
-                        smin += t.coef * lb[t.var];
-                        smax += t.coef * ub[t.var];
-                    } else {
-                        smin += t.coef * ub[t.var];
-                        smax += t.coef * lb[t.var];
-                    }
-                }
-                if (smin > c.hi || smax < c.lo)
-                    return false;
-
-                for (const auto &t : c.terms) {
-                    // Bounds of the sum excluding this term.
-                    std::int64_t tmin, tmax;
-                    if (t.coef >= 0) {
-                        tmin = t.coef * lb[t.var];
-                        tmax = t.coef * ub[t.var];
-                    } else {
-                        tmin = t.coef * ub[t.var];
-                        tmax = t.coef * lb[t.var];
-                    }
-                    std::int64_t others_min = smin - tmin;
-                    std::int64_t others_max = smax - tmax;
-                    // c.lo - others_max <= coef*v <= c.hi - others_min.
-                    std::int64_t lo_num =
-                        c.lo == -kInf ? -kInf : c.lo - others_max;
-                    std::int64_t hi_num =
-                        c.hi == kInf ? kInf : c.hi - others_min;
-                    std::int64_t new_lb, new_ub;
-                    if (t.coef > 0) {
-                        new_lb = lo_num <= -kInf ? lb[t.var]
-                                                 : divCeil(lo_num, t.coef);
-                        new_ub = hi_num >= kInf ? ub[t.var]
-                                                : divFloor(hi_num, t.coef);
-                    } else if (t.coef < 0) {
-                        new_lb = hi_num >= kInf ? lb[t.var]
-                                                : divCeil(hi_num, t.coef);
-                        new_ub = lo_num <= -kInf
-                                     ? ub[t.var]
-                                     : divFloor(lo_num, t.coef);
-                    } else {
-                        continue;
-                    }
-                    if (new_lb > lb[t.var]) {
-                        lb[t.var] = new_lb;
-                        changed = true;
-                    }
-                    if (new_ub < ub[t.var]) {
-                        ub[t.var] = new_ub;
-                        changed = true;
-                    }
-                    if (lb[t.var] > ub[t.var])
-                        return false;
-                }
-            }
-
-            for (const auto &imp : model->implications()) {
-                // (x >= thr) => (y <= bound)
-                if (lb[imp.x] >= imp.xThreshold) {
-                    if (imp.yBound < ub[imp.y]) {
-                        ub[imp.y] = imp.yBound;
-                        changed = true;
-                    }
-                } else if (lb[imp.y] > imp.yBound) {
-                    // Contrapositive: y already exceeds the bound, so x
-                    // must stay below its threshold.
-                    if (imp.xThreshold - 1 < ub[imp.x]) {
-                        ub[imp.x] = imp.xThreshold - 1;
-                        changed = true;
-                    }
-                }
-                if (lb[imp.x] > ub[imp.x] || lb[imp.y] > ub[imp.y])
-                    return false;
-            }
-
-            // Objective bounding against the incumbent.
-            if (haveIncumbent && model->hasObjective() &&
-                objectiveMin() >= bestObjective) {
-                return false;
-            }
-
-            if (!changed)
-                return true;
-        }
-        return true; // fixpoint not reached within pass budget; sound
-    }
-
-    /** First-fail: unfixed variable with the smallest domain. */
-    VarId
-    pickVariable() const
-    {
-        VarId best_var = -1;
-        std::int64_t best_size = kInf;
-        for (VarId v = 0; v < static_cast<VarId>(lb.size()); ++v) {
-            std::int64_t size = ub[v] - lb[v];
-            if (size > 0 && size < best_size) {
-                best_size = size;
-                best_var = v;
-            }
-        }
-        return best_var;
-    }
-
-    void
-    recordIncumbent()
-    {
-        std::int64_t obj = 0;
-        for (const auto &t : model->objective())
-            obj += t.coef * lb[t.var];
-        if (!haveIncumbent || obj < bestObjective) {
-            haveIncumbent = true;
-            bestObjective = obj;
-            best = lb;
-            improveDecisions = decisions;
-            improvePropagations = propagations;
-            improveBacktracks = backtracks;
-            improveRestarts = restarts;
-        }
-    }
-
-    /** DFS with chronological backtracking. @return true if exhausted. */
-    bool
-    search()
-    {
-        if (timeUp())
-            return false;
-        if (!propagate()) {
-            ++backtracks;
-            return true;
-        }
-        VarId v = pickVariable();
-        if (v < 0) {
-            recordIncumbent();
-            if (!model->hasObjective()) {
-                // Satisfaction problem: first solution suffices.
-                return true;
-            }
-            ++backtracks;
-            return true;
-        }
-
-        // Objective-aware value ordering: positive-coefficient objective
-        // variables prefer small values; negative prefer large.
-        bool low_first = true;
-        for (const auto &t : model->objective()) {
-            if (t.var == v) {
-                low_first = t.coef >= 0;
-                break;
-            }
-        }
-        low_first = low_first != params.invertValueOrder;
-
-        auto saved_lb = lb;
-        auto saved_ub = ub;
-        for (int side = 0; side < 2; ++side) {
-            ++decisions;
-            if (timeUp())
-                return false;
-            bool try_low = (side == 0) == low_first;
-            if (try_low) {
-                // v = lb
-                ub[v] = lb[v];
-            } else {
-                // v in [lb+1, ub]
-                if (saved_lb[v] + 1 > saved_ub[v])
-                    continue;
-                lb[v] = saved_lb[v] + 1;
-                ub[v] = saved_ub[v];
-            }
-            bool exhausted = search();
-            lb = saved_lb;
-            ub = saved_ub;
-            if (!exhausted)
-                return false;
-            if (!model->hasObjective() && haveIncumbent)
-                return true;
-        }
-        return true;
-    }
-};
-
 } // namespace
 
 const char *
@@ -980,18 +728,6 @@ solveStatusName(SolveStatus status)
     return "?";
 }
 
-const char *
-searchEngineName(SearchEngine engine)
-{
-    switch (engine) {
-      case SearchEngine::Trail:
-        return "trail";
-      case SearchEngine::Baseline:
-        return "baseline";
-    }
-    return "?";
-}
-
 SolveResult
 CpSolver::solve(const CpModel &model,
                 const std::vector<std::int64_t> *hint)
@@ -1002,67 +738,38 @@ CpSolver::solve(const CpModel &model,
         t0 + std::chrono::microseconds(static_cast<std::int64_t>(
                  params_.timeLimitSeconds * 1e6));
 
-    SolveResult result;
-    bool exhausted = false;
-    bool haveIncumbent = false;
-    std::vector<std::int64_t> best;
-    std::int64_t bestObjective = 0;
-
-    // Shared per-engine tail: seed the incumbent from a valid hint,
-    // search, and pull the stats out of the engine state.
-    auto runEngine = [&](auto &st) {
-        if (hint && model.satisfiedBy(*hint)) {
-            st.haveIncumbent = true;
-            st.best = *hint;
-            st.bestObjective = objectiveOf(model, *hint);
-        }
-        exhausted = st.run();
-        result.decisions = st.decisions;
-        result.propagations = st.propagations;
-        result.backtracks = st.backtracks;
-        result.restarts = st.restarts;
-        result.cancelled = st.cancelled;
-        result.improveDecisions = st.improveDecisions;
-        result.improvePropagations = st.improvePropagations;
-        result.improveBacktracks = st.improveBacktracks;
-        result.improveRestarts = st.improveRestarts;
-        haveIncumbent = st.haveIncumbent;
-        best = std::move(st.best);
-        bestObjective = st.bestObjective;
-    };
-
-    if (params_.engine == SearchEngine::Trail) {
-        TrailSearch st;
-        st.params = params_;
-        st.deadline = deadline;
-        st.init(model);
-        runEngine(st);
-    } else {
-        BaselineState st;
-        st.model = &model;
-        st.params = params_;
-        st.deadline = deadline;
-        st.lb.resize(model.varCount());
-        st.ub.resize(model.varCount());
-        for (VarId v = 0; v < static_cast<VarId>(model.varCount());
-             ++v) {
-            st.lb[v] = model.lowerBound(v);
-            st.ub[v] = model.upperBound(v);
-        }
-        runEngine(st);
+    TrailSearch st;
+    st.params = params_;
+    st.deadline = deadline;
+    st.init(model);
+    if (hint && model.satisfiedBy(*hint)) {
+        st.haveIncumbent = true;
+        st.best = *hint;
+        st.bestObjective = objectiveOf(model, *hint);
     }
+    const bool exhausted = st.run();
 
+    SolveResult result;
+    result.decisions = st.decisions;
+    result.propagations = st.propagations;
+    result.backtracks = st.backtracks;
+    result.restarts = st.restarts;
+    result.cancelled = st.cancelled;
+    result.improveDecisions = st.improveDecisions;
+    result.improvePropagations = st.improvePropagations;
+    result.improveBacktracks = st.improveBacktracks;
+    result.improveRestarts = st.improveRestarts;
     result.wallSeconds =
         // FMLINT(allow:no-wall-clock) reported wall time only; solve results never depend on it
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
 
-    if (haveIncumbent) {
+    if (st.haveIncumbent) {
         result.status =
             exhausted ? SolveStatus::Optimal : SolveStatus::Feasible;
-        result.values = std::move(best);
-        result.objective = bestObjective;
+        result.values = std::move(st.best);
+        result.objective = st.bestObjective;
     } else {
         result.status =
             exhausted ? SolveStatus::Infeasible : SolveStatus::Unknown;

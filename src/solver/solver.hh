@@ -2,18 +2,12 @@
  * @file
  * Branch-and-bound CP solver with interval (bounds) propagation.
  *
- * Two search engines share the statuses and semantics:
- *
- *   Trail (default) — trail-based undo stack (only changed bounds are
- *   recorded and rewound on backtrack), watch-list dirty-queue
- *   propagation (only constraints whose variables changed are
- *   revisited), an incrementally maintained objective lower bound, and
- *   heap-based first-fail variable selection with activity tie-breaking.
- *
- *   Baseline — the seed DFS that copies full lb/ub vectors per decision
- *   node and re-scans every constraint per propagation pass. Kept for
- *   the before/after comparison in bench_table4_solver_runtime and as a
- *   differential-testing oracle.
+ * The search keeps a trail-based undo stack (only changed bounds are
+ * recorded and rewound on backtrack), propagates through a watch-list
+ * dirty queue (only constraints whose variables changed are revisited),
+ * maintains the objective lower bound incrementally, and selects
+ * variables first-fail from a heap with activity tie-breaking
+ * (src/solver/README.md).
  *
  * Search: first-fail variable selection, objective-aware value ordering,
  * incumbent-driven bounding, wall-clock + decision limits. Statuses
@@ -41,25 +35,13 @@ enum class SolveStatus { Optimal, Feasible, Infeasible, Unknown };
 /** Human-readable status name ("OPTIMAL", "FEASIBLE", ...). */
 const char *solveStatusName(SolveStatus status);
 
-/** Which search kernel solve() runs (see file comment). */
-enum class SearchEngine { Trail, Baseline };
-
-/** Human-readable engine name ("trail", "baseline"). */
-const char *searchEngineName(SearchEngine engine);
-
 /** Search limits and tunables. */
 struct SolverParams
 {
     double timeLimitSeconds = 150.0;  ///< paper Table 4 uses 150 s
     std::uint64_t maxDecisions = 0;   ///< 0 = unlimited
-    /** Maximum propagation sweeps per node before giving up fixpoint
-     * (Baseline engine only; Trail always reaches fixpoint). */
-    int maxPropagationPasses = 16;
-    SearchEngine engine = SearchEngine::Trail;
-    /** Multiplicative activity bump applied per conflict (Trail). */
-    double activityDecay = 1.05;
     /**
-     * Luby restart base, in conflicts (Trail only; 0 disables).
+     * Luby restart base, in conflicts (0 disables).
      * Restart i aborts the current dive after luby(i) * base conflicts
      * and re-descends from the root with solution phase saving: value
      * ordering follows the incumbent, so restarted searches keep (and
@@ -76,15 +58,14 @@ struct SolverParams
      * @name Deterministic portfolio hooks (solver/portfolio.hh).
      *
      * orderSeed != 0 replaces the first-fail heap's final var-id
-     * tie-break with a seeded permutation of the variable ids (Trail
-     * only) — search order diversity without touching the heuristics.
+     * tie-break with a seeded permutation of the variable ids —
+     * search order diversity without touching the heuristics.
      * invertValueOrder flips the branching polarity (low-first <->
      * high-first, including the saved solution phase under restarts).
      * board/portfolioIndex attach this solve to a cancellation board:
      * the search stops early when a lower-indexed configuration has
-     * achieved the proven optimum (Trail only; Baseline ignores the
-     * board). The board never injects bounds, so an attached run is
-     * always a prefix of the detached one.
+     * achieved the proven optimum. The board never injects bounds, so
+     * an attached run is always a prefix of the detached one.
      * @{
      */
     std::uint64_t orderSeed = 0;
@@ -101,10 +82,10 @@ struct SolveResult
     std::vector<std::int64_t> values;
     std::int64_t objective = 0;
     std::uint64_t decisions = 0;
-    /** Constraint revisions (Trail) / full passes (Baseline). */
+    /** Constraint revisions (linear rows and implications). */
     std::uint64_t propagations = 0;
     std::uint64_t backtracks = 0;
-    /** Luby restarts taken (Trail with restartConflictBase > 0). */
+    /** Luby restarts taken (restartConflictBase > 0). */
     std::uint64_t restarts = 0;
     double wallSeconds = 0.0;
     /** Stopped early by the portfolio cancellation board. */

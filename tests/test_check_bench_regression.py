@@ -10,9 +10,11 @@ tests/regression_fixtures/.
 Run directly or via ctest (check_bench_regression_selftest).
 """
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 import unittest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -78,6 +80,40 @@ class MissingSection(unittest.TestCase):
                       err)
 
 
+class MissingRowField(unittest.TestCase):
+    """A keyed row lacking a gated field or its key is a named
+    failure, not a KeyError traceback."""
+
+    def setUp(self):
+        with open(GOOD) as f:
+            fresh = json.load(f)
+        del fresh["solver_comparison"]["instances"][0]["objective"]
+        del fresh["table4"][0]["status"]
+        del fresh["fig6_policies"][0]["policy"]
+        self.tmp = tempfile.TemporaryDirectory()
+        path = os.path.join(self.tmp.name, "fresh_missing_field.json")
+        with open(path, "w") as f:
+            json.dump(fresh, f)
+        self.rc, _, self.err = run_gate(GOOD, path)
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def test_named_failure_not_a_traceback(self):
+        self.assertEqual(self.rc, 1)
+        self.assertNotIn("Traceback", self.err)
+        self.assertIn("instance vit-8b: field 'objective' missing "
+                      "from the fresh run", self.err)
+        self.assertIn("table4 ViT-8B: field 'status' missing from the "
+                      "fresh run", self.err)
+
+    def test_row_without_its_key(self):
+        self.assertIn("fig6 policy #0: field 'policy' missing from the "
+                      "fresh run", self.err)
+        self.assertIn("fig6 policy fifo: missing from the fresh run",
+                      self.err)
+
+
 class RegressionBeyondBound(unittest.TestCase):
     """Each tolerance gate fires on the regressed fixture."""
 
@@ -89,8 +125,9 @@ class RegressionBeyondBound(unittest.TestCase):
         self.assertEqual(self.rc, 1)
         self.assertIn("REGRESSION:", self.err)
 
-    def test_speedup_drop_beyond_10pct(self):
-        self.assertIn("aggregate solver speedup regressed", self.err)
+    def test_propagations_grew(self):
+        self.assertIn("instance vit-8b: propagations grew "
+                      "2500000 -> 2600000", self.err)
 
     def test_objective_worsened(self):
         self.assertIn("instance vit-8b: objective worsened", self.err)
@@ -151,9 +188,11 @@ class RegressionBeyondBound(unittest.TestCase):
                       self.err)
 
     def test_within_tolerance_rows_not_flagged(self):
-        # The llama2-13b objective and 1-device QPS are unchanged in
-        # the regressed fixture; the gate must not flag them.
-        self.assertNotIn("llama2-13b: objective worsened", self.err)
+        # The llama2-13b row, the vit-8b decision count and the
+        # 1-device QPS are unchanged in the regressed fixture; the gate
+        # must not flag them.
+        self.assertNotIn("llama2-13b", self.err)
+        self.assertNotIn("vit-8b: decisions grew", self.err)
         self.assertNotIn("sharding point 1dev/on", self.err)
 
 

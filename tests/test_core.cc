@@ -408,19 +408,6 @@ TEST(LcOpg, PlanMemoDisabledStillMatches)
     EXPECT_EQ(plan1.serialize(), plan2.serialize());
 }
 
-TEST(LcOpg, BaselineSolverEngineProducesValidPlan)
-{
-    auto g = toyGraph(3);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-    OpgParams params;
-    params.solverEngine = solver::SearchEngine::Baseline;
-    params.planMemo = false;
-    LcOpgPlanner planner(g, cap, km, params);
-    auto plan = planner.plan();
-    EXPECT_TRUE(plan.validate(g, false));
-}
-
 // ----------------------------------------- Parallel window planning
 
 TEST(LcOpg, ParallelPlansAreByteIdentical)

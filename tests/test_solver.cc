@@ -2,8 +2,8 @@
  * @file
  * Tests for the CP-SAT-style solver: propagation, implications,
  * optimality on knapsack-like problems, status reporting, limits, the
- * trail/watch-list machinery behind the fast engine, and randomized
- * equivalence checks against brute-force enumeration (both engines).
+ * trail/watch-list machinery behind the search, and randomized
+ * equivalence checks against brute-force enumeration.
  */
 
 #include <gtest/gtest.h>
@@ -302,23 +302,14 @@ TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
         }
     }
 
-    // Both engines must agree with the enumerator and each other.
-    for (auto engine : {SearchEngine::Trail, SearchEngine::Baseline}) {
-        SolverParams params;
-        params.engine = engine;
-        auto r = CpSolver(params).solve(m);
-        if (bf_feasible) {
-            ASSERT_EQ(r.status, SolveStatus::Optimal)
-                << "seed " << GetParam() << " engine "
-                << searchEngineName(engine);
-            EXPECT_EQ(r.objective, bf_best)
-                << "seed " << GetParam() << " engine "
-                << searchEngineName(engine);
-        } else {
-            EXPECT_EQ(r.status, SolveStatus::Infeasible)
-                << "seed " << GetParam() << " engine "
-                << searchEngineName(engine);
-        }
+    // The solver must agree with the enumerator.
+    auto r = CpSolver().solve(m);
+    if (bf_feasible) {
+        ASSERT_EQ(r.status, SolveStatus::Optimal) << "seed " << GetParam();
+        EXPECT_EQ(r.objective, bf_best) << "seed " << GetParam();
+    } else {
+        EXPECT_EQ(r.status, SolveStatus::Infeasible)
+            << "seed " << GetParam();
     }
 }
 
@@ -331,8 +322,6 @@ TEST(CpSolver, StatusNames)
     EXPECT_STREQ(solveStatusName(SolveStatus::Feasible), "FEASIBLE");
     EXPECT_STREQ(solveStatusName(SolveStatus::Infeasible), "INFEASIBLE");
     EXPECT_STREQ(solveStatusName(SolveStatus::Unknown), "UNKNOWN");
-    EXPECT_STREQ(searchEngineName(SearchEngine::Trail), "trail");
-    EXPECT_STREQ(searchEngineName(SearchEngine::Baseline), "baseline");
 }
 
 // ------------------------------------------------------------ DomainTrail
@@ -640,9 +629,9 @@ TEST(CpModel, FingerprintStableAndSensitive)
     EXPECT_NE(base, no_obj.fingerprint()); // objective participates
 }
 
-// ------------------------------------------------- Engine equivalence
+// ------------------------------------------------- Window models
 
-/** A mid-size OPG-ish model both engines solve to optimality. */
+/** A mid-size OPG-ish model the solver proves optimal. */
 CpModel
 windowModel(int weights, int layers, int tw, int cap)
 {
@@ -671,18 +660,14 @@ windowModel(int weights, int layers, int tw, int cap)
     return m;
 }
 
-TEST(CpSolver, EnginesAgreeOnWindowModel)
+TEST(CpSolver, SolvesWindowModelToKnownOptimum)
 {
-    auto m = windowModel(6, 4, 2, 4);
-    SolverParams trail_params;
-    trail_params.engine = SearchEngine::Trail;
-    SolverParams base_params;
-    base_params.engine = SearchEngine::Baseline;
-    auto rt = CpSolver(trail_params).solve(m);
-    auto rb = CpSolver(base_params).solve(m);
-    ASSERT_EQ(rt.status, SolveStatus::Optimal);
-    ASSERT_EQ(rb.status, SolveStatus::Optimal);
-    EXPECT_EQ(rt.objective, rb.objective);
+    // 6 weights x 2 chunks = 12 chunks; the cheapest layers cost 1, 2
+    // and 3 per chunk and each holds 4, so the optimum fills them:
+    // 4 * (1 + 2 + 3) = 24.
+    auto r = CpSolver().solve(windowModel(6, 4, 2, 4));
+    ASSERT_EQ(r.status, SolveStatus::Optimal);
+    EXPECT_EQ(r.objective, 24);
 }
 
 TEST(CpSolver, TrailEngineSolvesDeterministically)

@@ -5,10 +5,10 @@ Usage: check_bench_regression.py OLD.json NEW.json
 
 Fails (exit 1) when the fresh run regresses against the committed
 snapshot:
-  - aggregate solver wall speedup (trail vs seed DFS) drops by more
-    than 10%, or
-  - any solver-comparison instance ends with a worse (higher)
-    objective, or
+  - any solver_comparison instance ends with a worse (higher)
+    objective, or needs more decisions or propagations (exact,
+    host-independent work counters; planner wall time is gated end to
+    end by perfbench's compile_s), or
   - any Table-4 model's plan status gets worse
     (OPTIMAL -> FEASIBLE -> greedy/unknown ordering), or
   - any Fig-6 scheduler policy's makespan or mean request latency
@@ -49,9 +49,10 @@ snapshot:
     budget instance's portfolio status/objective worsens, or the
     pool-size-1/2/8 byte-determinism flag goes false.
 
-Missing data fails loudly: absent aggregate_wall_speedup fields,
-instances/models/policies present on one side but not the other, and
-absent sections are regressions (coverage loss), not silent passes.
+Missing data fails loudly: a keyed row lacking its key or a gated
+field, instances/models/policies present on one side but not the
+other, and absent sections are regressions (coverage loss), not
+silent passes.
 Regenerate the snapshot deliberately (tools/run_benchmarks.sh
 --no-gate) when the schema legitimately changes.
 
@@ -63,7 +64,7 @@ import sys
 
 STATUS_RANK = {"OPTIMAL": 0, "FEASIBLE": 1, "UNKNOWN": 2,
                "INFEASIBLE": 3}
-SPEEDUP_TOLERANCE = 0.90   # fail below 90% of the committed speedup
+RATIO_TOLERANCE = 0.90     # fail below 90% of the committed ratio
 LATENCY_TOLERANCE = 1.10   # fail above 110% of the committed time
 GOODPUT_TOLERANCE = 0.02   # fail on > 2-point absolute goodput drop
 QPS_TOLERANCE = 0.90       # fail below 90% of the committed max QPS
@@ -71,31 +72,22 @@ OBS_OVERHEAD_TOLERANCE = 1.10  # tracing-on must stay within +10%
 OBS_NOISE_TOLERANCE = 0.10     # off-vs-off arms must agree to 10%
 
 
-def check_speedup(old, new, failures):
-    old_cmp = old.get("solver_comparison", {})
-    new_cmp = new.get("solver_comparison", {})
-    old_speedup = old_cmp.get("aggregate_wall_speedup")
-    new_speedup = new_cmp.get("aggregate_wall_speedup")
-    if old_speedup is None or new_speedup is None:
-        failures.append(
-            "aggregate_wall_speedup missing from "
-            + ("both snapshots" if old_speedup is None and
-               new_speedup is None else
-               "the committed snapshot" if old_speedup is None else
-               "the fresh run")
-            + " — the speedup gate cannot run")
-        return
-    if new_speedup < SPEEDUP_TOLERANCE * old_speedup:
-        failures.append(
-            f"aggregate solver speedup regressed: {old_speedup:.2f}x"
-            f" -> {new_speedup:.2f}x (> 10% drop)")
-    print(f"speedup: {old_speedup:.2f}x -> {new_speedup:.2f}x")
-
-
 def check_keyed_rows(name, key, old_rows, new_rows, failures, check):
-    """Compare rows keyed by @key; rows missing on either side fail."""
-    old_by = {r[key]: r for r in old_rows}
-    new_by = {r[key]: r for r in new_rows}
+    """Compare rows keyed by @key; rows missing on either side fail,
+    and so does a row lacking @key or a field that @check reads."""
+    sides = []
+    for label, rows in (("committed snapshot", old_rows),
+                        ("fresh run", new_rows)):
+        by_key = {}
+        for i, row in enumerate(rows):
+            if key not in row:
+                failures.append(
+                    f"{name} #{i}: field '{key}' missing from the "
+                    f"{label}")
+                continue
+            by_key[row[key]] = row
+        sides.append(by_key)
+    old_by, new_by = sides
     for k in old_by:
         if k not in new_by:
             failures.append(
@@ -107,7 +99,14 @@ def check_keyed_rows(name, key, old_rows, new_rows, failures, check):
                 f"{name} {k}: missing from the committed snapshot "
                 "(regenerate the snapshot to admit it)")
             continue
-        check(k, old_by[k], row)
+        try:
+            check(k, old_by[k], row)
+        except KeyError as e:
+            field = e.args[0]
+            side = ("the fresh run" if field not in row
+                    else "the committed snapshot")
+            failures.append(
+                f"{name} {k}: field '{field}' missing from {side}")
 
 
 def load_snapshot(path, label):
@@ -139,13 +138,14 @@ def main() -> int:
 
     failures = []
 
-    check_speedup(old, new, failures)
-
     def instance_check(name, old_row, new_row):
-        if new_row["objective"] > old_row["objective"]:
-            failures.append(
-                f"instance {name}: objective worsened"
-                f" {old_row['objective']} -> {new_row['objective']}")
+        for field, what in (("objective", "objective worsened"),
+                            ("decisions", "decisions grew"),
+                            ("propagations", "propagations grew")):
+            if new_row[field] > old_row[field]:
+                failures.append(
+                    f"instance {name}: {what}"
+                    f" {old_row[field]} -> {new_row[field]}")
 
     check_keyed_rows(
         "instance", "name",
@@ -176,10 +176,6 @@ def main() -> int:
     else:
         def policy_check(name, old_row, new_row):
             for field in ("makespan_ms", "mean_latency_ms"):
-                if field not in old_row or field not in new_row:
-                    failures.append(
-                        f"fig6 policy {name}: {field} missing")
-                    continue
                 if new_row[field] > LATENCY_TOLERANCE * old_row[field]:
                     failures.append(
                         f"fig6 policy {name}: {field} worsened"
@@ -204,11 +200,6 @@ def main() -> int:
         failures.append(f"serving section missing from {side}")
     else:
         def serving_check(name, old_row, new_row):
-            for field in ("p95_ms", "goodput", "max_sustainable_qps"):
-                if field not in old_row or field not in new_row:
-                    failures.append(
-                        f"serving policy {name}: {field} missing")
-                    return
             if new_row["p95_ms"] > LATENCY_TOLERANCE * old_row["p95_ms"]:
                 failures.append(
                     f"serving policy {name}: p95 worsened"
@@ -249,11 +240,6 @@ def main() -> int:
         failures.append(f"serving_faults missing from {side}")
     else:
         def fault_check(name, old_row, new_row):
-            for field in ("goodput", "p99_ms", "accounting_complete"):
-                if field not in old_row or field not in new_row:
-                    failures.append(
-                        f"fault scenario {name}: {field} missing")
-                    return
             if not new_row["accounting_complete"]:
                 failures.append(
                     f"fault scenario {name}: a submitted request was "
@@ -302,11 +288,6 @@ def main() -> int:
         failures.append(f"serving_admission missing from {side}")
     else:
         def admission_check(name, old_row, new_row):
-            for field in ("goodput", "p99_ms", "accounting_complete"):
-                if field not in old_row or field not in new_row:
-                    failures.append(
-                        f"admission scenario {name}: {field} missing")
-                    return
             if not new_row["accounting_complete"]:
                 failures.append(
                     f"admission scenario {name}: a submitted request "
@@ -378,12 +359,6 @@ def main() -> int:
             return [dict(r, point=point_key(r)) for r in rows]
 
         def sharding_check(name, old_row, new_row):
-            if ("max_sustainable_qps" not in old_row or
-                    "max_sustainable_qps" not in new_row):
-                failures.append(
-                    f"sharding point {name}: max_sustainable_qps "
-                    "missing")
-                return
             if (new_row["max_sustainable_qps"] <
                     QPS_TOLERANCE * old_row["max_sustainable_qps"]):
                 failures.append(
@@ -504,7 +479,7 @@ def main() -> int:
                    "the committed snapshot" if old_ratio is None else
                    "the fresh run"))
         else:
-            if new_ratio < SPEEDUP_TOLERANCE * old_ratio:
+            if new_ratio < RATIO_TOLERANCE * old_ratio:
                 failures.append(
                     "symmetry-breaking conflict ratio regressed: "
                     f"{old_ratio:.1f}x -> {new_ratio:.1f}x (> 10% "
@@ -519,12 +494,6 @@ def main() -> int:
 
         def sym_check(name, old_row, new_row):
             del old_row
-            if ("plain_conflicts" not in new_row or
-                    "broken_conflicts" not in new_row):
-                failures.append(
-                    f"symmetry instance {name}: conflict counts "
-                    "missing")
-                return
             if (new_row["broken_conflicts"] >=
                     new_row["plain_conflicts"]):
                 failures.append(
@@ -538,11 +507,6 @@ def main() -> int:
                          failures, sym_check)
 
         def budget_check(name, old_row, new_row):
-            for field in ("portfolio_status", "portfolio_objective"):
-                if field not in old_row or field not in new_row:
-                    failures.append(
-                        f"budget instance {name}: {field} missing")
-                    return
             was = STATUS_RANK.get(old_row["portfolio_status"], 9)
             now = STATUS_RANK.get(new_row["portfolio_status"], 9)
             if now > was:

@@ -58,18 +58,13 @@ justification, on the flagged line or on a comment line directly above:
     // FMLINT(allow:no-wall-clock) solver time budget, not plan content
     auto t0 = std::chrono::steady_clock::now();
 
-Engines: the default `builtin` engine lexes C++ and builds a
-lightweight block/scope structure itself (AST-level matching, not
-regex-over-text: strings/comments never match, scopes and loop bodies
-are real token spans).  When the clang.cindex Python bindings are
-installed, `--engine=clang` runs the subset of checks that map onto
-libclang cursors on a full AST instead; this container does not ship
-libclang, so the builtin engine is the one CI exercises and the clang
-engine is availability-gated.
+The lint lexes C++ itself and builds a lightweight block/scope
+structure (AST-level matching, not regex-over-text: strings/comments
+never match, scopes and loop bodies are real token spans), so it needs
+no compiler.
 
 Usage:
-  flashmem_lint.py [--checks a,b] [--exclude PAT]... [--engine E]
-                   [-v] PATH...
+  flashmem_lint.py [--checks a,b] [--exclude PAT]... [-v] PATH...
 Exits nonzero when any unsuppressed finding remains.
 """
 
@@ -1067,50 +1062,6 @@ BUILTIN_CHECKS = {
 }
 
 
-# -------------------------------------------------------------- clang engine
-
-class ClangEngine:
-    """libclang-backed engine for the cursor-mappable checks.
-
-    Availability-gated: this container has no libclang, so the builtin
-    engine is authoritative; when clang.cindex imports, this engine
-    runs no-wall-clock and no-unordered-iteration on a real AST and
-    delegates the structural checks to the builtin engine.
-    """
-
-    def __init__(self, include_dirs):
-        import clang.cindex  # noqa: gated import; may raise
-        self.cindex = clang.cindex
-        self.args = ["-std=c++20", "-xc++"] + [
-            f"-I{d}" for d in include_dirs]
-
-    def run(self, path, findings, whitelist, deny):
-        ci = self.cindex
-        whitelisted = wallclock_exempt(path, whitelist, deny)
-        tu = ci.Index.create().parse(path, args=self.args)
-        for cur in tu.cursor.walk_preorder():
-            if cur.location.file is None or \
-                    cur.location.file.name != path:
-                continue
-            if (not whitelisted
-                    and cur.kind == ci.CursorKind.DECL_REF_EXPR
-                    and cur.spelling in WALLCLOCK_IDS):
-                findings.append(Finding(
-                    path, cur.location.line, "no-wall-clock",
-                    f"'{cur.spelling}': "
-                    f"{WALLCLOCK_IDS[cur.spelling]}"))
-            if cur.kind == ci.CursorKind.CXX_FOR_RANGE_STMT:
-                children = list(cur.get_children())
-                if len(children) >= 2:
-                    rng = children[-2]
-                    if "unordered_" in rng.type.spelling:
-                        findings.append(Finding(
-                            path, cur.location.line,
-                            "no-unordered-iteration",
-                            "range-for over "
-                            f"'{rng.type.spelling}'"))
-
-
 # --------------------------------------------------------------------- main
 
 def gather_files(paths, excludes):
@@ -1195,8 +1146,6 @@ def main(argv=None):
     ap.add_argument("--exclude", action="append", default=[],
                     help="skip files whose path contains this "
                          "substring (repeatable)")
-    ap.add_argument("--engine", choices=["auto", "builtin", "clang"],
-                    default="auto")
     ap.add_argument("--wallclock-whitelist", action="append",
                     default=None,
                     help="path prefixes allowed to read wall clocks "
@@ -1234,30 +1183,8 @@ def main(argv=None):
         print("flashmem_lint: no files matched", file=sys.stderr)
         return 2
 
-    engine = args.engine
-    if engine == "clang":
-        try:
-            ClangEngine([])
-        except Exception as e:   # pragma: no cover - env-dependent
-            print("flashmem_lint: --engine=clang requested but "
-                  f"clang.cindex is unavailable ({e}); this "
-                  "container gates the libclang engine on the "
-                  "python3-clang package", file=sys.stderr)
-            return 2
-        print("flashmem_lint: note: clang engine covers the cursor-"
-              "mappable checks; structural checks run via builtin",
-              file=sys.stderr)
     findings = run_builtin(files, checks, whitelist, deny,
                            args.verbose)
-    if engine == "clang":   # pragma: no cover - env-dependent
-        ce = ClangEngine(["src", "."])
-        extra: list[Finding] = []
-        for path in files:
-            if path.endswith((".cc", ".cpp", ".cxx")):
-                ce.run(path, extra, whitelist, deny)
-        known = {(f.path, f.line, f.check) for f in findings}
-        findings.extend(f for f in extra
-                        if (f.path, f.line, f.check) not in known)
 
     unsuppressed = [f for f in findings if not f.suppressed]
     suppressed = [f for f in findings if f.suppressed]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Build Release and emit BENCH_table4.json (solver wall time,
-# decisions/s, plan-memo effect, merge-time re-balancing, planner
+# Build Release and emit BENCH_table4.json (solver work counters and
+# wall time, plan-memo effect, merge-time re-balancing, planner
 # thread count, the Fig-6 per-policy scheduler section, and the
 # serving-harness + device-sharding sections) so successive PRs
 # accumulate a perf trajectory. Run from anywhere; artifacts land in
@@ -8,9 +8,9 @@
 #
 # Acts as a regression gate: the fresh run is compared against the
 # committed snapshot (tools/check_bench_regression.py) and the script
-# fails — leaving the committed snapshot in place — if the aggregate
-# solver speedup regresses by more than 10%, any instance objective
-# worsens, any Table-4 status degrades, any Fig-6 policy's makespan
+# fails — leaving the committed snapshot in place — if any solver
+# instance's objective worsens or its decision/propagation counters
+# grow, any Table-4 status degrades, any Fig-6 policy's makespan
 # or mean request latency worsens by more than 10%, any serving
 # policy's p95 / goodput / max sustainable QPS regresses, the
 # serving_admission study loses a scenario / stops beating
@@ -22,20 +22,13 @@
 # snapshot's, or when the schema legitimately changed and the
 # snapshot must be regenerated).
 #
-# Pass --only SECTION[,SECTION...] (sections: solver, fig6, serving,
-# admission, obs, portfolio) to re-run a subset of the benches — e.g.
-# `--only serving` iterates on the 1M-request serving study without
-# re-running the solver suite, `--only admission` re-runs just the
-# arrival-time admission study (bench_serving --admission-only),
-# `--only obs` re-runs just the tracing-overhead study (bench_serving
-# --obs-only), and `--only portfolio` re-runs just the inside-one-
-# window portfolio + symmetry study (bench_table4_solver_runtime
-# --portfolio-only). The sections not re-run are carried over from
-# the committed snapshot, so the merged result keeps the full schema
-# and the gate still checks everything. (`serving` already owns the
-# serving_admission and serving_obs sections, and `solver` owns
-# solver_portfolio, so the fragments are folded in when both are
-# requested.)
+# Pass --only SECTION[,SECTION...] to re-run a subset of the benches,
+# one section per bench binary: `solver` (bench_table4_solver_runtime:
+# solver instances, Table 4, plan memo, re-balancing, portfolio),
+# `fig6` (bench_fig6_multimodel) and `serving` (bench_serving: serving,
+# faults, admission, observability, sharding). The sections not re-run
+# are carried over from the committed snapshot, so the merged result
+# keeps the full schema and the gate still checks everything.
 #
 # Pass --trace-dir DIR to additionally export Chrome/Perfetto
 # trace-event JSON of representative runs (bench_serving --trace for
@@ -81,22 +74,17 @@ while [[ $# -gt 0 ]]; do
 done
 out_json="${1:-${repo_root}/BENCH_table4.json}"
 
-run_solver=1; run_fig6=1; run_serving=1; run_admission=0; run_obs=0
-run_portfolio=0
+run_solver=1; run_fig6=1; run_serving=1
 if [[ -n "${only}" ]]; then
     run_solver=0; run_fig6=0; run_serving=0
     IFS=',' read -ra sections <<< "${only}"
     for s in "${sections[@]}"; do
         case "$s" in
-            solver)    run_solver=1 ;;
-            fig6)      run_fig6=1 ;;
-            serving)   run_serving=1 ;;
-            admission) run_admission=1 ;;
-            obs)       run_obs=1 ;;
-            portfolio) run_portfolio=1 ;;
+            solver)  run_solver=1 ;;
+            fig6)    run_fig6=1 ;;
+            serving) run_serving=1 ;;
             *) echo "error: unknown section '$s'" \
-                    "(expected solver, fig6, serving, admission," \
-                    "obs, portfolio)" >&2; exit 2 ;;
+                    "(expected solver, fig6, serving)" >&2; exit 2 ;;
         esac
     done
     if [[ ! -f "${out_json}" ]]; then
@@ -105,47 +93,27 @@ if [[ -n "${only}" ]]; then
         exit 2
     fi
 fi
-# The full serving bench already emits serving_admission and
-# serving_obs, and the full solver bench already emits
-# solver_portfolio; running the standalone fragments too would
-# collide in the merge.
-if [[ ${run_serving} -eq 1 ]]; then
-    run_admission=0
-    run_obs=0
-fi
-if [[ ${run_solver} -eq 1 ]]; then
-    run_portfolio=0
-fi
 
 # Install the cleanup trap before the first mktemp so an early exit
 # (set -e between the mktemp calls, ctrl-C) cannot strand temp files.
-solver_json=""; fig6_json=""; serving_json=""
-admission_json=""; obs_json=""; portfolio_json=""; merged_json=""
+solver_json=""; fig6_json=""; serving_json=""; merged_json=""
 cleanup() {
     rm -f ${solver_json:+"${solver_json}"} \
           ${fig6_json:+"${fig6_json}"} \
           ${serving_json:+"${serving_json}"} \
-          ${admission_json:+"${admission_json}"} \
-          ${obs_json:+"${obs_json}"} \
-          ${portfolio_json:+"${portfolio_json}"} \
           ${merged_json:+"${merged_json}"}
 }
 trap cleanup EXIT
 solver_json="$(mktemp /tmp/bench_table4.XXXXXX.json)"
 fig6_json="$(mktemp /tmp/bench_fig6.XXXXXX.json)"
 serving_json="$(mktemp /tmp/bench_serving.XXXXXX.json)"
-admission_json="$(mktemp /tmp/bench_admission.XXXXXX.json)"
-obs_json="$(mktemp /tmp/bench_obs.XXXXXX.json)"
-portfolio_json="$(mktemp /tmp/bench_portfolio.XXXXXX.json)"
 merged_json="$(mktemp /tmp/bench_merged.XXXXXX.json)"
 
 targets=()
-[[ ${run_solver} -eq 1 || ${run_portfolio} -eq 1 ]] &&
-    targets+=(bench_table4_solver_runtime)
+[[ ${run_solver} -eq 1 ]] && targets+=(bench_table4_solver_runtime)
 [[ ${run_fig6} -eq 1 || -n "${trace_dir}" ]] &&
     targets+=(bench_fig6_multimodel)
-[[ ${run_serving} -eq 1 || ${run_admission} -eq 1 ||
-   ${run_obs} -eq 1 || -n "${trace_dir}" ]] &&
+[[ ${run_serving} -eq 1 || -n "${trace_dir}" ]] &&
     targets+=(bench_serving)
 
 cmake -B "${build_dir}" -S "${repo_root}" \
@@ -165,21 +133,6 @@ if [[ ${run_serving} -eq 1 ]]; then
     "${build_dir}/bench_serving" "${serving_json}" >/dev/null
     fresh+=("${serving_json}")
 fi
-if [[ ${run_admission} -eq 1 ]]; then
-    "${build_dir}/bench_serving" --admission-only \
-        "${admission_json}" >/dev/null
-    fresh+=("${admission_json}")
-fi
-if [[ ${run_obs} -eq 1 ]]; then
-    "${build_dir}/bench_serving" --obs-only "${obs_json}" >/dev/null
-    fresh+=("${obs_json}")
-fi
-if [[ ${run_portfolio} -eq 1 ]]; then
-    "${build_dir}/bench_table4_solver_runtime" --portfolio-only \
-        "${portfolio_json}"
-    fresh+=("${portfolio_json}")
-fi
-
 if [[ -n "${trace_dir}" ]]; then
     mkdir -p "${trace_dir}"
     "${build_dir}/bench_serving" --trace \
