@@ -15,7 +15,7 @@
 
 #include "common/strutil.hh"
 #include "common/table.hh"
-#include "multidnn/fifo_scheduler.hh"
+#include "multidnn/scheduler.hh"
 
 int
 main()
@@ -36,11 +36,13 @@ main()
               << " of weights across 3 models)\n\n";
 
     core::FlashMem flashmem(device);
-    auto flash = multidnn::FifoScheduler::runFlashMem(flashmem, chain);
+    auto flash =
+        multidnn::EventScheduler(flashmem).run(chain, multidnn::FifoPolicy{});
     // SmartMem is the strongest preloading baseline that supports all
     // three models.
-    auto smem = multidnn::FifoScheduler::runPreload(
-        baselines::FrameworkId::SmartMem, device, chain);
+    auto smem = multidnn::EventScheduler::runPreload(
+        baselines::FrameworkId::SmartMem, device, chain,
+        multidnn::FifoPolicy{});
 
     // Per-stage request latency (end - arrival): with gap 0 the later
     // stages queue behind the earlier ones, and that wait is part of

@@ -45,9 +45,6 @@ class ThreadPool
 
     int threadCount() const { return static_cast<int>(workers_.size()); }
 
-    /** Tasks accepted but not yet finished (approximate, for tests). */
-    std::size_t pendingTasks() const;
-
     /**
      * Enqueue @p fn; the returned future yields its result (or rethrows
      * its exception). A throwing task never takes a worker down: the
@@ -73,11 +70,10 @@ class ThreadPool
     void enqueue(std::function<void()> job);
     void workerLoop();
 
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::condition_variable cv_;
     std::queue<std::function<void()>> queue_;
     std::vector<std::thread> workers_;
-    std::size_t inFlight_ = 0; // popped but not yet finished
     bool stopping_ = false;
 };
 

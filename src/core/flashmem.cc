@@ -6,6 +6,15 @@
 
 namespace flashmem::core {
 
+namespace {
+
+/** Adaptive fusion feedback rounds. */
+constexpr int kMaxFusionRounds = 3;
+/** Preload fraction above which a fusion round triggers splits. */
+constexpr double kSplitTriggerPreloadFraction = 0.15;
+
+} // namespace
+
 FlashMem::FlashMem(const gpusim::DeviceProfile &device,
                    FlashMemOptions options)
     : device_(device), options_(options), kernel_model_(device_),
@@ -34,7 +43,7 @@ FlashMem::groupPenalty(const graph::Graph &fused, const OverlapPlan &plan,
                 std::max(0.0, static_cast<double>(
                                   options_.opg.maxLoadDistance) -
                                   dist);
-            penalty += options_.opg.mu * shortfall *
+            penalty += kMu * shortfall *
                        static_cast<double>(w.bytes() - preload) /
                        static_cast<double>(options_.opg.maxLoadDistance);
         }
@@ -50,7 +59,7 @@ FlashMem::compile(const graph::Graph &model) const
                                              : fusion.singletonPartition();
 
     CompiledModel out;
-    for (int round = 0; round <= options_.maxFusionRounds; ++round) {
+    for (int round = 0; round <= kMaxFusionRounds; ++round) {
         std::vector<graph::NodeId> fused_id_of_group;
         out.fusedGraph = fusion.materialize(partition,
                                             &fused_id_of_group);
@@ -66,11 +75,10 @@ FlashMem::compile(const graph::Graph &model) const
         out.planMemoHits += out.stats.memoHits;
         out.planMemoStores += out.stats.memoStores;
 
-        if (!options_.adaptiveFusion ||
-            round == options_.maxFusionRounds)
+        if (!options_.adaptiveFusion || round == kMaxFusionRounds)
             break;
         if (out.plan.overlapFraction(out.fusedGraph) >=
-            1.0 - options_.splitTriggerPreloadFraction)
+            1.0 - kSplitTriggerPreloadFraction)
             break;
 
         // Adaptive fusion triggering: rank fused kernels by penalty,

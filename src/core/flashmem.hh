@@ -43,10 +43,6 @@ struct FlashMemOptions
     bool adaptiveFusion = true;
     /** Emit branch-free pipelined kernels (vs branchy interleave). */
     bool kernelRewriting = true;
-    /** Adaptive fusion feedback rounds. */
-    int maxFusionRounds = 3;
-    /** Preload fraction above which a fusion round triggers splits. */
-    double splitTriggerPreloadFraction = 0.15;
 };
 
 /** Offline-stage artifact: plan + kernels for one model on one device. */

@@ -280,8 +280,8 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
                 m.newIntVar(z_lo, w.consumer, w.name + ".z");
             // mu-weighted loading distance i_w - z_w.
             objective.push_back(
-                {z_vars[k], -static_cast<std::int64_t>(
-                                params_.mu * kObjScale)});
+                {z_vars[k],
+                 -static_cast<std::int64_t>(kMu * kObjScale)});
             for (std::size_t j = 0; j < cands[k].size(); ++j) {
                 m.addImplicationGeLe(x_vars[k][j], 1, z_vars[k],
                                      cands[k][j]);

@@ -59,6 +59,10 @@ struct ParallelPlanParams
     int threads = 0;
 };
 
+/** Distance-penalty weight mu of the LC-OPG objective and the
+ * adaptive-fusion penalty (paper Sections 3.2 and 4.3). */
+inline constexpr double kMu = 0.1;
+
 /** OPG hyper-parameters (paper Sections 3.1-3.2). */
 struct OpgParams
 {
@@ -66,8 +70,6 @@ struct OpgParams
     Bytes mPeak = mib(500);             ///< M_peak (memory priority)
     /** Preload-vs-distance balance; ~0.9 prioritizes low memory. */
     double lambda = 0.9;
-    /** Distance-penalty weight (mu). */
-    double mu = 0.1;
     /** Rolling-window length in layers (incremental scheduling). */
     int windowLayers = 32;
     /** How many layers before i_w a chunk may be transformed. */

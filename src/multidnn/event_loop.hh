@@ -273,12 +273,10 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
         }
         if (counters)
             ++counters->retries;
-        SimTime backoff = std::max<SimTime>(recovery.backoffBase, 1);
-        for (int i = 1; i < req.attempts && backoff < recovery.backoffCap;
-             ++i)
+        SimTime backoff = kBackoffBase;
+        for (int i = 1; i < req.attempts && backoff < kBackoffCap; ++i)
             backoff *= 2;
-        backoff = std::min(backoff,
-                           std::max<SimTime>(recovery.backoffCap, 1));
+        backoff = std::min(backoff, kBackoffCap);
         if (trace)
             trace->retryScheduled(now, req.queueIndex,
                                   static_cast<std::int32_t>(req.model),
@@ -422,7 +420,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                 // Only a crashed device rejoins here; a watchdog-down
                 // (wedged) device recovers through its Recover event.
                 if (dev.health == DeviceHealth::Down && dev.crashDown)
-                    cluster.rejoin(fe.device, now, recovery.probation);
+                    cluster.rejoin(fe.device, now, kProbation);
                 break;
               case FaultKind::Stall: {
                 if (dev.health == DeviceHealth::Down)
@@ -441,7 +439,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                         f.run.times.end - f.run.times.start;
                     SimTime budget_at =
                         f.run.times.start +
-                        std::llround(recovery.timeoutFactor *
+                        std::llround(kTimeoutFactor *
                                      static_cast<double>(service));
                     f.run.times.end += fe.duration;
                     if (f.run.times.initDone > now)
@@ -521,8 +519,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
             if (cluster.devices()[ev.seq].health ==
                     DeviceHealth::Down &&
                 !cluster.devices()[ev.seq].crashDown)
-                cluster.rejoin(static_cast<int>(ev.seq), now,
-                               recovery.probation);
+                cluster.rejoin(static_cast<int>(ev.seq), now, kProbation);
             break;
           case Event::DmaFree:
             // No state change; a DMA-free exists to wake the dispatch

@@ -58,6 +58,13 @@ FaultPlan::normalize()
 
 namespace {
 
+/** Mean exponential downtime before a crash's paired Rejoin. */
+constexpr SimTime kMeanDowntime = milliseconds(500);
+/** Mean exponential length of a slowdown window. */
+constexpr SimTime kMeanSlowdownDuration = milliseconds(500);
+/** Service-time multiplier of a generated slowdown window. */
+constexpr double kSlowdownFactor = 4.0;
+
 /** Exponential inter-arrival draw at @p per_second events/s. */
 SimTime
 exponentialGap(Rng &rng, double per_second)
@@ -119,8 +126,7 @@ generateFaultPlan(const FaultPlanParams &params, int device_count,
                 t += exponentialGap(rng, params.crashesPerSecond);
                 if (t >= horizon)
                     break;
-                SimTime dur =
-                    exponentialDuration(rng, params.meanDowntime);
+                SimTime dur = exponentialDuration(rng, kMeanDowntime);
                 plan.events.push_back(
                     {t, dev, FaultKind::Crash, 0, 1.0});
                 SimTime up = t + dur;
@@ -157,8 +163,8 @@ generateFaultPlan(const FaultPlanParams &params, int device_count,
         inject(0x57A11ull, params.stallsPerSecond, FaultKind::Stall,
                params.meanStall, 1.0);
         inject(0x510Dull, params.slowdownsPerSecond,
-               FaultKind::Slowdown, params.meanSlowdownDuration,
-               params.slowdownFactor);
+               FaultKind::Slowdown, kMeanSlowdownDuration,
+               kSlowdownFactor);
         inject(0xD3AEull, params.dmaErrorsPerSecond,
                FaultKind::DmaError, 0, 1.0);
     }

@@ -21,7 +21,7 @@
  *    returning to Healthy.
  *  - Stall: in-flight runs on the device stop progressing for the
  *    stall's duration. If the delay keeps every run within its
- *    per-dispatch timeout budget (timeoutFactor x expected service)
+ *    per-dispatch timeout budget (kTimeoutFactor x expected service)
  *    the runs simply complete late; otherwise the watchdog fires at
  *    the earliest blown timeout, every in-flight run is killed and
  *    retried elsewhere, and the device is Down until the wedge clears
@@ -81,18 +81,15 @@ struct FaultPlan
     void normalize();
 };
 
-/** Rates for the seeded fault-plan generator (per device). */
+/** Rates for the seeded fault-plan generator (per device). Crash
+ * downtimes and slowdown windows draw from fixed means (faults.cc). */
 struct FaultPlanParams
 {
     /** Crash arrivals per device-second (0 = none). */
     double crashesPerSecond = 0.0;
-    /** Mean exponential downtime before the paired Rejoin. */
-    SimTime meanDowntime = milliseconds(500);
     double stallsPerSecond = 0.0;
     SimTime meanStall = milliseconds(100);
     double slowdownsPerSecond = 0.0;
-    SimTime meanSlowdownDuration = milliseconds(500);
-    double slowdownFactor = 4.0;
     double dmaErrorsPerSecond = 0.0;
 };
 
@@ -132,28 +129,32 @@ FaultPlan flappingDevice(int device, SimTime firstCrash, SimTime period,
 /** Merge @p b's events into @p a (re-normalized). */
 FaultPlan mergeFaultPlans(FaultPlan a, const FaultPlan &b);
 
+/** @name Fixed detection and recovery constants of the event loop.
+ * @{ */
 /**
- * Detection and recovery knobs of the fault-tolerant event loop.
- * Defaults are deliberately conservative; both execution paths must
- * be handed the same values for the bit-exact equivalence to hold.
+ * Per-dispatch timeout budget as a multiple of the expected (placed)
+ * service time: a stalled run whose completion would slip past
+ * start + kTimeoutFactor x expected is declared dead by the watchdog
+ * and re-dispatched.
+ */
+inline constexpr double kTimeoutFactor = 3.0;
+/** First retry backoff; doubles per attempt up to kBackoffCap. */
+inline constexpr SimTime kBackoffBase = milliseconds(1);
+inline constexpr SimTime kBackoffCap = milliseconds(64);
+/** Suspect window after a rejoin: the device serves at pipeline depth
+ * 1 (the heartbeat probe) until the window passes. */
+inline constexpr SimTime kProbation = milliseconds(250);
+/** @} */
+
+/**
+ * Settable recovery knobs of the fault-tolerant event loop. Both
+ * execution paths must be handed the same values for the bit-exact
+ * equivalence to hold.
  */
 struct RecoveryConfig
 {
-    /**
-     * Per-dispatch timeout budget as a multiple of the expected
-     * (placed) service time: a stalled run whose completion would slip
-     * past start + timeoutFactor x expected is declared dead by the
-     * watchdog and re-dispatched.
-     */
-    double timeoutFactor = 3.0;
     /** Re-dispatch attempts per request before it is fault-shed. */
     int maxRetries = 3;
-    /** First retry backoff; doubles per attempt up to backoffCap. */
-    SimTime backoffBase = milliseconds(1);
-    SimTime backoffCap = milliseconds(64);
-    /** Suspect window after a rejoin: the device serves at pipeline
-     * depth 1 (the heartbeat probe) until the window passes. */
-    SimTime probation = milliseconds(250);
     /**
      * Stuck-clock guard: abort loudly when the event loop processes
      * more than this many events without the simulation clock

@@ -264,8 +264,7 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
         return it->second;
 
     if (!graphs_.count(model))
-        graphs_.emplace(model,
-                        models::buildModel(model, cfg_.precision));
+        graphs_.emplace(model, models::buildModel(model));
 
     const Bytes base_budget = fm_.options().opg.mPeak;
     if (budget == base_budget) {
@@ -427,7 +426,7 @@ EventScheduler::runPreload(baselines::FrameworkId framework,
                            const gpusim::DeviceProfile &dev,
                            const std::vector<ModelRequest> &queue,
                            const SchedulingPolicy &policy,
-                           Precision precision, ClusterConfig cluster_cfg)
+                           ClusterConfig cluster_cfg)
 {
     // Baselines re-initialize per request on the compute path; there
     // is no streamed DMA-queue init to overlap with execution.
@@ -439,8 +438,7 @@ EventScheduler::runPreload(baselines::FrameworkId framework,
     for (const auto &req : queue) {
         if (graphs.count(req.model))
             continue;
-        graphs.emplace(req.model,
-                       models::buildModel(req.model, precision));
+        graphs.emplace(req.model, models::buildModel(req.model));
         const auto &g = graphs.at(req.model);
         FM_ASSERT(fw.supports(g) == baselines::SupportStatus::Supported,
                   fw.name(), " cannot run ", g.name());

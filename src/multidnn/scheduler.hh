@@ -43,7 +43,6 @@ namespace flashmem::multidnn {
 /** Knobs of the event-driven scheduler. */
 struct SchedulerConfig
 {
-    Precision precision = Precision::FP16;
     /**
      * Shared working-set capacity budget that memory-aware admission
      * divides across co-resident models; 0 = the device's app memory
@@ -195,8 +194,6 @@ class EventScheduler
                                       const std::vector<ModelRequest>
                                           &queue,
                                       const SchedulingPolicy &policy,
-                                      Precision precision =
-                                          Precision::FP16,
                                       ClusterConfig cluster = {});
 
     const SchedulerConfig &config() const { return cfg_; }

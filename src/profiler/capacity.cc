@@ -1,6 +1,7 @@
 #include "profiler/capacity.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -9,6 +10,17 @@
 namespace flashmem::profiler {
 
 using graph::OpClass;
+
+namespace {
+
+/** Extra-load ratios profiled per kernel (Figure 2's x-axis). */
+constexpr std::array<double, 9> kProfileRatios = {
+    0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0};
+/** Multiplicative gaussian measurement noise (sigma). */
+constexpr double kNoiseStddev = 0.03;
+constexpr std::uint64_t kProfileSeed = 0xCAFE;
+
+} // namespace
 
 double
 CapacityThresholds::forClass(OpClass cls) const
@@ -42,28 +54,20 @@ AnalyticCapacityProvider::capacityBytes(
                                     thresholds_.forClass(spec.cls()));
 }
 
-LearnedCapacityProvider::LearnedCapacityProvider(
-    const gpusim::KernelModel &model, CapacityThresholds thresholds,
-    ProfileParams params)
-    : model_(model), thresholds_(thresholds), params_(params),
-      gbt_(params.gbt)
-{
-}
-
 void
 LearnedCapacityProvider::profileAndFit(
     const std::vector<const graph::Graph *> &graphs)
 {
     std::vector<std::vector<double>> x_train, x_test;
     std::vector<double> y_train, y_test;
-    Rng rng(params_.seed);
+    Rng rng(kProfileSeed);
 
     for (const auto *g : graphs) {
         FM_ASSERT(g != nullptr, "null graph in profiling set");
         for (const auto &node : g->nodes()) {
             auto spec = gpusim::kernelSpecFor(*g, node.id, true);
             spec.pipelined = true;
-            for (double ratio : params_.ratios) {
+            for (double ratio : kProfileRatios) {
                 auto extra = static_cast<Bytes>(
                     ratio * static_cast<double>(std::max<Bytes>(
                                 spec.inputBytes, 1)));
@@ -73,7 +77,7 @@ LearnedCapacityProvider::profileAndFit(
                 // noise, as repeated profiling runs would produce.
                 double measured =
                     truth_ms *
-                    std::max(0.5, rng.gaussian(1.0, params_.noiseStddev));
+                    std::max(0.5, rng.gaussian(1.0, kNoiseStddev));
                 auto features = kernelFeatures(spec, ratio);
                 // 1-in-5 holdout split for validation.
                 if (rng.uniform() < 0.2) {
@@ -104,7 +108,7 @@ Bytes
 LearnedCapacityProvider::capacityBytes(
     const gpusim::KernelSpec &spec) const
 {
-    double limit = thresholds_.forClass(spec.cls());
+    double limit = CapacityThresholds{}.forClass(spec.cls());
     if (limit <= 0.0)
         return 0;
     double base_ms = predictLatencyMs(spec, 0.0);
@@ -113,7 +117,7 @@ LearnedCapacityProvider::capacityBytes(
     // The learned curve is noisy but monotone in expectation; invert by
     // scanning the profiled ratio grid, then refine by bisection.
     double lo = 0.0, hi = 0.0;
-    for (double ratio : params_.ratios) {
+    for (double ratio : kProfileRatios) {
         if (predictLatencyMs(spec, ratio) <= budget_ms)
             hi = std::max(hi, ratio);
     }

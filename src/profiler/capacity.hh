@@ -65,28 +65,17 @@ class AnalyticCapacityProvider : public CapacityProvider
     CapacityThresholds thresholds_;
 };
 
-/** Profiling configuration for the learned provider. */
-struct ProfileParams
-{
-    /** Extra-load ratios sampled per kernel (Figure 2's x-axis). */
-    std::vector<double> ratios = {0.0,  0.25, 0.5, 0.75, 1.0,
-                                  1.25, 1.5,  2.0, 3.0};
-    /** Multiplicative gaussian measurement noise (sigma). */
-    double noiseStddev = 0.03;
-    std::uint64_t seed = 0xCAFE;
-    GbtParams gbt;
-};
-
 /**
  * Paper-faithful provider: samples simulated measurements across many
- * kernels, fits the GBT, inverts predictions for capacity queries.
+ * kernels, fits the GBT, inverts predictions for capacity queries
+ * against the paper's CapacityThresholds.
  */
 class LearnedCapacityProvider : public CapacityProvider
 {
   public:
-    LearnedCapacityProvider(const gpusim::KernelModel &model,
-                            CapacityThresholds thresholds = {},
-                            ProfileParams params = {});
+    explicit LearnedCapacityProvider(const gpusim::KernelModel &model)
+        : model_(model)
+    {}
 
     /** Profile every dispatch of @p graphs and fit the regressor. */
     void profileAndFit(const std::vector<const graph::Graph *> &graphs);
@@ -106,8 +95,6 @@ class LearnedCapacityProvider : public CapacityProvider
 
   private:
     const gpusim::KernelModel &model_;
-    CapacityThresholds thresholds_;
-    ProfileParams params_;
     GbtRegressor gbt_;
     std::size_t samples_ = 0;
     double holdout_r2_ = 0.0;

@@ -5,8 +5,16 @@
 #include <numeric>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace flashmem::profiler {
+
+namespace {
+
+/** Seed of the row-subsampling stream, so fits are reproducible. */
+constexpr std::uint64_t kSubsampleSeed = 0x5eed;
+
+} // namespace
 
 double
 GbtRegressor::Tree::predict(const std::vector<double> &x) const
@@ -126,7 +134,7 @@ GbtRegressor::fit(const std::vector<std::vector<double>> &x,
 
     std::vector<double> current(y.size(), base_prediction_);
     std::vector<double> residual(y.size());
-    Rng rng(params_.seed);
+    Rng rng(kSubsampleSeed);
 
     for (int t = 0; t < params_.trees; ++t) {
         for (std::size_t i = 0; i < y.size(); ++i)

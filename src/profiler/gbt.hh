@@ -14,8 +14,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/rng.hh"
-
 namespace flashmem::profiler {
 
 /** Boosting hyper-parameters. */
@@ -27,7 +25,6 @@ struct GbtParams
     int minSamplesLeaf = 3;
     /** Row subsample fraction per tree (stochastic boosting). */
     double subsample = 0.85;
-    std::uint64_t seed = 0x5eed;
 };
 
 /** Squared-loss gradient-boosted tree ensemble. */

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "profiler/features.hh"
+#include "profiler/gbt.hh"
 
 namespace flashmem::serving {
 
@@ -23,25 +24,30 @@ estimateTierName(EstimateTier tier)
     return "unknown";
 }
 
-profiler::GbtParams
-serviceModelGbtParams()
-{
-    // Model-level training sets are tiny (one row per calibrated
-    // model), so the kernel-regressor defaults (deep trees, 3-sample
-    // leaves, row subsampling) would degenerate to a constant. Shallow
-    // deterministic stumps with single-sample leaves and no
-    // subsampling let even a handful of models separate on size.
-    profiler::GbtParams p;
-    p.trees = 80;
-    p.maxDepth = 2;
-    p.learningRate = 0.15;
-    p.minSamplesLeaf = 1;
-    p.subsample = 1.0;
-    return p;
-}
+namespace {
 
-ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated,
-                                   EstimatorParams params)
+/** Quantile of the leave-one-out |log-residual| distribution the
+ * predicted-tier inflation margin is taken at. */
+constexpr double kMarginQuantile = 0.9;
+/** Pessimistic tier: this multiple of the slowest calibrated service
+ * (degraded likewise). */
+constexpr double kPessimisticFactor = 2.0;
+
+/** GBT hyper-parameters of the tier-2 predictor. Model-level training
+ * sets are tiny (one row per calibrated model), so the kernel-regressor
+ * defaults (deep trees, 3-sample leaves, row subsampling) would
+ * degenerate to a constant. Shallow deterministic stumps with
+ * single-sample leaves and no subsampling let even a handful of models
+ * separate on size. */
+constexpr profiler::GbtParams kServiceModelGbt{.trees = 80,
+                                               .maxDepth = 2,
+                                               .learningRate = 0.15,
+                                               .minSamplesLeaf = 1,
+                                               .subsample = 1.0};
+
+} // namespace
+
+ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated)
 {
     calibrated_count_ = calibrated.size();
 
@@ -70,15 +76,15 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated,
     // model size even far beyond the calibrated hull. The inflation
     // margin comes from leave-one-out residuals so the predictor's own
     // observed error sets how cautiously its estimates are treated.
-    profiler::GbtRegressor predictor(params.gbt);
+    profiler::GbtRegressor predictor(kServiceModelGbt);
     double degraded_ratio = 1.0;
-    if (params.usePredictor && calibrated.size() >= 2) {
+    if (calibrated.size() >= 2) {
         std::vector<std::vector<double>> x;
         std::vector<double> y;
         double ratio_sum = 0.0;
         for (const auto &[model, profile] : calibrated) {
-            x.push_back(profiler::graphFeatures(
-                models::buildModel(model, params.precision)));
+            x.push_back(
+                profiler::graphFeatures(models::buildModel(model)));
             y.push_back(
                 std::log(static_cast<double>(profile.service)) -
                 x.back()[0]);
@@ -97,18 +103,16 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated,
                 xi.push_back(x[j]);
                 yi.push_back(y[j]);
             }
-            profiler::GbtRegressor loo(params.gbt);
+            profiler::GbtRegressor loo(kServiceModelGbt);
             loo.fit(xi, yi);
             margins.push_back(
                 std::exp(std::abs(loo.predict(x[i]) - y[i])));
         }
         std::sort(margins.begin(), margins.end());
         auto rank = static_cast<std::size_t>(std::ceil(
-            params.marginQuantile *
-            static_cast<double>(margins.size())));
+            kMarginQuantile * static_cast<double>(margins.size())));
         rank = std::clamp<std::size_t>(rank, 1, margins.size());
-        inflation_ =
-            std::max(params.minInflation, margins[rank - 1]);
+        inflation_ = std::max(kMinInflation, margins[rank - 1]);
 
         predictor.fit(x, y);
         trained_ = true;
@@ -119,15 +123,15 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated,
     // cluster has ever measured, scaled up — never a blind spot.
     SimTime pessimistic =
         slowest > 0 ? static_cast<SimTime>(std::llround(
-                          params.pessimisticFactor *
+                          kPessimisticFactor *
                           static_cast<double>(slowest)))
-                    : params.fallbackService;
+                    : kFallbackService;
     SimTime pessimistic_degraded =
         slowest_degraded > 0
             ? static_cast<SimTime>(std::llround(
-                  params.pessimisticFactor *
+                  kPessimisticFactor *
                   static_cast<double>(slowest_degraded)))
-            : params.fallbackService;
+            : kFallbackService;
 
     // Precompute the ladder estimate for every zoo model so estimate()
     // is a const lookup (shareable across concurrent runs).
@@ -135,8 +139,8 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated,
         if (estimates_.count(spec.id))
             continue;
         if (trained_) {
-            auto features = profiler::graphFeatures(
-                models::buildModel(spec.id, params.precision));
+            auto features =
+                profiler::graphFeatures(models::buildModel(spec.id));
             // predict() yields log efficiency; the model's log-MACs
             // (features[0]) restores the absolute service scale.
             double pred = std::exp(predictor.predict(features) +

@@ -27,9 +27,10 @@
  *      calibrated hull) for models calibration has never seen,
  *      inflated by a conservative margin learned from leave-one-out
  *      cross-validated residuals (admit cautiously, not blindly).
- *   3. Pessimistic — no usable predictor: assume a multiple of the
- *      slowest calibrated service, so an unknown model is the last
- *      thing admitted under pressure, never a blind spot.
+ *   3. Pessimistic — fewer than two calibrated models, so no
+ *      predictor: assume a multiple of the slowest calibrated service,
+ *      so an unknown model is the last thing admitted under pressure,
+ *      never a blind spot.
  *
  * This is the cold-model reality of serving at scale: new models ship
  * daily and cannot all be calibrated, but graph aggregates exist the
@@ -54,7 +55,6 @@
 
 #include "multidnn/device.hh"
 #include "multidnn/policies.hh"
-#include "profiler/gbt.hh"
 #include "serving/slo.hh"
 #include "serving/trace_gen.hh"
 
@@ -83,46 +83,22 @@ struct ServiceEstimate
     EstimateTier tier = EstimateTier::Pessimistic;
 };
 
-/** Tuned GBT hyper-parameters for the (small) model-level training
- * sets service prediction works with: shallow deterministic trees,
- * no row subsampling, single-sample leaves. */
-profiler::GbtParams serviceModelGbtParams();
-
-/** Knobs of the three-tier service estimator. */
-struct EstimatorParams
-{
-    /** Master switch for tier 2; off, uncalibrated models fall
-     * straight to the pessimistic tier. */
-    bool usePredictor = true;
-    /** Quantile of the leave-one-out |log-residual| distribution the
-     * predicted-tier inflation margin is taken at. */
-    double marginQuantile = 0.9;
-    /** Floor on the predicted-tier inflation factor (>= 1). */
-    double minInflation = 1.1;
-    /** Pessimistic tier: this multiple of the slowest calibrated
-     * service (degraded likewise). */
-    double pessimisticFactor = 2.0;
-    /** Pessimistic service when the calibration table is empty. */
-    SimTime fallbackService = seconds(1);
-    /** Precision the feature graphs are built at (match the serving
-     * stack's calibration precision). */
-    Precision precision = Precision::FP16;
-    /** Boosting hyper-parameters of the tier-2 predictor. */
-    profiler::GbtParams gbt = serviceModelGbtParams();
-};
+/** Floor on the predicted-tier inflation factor (>= 1). */
+inline constexpr double kMinInflation = 1.1;
+/** Pessimistic-tier service when the calibration table is empty. */
+inline constexpr SimTime kFallbackService = seconds(1);
 
 /**
  * The three-tier service-time estimator. Construction trains the
- * predictor on the calibrated table (when >= 2 entries and
- * usePredictor) and precomputes an estimate for every zoo model, so
- * estimate() afterwards is a const map lookup — cheap, deterministic,
- * and safe to share across concurrent simulator runs.
+ * predictor on the calibrated table (when it has >= 2 entries) and
+ * precomputes an estimate for every zoo model, so estimate()
+ * afterwards is a const map lookup — cheap, deterministic, and safe to
+ * share across concurrent simulator runs.
  */
 class ServiceEstimator
 {
   public:
-    explicit ServiceEstimator(const ServiceTable &calibrated,
-                              EstimatorParams params = {});
+    explicit ServiceEstimator(const ServiceTable &calibrated);
 
     /** The ladder estimate for @p model. */
     const ServiceEstimate &estimate(models::ModelId model) const;

@@ -56,15 +56,6 @@ calibrateServices(const core::FlashMem &fm,
     return table;
 }
 
-ClusterServiceTable
-replicateServices(const ServiceTable &table, int device_count)
-{
-    FM_ASSERT(device_count >= 1,
-              "replicateServices needs >= 1 device");
-    return ClusterServiceTable(static_cast<std::size_t>(device_count),
-                               table);
-}
-
 std::map<models::ModelId, SimTime>
 serviceEstimates(const ServiceTable &table)
 {

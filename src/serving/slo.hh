@@ -68,19 +68,6 @@ struct ModelServiceProfile
 using ServiceTable = std::map<models::ModelId, ModelServiceProfile>;
 
 /**
- * Per-device service tables for a sharded cluster: table @c i
- * calibrates device @c i. Devices are homogeneous today, so
- * replicateServices() fills the vector with copies of one calibrated
- * table; the per-device structure is what heterogeneous device speeds
- * (ROADMAP follow-on) will plug into.
- */
-using ClusterServiceTable = std::vector<ServiceTable>;
-
-/** Replicate @p table for @p device_count homogeneous devices. */
-ClusterServiceTable replicateServices(const ServiceTable &table,
-                                      int device_count);
-
-/**
  * Measure @p model_set on @p fm: compile + execute once per model at
  * the configured budget, then replan + execute at
  * @p degrade_budget_fraction of it, quantized and clamped exactly as

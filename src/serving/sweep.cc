@@ -8,8 +8,6 @@
 
 namespace flashmem::serving {
 
-namespace {
-
 using multidnn::DeviceCluster;
 using multidnn::DispatchedRun;
 using multidnn::ModelRequest;
@@ -19,26 +17,16 @@ using multidnn::ReadyRequest;
  * service-table lookup placed through DeviceCluster::planTimes — the
  * same timing rule the real EventScheduler commits runs with. */
 ServingOutcome
-simulateImpl(const std::vector<ModelRequest> &trace,
-             const multidnn::SchedulingPolicy &policy,
-             const ClusterServiceTable &tables,
-             const ServingSimParams &params)
+simulateServing(const std::vector<ModelRequest> &trace,
+                const multidnn::SchedulingPolicy &policy,
+                const ServiceTable &services,
+                const ServingSimParams &params)
 {
     ServingOutcome out;
     out.policy = policy.name();
     out.submitted = trace.size();
 
     DeviceCluster cluster(params.cluster);
-    FM_ASSERT(tables.size() == 1 ||
-                  static_cast<int>(tables.size()) >=
-                      cluster.deviceCount(),
-              "cluster service tables must cover every device");
-    const ServiceTable &primary = tables.front();
-    auto table_for = [&](int device) -> const ServiceTable & {
-        return tables.size() == 1
-                   ? primary
-                   : tables[static_cast<std::size_t>(device)];
-    };
     std::vector<Bytes> device_peak(
         static_cast<std::size_t>(cluster.deviceCount()), 0);
 
@@ -46,8 +34,8 @@ simulateImpl(const std::vector<ModelRequest> &trace,
         trace, policy, cluster,
         [&](std::size_t seq) {
             const auto &req = trace[seq];
-            auto it = primary.find(req.model);
-            FM_ASSERT(it != primary.end(),
+            auto it = services.find(req.model);
+            FM_ASSERT(it != services.end(),
                       "simulateServing: model missing from the "
                       "service table");
             ReadyRequest r;
@@ -62,14 +50,10 @@ simulateImpl(const std::vector<ModelRequest> &trace,
         [&](const ReadyRequest &picked,
             const std::vector<ReadyRequest> &, SimTime now,
             std::uint64_t) {
-            // Placement keys (capacity affinity) on the primary
-            // table's plan budgets; dispatch times come from the
-            // placed device's own table.
-            const auto &pp = primary.at(picked.model);
-            Bytes budget = picked.degraded ? pp.degradedPlanBudget
-                                           : pp.planBudget;
+            const auto &profile = services.at(picked.model);
+            Bytes budget = picked.degraded ? profile.degradedPlanBudget
+                                           : profile.planBudget;
             int dev = cluster.pickDevice(now, picked.model, budget);
-            const auto &profile = table_for(dev).at(picked.model);
             SimTime init = picked.degraded
                                ? profile.degradedInitService
                                : profile.initService;
@@ -118,29 +102,10 @@ simulateImpl(const std::vector<ModelRequest> &trace,
     return out;
 }
 
-} // namespace
-
-ServingOutcome
-simulateServing(const std::vector<ModelRequest> &trace,
-                const multidnn::SchedulingPolicy &policy,
-                const ServiceTable &services,
-                const ServingSimParams &params)
-{
-    return simulateImpl(trace, policy, ClusterServiceTable{services},
-                        params);
-}
-
-ServingOutcome
-simulateServing(const std::vector<ModelRequest> &trace,
-                const multidnn::SchedulingPolicy &policy,
-                const ClusterServiceTable &tables,
-                const ServingSimParams &params)
-{
-    FM_ASSERT(!tables.empty(), "empty cluster service table");
-    return simulateImpl(trace, policy, tables, params);
-}
-
 namespace {
+
+/** Relative bracket width at which the capacity bisection stops. */
+constexpr double kSweepResolution = 0.05;
 
 /** Probe one operating point: seeded Poisson trace, one sim run. */
 ProbePoint
@@ -177,7 +142,6 @@ findMaxSustainableQps(const ModelMix &mix,
 {
     FM_ASSERT(params.loQps > 0.0 && params.hiQps >= params.loQps,
               "bad sweep QPS range");
-    FM_ASSERT(params.resolution > 0.0, "bad sweep resolution");
 
     // Geometric bracketing ladder: loQps, 2*loQps, ... , hiQps.
     std::vector<double> ladder;
@@ -226,7 +190,7 @@ findMaxSustainableQps(const ModelMix &mix,
     }
 
     // Geometric binary search inside the bracket.
-    while ((hi - lo) / lo > params.resolution) {
+    while ((hi - lo) / lo > kSweepResolution) {
         double mid = std::sqrt(lo * hi);
         auto pt = probe(mix, policy, services, params, mid);
         result.probes.push_back(pt);

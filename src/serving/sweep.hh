@@ -111,15 +111,6 @@ ServingOutcome simulateServing(
     const multidnn::SchedulingPolicy &policy,
     const ServiceTable &services, const ServingSimParams &params = {});
 
-/** Sharded variant with per-device service tables: device @c i
- * dispatches against @p tables[i] (table 0 also supplies the
- * placement-independent estimates admission and SJF key on). */
-ServingOutcome simulateServing(
-    const std::vector<multidnn::ModelRequest> &trace,
-    const multidnn::SchedulingPolicy &policy,
-    const ClusterServiceTable &tables,
-    const ServingSimParams &params = {});
-
 /** One evaluated operating point of a capacity sweep. */
 struct ProbePoint
 {
@@ -131,13 +122,12 @@ struct ProbePoint
     bool unstable = false;
 };
 
-/** Capacity-sweep configuration. */
+/** Capacity-sweep configuration. The bisection stops once the
+ * bracket is within 5% relative width. */
 struct SweepParams
 {
     double loQps = 1.0;     ///< ladder start (assumed sustainable-ish)
     double hiQps = 8192.0;  ///< ladder cap
-    /** Stop refining when the bracket is within this relative width. */
-    double resolution = 0.05;
     std::size_t requestsPerProbe = 200000;
     std::uint64_t seed = 1;
     SloSpec slo;

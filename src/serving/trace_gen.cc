@@ -283,6 +283,16 @@ parseSimTime(const std::string &token, const char *what)
     return static_cast<SimTime>(v);
 }
 
+int
+parsePriority(const std::string &token)
+{
+    long long v = parseInt(token, "priority");
+    FM_ASSERT(v >= std::numeric_limits<int>::min() &&
+                  v <= std::numeric_limits<int>::max(),
+              "priority out of range: ", token);
+    return static_cast<int>(v);
+}
+
 } // namespace
 
 std::vector<ModelRequest>
@@ -306,8 +316,7 @@ parseCsvTrace(std::istream &in)
         ModelRequest r;
         r.arrival = parseSimTime(fields[0], "arrival_ns");
         r.model = models::modelIdFromAbbr(fields[1]);
-        r.priority =
-            static_cast<int>(parseInt(fields[2], "priority"));
+        r.priority = parsePriority(fields[2]);
         r.latencyBound = parseSimTime(fields[3], "slo_ns");
         out.push_back(r);
     }
@@ -332,10 +341,7 @@ parseJsonlTrace(std::istream &in)
                   line);
         r.model = models::modelIdFromAbbr(model);
         std::string prio = jsonField(line, "priority");
-        r.priority =
-            prio.empty()
-                ? 0
-                : static_cast<int>(parseInt(prio, "priority"));
+        r.priority = prio.empty() ? 0 : parsePriority(prio);
         std::string slo = jsonField(line, "slo_ns");
         r.latencyBound = slo.empty() ? 0 : parseSimTime(slo, "slo_ns");
         out.push_back(r);

@@ -61,47 +61,35 @@ TEST(Estimator, CalibratedTierPassesThrough)
     EXPECT_EQ(e.degradedService, milliseconds(15));
 }
 
-TEST(Estimator, PessimisticWithoutPredictor)
-{
-    EstimatorParams params;
-    params.usePredictor = false;
-    ServiceEstimator est(handTable(), params);
-    EXPECT_FALSE(est.predictorTrained());
-    // 2x the slowest calibrated service (ViT: 40 / 60 ms).
-    const auto &e = est.estimate(ModelId::DeepViT);
-    EXPECT_EQ(e.tier, EstimateTier::Pessimistic);
-    EXPECT_EQ(e.service, milliseconds(80));
-    EXPECT_EQ(e.degradedService, milliseconds(120));
-}
-
 TEST(Estimator, PessimisticWhenTooFewCalibratedModels)
 {
     // One calibrated model cannot train a predictor (no held-out
-    // residual exists); cold models get the pessimistic tier.
+    // residual exists); cold models get the pessimistic tier: 2x the
+    // slowest calibrated service (ResNet: 10 / 15 ms).
     ServiceTable table;
     table[ModelId::ResNet50] = handTable()[ModelId::ResNet50];
     ServiceEstimator est(table);
     EXPECT_FALSE(est.predictorTrained());
-    EXPECT_EQ(est.estimate(ModelId::ViT).tier,
-              EstimateTier::Pessimistic);
-    EXPECT_EQ(est.estimate(ModelId::ViT).service, milliseconds(20));
+    const auto &e = est.estimate(ModelId::ViT);
+    EXPECT_EQ(e.tier, EstimateTier::Pessimistic);
+    EXPECT_EQ(e.service, milliseconds(20));
+    EXPECT_EQ(e.degradedService, milliseconds(30));
 }
 
 TEST(Estimator, EmptyTableFallsBackToFixedService)
 {
-    EstimatorParams params;
-    ServiceEstimator est(ServiceTable{}, params);
+    ServiceEstimator est(ServiceTable{});
     EXPECT_EQ(est.calibratedCount(), 0u);
     const auto &e = est.estimate(ModelId::ResNet50);
     EXPECT_EQ(e.tier, EstimateTier::Pessimistic);
-    EXPECT_EQ(e.service, params.fallbackService);
+    EXPECT_EQ(e.service, kFallbackService);
 }
 
 TEST(Estimator, PredictedTierIsInflatedAndDeterministic)
 {
     ServiceEstimator a(handTable());
     ASSERT_TRUE(a.predictorTrained());
-    EXPECT_GE(a.inflation(), EstimatorParams{}.minInflation);
+    EXPECT_GE(a.inflation(), kMinInflation);
     const auto &cold = a.estimate(ModelId::DeepViT);
     EXPECT_EQ(cold.tier, EstimateTier::Predicted);
     EXPECT_GT(cold.service, 0);

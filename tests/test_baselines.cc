@@ -15,7 +15,7 @@
 #include "core/runtime.hh"
 #include "metrics/report.hh"
 #include "models/model_zoo.hh"
-#include "multidnn/fifo_scheduler.hh"
+#include "multidnn/scheduler.hh"
 #include "multidnn/workload.hh"
 
 namespace flashmem::baselines {
@@ -307,7 +307,7 @@ TEST(MultiDnn, FifoRunsInOrder)
     FlashMem fm(DeviceProfile::onePlus12());
     auto queue = chainWorkload({ModelId::ResNet50,
                                 ModelId::DepthAnythingS});
-    auto outcome = FifoScheduler::runFlashMem(fm, queue);
+    auto outcome = EventScheduler(fm).run(queue, FifoPolicy{});
     ASSERT_EQ(outcome.runs.size(), 2u);
     EXPECT_LE(outcome.runs[0].end, outcome.runs[1].start);
     EXPECT_EQ(outcome.makespan, outcome.runs[1].end);
@@ -322,10 +322,10 @@ TEST(MultiDnn, FlashMemPeakFarBelowMnn)
     auto queue = interleavedWorkload(ms, 2, 0, 7);
 
     FlashMem fm(DeviceProfile::onePlus12());
-    auto flash = FifoScheduler::runFlashMem(fm, queue);
-    auto mnn = FifoScheduler::runPreload(FrameworkId::MNN,
-                                         DeviceProfile::onePlus12(),
-                                         queue);
+    auto flash = EventScheduler(fm).run(queue, FifoPolicy{});
+    auto mnn = EventScheduler::runPreload(FrameworkId::MNN,
+                                          DeviceProfile::onePlus12(),
+                                          queue, FifoPolicy{});
 
     EXPECT_LT(2 * flash.peakMemory, mnn.peakMemory);
     EXPECT_LT(flash.makespan, mnn.makespan);

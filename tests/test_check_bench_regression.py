@@ -114,6 +114,32 @@ class MissingRowField(unittest.TestCase):
                       self.err)
 
 
+class DuplicateRowKey(unittest.TestCase):
+    """A repeated row key is a named failure: keeping only one of the
+    rows would let a regressed row hide behind a good one."""
+
+    def setUp(self):
+        with open(GOOD) as f:
+            fresh = json.load(f)
+        rows = fresh["fig6_policies"]
+        regressed = dict(rows[0], makespan_ms=rows[0]["makespan_ms"] * 5)
+        rows.insert(0, regressed)
+        self.tmp = tempfile.TemporaryDirectory()
+        path = os.path.join(self.tmp.name, "fresh_duplicate_row.json")
+        with open(path, "w") as f:
+            json.dump(fresh, f)
+        self.rc, self.out, self.err = run_gate(GOOD, path)
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def test_duplicate_key_fails(self):
+        self.assertEqual(self.rc, 1, f"expected FAIL\n{self.out}")
+        self.assertIn("fig6 policy fifo: duplicate row in the fresh run",
+                      self.err)
+        self.assertNotIn("regression gate: PASS", self.out)
+
+
 class RegressionBeyondBound(unittest.TestCase):
     """Each tolerance gate fires on the regressed fixture."""
 

@@ -538,7 +538,6 @@ TEST(ThreadPool, ThrowingTaskReachesWaiterAndPoolStaysUsable)
     for (int i = 0; i < 32; ++i)
         EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
     EXPECT_EQ(ran.load(), 32);
-    EXPECT_EQ(pool.pendingTasks(), 0u);
 }
 
 TEST(ThreadPool, ManyThrowingTasksInterleavedWithGoodOnes)

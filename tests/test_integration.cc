@@ -11,7 +11,7 @@
 #include "baselines/preload_framework.hh"
 #include "core/flashmem.hh"
 #include "models/model_zoo.hh"
-#include "multidnn/fifo_scheduler.hh"
+#include "multidnn/scheduler.hh"
 
 namespace flashmem {
 namespace {
@@ -80,7 +80,7 @@ TEST(Integration, FifoRespectsArrivalGaps)
         {ModelId::ResNet50, 0},
         {ModelId::ResNet50, seconds(5.0)},
     };
-    auto out = FifoScheduler::runFlashMem(fm, queue);
+    auto out = EventScheduler(fm).run(queue, FifoPolicy{});
     ASSERT_EQ(out.runs.size(), 2u);
     EXPECT_EQ(out.runs[1].start, seconds(5.0));
     // Identical model + idle device: identical latency both times.

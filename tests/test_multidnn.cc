@@ -13,7 +13,6 @@
 
 #include "core/flashmem.hh"
 #include "graph/builder.hh"
-#include "multidnn/fifo_scheduler.hh"
 #include "multidnn/scheduler.hh"
 
 namespace flashmem::multidnn {
@@ -687,8 +686,7 @@ TEST(Cluster, PreloadPathShardsButNeverOverlaps)
     cluster.deviceCount = 2;
     cluster.overlapInitWithExec = true; // ignored by the baselines
     auto out = EventScheduler::runPreload(
-        baselines::FrameworkId::MNN, dev, queue, FifoPolicy{},
-        Precision::FP16, cluster);
+        baselines::FrameworkId::MNN, dev, queue, FifoPolicy{}, cluster);
     ASSERT_EQ(out.runs.size(), 2u);
     EXPECT_EQ(out.runs[0].device, 0);
     EXPECT_EQ(out.runs[1].device, 1);
@@ -697,26 +695,6 @@ TEST(Cluster, PreloadPathShardsButNeverOverlaps)
     ASSERT_EQ(out.devices.size(), 2u);
     EXPECT_EQ(out.devices[0].dispatched, 1u);
     EXPECT_EQ(out.devices[1].dispatched, 1u);
-}
-
-// ------------------------------------------------------- FIFO thin shim
-
-TEST(FifoScheduler, ThinWrapperMatchesEventScheduler)
-{
-    FlashMem fm(DeviceProfile::onePlus12());
-    auto queue = chainWorkload({ModelId::ResNet50,
-                                ModelId::DepthAnythingS},
-                               milliseconds(5));
-    auto wrapped = FifoScheduler::runFlashMem(fm, queue);
-    EventScheduler sched(fm);
-    auto direct = sched.run(queue, FifoPolicy{});
-    ASSERT_EQ(wrapped.runs.size(), direct.runs.size());
-    EXPECT_EQ(wrapped.makespan, direct.makespan);
-    EXPECT_EQ(wrapped.peakMemory, direct.peakMemory);
-    for (std::size_t i = 0; i < wrapped.runs.size(); ++i) {
-        EXPECT_EQ(wrapped.runs[i].start, direct.runs[i].start);
-        EXPECT_EQ(wrapped.runs[i].end, direct.runs[i].end);
-    }
 }
 
 // ------------------------------------------------------ fault injection
@@ -881,8 +859,7 @@ TEST(Faults, CrashMidRunFailsOverToSurvivingDevice)
     for (const auto &r : out.runs)
         EXPECT_EQ(r.device, 1);
     // The retry waited out its backoff before re-dispatching.
-    EXPECT_GE(out.runs.back().start,
-              1 + cfg.recovery.backoffBase);
+    EXPECT_GE(out.runs.back().start, 1 + kBackoffBase);
     // The dead device's outage is accounted until the makespan.
     ASSERT_EQ(out.devices.size(), 2u);
     EXPECT_EQ(out.devices[0].downTime, out.makespan - 1);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "core/flashmem.hh"
@@ -230,6 +231,32 @@ TEST(TraceReplay, JsonlDefaultsOptionalFields)
     EXPECT_EQ(parsed[0].latencyBound, 0);
 }
 
+TEST(TraceReplay, OutOfRangePriorityFailsLoudly)
+{
+    auto csv = [](const std::string &priority) {
+        std::stringstream ss;
+        ss << "arrival_ns,model,priority,slo_ns\n1000,ResNet50,"
+           << priority << ",0\n";
+        return parseCsvTrace(ss);
+    };
+    auto jsonl = [](const std::string &priority) {
+        std::stringstream ss;
+        ss << "{\"arrival_ns\": 1000, \"model\": \"ResNet50\", "
+           << "\"priority\": " << priority << "}\n";
+        return parseJsonlTrace(ss);
+    };
+    // The int bounds themselves still parse.
+    EXPECT_EQ(csv("2147483647")[0].priority,
+              std::numeric_limits<int>::max());
+    EXPECT_EQ(jsonl("-2147483648")[0].priority,
+              std::numeric_limits<int>::min());
+    // One past either bound would wrap through the int cast.
+    EXPECT_DEATH(csv("4294967297"), "priority out of range");
+    EXPECT_DEATH(csv("-4294967295"), "priority out of range");
+    EXPECT_DEATH(jsonl("2147483648"), "priority out of range");
+    EXPECT_DEATH(jsonl("-2147483649"), "priority out of range");
+}
+
 // ----------------------------------------------------- serving stats
 
 TEST(ServingStats, CountsGoodputShedAndViolations)
@@ -434,26 +461,6 @@ TEST(ServingSim, OverlapTimelineIsExact)
     ASSERT_EQ(out.devices.size(), 1u);
     EXPECT_EQ(out.devices[0].dmaBusyTime, milliseconds(12));
     EXPECT_EQ(out.devices[0].computeBusyTime, milliseconds(18));
-}
-
-TEST(ServingSim, PerDeviceTablesDriveDispatchTimes)
-{
-    // Heterogeneous per-device calibration: device 1's ResNet runs
-    // twice as slow. Two simultaneous arrivals land on devices 0 and
-    // 1; the second request's latency follows device 1's table.
-    ClusterServiceTable tables = replicateServices(handTable(), 2);
-    tables[1][ModelId::ResNet50].service = milliseconds(20);
-    std::vector<ModelRequest> trace{
-        {ModelId::ResNet50, 0, 0, 0},
-        {ModelId::ResNet50, 0, 0, 0},
-    };
-    ServingSimParams params;
-    params.cluster.deviceCount = 2;
-    auto out = simulateServing(trace, FifoPolicy{}, tables, params);
-    EXPECT_EQ(out.stats.completed(), 2u);
-    EXPECT_EQ(out.stats.p50(), milliseconds(10)); // device 0
-    EXPECT_EQ(out.stats.p99(), milliseconds(20)); // device 1
-    EXPECT_EQ(out.makespan, milliseconds(20));
 }
 
 TEST(ServingSim, OverloadAbortsAsUnstable)

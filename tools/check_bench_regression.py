@@ -74,7 +74,9 @@ OBS_NOISE_TOLERANCE = 0.10     # off-vs-off arms must agree to 10%
 
 def check_keyed_rows(name, key, old_rows, new_rows, failures, check):
     """Compare rows keyed by @key; rows missing on either side fail,
-    and so does a row lacking @key or a field that @check reads."""
+    and so does a row lacking @key, a key repeated on one side (a
+    later row would hide an earlier one), or a field that @check
+    reads."""
     sides = []
     for label, rows in (("committed snapshot", old_rows),
                         ("fresh run", new_rows)):
@@ -84,6 +86,10 @@ def check_keyed_rows(name, key, old_rows, new_rows, failures, check):
                 failures.append(
                     f"{name} #{i}: field '{key}' missing from the "
                     f"{label}")
+                continue
+            if row[key] in by_key:
+                failures.append(
+                    f"{name} {row[key]}: duplicate row in the {label}")
                 continue
             by_key[row[key]] = row
         sides.append(by_key)
