@@ -94,6 +94,7 @@ runDeterminismCheck()
               << (identical ? "identical" : "DIVERGED") << ", "
               << t1.replans << " re-plans ("
               << t1.replanMemoHits << " memo hits, "
+              << t1.replanSolveReuses << " solve reuses, "
               << formatDouble(t1.replanSeconds, 3) << " s)\n";
     std::cout << "re-planning exercised: "
               << (replanned ? "yes" : "NO") << "\n";
@@ -229,7 +230,7 @@ main(int argc, char **argv)
     std::ostringstream json;
     json << "{\n  \"fig6_policies\": [\n";
     Table pt({"Policy", "Makespan", "Mean latency", "Mean queue",
-              "Peak mem", "Re-plans"});
+              "Peak mem", "Re-plans", "Solve reuses"});
     const auto &kinds = multidnn::allPolicyKinds();
     std::vector<multidnn::ScheduleOutcome> outcomes;
     for (std::size_t i = 0; i < kinds.size(); ++i) {
@@ -239,7 +240,8 @@ main(int argc, char **argv)
                    formatMs(o.meanLatency()),
                    formatMs(o.meanQueueDelay()),
                    formatBytes(o.peakMemory),
-                   std::to_string(o.replans)});
+                   std::to_string(o.replans),
+                   std::to_string(o.replanSolveReuses)});
         json << "    {\"policy\": \"" << o.policy
              << "\", \"makespan_ms\": " << toMilliseconds(o.makespan)
              << ", \"mean_latency_ms\": "

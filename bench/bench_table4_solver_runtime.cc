@@ -13,9 +13,11 @@
  * instance it reports status, objective and the deterministic work
  * counters (decisions, propagations, backtracks) next to wall time;
  * the regression gate holds the counters exactly, so a change that
- * makes the search do more work fails on any host. Parts 3 and 4
+ * makes the search do more work fails on any host. Part 2 also fails
+ * when any Table-4 window stops on the wall-clock backstop, and prints
+ * Llama2-70B planner wall time at 1, 2 and 4 threads. Parts 3 and 4
  * demonstrate the plan memo (re-planning an unchanged model reuses
- * cached incumbents) and merge-time re-balancing.
+ * cached incumbents and finished solves) and merge-time re-balancing.
  *
  * A final portfolio section measures the inside-one-window parallel
  * search: symmetry breaking's conflict reduction on interchangeable
@@ -585,9 +587,10 @@ main(int argc, char **argv)
     profiler::AnalyticCapacityProvider cap(km);
 
     Table t({"Model", "Process (s)", "(paper)", "Build (s)", "(paper)",
-             "Solve (s)", "(paper)", "Status", "(paper)"});
+             "Solve (s)", "(paper)", "Status", "(paper)", "Clock stops"});
     double total_70b = 0.0, total_s = 0.0;
     int plan_threads = 1;
+    int clock_stops = 0;
     json << "  \"table4\": [\n";
     for (std::size_t i = 0; i < t4models.size(); ++i) {
         const auto &e = t4models[i];
@@ -612,7 +615,9 @@ main(int argc, char **argv)
                   formatDouble(stats.buildModelSeconds, 3),
                   formatDouble(pub.p_build, 3),
                   formatDouble(stats.solveSeconds, 2),
-                  formatDouble(pub.p_solve, 2), status, pub.p_status});
+                  formatDouble(pub.p_solve, 2), status, pub.p_status,
+                  std::to_string(stats.timeLimitedWindows)});
+        clock_stops += stats.timeLimitedWindows;
         json << "    {\"model\": \"" << e.name
              << "\", \"process_s\": " << stats.processNodesSeconds
              << ", \"stage_s\": " << stats.stageSeconds
@@ -644,6 +649,49 @@ main(int argc, char **argv)
     std::cout << "\nShape check (all plans feasible, cost grows with "
                  "scale): "
               << (ok ? "PASS" : "FAIL") << "\n";
+    // A window stopped by the wall-clock backstop has a plan that
+    // depends on host speed; the decision budget must bound them all.
+    ok &= clock_stops == 0;
+    std::cout << "Windows stopped by the wall-clock backstop: "
+              << clock_stops << " (must be 0): "
+              << (clock_stops == 0 ? "PASS" : "FAIL") << "\n";
+
+    // Planner wall time by thread count (printed only: host time).
+    // Cold memos per arm; the plan must not depend on the count.
+    {
+        const auto &llama70b = t4models.back();
+        FM_ASSERT(llama70b.name == "Llama2-70B",
+                  "table4ModelSet() order changed");
+        std::string first_plan;
+        bool same = true;
+        std::cout << "Llama2-70B plan wall time by planner threads ("
+                  << std::thread::hardware_concurrency()
+                  << " hardware threads):";
+        for (int threads : {1, 2, 4}) {
+            core::OpgParams params;
+            params.solverDecisionsPerWindow = 20000;
+            params.restartConflictBase = 1024;
+            params.parallel.threads = threads;
+            core::PlanMemo memo;
+            params.memo = &memo;
+            core::LcOpgPlanner planner(*llama70b.graph, cap, km, params);
+            auto t0 = std::chrono::steady_clock::now();
+            auto plan = planner.plan().serialize();
+            double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+            std::cout << " " << threads << " -> "
+                      << formatDouble(wall, 2) << " s"
+                      << (threads < 4 ? "," : "");
+            if (first_plan.empty())
+                first_plan = std::move(plan);
+            else
+                same &= plan == first_plan;
+        }
+        ok &= same;
+        std::cout << "; plans identical: " << (same ? "PASS" : "FAIL")
+                  << "\n";
+    }
 
     // ------------------------------------------------------------------
     // Part 3: plan memo — re-planning an unchanged model warm-starts
@@ -709,7 +757,8 @@ main(int argc, char **argv)
               << cold_stats.solverDecisions << " decisions; warm: "
               << formatDouble(warm_stats.solveSeconds, 3) << " s, "
               << warm_stats.solverDecisions << " decisions ("
-              << warm_stats.memoHits << " memo hits across "
+              << warm_stats.memoHits << " memo hits, "
+              << warm_stats.solveReuses << " solve reuses across "
               << warm_stats.windows << " windows)\n";
     std::cout << "Memo reuse (hits > 0, exact replan on optimal "
                  "windows): "

@@ -68,12 +68,14 @@ FlashMem::compile(const graph::Graph &model) const
         LcOpgPlanner planner(out.fusedGraph, capacity_, kernel_model_,
                              options_.opg);
         out.plan = planner.plan(&out.stats);
-        // Rounds whose windows reuse memoised incumbents (splits leave
-        // most of the model untouched) show up as planMemoHits.
+        // Rounds whose windows reuse memoised incumbents or finished
+        // solves (splits leave most of the model untouched) show up
+        // as planMemoHits and planSolveReuses.
         out.totalSolveSeconds += out.stats.solveSeconds;
         out.totalSolverDecisions += out.stats.solverDecisions;
         out.planMemoHits += out.stats.memoHits;
         out.planMemoStores += out.stats.memoStores;
+        out.planSolveReuses += out.stats.solveReuses;
 
         if (!options_.adaptiveFusion || round == kMaxFusionRounds)
             break;
@@ -160,6 +162,7 @@ FlashMem::replan(const CompiledModel &compiled, Bytes mPeak) const
     out.totalSolverDecisions = out.stats.solverDecisions;
     out.planMemoHits = out.stats.memoHits;
     out.planMemoStores = out.stats.memoStores;
+    out.planSolveReuses = out.stats.solveReuses;
 
     KernelRewriter rewriter(out.fusedGraph, out.plan,
                             options_.kernelRewriting);

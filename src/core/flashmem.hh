@@ -65,6 +65,7 @@ struct CompiledModel
     std::uint64_t totalSolverDecisions = 0;
     std::uint64_t planMemoHits = 0;   ///< warm starts reused from memo
     std::uint64_t planMemoStores = 0;
+    std::uint64_t planSolveReuses = 0; ///< finished solves reused
     /** @} */
 
     /** Fraction of weight bytes streamed rather than preloaded. */
@@ -90,10 +91,12 @@ class FlashMem
      * overlap plan is solved under @p mPeak instead of the budget it
      * shipped with. The fused graph is reused as-is (fusion decisions
      * are budget-independent; skipping the adaptive-fusion loop keeps
-     * re-plans well under a second) and window solves warm-start
-     * through the configured PlanMemo, so repeated budget shifts —
-     * the multi-DNN scheduler admitting/evicting co-resident models —
-     * are cheap and bit-deterministic for any thread count.
+     * re-plans well under a second). Through the configured PlanMemo,
+     * windows the new budget cannot bind reuse their finished solves
+     * exactly and repeated window models warm-start, so repeated
+     * budget shifts — the multi-DNN scheduler admitting/evicting
+     * co-resident models — are cheap and bit-deterministic for any
+     * thread count.
      */
     CompiledModel replan(const CompiledModel &compiled,
                          Bytes mPeak) const;

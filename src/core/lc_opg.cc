@@ -408,6 +408,7 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
         result.restarts += r.restarts;
     }
     result.status = r.status;
+    result.timeLimited |= r.timeLimited;
     result.winningConfig = pr.winningConfig;
     if (result.configConflicts.size() < pr.outcomes.size())
         result.configConflicts.resize(pr.outcomes.size(), 0);
@@ -548,6 +549,9 @@ LcOpgPlanner::commitWindow(const WindowInput &in, WindowOutput &out,
             ++stats.memoStores;
     }
     out.memoStores.clear();
+    for (auto &s : out.solveStores)
+        memoRef().storeSolve(std::move(s.key), std::move(s.result));
+    out.solveStores.clear();
 }
 
 void
@@ -671,6 +675,9 @@ LcOpgPlanner::plan(PlanStats *stats)
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto solve_t0 = std::chrono::steady_clock::now();
     const int configs = std::max(1, params_.portfolioConfigs);
+    // Exact finished-solve reuse covers single-configuration searches
+    // only: a portfolio result is not a function of its SolveKey.
+    const bool reuse_solves = params_.planMemo && configs == 1;
     std::vector<WindowOutput> outputs;
     outputs.reserve(inputs.size());
     {
@@ -682,6 +689,24 @@ LcOpgPlanner::plan(PlanStats *stats)
         sp.restartConflictBase = params_.restartConflictBase;
         auto submitRound = [&](WindowSolveState &st) {
             st.rm = buildWindowModel(*st.in, st.relax, st.forced);
+            if (reuse_solves) {
+                // The model and hint are settled (warm start
+                // included). Like memo incumbents, stored solves come
+                // from earlier plans only — this plan's are buffered
+                // until the ordered merge — and a hit that does not
+                // satisfy this model (a fingerprint collision) is
+                // ignored.
+                st.solveKey = {st.rm.model.canonicalFingerprint(),
+                               st.rm.hint, sp.maxDecisions,
+                               sp.restartConflictBase};
+                st.reused = memoRef().lookupSolve(st.solveKey);
+                if (st.reused &&
+                    st.rm.model.satisfiedBy(st.reused->values)) {
+                    st.reused->wallSeconds = 0.0; // no search ran
+                    return;
+                }
+                st.reused.reset();
+            }
             // Fresh board per round: fallback rounds solve a different
             // model, so a previous round's proven bound must not leak.
             if (configs > 1)
@@ -720,10 +745,23 @@ LcOpgPlanner::plan(PlanStats *stats)
             WindowSolveState &st = states[i];
             while (!st.done) {
                 std::vector<solver::PortfolioOutcome> outcomes;
-                outcomes.reserve(st.futures.size());
-                for (auto &f : st.futures)
-                    outcomes.push_back(f.get());
-                st.futures.clear();
+                if (st.reused) {
+                    outcomes.push_back({0, std::move(*st.reused)});
+                    st.reused.reset();
+                    ++st.out.result.solveReuses;
+                } else {
+                    outcomes.reserve(st.futures.size());
+                    for (auto &f : st.futures)
+                        outcomes.push_back(f.get());
+                    st.futures.clear();
+                    // A clock-stopped search depends on host speed,
+                    // and an infeasible round has no values for the
+                    // satisfiedBy guard: neither is stored.
+                    const auto &r = outcomes.front().result;
+                    if (reuse_solves && r.feasible() && !r.timeLimited)
+                        st.out.solveStores.push_back(
+                            {std::move(st.solveKey), r});
+                }
                 if (interpretRound(
                         st, solver::mergePortfolio(std::move(outcomes))))
                     st.done = true;
@@ -772,6 +810,8 @@ LcOpgPlanner::plan(PlanStats *stats)
         local.softRelaxations += wr.softRelaxations;
         local.forcedPreloads += wr.forcedPreloads;
         local.memoHits += wr.memoHits;
+        local.solveReuses += wr.solveReuses;
+        local.timeLimitedWindows += wr.timeLimited ? 1 : 0;
         if (wr.usedGreedy) {
             ++local.greedyWindows;
         } else if (wr.status == solver::SolveStatus::Optimal) {

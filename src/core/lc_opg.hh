@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/overlap_plan.hh"
@@ -91,20 +92,27 @@ struct OpgParams
      */
     double minPreloadFraction = 0.0;
     /**
-     * Reuse prior incumbents from PlanMemo::global() as warm-start
-     * hints when a window's CP model fingerprint was seen before
-     * (capacity sweeps, multi-model workloads, adaptive-fusion
-     * re-planning). Cached hints are validated before use. Windows
-     * that solve to OPTIMAL replan byte-identically; budget-truncated
-     * windows may improve under a warm start (per-window objectives
-     * are monotonically non-increasing across repeated runs, since the
-     * cached incumbent bounds the new search).
+     * Consult the plan memo's two stores for every window round:
+     *  - warm starts: a window whose exact CP model was solved before
+     *    (capacity sweeps, multi-model workloads, adaptive-fusion
+     *    re-planning) starts from the stored incumbent instead of the
+     *    greedy hint. Cached hints are validated before use. Windows
+     *    that solve to OPTIMAL replan byte-identically;
+     *    budget-truncated windows may improve under a warm start
+     *    (per-window objectives never rise across repeated runs, since
+     *    the cached incumbent bounds the new search).
+     *  - exact reuse: a round whose (canonical model, hint, decision
+     *    budget, restart base) was solved before takes the stored
+     *    result instead of searching (PlanMemo::lookupSolve). It is
+     *    exactly what the search would return, so it saves host time
+     *    and never changes a plan. Off while portfolioConfigs > 1.
      */
     bool planMemo = true;
     /**
      * Memo instance to consult; nullptr means PlanMemo::global().
      * Point this at a file-backed PlanMemo (see PlanMemo::memoPath) so
-     * CLI tools and benches warm-start across process launches.
+     * CLI tools and benches warm-start across process launches (only
+     * incumbents persist; finished solves stay in memory).
      */
     PlanMemo *memo = nullptr;
     /**
@@ -214,6 +222,12 @@ struct PlanStats
     std::uint64_t solverRestarts = 0;   ///< Luby restarts across windows
     std::uint64_t memoHits = 0;         ///< plan-memo warm starts used
     std::uint64_t memoStores = 0;       ///< incumbents written back
+    /** Rounds completed from the memo's finished-solve store instead
+     * of a search (the only counter a reuse changes). */
+    std::uint64_t solveReuses = 0;
+    /** Windows in which a search stopped on the wall-clock backstop
+     * (solverTimePerWindow): their plan depends on host speed. */
+    int timeLimitedWindows = 0;
     std::uint64_t solverPropagations = 0; ///< constraint revisions
     std::uint64_t solverConflicts = 0;    ///< search backtracks
     /** Symmetry-breaking lex rows added across all window models. */
@@ -244,9 +258,12 @@ class LcOpgPlanner
      * re-planning: the multi-DNN scheduler shifts a model's residual
      * capacity share when co-resident models are admitted or evicted).
      * Reuses the graph analysis of the first plan() call — only the
-     * staging/solve/merge phases re-run — and warm-starts through the
-     * configured PlanMemo, so re-plans land well under a second.
-     * Deterministic for any thread count, like plan().
+     * staging/solve/merge phases re-run. Through the configured
+     * PlanMemo, a window whose budget share cannot bind it reuses the
+     * finished solve of an earlier plan exactly (no search), and a
+     * window whose exact model was solved before warm-starts, so
+     * re-plans land well under a second. Deterministic for any thread
+     * count, like plan().
      */
     OverlapPlan replan(Bytes mPeak, PlanStats *stats = nullptr);
 
@@ -270,6 +287,8 @@ class LcOpgPlanner
         double buildSeconds = 0.0;
         double solveSeconds = 0.0;
         std::uint64_t memoHits = 0;
+        std::uint64_t solveReuses = 0;
+        bool timeLimited = false; ///< some round stopped on the clock
         int winningConfig = 0;  ///< final round's portfolio winner
         int lexRows = 0;        ///< symmetry-breaking rows added
         /** Raw per-configuration backtracks (diagnostic; see
@@ -319,6 +338,13 @@ class LcOpgPlanner
         std::int64_t objective = 0;
     };
 
+    /** Deferred finished-solve write (flushed with the MemoStores). */
+    struct SolveStore
+    {
+        SolveKey key;
+        solver::SolveResult result;
+    };
+
     /** Extracted window solution + stats + buffered memo writes. */
     struct WindowOutput
     {
@@ -328,6 +354,7 @@ class LcOpgPlanner
             assign;
         std::vector<graph::NodeId> z;
         std::vector<MemoStore> memoStores;
+        std::vector<SolveStore> solveStores;
     };
 
     /** Analyze graph: kernel specs, capacities, chunk counts. */
@@ -383,6 +410,10 @@ class LcOpgPlanner
         RoundModel rm;
         std::unique_ptr<solver::PortfolioBoard> board;
         std::vector<std::future<solver::PortfolioOutcome>> futures;
+        /** This round's finished-solve key, and its stored result on
+         * a hit (no task is submitted then). */
+        SolveKey solveKey;
+        std::optional<solver::SolveResult> reused;
         WindowOutput out;
     };
 

@@ -200,6 +200,29 @@ OverlapPlan::serialize() const
     return os.str();
 }
 
+namespace {
+
+/**
+ * Erase the least recently used entry of a memo map: lowest lastUse,
+ * ties broken on the key so the victim never depends on hash-table
+ * iteration order (linear scan: eviction is rare, the maps small).
+ */
+template <typename Map>
+void
+eraseLeastRecent(Map &map)
+{
+    auto victim = map.begin();
+    for (auto it = map.begin(); it != map.end(); ++it) {
+        if (it->second.lastUse < victim->second.lastUse ||
+            (it->second.lastUse == victim->second.lastUse &&
+             it->first < victim->first))
+            victim = it;
+    }
+    map.erase(victim);
+}
+
+} // namespace
+
 std::optional<std::vector<std::int64_t>>
 PlanMemo::lookup(std::uint64_t fingerprint)
 {
@@ -244,6 +267,8 @@ PlanMemo::clear()
     entries_.clear();
     stats_ = {};
     clock_ = 0;
+    solves_.clear();
+    solve_clock_ = 0;
 }
 
 void
@@ -251,18 +276,7 @@ PlanMemo::evictIfNeeded()
 {
     if (entries_.size() < capacity_)
         return;
-    // Evict the least recently used entry (linear scan: eviction is
-    // rare and the map is small).
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        // Tie-break on the fingerprint so the victim never depends on
-        // hash-table iteration order.
-        if (it->second.lastUse < victim->second.lastUse ||
-            (it->second.lastUse == victim->second.lastUse &&
-             it->first < victim->first))
-            victim = it;
-    }
-    entries_.erase(victim);
+    eraseLeastRecent(entries_);
     ++stats_.evictions;
 }
 
@@ -304,7 +318,8 @@ getPod(std::istream &is, T &value)
 }
 
 /**
- * FNV-1a over the serialized payload (everything after magic+version).
+ * FNV-1a over the serialized payload (everything after magic+version),
+ * also the slot hash of the in-memory solve store.
  * The memo file lives across process lifetimes on flash, where a
  * single flipped bit in an entry body would otherwise load silently
  * and poison every warm-started plan; the checksum turns any
@@ -336,7 +351,41 @@ class Fnv1a
     std::uint64_t hash_ = 0xCBF29CE484222325ull;
 };
 
+/** Map slot of a SolveKey; lookups still compare the whole key. */
+std::uint64_t
+solveKeyHash(const SolveKey &key)
+{
+    Fnv1a sum;
+    sum.addPod(key.canonicalFingerprint);
+    sum.addPod(key.maxDecisions);
+    sum.addPod(key.restartConflictBase);
+    sum.add(key.hint.data(), key.hint.size() * sizeof(std::int64_t));
+    return sum.digest();
+}
+
 } // namespace
+
+std::optional<solver::SolveResult>
+PlanMemo::lookupSolve(const SolveKey &key)
+{
+    const auto slot = solveKeyHash(key);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = solves_.find(slot);
+    if (it == solves_.end() || it->second.key != key)
+        return std::nullopt;
+    it->second.lastUse = ++solve_clock_;
+    return it->second.result;
+}
+
+void
+PlanMemo::storeSolve(SolveKey key, solver::SolveResult result)
+{
+    const auto slot = solveKeyHash(key);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!solves_.count(slot) && solves_.size() >= capacity_)
+        eraseLeastRecent(solves_);
+    solves_[slot] = {std::move(key), std::move(result), ++solve_clock_};
+}
 
 bool
 PlanMemo::loadFromFile(const std::string &path)
@@ -394,16 +443,8 @@ PlanMemo::loadFromFile(const std::string &path)
     entries_ = std::move(loaded);
     clock_ = clock;
     // Respect the capacity bound of *this* memo, evicting LRU-first.
-    while (entries_.size() > capacity_) {
-        auto victim = entries_.begin();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->second.lastUse < victim->second.lastUse ||
-                (it->second.lastUse == victim->second.lastUse &&
-                 it->first < victim->first))
-                victim = it;
-        }
-        entries_.erase(victim);
-    }
+    while (entries_.size() > capacity_)
+        eraseLeastRecent(entries_);
     return true;
 }
 

@@ -20,6 +20,7 @@
 
 #include "core/weight_slicer.hh"
 #include "graph/graph.hh"
+#include "solver/solver.hh"
 
 namespace flashmem::core {
 
@@ -98,28 +99,52 @@ class OverlapPlan
 };
 
 /**
- * Memo of CP incumbents keyed by CpModel fingerprint.
+ * Exact key of one finished window solve: everything a
+ * single-configuration search that did not stop on the clock is a
+ * function of. Models with equal canonical fingerprints differ only
+ * in the bounds of rows their domains entail, which the search never
+ * reads (CpModel::canonicalFingerprint()).
+ */
+struct SolveKey
+{
+    std::uint64_t canonicalFingerprint = 0;
+    std::vector<std::int64_t> hint;
+    std::uint64_t maxDecisions = 0;
+    std::uint64_t restartConflictBase = 0;
+
+    bool operator==(const SolveKey &) const = default;
+};
+
+/**
+ * Plan memo: two stores keyed by CP window models.
  *
- * Repeated planning calls — capacity sweeps, multi-model workloads,
+ * Warm-start incumbents, keyed by CpModel::fingerprint(). Repeated
+ * planning calls — capacity sweeps, multi-model workloads,
  * adaptive-fusion rounds that leave most windows untouched — rebuild
- * byte-identical CP models. The memo hands the previous incumbent back
- * as a warm-start hint, so the solver starts with a tight bound (and,
- * for a previously proven optimum, often only has to re-prove
- * optimality). Entries are validated against the model before use, so a
- * fingerprint collision costs only a discarded hint, never correctness.
+ * byte-identical CP models, and the memo hands the previous incumbent
+ * back as a warm-start hint. Entries are validated against the model
+ * before use, so a fingerprint collision costs only a discarded hint.
+ * A warm start changes the search, so on budget-truncated windows it
+ * makes planning history-dependent within a process: equal-footing
+ * A/B comparisons should clear() between arms (see bench_fig7 /
+ * ablation tests).
  *
- * Bounded LRU; the global() instance is shared process-wide and
- * internally synchronized (lookup() hands back a copy, never a pointer
- * into the map), so concurrent window solves can share it. Note that
- * warm starts make budget-truncated planning history-dependent within
- * a process: equal-footing A/B comparisons should clear() between arms
- * (see bench_fig7 / ablation tests).
+ * Finished solves, keyed exactly by SolveKey. A hit is the result the
+ * search would return, so reusing it skips the search without
+ * changing any plan, counter or trace: re-plans whose budget share
+ * cannot bind a window reuse that window's solve.
  *
- * A memo constructed with @p memoPath is file-backed: entries load on
- * construction (silently starting empty when the file is missing,
+ * Both stores are bounded LRU at @p capacity entries each. The
+ * global() instance is shared process-wide and internally synchronized
+ * (lookups hand back copies, never pointers into the maps), so
+ * concurrent window solves can share it.
+ *
+ * A memo constructed with @p memoPath is file-backed: incumbents load
+ * on construction (silently starting empty when the file is missing,
  * corrupt, or a different format version) and save on destruction, so
  * CLI tools and benches warm-start across process launches. The file
- * is a versioned binary keyed by CpModel fingerprint.
+ * is a versioned binary keyed by CpModel fingerprint; finished solves
+ * are memory-only and never written.
  */
 class PlanMemo
 {
@@ -162,6 +187,25 @@ class PlanMemo
         return entries_.size();
     }
     std::size_t capacity() const { return capacity_; }
+
+    /** Finished solve stored under exactly @p key, if any. */
+    std::optional<solver::SolveResult> lookupSolve(const SolveKey &key);
+
+    /**
+     * Remember @p result as the finished solve for @p key, replacing
+     * any entry under the same key. The caller stores only results the
+     * key fully determines: single-configuration, not time-limited.
+     */
+    void storeSolve(SolveKey key, solver::SolveResult result);
+
+    std::size_t
+    solveCount() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return solves_.size();
+    }
+
+    /** Drop every incumbent and finished solve, and reset stats(). */
     void clear();
 
     /** Hit/miss/store counters since construction (or clear()). */
@@ -212,6 +256,13 @@ class PlanMemo
         std::uint64_t lastUse = 0;
     };
 
+    struct SolveEntry
+    {
+        SolveKey key;
+        solver::SolveResult result;
+        std::uint64_t lastUse = 0;
+    };
+
     void evictIfNeeded(); // caller holds mu_
 
     const std::size_t capacity_;
@@ -220,6 +271,10 @@ class PlanMemo
     std::uint64_t clock_ = 0;
     std::unordered_map<std::uint64_t, Entry> entries_;
     Stats stats_;
+    /** Finished solves by a hash of their SolveKey (own LRU clock, so
+     * the saved incumbent file never depends on solve reuse). */
+    std::uint64_t solve_clock_ = 0;
+    std::unordered_map<std::uint64_t, SolveEntry> solves_;
 };
 
 } // namespace flashmem::core

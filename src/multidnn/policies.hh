@@ -169,8 +169,9 @@ class PriorityAgingPolicy : public SchedulingPolicy
 /**
  * FIFO selection plus memory-aware admission: the scheduler caps the
  * sum of co-resident working-set budgets at its capacity budget and
- * re-plans (via FlashMem::replan, warm-started through the PlanMemo)
- * any model whose share shrank or grew since it was last planned.
+ * re-plans (via FlashMem::replan, reusing finished window solves
+ * through the PlanMemo) any model whose share shrank or grew since it
+ * was last planned.
  */
 class MemoryAwarePolicy : public FifoPolicy
 {

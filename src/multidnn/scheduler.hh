@@ -19,9 +19,10 @@
  * the scheduler caps the sum of co-resident working-set budgets at a
  * shared capacity budget, and when a model's share shifts — because
  * other models were admitted to or evicted from the ready set — the
- * model is re-planned at its new budget via FlashMem::replan(),
- * warm-started through the PlanMemo so re-plans land well under a
- * second and are bit-deterministic for any planner thread count.
+ * model is re-planned at its new budget via FlashMem::replan().
+ * Through the PlanMemo, windows the new share cannot bind reuse their
+ * finished solves exactly, so re-plans land well under a second and
+ * are bit-deterministic for any planner thread count.
  */
 
 #ifndef FLASHMEM_MULTIDNN_SCHEDULER_HH
@@ -129,6 +130,7 @@ struct ScheduleOutcome
     /** @name On-device re-planning counters (memory-aware policies). @{ */
     int replans = 0;                  ///< FlashMem::replan invocations
     std::uint64_t replanMemoHits = 0; ///< warm starts reused from memo
+    std::uint64_t replanSolveReuses = 0; ///< finished solves reused
     double replanSeconds = 0.0;       ///< wall time spent re-planning
     /** @} */
 

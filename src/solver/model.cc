@@ -1,5 +1,7 @@
 #include "solver/model.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace flashmem::solver {
@@ -146,9 +148,37 @@ struct Fnv1a
 
 } // namespace
 
+bool
+CpModel::entailedAtDomains(const LinearConstraint &c) const
+{
+    std::int64_t smin = 0, smax = 0;
+    for (const auto &t : c.terms) {
+        const std::int64_t a = t.coef * lbs_[t.var];
+        const std::int64_t b = t.coef * ubs_[t.var];
+        smin += std::min(a, b);
+        smax += std::max(a, b);
+    }
+    return smin >= c.lo && smax <= c.hi;
+}
+
 std::uint64_t
 CpModel::fingerprint() const
 {
+    return fingerprintWalk(false);
+}
+
+std::uint64_t
+CpModel::canonicalFingerprint() const
+{
+    return fingerprintWalk(true);
+}
+
+std::uint64_t
+CpModel::fingerprintWalk(bool canonical) const
+{
+    /** Stands in for the bounds of an entailed row ("ENTAILED"). */
+    constexpr std::uint64_t kEntailedRow = 0x454E5441494C4544ull;
+
     Fnv1a f;
     f.mix(lbs_.size());
     for (std::size_t v = 0; v < lbs_.size(); ++v) {
@@ -157,8 +187,12 @@ CpModel::fingerprint() const
     }
     f.mix(constraints_.size());
     for (const auto &c : constraints_) {
-        f.mixI64(c.lo);
-        f.mixI64(c.hi);
+        if (canonical && entailedAtDomains(c)) {
+            f.mix(kEntailedRow);
+        } else {
+            f.mixI64(c.lo);
+            f.mixI64(c.hi);
+        }
         f.mix(c.terms.size());
         for (const auto &t : c.terms) {
             f.mix(static_cast<std::uint64_t>(t.var));

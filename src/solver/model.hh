@@ -118,7 +118,22 @@ class CpModel
      */
     std::uint64_t fingerprint() const;
 
+    /**
+     * fingerprint() with the bounds of every linear row that the
+     * declared domains entail (sum of term minima >= lo and sum of
+     * term maxima <= hi) replaced by one marker. Domains only shrink
+     * during search, so such a row stays entailed at every node: it
+     * never prunes, never conflicts, and a solve's decisions,
+     * propagations, status and values do not depend on its bounds.
+     * Two models with equal canonical fingerprints therefore search
+     * identically from the same hint and parameters
+     * (src/solver/README.md, "Entailed rows").
+     */
+    std::uint64_t canonicalFingerprint() const;
+
   private:
+    std::uint64_t fingerprintWalk(bool canonical) const;
+    bool entailedAtDomains(const LinearConstraint &c) const;
     void checkVar(VarId v) const;
     void checkTerms(const std::vector<LinearTerm> &terms) const;
 

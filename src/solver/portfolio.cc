@@ -103,6 +103,7 @@ mergePortfolio(std::vector<PortfolioOutcome> outcomes)
         merged.result.backtracks += o.result.backtracks;
         merged.result.restarts += o.result.restarts;
         merged.result.wallSeconds += o.result.wallSeconds;
+        merged.result.timeLimited |= o.result.timeLimited;
     }
     merged.outcomes = std::move(outcomes);
     return merged;

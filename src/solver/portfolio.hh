@@ -121,7 +121,8 @@ struct PortfolioResult
      * Winner's values/objective and improvement snapshots; status
      * merged across configurations (Optimal if any proved); raw
      * decision/propagation/backtrack/restart counters and wallSeconds
-     * summed across configurations as total-work diagnostics.
+     * summed across configurations as total-work diagnostics;
+     * timeLimited set when any configuration stopped on the clock.
      */
     SolveResult result;
     int winningConfig = 0;

@@ -163,6 +163,7 @@ struct TrailSearch
     bool restartPending = false;
     bool limitHit = false;
     bool cancelled = false;
+    bool timeLimited = false;
     // Snapshots at the last incumbent improvement (see SolveResult).
     std::uint64_t improveDecisions = 0;
     std::uint64_t improvePropagations = 0;
@@ -178,8 +179,10 @@ struct TrailSearch
         // decisions dominate runtime.
         if ((decisions & 0x3F) == 0) {
             // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
-            if (std::chrono::steady_clock::now() >= deadline)
+            if (std::chrono::steady_clock::now() >= deadline) {
                 limitHit = true;
+                timeLimited = true;
+            }
             if (params.board && !cancelled) {
                 // Cancellation-only bound sharing: stop when a
                 // lower-indexed configuration achieved the proven
@@ -755,6 +758,7 @@ CpSolver::solve(const CpModel &model,
     result.backtracks = st.backtracks;
     result.restarts = st.restarts;
     result.cancelled = st.cancelled;
+    result.timeLimited = st.timeLimited;
     result.improveDecisions = st.improveDecisions;
     result.improvePropagations = st.improvePropagations;
     result.improveBacktracks = st.improveBacktracks;

@@ -91,6 +91,12 @@ struct SolveResult
     /** Stopped early by the portfolio cancellation board. */
     bool cancelled = false;
     /**
+     * Stopped by the wall-clock limit (timeLimitSeconds). Such a
+     * result depends on host speed, so callers that must stay
+     * host-independent count it and never cache it.
+     */
+    bool timeLimited = false;
+    /**
      * @name Counters snapshotted at the last incumbent improvement.
      *
      * Unlike the raw totals above (which, under portfolio

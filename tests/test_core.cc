@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "common/rng.hh"
@@ -354,6 +356,57 @@ TEST(PlanMemo, EvictsLeastRecentlyUsed)
     EXPECT_EQ(memo.stats().evictions, 1u);
 }
 
+solver::SolveResult
+feasibleResult(std::int64_t value)
+{
+    solver::SolveResult r;
+    r.status = solver::SolveStatus::Feasible;
+    r.values = {value};
+    r.objective = value;
+    r.decisions = static_cast<std::uint64_t>(value);
+    return r;
+}
+
+TEST(PlanMemo, SolveStoreIsExactAndBoundedLru)
+{
+    PlanMemo memo(2);
+    auto key = [](std::uint64_t fp) { return SolveKey{fp, {4, 5}, 100, 0}; };
+    memo.storeSolve(key(1), feasibleResult(10));
+    memo.storeSolve(key(2), feasibleResult(20));
+    // Every key component takes part: no near miss is a hit.
+    auto other_hint = key(1);
+    other_hint.hint.back() = 6;
+    auto other_budget = key(1);
+    other_budget.maxDecisions = 101;
+    auto other_restarts = key(1);
+    other_restarts.restartConflictBase = 1024;
+    for (const auto &k : {other_hint, other_budget, other_restarts})
+        EXPECT_FALSE(memo.lookupSolve(k).has_value());
+
+    auto hit = memo.lookupSolve(key(1)); // 1 is now most recent
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->values, (std::vector<std::int64_t>{10}));
+    EXPECT_EQ(hit->decisions, 10u);
+    memo.storeSolve(key(3), feasibleResult(30)); // evicts 2
+    EXPECT_EQ(memo.solveCount(), 2u);
+    EXPECT_TRUE(memo.lookupSolve(key(1)).has_value());
+    EXPECT_FALSE(memo.lookupSolve(key(2)).has_value());
+    // Storing under a present key replaces it without evicting.
+    memo.storeSolve(key(3), feasibleResult(31));
+    EXPECT_EQ(memo.solveCount(), 2u);
+    EXPECT_EQ(memo.lookupSolve(key(3))->values,
+              (std::vector<std::int64_t>{31}));
+    // The incumbent store keeps its own bound and counters.
+    memo.store(7, {1}, 1);
+    memo.store(8, {1}, 1);
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_EQ(memo.solveCount(), 2u);
+    EXPECT_EQ(memo.stats().evictions, 0u);
+    memo.clear();
+    EXPECT_EQ(memo.solveCount(), 0u);
+    EXPECT_FALSE(memo.lookupSolve(key(1)).has_value());
+}
+
 TEST(LcOpg, PlanMemoWarmStartReproducesPlan)
 {
     // Small graph so every window solves to OPTIMAL: only then is
@@ -590,6 +643,114 @@ TEST(LcOpg, ReplanMatchesFreshPlannerAtThatBudget)
     EXPECT_EQ(restored.serialize(), first.serialize());
 }
 
+/** Every PlanStats field a finished-solve reuse must leave unchanged:
+ * all but host times and solveReuses itself. */
+std::string
+reuseInvariantStats(const PlanStats &s)
+{
+    std::ostringstream os;
+    os << static_cast<int>(s.overallStatus) << ' ' << s.windows << ' '
+       << s.optimalWindows << ' ' << s.feasibleWindows << ' '
+       << s.softRelaxations << ' ' << s.forcedPreloads << ' '
+       << s.greedyWindows << ' ' << s.threads << ' '
+       << s.rebalancedChunks << ' ' << s.rebalancedWeights << ' '
+       << s.solverDecisions << ' ' << s.solverRestarts << ' '
+       << s.memoHits << ' ' << s.memoStores << ' '
+       << s.solverPropagations << ' ' << s.solverConflicts << ' '
+       << s.symmetryRows << ' ' << s.timeLimitedWindows << '\n';
+    for (const auto &w : s.windowSummaries) {
+        os << w.window << ' ' << static_cast<int>(w.status) << ' '
+           << w.usedGreedy << ' ' << w.decisions << ' '
+           << w.propagations << ' ' << w.conflicts << ' ' << w.restarts
+           << ' ' << w.winningConfig << ' ' << w.configConflicts.size()
+           << '\n';
+    }
+    return os.str();
+}
+
+TEST(LcOpg, ReplanReusesTruncatedWindowSolvesExactly)
+{
+    // Budget-truncated windows at the default decision budget: a
+    // re-plan reuses the finished solve of every window its budget
+    // cannot bind, and must still equal a fresh planner on a fresh
+    // memo at the new budget in plan, counters and summaries. 250 MiB
+    // binds no window; 3 MiB binds in-flight rows that leave the
+    // greedy hint unchanged, so only the entailment test keeps those
+    // windows from reusing a 500 MiB solve.
+    auto g = models::buildModel(models::ModelId::DepthAnythingS);
+    KernelModel km(DeviceProfile::onePlus12());
+    profiler::AnalyticCapacityProvider cap(km);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        OpgParams params;
+        params.parallel.threads = threads;
+        // Only the decision budget may end a search: a sanitizer build
+        // can take longer than the default backstop on one window.
+        params.solverTimePerWindow = 60.0;
+        ASSERT_EQ(params.mPeak, mib(500));
+        PlanMemo memo;
+        params.memo = &memo;
+        LcOpgPlanner planner(g, cap, km, params);
+        PlanStats first_stats;
+        const auto first = planner.plan(&first_stats).serialize();
+        ASSERT_GT(first_stats.feasibleWindows, 0);
+        EXPECT_EQ(first_stats.timeLimitedWindows, 0);
+        EXPECT_EQ(first_stats.solveReuses, 0u);
+        for (Bytes budget : {mib(250), mib(3)}) {
+            SCOPED_TRACE(budget);
+            PlanStats replan_stats, fresh_stats;
+            const auto replanned =
+                planner.replan(budget, &replan_stats).serialize();
+            PlanMemo fresh_memo;
+            OpgParams fresh_params = params;
+            fresh_params.memo = &fresh_memo;
+            fresh_params.mPeak = budget;
+            LcOpgPlanner fresh(g, cap, km, fresh_params);
+            EXPECT_EQ(replanned, fresh.plan(&fresh_stats).serialize());
+            EXPECT_EQ(reuseInvariantStats(replan_stats),
+                      reuseInvariantStats(fresh_stats));
+            EXPECT_EQ(replan_stats.memoHits, 0u); // no model repeats raw
+            EXPECT_GT(replan_stats.solveReuses, 0u);
+            EXPECT_EQ(fresh_stats.solveReuses, 0u);
+        }
+        EXPECT_EQ(planner.replan(mib(500)).serialize(), first);
+    }
+}
+
+TEST(LcOpg, ClockStoppedSolvesAreCountedAndNeverStored)
+{
+    // The wall-clock backstop makes a window's result depend on host
+    // speed: every such window is counted, and its solves stay out of
+    // the memo's exact store.
+    auto g = toyGraph(8);
+    KernelModel km(DeviceProfile::onePlus12());
+    profiler::AnalyticCapacityProvider cap(km);
+    OpgParams params;
+    params.chunkBytes = kib(256);
+    // Every search stops at its first clock check, at decision 0.
+    params.solverTimePerWindow = 1e-9;
+    PlanMemo memo;
+    params.memo = &memo;
+    PlanStats first, second;
+    LcOpgPlanner(g, cap, km, params).plan(&first);
+    LcOpgPlanner(g, cap, km, params).plan(&second);
+    for (const auto *st : {&first, &second}) {
+        ASSERT_GT(st->windows, 1);
+        EXPECT_EQ(st->timeLimitedWindows, st->windows);
+        EXPECT_EQ(st->solveReuses, 0u);
+        EXPECT_EQ(st->solverDecisions, 0u);
+    }
+    EXPECT_EQ(memo.solveCount(), 0u);
+
+    // With a backstop the decision budget always beats, the same
+    // plan stores its solves.
+    params.solverTimePerWindow = 60.0;
+    PlanStats unhurried;
+    LcOpgPlanner(g, cap, km, params).plan(&unhurried);
+    EXPECT_EQ(unhurried.timeLimitedWindows, 0);
+    EXPECT_GT(memo.solveCount(), 0u);
+}
+
 // ------------------------------------------------ PlanMemo persistence
 
 namespace {
@@ -605,19 +766,34 @@ tempMemoPath(const char *tag)
 TEST(PlanMemo, SaveLoadRoundTrip)
 {
     const auto path = tempMemoPath("roundtrip");
-    PlanMemo a(8);
-    a.store(11, {1, 2, 3}, 5);
-    a.store(22, {4}, 9);
+    const auto path_no_solves = tempMemoPath("roundtrip_no_solves");
+    PlanMemo a(8), a_no_solves(8);
+    for (auto *m : {&a, &a_no_solves}) {
+        m->store(11, {1, 2, 3}, 5);
+        m->store(22, {4}, 9);
+    }
+    a.storeSolve({33, {1}, 100, 0}, feasibleResult(3));
+    ASSERT_TRUE(a.lookupSolve({33, {1}, 100, 0}).has_value());
     ASSERT_TRUE(a.saveToFile(path));
+    ASSERT_TRUE(a_no_solves.saveToFile(path_no_solves));
+    // Finished solves are memory-only: the file is byte for byte the
+    // one a memo without them writes.
+    auto bytes = [](const std::string &p) {
+        std::ifstream in(p, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    EXPECT_EQ(bytes(path), bytes(path_no_solves));
 
     PlanMemo b(8);
     ASSERT_TRUE(b.loadFromFile(path));
     EXPECT_EQ(b.size(), 2u);
+    EXPECT_EQ(b.solveCount(), 0u);
     EXPECT_EQ(*b.lookup(11), (std::vector<std::int64_t>{1, 2, 3}));
     EXPECT_EQ(*b.lookup(22), (std::vector<std::int64_t>{4}));
     // Objectives travel too: a worse store is still rejected.
     EXPECT_FALSE(b.store(11, {9, 9, 9}, 50));
     std::remove(path.c_str());
+    std::remove(path_no_solves.c_str());
 }
 
 TEST(PlanMemo, LoadRejectsMissingCorruptAndWrongVersionFiles)
@@ -848,26 +1024,40 @@ TEST(PlanMemo, ConcurrentHammer)
     constexpr int kOpsPerThread = 4000;
     // FMLINT(allow:cross-thread-state) test-only failure latch: writers only ever increment, final zero-check is order-independent
     std::atomic<std::uint64_t> corrupt{0};
+    // Both stores encode the key in the value, so readers can check
+    // they never observe torn or misfiled entries.
+    auto solve_key = [](std::uint64_t fp) {
+        return SolveKey{fp, {static_cast<std::int64_t>(fp)}, 1, 0};
+    };
 
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&memo, &corrupt, t]() {
+        workers.emplace_back([&memo, &corrupt, &solve_key, t]() {
             Rng rng(1234 + t);
             for (int i = 0; i < kOpsPerThread; ++i) {
+                // clear() only in the first half: every thread's
+                // second half refills and evicts again.
+                if (i < kOpsPerThread / 2 && i % 500 == 250) {
+                    memo.clear();
+                    continue;
+                }
                 auto fp = static_cast<std::uint64_t>(
                     rng.uniformInt(0, 99));
-                if (rng.uniform() < 0.5) {
-                    // The value encodes its key, so readers can check
-                    // they never observe torn or misfiled entries.
+                const auto key = static_cast<std::int64_t>(fp);
+                const double op = rng.uniform();
+                if (op < 0.3) {
                     std::int64_t obj = rng.uniformInt(0, 1000);
-                    memo.store(fp,
-                               {static_cast<std::int64_t>(fp), obj},
-                               obj);
-                } else {
+                    memo.store(fp, {key, obj}, obj);
+                } else if (op < 0.6) {
                     auto v = memo.lookup(fp);
-                    if (v && (v->size() != 2 ||
-                              (*v)[0] !=
-                                  static_cast<std::int64_t>(fp)))
+                    if (v && (v->size() != 2 || (*v)[0] != key))
+                        ++corrupt;
+                } else if (op < 0.8) {
+                    memo.storeSolve(solve_key(fp), feasibleResult(key));
+                } else {
+                    auto r = memo.lookupSolve(solve_key(fp));
+                    if (r && (r->values.size() != 1 ||
+                              r->values[0] != key))
                         ++corrupt;
                 }
             }
@@ -878,6 +1068,7 @@ TEST(PlanMemo, ConcurrentHammer)
 
     EXPECT_EQ(corrupt.load(), 0u);
     EXPECT_LE(memo.size(), 32u);
+    EXPECT_LE(memo.solveCount(), 32u);
     auto stats = memo.stats();
     EXPECT_GT(stats.stores, 0u);
     EXPECT_GT(stats.evictions, 0u);
@@ -887,6 +1078,11 @@ TEST(PlanMemo, ConcurrentHammer)
         if (v) {
             ASSERT_EQ(v->size(), 2u);
             EXPECT_EQ((*v)[0], static_cast<std::int64_t>(fp));
+        }
+        auto r = memo.lookupSolve(solve_key(fp));
+        if (r) {
+            ASSERT_EQ(r->values.size(), 1u);
+            EXPECT_EQ(r->values[0], static_cast<std::int64_t>(fp));
         }
     }
 }

@@ -194,6 +194,7 @@ TEST(CpSolver, DecisionLimitYieldsFeasibleOrUnknown)
     auto r = CpSolver(params).solve(m);
     EXPECT_TRUE(r.status == SolveStatus::Feasible ||
                 r.status == SolveStatus::Unknown);
+    EXPECT_FALSE(r.timeLimited); // the decision budget stopped it
 }
 
 TEST(CpSolver, TimeLimitRespected)
@@ -221,22 +222,31 @@ TEST(CpSolver, TimeLimitRespected)
                                       t0)
             .count();
     EXPECT_LT(elapsed, 1.0); // well within a second despite hardness
-    (void)r;
+    // No decision budget: only the clock can leave a search unfinished.
+    EXPECT_EQ(r.timeLimited, r.status == SolveStatus::Feasible ||
+                                 r.status == SolveStatus::Unknown);
 }
 
-// Randomized equivalence vs brute-force enumeration: statuses agree and
-// objectives match on every seed.
-class SolverVsBruteForce : public ::testing::TestWithParam<int>
+/** Small random model: nvars variables over [0, dom], 1-4 rows, maybe
+ * an implication, and a linear objective. */
+struct RandomInstance
 {
+    CpModel model;
+    int nvars = 0;
+    std::int64_t dom = 0;
 };
 
-TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
+RandomInstance
+randomInstance(int seed)
 {
-    Rng rng(1000 + GetParam());
-    const int nvars = static_cast<int>(rng.uniformInt(2, 5));
-    const std::int64_t dom = rng.uniformInt(2, 4);
+    Rng rng(1000 + seed);
+    RandomInstance inst;
+    inst.nvars = static_cast<int>(rng.uniformInt(2, 5));
+    inst.dom = rng.uniformInt(2, 4);
+    const int nvars = inst.nvars;
+    const std::int64_t dom = inst.dom;
 
-    CpModel m;
+    CpModel &m = inst.model;
     for (int i = 0; i < nvars; ++i)
         m.newIntVar(0, dom);
 
@@ -262,6 +272,22 @@ TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
     for (int i = 0; i < nvars; ++i)
         obj.push_back({i, rng.uniformInt(-4, 4)});
     m.minimize(obj);
+    return inst;
+}
+
+// Randomized equivalence vs brute-force enumeration: statuses agree and
+// objectives match on every seed.
+class SolverVsBruteForce : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
+{
+    const auto inst = randomInstance(GetParam());
+    const CpModel &m = inst.model;
+    const int nvars = inst.nvars;
+    const std::int64_t dom = inst.dom;
+    const auto &obj = m.objective();
 
     // Brute force.
     std::vector<std::int64_t> assign(nvars, 0);
@@ -315,6 +341,67 @@ TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SolverVsBruteForce,
                          ::testing::Range(0, 60));
+
+// A row the declared domains entail stays entailed at every node, so
+// it never prunes or conflicts: a solve cannot depend on its bounds,
+// and the canonical fingerprint erases them.
+TEST(CpModel, EntailedRowBoundsNeverChangeTheSearch)
+{
+    for (int seed = 0; seed < 60; ++seed) {
+        SCOPED_TRACE(seed);
+        const auto inst = randomInstance(seed);
+        Rng rng(5000 + seed);
+        std::vector<LinearTerm> terms;
+        std::int64_t smin = 0, smax = 0; // range at the declared domains
+        for (int i = 0; i < inst.nvars; ++i) {
+            auto coef = rng.uniformInt(-3, 3);
+            if (coef == 0)
+                continue;
+            terms.push_back({i, coef});
+            smin += std::min<std::int64_t>(0, coef * inst.dom);
+            smax += std::max<std::int64_t>(0, coef * inst.dom);
+        }
+        if (terms.empty()) {
+            terms.push_back({0, 1});
+            smax = inst.dom;
+        }
+        auto with_row = [&](std::int64_t lo, std::int64_t hi) {
+            CpModel m = inst.model;
+            m.addLinear(terms, lo, hi);
+            return m;
+        };
+        const CpModel tight = with_row(smin, smax);
+        const CpModel loose = with_row(smin - rng.uniformInt(1, 9),
+                                       smax + rng.uniformInt(1, 9));
+        EXPECT_NE(tight.fingerprint(), loose.fingerprint());
+        EXPECT_EQ(tight.canonicalFingerprint(),
+                  loose.canonicalFingerprint());
+        // A row that can bind keeps its bounds in the canonical key.
+        EXPECT_NE(with_row(smin + 1, smax).canonicalFingerprint(),
+                  tight.canonicalFingerprint());
+        EXPECT_NE(with_row(smin, smax - 1).canonicalFingerprint(),
+                  tight.canonicalFingerprint());
+
+        std::vector<std::int64_t> hint(inst.nvars);
+        for (auto &v : hint)
+            v = rng.uniformInt(0, inst.dom);
+        SolverParams truncated;
+        truncated.maxDecisions =
+            static_cast<std::uint64_t>(rng.uniformInt(1, 12));
+        truncated.restartConflictBase = 1;
+        for (const auto &params : {SolverParams{}, truncated}) {
+            auto a = CpSolver(params).solve(tight, &hint);
+            auto b = CpSolver(params).solve(loose, &hint);
+            EXPECT_EQ(a.status, b.status);
+            EXPECT_EQ(a.values, b.values);
+            EXPECT_EQ(a.objective, b.objective);
+            EXPECT_EQ(a.decisions, b.decisions);
+            EXPECT_EQ(a.propagations, b.propagations);
+            EXPECT_EQ(a.backtracks, b.backtracks);
+            EXPECT_EQ(a.restarts, b.restarts);
+        }
+    }
+}
 
 TEST(CpSolver, StatusNames)
 {
