@@ -19,12 +19,6 @@
  * demonstrate the plan memo (re-planning an unchanged model reuses
  * cached incumbents and finished solves) and merge-time re-balancing.
  *
- * A final portfolio section measures the inside-one-window parallel
- * search: symmetry breaking's conflict reduction on interchangeable
- * windows, the K=4 configuration portfolio proving strictly more
- * budget-truncated windows optimal at an unchanged per-configuration
- * decision budget, and byte-determinism across pool sizes 1/2/8.
- *
  * With an argument, also writes the measurements as JSON (consumed by
  * tools/run_benchmarks.sh -> BENCH_table4.json).
  */
@@ -42,9 +36,7 @@
 #include "core/lc_opg.hh"
 #include "graph/builder.hh"
 #include "profiler/capacity.hh"
-#include "solver/portfolio.hh"
 #include "solver/solver.hh"
-#include "solver/symmetry.hh"
 
 namespace {
 
@@ -140,342 +132,6 @@ opgWindowInstance(const std::string &name, int weights, int layers,
     }
     inst.hint = std::move(hint);
     return inst;
-}
-
-/**
- * Fully interchangeable OPG window: every weight has the same total
- * size and the same consumer set (all layers), so every per-weight
- * [y_w, x_w*, z_w] block swaps with every other — the worst case for
- * plain search and the best case for lex symmetry breaking.
- */
-Instance
-symWindowInstance(const std::string &name, int weights, int layers,
-                  int tw, int cap,
-                  std::vector<solver::VarBlock> *blocks_out)
-{
-    Instance inst;
-    inst.name = name;
-    CpModel &m = inst.model;
-
-    std::vector<std::vector<VarId>> x(weights);
-    std::vector<VarId> y(weights), z(weights);
-    for (int w = 0; w < weights; ++w) {
-        std::vector<LinearTerm> row;
-        y[w] = m.newIntVar(0, tw);
-        row.push_back({y[w], 1});
-        for (int l = 0; l < layers; ++l) {
-            x[w].push_back(m.newIntVar(0, tw));
-            row.push_back({x[w].back(), 1});
-        }
-        m.addEquality(row, tw);
-        z[w] = m.newIntVar(0, layers);
-        for (int l = 0; l < layers; ++l)
-            m.addImplicationGeLe(x[w][l], 1, z[w], l);
-    }
-    for (int l = 0; l < layers; ++l) {
-        std::vector<LinearTerm> col;
-        for (int w = 0; w < weights; ++w)
-            col.push_back({x[w][l], 1});
-        m.addLessOrEqual(col, cap);
-    }
-    std::vector<LinearTerm> obj;
-    for (int w = 0; w < weights; ++w) {
-        obj.push_back({y[w], 90});
-        for (int l = 0; l < layers; ++l)
-            obj.push_back({x[w][l], layers - l - 1});
-        obj.push_back({z[w], -10});
-    }
-    m.minimize(obj);
-
-    if (blocks_out) {
-        for (int w = 0; w < weights; ++w) {
-            solver::VarBlock b;
-            b.vars.push_back(y[w]);
-            for (auto v : x[w])
-                b.vars.push_back(v);
-            b.vars.push_back(z[w]);
-            blocks_out->push_back(std::move(b));
-        }
-    }
-    return inst;
-}
-
-/**
- * Portfolio + symmetry study (the `solver_portfolio` JSON section).
- *
- * (a) Symmetry: interchangeable windows solved to exhaustion with and
- *     without lex rows must agree on the optimum, and the rows must
- *     cut conflicts (the aggregate plain/broken conflict ratio is the
- *     machine-independent speedup figure the regression gate tracks).
- * (b) Budget: instances solved by a single restarting configuration
- *     vs the K=4 portfolio at the identical per-configuration decision
- *     budget — the portfolio must prove strictly more windows optimal
- *     and never end with a worse objective.
- * (c) Determinism: the merged portfolio result must be byte-identical
- *     across pool sizes 1/2/8.
- * (d) Informational: Llama2-70B whole-plan wall time, single vs
- *     portfolio, plus the symmetry rows the planner adds by default.
- *
- * Returns {ok, json}; the json is the `"solver_portfolio"` member
- * without a trailing comma.
- */
-std::pair<bool, std::string>
-reportPortfolioStudy()
-{
-    bool ok = true;
-    std::ostringstream json;
-    json << "  \"solver_portfolio\": {\n";
-
-    // --------------------------------------------------------------
-    // (a) Symmetry breaking on interchangeable windows.
-    // --------------------------------------------------------------
-    printHeading(std::cout,
-                 "Symmetry breaking: interchangeable windows, "
-                 "run-to-exhaustion conflicts");
-
-    struct SymCase
-    {
-        const char *name;
-        int weights, layers, tw, cap;
-    };
-    const SymCase sym_cases[] = {
-        {"sym-w5-l3", 5, 3, 2, 3},
-        {"sym-w6-l3", 6, 3, 2, 4},
-        {"sym-w6-l4", 6, 4, 2, 4},
-        {"sym-w7-l3", 7, 3, 2, 4},
-    };
-
-    Table st({"Instance", "Objective", "Lex rows", "Plain conflicts",
-              "Broken conflicts", "Ratio"});
-    std::uint64_t conf_plain = 0, conf_broken = 0;
-    json << "    \"symmetry_instances\": [\n";
-    for (std::size_t i = 0; i < std::size(sym_cases); ++i) {
-        const auto &c = sym_cases[i];
-        SolverParams sp;
-        sp.timeLimitSeconds = 60.0;
-
-        auto plain = symWindowInstance(c.name, c.weights, c.layers,
-                                       c.tw, c.cap, nullptr);
-        auto r_plain = CpSolver(sp).solve(plain.model, nullptr);
-
-        std::vector<solver::VarBlock> blocks;
-        auto broken = symWindowInstance(c.name, c.weights, c.layers,
-                                        c.tw, c.cap, &blocks);
-        auto groups =
-            solver::groupInterchangeableBlocks(broken.model, blocks);
-        std::size_t rows =
-            solver::addSymmetryBreaking(broken.model, blocks, groups);
-        auto r_broken = CpSolver(sp).solve(broken.model, nullptr);
-
-        // Lex rows are sound: same optimum, proven both ways.
-        ok &= r_plain.status == solver::SolveStatus::Optimal;
-        ok &= r_broken.status == solver::SolveStatus::Optimal;
-        ok &= r_plain.objective == r_broken.objective;
-        ok &= rows > 0;
-        ok &= r_broken.backtracks < r_plain.backtracks;
-        conf_plain += r_plain.backtracks;
-        conf_broken += r_broken.backtracks;
-
-        double ratio = static_cast<double>(r_plain.backtracks) /
-                       static_cast<double>(
-                           r_broken.backtracks ? r_broken.backtracks
-                                               : 1);
-        st.addRow({c.name, std::to_string(r_broken.objective),
-                   std::to_string(rows),
-                   std::to_string(r_plain.backtracks),
-                   std::to_string(r_broken.backtracks),
-                   formatDouble(ratio, 1) + "x"});
-        json << "      {\"name\": \"" << c.name
-             << "\", \"objective\": " << r_broken.objective
-             << ", \"lex_rows\": " << rows
-             << ", \"plain_conflicts\": " << r_plain.backtracks
-             << ", \"broken_conflicts\": " << r_broken.backtracks
-             << "}" << (i + 1 < std::size(sym_cases) ? "," : "")
-             << "\n";
-    }
-    st.print(std::cout);
-
-    double conflict_ratio =
-        static_cast<double>(conf_plain) /
-        static_cast<double>(conf_broken ? conf_broken : 1);
-    ok &= conflict_ratio > 1.0;
-    std::cout << "\nAggregate conflict ratio (plain / broken): "
-              << formatDouble(conflict_ratio, 1)
-              << "x (deterministic; gated)\n";
-    json << "    ],\n    \"symmetry_conflict_ratio\": "
-         << conflict_ratio << ",\n";
-
-    // --------------------------------------------------------------
-    // (b) Portfolio vs single configuration at an unchanged
-    //     per-configuration decision budget.
-    // --------------------------------------------------------------
-    printHeading(std::cout,
-                 "Portfolio (K=4) vs single configuration at the same "
-                 "per-config budget");
-
-    struct BudgetCase
-    {
-        const char *name;
-        int weights, layers, tw, cap;
-        unsigned seed;
-        std::uint64_t budget;
-    };
-    // Budgets bracket the proving thresholds measured for the
-    // restarting base (config 0) vs the no-restart exhaustion config:
-    // the first three flip FEASIBLE -> OPTIMAL under the portfolio,
-    // the -wide case proves either way, w10-l6 proves neither way.
-    const BudgetCase budget_cases[] = {
-        {"budget-w8-l5", 8, 5, 2, 5, 1, 100000},
-        {"budget-w9-l5", 9, 5, 2, 6, 7, 200000},
-        {"budget-w8-l4", 8, 4, 2, 6, 11, 50000},
-        {"budget-w8-l4-wide", 8, 4, 2, 6, 11, 200000},
-        {"budget-w10-l6", 10, 6, 3, 8, 21, 100000},
-    };
-    constexpr int kConfigs = 4;
-    const int hw_threads = std::max(
-        1u, std::thread::hardware_concurrency());
-
-    Table bt({"Instance", "Budget", "Single", "Portfolio", "Single obj",
-              "Portfolio obj", "Winner"});
-    int optimal_single = 0, optimal_portfolio = 0;
-    json << "    \"budget_instances\": [\n";
-    for (std::size_t i = 0; i < std::size(budget_cases); ++i) {
-        const auto &c = budget_cases[i];
-        auto inst = opgWindowInstance(c.name, c.weights, c.layers,
-                                      c.tw, c.cap, c.seed, c.budget);
-        SolverParams base;
-        base.timeLimitSeconds = 60.0;
-        base.maxDecisions = c.budget;
-        // The Table-4 planner's budget-truncated window setup.
-        base.restartConflictBase = 1024;
-
-        auto r_single = CpSolver(base).solve(inst.model, &inst.hint);
-        auto r_port = solver::solvePortfolio(inst.model, base, kConfigs,
-                                             &inst.hint, hw_threads);
-
-        bool s_opt = r_single.status == solver::SolveStatus::Optimal;
-        bool p_opt =
-            r_port.result.status == solver::SolveStatus::Optimal;
-        optimal_single += s_opt ? 1 : 0;
-        optimal_portfolio += p_opt ? 1 : 0;
-        // The portfolio contains config 0 (= the single arm) at the
-        // same budget, so it can never do worse on either axis.
-        ok &= r_port.result.objective <= r_single.objective;
-        ok &= !s_opt || p_opt;
-
-        bt.addRow({c.name, std::to_string(c.budget),
-                   solver::solveStatusName(r_single.status),
-                   solver::solveStatusName(r_port.result.status),
-                   std::to_string(r_single.objective),
-                   std::to_string(r_port.result.objective),
-                   // std::string("k") + ...: the const char* + rvalue
-                   // overload trips GCC 12's -Wrestrict false positive
-                   // (PR105651) under -O3.
-                   std::string("k") +
-                       std::to_string(r_port.winningConfig)});
-        json << "      {\"name\": \"" << c.name
-             << "\", \"budget\": " << c.budget
-             << ", \"single_status\": \""
-             << solver::solveStatusName(r_single.status)
-             << "\", \"single_objective\": " << r_single.objective
-             << ", \"portfolio_status\": \""
-             << solver::solveStatusName(r_port.result.status)
-             << "\", \"portfolio_objective\": "
-             << r_port.result.objective
-             << ", \"winning_config\": " << r_port.winningConfig
-             << "}" << (i + 1 < std::size(budget_cases) ? "," : "")
-             << "\n";
-    }
-    bt.print(std::cout);
-
-    ok &= optimal_portfolio > optimal_single;
-    std::cout << "\nWindows proven optimal: single " << optimal_single
-              << "/" << std::size(budget_cases) << ", portfolio "
-              << optimal_portfolio << "/" << std::size(budget_cases)
-              << " (portfolio strictly more: "
-              << (optimal_portfolio > optimal_single ? "PASS" : "FAIL")
-              << ")\n";
-    json << "    ],\n    \"optimal_windows_single\": " << optimal_single
-         << ",\n    \"optimal_windows_portfolio\": "
-         << optimal_portfolio << ",\n";
-
-    // --------------------------------------------------------------
-    // (c) Byte-determinism across pool sizes 1/2/8.
-    // --------------------------------------------------------------
-    const int pool_sizes[] = {1, 2, 8};
-    bool deterministic = true;
-    for (const auto &c :
-         {budget_cases[0], budget_cases[3], budget_cases[4]}) {
-        auto inst = opgWindowInstance(c.name, c.weights, c.layers,
-                                      c.tw, c.cap, c.seed, c.budget);
-        SolverParams base;
-        base.timeLimitSeconds = 60.0;
-        base.maxDecisions = c.budget;
-        base.restartConflictBase = 1024;
-        auto ref = solver::solvePortfolio(inst.model, base, kConfigs,
-                                          &inst.hint, pool_sizes[0]);
-        for (std::size_t t = 1; t < std::size(pool_sizes); ++t) {
-            auto r = solver::solvePortfolio(inst.model, base, kConfigs,
-                                            &inst.hint, pool_sizes[t]);
-            deterministic &= r.winningConfig == ref.winningConfig;
-            deterministic &= r.result.status == ref.result.status;
-            deterministic &= r.result.objective == ref.result.objective;
-            deterministic &= r.result.values == ref.result.values;
-        }
-    }
-    ok &= deterministic;
-    std::cout << "Merged result identical across pool sizes 1/2/8: "
-              << (deterministic ? "PASS" : "FAIL") << "\n";
-    json << "    \"pool_sizes_checked\": [1, 2, 8],\n"
-         << "    \"deterministic\": "
-         << (deterministic ? "true" : "false") << ",\n";
-
-    // --------------------------------------------------------------
-    // (d) Whole-plan wall time, Llama2-70B, single vs portfolio
-    //     (informational: wall depends on host core count).
-    // --------------------------------------------------------------
-    const auto &t4models = bench::table4ModelSet();
-    const auto &llama70b = t4models.back();
-    FM_ASSERT(llama70b.name == "Llama2-70B",
-              "table4ModelSet() order changed");
-    gpusim::KernelModel km(gpusim::DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-
-    double plan_single_s = 0.0, plan_portfolio_s = 0.0;
-    std::uint64_t symmetry_rows = 0;
-    int plan_threads = 1;
-    for (int configs : {1, kConfigs}) {
-        core::OpgParams params;
-        params.solverDecisionsPerWindow = 20000;
-        params.restartConflictBase = 1024;
-        params.portfolioConfigs = configs;
-        core::PlanMemo memo(2048); // isolate from earlier sections
-        params.memo = &memo;
-        core::LcOpgPlanner planner(*llama70b.graph, cap, km, params);
-        core::PlanStats stats;
-        auto t0 = std::chrono::steady_clock::now();
-        auto plan = planner.plan(&stats);
-        double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        ok &= plan.validate(*llama70b.graph, false);
-        (configs == 1 ? plan_single_s : plan_portfolio_s) = wall;
-        symmetry_rows = stats.symmetryRows;
-        plan_threads = stats.threads;
-    }
-    std::cout << "Llama2-70B whole plan: single "
-              << formatDouble(plan_single_s, 2) << " s, portfolio (K="
-              << kConfigs << ") " << formatDouble(plan_portfolio_s, 2)
-              << " s on " << plan_threads << " thread(s); "
-              << symmetry_rows << " symmetry rows added by default\n";
-    json << "    \"llama70b_plan_single_s\": " << plan_single_s
-         << ",\n    \"llama70b_plan_portfolio_s\": " << plan_portfolio_s
-         << ",\n    \"llama70b_symmetry_rows\": " << symmetry_rows
-         << ",\n    \"portfolio_configs\": " << kConfigs
-         << ",\n    \"threads\": " << plan_threads << "\n  }";
-
-    return {ok, json.str()};
 }
 
 } // namespace
@@ -828,15 +484,6 @@ main(int argc, char **argv)
                  "never grows): "
               << (reb_any ? "PASS" : "FAIL") << "\n";
     json << "  ],\n";
-
-    // ------------------------------------------------------------------
-    // Part 5: inside-one-window portfolio search + symmetry breaking.
-    // ------------------------------------------------------------------
-    {
-        auto [pok, pjson] = reportPortfolioStudy();
-        ok &= pok;
-        json << pjson << ",\n";
-    }
 
     json << "  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
     if (argc > 1) {

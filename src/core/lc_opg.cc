@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "solver/model.hh"
-#include "solver/symmetry.hh"
 
 namespace flashmem::core {
 
@@ -335,27 +334,6 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
 
     m.minimize(objective);
 
-    // Symmetry breaking: group verified-interchangeable weight blocks
-    // (y, x..., z) and chain them with leader-function orderings. Runs
-    // before the memo fingerprint so cached incumbents are keyed to —
-    // and therefore satisfy — the symmetry-broken model.
-    if (params_.symmetryBreaking) {
-        std::vector<solver::VarBlock> blocks(weights.size());
-        for (std::size_t k = 0; k < weights.size(); ++k) {
-            auto &b = blocks[k].vars;
-            b.reserve(2 + x_vars[k].size());
-            b.push_back(y_vars[k]);
-            b.insert(b.end(), x_vars[k].begin(), x_vars[k].end());
-            if (z_vars[k] >= 0)
-                b.push_back(z_vars[k]);
-        }
-        const auto groups = solver::groupInterchangeableBlocks(m, blocks);
-        if (!groups.empty()) {
-            rm.lexRows = solver::addSymmetryBreaking(m, blocks, groups);
-            solver::canonicalizeHint(m, blocks, groups, hint);
-        }
-    }
-
     // Plan memo: a previously solved window with this exact model
     // reuses its incumbent as the warm start, which is at least as
     // good as the greedy hint. Validation guards against fingerprint
@@ -378,45 +356,23 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
 
 bool
 LcOpgPlanner::interpretRound(WindowSolveState &st,
-                             const solver::PortfolioResult &pr) const
+                             const solver::SolveResult &r) const
 {
     const WindowInput &in = *st.in;
     WindowResult &result = st.out.result;
-    const bool portfolio = params_.portfolioConfigs > 1;
-    const solver::SolveResult &r = pr.result;
 
     result.buildSeconds += st.rm.buildSeconds;
-    result.lexRows += st.rm.lexRows;
     if (st.rm.memoHit)
         ++result.memoHits;
     result.solveSeconds += r.wallSeconds;
-    if (portfolio) {
-        // The raw totals below sum work across configurations, and a
-        // cancelled configuration stops at a timing-dependent point —
-        // so the summary counters (which feed solver_window trace
-        // events) take the winner's improvement snapshots instead:
-        // those freeze inside the winner's uninterfered prefix and
-        // are byte-deterministic for any pool size.
-        result.decisions += r.improveDecisions;
-        result.propagations += r.improvePropagations;
-        result.conflicts += r.improveBacktracks;
-        result.restarts += r.improveRestarts;
-    } else {
-        result.decisions += r.decisions;
-        result.propagations += r.propagations;
-        result.conflicts += r.backtracks;
-        result.restarts += r.restarts;
-    }
+    result.decisions += r.decisions;
+    result.propagations += r.propagations;
+    result.conflicts += r.backtracks;
+    result.restarts += r.restarts;
     result.status = r.status;
     result.timeLimited |= r.timeLimited;
-    result.winningConfig = pr.winningConfig;
-    if (result.configConflicts.size() < pr.outcomes.size())
-        result.configConflicts.resize(pr.outcomes.size(), 0);
-    for (const auto &o : pr.outcomes)
-        result.configConflicts[o.config] += o.result.backtracks;
 
-    // The merged (winner's) incumbent seeds the memo, so warm starts
-    // inherit portfolio wins.
+    // The incumbent seeds the memo for later warm starts.
     if (params_.planMemo && r.feasible())
         st.out.memoStores.push_back(
             {st.rm.fingerprint, r.values, r.objective});
@@ -660,13 +616,11 @@ LcOpgPlanner::plan(PlanStats *stats)
     }
     local.stageSeconds = secondsSince(stage_t0);
 
-    // Phase 2 — solve: flattened (window x config) solve tasks run
+    // Phase 2 — solve: one solve task per window round runs
     // concurrently on one pool; the main thread drives each window's
     // fallback-round state machine and consumes results in submission
     // (window) order, so downstream phases never observe completion
-    // order. With portfolioConfigs > 1, each round races K solver
-    // configurations over the same model (solver/portfolio.hh); the
-    // merged result is byte-identical for any thread count.
+    // order.
     const int threads =
         params_.parallel.threads > 0
             ? params_.parallel.threads
@@ -674,10 +628,6 @@ LcOpgPlanner::plan(PlanStats *stats)
     local.threads = threads;
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto solve_t0 = std::chrono::steady_clock::now();
-    const int configs = std::max(1, params_.portfolioConfigs);
-    // Exact finished-solve reuse covers single-configuration searches
-    // only: a portfolio result is not a function of its SolveKey.
-    const bool reuse_solves = params_.planMemo && configs == 1;
     std::vector<WindowOutput> outputs;
     outputs.reserve(inputs.size());
     {
@@ -689,7 +639,7 @@ LcOpgPlanner::plan(PlanStats *stats)
         sp.restartConflictBase = params_.restartConflictBase;
         auto submitRound = [&](WindowSolveState &st) {
             st.rm = buildWindowModel(*st.in, st.relax, st.forced);
-            if (reuse_solves) {
+            if (params_.planMemo) {
                 // The model and hint are settled (warm start
                 // included). Like memo incumbents, stored solves come
                 // from earlier plans only — this plan's are buffered
@@ -707,17 +657,10 @@ LcOpgPlanner::plan(PlanStats *stats)
                 }
                 st.reused.reset();
             }
-            // Fresh board per round: fallback rounds solve a different
-            // model, so a previous round's proven bound must not leak.
-            if (configs > 1)
-                st.board = std::make_unique<solver::PortfolioBoard>();
-            st.futures.clear();
-            for (int k = 0; k < configs; ++k) {
-                st.futures.push_back(pool.submit([&st, sp, k]() {
-                    return solver::solvePortfolioConfig(
-                        st.rm.model, sp, k, st.board.get(), &st.rm.hint);
-                }));
-            }
+            st.future = pool.submit([&st, sp]() {
+                return solver::CpSolver(sp).solve(st.rm.model,
+                                                  &st.rm.hint);
+            });
         };
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             WindowSolveState &st = states[i];
@@ -744,26 +687,21 @@ LcOpgPlanner::plan(PlanStats *stats)
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             WindowSolveState &st = states[i];
             while (!st.done) {
-                std::vector<solver::PortfolioOutcome> outcomes;
+                solver::SolveResult r;
                 if (st.reused) {
-                    outcomes.push_back({0, std::move(*st.reused)});
+                    r = std::move(*st.reused);
                     st.reused.reset();
                     ++st.out.result.solveReuses;
                 } else {
-                    outcomes.reserve(st.futures.size());
-                    for (auto &f : st.futures)
-                        outcomes.push_back(f.get());
-                    st.futures.clear();
+                    r = st.future.get();
                     // A clock-stopped search depends on host speed,
                     // and an infeasible round has no values for the
                     // satisfiedBy guard: neither is stored.
-                    const auto &r = outcomes.front().result;
-                    if (reuse_solves && r.feasible() && !r.timeLimited)
+                    if (params_.planMemo && r.feasible() && !r.timeLimited)
                         st.out.solveStores.push_back(
                             {std::move(st.solveKey), r});
                 }
-                if (interpretRound(
-                        st, solver::mergePortfolio(std::move(outcomes))))
+                if (interpretRound(st, r))
                     st.done = true;
                 else
                     submitRound(st);
@@ -796,11 +734,8 @@ LcOpgPlanner::plan(PlanStats *stats)
         s.propagations = wr.propagations;
         s.conflicts = wr.conflicts;
         s.restarts = wr.restarts;
-        s.winningConfig = wr.winningConfig;
-        s.configConflicts = wr.configConflicts;
-        local.windowSummaries.push_back(std::move(s));
+        local.windowSummaries.push_back(s);
         ++local.windows;
-        local.symmetryRows += wr.lexRows;
         local.buildModelSeconds += wr.buildSeconds;
         local.solveCpuSeconds += wr.solveSeconds;
         local.solverDecisions += wr.decisions;

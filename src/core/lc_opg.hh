@@ -36,14 +36,12 @@
 
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/overlap_plan.hh"
 #include "gpusim/kernel.hh"
 #include "profiler/capacity.hh"
-#include "solver/portfolio.hh"
 #include "solver/solver.hh"
 
 namespace flashmem::core {
@@ -105,7 +103,7 @@ struct OpgParams
      *    budget, restart base) was solved before takes the stored
      *    result instead of searching (PlanMemo::lookupSolve). It is
      *    exactly what the search would return, so it saves host time
-     *    and never changes a plan. Off while portfolioConfigs > 1.
+     *    and never changes a plan.
      */
     bool planMemo = true;
     /**
@@ -134,29 +132,6 @@ struct OpgParams
      * optimality (restart overhead delays exhaustion proofs).
      */
     std::uint64_t restartConflictBase = 0;
-    /**
-     * Deterministic portfolio width for window solves: K solver
-     * configurations (distinct variable orders, restart schedules,
-     * value-ordering polarities) race each window model on the shared
-     * thread pool, first achiever of the proven optimum wins under a
-     * lowest-config-index tie-break, and losers are cancelled through
-     * a monotone bound-sharing board (solver/portfolio.hh). 1 = off
-     * (plain single-configuration solves, the historical behavior).
-     * Plans stay byte-identical for any thread count and any pool
-     * size; raising K multiplies worst-case CPU per truncated window
-     * by K in exchange for more windows proved optimal inside the
-     * unchanged per-configuration decision budget.
-     */
-    int portfolioConfigs = 1;
-    /**
-     * Detect interchangeable same-consumer weight blocks (equal T(w),
-     * equal candidate layers) at model-build time and add lex-ordering
-     * rows so the solver stops exploring permuted duplicates of the
-     * same subtree (solver/symmetry.hh). Sound: the verifier proves
-     * block-swap invariance exactly before any row is added, and the
-     * greedy/memo hints are canonicalized to the chosen order.
-     */
-    bool symmetryBreaking = true;
     /** Window-solve parallelism (plan stays byte-identical). */
     ParallelPlanParams parallel;
 };
@@ -179,23 +154,6 @@ struct PlanStats
         std::uint64_t propagations = 0;
         std::uint64_t conflicts = 0; ///< search backtracks
         std::uint64_t restarts = 0;
-        /**
-         * Portfolio configuration that produced the committed window
-         * solution (final fallback round); 0 when the portfolio is
-         * off. Deterministic for any thread count / pool size.
-         */
-        int winningConfig = 0;
-        /**
-         * Raw search backtracks per portfolio configuration, merged
-         * in submission (configuration) order and summed across
-         * fallback rounds; empty when the window never ran the
-         * solver. Diagnostic only: cancelled configurations stop at a
-         * timing-dependent point, so these counts may vary run to run
-         * — which is exactly what makes them useful for triaging a
-         * portfolio divergence (the deterministic fields above come
-         * from the winner's improvement snapshots and do not vary).
-         */
-        std::vector<std::uint64_t> configConflicts;
     };
 
     double processNodesSeconds = 0.0;   ///< graph analysis + capacities
@@ -230,8 +188,6 @@ struct PlanStats
     int timeLimitedWindows = 0;
     std::uint64_t solverPropagations = 0; ///< constraint revisions
     std::uint64_t solverConflicts = 0;    ///< search backtracks
-    /** Symmetry-breaking lex rows added across all window models. */
-    int symmetryRows = 0;
     std::vector<WindowSolveSummary> windowSummaries;
 };
 
@@ -289,11 +245,6 @@ class LcOpgPlanner
         std::uint64_t memoHits = 0;
         std::uint64_t solveReuses = 0;
         bool timeLimited = false; ///< some round stopped on the clock
-        int winningConfig = 0;  ///< final round's portfolio winner
-        int lexRows = 0;        ///< symmetry-breaking rows added
-        /** Raw per-configuration backtracks (diagnostic; see
-         * PlanStats::WindowSolveSummary::configConflicts). */
-        std::vector<std::uint64_t> configConflicts;
     };
 
     /**
@@ -373,11 +324,9 @@ class LcOpgPlanner
 
     /**
      * One C4 fallback round's CP model, built on the driver thread:
-     * the window model (C0-C3), symmetry-breaking lex rows over
-     * verified-interchangeable weight blocks, and the canonicalized
-     * warm-start hint (greedy, or a validated PlanMemo incumbent).
-     * Once built it is immutable, so the portfolio's configurations
-     * can race it concurrently.
+     * the window model (C0-C3) and its warm-start hint (greedy, or a
+     * validated PlanMemo incumbent). Once built it is immutable, so a
+     * pool worker can solve it.
      */
     struct RoundModel
     {
@@ -388,28 +337,25 @@ class LcOpgPlanner
         std::vector<std::vector<solver::VarId>> x_vars;
         std::uint64_t fingerprint = 0;
         bool memoHit = false;
-        int lexRows = 0;
         double buildSeconds = 0.0;
     };
 
     /**
      * Per-window driver state for the flattened solve phase: plan()
-     * submits one task per (window, round, configuration) to the
-     * shared pool and interprets merged round results in window
-     * order, so the C4 fallback tiers (relax/forced) advance exactly
-     * as they did when each window ran its rounds inside one task.
+     * submits one task per (window, round) to the shared pool and
+     * interprets round results in window order, so the C4 fallback
+     * tiers (relax/forced) advance exactly as they did when each
+     * window ran its rounds inside one task.
      */
     struct WindowSolveState
     {
         const WindowInput *in = nullptr;
         bool done = false;
-        bool useGreedy = false;
         int round = 0;
         double relax = 1.0;
         std::vector<bool> forced;
         RoundModel rm;
-        std::unique_ptr<solver::PortfolioBoard> board;
-        std::vector<std::future<solver::PortfolioOutcome>> futures;
+        std::future<solver::SolveResult> future;
         /** This round's finished-solve key, and its stored result on
          * a hit (no task is submitted then). */
         SolveKey solveKey;
@@ -422,14 +368,13 @@ class LcOpgPlanner
                                 const std::vector<bool> &forced) const;
 
     /**
-     * Fold one merged round result into @p st: accumulate stats
-     * (winner-snapshot counters when the portfolio is on, so traces
-     * and summaries stay deterministic), extract the solution or
-     * advance the C4 tier state. @return true when the window is done
-     * (solution extracted or demoted to the greedy backup).
+     * Fold one round's solve result into @p st: accumulate stats,
+     * extract the solution or advance the C4 tier state. @return true
+     * when the window is done (solution extracted or demoted to the
+     * greedy backup).
      */
     bool interpretRound(WindowSolveState &st,
-                        const solver::PortfolioResult &pr) const;
+                        const solver::SolveResult &r) const;
 
     /** Fill @p out from the staged greedy solution (tier 3). */
     void applyGreedy(const WindowInput &in, WindowOutput &out) const;

@@ -14,85 +14,16 @@ namespace {
 constexpr int kOverlapPipelineDepth = 2;
 
 /** Load order: earlier compute-free first, DMA-free then id tie-break.
- * All placement policies fall back to this total order, so placement
- * is deterministic for any candidate set. */
+ * A total order, so placement is deterministic for any candidate set. */
 bool
-lessLoaded(const DeviceState *a, const DeviceState *b)
+lessLoaded(const DeviceState &a, const DeviceState &b)
 {
-    if (a->computeBusyUntil != b->computeBusyUntil)
-        return a->computeBusyUntil < b->computeBusyUntil;
-    if (a->dmaBusyUntil != b->dmaBusyUntil)
-        return a->dmaBusyUntil < b->dmaBusyUntil;
-    return a->id < b->id;
+    if (a.computeBusyUntil != b.computeBusyUntil)
+        return a.computeBusyUntil < b.computeBusyUntil;
+    if (a.dmaBusyUntil != b.dmaBusyUntil)
+        return a.dmaBusyUntil < b.dmaBusyUntil;
+    return a.id < b.id;
 }
-
-class LeastLoadedPlacement : public PlacementPolicy
-{
-  public:
-    const char *name() const override { return "least-loaded"; }
-
-    const DeviceState *
-    place(const std::vector<const DeviceState *> &candidates,
-          models::ModelId, Bytes) override
-    {
-        return *std::min_element(candidates.begin(), candidates.end(),
-                                 lessLoaded);
-    }
-};
-
-class RoundRobinPlacement : public PlacementPolicy
-{
-  public:
-    const char *name() const override { return "round-robin"; }
-
-    const DeviceState *
-    place(const std::vector<const DeviceState *> &candidates,
-          models::ModelId, Bytes) override
-    {
-        // First accepting device at/after the cursor, wrapping to the
-        // lowest id (candidates arrive in ascending id order).
-        const DeviceState *pick = candidates.front();
-        for (const auto *d : candidates) {
-            if (d->id >= cursor_) {
-                pick = d;
-                break;
-            }
-        }
-        cursor_ = pick->id + 1;
-        return pick;
-    }
-
-  private:
-    int cursor_ = 0;
-};
-
-class CapacityAffinityPlacement : public PlacementPolicy
-{
-  public:
-    const char *name() const override { return "capacity-affinity"; }
-
-    const DeviceState *
-    place(const std::vector<const DeviceState *> &candidates,
-          models::ModelId model, Bytes planBudget) override
-    {
-        // Prefer a device already holding this model's plan at the
-        // target budget (no plan switch / re-plan on dispatch);
-        // fall back to least-loaded among the rest.
-        const DeviceState *affine = nullptr;
-        for (const auto *d : candidates) {
-            auto it = d->residentPlanBudget.find(model);
-            if (it == d->residentPlanBudget.end() ||
-                it->second != planBudget)
-                continue;
-            if (!affine || lessLoaded(d, affine))
-                affine = d;
-        }
-        if (affine)
-            return affine;
-        return *std::min_element(candidates.begin(), candidates.end(),
-                                 lessLoaded);
-    }
-};
 
 } // namespace
 
@@ -110,47 +41,8 @@ deviceHealthName(DeviceHealth health)
     return "unknown";
 }
 
-const char *
-placementName(PlacementKind kind)
-{
-    switch (kind) {
-      case PlacementKind::LeastLoaded:
-        return "least-loaded";
-      case PlacementKind::RoundRobin:
-        return "round-robin";
-      case PlacementKind::CapacityAffinity:
-        return "capacity-affinity";
-    }
-    return "unknown";
-}
-
-const std::vector<PlacementKind> &
-allPlacementKinds()
-{
-    static const std::vector<PlacementKind> kinds = {
-        PlacementKind::LeastLoaded,
-        PlacementKind::RoundRobin,
-        PlacementKind::CapacityAffinity,
-    };
-    return kinds;
-}
-
-std::unique_ptr<PlacementPolicy>
-makePlacement(PlacementKind kind)
-{
-    switch (kind) {
-      case PlacementKind::LeastLoaded:
-        return std::make_unique<LeastLoadedPlacement>();
-      case PlacementKind::RoundRobin:
-        return std::make_unique<RoundRobinPlacement>();
-      case PlacementKind::CapacityAffinity:
-        return std::make_unique<CapacityAffinityPlacement>();
-    }
-    FM_FATAL("unknown placement kind");
-}
-
 DeviceCluster::DeviceCluster(ClusterConfig cfg)
-    : cfg_(cfg), placement_(makePlacement(cfg.placement))
+    : cfg_(cfg)
 {
     FM_ASSERT(cfg_.deviceCount >= 1, "cluster needs >= 1 device");
     devices_.resize(static_cast<std::size_t>(cfg_.deviceCount));
@@ -187,17 +79,15 @@ DeviceCluster::anyAccepting(SimTime now) const
 }
 
 int
-DeviceCluster::pickDevice(SimTime now, models::ModelId model,
-                          Bytes planBudget)
+DeviceCluster::pickDevice(SimTime now) const
 {
-    candidates_.clear();
+    const DeviceState *pick = nullptr;
     for (const auto &d : devices_) {
-        if (canAccept(d.id, now))
-            candidates_.push_back(&d);
+        if (canAccept(d.id, now) && (!pick || lessLoaded(d, *pick)))
+            pick = &d;
     }
-    FM_ASSERT(!candidates_.empty(),
-              "pickDevice with no accepting device");
-    return placement_->place(candidates_, model, planBudget)->id;
+    FM_ASSERT(pick, "pickDevice with no accepting device");
+    return pick->id;
 }
 
 PlacedTimes

@@ -13,16 +13,14 @@
  * place runs through DeviceCluster::planTimes / commit, which is what
  * keeps the two paths bit-identical (see serving/sweep.hh).
  *
- * Placement is pluggable: least-loaded (default), round-robin, and
- * capacity-affinity (route a model to the device that already holds
- * its plan at the target budget, avoiding an on-device plan switch).
+ * Placement is least-loaded: a request lands on the accepting device
+ * whose compute queue frees first (DMA queue, then id, break ties).
  */
 
 #ifndef FLASHMEM_MULTIDNN_DEVICE_HH
 #define FLASHMEM_MULTIDNN_DEVICE_HH
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -33,17 +31,6 @@ class TraceRecorder;
 } // namespace flashmem::obs
 
 namespace flashmem::multidnn {
-
-/** Placement strategies for picking a device per dispatched request. */
-enum class PlacementKind
-{
-    LeastLoaded,      ///< earliest compute-free device (id tie-break)
-    RoundRobin,       ///< cycle device ids over accepting devices
-    CapacityAffinity, ///< prefer the device already holding the plan
-};
-
-/** Human name of a placement strategy. */
-const char *placementName(PlacementKind kind);
 
 /**
  * Health of one simulated device under fault injection.
@@ -62,9 +49,6 @@ enum class DeviceHealth
 /** Human name of a device health state. */
 const char *deviceHealthName(DeviceHealth health);
 
-/** All built-in placement kinds, in presentation order. */
-const std::vector<PlacementKind> &allPlacementKinds();
-
 /** Cluster shape of the execution layer. */
 struct ClusterConfig
 {
@@ -78,7 +62,6 @@ struct ClusterConfig
      * fully serialized single-resource device.
      */
     bool overlapInitWithExec = false;
-    PlacementKind placement = PlacementKind::LeastLoaded;
 };
 
 /**
@@ -101,8 +84,7 @@ struct DeviceState
     SimTime computeBusyTime = 0; ///< sum of placed exec phases
     SimTime dmaBusyTime = 0;     ///< sum of placed init (preload) phases
     /** Times this device had to switch a model's resident plan budget
-     * (a re-plan / plan reload on device; capacity-affinity placement
-     * exists to avoid these). */
+     * (a re-plan / plan reload on device). */
     int planSwitches = 0;
     /** @} */
 
@@ -177,27 +159,6 @@ struct PlacedTimes
     SimTime end = 0;      ///< compute retires; device slot frees
 };
 
-/** Strategy choosing a device among those able to accept a request. */
-class PlacementPolicy
-{
-  public:
-    virtual ~PlacementPolicy() = default;
-
-    virtual const char *name() const = 0;
-
-    /**
-     * Pick one of @p candidates (accepting devices, ascending id;
-     * non-empty). @p planBudget is the budget the dispatched plan
-     * will run under (capacity-affinity keys on it).
-     */
-    virtual const DeviceState *place(
-        const std::vector<const DeviceState *> &candidates,
-        models::ModelId model, Bytes planBudget) = 0;
-};
-
-/** Construct the built-in placement policy of @p kind. */
-std::unique_ptr<PlacementPolicy> makePlacement(PlacementKind kind);
-
 /**
  * N simulated devices behind one admission queue. The cluster is the
  * single owner of the dispatch timing rule (planTimes) and of the
@@ -229,9 +190,10 @@ class DeviceCluster
     /** Any device able to accept a request at @p now. */
     bool anyAccepting(SimTime now) const;
 
-    /** Choose an accepting device for @p model via the placement
-     * policy. At least one device must be accepting. */
-    int pickDevice(SimTime now, models::ModelId model, Bytes planBudget);
+    /** The least-loaded device able to accept a request at @p now
+     * (earliest compute-free, then DMA-free, then lowest id). At
+     * least one device must be accepting. */
+    int pickDevice(SimTime now) const;
 
     /**
      * The shared two-resource timing rule. Overlap off: the run starts
@@ -309,13 +271,8 @@ class DeviceCluster
 
   private:
     ClusterConfig cfg_;
-    std::unique_ptr<PlacementPolicy> placement_;
     std::vector<DeviceState> devices_;
     obs::TraceRecorder *trace_ = nullptr;
-    /** Scratch candidate buffer reused across pickDevice calls (the
-     * loop is single-threaded per cluster), keeping the fast
-     * simulator's per-request dispatch allocation-free. */
-    std::vector<const DeviceState *> candidates_;
 };
 
 } // namespace flashmem::multidnn

@@ -352,7 +352,7 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                     clampQuantize(policy.degradedBudget(
                         fm_.options().opg.mPeak)));
             }
-            int dev = cluster.pickDevice(now, picked.model, budget);
+            int dev = cluster.pickDevice(now);
             auto &sim = sims[static_cast<std::size_t>(dev)];
             // Any on-device re-plan for this (model, budget) happens
             // inside this call; a bumped counter means the returned
@@ -380,8 +380,7 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
                                 w.status ==
                                     solver::SolveStatus::Optimal
                             ? 1
-                            : 0,
-                        static_cast<std::int32_t>(w.winningConfig));
+                            : 0);
             }
             core::RunResult r;
             if (!cluster.overlap() && !faulty) {
@@ -462,7 +461,7 @@ EventScheduler::runPreload(baselines::FrameworkId framework,
     auto out = drain(
         cluster, queue, policy, estimates,
         [&](const ReadyRequest &picked, SimTime now, int) -> DeviceRun {
-            int d = cluster.pickDevice(now, picked.model, 0);
+            int d = cluster.pickDevice(now);
             auto r = fw.run(sims[static_cast<std::size_t>(d)],
                             graphs.at(picked.model), now);
             cluster.commit(d, picked.model, 0,

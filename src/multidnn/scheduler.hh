@@ -6,7 +6,7 @@
  * against a DeviceCluster (multidnn/device.hh): arrival events feed a
  * ready set, completion events free device pipeline slots, and on
  * every dispatch opportunity a pluggable SchedulingPolicy picks the
- * next request and a pluggable placement policy picks its device.
+ * next request and the cluster places it on the least-loaded device.
  * Under FlashMem the swap-in is the streamed overlap plan; under
  * preloading baselines it is a full cold-start init — the repeated-
  * load overhead the paper targets. With
@@ -57,8 +57,8 @@ struct SchedulerConfig
      * small ready-set fluctuations do not trigger re-plan churn (and
      * the per-budget artifact cache stays small). */
     Bytes budgetQuantum = mib(64);
-    /** Cluster shape: device count, placement policy, cross-request
-     * init/exec overlap (see multidnn/device.hh). The default is the
+    /** Cluster shape: device count and cross-request init/exec
+     * overlap (see multidnn/device.hh). The default is the
      * single serialized device of the original scheduler. */
     ClusterConfig cluster;
     /** Deterministic fault schedule injected into the drain (empty =

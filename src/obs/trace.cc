@@ -224,16 +224,14 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
             std::snprintf(buf, sizeof(buf),
                           "[t=%lld] solver_window window=%llu "
                           "model=%s conflicts=%lld restarts=%lld "
-                          "propagations=%lld proven_optimal=%lld "
-                          "winner=k%d",
+                          "propagations=%lld proven_optimal=%lld",
                           static_cast<long long>(e.time),
                           static_cast<unsigned long long>(e.id),
                           modelName(e.model),
                           static_cast<long long>(e.a),
                           static_cast<long long>(e.b),
                           static_cast<long long>(e.c),
-                          static_cast<long long>(e.flag),
-                          static_cast<int>(e.runId));
+                          static_cast<long long>(e.flag));
             break;
         }
         os << buf << '\n';
@@ -407,10 +405,9 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
             break;
           case EventKind::SolverWindow:
             std::snprintf(name, sizeof(name),
-                          "window %llu (conflicts=%lld, k%d%s)",
+                          "window %llu (conflicts=%lld%s)",
                           static_cast<unsigned long long>(e.id),
                           static_cast<long long>(e.a),
-                          static_cast<int>(e.runId),
                           e.flag != 0 ? ", optimal" : "");
             instant(998, e.time, name);
             break;

@@ -93,8 +93,7 @@ struct TraceEvent
     SimTime time = 0;
     std::int64_t a = 0, b = 0, c = 0;
     std::uint32_t id = 0;     ///< request seq / fault idx / window idx
-    std::int32_t runId = -1;  ///< dispatch run id (SolverWindow:
-                              ///< winning portfolio config), -1 n/a
+    std::int32_t runId = -1;  ///< dispatch run id, -1 when n/a
     std::int16_t device = -1; ///< device id, -1 when n/a
     std::int16_t model = -1;  ///< models::ModelId as int, -1 when n/a
     EventKind kind = EventKind::RequestArrival;
@@ -233,19 +232,14 @@ class TraceRecorder
         events_.push_back(e);
     }
 
-    /** The winning portfolio configuration index rides in the runId
-     * slot (unused for planner-side events), so a trace diff between
-     * two runs shows *which* derived configuration won each window —
-     * the first thing to look at when portfolio plans diverge. */
     void
     solverWindow(SimTime t, std::uint64_t window, std::int32_t model,
                  std::int64_t conflicts, std::int64_t restarts,
                  std::int64_t propagations,
-                 std::int64_t proven_optimal,
-                 std::int32_t winning_config = 0)
+                 std::int64_t proven_optimal)
     {
         TraceEvent e = makeEvent(t, EventKind::SolverWindow, window,
-                                 winning_config, -1, model);
+                                 -1, -1, model);
         e.a = conflicts;
         e.b = restarts;
         e.c = propagations;

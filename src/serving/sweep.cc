@@ -53,7 +53,7 @@ simulateServing(const std::vector<ModelRequest> &trace,
             const auto &profile = services.at(picked.model);
             Bytes budget = picked.degraded ? profile.degradedPlanBudget
                                            : profile.planBudget;
-            int dev = cluster.pickDevice(now, picked.model, budget);
+            int dev = cluster.pickDevice(now);
             SimTime init = picked.degraded
                                ? profile.degradedInitService
                                : profile.initService;

@@ -51,7 +51,7 @@ struct ServingSimParams
      * sweep probes from going quadratic.
      */
     std::size_t readyLimit = 4096;
-    /** Cluster shape: device count, placement, cross-request overlap
+    /** Cluster shape: device count and cross-request overlap
      * (mirrors multidnn::SchedulerConfig::cluster). */
     multidnn::ClusterConfig cluster;
     /** Deterministic fault schedule (empty = fault-free), identical
@@ -166,7 +166,7 @@ struct ShardingPoint
 
 /**
  * Repeat the capacity sweep of @p policy across @p device_counts,
- * with cross-request overlap off and on per count (placement from
+ * with cross-request overlap off and on per count (both override
  * @p base.sim.cluster). The QPS ladder cap scales linearly with the
  * device count; every probe stays a pure function of
  * (mix, qps, seed, cluster), so results are thread-count independent.

@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
-#include "solver/portfolio.hh"
 #include "solver/trail.hh"
 
 namespace flashmem::solver {
@@ -123,14 +121,6 @@ struct TrailSearch
     };
     struct HeapWorse
     {
-        /**
-         * Final tie-break key per variable: the identity when
-         * orderSeed == 0 (preserving the historical smallest-id-first
-         * order byte for byte), a seeded permutation otherwise — the
-         * portfolio's search-order diversity axis.
-         */
-        const std::int32_t *orderKey = nullptr;
-
         bool
         operator()(const HeapEntry &a, const HeapEntry &b) const
         {
@@ -138,11 +128,10 @@ struct TrailSearch
                 return a.size > b.size; // smallest domain first
             if (a.activity != b.activity)
                 return a.activity < b.activity; // then most active
-            return orderKey[a.var] > orderKey[b.var];
+            return a.var > b.var; // then smallest id
         }
     };
     std::vector<HeapEntry> heap;
-    std::vector<std::int32_t> orderKey;
     std::vector<double> activity;
     double activityInc = 1.0;
     // Deferred heap maintenance: changed variables are only marked
@@ -162,42 +151,19 @@ struct TrailSearch
     std::uint64_t restarts = 0;
     bool restartPending = false;
     bool limitHit = false;
-    bool cancelled = false;
     bool timeLimited = false;
-    // Snapshots at the last incumbent improvement (see SolveResult).
-    std::uint64_t improveDecisions = 0;
-    std::uint64_t improvePropagations = 0;
-    std::uint64_t improveBacktracks = 0;
-    std::uint64_t improveRestarts = 0;
     // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
     std::chrono::steady_clock::time_point deadline;
 
     bool
     timeUp()
     {
-        // Check the clock (and the portfolio board) sparingly;
-        // decisions dominate runtime.
+        // Check the clock sparingly; decisions dominate runtime.
         if ((decisions & 0x3F) == 0) {
             // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
             if (std::chrono::steady_clock::now() >= deadline) {
                 limitHit = true;
                 timeLimited = true;
-            }
-            if (params.board && !cancelled) {
-                // Cancellation-only bound sharing: stop when a
-                // lower-indexed configuration achieved the proven
-                // optimum, or self-stop once our own incumbent
-                // matches it (further search cannot improve it).
-                std::int64_t proven = 0;
-                if (params.board->cancelled(params.portfolioIndex)) {
-                    cancelled = true;
-                    limitHit = true;
-                } else if (params.board->provenObjective(&proven) &&
-                           haveIncumbent && bestObjective <= proven) {
-                    params.board->noteAchieved(params.portfolioIndex);
-                    cancelled = true;
-                    limitHit = true;
-                }
             }
         }
         if (params.maxDecisions && decisions >= params.maxDecisions)
@@ -256,21 +222,6 @@ struct TrailSearch
         }
         dom.trackSums(&conSums);
 
-        orderKey.resize(n);
-        for (VarId v = 0; v < static_cast<VarId>(n); ++v)
-            orderKey[v] = v;
-        if (params.orderSeed) {
-            // Seeded Fisher-Yates over the tie-break ranks; the
-            // permutation is a pure function of the seed, so every
-            // configuration's search order is reproducible.
-            Rng rng(params.orderSeed);
-            for (std::size_t i = n; i > 1; --i) {
-                const auto j = static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(i) - 1));
-                std::swap(orderKey[i - 1], orderKey[j]);
-            }
-        }
-
         activity.assign(n, 0.0);
         varDirty.assign(n, 0);
         dirtyVars.clear();
@@ -295,8 +246,7 @@ struct TrailSearch
     pushHeap(VarId v)
     {
         heap.push_back({dom.domainSize(v), activity[v], v});
-        std::push_heap(heap.begin(), heap.end(),
-                       HeapWorse{orderKey.data()});
+        std::push_heap(heap.begin(), heap.end(), HeapWorse{});
     }
 
     /** Mark @p v for a heap refresh at the next selection point. */
@@ -328,8 +278,7 @@ struct TrailSearch
         flushDirtyVars();
         while (!heap.empty()) {
             HeapEntry e = heap.front();
-            std::pop_heap(heap.begin(), heap.end(),
-                          HeapWorse{orderKey.data()});
+            std::pop_heap(heap.begin(), heap.end(), HeapWorse{});
             heap.pop_back();
             // Valid only if it still describes the live domain.
             if (e.size > 0 && dom.domainSize(e.var) == e.size)
@@ -350,8 +299,7 @@ struct TrailSearch
             if (dom.domainSize(v) > 0)
                 heap.push_back({dom.domainSize(v), activity[v], v});
         }
-        std::make_heap(heap.begin(), heap.end(),
-                       HeapWorse{orderKey.data()});
+        std::make_heap(heap.begin(), heap.end(), HeapWorse{});
     }
 
     void
@@ -613,10 +561,6 @@ struct TrailSearch
             haveIncumbent = true;
             bestObjective = objMin;
             best = dom.lbs();
-            improveDecisions = decisions;
-            improvePropagations = propagations;
-            improveBacktracks = backtracks;
-            improveRestarts = restarts;
         }
     }
 
@@ -655,9 +599,9 @@ struct TrailSearch
         const std::int64_t saved_lb = dom.lb(v);
         const std::int64_t saved_ub = dom.ub(v);
         const bool low_first =
-            ((params.restartConflictBase && haveIncumbent)
-                 ? best[v] <= saved_lb
-                 : objCoef[v] >= 0) != params.invertValueOrder;
+            (params.restartConflictBase && haveIncumbent)
+                ? best[v] <= saved_lb
+                : objCoef[v] >= 0;
         const std::size_t node_mark = dom.mark();
 
         for (int side = 0; side < 2; ++side) {
@@ -757,12 +701,7 @@ CpSolver::solve(const CpModel &model,
     result.propagations = st.propagations;
     result.backtracks = st.backtracks;
     result.restarts = st.restarts;
-    result.cancelled = st.cancelled;
     result.timeLimited = st.timeLimited;
-    result.improveDecisions = st.improveDecisions;
-    result.improvePropagations = st.improvePropagations;
-    result.improveBacktracks = st.improveBacktracks;
-    result.improveRestarts = st.improveRestarts;
     result.wallSeconds =
         // FMLINT(allow:no-wall-clock) reported wall time only; solve results never depend on it
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -27,8 +27,6 @@
 
 namespace flashmem::solver {
 
-class PortfolioBoard; // solver/portfolio.hh
-
 /** Terminal state of one solve() call. */
 enum class SolveStatus { Optimal, Feasible, Infeasible, Unknown };
 
@@ -54,25 +52,6 @@ struct SolverParams
      * on for budget-truncated (FEASIBLE) window solves.
      */
     std::uint64_t restartConflictBase = 0;
-    /**
-     * @name Deterministic portfolio hooks (solver/portfolio.hh).
-     *
-     * orderSeed != 0 replaces the first-fail heap's final var-id
-     * tie-break with a seeded permutation of the variable ids —
-     * search order diversity without touching the heuristics.
-     * invertValueOrder flips the branching polarity (low-first <->
-     * high-first, including the saved solution phase under restarts).
-     * board/portfolioIndex attach this solve to a cancellation board:
-     * the search stops early when a lower-indexed configuration has
-     * achieved the proven optimum. The board never injects bounds, so
-     * an attached run is always a prefix of the detached one.
-     * @{
-     */
-    std::uint64_t orderSeed = 0;
-    bool invertValueOrder = false;
-    PortfolioBoard *board = nullptr; ///< non-owning; null = detached
-    int portfolioIndex = 0;
-    /** @} */
 };
 
 /** Result of a solve: status, assignment, objective, search stats. */
@@ -88,30 +67,12 @@ struct SolveResult
     /** Luby restarts taken (restartConflictBase > 0). */
     std::uint64_t restarts = 0;
     double wallSeconds = 0.0;
-    /** Stopped early by the portfolio cancellation board. */
-    bool cancelled = false;
     /**
      * Stopped by the wall-clock limit (timeLimitSeconds). Such a
      * result depends on host speed, so callers that must stay
      * host-independent count it and never cache it.
      */
     bool timeLimited = false;
-    /**
-     * @name Counters snapshotted at the last incumbent improvement.
-     *
-     * Unlike the raw totals above (which, under portfolio
-     * cancellation, depend on when the stop lands), these freeze at
-     * the moment the final incumbent was found — inside the
-     * uninterfered prefix of the search — so the winning
-     * configuration's snapshots are byte-deterministic for any thread
-     * count. All zero when the warm-start hint was never improved.
-     * @{
-     */
-    std::uint64_t improveDecisions = 0;
-    std::uint64_t improvePropagations = 0;
-    std::uint64_t improveBacktracks = 0;
-    std::uint64_t improveRestarts = 0;
-    /** @} */
 
     bool
     feasible() const

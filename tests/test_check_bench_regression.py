@@ -76,8 +76,6 @@ class MissingSection(unittest.TestCase):
         self.assertIn("serving section missing from the fresh run", err)
         self.assertIn("serving_faults missing from the fresh run", err)
         self.assertIn("serving_obs missing from the fresh run", err)
-        self.assertIn("solver_portfolio missing from the fresh run",
-                      err)
 
 
 class MissingRowField(unittest.TestCase):
@@ -189,29 +187,6 @@ class RegressionBeyondBound(unittest.TestCase):
                       self.err)
         self.assertIn("tracing must observe, never perturb", self.err)
         self.assertIn("recorded no events", self.err)
-
-    def test_portfolio_conflict_ratio_and_symmetry_rows(self):
-        self.assertIn("symmetry-breaking conflict ratio regressed",
-                      self.err)
-        self.assertIn("no longer cuts conflicts", self.err)
-        self.assertIn("symmetry instance sym-w5-l3: lex rows no "
-                      "longer cut conflicts", self.err)
-
-    def test_portfolio_budget_instance_paths(self):
-        self.assertIn("budget instance budget-w8-l5: portfolio status "
-                      "worsened OPTIMAL -> FEASIBLE", self.err)
-        self.assertIn("budget instance budget-w8-l5: portfolio "
-                      "objective worsened", self.err)
-        self.assertIn("budget instance budget-w10-l6: missing from "
-                      "the fresh run", self.err)
-
-    def test_portfolio_optimal_windows_and_determinism(self):
-        self.assertIn("portfolio proves fewer windows optimal",
-                      self.err)
-        self.assertIn("no longer proves strictly more windows optimal",
-                      self.err)
-        self.assertIn("no longer identical across pool sizes 1/2/8",
-                      self.err)
 
     def test_within_tolerance_rows_not_flagged(self):
         # The llama2-13b row, the vit-8b decision count and the

@@ -657,12 +657,11 @@ reuseInvariantStats(const PlanStats &s)
        << s.solverDecisions << ' ' << s.solverRestarts << ' '
        << s.memoHits << ' ' << s.memoStores << ' '
        << s.solverPropagations << ' ' << s.solverConflicts << ' '
-       << s.symmetryRows << ' ' << s.timeLimitedWindows << '\n';
+       << s.timeLimitedWindows << '\n';
     for (const auto &w : s.windowSummaries) {
         os << w.window << ' ' << static_cast<int>(w.status) << ' '
            << w.usedGreedy << ' ' << w.decisions << ' '
            << w.propagations << ' ' << w.conflicts << ' ' << w.restarts
-           << ' ' << w.winningConfig << ' ' << w.configConflicts.size()
            << '\n';
     }
     return os.str();

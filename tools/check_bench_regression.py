@@ -40,14 +40,7 @@ snapshot:
     (tracing disabled must cost nothing, so the two untraced arms
     must agree to within measurement noise), a traced run whose
     outcome diverges from the untraced run, or a traced run that
-    recorded no events, or
-  - the solver_portfolio section loses an instance, its symmetry
-    conflict ratio (plain/broken — a deterministic counter ratio, not
-    wall time) drops below 90% of the committed value or below 1.0,
-    the portfolio proves fewer budget windows optimal than the
-    committed snapshot or no more than the single configuration, a
-    budget instance's portfolio status/objective worsens, or the
-    pool-size-1/2/8 byte-determinism flag goes false.
+    recorded no events.
 
 Missing data fails loudly: a keyed row lacking its key or a gated
 field, instances/models/policies present on one side but not the
@@ -64,7 +57,6 @@ import sys
 
 STATUS_RANK = {"OPTIMAL": 0, "FEASIBLE": 1, "UNKNOWN": 2,
                "INFEASIBLE": 3}
-RATIO_TOLERANCE = 0.90     # fail below 90% of the committed ratio
 LATENCY_TOLERANCE = 1.10   # fail above 110% of the committed time
 GOODPUT_TOLERANCE = 0.02   # fail on > 2-point absolute goodput drop
 QPS_TOLERANCE = 0.90       # fail below 90% of the committed max QPS
@@ -459,106 +451,6 @@ def main() -> int:
             failures.append(
                 "the traced serving run recorded no events — "
                 "instrumentation went dead")
-
-    # Inside-one-window portfolio + symmetry breaking: the conflict
-    # ratio and optimal-window counts are deterministic counters, so
-    # the gate holds on any machine class; wall times in the section
-    # are informational only.
-    if "solver_portfolio" not in old or "solver_portfolio" not in new:
-        side = ("both snapshots"
-                if "solver_portfolio" not in old and
-                "solver_portfolio" not in new else
-                "the committed snapshot"
-                if "solver_portfolio" not in old else "the fresh run")
-        failures.append(f"solver_portfolio missing from {side}")
-    else:
-        old_pf = old["solver_portfolio"]
-        new_pf = new["solver_portfolio"]
-
-        old_ratio = old_pf.get("symmetry_conflict_ratio")
-        new_ratio = new_pf.get("symmetry_conflict_ratio")
-        if old_ratio is None or new_ratio is None:
-            failures.append(
-                "symmetry_conflict_ratio missing from "
-                + ("both snapshots" if old_ratio is None and
-                   new_ratio is None else
-                   "the committed snapshot" if old_ratio is None else
-                   "the fresh run"))
-        else:
-            if new_ratio < RATIO_TOLERANCE * old_ratio:
-                failures.append(
-                    "symmetry-breaking conflict ratio regressed: "
-                    f"{old_ratio:.1f}x -> {new_ratio:.1f}x (> 10% "
-                    "drop)")
-            if new_ratio <= 1.0:
-                failures.append(
-                    "symmetry breaking no longer cuts conflicts on "
-                    f"interchangeable windows (ratio {new_ratio:.2f}"
-                    " <= 1.0)")
-            print(f"symmetry conflict ratio: {old_ratio:.1f}x -> "
-                  f"{new_ratio:.1f}x")
-
-        def sym_check(name, old_row, new_row):
-            del old_row
-            if (new_row["broken_conflicts"] >=
-                    new_row["plain_conflicts"]):
-                failures.append(
-                    f"symmetry instance {name}: lex rows no longer "
-                    f"cut conflicts ({new_row['plain_conflicts']} "
-                    f"plain vs {new_row['broken_conflicts']} broken)")
-
-        check_keyed_rows("symmetry instance", "name",
-                         old_pf.get("symmetry_instances", []),
-                         new_pf.get("symmetry_instances", []),
-                         failures, sym_check)
-
-        def budget_check(name, old_row, new_row):
-            was = STATUS_RANK.get(old_row["portfolio_status"], 9)
-            now = STATUS_RANK.get(new_row["portfolio_status"], 9)
-            if now > was:
-                failures.append(
-                    f"budget instance {name}: portfolio status "
-                    f"worsened {old_row['portfolio_status']} -> "
-                    f"{new_row['portfolio_status']}")
-            if (new_row["portfolio_objective"] >
-                    old_row["portfolio_objective"]):
-                failures.append(
-                    f"budget instance {name}: portfolio objective "
-                    f"worsened {old_row['portfolio_objective']} -> "
-                    f"{new_row['portfolio_objective']}")
-
-        check_keyed_rows("budget instance", "name",
-                         old_pf.get("budget_instances", []),
-                         new_pf.get("budget_instances", []),
-                         failures, budget_check)
-
-        old_opt = old_pf.get("optimal_windows_portfolio")
-        new_opt = new_pf.get("optimal_windows_portfolio")
-        new_single = new_pf.get("optimal_windows_single")
-        if old_opt is None or new_opt is None or new_single is None:
-            failures.append(
-                "optimal-window counts missing from the "
-                + ("committed snapshot" if old_opt is None
-                   else "fresh run"))
-        else:
-            if new_opt < old_opt:
-                failures.append(
-                    "portfolio proves fewer windows optimal than the "
-                    f"committed snapshot ({old_opt} -> {new_opt})")
-            if new_opt <= new_single:
-                failures.append(
-                    "the portfolio no longer proves strictly more "
-                    "windows optimal than the single configuration "
-                    f"({new_opt} vs {new_single}) at the same "
-                    "per-config budget")
-            print(f"optimal windows: single {new_single}, "
-                  f"portfolio {old_opt} -> {new_opt}")
-
-        if not new_pf.get("deterministic", False):
-            failures.append(
-                "portfolio merged results are no longer identical "
-                "across pool sizes 1/2/8 — thread count leaked into "
-                "the plan")
 
     if failures:
         for f in failures:

@@ -43,11 +43,10 @@ Checks (see tools/README.md for the full catalog):
                            results; the approved patterns are
                            mutex-guarded structures merged in
                            deterministic order, or a named suppression
-                           carrying a written safety argument (the
-                           portfolio cancellation board in
-                           src/solver/portfolio.hh is the canonical
-                           sanctioned instance: its atomics broadcast
-                           only monotone, order-independent facts).
+                           carrying a written safety argument (its
+                           atomics broadcast only monotone,
+                           order-independent facts).  src/ has no
+                           atomics today.
   bad-suppression          an FMLINT annotation with an empty or missing
                            justification (always fatal; the suppression
                            policy itself is machine-enforced).
@@ -1022,8 +1021,8 @@ def check_cross_thread_state(unit, symbols, findings):
     atomic is only sound here when every write is a monotone,
     order-independent broadcast (racing writers all publish the same
     fact), and that argument must be written down — the suppression
-    justification is where it lives.  The portfolio cancellation board
-    (src/solver/portfolio.hh) is the canonical sanctioned instance.
+    justification is where it lives.  src/ has no sanctioned instance
+    today, so any atomic added there needs that argument first.
     """
     del symbols
     toks = unit.tokens

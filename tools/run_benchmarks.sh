@@ -24,7 +24,7 @@
 #
 # Pass --only SECTION[,SECTION...] to re-run a subset of the benches,
 # one section per bench binary: `solver` (bench_table4_solver_runtime:
-# solver instances, Table 4, plan memo, re-balancing, portfolio),
+# solver instances, Table 4, plan memo, re-balancing),
 # `fig6` (bench_fig6_multimodel) and `serving` (bench_serving: serving,
 # faults, admission, observability, sharding). The sections not re-run
 # are carried over from the committed snapshot, so the merged result

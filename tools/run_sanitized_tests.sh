@@ -9,14 +9,10 @@
 # build-tsan) so instrumented objects never mix with the plain build.
 #
 # Usage: tools/run_sanitized_tests.sh [address|thread|undefined]
-#   With no argument both address and thread run ('all'), followed by
-#   a focused standalone-UBSan pass over the solver portfolio /
-#   symmetry tests — the portfolio's concurrent cancellation path
-#   (board polling + racing losers torn down mid-search) is the
-#   newest cross-thread machinery, so it gets undefined-behavior
-#   coverage on every full run. The address build already folds UBSan
-#   in, so 'undefined' is the standalone UBSan build for isolating
-#   alignment/overflow reports from ASan noise. Extra ctest arguments
+#   With no argument both address and thread run ('all'). The address
+#   build already folds UBSan in, so 'undefined' is the standalone
+#   UBSan build for isolating alignment/overflow reports from ASan
+#   noise. Extra ctest arguments
 #   can be passed via CTEST_ARGS, e.g. CTEST_ARGS="-R Faults" to
 #   iterate on the fault-injection tests alone.
 set -euo pipefail
@@ -27,9 +23,6 @@ ctest_args=(${CTEST_ARGS:-})
 
 run_one() {
     local san="$1"
-    shift
-    # Focused passes append their own ctest filter to CTEST_ARGS.
-    local extra_ctest_args=("$@")
     local build_dir="$repo_root/build-${san:0:1}san"
     echo "=== $san sanitizer: configure + build ($build_dir) ==="
     cmake -B "$build_dir" -S "$repo_root" \
@@ -54,7 +47,7 @@ run_one() {
     # first CTEST_ARGS token as its value.
     (cd "$build_dir" &&
      "${env_prefix[@]}" ctest --output-on-failure -j "$(nproc)" \
-         "${ctest_args[@]}" "${extra_ctest_args[@]}")
+         "${ctest_args[@]}")
 }
 
 case "$requested" in
@@ -62,9 +55,6 @@ case "$requested" in
     all)
         run_one address
         run_one thread
-        # Cancellation-path UBSan arm: the portfolio race and the
-        # symmetry lex rows, alone, under the standalone UBSan build.
-        run_one undefined -R "Portfolio|Symmetry"
         ;;
     *)  echo "usage: $0 [address|thread|undefined]" >&2; exit 2 ;;
 esac
