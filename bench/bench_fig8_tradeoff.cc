@@ -43,6 +43,9 @@ main()
     bool ok = true;
     double overlap_sum = 0.0;
     int overlap_n = 0;
+    // One memo across the sweep: windows a sweep point cannot bind
+    // reuse the solves of earlier points.
+    core::PlanMemo memo;
     for (auto id : targets) {
         const auto &g = cachedModel(id);
         double first_exec = 0, last_exec = 0;
@@ -52,6 +55,7 @@ main()
             opt.opg.mPeak = cfg.mpeak;
             opt.opg.lambda = cfg.lambda;
             opt.opg.minPreloadFraction = cfg.preload_fraction;
+            opt.opg.memo = &memo;
             core::FlashMem fm(dev, opt);
             auto compiled = fm.compile(g);
             gpusim::GpuSimulator sim(dev);

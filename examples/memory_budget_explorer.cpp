@@ -30,12 +30,16 @@ main(int argc, char **argv)
 
     Table t({"M_peak", "lambda", "Overlap%", "Preload", "Integrated",
              "Exec", "Avg mem", "Peak mem"});
+    // One memo across the sweep: windows a budget cannot bind reuse
+    // the finished solves of earlier sweep points.
+    core::PlanMemo memo;
     for (Bytes mpeak : {mib(64), mib(128), mib(256), mib(500),
                         mib(1024)}) {
         for (double lambda : {0.5, 0.9}) {
             core::FlashMemOptions opt;
             opt.opg.mPeak = mpeak;
             opt.opg.lambda = lambda;
+            opt.opg.memo = &memo;
             core::FlashMem fm(device, opt);
             auto compiled = fm.compile(graph);
             gpusim::GpuSimulator sim(device);

@@ -20,6 +20,10 @@ FlashMem::FlashMem(const gpusim::DeviceProfile &device,
     : device_(device), options_(options), kernel_model_(device_),
       capacity_(kernel_model_, options_.thresholds)
 {
+    if (!options_.opg.memo) {
+        owned_memo_ = std::make_unique<PlanMemo>();
+        options_.opg.memo = owned_memo_.get();
+    }
 }
 
 double
@@ -68,14 +72,11 @@ FlashMem::compile(const graph::Graph &model) const
         LcOpgPlanner planner(out.fusedGraph, capacity_, kernel_model_,
                              options_.opg);
         out.plan = planner.plan(&out.stats);
-        // Rounds whose windows reuse memoised incumbents or finished
-        // solves (splits leave most of the model untouched) show up
-        // as planMemoHits and planSolveReuses.
+        // Rounds whose windows reuse finished solves (splits leave
+        // most of the model untouched) show up as planMemoHits.
         out.totalSolveSeconds += out.stats.solveSeconds;
         out.totalSolverDecisions += out.stats.solverDecisions;
         out.planMemoHits += out.stats.memoHits;
-        out.planMemoStores += out.stats.memoStores;
-        out.planSolveReuses += out.stats.solveReuses;
 
         if (!options_.adaptiveFusion || round == kMaxFusionRounds)
             break;
@@ -161,8 +162,6 @@ FlashMem::replan(const CompiledModel &compiled, Bytes mPeak) const
     out.totalSolveSeconds = out.stats.solveSeconds;
     out.totalSolverDecisions = out.stats.solverDecisions;
     out.planMemoHits = out.stats.memoHits;
-    out.planMemoStores = out.stats.memoStores;
-    out.planSolveReuses = out.stats.solveReuses;
 
     KernelRewriter rewriter(out.fusedGraph, out.plan,
                             options_.kernelRewriting);

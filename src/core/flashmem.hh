@@ -63,9 +63,7 @@ struct CompiledModel
     /** @name Aggregates across all adaptive-fusion rounds. @{ */
     double totalSolveSeconds = 0.0;
     std::uint64_t totalSolverDecisions = 0;
-    std::uint64_t planMemoHits = 0;   ///< warm starts reused from memo
-    std::uint64_t planMemoStores = 0;
-    std::uint64_t planSolveReuses = 0; ///< finished solves reused
+    std::uint64_t planMemoHits = 0; ///< rounds reused from the memo
     /** @} */
 
     /** Fraction of weight bytes streamed rather than preloaded. */
@@ -76,7 +74,15 @@ struct CompiledModel
     }
 };
 
-/** The FlashMem framework for one device profile. */
+/**
+ * The FlashMem framework for one device profile. Every plan it ships
+ * is a pure function of (graph, device, options), unless the
+ * wall-clock backstop stops a window (PlanStats::timeLimitedWindows).
+ * Planning goes through options.opg.memo when the caller passes one;
+ * otherwise this FlashMem owns a PlanMemo, so repeat compiles,
+ * adaptive-fusion rounds and re-plans reuse finished window solves
+ * instead of searching again.
+ */
 class FlashMem
 {
   public:
@@ -91,12 +97,11 @@ class FlashMem
      * overlap plan is solved under @p mPeak instead of the budget it
      * shipped with. The fused graph is reused as-is (fusion decisions
      * are budget-independent; skipping the adaptive-fusion loop keeps
-     * re-plans well under a second). Through the configured PlanMemo,
-     * windows the new budget cannot bind reuse their finished solves
-     * exactly and repeated window models warm-start, so repeated
-     * budget shifts — the multi-DNN scheduler admitting/evicting
-     * co-resident models — are cheap and bit-deterministic for any
-     * thread count.
+     * re-plans well under a second). Through the plan memo, windows
+     * the new budget cannot bind reuse their finished solves exactly,
+     * so repeated budget shifts — the multi-DNN scheduler
+     * admitting/evicting co-resident models — are cheap and
+     * bit-deterministic for any thread count.
      */
     CompiledModel replan(const CompiledModel &compiled,
                          Bytes mPeak) const;
@@ -120,6 +125,9 @@ class FlashMem
 
     gpusim::DeviceProfile device_;
     FlashMemOptions options_;
+    /** The memo options_.opg.memo points at when the caller passed
+     * none. */
+    std::unique_ptr<PlanMemo> owned_memo_;
     gpusim::KernelModel kernel_model_;
     profiler::AnalyticCapacityProvider capacity_;
 };

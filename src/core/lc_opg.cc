@@ -333,23 +333,6 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
     }
 
     m.minimize(objective);
-
-    // Plan memo: a previously solved window with this exact model
-    // reuses its incumbent as the warm start, which is at least as
-    // good as the greedy hint. Validation guards against fingerprint
-    // collisions: an entry that does not satisfy this model is
-    // ignored, keeping the greedy hint. Lookups see only pre-plan()
-    // memo state (stores from this plan are buffered until the
-    // ordered merge), so window results cannot depend on solve
-    // completion order.
-    if (params_.planMemo) {
-        rm.fingerprint = m.fingerprint();
-        auto cached = memoRef().lookup(rm.fingerprint);
-        if (cached && m.satisfiedBy(*cached)) {
-            hint = std::move(*cached);
-            rm.memoHit = true;
-        }
-    }
     rm.buildSeconds = secondsSince(build_t0);
     return rm;
 }
@@ -362,8 +345,6 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
     WindowResult &result = st.out.result;
 
     result.buildSeconds += st.rm.buildSeconds;
-    if (st.rm.memoHit)
-        ++result.memoHits;
     result.solveSeconds += r.wallSeconds;
     result.decisions += r.decisions;
     result.propagations += r.propagations;
@@ -371,11 +352,6 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
     result.restarts += r.restarts;
     result.status = r.status;
     result.timeLimited |= r.timeLimited;
-
-    // The incumbent seeds the memo for later warm starts.
-    if (params_.planMemo && r.feasible())
-        st.out.memoStores.push_back(
-            {st.rm.fingerprint, r.values, r.objective});
 
     if (!r.feasible()) {
         // Tier 1: soft-threshold relaxation of C_l.
@@ -457,7 +433,7 @@ LcOpgPlanner::applyGreedy(const WindowInput &in, WindowOutput &out) const
 
 void
 LcOpgPlanner::commitWindow(const WindowInput &in, WindowOutput &out,
-                           OverlapPlan &plan, PlanStats &stats)
+                           OverlapPlan &plan)
 {
     const std::int64_t mpeak_chunks = static_cast<std::int64_t>(
         params_.mPeak / params_.chunkBytes);
@@ -499,14 +475,8 @@ LcOpgPlanner::commitWindow(const WindowInput &in, WindowOutput &out,
     }
 
     // Flush buffered memo writes in window order.
-    for (auto &s : out.memoStores) {
-        if (memoRef().store(s.fingerprint, std::move(s.values),
-                            s.objective))
-            ++stats.memoStores;
-    }
-    out.memoStores.clear();
     for (auto &s : out.solveStores)
-        memoRef().storeSolve(std::move(s.key), std::move(s.result));
+        params_.memo->storeSolve(std::move(s.key), std::move(s.result));
     out.solveStores.clear();
 }
 
@@ -564,12 +534,6 @@ LcOpgPlanner::rebalanceMerge(OverlapPlan &plan, PlanStats &stats)
             z = first_added;
         plan.setEarliestLoad(wid, z);
     }
-}
-
-PlanMemo &
-LcOpgPlanner::memoRef() const
-{
-    return params_.memo ? *params_.memo : PlanMemo::global();
 }
 
 OverlapPlan
@@ -639,17 +603,16 @@ LcOpgPlanner::plan(PlanStats *stats)
         sp.restartConflictBase = params_.restartConflictBase;
         auto submitRound = [&](WindowSolveState &st) {
             st.rm = buildWindowModel(*st.in, st.relax, st.forced);
-            if (params_.planMemo) {
-                // The model and hint are settled (warm start
-                // included). Like memo incumbents, stored solves come
-                // from earlier plans only — this plan's are buffered
-                // until the ordered merge — and a hit that does not
-                // satisfy this model (a fingerprint collision) is
-                // ignored.
+            if (params_.memo) {
+                // Stored solves come from earlier plans only — this
+                // plan's are buffered until the ordered merge, so no
+                // result depends on solve completion order — and a hit
+                // that does not satisfy this model (a fingerprint
+                // collision) is ignored.
                 st.solveKey = {st.rm.model.canonicalFingerprint(),
                                st.rm.hint, sp.maxDecisions,
                                sp.restartConflictBase};
-                st.reused = memoRef().lookupSolve(st.solveKey);
+                st.reused = params_.memo->lookupSolve(st.solveKey);
                 if (st.reused &&
                     st.rm.model.satisfiedBy(st.reused->values)) {
                     st.reused->wallSeconds = 0.0; // no search ran
@@ -691,13 +654,13 @@ LcOpgPlanner::plan(PlanStats *stats)
                 if (st.reused) {
                     r = std::move(*st.reused);
                     st.reused.reset();
-                    ++st.out.result.solveReuses;
+                    ++st.out.result.memoHits;
                 } else {
                     r = st.future.get();
                     // A clock-stopped search depends on host speed,
                     // and an infeasible round has no values for the
                     // satisfiedBy guard: neither is stored.
-                    if (params_.planMemo && r.feasible() && !r.timeLimited)
+                    if (params_.memo && r.feasible() && !r.timeLimited)
                         st.out.solveStores.push_back(
                             {std::move(st.solveKey), r});
                 }
@@ -716,7 +679,7 @@ LcOpgPlanner::plan(PlanStats *stats)
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto merge_t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < inputs.size(); ++i)
-        commitWindow(inputs[i], outputs[i], plan, local);
+        commitWindow(inputs[i], outputs[i], plan);
     // Second merge pass: top up budget-truncated windows from capacity
     // earlier windows reserved greedily but did not use.
     if (params_.mergeRebalance)
@@ -745,7 +708,6 @@ LcOpgPlanner::plan(PlanStats *stats)
         local.softRelaxations += wr.softRelaxations;
         local.forcedPreloads += wr.forcedPreloads;
         local.memoHits += wr.memoHits;
-        local.solveReuses += wr.solveReuses;
         local.timeLimitedWindows += wr.timeLimited ? 1 : 0;
         if (wr.usedGreedy) {
             ++local.greedyWindows;

@@ -90,27 +90,12 @@ struct OpgParams
      */
     double minPreloadFraction = 0.0;
     /**
-     * Consult the plan memo's two stores for every window round:
-     *  - warm starts: a window whose exact CP model was solved before
-     *    (capacity sweeps, multi-model workloads, adaptive-fusion
-     *    re-planning) starts from the stored incumbent instead of the
-     *    greedy hint. Cached hints are validated before use. Windows
-     *    that solve to OPTIMAL replan byte-identically;
-     *    budget-truncated windows may improve under a warm start
-     *    (per-window objectives never rise across repeated runs, since
-     *    the cached incumbent bounds the new search).
-     *  - exact reuse: a round whose (canonical model, hint, decision
-     *    budget, restart base) was solved before takes the stored
-     *    result instead of searching (PlanMemo::lookupSolve). It is
-     *    exactly what the search would return, so it saves host time
-     *    and never changes a plan.
-     */
-    bool planMemo = true;
-    /**
-     * Memo instance to consult; nullptr means PlanMemo::global().
-     * Point this at a file-backed PlanMemo (see PlanMemo::memoPath) so
-     * CLI tools and benches warm-start across process launches (only
-     * incumbents persist; finished solves stay in memory).
+     * Plan memo to consult for every window round; nullptr means no
+     * memo. A round whose (canonical model, hint, decision budget,
+     * restart base) was solved before takes the stored result instead
+     * of searching (PlanMemo::lookupSolve). It is exactly what the
+     * search would return, so it saves host time and never changes a
+     * plan.
      */
     PlanMemo *memo = nullptr;
     /**
@@ -178,11 +163,9 @@ struct PlanStats
     /** @} */
     std::uint64_t solverDecisions = 0;
     std::uint64_t solverRestarts = 0;   ///< Luby restarts across windows
-    std::uint64_t memoHits = 0;         ///< plan-memo warm starts used
-    std::uint64_t memoStores = 0;       ///< incumbents written back
-    /** Rounds completed from the memo's finished-solve store instead
-     * of a search (the only counter a reuse changes). */
-    std::uint64_t solveReuses = 0;
+    /** Rounds completed from the plan memo instead of a search (the
+     * only counter a reuse changes). */
+    std::uint64_t memoHits = 0;
     /** Windows in which a search stopped on the wall-clock backstop
      * (solverTimePerWindow): their plan depends on host speed. */
     int timeLimitedWindows = 0;
@@ -216,8 +199,7 @@ class LcOpgPlanner
      * Reuses the graph analysis of the first plan() call — only the
      * staging/solve/merge phases re-run. Through the configured
      * PlanMemo, a window whose budget share cannot bind it reuses the
-     * finished solve of an earlier plan exactly (no search), and a
-     * window whose exact model was solved before warm-starts, so
+     * finished solve of an earlier plan exactly (no search), so
      * re-plans land well under a second. Deterministic for any thread
      * count, like plan().
      */
@@ -243,7 +225,6 @@ class LcOpgPlanner
         double buildSeconds = 0.0;
         double solveSeconds = 0.0;
         std::uint64_t memoHits = 0;
-        std::uint64_t solveReuses = 0;
         bool timeLimited = false; ///< some round stopped on the clock
     };
 
@@ -282,14 +263,6 @@ class LcOpgPlanner
     };
 
     /** Deferred PlanMemo write (flushed in window order at merge). */
-    struct MemoStore
-    {
-        std::uint64_t fingerprint = 0;
-        std::vector<std::int64_t> values;
-        std::int64_t objective = 0;
-    };
-
-    /** Deferred finished-solve write (flushed with the MemoStores). */
     struct SolveStore
     {
         SolveKey key;
@@ -304,7 +277,6 @@ class LcOpgPlanner
         std::vector<std::vector<std::pair<graph::NodeId, std::int64_t>>>
             assign;
         std::vector<graph::NodeId> z;
-        std::vector<MemoStore> memoStores;
         std::vector<SolveStore> solveStores;
     };
 
@@ -324,9 +296,8 @@ class LcOpgPlanner
 
     /**
      * One C4 fallback round's CP model, built on the driver thread:
-     * the window model (C0-C3) and its warm-start hint (greedy, or a
-     * validated PlanMemo incumbent). Once built it is immutable, so a
-     * pool worker can solve it.
+     * the window model (C0-C3) and its greedy warm-start hint. Once
+     * built it is immutable, so a pool worker can solve it.
      */
     struct RoundModel
     {
@@ -335,8 +306,6 @@ class LcOpgPlanner
         std::vector<solver::VarId> y_vars;
         std::vector<solver::VarId> z_vars; // -1 when fully preloaded
         std::vector<std::vector<solver::VarId>> x_vars;
-        std::uint64_t fingerprint = 0;
-        bool memoHit = false;
         double buildSeconds = 0.0;
     };
 
@@ -388,7 +357,7 @@ class LcOpgPlanner
      * preload set — validity is unconditional.
      */
     void commitWindow(const WindowInput &in, WindowOutput &out,
-                      OverlapPlan &plan, PlanStats &stats);
+                      OverlapPlan &plan);
 
     /**
      * Second merge pass (cross-window capacity re-balancing): walk the
@@ -404,9 +373,6 @@ class LcOpgPlanner
         const std::vector<graph::WeightId> &weights,
         const std::vector<std::int64_t> &residual_capacity,
         const std::vector<std::int64_t> &inflight_used) const;
-
-    /** Memo instance window solves consult (params_.memo or global). */
-    PlanMemo &memoRef() const;
 
     const graph::Graph &g_;
     const profiler::CapacityProvider &capacity_;

@@ -1,11 +1,7 @@
 #include "core/overlap_plan.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
-#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -202,129 +198,7 @@ OverlapPlan::serialize() const
 
 namespace {
 
-/**
- * Erase the least recently used entry of a memo map: lowest lastUse,
- * ties broken on the key so the victim never depends on hash-table
- * iteration order (linear scan: eviction is rare, the maps small).
- */
-template <typename Map>
-void
-eraseLeastRecent(Map &map)
-{
-    auto victim = map.begin();
-    for (auto it = map.begin(); it != map.end(); ++it) {
-        if (it->second.lastUse < victim->second.lastUse ||
-            (it->second.lastUse == victim->second.lastUse &&
-             it->first < victim->first))
-            victim = it;
-    }
-    map.erase(victim);
-}
-
-} // namespace
-
-std::optional<std::vector<std::int64_t>>
-PlanMemo::lookup(std::uint64_t fingerprint)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(fingerprint);
-    if (it == entries_.end()) {
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    ++stats_.hits;
-    it->second.lastUse = ++clock_;
-    return it->second.values;
-}
-
-bool
-PlanMemo::store(std::uint64_t fingerprint,
-                std::vector<std::int64_t> values, std::int64_t objective)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(fingerprint);
-    if (it != entries_.end()) {
-        // Keep the better incumbent; refresh recency either way.
-        it->second.lastUse = ++clock_;
-        if (objective < it->second.objective) {
-            it->second.values = std::move(values);
-            it->second.objective = objective;
-            ++stats_.stores;
-            return true;
-        }
-        return false;
-    }
-    evictIfNeeded();
-    entries_[fingerprint] = {std::move(values), objective, ++clock_};
-    ++stats_.stores;
-    return true;
-}
-
-void
-PlanMemo::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-    stats_ = {};
-    clock_ = 0;
-    solves_.clear();
-    solve_clock_ = 0;
-}
-
-void
-PlanMemo::evictIfNeeded()
-{
-    if (entries_.size() < capacity_)
-        return;
-    eraseLeastRecent(entries_);
-    ++stats_.evictions;
-}
-
-PlanMemo &
-PlanMemo::global()
-{
-    static PlanMemo memo;
-    return memo;
-}
-
-namespace {
-
-/** Magic prefix of the memo file ("FMPM"). */
-constexpr std::uint32_t kMemoMagic = 0x464D504D;
-
-template <typename T>
-void
-putPod(std::ostream &os, T value)
-{
-    // memcpy through a char buffer instead of reinterpret_cast: the
-    // same bytes, but type-safe by construction (no aliasing cast to
-    // audit at every call site).
-    static_assert(std::is_trivially_copyable_v<T>);
-    char buf[sizeof(T)];
-    std::memcpy(buf, &value, sizeof buf);
-    os.write(buf, sizeof buf);
-}
-
-template <typename T>
-bool
-getPod(std::istream &is, T &value)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    char buf[sizeof(T)];
-    if (!is.read(buf, sizeof buf))
-        return false;
-    std::memcpy(&value, buf, sizeof buf);
-    return is.good();
-}
-
-/**
- * FNV-1a over the serialized payload (everything after magic+version),
- * also the slot hash of the in-memory solve store.
- * The memo file lives across process lifetimes on flash, where a
- * single flipped bit in an entry body would otherwise load silently
- * and poison every warm-started plan; the checksum turns any
- * corruption into a clean cold start.
- */
+/** FNV-1a, the slot hash of the solve store. */
 class Fnv1a
 {
   public:
@@ -373,7 +247,7 @@ PlanMemo::lookupSolve(const SolveKey &key)
     auto it = solves_.find(slot);
     if (it == solves_.end() || it->second.key != key)
         return std::nullopt;
-    it->second.lastUse = ++solve_clock_;
+    it->second.lastUse = ++clock_;
     return it->second.result;
 }
 
@@ -382,122 +256,20 @@ PlanMemo::storeSolve(SolveKey key, solver::SolveResult result)
 {
     const auto slot = solveKeyHash(key);
     std::lock_guard<std::mutex> lock(mu_);
-    if (!solves_.count(slot) && solves_.size() >= capacity_)
-        eraseLeastRecent(solves_);
-    solves_[slot] = {std::move(key), std::move(result), ++solve_clock_};
-}
-
-bool
-PlanMemo::loadFromFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-
-    std::uint32_t magic = 0, version = 0;
-    std::uint64_t count = 0, clock = 0;
-    if (!getPod(in, magic) || magic != kMemoMagic ||
-        !getPod(in, version) || version != kFileVersion ||
-        !getPod(in, clock) || !getPod(in, count))
-        return false;
-
-    // Parse into a scratch map first so a truncated file cannot leave
-    // the memo half-loaded, re-deriving the payload checksum as we go.
-    Fnv1a sum;
-    sum.addPod(clock);
-    sum.addPod(count);
-    std::unordered_map<std::uint64_t, Entry> loaded;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t fp = 0, last_use = 0, nvalues = 0;
-        std::int64_t objective = 0;
-        if (!getPod(in, fp) || !getPod(in, objective) ||
-            !getPod(in, last_use) || !getPod(in, nvalues))
-            return false;
-        // Sanity bound: one OPG window has at most a few thousand
-        // variables; reject absurd counts from corrupt files.
-        if (nvalues > (1u << 22))
-            return false;
-        sum.addPod(fp);
-        sum.addPod(objective);
-        sum.addPod(last_use);
-        sum.addPod(nvalues);
-        Entry e;
-        e.objective = objective;
-        e.lastUse = last_use;
-        e.values.resize(nvalues);
-        for (auto &v : e.values) {
-            if (!getPod(in, v))
-                return false;
-            sum.addPod(v);
+    if (!solves_.count(slot) && solves_.size() >= capacity_) {
+        // Evict the least recently used entry, ties broken on the slot
+        // so the victim never depends on hash-table iteration order
+        // (linear scan: eviction is rare, the map small).
+        auto victim = solves_.begin();
+        for (auto it = solves_.begin(); it != solves_.end(); ++it) {
+            if (it->second.lastUse < victim->second.lastUse ||
+                (it->second.lastUse == victim->second.lastUse &&
+                 it->first < victim->first))
+                victim = it;
         }
-        loaded.emplace(fp, std::move(e));
+        solves_.erase(victim);
     }
-
-    // Trailing checksum: catches bit-flips the structural checks
-    // above cannot (corrupt values, swapped entries, a stale clock).
-    std::uint64_t stored_sum = 0;
-    if (!getPod(in, stored_sum) || stored_sum != sum.digest())
-        return false;
-
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_ = std::move(loaded);
-    clock_ = clock;
-    // Respect the capacity bound of *this* memo, evicting LRU-first.
-    while (entries_.size() > capacity_)
-        eraseLeastRecent(entries_);
-    return true;
-}
-
-bool
-PlanMemo::saveToFile(const std::string &path) const
-{
-    // Write-then-rename so a crash mid-save never corrupts the file a
-    // later launch will load.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        std::lock_guard<std::mutex> lock(mu_);
-        Fnv1a sum;
-        putPod(out, kMemoMagic);
-        putPod(out, kFileVersion);
-        putPod(out, clock_);
-        sum.addPod(clock_);
-        const auto count = static_cast<std::uint64_t>(entries_.size());
-        putPod(out, count);
-        sum.addPod(count);
-        // Serialize in ascending-fingerprint order so the file bytes
-        // are a pure function of the memo contents — hash-table
-        // iteration order (which depends on insertion history) must
-        // never reach the disk format.
-        std::vector<std::uint64_t> fps;
-        fps.reserve(entries_.size());
-        for (const auto &kv : entries_)
-            fps.push_back(kv.first);
-        std::sort(fps.begin(), fps.end());
-        for (const auto fp : fps) {
-            const Entry &e = entries_.at(fp);
-            const auto nvalues =
-                static_cast<std::uint64_t>(e.values.size());
-            putPod(out, fp);
-            putPod(out, e.objective);
-            putPod(out, e.lastUse);
-            putPod(out, nvalues);
-            sum.addPod(fp);
-            sum.addPod(e.objective);
-            sum.addPod(e.lastUse);
-            sum.addPod(nvalues);
-            for (const auto v : e.values) {
-                putPod(out, v);
-                sum.addPod(v);
-            }
-        }
-        putPod(out, sum.digest());
-        if (!out.good())
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
+    solves_[slot] = {std::move(key), std::move(result), ++clock_};
 }
 
 OverlapPlan
@@ -519,23 +291,29 @@ OverlapPlan::deserialize(const std::string &text)
         } else if (tag == "w") {
             WeightSchedule s;
             is >> s.weight >> s.preloadChunks >> s.earliestLoadLayer;
+            if (!is.fail() && s.preloadChunks < 0)
+                FM_FATAL("overlap plan: weight ", s.weight,
+                         " preloads ", s.preloadChunks, " chunks");
             plan.schedules_.push_back(s);
         } else if (tag == "x") {
             ChunkAssignment a;
             is >> a.weight >> a.layer >> a.chunks;
+            if (!is.fail() && a.chunks <= 0)
+                FM_FATAL("overlap plan: assignment of ", a.chunks,
+                         " chunks at layer ", a.layer);
             pending.push_back(a);
         } else {
             FM_FATAL("overlap plan: unknown record '", tag, "'");
         }
         FM_ASSERT(!is.fail(), "overlap plan: malformed record");
     }
-    graph::NodeId max_layer = 0;
-    for (const auto &a : pending)
-        max_layer = std::max(max_layer, a.layer);
-    plan.by_layer_.resize(
-        std::max<std::size_t>(layers, max_layer + 1));
-    for (const auto &a : pending)
+    plan.by_layer_.resize(layers);
+    for (const auto &a : pending) {
+        if (a.layer < 0 || static_cast<std::size_t>(a.layer) >= layers)
+            FM_FATAL("overlap plan: assignment layer ", a.layer,
+                     " outside [0, ", layers, ")");
         plan.by_layer_[a.layer].push_back(a);
+    }
     return plan;
 }
 

@@ -116,77 +116,28 @@ struct SolveKey
 };
 
 /**
- * Plan memo: two stores keyed by CP window models.
+ * Plan memo: finished window solves, keyed exactly by SolveKey. A hit
+ * is the result the search would return, so reusing it skips the
+ * search without changing any plan, counter or trace: repeat
+ * compiles, adaptive-fusion rounds that leave a window untouched, and
+ * re-plans whose budget share cannot bind a window all reuse that
+ * window's solve, and planning stays a pure function of (graph,
+ * device, options).
  *
- * Warm-start incumbents, keyed by CpModel::fingerprint(). Repeated
- * planning calls — capacity sweeps, multi-model workloads,
- * adaptive-fusion rounds that leave most windows untouched — rebuild
- * byte-identical CP models, and the memo hands the previous incumbent
- * back as a warm-start hint. Entries are validated against the model
- * before use, so a fingerprint collision costs only a discarded hint.
- * A warm start changes the search, so on budget-truncated windows it
- * makes planning history-dependent within a process: equal-footing
- * A/B comparisons should clear() between arms (see bench_fig7 /
- * ablation tests).
- *
- * Finished solves, keyed exactly by SolveKey. A hit is the result the
- * search would return, so reusing it skips the search without
- * changing any plan, counter or trace: re-plans whose budget share
- * cannot bind a window reuse that window's solve.
- *
- * Both stores are bounded LRU at @p capacity entries each. The
- * global() instance is shared process-wide and internally synchronized
- * (lookups hand back copies, never pointers into the maps), so
- * concurrent window solves can share it.
- *
- * A memo constructed with @p memoPath is file-backed: incumbents load
- * on construction (silently starting empty when the file is missing,
- * corrupt, or a different format version) and save on destruction, so
- * CLI tools and benches warm-start across process launches. The file
- * is a versioned binary keyed by CpModel fingerprint; finished solves
- * are memory-only and never written.
+ * Bounded LRU at @p capacity entries. Internally synchronized
+ * (lookups hand back copies, never pointers into the map), so
+ * concurrent planners can share one memo.
  */
 class PlanMemo
 {
   public:
-    explicit PlanMemo(std::size_t capacity = 1024,
-                      std::string memoPath = {})
-        : capacity_(std::max<std::size_t>(capacity, 1)),
-          memo_path_(std::move(memoPath))
+    explicit PlanMemo(std::size_t capacity = 1024)
+        : capacity_(std::max<std::size_t>(capacity, 1))
     {
-        if (!memo_path_.empty())
-            loadFromFile(memo_path_);
-    }
-
-    ~PlanMemo()
-    {
-        if (!memo_path_.empty())
-            saveToFile(memo_path_);
     }
 
     PlanMemo(const PlanMemo &) = delete;
     PlanMemo &operator=(const PlanMemo &) = delete;
-
-    /** Cached incumbent for @p fingerprint, if any. */
-    std::optional<std::vector<std::int64_t>> lookup(
-        std::uint64_t fingerprint);
-
-    /**
-     * Remember @p values as the incumbent for @p fingerprint.
-     * @return true if the entry was inserted or improved; false when
-     * an existing entry with an equal-or-better objective was kept.
-     */
-    bool store(std::uint64_t fingerprint,
-               std::vector<std::int64_t> values,
-               std::int64_t objective);
-
-    std::size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return entries_.size();
-    }
-    std::size_t capacity() const { return capacity_; }
 
     /** Finished solve stored under exactly @p key, if any. */
     std::optional<solver::SolveResult> lookupSolve(const SolveKey &key);
@@ -194,7 +145,7 @@ class PlanMemo
     /**
      * Remember @p result as the finished solve for @p key, replacing
      * any entry under the same key. The caller stores only results the
-     * key fully determines: single-configuration, not time-limited.
+     * key fully determines: feasible, not time-limited.
      */
     void storeSolve(SolveKey key, solver::SolveResult result);
 
@@ -205,57 +156,7 @@ class PlanMemo
         return solves_.size();
     }
 
-    /** Drop every incumbent and finished solve, and reset stats(). */
-    void clear();
-
-    /** Hit/miss/store counters since construction (or clear()). */
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t stores = 0;
-        std::uint64_t evictions = 0;
-    };
-    Stats
-    stats() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return stats_;
-    }
-
-    /** Process-wide memo shared by all planners. */
-    static PlanMemo &global();
-
-    /**
-     * Replace the contents with the entries serialized in @p path.
-     * @return false — leaving the previous contents untouched — when
-     * the file is absent, truncated, fails its payload checksum
-     * (bit-flips anywhere in the body), or is not a supported format
-     * version. A rejected file is never partially loaded: the caller
-     * simply cold-starts with an empty memo.
-     */
-    bool loadFromFile(const std::string &path);
-
-    /** Serialize every entry to @p path (versioned, checksummed
-     * binary). */
-    bool saveToFile(const std::string &path) const;
-
-    /** Backing file ("" when the memo is memory-only). */
-    const std::string &memoPath() const { return memo_path_; }
-
-    /** On-disk format version written by saveToFile(). Version 2
-     * added a trailing FNV-1a checksum over the payload; version-1
-     * files are rejected (cold start) rather than trusted unchecked. */
-    static constexpr std::uint32_t kFileVersion = 2;
-
   private:
-    struct Entry
-    {
-        std::vector<std::int64_t> values;
-        std::int64_t objective = 0;
-        std::uint64_t lastUse = 0;
-    };
-
     struct SolveEntry
     {
         SolveKey key;
@@ -263,17 +164,10 @@ class PlanMemo
         std::uint64_t lastUse = 0;
     };
 
-    void evictIfNeeded(); // caller holds mu_
-
     const std::size_t capacity_;
-    const std::string memo_path_;
     mutable std::mutex mu_;
     std::uint64_t clock_ = 0;
-    std::unordered_map<std::uint64_t, Entry> entries_;
-    Stats stats_;
-    /** Finished solves by a hash of their SolveKey (own LRU clock, so
-     * the saved incumbent file never depends on solve reuse). */
-    std::uint64_t solve_clock_ = 0;
+    /** Finished solves by a hash of their SolveKey. */
     std::unordered_map<std::uint64_t, SolveEntry> solves_;
 };
 

@@ -170,8 +170,8 @@ class PriorityAgingPolicy : public SchedulingPolicy
  * FIFO selection plus memory-aware admission: the scheduler caps the
  * sum of co-resident working-set budgets at its capacity budget and
  * re-plans (via FlashMem::replan, reusing finished window solves
- * through the PlanMemo) any model whose share shrank or grew since it
- * was last planned.
+ * through the FlashMem's plan memo) any model whose share shrank or
+ * grew since it was last planned.
  */
 class MemoryAwarePolicy : public FifoPolicy
 {

@@ -275,13 +275,12 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
     }
 
     // On-device re-plan: shrunken/grown residual budget. Through the
-    // PlanMemo, windows this budget cannot bind reuse their finished
-    // solves exactly, and repeated window models warm-start.
+    // FlashMem's plan memo, windows this budget cannot bind reuse their
+    // finished solves exactly.
     const auto &base = compiledFor(model, base_budget, out);
     auto replanned = fm_.replan(base, budget);
     ++out.replans;
     out.replanMemoHits += replanned.stats.memoHits;
-    out.replanSolveReuses += replanned.stats.solveReuses;
     out.replanSeconds += replanned.stats.processNodesSeconds +
                          replanned.stats.stageSeconds +
                          replanned.stats.solveSeconds +
@@ -418,7 +417,6 @@ EventScheduler::run(const std::vector<ModelRequest> &queue,
     summarize(sims, cluster, out);
     out.replans += replan_acc.replans;
     out.replanMemoHits += replan_acc.replanMemoHits;
-    out.replanSolveReuses += replan_acc.replanSolveReuses;
     out.replanSeconds += replan_acc.replanSeconds;
     return out;
 }

@@ -20,9 +20,9 @@
  * shared capacity budget, and when a model's share shifts — because
  * other models were admitted to or evicted from the ready set — the
  * model is re-planned at its new budget via FlashMem::replan().
- * Through the PlanMemo, windows the new share cannot bind reuse their
- * finished solves exactly, so re-plans land well under a second and
- * are bit-deterministic for any planner thread count.
+ * Through the FlashMem's plan memo, windows the new share cannot bind
+ * reuse their finished solves exactly, so re-plans land well under a
+ * second and are bit-deterministic for any planner thread count.
  */
 
 #ifndef FLASHMEM_MULTIDNN_SCHEDULER_HH
@@ -129,8 +129,7 @@ struct ScheduleOutcome
 
     /** @name On-device re-planning counters (memory-aware policies). @{ */
     int replans = 0;                  ///< FlashMem::replan invocations
-    std::uint64_t replanMemoHits = 0; ///< warm starts reused from memo
-    std::uint64_t replanSolveReuses = 0; ///< finished solves reused
+    std::uint64_t replanMemoHits = 0; ///< rounds reused from the memo
     double replanSeconds = 0.0;       ///< wall time spent re-planning
     /** @} */
 

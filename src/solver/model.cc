@@ -162,19 +162,7 @@ CpModel::entailedAtDomains(const LinearConstraint &c) const
 }
 
 std::uint64_t
-CpModel::fingerprint() const
-{
-    return fingerprintWalk(false);
-}
-
-std::uint64_t
 CpModel::canonicalFingerprint() const
-{
-    return fingerprintWalk(true);
-}
-
-std::uint64_t
-CpModel::fingerprintWalk(bool canonical) const
 {
     /** Stands in for the bounds of an entailed row ("ENTAILED"). */
     constexpr std::uint64_t kEntailedRow = 0x454E5441494C4544ull;
@@ -187,7 +175,7 @@ CpModel::fingerprintWalk(bool canonical) const
     }
     f.mix(constraints_.size());
     for (const auto &c : constraints_) {
-        if (canonical && entailedAtDomains(c)) {
+        if (entailedAtDomains(c)) {
             f.mix(kEntailedRow);
         } else {
             f.mixI64(c.lo);

@@ -111,28 +111,21 @@ class CpModel
 
     /**
      * Structural 64-bit fingerprint (FNV-1a over domains, constraints,
-     * implications, and the objective; names excluded). Identical models
-     * hash identically, so repeated planning calls can reuse cached
-     * incumbents as warm starts. Collisions are harmless: cached hints
-     * are validated before use.
-     */
-    std::uint64_t fingerprint() const;
-
-    /**
-     * fingerprint() with the bounds of every linear row that the
-     * declared domains entail (sum of term minima >= lo and sum of
-     * term maxima <= hi) replaced by one marker. Domains only shrink
-     * during search, so such a row stays entailed at every node: it
-     * never prunes, never conflicts, and a solve's decisions,
-     * propagations, status and values do not depend on its bounds.
-     * Two models with equal canonical fingerprints therefore search
-     * identically from the same hint and parameters
-     * (src/solver/README.md, "Entailed rows").
+     * implications, and the objective; names excluded), with the
+     * bounds of every linear row that the declared domains entail (sum
+     * of term minima >= lo and sum of term maxima <= hi) replaced by
+     * one marker. Domains only shrink during search, so such a row
+     * stays entailed at every node: it never prunes, never conflicts,
+     * and a solve's decisions, propagations, status and values do not
+     * depend on its bounds. Two models with equal canonical
+     * fingerprints therefore search identically from the same hint and
+     * parameters (src/solver/README.md, "Entailed rows"), which is
+     * what lets the plan memo reuse finished solves. Collisions are
+     * harmless: a reused result is validated before use.
      */
     std::uint64_t canonicalFingerprint() const;
 
   private:
-    std::uint64_t fingerprintWalk(bool canonical) const;
     bool entailedAtDomains(const LinearConstraint &c) const;
     void checkVar(VarId v) const;
     void checkTerms(const std::vector<LinearTerm> &terms) const;

@@ -8,10 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iterator>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -169,6 +165,31 @@ TEST(OverlapPlan, SerializationRoundTrip)
                      plan.overlapFraction(g));
 }
 
+TEST(OverlapPlan, DeserializeRejectsAssignmentLayerOutOfRange)
+{
+    const std::string head = "chunk 1048576\nlayers 2\nw 0 0 -1\n";
+    EXPECT_DEATH(OverlapPlan::deserialize(head + "x 0 -3 1\n"),
+                 "outside \\[0, 2\\)");
+    EXPECT_DEATH(OverlapPlan::deserialize(head + "x 0 2 1\n"),
+                 "outside \\[0, 2\\)");
+}
+
+TEST(OverlapPlan, DeserializeRejectsNonPositiveAssignment)
+{
+    const std::string head = "chunk 1048576\nlayers 2\nw 0 0 -1\n";
+    EXPECT_DEATH(OverlapPlan::deserialize(head + "x 0 1 0\n"),
+                 "assignment of 0 chunks");
+    EXPECT_DEATH(OverlapPlan::deserialize(head + "x 0 1 -4\n"),
+                 "assignment of -4 chunks");
+}
+
+TEST(OverlapPlan, DeserializeRejectsNegativePreload)
+{
+    EXPECT_DEATH(OverlapPlan::deserialize(
+                     "chunk 1048576\nlayers 2\nw 0 -1 -1\n"),
+                 "preloads -1 chunks");
+}
+
 // --------------------------------------------------------------- LC-OPG
 
 class LcOpgOnModels
@@ -319,43 +340,6 @@ TEST(LcOpg, StatsAccountAllWindows)
 
 // --------------------------------------------------------------- PlanMemo
 
-TEST(PlanMemo, StoreLookupAndStats)
-{
-    PlanMemo memo(4);
-    EXPECT_FALSE(memo.lookup(42).has_value());
-    EXPECT_TRUE(memo.store(42, {1, 2, 3}, 10));
-    auto hit = memo.lookup(42);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, (std::vector<std::int64_t>{1, 2, 3}));
-    EXPECT_EQ(memo.stats().hits, 1u);
-    EXPECT_EQ(memo.stats().misses, 1u);
-    EXPECT_EQ(memo.stats().stores, 1u);
-}
-
-TEST(PlanMemo, KeepsBetterIncumbent)
-{
-    PlanMemo memo(4);
-    EXPECT_TRUE(memo.store(7, {5}, 50));
-    EXPECT_FALSE(memo.store(7, {9}, 90)); // worse: ignored
-    EXPECT_EQ(*memo.lookup(7), (std::vector<std::int64_t>{5}));
-    EXPECT_TRUE(memo.store(7, {3}, 30)); // better: replaces
-    EXPECT_EQ(*memo.lookup(7), (std::vector<std::int64_t>{3}));
-}
-
-TEST(PlanMemo, EvictsLeastRecentlyUsed)
-{
-    PlanMemo memo(2);
-    memo.store(1, {1}, 1);
-    memo.store(2, {2}, 2);
-    EXPECT_TRUE(memo.lookup(1).has_value()); // 1 is now most recent
-    memo.store(3, {3}, 3);                   // evicts 2
-    EXPECT_EQ(memo.size(), 2u);
-    EXPECT_TRUE(memo.lookup(1).has_value());
-    EXPECT_FALSE(memo.lookup(2).has_value());
-    EXPECT_TRUE(memo.lookup(3).has_value());
-    EXPECT_EQ(memo.stats().evictions, 1u);
-}
-
 solver::SolveResult
 feasibleResult(std::int64_t value)
 {
@@ -396,68 +380,25 @@ TEST(PlanMemo, SolveStoreIsExactAndBoundedLru)
     EXPECT_EQ(memo.solveCount(), 2u);
     EXPECT_EQ(memo.lookupSolve(key(3))->values,
               (std::vector<std::int64_t>{31}));
-    // The incumbent store keeps its own bound and counters.
-    memo.store(7, {1}, 1);
-    memo.store(8, {1}, 1);
-    EXPECT_EQ(memo.size(), 2u);
-    EXPECT_EQ(memo.solveCount(), 2u);
-    EXPECT_EQ(memo.stats().evictions, 0u);
-    memo.clear();
-    EXPECT_EQ(memo.solveCount(), 0u);
-    EXPECT_FALSE(memo.lookupSolve(key(1)).has_value());
-}
-
-TEST(LcOpg, PlanMemoWarmStartReproducesPlan)
-{
-    // Small graph so every window solves to OPTIMAL: only then is
-    // byte-identical replanning guaranteed (on budget-truncated
-    // windows a warm start may legitimately find a better plan).
-    auto g = toyGraph(3);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-    OpgParams params;
-    params.chunkBytes = kib(256);
-    // Budget generous enough to exhaust the window (~226k decisions).
-    params.solverDecisionsPerWindow = 2000000;
-    params.solverTimePerWindow = 10.0;
-
-    PlanMemo::global().clear();
-    PlanStats cold, warm;
-    std::string cold_plan, warm_plan;
-    {
-        LcOpgPlanner planner(g, cap, km, params);
-        cold_plan = planner.plan(&cold).serialize();
-    }
-    {
-        LcOpgPlanner planner(g, cap, km, params);
-        warm_plan = planner.plan(&warm).serialize();
-    }
-    ASSERT_EQ(cold.overallStatus, solver::SolveStatus::Optimal);
-    EXPECT_EQ(cold.memoHits, 0u);
-    EXPECT_GT(cold.memoStores, 0u);
-    EXPECT_GT(warm.memoHits, 0u);
-    // Warm starts are hints, not shortcuts: the optimal plan is
-    // reproduced exactly.
-    EXPECT_EQ(cold_plan, warm_plan);
 }
 
 TEST(LcOpg, PlanMemoDisabledStillMatches)
 {
+    // A plan completed from the memo equals one planned with no memo
+    // (a null OpgParams::memo) at all.
     auto g = toyGraph(4);
     KernelModel km(DeviceProfile::onePlus12());
     profiler::AnalyticCapacityProvider cap(km);
 
-    PlanMemo::global().clear();
+    PlanMemo memo;
     OpgParams with_memo;
-    OpgParams no_memo;
-    no_memo.planMemo = false;
-
-    LcOpgPlanner p1(g, cap, km, with_memo);
-    auto plan1 = p1.plan();
-    PlanStats s2;
-    LcOpgPlanner p2(g, cap, km, no_memo);
-    auto plan2 = p2.plan(&s2);
-    EXPECT_EQ(s2.memoHits, 0u);
+    with_memo.memo = &memo;
+    LcOpgPlanner(g, cap, km, with_memo).plan();
+    PlanStats reused, no_memo;
+    auto plan1 = LcOpgPlanner(g, cap, km, with_memo).plan(&reused);
+    auto plan2 = LcOpgPlanner(g, cap, km, OpgParams{}).plan(&no_memo);
+    EXPECT_GT(reused.memoHits, 0u);
+    EXPECT_EQ(no_memo.memoHits, 0u);
     EXPECT_EQ(plan1.serialize(), plan2.serialize());
 }
 
@@ -477,9 +418,6 @@ TEST(LcOpg, ParallelPlansAreByteIdentical)
     std::string ref;
     std::uint64_t ref_decisions = 0;
     for (int threads : arms) {
-        // Equal footing per arm: warm starts could legally improve
-        // budget-truncated windows and spoil the byte comparison.
-        PlanMemo::global().clear();
         OpgParams params;
         params.parallel.threads = threads;
         LcOpgPlanner planner(g, cap, km, params);
@@ -494,7 +432,6 @@ TEST(LcOpg, ParallelPlansAreByteIdentical)
         EXPECT_EQ(stats.solverDecisions, ref_decisions)
             << "threads=" << threads;
     }
-    PlanMemo::global().clear();
 }
 
 TEST(LcOpg, ParallelPlansWithRestartsAreByteIdentical)
@@ -506,7 +443,6 @@ TEST(LcOpg, ParallelPlansWithRestartsAreByteIdentical)
     std::string ref;
     solver::SolveStatus ref_status = solver::SolveStatus::Unknown;
     for (int threads : {1, 4}) {
-        PlanMemo::global().clear();
         OpgParams params;
         params.chunkBytes = kib(256);
         params.restartConflictBase = 256;
@@ -521,7 +457,6 @@ TEST(LcOpg, ParallelPlansWithRestartsAreByteIdentical)
         EXPECT_EQ(s, ref) << "threads=" << threads;
         EXPECT_EQ(stats.overallStatus, ref_status);
     }
-    PlanMemo::global().clear();
 }
 
 // ------------------------------------- Merge re-balancing + re-planning
@@ -531,7 +466,7 @@ TEST(LcOpg, MergeRebalanceTopsUpTruncatedWindows)
     // Under the latency-priority configuration some windows preload
     // chunks even though earlier windows reserved capacity greedily
     // and did not use it; the second merge pass moves those chunks
-    // back into the stream. Isolated memos keep the arms independent.
+    // back into the stream.
     auto g = models::buildModel(models::ModelId::GPTNeoS);
     KernelModel km(DeviceProfile::onePlus12());
     profiler::AnalyticCapacityProvider cap(km);
@@ -541,15 +476,12 @@ TEST(LcOpg, MergeRebalanceTopsUpTruncatedWindows)
     params.lambda = 0.5;
     params.restartConflictBase = 1024;
 
-    PlanMemo memo_off(1024), memo_on(1024);
     params.mergeRebalance = false;
-    params.memo = &memo_off;
     PlanStats off_stats;
     LcOpgPlanner off(g, cap, km, params);
     auto plan_off = off.plan(&off_stats);
 
     params.mergeRebalance = true;
-    params.memo = &memo_on;
     PlanStats on_stats;
     LcOpgPlanner on(g, cap, km, params);
     auto plan_on = on.plan(&on_stats);
@@ -575,8 +507,6 @@ TEST(LcOpg, RebalancedPlanRespectsCapacitiesAndInflight)
     params.mPeak = mib(1024);
     params.lambda = 0.5;
     params.restartConflictBase = 1024;
-    PlanMemo memo(1024);
-    params.memo = &memo;
     PlanStats stats;
     LcOpgPlanner planner(g, cap, km, params);
     auto plan = planner.plan(&stats);
@@ -643,8 +573,8 @@ TEST(LcOpg, ReplanMatchesFreshPlannerAtThatBudget)
     EXPECT_EQ(restored.serialize(), first.serialize());
 }
 
-/** Every PlanStats field a finished-solve reuse must leave unchanged:
- * all but host times and solveReuses itself. */
+/** Every PlanStats field a memo hit must leave unchanged: all but
+ * host times and memoHits itself. */
 std::string
 reuseInvariantStats(const PlanStats &s)
 {
@@ -655,7 +585,6 @@ reuseInvariantStats(const PlanStats &s)
        << s.greedyWindows << ' ' << s.threads << ' '
        << s.rebalancedChunks << ' ' << s.rebalancedWeights << ' '
        << s.solverDecisions << ' ' << s.solverRestarts << ' '
-       << s.memoHits << ' ' << s.memoStores << ' '
        << s.solverPropagations << ' ' << s.solverConflicts << ' '
        << s.timeLimitedWindows << '\n';
     for (const auto &w : s.windowSummaries) {
@@ -671,8 +600,8 @@ TEST(LcOpg, ReplanReusesTruncatedWindowSolvesExactly)
 {
     // Budget-truncated windows at the default decision budget: a
     // re-plan reuses the finished solve of every window its budget
-    // cannot bind, and must still equal a fresh planner on a fresh
-    // memo at the new budget in plan, counters and summaries. 250 MiB
+    // cannot bind, and must still equal a fresh planner without a memo
+    // at the new budget in plan, counters and summaries. 250 MiB
     // binds no window; 3 MiB binds in-flight rows that leave the
     // greedy hint unchanged, so only the entailment test keeps those
     // windows from reusing a 500 MiB solve.
@@ -694,23 +623,21 @@ TEST(LcOpg, ReplanReusesTruncatedWindowSolvesExactly)
         const auto first = planner.plan(&first_stats).serialize();
         ASSERT_GT(first_stats.feasibleWindows, 0);
         EXPECT_EQ(first_stats.timeLimitedWindows, 0);
-        EXPECT_EQ(first_stats.solveReuses, 0u);
+        EXPECT_EQ(first_stats.memoHits, 0u);
         for (Bytes budget : {mib(250), mib(3)}) {
             SCOPED_TRACE(budget);
             PlanStats replan_stats, fresh_stats;
             const auto replanned =
                 planner.replan(budget, &replan_stats).serialize();
-            PlanMemo fresh_memo;
             OpgParams fresh_params = params;
-            fresh_params.memo = &fresh_memo;
+            fresh_params.memo = nullptr;
             fresh_params.mPeak = budget;
             LcOpgPlanner fresh(g, cap, km, fresh_params);
             EXPECT_EQ(replanned, fresh.plan(&fresh_stats).serialize());
             EXPECT_EQ(reuseInvariantStats(replan_stats),
                       reuseInvariantStats(fresh_stats));
-            EXPECT_EQ(replan_stats.memoHits, 0u); // no model repeats raw
-            EXPECT_GT(replan_stats.solveReuses, 0u);
-            EXPECT_EQ(fresh_stats.solveReuses, 0u);
+            EXPECT_GT(replan_stats.memoHits, 0u);
+            EXPECT_EQ(fresh_stats.memoHits, 0u);
         }
         EXPECT_EQ(planner.replan(mib(500)).serialize(), first);
     }
@@ -736,7 +663,7 @@ TEST(LcOpg, ClockStoppedSolvesAreCountedAndNeverStored)
     for (const auto *st : {&first, &second}) {
         ASSERT_GT(st->windows, 1);
         EXPECT_EQ(st->timeLimitedWindows, st->windows);
-        EXPECT_EQ(st->solveReuses, 0u);
+        EXPECT_EQ(st->memoHits, 0u);
         EXPECT_EQ(st->solverDecisions, 0u);
     }
     EXPECT_EQ(memo.solveCount(), 0u);
@@ -750,272 +677,6 @@ TEST(LcOpg, ClockStoppedSolvesAreCountedAndNeverStored)
     EXPECT_GT(memo.solveCount(), 0u);
 }
 
-// ------------------------------------------------ PlanMemo persistence
-
-namespace {
-
-std::string
-tempMemoPath(const char *tag)
-{
-    return testing::TempDir() + "flashmem_memo_" + tag + ".bin";
-}
-
-} // namespace
-
-TEST(PlanMemo, SaveLoadRoundTrip)
-{
-    const auto path = tempMemoPath("roundtrip");
-    const auto path_no_solves = tempMemoPath("roundtrip_no_solves");
-    PlanMemo a(8), a_no_solves(8);
-    for (auto *m : {&a, &a_no_solves}) {
-        m->store(11, {1, 2, 3}, 5);
-        m->store(22, {4}, 9);
-    }
-    a.storeSolve({33, {1}, 100, 0}, feasibleResult(3));
-    ASSERT_TRUE(a.lookupSolve({33, {1}, 100, 0}).has_value());
-    ASSERT_TRUE(a.saveToFile(path));
-    ASSERT_TRUE(a_no_solves.saveToFile(path_no_solves));
-    // Finished solves are memory-only: the file is byte for byte the
-    // one a memo without them writes.
-    auto bytes = [](const std::string &p) {
-        std::ifstream in(p, std::ios::binary);
-        return std::string(std::istreambuf_iterator<char>(in), {});
-    };
-    EXPECT_EQ(bytes(path), bytes(path_no_solves));
-
-    PlanMemo b(8);
-    ASSERT_TRUE(b.loadFromFile(path));
-    EXPECT_EQ(b.size(), 2u);
-    EXPECT_EQ(b.solveCount(), 0u);
-    EXPECT_EQ(*b.lookup(11), (std::vector<std::int64_t>{1, 2, 3}));
-    EXPECT_EQ(*b.lookup(22), (std::vector<std::int64_t>{4}));
-    // Objectives travel too: a worse store is still rejected.
-    EXPECT_FALSE(b.store(11, {9, 9, 9}, 50));
-    std::remove(path.c_str());
-    std::remove(path_no_solves.c_str());
-}
-
-TEST(PlanMemo, LoadRejectsMissingCorruptAndWrongVersionFiles)
-{
-    PlanMemo memo(8);
-    memo.store(1, {7}, 7);
-
-    EXPECT_FALSE(memo.loadFromFile(tempMemoPath("does_not_exist")));
-
-    const auto garbage = tempMemoPath("garbage");
-    {
-        std::ofstream out(garbage, std::ios::binary);
-        out << "definitely not a memo file";
-    }
-    EXPECT_FALSE(memo.loadFromFile(garbage));
-
-    // Valid magic, unsupported version.
-    const auto wrong_version = tempMemoPath("wrong_version");
-    {
-        std::ofstream out(wrong_version, std::ios::binary);
-        std::uint32_t magic = 0x464D504D, version = 999;
-        char buf[sizeof(magic)];
-        std::memcpy(buf, &magic, sizeof buf);
-        out.write(buf, sizeof buf);
-        std::memcpy(buf, &version, sizeof buf);
-        out.write(buf, sizeof buf);
-    }
-    EXPECT_FALSE(memo.loadFromFile(wrong_version));
-
-    // Header claims entries the file does not contain.
-    const auto truncated = tempMemoPath("truncated");
-    {
-        PlanMemo src(8);
-        src.store(5, {1, 2, 3, 4, 5}, 0);
-        ASSERT_TRUE(src.saveToFile(truncated));
-        std::ifstream in(truncated, std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        std::ofstream out(truncated,
-                          std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() - 8));
-    }
-    EXPECT_FALSE(memo.loadFromFile(truncated));
-
-    // Every failed load left the memo untouched.
-    EXPECT_EQ(memo.size(), 1u);
-    EXPECT_TRUE(memo.lookup(1).has_value());
-
-    std::remove(garbage.c_str());
-    std::remove(wrong_version.c_str());
-    std::remove(truncated.c_str());
-}
-
-TEST(PlanMemo, ChecksumRejectsBitFlipsAnywhere)
-{
-    const auto path = tempMemoPath("bitflip");
-    PlanMemo src(8);
-    src.store(0xAAAA, {10, 20, 30, 40}, 3);
-    src.store(0xBBBB, {-1, -2}, 1);
-    ASSERT_TRUE(src.saveToFile(path));
-
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    ASSERT_GT(bytes.size(), 16u);
-
-    // Flip every bit position past the magic+version header, one file
-    // at a time. Every flip must be rejected outright — the body is
-    // checksummed, so no corruption can load as a valid (let alone
-    // partial) plan. Flips inside magic/version are rejected by the
-    // header check, exercised by the wrong-version test above.
-    PlanMemo memo(8);
-    memo.store(1, {7}, 7);
-    for (std::size_t byte = 8; byte < bytes.size(); ++byte) {
-        for (int bit = 0; bit < 8; ++bit) {
-            std::string mutated = bytes;
-            mutated[byte] = static_cast<char>(
-                static_cast<unsigned char>(mutated[byte]) ^
-                (1u << bit));
-            {
-                std::ofstream out(path,
-                                  std::ios::binary | std::ios::trunc);
-                out.write(mutated.data(),
-                          static_cast<std::streamsize>(
-                              mutated.size()));
-            }
-            EXPECT_FALSE(memo.loadFromFile(path))
-                << "flip at byte " << byte << " bit " << bit
-                << " loaded as valid";
-        }
-    }
-    // The survivor memo is untouched by all those rejected loads.
-    EXPECT_EQ(memo.size(), 1u);
-    EXPECT_TRUE(memo.lookup(1).has_value());
-    std::remove(path.c_str());
-}
-
-TEST(PlanMemo, FuzzedTruncationsAndGarbageColdStartCleanly)
-{
-    const auto path = tempMemoPath("fuzztrunc");
-    PlanMemo src(8);
-    src.store(0x1111, {1, 2, 3, 4, 5, 6, 7, 8}, 2);
-    src.store(0x2222, {9}, 4);
-    src.store(0x3333, {}, 0); // zero-length values vector is legal
-    ASSERT_TRUE(src.saveToFile(path));
-
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-
-    PlanMemo memo(8);
-    // Every proper prefix — including the zero-length file — must be
-    // rejected without crashing or partially loading.
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-        {
-            std::ofstream out(path,
-                              std::ios::binary | std::ios::trunc);
-            out.write(bytes.data(),
-                      static_cast<std::streamsize>(len));
-        }
-        EXPECT_FALSE(memo.loadFromFile(path))
-            << "prefix of " << len << " bytes loaded as valid";
-        EXPECT_EQ(memo.size(), 0u);
-    }
-
-    // Random garbage files of assorted sizes, some starting with the
-    // real header so they get past the magic check.
-    Rng rng(0xF00D);
-    for (int trial = 0; trial < 64; ++trial) {
-        const auto len = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(
-                                  bytes.size() * 2)));
-        std::string junk(len, '\0');
-        for (auto &c : junk)
-            c = static_cast<char>(rng.next() & 0xFF);
-        if (trial % 2 == 0 && len >= 8)
-            junk.replace(0, 8, bytes, 0, 8); // genuine magic+version
-        {
-            std::ofstream out(path,
-                              std::ios::binary | std::ios::trunc);
-            out.write(junk.data(),
-                      static_cast<std::streamsize>(junk.size()));
-        }
-        EXPECT_FALSE(memo.loadFromFile(path))
-            << "garbage trial " << trial << " loaded as valid";
-        EXPECT_EQ(memo.size(), 0u);
-    }
-
-    // And the untouched original still loads fine afterwards.
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-    EXPECT_TRUE(memo.loadFromFile(path));
-    EXPECT_EQ(memo.size(), 3u);
-    std::remove(path.c_str());
-}
-
-TEST(PlanMemo, FileBackedMemoPersistsAcrossInstances)
-{
-    const auto path = tempMemoPath("lifecycle");
-    std::remove(path.c_str());
-    {
-        PlanMemo memo(8, path); // file absent: starts empty
-        EXPECT_EQ(memo.size(), 0u);
-        memo.store(7, {42, 43}, 1);
-    } // destructor saves
-    {
-        PlanMemo memo(8, path); // constructor loads
-        EXPECT_EQ(memo.memoPath(), path);
-        auto hit = memo.lookup(7);
-        ASSERT_TRUE(hit.has_value());
-        EXPECT_EQ(*hit, (std::vector<std::int64_t>{42, 43}));
-    }
-    std::remove(path.c_str());
-}
-
-TEST(LcOpg, FileBackedMemoWarmStartsAcrossLaunches)
-{
-    auto g = toyGraph(3);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-    OpgParams params;
-    params.chunkBytes = kib(256);
-    params.solverDecisionsPerWindow = 2000000;
-    params.solverTimePerWindow = 10.0;
-
-    const auto path = tempMemoPath("planner");
-    std::remove(path.c_str());
-
-    PlanStats first, second;
-    std::string first_plan, second_plan;
-    {
-        // "Launch 1": cold file-backed memo.
-        PlanMemo memo(1024, path);
-        params.memo = &memo;
-        LcOpgPlanner planner(g, cap, km, params);
-        first_plan = planner.plan(&first).serialize();
-    }
-    {
-        // "Launch 2": a fresh memo instance loads the saved file.
-        PlanMemo memo(1024, path);
-        params.memo = &memo;
-        LcOpgPlanner planner(g, cap, km, params);
-        second_plan = planner.plan(&second).serialize();
-    }
-    EXPECT_EQ(first.memoHits, 0u);
-    EXPECT_GT(first.memoStores, 0u);
-    EXPECT_GT(second.memoHits, 0u);
-    // All-OPTIMAL windows: the warm-started launch replans exactly.
-    ASSERT_EQ(first.overallStatus, solver::SolveStatus::Optimal);
-    EXPECT_EQ(first_plan, second_plan);
-    std::remove(path.c_str());
-}
-
 TEST(PlanMemo, ConcurrentHammer)
 {
     PlanMemo memo(32); // small: forces LRU eviction under contention
@@ -1023,8 +684,8 @@ TEST(PlanMemo, ConcurrentHammer)
     constexpr int kOpsPerThread = 4000;
     // FMLINT(allow:cross-thread-state) test-only failure latch: writers only ever increment, final zero-check is order-independent
     std::atomic<std::uint64_t> corrupt{0};
-    // Both stores encode the key in the value, so readers can check
-    // they never observe torn or misfiled entries.
+    // Entries encode the key in the value, so readers can check they
+    // never observe torn or misfiled entries.
     auto solve_key = [](std::uint64_t fp) {
         return SolveKey{fp, {static_cast<std::int64_t>(fp)}, 1, 0};
     };
@@ -1034,24 +695,10 @@ TEST(PlanMemo, ConcurrentHammer)
         workers.emplace_back([&memo, &corrupt, &solve_key, t]() {
             Rng rng(1234 + t);
             for (int i = 0; i < kOpsPerThread; ++i) {
-                // clear() only in the first half: every thread's
-                // second half refills and evicts again.
-                if (i < kOpsPerThread / 2 && i % 500 == 250) {
-                    memo.clear();
-                    continue;
-                }
                 auto fp = static_cast<std::uint64_t>(
                     rng.uniformInt(0, 99));
                 const auto key = static_cast<std::int64_t>(fp);
-                const double op = rng.uniform();
-                if (op < 0.3) {
-                    std::int64_t obj = rng.uniformInt(0, 1000);
-                    memo.store(fp, {key, obj}, obj);
-                } else if (op < 0.6) {
-                    auto v = memo.lookup(fp);
-                    if (v && (v->size() != 2 || (*v)[0] != key))
-                        ++corrupt;
-                } else if (op < 0.8) {
+                if (rng.uniform() < 0.5) {
                     memo.storeSolve(solve_key(fp), feasibleResult(key));
                 } else {
                     auto r = memo.lookupSolve(solve_key(fp));
@@ -1066,18 +713,11 @@ TEST(PlanMemo, ConcurrentHammer)
         w.join();
 
     EXPECT_EQ(corrupt.load(), 0u);
-    EXPECT_LE(memo.size(), 32u);
-    EXPECT_LE(memo.solveCount(), 32u);
-    auto stats = memo.stats();
-    EXPECT_GT(stats.stores, 0u);
-    EXPECT_GT(stats.evictions, 0u);
+    // More than 32 distinct keys were stored: the store is full and
+    // bounded.
+    EXPECT_EQ(memo.solveCount(), 32u);
     // Entries that survived still satisfy the key-in-value invariant.
     for (std::uint64_t fp = 0; fp < 100; ++fp) {
-        auto v = memo.lookup(fp);
-        if (v) {
-            ASSERT_EQ(v->size(), 2u);
-            EXPECT_EQ((*v)[0], static_cast<std::int64_t>(fp));
-        }
         auto r = memo.lookupSolve(solve_key(fp));
         if (r) {
             ASSERT_EQ(r->values.size(), 1u);
@@ -1399,11 +1039,9 @@ TEST(FlashMemFacade, AblationFusionReducesKernels)
 
     FlashMemOptions no_fusion;
     no_fusion.adaptiveFusion = false;
-    PlanMemo::global().clear(); // equal footing between ablation arms
     core::FlashMem fm_plain(DeviceProfile::onePlus12(), no_fusion);
     auto plain = fm_plain.compile(g);
 
-    PlanMemo::global().clear();
     core::FlashMem fm_fused(DeviceProfile::onePlus12());
     auto fused = fm_fused.compile(g);
 
@@ -1431,8 +1069,6 @@ TEST(FlashMemFacade, FullSystemFastestAmongAblations)
         SimTime computeBusy;
     };
     auto run = [&](const FlashMemOptions &opt) -> Outcome {
-        // Equal footing: no warm starts leaking between ablation arms.
-        PlanMemo::global().clear();
         core::FlashMem fm(DeviceProfile::onePlus12(), opt);
         auto compiled = fm.compile(g);
         GpuSimulator sim(DeviceProfile::onePlus12());
@@ -1459,18 +1095,17 @@ TEST(FlashMemFacade, FullSystemFastestAmongAblations)
 
 TEST(FlashMemFacade, RecompilationReusesPlanMemo)
 {
-    PlanMemo::global().clear();
+    // The FlashMem owns a memo: a repeat compile completes its window
+    // rounds from it and ships the plan a search would have.
     core::FlashMem fm(DeviceProfile::onePlus12());
     auto g = models::buildModel(models::ModelId::GPTNeoS);
     auto first = fm.compile(g);
     auto second = fm.compile(g);
-    EXPECT_GT(first.planMemoStores, 0u);
+    // Only a search the wall clock stopped is not stored.
+    EXPECT_EQ(first.stats.timeLimitedWindows, 0);
     EXPECT_GT(second.planMemoHits, 0u);
-    // Budget-truncated windows may improve under a warm start (and
-    // fusion decisions may follow), so the plans need not be
-    // byte-identical — but every compile must stay valid.
-    EXPECT_TRUE(first.plan.validate(first.fusedGraph, false));
-    EXPECT_TRUE(second.plan.validate(second.fusedGraph, false));
+    EXPECT_EQ(first.plan.serialize(), second.plan.serialize());
+    EXPECT_EQ(first.totalSolverDecisions, second.totalSolverDecisions);
 }
 
 TEST(FlashMemFacade, RunsGpt27BWithinOnePlus12Budget)

@@ -4,7 +4,7 @@
  * queueing-delay latency accounting, policy ordering (FIFO / SJF /
  * priority-with-aging / memory-aware admission), and on-device
  * re-planning — including its bit-determinism across planner thread
- * counts and across a warm PlanMemo.
+ * counts and across plan-memo reuse.
  */
 
 #include <gtest/gtest.h>
@@ -330,10 +330,8 @@ TEST(Replanning, ReplanShrinksInflightBudgetDeterministically)
     // included.
     auto g = models::buildModel(ModelId::ResNet50);
     auto replan_with_threads = [&](int threads) {
-        core::PlanMemo memo(1024);
         FlashMemOptions opt;
         opt.opg.parallel.threads = threads;
-        opt.opg.memo = &memo;
         FlashMem fm(DeviceProfile::onePlus12(), opt);
         auto compiled = fm.compile(g);
         auto replanned = fm.replan(compiled, mib(96));
@@ -349,8 +347,7 @@ TEST(Replanning, ReplanShrinksInflightBudgetDeterministically)
 }
 
 /** Small residual MLP whose plan windows exhaust (prove optimality)
- * within the decision budget — the regime where re-plans are provably
- * byte-identical even across a warm memo. */
+ * within the decision budget. */
 graph::Graph
 tinyReplanModel()
 {
@@ -369,14 +366,11 @@ tinyReplanModel()
 
 TEST(Replanning, ReplanIsByteIdenticalAcrossWarmMemo)
 {
-    // Re-planning the same budget twice through one memo: the second
-    // pass warm-starts from the first's incumbents and must reproduce
-    // the plan byte for byte (windows prove optimal, so the warm
-    // start can only re-prove, never improve).
+    // Re-planning the same budget twice through the FlashMem's memo:
+    // the second pass completes its window rounds from the first's
+    // finished solves and must reproduce the plan byte for byte.
     auto g = tinyReplanModel();
-    core::PlanMemo memo(1024);
     FlashMemOptions opt;
-    opt.opg.memo = &memo;
     opt.opg.chunkBytes = kib(256);
     opt.opg.solverDecisionsPerWindow = 2000000;
     opt.opg.solverTimePerWindow = 10.0;
@@ -385,9 +379,9 @@ TEST(Replanning, ReplanIsByteIdenticalAcrossWarmMemo)
 
     auto cold = fm.replan(compiled, mib(4));
     ASSERT_EQ(cold.stats.overallStatus, solver::SolveStatus::Optimal);
-    auto warm = fm.replan(compiled, mib(4));
-    EXPECT_EQ(cold.plan.serialize(), warm.plan.serialize());
-    EXPECT_GT(warm.planMemoHits, 0u);
+    auto reused = fm.replan(compiled, mib(4));
+    EXPECT_EQ(cold.plan.serialize(), reused.plan.serialize());
+    EXPECT_GT(reused.planMemoHits, 0u);
 }
 
 TEST(Replanning, ReplanChangesThePlanUnderATighterBudget)

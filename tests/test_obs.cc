@@ -187,10 +187,8 @@ TEST(Logging, RateLimitedWarnCountsAndSuppresses)
 multidnn::ScheduleOutcome
 runTracedSchedulerArm(int planner_threads, TraceRecorder &rec)
 {
-    core::PlanMemo memo(1024);
     core::FlashMemOptions opt;
     opt.opg.parallel.threads = planner_threads;
-    opt.opg.memo = &memo;
     core::FlashMem fm(gpusim::DeviceProfile::onePlus12(), opt);
     multidnn::SchedulerConfig cfg;
     cfg.capacityBudget = mib(768);

@@ -3,15 +3,9 @@
  * Developer utility: compile + run each zoo model under FlashMem on the
  * OnePlus 12 profile and print integrated latency / memory — a quick
  * sanity check of the end-to-end pipeline against Tables 7/8.
- *
- * With --memo <path>, planning runs against a file-backed PlanMemo:
- * the first launch is cold, later launches warm-start every window
- * from the saved incumbents (watch the MemoHits column).
  */
 
-#include <cstring>
 #include <iostream>
-#include <memory>
 
 #include "common/strutil.hh"
 #include "common/table.hh"
@@ -23,19 +17,11 @@ main(int argc, char **argv)
 {
     using namespace flashmem;
 
-    core::FlashMemOptions options;
-    std::unique_ptr<core::PlanMemo> file_memo;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--memo") == 0 && i + 1 < argc) {
-            file_memo = std::make_unique<core::PlanMemo>(4096,
-                                                         argv[++i]);
-            options.opg.memo = file_memo.get();
-        } else {
-            std::cerr << "usage: " << argv[0] << " [--memo <path>]\n";
-            return 2;
-        }
+    if (argc > 1) {
+        std::cerr << "usage: " << argv[0] << " (takes no arguments)\n";
+        return 2;
     }
-    core::FlashMem fm(gpusim::DeviceProfile::onePlus12(), options);
+    core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
 
     Table t({"Model", "Integrated", "Init", "Exec", "Stall", "Peak",
              "Avg", "Overlap%", "FusedLayers", "Windows", "Solve(s)",
@@ -56,9 +42,5 @@ main(int argc, char **argv)
                   std::to_string(compiled.planMemoHits)});
     }
     t.print(std::cout);
-    if (file_memo) {
-        std::cout << "memo: " << file_memo->size()
-                  << " entries -> " << file_memo->memoPath() << "\n";
-    }
     return 0;
 }
