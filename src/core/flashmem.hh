@@ -76,8 +76,8 @@ struct CompiledModel
 
 /**
  * The FlashMem framework for one device profile. Every plan it ships
- * is a pure function of (graph, device, options), unless the
- * wall-clock backstop stops a window (PlanStats::timeLimitedWindows).
+ * is a pure function of (graph, device, options): a per-window
+ * decision budget is the planner's only search limit.
  * Planning goes through options.opg.memo when the caller passes one;
  * otherwise this FlashMem owns a PlanMemo, so repeat compiles,
  * adaptive-fusion rounds and re-plans reuse finished window solves

@@ -25,10 +25,8 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 /** Objective scaling: lambda/mu mapped onto integer coefficients. */
 constexpr std::int64_t kObjScale = 100;
 
-/** C4 soft-threshold relaxation factor per fallback round. */
-constexpr double kSoftThresholdGrowth = 1.3;
-/** Fallback rounds before the greedy backup takes over a window. */
-constexpr int kMaxFallbackRounds = 2;
+/** C4 tier-2 (forced preload) rounds per window. */
+constexpr int kMaxForcedRounds = 2;
 
 /**
  * Ledger-checked chunk placement step shared by the greedy warm start,
@@ -66,6 +64,10 @@ LcOpgPlanner::LcOpgPlanner(const graph::Graph &g,
 {
     FM_ASSERT(params_.windowLayers > 0 && params_.maxLoadDistance > 0,
               "bad OPG window parameters");
+    // The decision budget is the only search limit: 0 would leave every
+    // window search unbounded.
+    FM_ASSERT(params_.solverDecisionsPerWindow > 0,
+              "solverDecisionsPerWindow must be positive");
 }
 
 void
@@ -209,7 +211,7 @@ LcOpgPlanner::stageWindow(graph::NodeId start, graph::NodeId end,
 }
 
 LcOpgPlanner::RoundModel
-LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
+LcOpgPlanner::buildWindowModel(const WindowInput &in,
                                const std::vector<bool> &forced) const
 {
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
@@ -247,14 +249,9 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
 
         std::vector<solver::LinearTerm> coverage{{y_vars[k], 1}};
         for (auto l : cands[k]) {
-            std::int64_t cap = std::min<std::int64_t>(
-                {t_w,
-                 static_cast<std::int64_t>(
-                     static_cast<double>(in.residual[l]) *
-                     relax),
-                 mpeak_chunks});
-            auto x = m.newIntVar(0, std::max<std::int64_t>(cap,
-                                                           0));
+            auto x = m.newIntVar(
+                0, std::min<std::int64_t>(
+                       {t_w, in.residual[l], mpeak_chunks}));
             x_vars[k].push_back(x);
             coverage.push_back({x, 1});
             // Tie-break: transform close to the consumer.
@@ -304,12 +301,8 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in, double relax,
                     col.push_back({x_vars[k][j], 1});
             }
         }
-        if (!col.empty()) {
-            m.addLessOrEqual(
-                col, static_cast<std::int64_t>(
-                         static_cast<double>(in.residual[l]) *
-                         relax));
-        }
+        if (!col.empty())
+            m.addLessOrEqual(col, in.residual[l]);
     }
 
     // C2: in-flight transformed-but-unconsumed memory.
@@ -351,19 +344,10 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
     result.conflicts += r.backtracks;
     result.restarts += r.restarts;
     result.status = r.status;
-    result.timeLimited |= r.timeLimited;
-
-    if (!r.feasible()) {
-        // Tier 1: soft-threshold relaxation of C_l.
-        if (st.round < kMaxFallbackRounds) {
-            st.relax *= kSoftThresholdGrowth;
-            ++result.softRelaxations;
-            ++st.round;
-            return false;
-        }
-        applyGreedy(in, st.out);
-        return true;
-    }
+    // The hint satisfies the model (lc_opg.hh, "C4 fallback"), so the
+    // search starts with an incumbent and C4 tier 1 never triggers.
+    FM_ASSERT(r.feasible(), "window at layer ", in.start, " round ",
+              st.round, " has no solution despite its greedy hint");
 
     // Extract candidate solution.
     const auto &weights = in.weights;
@@ -394,7 +378,7 @@ LcOpgPlanner::interpretRound(WindowSolveState &st,
     double preload_frac =
         window_bytes ? static_cast<double>(preload_bytes) / window_bytes
                      : 0.0;
-    if (preload_frac > 0.8 && st.round < kMaxFallbackRounds) {
+    if (preload_frac > 0.8 && st.round < kMaxForcedRounds) {
         std::size_t worst = 0;
         std::int64_t worst_chunks = -1;
         for (std::size_t k = 0; k < weights.size(); ++k) {
@@ -598,11 +582,10 @@ LcOpgPlanner::plan(PlanStats *stats)
         ThreadPool pool(threads);
         std::vector<WindowSolveState> states(inputs.size());
         solver::SolverParams sp;
-        sp.timeLimitSeconds = params_.solverTimePerWindow;
         sp.maxDecisions = params_.solverDecisionsPerWindow;
         sp.restartConflictBase = params_.restartConflictBase;
         auto submitRound = [&](WindowSolveState &st) {
-            st.rm = buildWindowModel(*st.in, st.relax, st.forced);
+            st.rm = buildWindowModel(*st.in, st.forced);
             if (params_.memo) {
                 // Stored solves come from earlier plans only — this
                 // plan's are buffered until the ordered merge, so no
@@ -657,10 +640,7 @@ LcOpgPlanner::plan(PlanStats *stats)
                     ++st.out.result.memoHits;
                 } else {
                     r = st.future.get();
-                    // A clock-stopped search depends on host speed,
-                    // and an infeasible round has no values for the
-                    // satisfiedBy guard: neither is stored.
-                    if (params_.memo && r.feasible() && !r.timeLimited)
+                    if (params_.memo)
                         st.out.solveStores.push_back(
                             {std::move(st.solveKey), r});
                 }
@@ -705,10 +685,8 @@ LcOpgPlanner::plan(PlanStats *stats)
         local.solverPropagations += wr.propagations;
         local.solverConflicts += wr.conflicts;
         local.solverRestarts += wr.restarts;
-        local.softRelaxations += wr.softRelaxations;
         local.forcedPreloads += wr.forcedPreloads;
         local.memoHits += wr.memoHits;
-        local.timeLimitedWindows += wr.timeLimited ? 1 : 0;
         if (wr.usedGreedy) {
             ++local.greedyWindows;
         } else if (wr.status == solver::SolveStatus::Optimal) {

@@ -14,9 +14,22 @@
  *
  * The planner follows the paper's implementation notes: incremental
  * scheduling over a rolling layer window keeps each CP-SAT instance
- * small; a greedy warm start seeds the search; and the C4 tiered
- * fallback (soft-threshold relaxation -> incremental preloading ->
- * greedy backup) guarantees a plan within the time limit.
+ * small, and a greedy warm start seeds the search. A per-window
+ * decision budget is the only search limit, so a plan is a pure
+ * function of (graph, device, options).
+ *
+ * C4 fallback. The paper's tiers (soft-threshold relaxation ->
+ * incremental preloading -> greedy backup) return a plan within a time
+ * limit when the search finds none. Here every round has a solution:
+ * its hint is the staged greedy, which assigns only candidate layers,
+ * takes from copies of the same residual and in-flight snapshots that
+ * bound the C3 and C2 rows, and sets z_w to its earliest assigned
+ * layer; a tier-2 round only moves weights from the hint into W. So
+ * tier 1 is unreachable and is not implemented (a round without a
+ * solution is an assertion failure). Tier 2 re-solves a window that
+ * preloads most of its bytes with its heaviest weight forced into W,
+ * and tier 3 is the guard that hands over-wide windows to the greedy
+ * without a search.
  *
  * Whole-plan generation is a three-phase pipeline (PR 2):
  *   1. stage  — sequential: each window's inputs (weight slice,
@@ -74,13 +87,11 @@ struct OpgParams
     /** How many layers before i_w a chunk may be transformed. */
     int maxLoadDistance = 24;
     /**
-     * CP-SAT search budget per window, in decisions. A decision-based
-     * budget keeps planning bit-deterministic across hosts; the
-     * wall-clock limit below is only a backstop.
+     * CP-SAT search budget per window round, in decisions; must be
+     * positive. It is the only limit on a window search, so planning
+     * is bit-deterministic across hosts and loads.
      */
     std::uint64_t solverDecisionsPerWindow = 20000;
-    /** Wall-clock backstop per window, seconds. */
-    double solverTimePerWindow = 0.5;
     /**
      * Explicit preload list (paper Section 5.4: "weights can also be
      * explicitly specified by directly adding their names to the
@@ -153,9 +164,13 @@ struct PlanStats
     int windows = 0;
     int optimalWindows = 0;
     int feasibleWindows = 0;
-    int softRelaxations = 0;            ///< C4 tier-1 events
-    int forcedPreloads = 0;             ///< C4 tier-2 events
-    int greedyWindows = 0;              ///< C4 tier-3 events
+    /** C4 tier-1 events: always 0, since every round's hint satisfies
+     * its model (file comment, "C4 fallback"). Kept because perfbench
+     * reports it as lc_opg.soft_relaxations. */
+    int softRelaxations = 0;
+    int forcedPreloads = 0;             ///< C4 tier-2 rounds
+    /** C4 tier 3: windows the wide-window guard handed to the greedy. */
+    int greedyWindows = 0;
     int threads = 1;                    ///< worker threads used to solve
     /** @name Merge-time re-balancing (second merge pass). @{ */
     std::int64_t rebalancedChunks = 0;  ///< chunks moved W -> streamed
@@ -166,9 +181,6 @@ struct PlanStats
     /** Rounds completed from the plan memo instead of a search (the
      * only counter a reuse changes). */
     std::uint64_t memoHits = 0;
-    /** Windows in which a search stopped on the wall-clock backstop
-     * (solverTimePerWindow): their plan depends on host speed. */
-    int timeLimitedWindows = 0;
     std::uint64_t solverPropagations = 0; ///< constraint revisions
     std::uint64_t solverConflicts = 0;    ///< search backtracks
     std::vector<WindowSolveSummary> windowSummaries;
@@ -215,7 +227,6 @@ class LcOpgPlanner
     struct WindowResult
     {
         bool usedGreedy = false;
-        int softRelaxations = 0;
         int forcedPreloads = 0;
         solver::SolveStatus status = solver::SolveStatus::Optimal;
         std::uint64_t decisions = 0;
@@ -225,13 +236,12 @@ class LcOpgPlanner
         double buildSeconds = 0.0;
         double solveSeconds = 0.0;
         std::uint64_t memoHits = 0;
-        bool timeLimited = false; ///< some round stopped on the clock
     };
 
     /**
      * Greedy latest-feasible chunk placement for the given weights;
      * returns per-weight (assignments, preload leftovers). Used as the
-     * warm start, the tier-3 fallback, and the staged capacity
+     * warm start, the tier-3 wide-window plan, and the staged capacity
      * reservation that decouples windows for parallel solving.
      */
     struct GreedyOut
@@ -295,7 +305,7 @@ class LcOpgPlanner
         const;
 
     /**
-     * One C4 fallback round's CP model, built on the driver thread:
+     * One window round's CP model, built on the driver thread:
      * the window model (C0-C3) and its greedy warm-start hint. Once
      * built it is immutable, so a pool worker can solve it.
      */
@@ -312,16 +322,15 @@ class LcOpgPlanner
     /**
      * Per-window driver state for the flattened solve phase: plan()
      * submits one task per (window, round) to the shared pool and
-     * interprets round results in window order, so the C4 fallback
-     * tiers (relax/forced) advance exactly as they did when each
-     * window ran its rounds inside one task.
+     * interprets round results in window order, so the C4 tier-2
+     * rounds advance exactly as they did when each window ran its
+     * rounds inside one task.
      */
     struct WindowSolveState
     {
         const WindowInput *in = nullptr;
         bool done = false;
         int round = 0;
-        double relax = 1.0;
         std::vector<bool> forced;
         RoundModel rm;
         std::future<solver::SolveResult> future;
@@ -333,19 +342,19 @@ class LcOpgPlanner
     };
 
     /** Build one round's model for @p in (pure; see RoundModel). */
-    RoundModel buildWindowModel(const WindowInput &in, double relax,
+    RoundModel buildWindowModel(const WindowInput &in,
                                 const std::vector<bool> &forced) const;
 
     /**
-     * Fold one round's solve result into @p st: accumulate stats,
-     * extract the solution or advance the C4 tier state. @return true
-     * when the window is done (solution extracted or demoted to the
-     * greedy backup).
+     * Fold one round's solve result into @p st: accumulate stats and
+     * extract the solution. @return false when C4 tier 2 forces a
+     * weight into W and the window needs another round.
      */
     bool interpretRound(WindowSolveState &st,
                         const solver::SolveResult &r) const;
 
-    /** Fill @p out from the staged greedy solution (tier 3). */
+    /** Fill @p out from the staged greedy solution (tier 3: the
+     * wide-window guard). */
     void applyGreedy(const WindowInput &in, WindowOutput &out) const;
 
     /**

@@ -100,10 +100,10 @@ class OverlapPlan
 
 /**
  * Exact key of one finished window solve: everything a
- * single-configuration search that did not stop on the clock is a
- * function of. Models with equal canonical fingerprints differ only
- * in the bounds of rows their domains entail, which the search never
- * reads (CpModel::canonicalFingerprint()).
+ * single-configuration search is a function of (the decision budget
+ * is its only limit). Models with equal canonical fingerprints differ
+ * only in the bounds of rows their domains entail, which the search
+ * never reads (CpModel::canonicalFingerprint()).
  */
 struct SolveKey
 {
@@ -144,8 +144,8 @@ class PlanMemo
 
     /**
      * Remember @p result as the finished solve for @p key, replacing
-     * any entry under the same key. The caller stores only results the
-     * key fully determines: feasible, not time-limited.
+     * any entry under the same key. The caller stores only feasible
+     * results, which carry values for the satisfiedBy guard.
      */
     void storeSolve(SolveKey key, solver::SolveResult result);
 

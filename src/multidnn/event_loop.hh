@@ -122,14 +122,14 @@ struct DispatchedRun
  *     limit). @return false when the backlog exceeded it — the
  *     offered load is unstable and the drain aborted early.
  * @param faults optional deterministic fault schedule (see
- *     multidnn/faults.hh); @p recovery tunes detection and retry;
+ *     multidnn/faults.hh); @p recovery sets the stuck-clock guard;
  *     @p counters, when given, accumulates fault/recovery accounting.
  * @param arrival optional arrival-time admission gate (see
  *     multidnn/policies.hh): consulted the instant a request or a
  *     fault retry would enter the ready set. Shed verdicts drop it
- *     with DropReason::ArrivalShed before it occupies a queue slot;
- *     Degrade marks it sticky-degraded on entry. Null keeps the
- *     historical dispatch-point-only behaviour bit-identically.
+ *     with DropReason::ArrivalShed before it occupies a queue slot.
+ *     Null keeps the historical dispatch-point-only behaviour
+ *     bit-identically.
  * @param trace optional obs::TraceRecorder receiving the typed event
  *     stream (arrivals, admission verdicts, dispatches, completions,
  *     sheds, retries, faults, device health). Null — the default —
@@ -265,7 +265,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
         ReadyRequest req = f.req;
         req.attempts += 1;
         req.lastFailedDevice = f.run.device;
-        if (req.attempts > recovery.maxRetries) {
+        if (req.attempts > kMaxRetries) {
             if (counters)
                 ++counters->faultSheds;
             drop(req, now, DropReason::FaultBudget);
@@ -354,8 +354,6 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                     drop(r, now, DropReason::ArrivalShed);
                     return true;
                 }
-                if (verdict == Admission::Degrade)
-                    r.degraded = true;
             }
             ready.push_back(std::move(r));
             // Backlog diverged: unstable load, abort the drain.

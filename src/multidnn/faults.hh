@@ -138,6 +138,8 @@ FaultPlan mergeFaultPlans(FaultPlan a, const FaultPlan &b);
  * and re-dispatched.
  */
 inline constexpr double kTimeoutFactor = 3.0;
+/** Re-dispatch attempts per request before it is fault-shed. */
+inline constexpr int kMaxRetries = 3;
 /** First retry backoff; doubles per attempt up to kBackoffCap. */
 inline constexpr SimTime kBackoffBase = milliseconds(1);
 inline constexpr SimTime kBackoffCap = milliseconds(64);
@@ -153,8 +155,6 @@ inline constexpr SimTime kProbation = milliseconds(250);
  */
 struct RecoveryConfig
 {
-    /** Re-dispatch attempts per request before it is fault-shed. */
-    int maxRetries = 3;
     /**
      * Stuck-clock guard: abort loudly when the event loop processes
      * more than this many events without the simulation clock

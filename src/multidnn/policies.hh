@@ -249,9 +249,9 @@ class ArrivalAdmission
      * Verdict for @p r entering the ready set at @p now (fresh arrival
      * or fault retry). @p ready is the current queued-but-unplaced
      * set; @p cluster exposes the per-device compute/DMA horizons the
-     * backlog model projects from. Shed verdicts drop the request with
-     * DropReason::ArrivalShed; Degrade marks it for dispatch at the
-     * policy's degraded budget.
+     * backlog model projects from. A gate admits or sheds: Shed drops
+     * the request with DropReason::ArrivalShed, and it never returns
+     * Degrade (degrading is a dispatch-point policy verdict).
      */
     virtual Admission admitAtArrival(
         SimTime now, const ReadyRequest &r,

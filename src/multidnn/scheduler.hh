@@ -64,7 +64,7 @@ struct SchedulerConfig
     /** Deterministic fault schedule injected into the drain (empty =
      * fault-free; see multidnn/faults.hh). */
     FaultPlan faults;
-    /** Detection/retry knobs for recovering from injected faults. */
+    /** Stuck-clock guard of the fault-tolerant loop. */
     RecoveryConfig recovery;
     /**
      * Arrival-time admission gate (null = dispatch-point admission
@@ -216,7 +216,7 @@ class EventScheduler
      * every dispatch opportunity, @p dispatch places and executes the
      * pick (and commits it to @p cluster). @p faults, when non-null,
      * injects the deterministic fault schedule; killed dispatches are
-     * retried per @p recovery and never reach ScheduleOutcome::runs.
+     * retried (kMaxRetries) and never reach ScheduleOutcome::runs.
      */
     static ScheduleOutcome drain(
         DeviceCluster &cluster,

@@ -173,9 +173,8 @@ ServiceEstimator::estimate(models::ModelId model) const
 }
 
 AdmissionController::AdmissionController(
-    const ServiceEstimator &estimator,
-    AdmissionControllerParams params)
-    : estimator_(estimator), params_(params)
+    const ServiceEstimator &estimator)
+    : estimator_(estimator)
 {}
 
 multidnn::Admission
@@ -248,10 +247,6 @@ AdmissionController::admitAtArrival(
         ++decisions_.admitted;
         return multidnn::Admission::Admit;
     }
-    if (params_.mode == multidnn::DeadlinePolicy::Overload::Degrade) {
-        ++decisions_.degraded;
-        return multidnn::Admission::Degrade;
-    }
     ++decisions_.shed;
     return multidnn::Admission::Shed;
 }
@@ -262,8 +257,6 @@ AdmissionController::exportCounters(obs::CounterRegistry &registry)
 {
     registry.add("admission.admitted",
                  static_cast<std::int64_t>(decisions_.admitted));
-    registry.add("admission.degraded",
-                 static_cast<std::int64_t>(decisions_.degraded));
     registry.add("admission.shed",
                  static_cast<std::int64_t>(decisions_.shed));
     registry.add("admission.tier_calibrated",

@@ -12,9 +12,8 @@
  * (or a fault retry) would enter the ready set, a backlog model over
  * the cluster's per-device compute horizons plus the
  * queued-but-unplaced work projects the earliest feasible completion,
- * and requests that cannot meet their bound are shed — or degraded to
- * the policy's reduced budget — *at arrival*, with
- * DropReason::ArrivalShed.
+ * and requests that cannot meet their bound are shed *at arrival*,
+ * with DropReason::ArrivalShed.
  *
  * Service times come from a three-tier ServiceEstimator ladder:
  *
@@ -120,7 +119,6 @@ class ServiceEstimator
 struct AdmissionDecisions
 {
     std::size_t admitted = 0;
-    std::size_t degraded = 0;
     std::size_t shed = 0;
     /** Estimate-tier mix of the decided requests. @{ */
     std::size_t tierCalibrated = 0;
@@ -128,17 +126,7 @@ struct AdmissionDecisions
     std::size_t tierPessimistic = 0;
     /** @} */
 
-    std::size_t total() const { return admitted + degraded + shed; }
-};
-
-/** Knobs of the arrival-time backlog gate. */
-struct AdmissionControllerParams
-{
-    /** What to do with a request whose projected completion misses
-     * its bound: shed it, or (when the degraded estimate still fits)
-     * degrade it to the policy's reduced budget. */
-    multidnn::DeadlinePolicy::Overload mode =
-        multidnn::DeadlinePolicy::Overload::Shed;
+    std::size_t total() const { return admitted + shed; }
 };
 
 /**
@@ -154,10 +142,7 @@ struct AdmissionControllerParams
  * — the earliest any device frees, plus the queued-but-unplaced work
  * that runs ahead of this request under EDF, spread across the live
  * devices — and the request is admitted iff
- * start + estimate fits its deadline. A projected miss sheds in Shed
- * mode and degrades in Degrade mode (mirroring
- * DeadlinePolicy::admit's overload semantics: the degraded dispatch
- * trades a late completion for freed shared capacity). Unbounded
+ * start + estimate fits its deadline; a projected miss sheds. Unbounded
  * requests always admit; so does an all-Down cluster (the loop's
  * starvation accounting owns that case). All arithmetic is integer
  * nanoseconds: bit-exact on both execution paths.
@@ -165,8 +150,7 @@ struct AdmissionControllerParams
 class AdmissionController : public multidnn::ArrivalAdmission
 {
   public:
-    explicit AdmissionController(const ServiceEstimator &estimator,
-                                 AdmissionControllerParams params = {});
+    explicit AdmissionController(const ServiceEstimator &estimator);
 
     multidnn::Admission admitAtArrival(
         SimTime now, const multidnn::ReadyRequest &r,
@@ -190,7 +174,6 @@ class AdmissionController : public multidnn::ArrivalAdmission
 
   private:
     const ServiceEstimator &estimator_;
-    AdmissionControllerParams params_;
     /** Accounting only — never feeds back into verdicts, so sharing
      * one controller across sequential runs stays deterministic. */
     mutable AdmissionDecisions decisions_;

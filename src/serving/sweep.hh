@@ -58,7 +58,7 @@ struct ServingSimParams
      * in shape to multidnn::SchedulerConfig::faults so a fast-sim run
      * and a real EventScheduler run see the same timeline. */
     multidnn::FaultPlan faults;
-    /** Detection/retry knobs for recovering from injected faults. */
+    /** Stuck-clock guard of the fault-tolerant loop. */
     multidnn::RecoveryConfig recovery;
     /**
      * Arrival-time admission gate (null = dispatch-point admission

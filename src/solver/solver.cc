@@ -151,21 +151,11 @@ struct TrailSearch
     std::uint64_t restarts = 0;
     bool restartPending = false;
     bool limitHit = false;
-    bool timeLimited = false;
-    // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
-    std::chrono::steady_clock::time_point deadline;
 
+    /** The decision budget is the only limit (0 = none). */
     bool
-    timeUp()
+    budgetSpent()
     {
-        // Check the clock sparingly; decisions dominate runtime.
-        if ((decisions & 0x3F) == 0) {
-            // FMLINT(allow:no-wall-clock) wall-clock time budget; Table-4 determinism runs bound by conflicts/decisions, not time
-            if (std::chrono::steady_clock::now() >= deadline) {
-                limitHit = true;
-                timeLimited = true;
-            }
-        }
         if (params.maxDecisions && decisions >= params.maxDecisions)
             limitHit = true;
         return limitHit;
@@ -573,7 +563,7 @@ struct TrailSearch
     bool
     search()
     {
-        if (timeUp() || restartPending)
+        if (budgetSpent() || restartPending)
             return false;
         if (!propagate()) {
             ++backtracks;
@@ -606,7 +596,7 @@ struct TrailSearch
 
         for (int side = 0; side < 2; ++side) {
             ++decisions;
-            if (timeUp() || restartPending)
+            if (budgetSpent() || restartPending)
                 return false;
             bool try_low = (side == 0) == low_first;
             bool ok;
@@ -681,13 +671,9 @@ CpSolver::solve(const CpModel &model,
 {
     // FMLINT(allow:no-wall-clock) reported wall time only; solve results never depend on it
     auto t0 = std::chrono::steady_clock::now();
-    auto deadline =
-        t0 + std::chrono::microseconds(static_cast<std::int64_t>(
-                 params_.timeLimitSeconds * 1e6));
 
     TrailSearch st;
     st.params = params_;
-    st.deadline = deadline;
     st.init(model);
     if (hint && model.satisfiedBy(*hint)) {
         st.haveIncumbent = true;
@@ -701,7 +687,6 @@ CpSolver::solve(const CpModel &model,
     result.propagations = st.propagations;
     result.backtracks = st.backtracks;
     result.restarts = st.restarts;
-    result.timeLimited = st.timeLimited;
     result.wallSeconds =
         // FMLINT(allow:no-wall-clock) reported wall time only; solve results never depend on it
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

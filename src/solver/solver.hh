@@ -10,10 +10,11 @@
  * (src/solver/README.md).
  *
  * Search: first-fail variable selection, objective-aware value ordering,
- * incumbent-driven bounding, wall-clock + decision limits. Statuses
- * mirror CP-SAT: Optimal (search exhausted with incumbent), Feasible
- * (limit hit with incumbent), Infeasible (exhausted without incumbent),
- * Unknown (limit hit without incumbent).
+ * incumbent-driven bounding, and a decision budget as the only limit,
+ * so a result never depends on host speed. Statuses mirror CP-SAT:
+ * Optimal (search exhausted with incumbent), Feasible (budget spent
+ * with incumbent), Infeasible (exhausted without incumbent), Unknown
+ * (budget spent without incumbent).
  */
 
 #ifndef FLASHMEM_SOLVER_SOLVER_HH
@@ -33,11 +34,11 @@ enum class SolveStatus { Optimal, Feasible, Infeasible, Unknown };
 /** Human-readable status name ("OPTIMAL", "FEASIBLE", ...). */
 const char *solveStatusName(SolveStatus status);
 
-/** Search limits and tunables. */
+/** Search budget and tunables. */
 struct SolverParams
 {
-    double timeLimitSeconds = 150.0;  ///< paper Table 4 uses 150 s
-    std::uint64_t maxDecisions = 0;   ///< 0 = unlimited
+    /** Decision budget, the only search limit; 0 = run to exhaustion. */
+    std::uint64_t maxDecisions = 0;
     /**
      * Luby restart base, in conflicts (0 disables).
      * Restart i aborts the current dive after luby(i) * base conflicts
@@ -66,13 +67,7 @@ struct SolveResult
     std::uint64_t backtracks = 0;
     /** Luby restarts taken (restartConflictBase > 0). */
     std::uint64_t restarts = 0;
-    double wallSeconds = 0.0;
-    /**
-     * Stopped by the wall-clock limit (timeLimitSeconds). Such a
-     * result depends on host speed, so callers that must stay
-     * host-independent count it and never cache it.
-     */
-    bool timeLimited = false;
+    double wallSeconds = 0.0; ///< reported only; no limit reads it
 
     bool
     feasible() const

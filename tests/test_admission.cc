@@ -248,23 +248,6 @@ TEST(Controller, BacklogSpreadsAcrossLiveDevices)
               Admission::Shed);
 }
 
-TEST(Controller, DegradeModeDegradesInsteadOfShedding)
-{
-    ServiceEstimator est(handTable());
-    AdmissionControllerParams params;
-    params.mode = DeadlinePolicy::Overload::Degrade;
-    AdmissionController ctrl(est, params);
-    DeviceCluster cluster({});
-    auto t = cluster.planTimes(0, 0, 0, milliseconds(100));
-    cluster.commit(0, ModelId::ViT, 0, t);
-    EXPECT_EQ(ctrl.admitAtArrival(
-                  0, request(ModelId::ResNet50, 0, milliseconds(50)),
-                  {}, cluster),
-              Admission::Degrade);
-    EXPECT_EQ(ctrl.decisions().degraded, 1u);
-    EXPECT_EQ(ctrl.decisions().shed, 0u);
-}
-
 TEST(Controller, AllDownClusterAdmits)
 {
     // Starvation accounting owns the dead-cluster case; the gate must

@@ -373,7 +373,6 @@ TEST(Replanning, ReplanIsByteIdenticalAcrossWarmMemo)
     FlashMemOptions opt;
     opt.opg.chunkBytes = kib(256);
     opt.opg.solverDecisionsPerWindow = 2000000;
-    opt.opg.solverTimePerWindow = 10.0;
     FlashMem fm(DeviceProfile::onePlus12(), opt);
     auto compiled = fm.compile(g);
 
@@ -885,9 +884,14 @@ TEST(Faults, RetryBudgetExhaustionFaultSheds)
     FlashMem fm(DeviceProfile::onePlus12());
     std::vector<ModelRequest> queue{{ModelId::ResNet50, 0, 0, 0}};
 
+    // One device that crashes every 10 ms, well inside ResNet50's
+    // service time: every dispatch of the request is killed, and the
+    // kill after kMaxRetries retries sheds it.
     SchedulerConfig cfg;
-    cfg.faults = singleCrash(0, /*at=*/1);
-    cfg.recovery.maxRetries = 0; // first kill exhausts the budget
+    cfg.faults = flappingDevice(0, /*firstCrash=*/1,
+                                /*period=*/milliseconds(10),
+                                /*downFor=*/milliseconds(1),
+                                /*cycles=*/kMaxRetries + 1);
     EventScheduler sched(fm, cfg);
     auto out = sched.run(queue, FifoPolicy{});
 
@@ -895,7 +899,8 @@ TEST(Faults, RetryBudgetExhaustionFaultSheds)
     ASSERT_EQ(out.shed.size(), 1u);
     EXPECT_EQ(out.shed[0].reason, DropReason::FaultBudget);
     EXPECT_EQ(out.faults.faultSheds, 1);
-    EXPECT_EQ(out.faults.retries, 0);
+    EXPECT_EQ(out.faults.retries, kMaxRetries);
+    EXPECT_EQ(out.faults.crashes, kMaxRetries + 1);
     EXPECT_EQ(out.goodput(), 0u);
 }
 

@@ -291,7 +291,6 @@ TEST(TraceDeterminism, FastSimMatchesEventSchedulerServingStream)
     CounterRegistry reg;
     gate.exportCounters(reg);
     EXPECT_EQ(reg.value("admission.admitted") +
-                  reg.value("admission.degraded") +
                   reg.value("admission.shed"),
               static_cast<std::int64_t>(gate.decisions().total()));
 }

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 
 #include "common/rng.hh"
@@ -194,37 +193,6 @@ TEST(CpSolver, DecisionLimitYieldsFeasibleOrUnknown)
     auto r = CpSolver(params).solve(m);
     EXPECT_TRUE(r.status == SolveStatus::Feasible ||
                 r.status == SolveStatus::Unknown);
-    EXPECT_FALSE(r.timeLimited); // the decision budget stopped it
-}
-
-TEST(CpSolver, TimeLimitRespected)
-{
-    SolverParams params;
-    params.timeLimitSeconds = 0.05;
-    // Hard 0/1 instance: subset-sum-like with no early exit.
-    CpModel m;
-    Rng rng(3);
-    std::vector<LinearTerm> sum;
-    for (int i = 0; i < 48; ++i) {
-        auto v = m.newIntVar(0, 1);
-        sum.push_back({v, rng.uniformInt(7, 97)});
-    }
-    m.addEquality(sum, 1009);
-    std::vector<LinearTerm> obj = sum;
-    m.minimize(obj);
-
-    // FMLINT(allow:no-wall-clock) speedup measurement harness; asserted bound is a ratio, not plan content
-    auto t0 = std::chrono::steady_clock::now();
-    auto r = CpSolver(params).solve(m);
-    double elapsed =
-        // FMLINT(allow:no-wall-clock) speedup measurement harness; asserted bound is a ratio, not plan content
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    EXPECT_LT(elapsed, 1.0); // well within a second despite hardness
-    // No decision budget: only the clock can leave a search unfinished.
-    EXPECT_EQ(r.timeLimited, r.status == SolveStatus::Feasible ||
-                                 r.status == SolveStatus::Unknown);
 }
 
 /** Small random model: nvars variables over [0, dom], 1-4 rows, maybe
@@ -804,7 +772,7 @@ TEST(CpSolver, ScalesToOpgWindowSizedProblems)
     m.minimize(obj);
 
     SolverParams params;
-    params.timeLimitSeconds = 2.0;
+    params.maxDecisions = 20000;
     auto r = CpSolver(params).solve(m);
     ASSERT_TRUE(r.feasible());
     // 240 chunks over layers of capacity 40: the optimal late packing
