@@ -37,21 +37,18 @@
  * fully-calibrated oracle estimator vs the deployed warm-only view
  * whose cold estimates ride the GBT predicted tier.
  *
- * The observability study (`serving_obs` JSON section) times the
- * 200k-request crash_midrun fault scenario with tracing off, on, and
- * off again (median of three runs per pass): the off/off delta is the
- * machine's noise floor, the on/off ratio is the recorder's true
- * overhead, and the traced outcome must equal the untraced one
- * bit-for-bit. `--trace PATH` exports a Chrome/Perfetto trace
- * (ui.perfetto.dev) of a representative faulty overload run with the
- * arrival gate engaged.
+ * `--trace PATH` exports a Chrome/Perfetto trace (ui.perfetto.dev) of
+ * a representative faulty overload run with the arrival gate engaged.
+ * Tracing cost is perfbench's obs.trace_on_ratio; that a traced run's
+ * outcome equals the untraced one is a ctest case (test_obs.cc).
+ *
+ * Every number the JSON holds is simulated or counted, so a fresh run
+ * reproduces the committed sections byte for byte on any host.
  */
 
 #include "bench/harness.hh"
 
 #include <algorithm>
-#include <limits>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -276,23 +273,6 @@ runShardingStudy(const Arm &arm, ThreadPool &pool,
     f.demoOverlap =
         serving::simulateServing(llm, fifo, arm.services, overlap_p);
     return f;
-}
-
-double
-shardingScalingEfficiency(const ShardingFigures &f, int devices)
-{
-    double base = 0.0, at = 0.0;
-    for (const auto &p : f.points) {
-        if (!p.overlap)
-            continue;
-        if (p.devices == 1)
-            base = p.maxQps;
-        if (p.devices == devices)
-            at = p.maxQps;
-    }
-    if (base <= 0.0)
-        return 0.0;
-    return at / (static_cast<double>(devices) * base);
 }
 
 // ------------------------------------------------------- fault study
@@ -661,21 +641,6 @@ reportAdmissionStudy(const AdmissionStudy &study)
  * meant to be opened in ui.perfetto.dev, not to stress the sim). */
 constexpr std::size_t kTraceExportRequests = 5000;
 
-/** Export @p fc as obs counters under "faults.*" (the canonical
- * machine-readable rendering; deterministic snapshot order). */
-void
-exportFaultCounters(const multidnn::FaultCounters &fc,
-                    obs::CounterRegistry &reg)
-{
-    reg.add("faults.crashes", fc.crashes);
-    reg.add("faults.timeouts", fc.timeouts);
-    reg.add("faults.dma_aborts", fc.dmaAborts);
-    reg.add("faults.retries", fc.retries);
-    reg.add("faults.failovers", fc.failovers);
-    reg.add("faults.fault_sheds", fc.faultSheds);
-    reg.add("faults.starved", fc.starved);
-}
-
 /**
  * `--trace PATH`: one representative faulty overload run — 2x
  * overload on the 4-device overlap cluster, a mid-run crash plus a
@@ -729,125 +694,6 @@ runTraceExport(const char *path)
     if (!ok)
         std::cerr << "trace export failed shape check or write\n";
     return ok ? 0 : 1;
-}
-
-/** Wall seconds of one call (bench-side measurement only — the sim
- * itself never reads wall clocks). */
-template <typename Fn>
-double
-wallSeconds(Fn &&fn)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    fn();
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/** The observability overhead study. Returns (all-pass, fragment). */
-std::pair<bool, std::string>
-runObsStudy(const Arm &arm)
-{
-    printHeading(std::cout,
-                 "Observability: tracing overhead on the serving path");
-    const double qps =
-        kHeadlineUtil * arm.capacityQps * kFaultDevices;
-    const SimTime horizon = seconds(
-        static_cast<double>(kFaultRequests) / qps);
-    auto trace = serving::poissonTrace(arm.mix, qps, kFaultRequests,
-                                       kTraceSeed);
-    auto plan = multidnn::crashAndRejoin(0, horizon / 2, horizon / 4);
-    multidnn::DeadlinePolicy policy;
-
-    auto run_once = [&](obs::TraceRecorder *rec) {
-        serving::ServingSimParams params;
-        params.readyLimit = 0;
-        params.cluster.deviceCount = kFaultDevices;
-        params.cluster.overlapInitWithExec = true;
-        params.faults = plan;
-        params.trace = rec;
-        return serving::simulateServing(trace, policy, arm.services,
-                                        params);
-    };
-    // Min-of-N with the three arms interleaved per round: scheduler
-    // noise is strictly additive on top of the true cost, so the
-    // minimum is the least-biased estimator on a shared machine, and
-    // interleaving means a load spike degrades all arms alike instead
-    // of silently inflating whichever block it landed on. The off-off
-    // delta is the residual noise floor; the recorder's cost must not
-    // be hiding inside it.
-    // Each timed sample is three back-to-back sims so short load
-    // spikes average out within a sample instead of dominating it.
-    obs::TraceRecorder rec;
-    auto sample = [&](obs::TraceRecorder *r) {
-        return wallSeconds([&] {
-            for (int k = 0; k < 3; ++k) {
-                if (r)
-                    r->clear();
-                run_once(r);
-            }
-        }) / 3.0;
-    };
-    double off1 = std::numeric_limits<double>::infinity();
-    double on = off1, off2 = off1;
-    for (int i = 0; i < 5; ++i) {
-        off1 = std::min(off1, sample(nullptr));
-        on = std::min(on, sample(&rec));
-        off2 = std::min(off2, sample(nullptr));
-    }
-    double off_mean = 0.5 * (off1 + off2);
-    double on_overhead = on / std::max(off_mean, 1e-12);
-    double off_delta = std::abs(off1 - off2) /
-                       std::max(std::min(off1, off2), 1e-12);
-
-    // The traced outcome is the untraced outcome, bit for bit.
-    auto plain = run_once(nullptr);
-    rec.clear();
-    auto traced = run_once(&rec);
-    bool identical =
-        plain.stats.completed() == traced.stats.completed() &&
-        plain.stats.shedCount() == traced.stats.shedCount() &&
-        plain.stats.goodput() == traced.stats.goodput() &&
-        plain.makespan == traced.makespan &&
-        plain.faults.retries == traced.faults.retries;
-
-    obs::CounterRegistry reg;
-    exportFaultCounters(traced.faults, reg);
-    reg.setGauge("obs.trace_events",
-                 static_cast<std::int64_t>(rec.size()));
-    std::cout << "crash_midrun, " << kFaultRequests
-              << " requests: off " << formatDouble(off1, 3) << " s, on "
-              << formatDouble(on, 3) << " s, off again "
-              << formatDouble(off2, 3) << " s (min of 5)\n"
-              << "tracing-on overhead: "
-              << formatDouble(100.0 * (on_overhead - 1.0), 2)
-              << "%, off-path noise floor: "
-              << formatDouble(100.0 * off_delta, 2) << "%\n"
-              << "traced outcome identical to untraced: "
-              << (identical ? "yes" : "NO") << "\n";
-    reg.writeText(std::cout);
-
-    bool ok = identical && rec.size() > 0;
-    std::cout << "Observability shape check (outcome unchanged, "
-                 "events recorded): "
-              << (ok ? "PASS" : "FAIL") << "\n";
-
-    std::ostringstream json;
-    json << "  \"serving_obs\": {\n    \"request_count\": "
-         << kFaultRequests
-         << ",\n    \"scenario\": \"crash_midrun\",\n"
-         << "    \"devices\": " << kFaultDevices
-         << ",\n    \"policy\": \"deadline\",\n    \"off_seconds\": "
-         << formatDouble(off1, 6)
-         << ",\n    \"on_seconds\": " << formatDouble(on, 6)
-         << ",\n    \"off2_seconds\": " << formatDouble(off2, 6)
-         << ",\n    \"on_overhead_ratio\": "
-         << formatDouble(on_overhead, 6)
-         << ",\n    \"off_delta_ratio\": "
-         << formatDouble(off_delta, 6)
-         << ",\n    \"trace_events\": " << rec.size()
-         << ",\n    \"outcome_identical\": "
-         << (identical ? "true" : "false") << "\n  }";
-    return {ok, json.str()};
 }
 
 /** Bit-exact equality of the determinism-relevant figures. */
@@ -1091,14 +937,11 @@ main(int argc, char **argv)
     }
     st.print(std::cout);
 
-    double eff4 = shardingScalingEfficiency(sharding, 4);
     double demo_speedup =
         static_cast<double>(sharding.demoSerial.makespan) /
         static_cast<double>(
             std::max<SimTime>(sharding.demoOverlap.makespan, 1));
-    std::cout << "scaling efficiency at 4 devices (overlap on): "
-              << formatDouble(100.0 * eff4, 1) << "%\n"
-              << "back-to-back LLM overlap demo ("
+    std::cout << "back-to-back LLM overlap demo ("
               << kOverlapDemoRequests << "x GPTN-S, 1 device): "
               << formatMs(sharding.demoSerial.makespan) << " -> "
               << formatMs(sharding.demoOverlap.makespan) << " ("
@@ -1137,8 +980,7 @@ main(int argc, char **argv)
     std::ostringstream sjson;
     sjson << "  \"serving_sharding\": {\n    \"policy\": \"fifo\",\n"
           << "    \"request_count\": " << kShardingRequests
-          << ",\n    \"scaling_efficiency_4dev\": "
-          << formatDouble(eff4, 4) << ",\n    \"scaling\": [\n";
+          << ",\n    \"scaling\": [\n";
     for (std::size_t i = 0; i < sharding.points.size(); ++i) {
         const auto &p = sharding.points[i];
         const auto &s = p.headline.stats;
@@ -1257,14 +1099,10 @@ main(int argc, char **argv)
     auto [admission_ok, ajson] = reportAdmissionStudy(admission);
     ok &= admission_ok;
 
-    // --------------------------------------- observability study
-    auto [obs_ok, ojson] = runObsStudy(arm);
-    ok &= obs_ok;
-
     if (argc > 1) {
         std::ofstream out(argv[1]);
-        out << json.str() << fjson.str() << ajson << ",\n" << ojson
-            << ",\n" << sjson.str() << "}\n";
+        out << json.str() << fjson.str() << ajson << ",\n"
+            << sjson.str() << "}\n";
         if (out.good()) {
             std::cout << "wrote " << argv[1] << "\n";
         } else {

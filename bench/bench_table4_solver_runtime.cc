@@ -18,8 +18,11 @@
  * demonstrate the plan memo (re-planning an unchanged model reuses
  * its finished window solves) and merge-time re-balancing.
  *
- * With an argument, also writes the measurements as JSON (consumed by
- * tools/run_benchmarks.sh -> BENCH_table4.json).
+ * With an argument, also writes the host-independent results as JSON
+ * (consumed by tools/run_benchmarks.sh -> BENCH_table4.json): statuses,
+ * objectives, work counters, memo hits and re-balancing figures. Every
+ * host time is printed only; perfbench's zoo_compile compile_s and
+ * lc_opg.* spans measure planner time.
  */
 
 #include "bench/harness.hh"
@@ -199,8 +202,7 @@ main(int argc, char **argv)
              << "\", \"objective\": " << r.objective
              << ", \"decisions\": " << r.decisions
              << ", \"propagations\": " << r.propagations
-             << ", \"backtracks\": " << r.backtracks
-             << ", \"wall_s\": " << r.wallSeconds << "}"
+             << ", \"backtracks\": " << r.backtracks << "}"
              << (i + 1 < suite.size() ? "," : "") << "\n";
     }
     cmp.print(std::cout);
@@ -238,10 +240,10 @@ main(int argc, char **argv)
     gpusim::KernelModel km(gpusim::DeviceProfile::onePlus12());
     profiler::AnalyticCapacityProvider cap(km);
 
-    Table t({"Model", "Process (s)", "(paper)", "Build (s)", "(paper)",
-             "Solve (s)", "(paper)", "Status", "(paper)"});
+    Table t({"Model", "Process (s)", "(paper)", "Stage (s)", "Build (s)",
+             "(paper)", "Solve (s)", "(paper)", "Solve CPU (s)",
+             "Merge (s)", "Status", "(paper)"});
     double total_70b = 0.0, total_s = 0.0;
-    int plan_threads = 1;
     json << "  \"table4\": [\n";
     for (std::size_t i = 0; i < t4models.size(); ++i) {
         const auto &e = t4models[i];
@@ -257,24 +259,21 @@ main(int argc, char **argv)
         core::PlanStats stats;
         auto plan = planner.plan(&stats);
         ok &= plan.validate(*e.graph, false);
-        plan_threads = stats.threads;
 
         const char *status =
             solver::solveStatusName(stats.overallStatus);
         t.addRow({e.name, formatDouble(stats.processNodesSeconds, 3),
                   formatDouble(pub.p_process, 3),
+                  formatDouble(stats.stageSeconds, 3),
                   formatDouble(stats.buildModelSeconds, 3),
                   formatDouble(pub.p_build, 3),
                   formatDouble(stats.solveSeconds, 2),
-                  formatDouble(pub.p_solve, 2), status, pub.p_status});
+                  formatDouble(pub.p_solve, 2),
+                  formatDouble(stats.solveCpuSeconds, 2),
+                  formatDouble(stats.mergeSeconds, 3), status,
+                  pub.p_status});
         json << "    {\"model\": \"" << e.name
-             << "\", \"process_s\": " << stats.processNodesSeconds
-             << ", \"stage_s\": " << stats.stageSeconds
-             << ", \"build_s\": " << stats.buildModelSeconds
-             << ", \"solve_s\": " << stats.solveSeconds
-             << ", \"solve_cpu_s\": " << stats.solveCpuSeconds
-             << ", \"merge_s\": " << stats.mergeSeconds
-             << ", \"decisions\": " << stats.solverDecisions
+             << "\", \"decisions\": " << stats.solverDecisions
              << ", \"restarts\": " << stats.solverRestarts
              << ", \"rebalanced_chunks\": " << stats.rebalancedChunks
              << ", \"status\": \"" << status << "\"}"
@@ -290,7 +289,7 @@ main(int argc, char **argv)
               stats.overallStatus == solver::SolveStatus::Feasible;
     }
     t.print(std::cout);
-    json << "  ],\n  \"threads\": " << plan_threads << ",\n";
+    json << "  ],\n";
 
     // Scale check: the 70B plan costs far more than the small model,
     // mirroring the paper's nonlinear growth.
@@ -369,10 +368,7 @@ main(int argc, char **argv)
               << repeat_stats.windows << " windows)\n";
     std::cout << "Memo reuse (hits > 0, identical plan and decisions): "
               << (memo_ok ? "PASS" : "FAIL") << "\n";
-    json << "  \"plan_memo\": {\"cold_solve_s\": "
-         << cold_stats.solveSeconds
-         << ", \"warm_solve_s\": " << repeat_stats.solveSeconds
-         << ", \"memo_hits\": " << repeat_stats.memoHits
+    json << "  \"plan_memo\": {\"memo_hits\": " << repeat_stats.memoHits
          << ", \"windows\": " << repeat_stats.windows << "},\n";
 
     // ------------------------------------------------------------------
@@ -430,9 +426,7 @@ main(int argc, char **argv)
     std::cout << "\nRe-balancing pass (>=1 model topped up, preload "
                  "never grows): "
               << (reb_any ? "PASS" : "FAIL") << "\n";
-    json << "  ],\n";
-
-    json << "  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
+    json << "  ]\n}\n";
     if (argc > 1) {
         std::ofstream out(argv[1]);
         out << json.str();

@@ -83,7 +83,7 @@ const char *deviceHealthCodeName(std::int64_t code);
  * Deliberately packed to 48 bytes, widest members first: recording is
  * memory-bandwidth-bound on the serving fast path (~3 events per
  * request), and the struct size is the direct lever on the
- * tracing-on overhead the serving_obs bench section gates. The
+ * tracing-on overhead (perfbench's obs.trace_on_ratio). The
  * narrow fields are still comfortably wide for their ranges —
  * request sequence numbers and run ids into the billions, device
  * and model ids into the tens of thousands.
@@ -123,8 +123,8 @@ class TraceRecorder
     /** @name Emit helpers (one per EventKind).
      * Defined inline: the serving fast path emits ~3 events per
      * request, and keeping the append visible to the caller's
-     * optimizer roughly halves the per-event cost the serving_obs
-     * bench section gates. @{ */
+     * optimizer roughly halves the per-event cost that perfbench's
+     * obs.trace_on_ratio measures. @{ */
     void
     requestArrival(SimTime t, std::uint64_t req, std::int32_t model,
                    SimTime latency_bound)

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Fixture-driven tests for tools/check_bench_regression.py.
+"""Tests for tools/check_bench_regression.py.
 
 The regression gate guards every committed BENCH_table4.json
-replacement (tools/run_benchmarks.sh), so its failure paths need the
-same proof-of-life the lint checks get: a fixture that trips each path
-and an assertion on the exit code and diagnostic. Fixtures live in
-tests/regression_fixtures/.
+replacement (tools/run_benchmarks.sh), so every row of its RULES and
+BOUNDS tables needs proof of life. The failing cases are generated
+from the tables: each RULES row worsens its field in one row of
+tests/regression_fixtures/snapshot_good.json just past its tolerance
+(one named failure) and exactly to it (a pass); each BOUNDS row
+breaks its bound (one named failure).
 
 Run directly or via ctest (check_bench_regression_selftest).
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +21,15 @@ import tempfile
 import unittest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "tools"))
+from check_bench_regression import (  # noqa: E402
+    ALL, BOUNDS, RULES, STATUS_ORDER, show)
+
 GATE = os.path.join(REPO, "tools", "check_bench_regression.py")
 FIXTURES = os.path.join(REPO, "tests", "regression_fixtures")
+GOOD = os.path.join(FIXTURES, "snapshot_good.json")
+MALFORMED = os.path.join(FIXTURES, "malformed.json")
+SNAPSHOT = os.path.join(REPO, "BENCH_table4.json")
 
 
 def run_gate(*args):
@@ -29,11 +39,80 @@ def run_gate(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def fixture(name):
-    return os.path.join(FIXTURES, name)
+def good():
+    with open(GOOD) as f:
+        return json.load(f)
 
 
-GOOD = fixture("snapshot_good.json")
+def gate_fresh(snap):
+    """Gate @snap as the fresh run against snapshot_good.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fresh.json")
+        with open(path, "w") as f:
+            json.dump(snap, f)
+        return run_gate(GOOD, path)
+
+
+def rows_at(snap, path):
+    node = snap
+    for part in path.split("."):
+        node = node[part]
+    return node if isinstance(node, list) else [node]
+
+
+def tolerance_edge(was, worse, tol):
+    """(the worst value a RULES row passes, the next value past it)."""
+    if worse == "later":
+        return was, STATUS_ORDER[STATUS_ORDER.index(was) + 1]
+    if isinstance(tol, str):
+        frac = float(tol.rstrip("%")) / 100
+        at = was * (1 + frac) if worse == "higher" else was * (1 - frac)
+    else:
+        at = was + tol if worse == "higher" else was - tol
+    return at, math.nextafter(
+        at, math.inf if worse == "higher" else -math.inf)
+
+
+# The closest value that breaks each BOUNDS operator.
+BREAK = {">": lambda v: v, ">=": lambda v: math.nextafter(v, -math.inf),
+         "<=": lambda v: math.nextafter(v, math.inf), "==": lambda v: not v}
+
+
+class GeneratedFromTables(unittest.TestCase):
+    def assert_one_failure(self, snap, *names):
+        rc, out, err = gate_fresh(snap)
+        lines = [l for l in err.splitlines()
+                 if l.startswith("REGRESSION:")]
+        self.assertEqual(rc, 1, f"expected FAIL\n{out}{err}")
+        self.assertEqual(len(lines), 1, err)
+        for name in names:
+            self.assertIn(name, lines[0])
+
+    def test_every_rule_fails_just_past_its_tolerance(self):
+        for path, keys, field, worse, tol in RULES:
+            with self.subTest(path=path, field=field):
+                snap = good()
+                row = rows_at(snap, path)[-1]
+                at, past = tolerance_edge(row[field], worse, tol)
+                row[field] = past
+                self.assert_one_failure(
+                    snap, path, field,
+                    *(f"{k}={show(row[k])}" for k in keys))
+                row[field] = at
+                rc, out, err = gate_fresh(snap)
+                self.assertEqual(rc, 0, f"expected PASS\n{out}{err}")
+
+    def test_every_bound_fails_when_broken(self):
+        for path, keys, want, field, op, value in BOUNDS:
+            with self.subTest(path=path, field=field):
+                snap = good()
+                row = next(r for r in rows_at(snap, path)
+                           if want is ALL or
+                           tuple(r[k] for k in keys) == want)
+                row[field] = BREAK[op](value)
+                self.assert_one_failure(
+                    snap, path, field,
+                    *(f"{k}={show(row[k])}" for k in keys))
 
 
 class PassingRun(unittest.TestCase):
@@ -42,6 +121,12 @@ class PassingRun(unittest.TestCase):
         self.assertEqual(rc, 0, f"expected PASS\n{out}{err}")
         self.assertIn("regression gate: PASS", out)
         self.assertNotIn("REGRESSION:", err)
+
+    def test_committed_snapshot_passes_against_itself(self):
+        # Every table row finds its section, rows and field in the
+        # committed snapshot, so a renamed one fails here.
+        rc, out, err = run_gate(SNAPSHOT, SNAPSHOT)
+        self.assertEqual(rc, 0, f"expected PASS\n{out}{err}")
 
 
 class UsageErrors(unittest.TestCase):
@@ -53,29 +138,33 @@ class UsageErrors(unittest.TestCase):
         self.assertIn("Usage:", err)
 
     def test_missing_file(self):
-        rc, _, err = run_gate(GOOD, fixture("does_not_exist.json"))
+        rc, _, err = run_gate(
+            GOOD, os.path.join(FIXTURES, "does_not_exist.json"))
         self.assertEqual(rc, 2)
         self.assertIn("cannot read fresh snapshot", err)
 
     def test_malformed_json_is_diagnosed_not_a_traceback(self):
-        rc, _, err = run_gate(GOOD, fixture("malformed.json"))
+        rc, _, err = run_gate(GOOD, MALFORMED)
         self.assertEqual(rc, 2)
         self.assertIn("malformed JSON in fresh snapshot", err)
         self.assertNotIn("Traceback", err)
 
     def test_malformed_committed_side_diagnosed_too(self):
-        rc, _, err = run_gate(fixture("malformed.json"), GOOD)
+        rc, _, err = run_gate(MALFORMED, GOOD)
         self.assertEqual(rc, 2)
         self.assertIn("malformed JSON in committed snapshot", err)
 
 
 class MissingSection(unittest.TestCase):
     def test_lost_sections_fail_loudly(self):
-        rc, _, err = run_gate(GOOD, fixture("fresh_missing_section.json"))
+        snap = good()
+        del snap["serving"], snap["serving_faults"]
+        rc, _, err = gate_fresh(snap)
         self.assertEqual(rc, 1)
-        self.assertIn("serving section missing from the fresh run", err)
-        self.assertIn("serving_faults missing from the fresh run", err)
-        self.assertIn("serving_obs missing from the fresh run", err)
+        self.assertIn("serving.policies: missing from the fresh run", err)
+        self.assertIn("serving_faults.scenarios: missing from the fresh "
+                      "run", err)
+        self.assertIn("serving_faults: missing from the fresh run", err)
 
 
 class MissingRowField(unittest.TestCase):
@@ -83,118 +172,40 @@ class MissingRowField(unittest.TestCase):
     failure, not a KeyError traceback."""
 
     def setUp(self):
-        with open(GOOD) as f:
-            fresh = json.load(f)
-        del fresh["solver_comparison"]["instances"][0]["objective"]
-        del fresh["table4"][0]["status"]
-        del fresh["fig6_policies"][0]["policy"]
-        self.tmp = tempfile.TemporaryDirectory()
-        path = os.path.join(self.tmp.name, "fresh_missing_field.json")
-        with open(path, "w") as f:
-            json.dump(fresh, f)
-        self.rc, _, self.err = run_gate(GOOD, path)
-
-    def tearDown(self):
-        self.tmp.cleanup()
+        snap = good()
+        del snap["solver_comparison"]["instances"][0]["objective"]
+        del snap["table4"][0]["status"]
+        del snap["fig6_policies"][0]["policy"]
+        self.rc, _, self.err = gate_fresh(snap)
 
     def test_named_failure_not_a_traceback(self):
         self.assertEqual(self.rc, 1)
         self.assertNotIn("Traceback", self.err)
-        self.assertIn("instance vit-8b: field 'objective' missing "
+        self.assertIn("solver_comparison.instances[name=vit-8b]: field "
+                      "'objective' missing from the fresh run", self.err)
+        self.assertIn("table4[model=ViT-8B]: field 'status' missing "
                       "from the fresh run", self.err)
-        self.assertIn("table4 ViT-8B: field 'status' missing from the "
-                      "fresh run", self.err)
 
     def test_row_without_its_key(self):
-        self.assertIn("fig6 policy #0: field 'policy' missing from the "
+        self.assertIn("fig6_policies #0: key field 'policy' missing "
+                      "from the fresh run", self.err)
+        self.assertIn("fig6_policies[policy=fifo]: row missing from the "
                       "fresh run", self.err)
-        self.assertIn("fig6 policy fifo: missing from the fresh run",
-                      self.err)
 
 
 class DuplicateRowKey(unittest.TestCase):
     """A repeated row key is a named failure: keeping only one of the
     rows would let a regressed row hide behind a good one."""
 
-    def setUp(self):
-        with open(GOOD) as f:
-            fresh = json.load(f)
-        rows = fresh["fig6_policies"]
-        regressed = dict(rows[0], makespan_ms=rows[0]["makespan_ms"] * 5)
-        rows.insert(0, regressed)
-        self.tmp = tempfile.TemporaryDirectory()
-        path = os.path.join(self.tmp.name, "fresh_duplicate_row.json")
-        with open(path, "w") as f:
-            json.dump(fresh, f)
-        self.rc, self.out, self.err = run_gate(GOOD, path)
-
-    def tearDown(self):
-        self.tmp.cleanup()
-
     def test_duplicate_key_fails(self):
-        self.assertEqual(self.rc, 1, f"expected FAIL\n{self.out}")
-        self.assertIn("fig6 policy fifo: duplicate row in the fresh run",
-                      self.err)
-        self.assertNotIn("regression gate: PASS", self.out)
-
-
-class RegressionBeyondBound(unittest.TestCase):
-    """Each tolerance gate fires on the regressed fixture."""
-
-    def setUp(self):
-        self.rc, self.out, self.err = run_gate(
-            GOOD, fixture("fresh_regressed.json"))
-
-    def test_exit_code_and_prefix(self):
-        self.assertEqual(self.rc, 1)
-        self.assertIn("REGRESSION:", self.err)
-
-    def test_propagations_grew(self):
-        self.assertIn("instance vit-8b: propagations grew "
-                      "2500000 -> 2600000", self.err)
-
-    def test_objective_worsened(self):
-        self.assertIn("instance vit-8b: objective worsened", self.err)
-
-    def test_table4_status_worsened(self):
-        self.assertIn("table4 ViT-8B: status worsened", self.err)
-
-    def test_memory_aware_replans_went_dead(self):
-        self.assertIn("no re-plans", self.err)
-
-    def test_serving_p95_and_goodput(self):
-        self.assertIn("serving policy deadline: p95 worsened", self.err)
-        self.assertIn("serving policy deadline: goodput dropped",
-                      self.err)
-
-    def test_fault_accounting_and_crash_ratio(self):
-        self.assertIn("neither completed nor shed", self.err)
-        self.assertIn("mid-run crash now costs more than 35%", self.err)
-
-    def test_admission_delta_gone_nonpositive(self):
-        self.assertIn("no longer strictly beats", self.err)
-
-    def test_sharding_qps_efficiency_and_overlap(self):
-        self.assertIn("sharding point 4dev/on: max sustainable QPS",
-                      self.err)
-        self.assertIn("scaling efficiency at 4 devices", self.err)
-        self.assertIn("cross-request overlap no longer improves",
-                      self.err)
-
-    def test_obs_overhead_noise_outcome_and_dead_trace(self):
-        self.assertIn("tracing-on overhead exceeds 10%", self.err)
-        self.assertIn("tracing-off arms disagree by more than 10%",
-                      self.err)
-        self.assertIn("tracing must observe, never perturb", self.err)
-        self.assertIn("recorded no events", self.err)
-
-    def test_within_tolerance_rows_not_flagged(self):
-        # The llama2-13b row, the vit-8b decision count and the
-        # 1-device QPS are unchanged in the regressed fixture; the gate
-        # must not flag them.
-        self.assertNotIn("llama2-13b", self.err)
-        self.assertNotIn("vit-8b: decisions grew", self.err)
-        self.assertNotIn("sharding point 1dev/on", self.err)
+        snap = good()
+        rows = snap["fig6_policies"]
+        rows.insert(0, dict(rows[0], makespan_ms=rows[0]["makespan_ms"] * 5))
+        rc, out, err = gate_fresh(snap)
+        self.assertEqual(rc, 1, f"expected FAIL\n{out}")
+        self.assertIn("fig6_policies[policy=fifo]: duplicate row in the "
+                      "fresh run", err)
+        self.assertNotIn("regression gate: PASS", out)
 
 
 if __name__ == "__main__":

@@ -265,6 +265,30 @@ TEST(TraceDeterminism, FastSimMatchesEventSchedulerServingStream)
     auto fast = simulateServing(trace, policy, services, params);
     gate.resetDecisions();
 
+    // Tracing observes and never perturbs: the same fast sim without a
+    // recorder ends in the same outcome.
+    params.trace = nullptr;
+    auto plain = simulateServing(trace, policy, services, params);
+    gate.resetDecisions();
+    EXPECT_EQ(plain.stats.completed(), fast.stats.completed());
+    EXPECT_EQ(plain.stats.shedCount(), fast.stats.shedCount());
+    EXPECT_EQ(plain.arrivalSheds, fast.arrivalSheds);
+    EXPECT_EQ(plain.stats.goodput(), fast.stats.goodput());
+    EXPECT_EQ(plain.stats.p50(), fast.stats.p50());
+    EXPECT_EQ(plain.stats.p95(), fast.stats.p95());
+    EXPECT_EQ(plain.stats.p99(), fast.stats.p99());
+    EXPECT_EQ(plain.makespan, fast.makespan);
+    EXPECT_EQ(plain.faults.crashes, fast.faults.crashes);
+    EXPECT_EQ(plain.faults.timeouts, fast.faults.timeouts);
+    EXPECT_EQ(plain.faults.dmaAborts, fast.faults.dmaAborts);
+    EXPECT_EQ(plain.faults.retries, fast.faults.retries);
+    EXPECT_EQ(plain.faults.failovers, fast.faults.failovers);
+    EXPECT_EQ(plain.faults.faultSheds, fast.faults.faultSheds);
+    EXPECT_EQ(plain.faults.starved, fast.faults.starved);
+    ASSERT_EQ(plain.devices.size(), fast.devices.size());
+    for (std::size_t d = 0; d < plain.devices.size(); ++d)
+        EXPECT_EQ(plain.devices[d].dispatched, fast.devices[d].dispatched);
+
     TraceRecorder real_rec;
     multidnn::SchedulerConfig cfg;
     cfg.cluster.deviceCount = 2;
