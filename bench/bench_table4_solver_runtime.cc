@@ -5,7 +5,8 @@
  * ViT-8B, Llama2-13B, Llama2-70B, each under the paper's 150-second
  * limit. Absolute times differ from the authors' 128-thread
  * workstation; the checks are (a) every plan lands OPTIMAL or FEASIBLE,
- * and (b) cost grows with model scale.
+ * and (b) cost grows with model scale: Llama2-70B takes more than twice
+ * GPTN-S's solver decisions.
  *
  * Part 1 runs the CP solver on eight OPG-window-shaped instances: three
  * solved to exhaustion (status OPTIMAL, a fixed optimum) and five
@@ -243,7 +244,7 @@ main(int argc, char **argv)
     Table t({"Model", "Process (s)", "(paper)", "Stage (s)", "Build (s)",
              "(paper)", "Solve (s)", "(paper)", "Solve CPU (s)",
              "Merge (s)", "Status", "(paper)"});
-    double total_70b = 0.0, total_s = 0.0;
+    std::uint64_t decisions_70b = 0, decisions_s = 0;
     json << "  \"table4\": [\n";
     for (std::size_t i = 0; i < t4models.size(); ++i) {
         const auto &e = t4models[i];
@@ -279,12 +280,10 @@ main(int argc, char **argv)
              << ", \"status\": \"" << status << "\"}"
              << (i + 1 < t4models.size() ? "," : "") << "\n";
 
-        double total = stats.processNodesSeconds +
-                       stats.buildModelSeconds + stats.solveSeconds;
         if (e.name == "GPTN-S")
-            total_s = total;
+            decisions_s = stats.solverDecisions;
         if (e.name == "Llama2-70B")
-            total_70b = total;
+            decisions_70b = stats.solverDecisions;
         ok &= stats.overallStatus == solver::SolveStatus::Optimal ||
               stats.overallStatus == solver::SolveStatus::Feasible;
     }
@@ -292,8 +291,9 @@ main(int argc, char **argv)
     json << "  ],\n";
 
     // Scale check: the 70B plan costs far more than the small model,
-    // mirroring the paper's nonlinear growth.
-    ok &= total_70b > 2.0 * total_s;
+    // mirroring the paper's nonlinear growth. Solver decisions, not
+    // host seconds, so the verdict does not depend on the host's load.
+    ok &= decisions_70b > 2 * decisions_s;
     std::cout << "\nShape check (all plans feasible, cost grows with "
                  "scale): "
               << (ok ? "PASS" : "FAIL") << "\n";

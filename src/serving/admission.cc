@@ -45,21 +45,33 @@ constexpr profiler::GbtParams kServiceModelGbt{.trees = 80,
                                                .minSamplesLeaf = 1,
                                                .subsample = 1.0};
 
+/** Index of @p model in a per-ModelId table of @p size entries. */
+std::size_t
+zooIndex(models::ModelId model, std::size_t size)
+{
+    auto i = static_cast<std::size_t>(model);
+    FM_ASSERT(i < size, "ServiceEstimator: model outside the zoo");
+    return i;
+}
+
 } // namespace
 
 ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated)
+    : estimates_(models::modelZoo().size())
 {
     calibrated_count_ = calibrated.size();
+    auto slot = [&](models::ModelId model) -> ServiceEstimate & {
+        return estimates_[zooIndex(model, estimates_.size())];
+    };
 
     // Tier 1: calibrated entries pass through verbatim.
     SimTime slowest = 0, slowest_degraded = 0;
     for (const auto &[model, profile] : calibrated) {
         FM_ASSERT(profile.service > 0,
                   "ServiceEstimator: non-positive calibrated service");
-        estimates_.emplace(model,
-                           ServiceEstimate{profile.service,
-                                           profile.degradedService,
-                                           EstimateTier::Calibrated});
+        slot(model) = ServiceEstimate{profile.service,
+                                      profile.degradedService,
+                                      EstimateTier::Calibrated};
         slowest = std::max(slowest, profile.service);
         slowest_degraded =
             std::max(slowest_degraded, profile.degradedService);
@@ -136,7 +148,7 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated)
     // Precompute the ladder estimate for every zoo model so estimate()
     // is a const lookup (shareable across concurrent runs).
     for (const auto &spec : models::modelZoo()) {
-        if (estimates_.count(spec.id))
+        if (calibrated.count(spec.id))
             continue;
         if (trained_) {
             auto features =
@@ -151,14 +163,12 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated)
             SimTime degraded = std::max<SimTime>(
                 1, static_cast<SimTime>(std::llround(
                        pred * inflation_ * degraded_ratio)));
-            estimates_.emplace(spec.id,
-                               ServiceEstimate{service, degraded,
-                                               EstimateTier::Predicted});
+            slot(spec.id) = ServiceEstimate{service, degraded,
+                                            EstimateTier::Predicted};
         } else {
-            estimates_.emplace(
-                spec.id,
+            slot(spec.id) =
                 ServiceEstimate{pessimistic, pessimistic_degraded,
-                                EstimateTier::Pessimistic});
+                                EstimateTier::Pessimistic};
         }
     }
 }
@@ -166,10 +176,7 @@ ServiceEstimator::ServiceEstimator(const ServiceTable &calibrated)
 const ServiceEstimate &
 ServiceEstimator::estimate(models::ModelId model) const
 {
-    auto it = estimates_.find(model);
-    FM_ASSERT(it != estimates_.end(),
-              "ServiceEstimator: model outside the zoo");
-    return it->second;
+    return estimates_[zooIndex(model, estimates_.size())];
 }
 
 AdmissionController::AdmissionController(

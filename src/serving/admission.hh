@@ -50,7 +50,7 @@
 #define FLASHMEM_SERVING_ADMISSION_HH
 
 #include <cstddef>
-#include <map>
+#include <vector>
 
 #include "multidnn/device.hh"
 #include "multidnn/policies.hh"
@@ -91,15 +91,17 @@ inline constexpr SimTime kFallbackService = seconds(1);
  * The three-tier service-time estimator. Construction trains the
  * predictor on the calibrated table (when it has >= 2 entries) and
  * precomputes an estimate for every zoo model, so estimate()
- * afterwards is a const map lookup — cheap, deterministic, and safe to
- * share across concurrent simulator runs.
+ * afterwards indexes a dense per-ModelId table — cheap (the arrival
+ * gate calls it once per ready entry per arrival), deterministic, and
+ * safe to share across concurrent simulator runs.
  */
 class ServiceEstimator
 {
   public:
     explicit ServiceEstimator(const ServiceTable &calibrated);
 
-    /** The ladder estimate for @p model. */
+    /** The ladder estimate for @p model; fatal for an id outside the
+     * zoo. */
     const ServiceEstimate &estimate(models::ModelId model) const;
 
     std::size_t calibratedCount() const { return calibrated_count_; }
@@ -109,7 +111,8 @@ class ServiceEstimator
     double inflation() const { return inflation_; }
 
   private:
-    std::map<models::ModelId, ServiceEstimate> estimates_;
+    /** Indexed by ModelId; one entry per zoo model. */
+    std::vector<ServiceEstimate> estimates_;
     std::size_t calibrated_count_ = 0;
     bool trained_ = false;
     double inflation_ = 1.0;

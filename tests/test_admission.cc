@@ -85,6 +85,17 @@ TEST(Estimator, EmptyTableFallsBackToFixedService)
     EXPECT_EQ(e.service, kFallbackService);
 }
 
+TEST(Estimator, IdOutsideTheZooFailsLoudly)
+{
+    // estimate() indexes a per-ModelId table: an id past the zoo must
+    // stop at the bounds check, not read past the table.
+    ServiceEstimator est(handTable());
+    auto last = models::modelZoo().back().id;
+    EXPECT_EQ(est.estimate(last).tier, EstimateTier::Predicted);
+    auto past = static_cast<ModelId>(models::modelZoo().size());
+    EXPECT_DEATH(est.estimate(past), "model outside the zoo");
+}
+
 TEST(Estimator, PredictedTierIsInflatedAndDeterministic)
 {
     ServiceEstimator a(handTable());

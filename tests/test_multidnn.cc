@@ -969,5 +969,19 @@ TEST(Faults, StuckClockGuardPanicsLoudly)
     EXPECT_DEATH(sched.run(queue, FifoPolicy{}), "event loop stuck");
 }
 
+TEST(Faults, StuckClockDiagnosticCountsArrivalsNotYetConsumed)
+{
+    // Arrivals stream from the queue, not the event heap, and the
+    // panic's pendingEvents counts both: four simultaneous arrivals
+    // trip a one-event limit at the second, with two still to come.
+    FlashMem fm(DeviceProfile::onePlus12());
+    std::vector<ModelRequest> queue(4, {ModelId::ResNet50, 0, 0, 0});
+    SchedulerConfig cfg;
+    cfg.recovery.stuckEventLimit = 1;
+    EventScheduler sched(fm, cfg);
+    EXPECT_DEATH(sched.run(queue, FifoPolicy{}),
+                 "ready=1 pendingEvents=2 inFlight=0");
+}
+
 } // namespace
 } // namespace flashmem::multidnn

@@ -4,17 +4,25 @@
  * shape + determinism), CSV/JSONL replay round-trips, the fast
  * request-level simulator (exact hand-checked timelines, SLO
  * admission, instability abort), capacity sweeps (monotonicity,
- * thread-count determinism), and service calibration against the real
- * FlashMem planner.
+ * thread-count determinism), service calibration against the real
+ * FlashMem planner, and drains that must not depend on the order a
+ * replayed queue lists its requests in.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <numeric>
 #include <sstream>
+#include <tuple>
 
+#include "common/rng.hh"
 #include "core/flashmem.hh"
+#include "obs/trace.hh"
+#include "serving/admission.hh"
 #include "serving/sweep.hh"
 
 namespace flashmem::serving {
@@ -917,6 +925,229 @@ TEST(FaultServing, CrossValidatesAgainstEventSchedulerUnderFaults)
         EXPECT_EQ(real.devices[d].dmaBusyTime,
                   fast.devices[d].dmaBusyTime);
     }
+}
+
+// ------------------------------------------------------ queue order
+
+/** @p sorted listed in a seeded random order, written as CSV and read
+ * back through loadTrace. @p to_sorted receives, for each index of the
+ * returned queue, the request's index in @p sorted. */
+std::vector<ModelRequest>
+shuffledReplay(const std::vector<ModelRequest> &sorted,
+               std::uint64_t seed, const std::string &name,
+               std::vector<std::size_t> &to_sorted)
+{
+    to_sorted.resize(sorted.size());
+    std::iota(to_sorted.begin(), to_sorted.end(), std::size_t{0});
+    Rng rng(seed);
+    for (std::size_t j = to_sorted.size(); j > 1; --j)
+        std::swap(to_sorted[j - 1],
+                  to_sorted[static_cast<std::size_t>(rng.uniformInt(
+                      0, static_cast<std::int64_t>(j - 1)))]);
+    std::vector<ModelRequest> shuffled;
+    for (std::size_t k : to_sorted)
+        shuffled.push_back(sorted[k]);
+
+    std::string path = testing::TempDir() + name + ".csv";
+    {
+        std::ofstream out(path);
+        writeCsvTrace(out, shuffled);
+    }
+    auto replayed = loadTrace(path);
+    std::remove(path.c_str());
+    return replayed;
+}
+
+/** What one drain did, with every queue index mapped to the request's
+ * index in the sorted trace. */
+struct Observed
+{
+    std::size_t completed = 0;
+    /** (sorted index, drop time, reason) per dropped request, in drop
+     * order. */
+    std::vector<std::tuple<std::size_t, SimTime, int>> sheds;
+    SimTime p50 = 0, p95 = 0, p99 = 0, makespan = 0;
+    multidnn::FaultCounters faults;
+    std::vector<std::size_t> dispatched;
+};
+
+Observed
+observe(const ServingOutcome &o, const obs::TraceRecorder &rec,
+        const std::vector<std::size_t> &to_sorted)
+{
+    Observed v;
+    v.completed = o.stats.completed();
+    for (const auto &e : rec.events()) {
+        if (e.kind == obs::EventKind::RequestShed)
+            v.sheds.emplace_back(to_sorted[e.id], e.time,
+                                 static_cast<int>(e.a));
+    }
+    v.p50 = o.stats.p50();
+    v.p95 = o.stats.p95();
+    v.p99 = o.stats.p99();
+    v.makespan = o.makespan;
+    v.faults = o.faults;
+    for (const auto &d : o.devices)
+        v.dispatched.push_back(d.dispatched);
+    return v;
+}
+
+Observed
+observe(const multidnn::ScheduleOutcome &o,
+        const std::vector<std::size_t> &to_sorted)
+{
+    auto stats = ServingStats::fromOutcome(o);
+    Observed v;
+    v.completed = o.runs.size();
+    for (const auto &d : o.shed)
+        v.sheds.emplace_back(to_sorted[d.queueIndex], d.shedAt,
+                             static_cast<int>(d.reason));
+    v.p50 = stats.p50();
+    v.p95 = stats.p95();
+    v.p99 = stats.p99();
+    v.makespan = o.makespan;
+    v.faults = o.faults;
+    for (const auto &d : o.devices)
+        v.dispatched.push_back(d.dispatched);
+    return v;
+}
+
+void
+expectSameDrain(const Observed &sorted, const Observed &shuffled)
+{
+    EXPECT_EQ(sorted.completed, shuffled.completed);
+    EXPECT_EQ(sorted.sheds, shuffled.sheds);
+    EXPECT_EQ(sorted.p50, shuffled.p50);
+    EXPECT_EQ(sorted.p95, shuffled.p95);
+    EXPECT_EQ(sorted.p99, shuffled.p99);
+    EXPECT_EQ(sorted.makespan, shuffled.makespan);
+    EXPECT_EQ(sorted.faults.crashes, shuffled.faults.crashes);
+    EXPECT_EQ(sorted.faults.timeouts, shuffled.faults.timeouts);
+    EXPECT_EQ(sorted.faults.dmaAborts, shuffled.faults.dmaAborts);
+    EXPECT_EQ(sorted.faults.retries, shuffled.faults.retries);
+    EXPECT_EQ(sorted.faults.failovers, shuffled.faults.failovers);
+    EXPECT_EQ(sorted.faults.faultSheds, shuffled.faults.faultSheds);
+    EXPECT_EQ(sorted.faults.starved, shuffled.faults.starved);
+    EXPECT_EQ(sorted.dispatched, shuffled.dispatched);
+}
+
+TEST(QueueOrder, ShuffledReplayDrainsLikeTheSortedTrace)
+{
+    // The loop streams arrivals in (arrival, queue index) order, so a
+    // replayed file that lists the same requests in another order
+    // must drain to the same outcome, request for request, on both
+    // execution paths: same sheds at the same instants for the same
+    // reasons, same latency order, same fault accounting.
+    core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
+    ModelMix mix;
+    mix.entries = {{ModelId::ResNet50, 2.0, milliseconds(150), 0},
+                   {ModelId::DepthAnythingS, 1.0, milliseconds(400),
+                    0},
+                   {ModelId::ResNet50, 1.0, 0, 0}};
+    auto services = calibrateServices(fm, mix.distinctModels());
+    ServiceEstimator estimator(services);
+    AdmissionController gate(estimator);
+
+    multidnn::FaultPlanParams fp;
+    fp.stallsPerSecond = 0.5;
+    fp.meanStall = milliseconds(40);
+    fp.dmaErrorsPerSecond = 1.0;
+    auto plan = multidnn::mergeFaultPlans(
+        multidnn::crashAndRejoin(0, milliseconds(500),
+                                 milliseconds(400)),
+        multidnn::generateFaultPlan(fp, 2, seconds(60), 7));
+
+    multidnn::DeadlinePolicy policy;
+    auto drainFast = [&](const std::vector<ModelRequest> &queue,
+                         const std::vector<std::size_t> &to_sorted) {
+        obs::TraceRecorder rec;
+        ServingSimParams params;
+        params.readyLimit = 0;
+        params.cluster.deviceCount = 2;
+        params.cluster.overlapInitWithExec = true;
+        params.faults = plan;
+        params.arrival = &gate;
+        params.trace = &rec;
+        auto out = simulateServing(queue, policy, services, params);
+        return observe(out, rec, to_sorted);
+    };
+    auto drainReal = [&](const std::vector<ModelRequest> &queue,
+                         const std::vector<std::size_t> &to_sorted) {
+        multidnn::SchedulerConfig cfg;
+        cfg.cluster.deviceCount = 2;
+        cfg.cluster.overlapInitWithExec = true;
+        cfg.faults = plan;
+        cfg.arrivalAdmission = &gate;
+        multidnn::EventScheduler sched(fm, cfg);
+        return observe(sched.run(queue, policy), to_sorted);
+    };
+
+    auto expectOrderFree = [&](std::size_t requests, auto &&drain) {
+        SCOPED_TRACE(requests);
+        auto sorted = poissonTrace(mix, 60.0, requests, /*seed=*/67);
+        // Distinct instants: no arrival tie whose order the queue
+        // index decides (the tie case is the next test).
+        for (std::size_t i = 1; i < sorted.size(); ++i)
+            ASSERT_LT(sorted[i - 1].arrival, sorted[i].arrival);
+        std::vector<std::size_t> to_sorted;
+        auto replayed = shuffledReplay(
+            sorted, 71, "queue_order_" + std::to_string(requests),
+            to_sorted);
+        ASSERT_EQ(replayed.size(), sorted.size());
+        ASSERT_FALSE(std::is_sorted(
+            replayed.begin(), replayed.end(),
+            [](const ModelRequest &a, const ModelRequest &b) {
+                return a.arrival < b.arrival;
+            }));
+        std::vector<std::size_t> identity(sorted.size());
+        std::iota(identity.begin(), identity.end(), std::size_t{0});
+
+        auto a = drain(sorted, identity);
+        auto b = drain(replayed, to_sorted);
+        // The run exercised what order could disturb: arrival and
+        // dispatch sheds, crashes and retries.
+        ASSERT_GT(a.completed, requests / 2);
+        ASSERT_TRUE(std::any_of(
+            a.sheds.begin(), a.sheds.end(), [](const auto &d) {
+                return std::get<2>(d) ==
+                       static_cast<int>(
+                           multidnn::DropReason::ArrivalShed);
+            }));
+        ASSERT_GT(a.faults.crashes, 0);
+        ASSERT_GT(a.faults.retries, 0);
+        expectSameDrain(a, b);
+    };
+    expectOrderFree(3000, drainFast);
+    // The real scheduler executes every dispatch: a shorter trace.
+    expectOrderFree(300, drainReal);
+}
+
+TEST(QueueOrder, SameInstantArrivalsEnterInQueueIndexOrder)
+{
+    // A queue listed latest-first, so the loop must sort it, in which
+    // requests 1 and 2 arrive at the same instant: they reach the
+    // arrival gate in queue-index order.
+    std::vector<ModelRequest> queue{
+        {ModelId::ViT, milliseconds(3), 0, milliseconds(100)},
+        {ModelId::ViT, milliseconds(2), 0, milliseconds(100)},
+        {ModelId::ResNet50, milliseconds(2), 0, milliseconds(100)},
+        {ModelId::ResNet50, milliseconds(1), 0, milliseconds(100)}};
+    ServiceEstimator estimator(handTable());
+    AdmissionController gate(estimator);
+    obs::TraceRecorder rec;
+    ServingSimParams params;
+    params.arrival = &gate;
+    params.trace = &rec;
+    auto out = simulateServing(queue, DeadlinePolicy{}, handTable(),
+                               params);
+    EXPECT_EQ(out.stats.completed(), queue.size());
+
+    std::vector<std::uint32_t> verdicts;
+    for (const auto &e : rec.events()) {
+        if (e.kind == obs::EventKind::AdmissionVerdict)
+            verdicts.push_back(e.id);
+    }
+    EXPECT_EQ(verdicts, (std::vector<std::uint32_t>{3, 1, 2, 0}));
 }
 
 TEST(Sweep, DeviceCountsScaleThroughput)

@@ -93,7 +93,7 @@ targets=()
 
 cmake -B "${build_dir}" -S "${repo_root}" \
       -DCMAKE_BUILD_TYPE=Release -DBUILD_TESTING=OFF >/dev/null
-cmake --build "${build_dir}" -j --target "${targets[@]}"
+cmake --build "${build_dir}" -j "$(nproc)" --target "${targets[@]}"
 
 fresh=()
 if [[ ${run_solver} -eq 1 ]]; then

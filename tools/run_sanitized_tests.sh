@@ -28,7 +28,7 @@ run_one() {
     cmake -B "$build_dir" -S "$repo_root" \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo \
           -DFLASHMEM_SANITIZE="$san" >/dev/null
-    cmake --build "$build_dir" -j >/dev/null
+    cmake --build "$build_dir" -j "$(nproc)" >/dev/null
     echo "=== $san sanitizer: ctest ==="
     # halt_on_error makes a sanitizer report fail the test instead of
     # scrolling past; the TSan history size covers the long-running
