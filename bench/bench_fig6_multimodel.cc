@@ -10,7 +10,8 @@
  * SJF, priority-with-aging, memory-aware admission with on-device
  * re-planning) on the same queue: makespan, mean request latency
  * (end - arrival, queueing delay included) and peak memory per policy.
- * With a JSON-path argument the per-policy numbers are written for
+ * With a JSON-path argument the per-policy numbers, plus the MNN
+ * preload drain's as policy "mnn-preload", are written for
  * BENCH_table4.json's fig6_policies section (tools/run_benchmarks.sh).
  *
  * `--determinism`: instead of the figure, run the memory-aware
@@ -226,6 +227,17 @@ main(int argc, char **argv)
                  "Event-driven scheduler: policy comparison");
     std::ostringstream json;
     json << "{\n  \"fig6_policies\": [\n";
+    auto jsonRow = [&](const std::string &policy,
+                       const multidnn::ScheduleOutcome &o) {
+        json << "    {\"policy\": \"" << policy
+             << "\", \"makespan_ms\": " << toMilliseconds(o.makespan)
+             << ", \"mean_latency_ms\": "
+             << toMilliseconds(o.meanLatency())
+             << ", \"mean_queue_ms\": "
+             << toMilliseconds(o.meanQueueDelay())
+             << ", \"peak_mem_mb\": " << toMiB(o.peakMemory)
+             << ", \"replans\": " << o.replans << "}";
+    };
     Table pt({"Policy", "Makespan", "Mean latency", "Mean queue",
               "Peak mem", "Re-plans", "Memo hits"});
     const auto &kinds = multidnn::allPolicyKinds();
@@ -239,19 +251,15 @@ main(int argc, char **argv)
                    formatBytes(o.peakMemory),
                    std::to_string(o.replans),
                    std::to_string(o.replanMemoHits)});
-        json << "    {\"policy\": \"" << o.policy
-             << "\", \"makespan_ms\": " << toMilliseconds(o.makespan)
-             << ", \"mean_latency_ms\": "
-             << toMilliseconds(o.meanLatency())
-             << ", \"mean_queue_ms\": "
-             << toMilliseconds(o.meanQueueDelay())
-             << ", \"peak_mem_mb\": " << toMiB(o.peakMemory)
-             << ", \"replans\": " << o.replans << "}"
-             << (i + 1 < kinds.size() ? "," : "") << "\n";
+        jsonRow(o.policy, o);
+        json << ",\n";
         outcomes.push_back(std::move(o));
     }
     pt.print(std::cout);
-    json << "  ]\n}\n";
+    // The preload path's FIFO drain of the MNN queue, gated like the
+    // FlashMem policies.
+    jsonRow("mnn-preload", mnn);
+    json << "\n  ]\n}\n";
 
     bool ok = true;
     // FlashMem stays under the configured ceiling (paper: 1.5 GB);

@@ -9,7 +9,6 @@
 #ifndef FLASHMEM_COMMON_LOGGING_HH
 #define FLASHMEM_COMMON_LOGGING_HH
 
-#include <cstddef>
 #include <sstream>
 #include <string>
 
@@ -99,46 +98,6 @@ debugLog(Args &&...args)
 {
     detail::debugImpl(detail::concat(std::forward<Args>(args)...));
 }
-
-/**
- * Rate limiter for a recurring warning site: the first `limit`
- * invocations warn normally, then a single note that further
- * occurrences are suppressed. Deliberately count-based, never
- * time-based — a wall-clock window would make the warning stream
- * (and anything that parses it) non-deterministic, which the
- * no-wall-clock lint forbids outside bench/. One instance per
- * warning site (typically a function-local static or a member).
- */
-class RateLimitedWarn
-{
-  public:
-    explicit RateLimitedWarn(std::size_t limit = 10) : limit_(limit) {}
-
-    template <typename... Args>
-    void
-    operator()(Args &&...args)
-    {
-        ++seen_;
-        if (seen_ <= limit_)
-            warn(std::forward<Args>(args)...);
-        else if (seen_ == limit_ + 1)
-            warn("(further identical warnings suppressed after ",
-                 limit_, " occurrences)");
-    }
-
-    /** Total invocations, emitted or not. */
-    std::size_t seen() const { return seen_; }
-    /** Invocations swallowed past the limit. */
-    std::size_t
-    suppressed() const
-    {
-        return seen_ > limit_ ? seen_ - limit_ : 0;
-    }
-
-  private:
-    std::size_t limit_;
-    std::size_t seen_ = 0;
-};
 
 } // namespace flashmem
 

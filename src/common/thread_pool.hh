@@ -43,8 +43,6 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    int threadCount() const { return static_cast<int>(workers_.size()); }
-
     /**
      * Enqueue @p fn; the returned future yields its result (or rethrows
      * its exception). A throwing task never takes a worker down: the

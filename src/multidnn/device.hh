@@ -7,11 +7,10 @@
  * request's execution on the same device (the paper's memory-hierarchy
  * overlap applied one level up, across requests).
  *
- * The cluster owns the one timing rule both execution paths share:
- * the event-driven EventScheduler (real streamed executions) and the
- * fast request-level serving simulator (calibrated service tables)
- * place runs through DeviceCluster::planTimes / commit, which is what
- * keeps the two paths bit-identical (see serving/sweep.hh).
+ * The cluster owns the one timing rule. The cluster event loop
+ * (multidnn/event_loop.hh) places every run through
+ * DeviceCluster::planTimes / commit, whether the live EventScheduler
+ * or the fast serving simulator's calibrated table priced it.
  *
  * Placement is least-loaded: a request lands on the accepting device
  * whose compute queue frees first (DMA queue, then id, break ties).
@@ -140,8 +139,9 @@ struct DeviceUtilization
     /** Busy fractions over the outcome's makespan (0 when empty). */
     double computeUtilization = 0.0;
     double dmaUtilization = 0.0;
-    /** Peak live memory on this device (real path only; 0 for the
-     * fast simulator unless calibrated peaks are tracked). */
+    /** Peak memory on this device: live on its simulator for the
+     * EventScheduler, the largest calibrated peak placed on it for the
+     * fast simulator. */
     Bytes peakMemory = 0;
     double energyJoules = 0.0;
     /** Time this device spent Down (crashed or wedged), including an
@@ -162,8 +162,9 @@ struct PlacedTimes
 /**
  * N simulated devices behind one admission queue. The cluster is the
  * single owner of the dispatch timing rule (planTimes) and of the
- * per-device resource/accounting state (commit/complete); schedulers
- * ask it which devices can accept work and where a request lands.
+ * per-device resource/accounting state (commit/complete); the event
+ * loop asks it which devices can accept work and where a request
+ * lands.
  */
 class DeviceCluster
 {
@@ -175,7 +176,6 @@ class DeviceCluster
         return static_cast<int>(devices_.size());
     }
     bool overlap() const { return cfg_.overlapInitWithExec; }
-    const ClusterConfig &config() const { return cfg_; }
     const std::vector<DeviceState> &devices() const { return devices_; }
 
     /**

@@ -1,18 +1,18 @@
 /**
  * @file
- * The cluster event loop shared by the two execution paths.
+ * The one serving core: the cluster event loop both execution paths
+ * run.
  *
- * Before the DeviceCluster refactor, multidnn::EventScheduler and the
- * fast serving simulator (serving/sweep.cc) each carried a private
- * copy of the same simulation-clock loop, and their bit-exact
- * equivalence rested on keeping the copies in sync by hand. The loop
- * now lives here once, templated over backend hooks, so the real
- * scheduler (full streamed executions) and the fast simulator
- * (calibrated service-table lookups) literally run the same control
- * flow: same event ordering, same admission pass, same policy
- * selection, same device placement, and — with a FaultPlan — the same
- * fault timeline and recovery decisions. The cross-validation
- * invariant holds by construction, failure path included.
+ * multidnn::EventScheduler (live FlashMem or preload runs on the
+ * device simulators) and the fast serving simulator (serving/sweep.cc,
+ * calibrated service tables) drain their queues through this single
+ * template. The loop owns every decision: event ordering, the arrival
+ * gate, dispatch-point admission, policy selection, device placement,
+ * the timing rule and — with a FaultPlan — the fault timeline and its
+ * recovery. A backend only says what a run costs: its plan budget and
+ * its solo init/exec split. The loop places that split with
+ * DeviceCluster::planTimes and commits it, so the two paths differ in
+ * nothing but where a run's service times come from.
  *
  * Event ordering at equal timestamps: injected faults first (a crash
  * at time T kills the runs in flight at T before anything else
@@ -45,13 +45,12 @@
  * queued when no device can ever accept again are starvation-dropped
  * — the loop never ends with a request unaccounted for.
  *
- * Completion hand-off: onComplete fires once per surviving run, in
- * dispatch (runId) order — not completion order — via an internal
+ * Completion hand-off: the backend hears of each surviving run once,
+ * in dispatch (runId) order — not completion order — via an internal
  * reorder window, so backends can append to dispatch-ordered result
  * vectors and feed order-sensitive streaming estimators (P²
  * quantiles) identically on both paths. Without faults every dispatch
- * completes and the delivery order equals today's dispatch-time
- * recording exactly.
+ * completes and the delivery order equals the dispatch order.
  */
 
 #ifndef FLASHMEM_MULTIDNN_EVENT_LOOP_HH
@@ -100,70 +99,80 @@ static_assert(static_cast<int>(DeviceHealth::Healthy) == 0 &&
               "obs::deviceHealthCodeName mirrors these values");
 /** @} */
 
-/** What a dispatch hook reports back to the loop: where the run
- * landed and the times the cluster placed it at. */
+/** What a backend says one run costs: the plan budget it executes at
+ * (plan residency on the device) and its solo init/exec split, which
+ * the loop places with DeviceCluster::planTimes. */
+struct RunService
+{
+    Bytes budget = 0;
+    SimTime init = 0;
+    SimTime exec = 0;
+};
+
+/** Where and when the loop placed one run, at which plan budget. */
 struct DispatchedRun
 {
     int device = 0;
+    Bytes budget = 0;
     PlacedTimes times;
 };
 
 /**
  * Drain @p queue against @p cluster under @p policy.
  *
- * @param makeReady  (std::size_t seq) -> ReadyRequest: build the
- *     scheduler view of request @p seq (estimate lookup differs
- *     between the real and fast paths).
- * @param dispatch   (const ReadyRequest &picked,
- *     const std::vector<ReadyRequest> &ready, SimTime now,
- *     std::uint64_t runId) -> DispatchedRun: place and execute the
- *     picked request. The hook chooses the device
- *     (DeviceCluster::pickDevice), computes or measures the run's
- *     times, and must call DeviceCluster::commit; the loop schedules
- *     the DMA-free and completion events from the returned times.
- *     @p ready is the remaining ready set (co-resident working-set
- *     accounting); @p runId identifies this dispatch in the matching
- *     onComplete call (a retried request dispatches under a fresh id).
- * @param onComplete (const ReadyRequest &req, const DispatchedRun
- *     &run, std::uint64_t runId): the run survived to completion.
- *     Delivered in runId (dispatch) order; run.times carries the
- *     actual (possibly stall-shifted) timeline.
- * @param onDrop     (const ReadyRequest &r, SimTime now,
- *     DropReason reason): request dropped without completing — SLO
- *     admission shed, fault-retry budget exhausted, or starved at
- *     drain end with no accepting device left.
+ * @param backend the execution path, statically dispatched. It
+ *     answers three questions and hears two outcomes:
+ *     - `SimTime estimate(models::ModelId model)`: the model's
+ *       full-budget service estimate, stamped on every arrival as
+ *       ReadyRequest::estimatedLatency. Asked once per model.
+ *     - `RunService service(const ReadyRequest &picked,
+ *       const std::vector<ReadyRequest> &ready, SimTime now)`: what
+ *       the picked run costs. @p ready is the rest of the ready set
+ *       (co-resident working sets).
+ *     - `void placed(const ReadyRequest &picked,
+ *       const DispatchedRun &run, std::uint64_t runId)`: where, when
+ *       and at which budget the loop placed the run service() just
+ *       priced. A retried request dispatches under a fresh id.
+ *     - `void completed(const ReadyRequest &req,
+ *       const DispatchedRun &run, std::uint64_t runId)`: the run
+ *       survived to completion. Delivered in runId (dispatch) order;
+ *       run.times carries the actual (possibly stall-shifted)
+ *       timeline.
+ *     - `void dropped(const ReadyRequest &r, SimTime now,
+ *       DropReason reason)`: the request left without completing —
+ *       SLO admission shed, arrival shed, fault-retry budget
+ *       exhausted, or starved at drain end with no accepting device.
  * @param ready_limit abort threshold on the ready-set size (0 = no
  *     limit). @return false when the backlog exceeded it — the
  *     offered load is unstable and the drain aborted early.
  * @param faults optional deterministic fault schedule (see
- *     multidnn/faults.hh); @p recovery sets the stuck-clock guard;
+ *     multidnn/faults.hh); every event must name a cluster device.
  *     @p counters, when given, accumulates fault/recovery accounting.
  * @param arrival optional arrival-time admission gate (see
  *     multidnn/policies.hh): consulted the instant a request or a
  *     fault retry would enter the ready set. Shed verdicts drop it
  *     with DropReason::ArrivalShed before it occupies a queue slot.
- *     Null keeps the historical dispatch-point-only behaviour
- *     bit-identically.
  * @param trace optional obs::TraceRecorder receiving the typed event
  *     stream (arrivals, admission verdicts, dispatches, completions,
  *     sheds, retries, faults, device health). Null — the default —
  *     compiles every hook down to a skipped pointer test, so the hot
  *     path cost is zero when tracing is off. The loop also hands the
  *     recorder to the cluster for device-health events.
+ * @param stuck_limit stuck-clock guard: panic once this many events
+ *     pass without the clock advancing (0 = a generous bound derived
+ *     from the queue and fault-plan sizes).
  */
-template <typename MakeReadyFn, typename DispatchFn,
-          typename CompleteFn, typename DropFn>
+template <typename Backend>
 bool
 drainClusterQueue(const std::vector<ModelRequest> &queue,
                   const SchedulingPolicy &policy,
-                  DeviceCluster &cluster, MakeReadyFn &&makeReady,
-                  DispatchFn &&dispatch, CompleteFn &&onComplete,
-                  DropFn &&onDrop, std::size_t ready_limit = 0,
+                  DeviceCluster &cluster, Backend &backend,
+                  std::size_t ready_limit = 0,
                   const FaultPlan *faults = nullptr,
-                  const RecoveryConfig &recovery = {},
                   FaultCounters *counters = nullptr,
                   const ArrivalAdmission *arrival = nullptr,
-                  obs::TraceRecorder *trace = nullptr)
+                  obs::TraceRecorder *trace = nullptr,
+                  std::size_t stuck_limit = 0)
 {
     cluster.setTrace(trace);
     /** One event of the simulation clock. */
@@ -216,9 +225,26 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
     std::priority_queue<Event, std::vector<Event>, std::greater<>>
         events;
     if (faults) {
-        for (std::size_t i = 0; i < faults->events.size(); ++i)
+        for (std::size_t i = 0; i < faults->events.size(); ++i) {
+            const int dev = faults->events[i].device;
+            FM_ASSERT(dev >= 0 && dev < cluster.deviceCount(),
+                      "fault event ", i, " targets device ", dev,
+                      " of a ", cluster.deviceCount(),
+                      "-device cluster");
             events.push({faults->events[i].time, Event::Fault, i});
+        }
     }
+
+    // Each model's estimate, asked of the backend at its first
+    // arrival.
+    std::vector<std::optional<SimTime>> estimates(
+        models::modelZoo().size());
+    auto estimateOf = [&](models::ModelId model) {
+        auto &e = estimates[static_cast<std::size_t>(model)];
+        if (!e)
+            e = backend.estimate(model);
+        return *e;
+    };
 
     // Arrival cursor: walks the queue in (arrival, queue index) order,
     // which is Event order among arrivals. A stable-sorted index
@@ -253,8 +279,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
     };
 
     // Reorder window of dispatched runs: window[id - base]. Entries
-    // resolve (complete or die) out of order but flush — and hand
-    // onComplete — strictly in dispatch order.
+    // resolve (complete or die) out of order but flush — and reach
+    // backend.completed — strictly in dispatch order.
     std::deque<Flight> window;
     std::uint64_t window_base = 0;
     auto flight = [&](std::uint64_t run_id) -> Flight & {
@@ -272,8 +298,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                         static_cast<std::int32_t>(f.req.model),
                         f.run.times.start, f.run.times.initDone);
                 }
-                onComplete(window.front().req, window.front().run,
-                           window_base);
+                backend.completed(window.front().req,
+                                  window.front().run, window_base);
             }
             window.pop_front();
             ++window_base;
@@ -297,7 +323,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                                static_cast<std::int32_t>(r.model),
                                static_cast<std::int64_t>(reason),
                                r.attempts);
-        onDrop(r, t, reason);
+        backend.dropped(r, t, reason);
     };
 
     // Kill one live run: resolve its window entry and either schedule
@@ -346,12 +372,10 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
     // fault bursts); processing vastly more without the clock moving
     // means the loop is wedged — fail loudly with the cluster state
     // rather than spin forever.
-    const std::size_t stuck_limit =
-        recovery.stuckEventLimit > 0
-            ? recovery.stuckEventLimit
-            : 64 * (queue.size() +
-                    (faults ? faults->events.size() : 0)) +
-                  4096;
+    if (stuck_limit == 0)
+        stuck_limit = 64 * (queue.size() +
+                            (faults ? faults->events.size() : 0)) +
+                      4096;
     std::size_t stuck = 0;
 
     const bool needs_admission = policy.needsAdmission();
@@ -387,7 +411,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
         // Arrival-time admission: consulted before the request enters
         // the ready set (fresh arrivals and fault retries alike), so a
         // shed request never occupies a queue slot. The gate reads only
-        // state both execution paths share bit-identically.
+        // the loop's own state, the same on every backend.
         auto enterReady = [&](ReadyRequest r) {
             if (arrival) {
                 auto verdict =
@@ -412,7 +436,14 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
 
         switch (ev.kind) {
           case Event::Arrival: {
-            ReadyRequest r = makeReady(ev.seq);
+            const ModelRequest &q = queue[ev.seq];
+            ReadyRequest r;
+            r.queueIndex = ev.seq;
+            r.model = q.model;
+            r.arrival = q.arrival;
+            r.priority = q.priority;
+            r.estimatedLatency = estimateOf(q.model);
+            r.latencyBound = q.latencyBound;
             if (trace)
                 trace->requestArrival(
                     now, r.queueIndex,
@@ -614,8 +645,19 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
             ready.erase(ready.begin() +
                         static_cast<std::ptrdiff_t>(pick));
 
+            // Placement: the least-loaded device, the backend's price
+            // for the run, the cluster's one timing rule.
             std::uint64_t run_id = next_run_id++;
-            auto run = dispatch(picked, ready, now, run_id);
+            const int device = cluster.pickDevice(now);
+            const RunService service =
+                backend.service(picked, ready, now);
+            const DispatchedRun run{
+                device, service.budget,
+                cluster.planTimes(device, now, service.init,
+                                  service.exec)};
+            cluster.commit(device, picked.model, service.budget,
+                           run.times);
+            backend.placed(picked, run, run_id);
             if (trace)
                 trace->requestDispatch(
                     now, picked.queueIndex,

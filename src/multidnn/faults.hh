@@ -148,22 +148,6 @@ inline constexpr SimTime kBackoffCap = milliseconds(64);
 inline constexpr SimTime kProbation = milliseconds(250);
 /** @} */
 
-/**
- * Settable recovery knobs of the fault-tolerant event loop. Both
- * execution paths must be handed the same values for the bit-exact
- * equivalence to hold.
- */
-struct RecoveryConfig
-{
-    /**
-     * Stuck-clock guard: abort loudly when the event loop processes
-     * more than this many events without the simulation clock
-     * advancing (0 = derive a generous bound from the queue size).
-     * Exists purely as a defense against silent infinite waits.
-     */
-    std::size_t stuckEventLimit = 0;
-};
-
 /** Why the event loop dropped a request without completing it. */
 enum class DropReason
 {
@@ -187,9 +171,6 @@ struct FaultCounters
     int failovers = 0;   ///< retries that landed on a different device
     int faultSheds = 0;  ///< requests dropped: retry budget exhausted
     int starved = 0;     ///< requests dropped: no device ever accepted
-
-    /** Total requests dropped by the fault layer (not by admission). */
-    int faultDrops() const { return faultSheds + starved; }
 };
 
 } // namespace flashmem::multidnn

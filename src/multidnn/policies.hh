@@ -28,8 +28,8 @@ struct ReadyRequest
     models::ModelId model{};
     SimTime arrival = 0;
     int priority = 0;
-    /** Warm single-run execution estimate for this model (SJF key);
-     * only populated when the policy declares needsEstimates(). */
+    /** The backend's full-budget service estimate for this model
+     * (the SJF key and the deadline feasibility test). */
     SimTime estimatedLatency = 0;
     /** Latency SLO carried by the request (0 = unbounded). */
     SimTime latencyBound = 0;
@@ -83,15 +83,8 @@ class SchedulingPolicy
     virtual bool memoryAware() const { return false; }
 
     /**
-     * True when select() reads ReadyRequest::estimatedLatency; only
-     * then does the scheduler pay for per-model estimate runs.
-     */
-    virtual bool needsEstimates() const { return false; }
-
-    /**
-     * True when admit() can return anything but Admit; only then do
-     * schedulers pay the per-dispatch admission pass over the ready
-     * set (mirrors needsEstimates()).
+     * True when admit() can return anything but Admit; only then does
+     * the loop pay the per-dispatch admission pass over the ready set.
      */
     virtual bool needsAdmission() const { return false; }
 
@@ -137,7 +130,6 @@ class SjfPolicy : public SchedulingPolicy
     std::size_t select(SimTime now,
                        const std::vector<ReadyRequest> &ready)
         const override;
-    bool needsEstimates() const override { return true; }
 };
 
 /**
@@ -210,7 +202,6 @@ class DeadlinePolicy : public SchedulingPolicy
     std::size_t select(SimTime now,
                        const std::vector<ReadyRequest> &ready)
         const override;
-    bool needsEstimates() const override { return true; }
     bool needsAdmission() const override { return true; }
     Admission admit(SimTime now, const ReadyRequest &r) const override;
     Bytes degradedBudget(Bytes base_budget) const override;
@@ -225,20 +216,17 @@ class DeadlinePolicy : public SchedulingPolicy
 class DeviceCluster;
 
 /**
- * Arrival-time admission gate, consulted by the shared cluster event
- * loop the instant a request (or a fault retry) would enter the ready
- * set — before it ever occupies a queue slot. Dispatch-point admission
+ * Arrival-time admission gate, consulted by the cluster event loop
+ * the instant a request (or a fault retry) would enter the ready set —
+ * before it ever occupies a queue slot. Dispatch-point admission
  * (SchedulingPolicy::admit) only sheds a request once it is already
  * doomed; an arrival gate can project the backlog forward and refuse
  * work that will *become* doomed, so devices spend their time on
  * requests that can still meet their bounds.
  *
- * Contract for bit-exact cross-validation: implementations must decide
- * from (now, request, ready set, cluster state) only — all four are
- * identical between the fast simulator and the real EventScheduler at
- * every arrival by construction — and must NOT read
- * ReadyRequest::estimatedLatency, which the two paths populate
- * differently. Both paths must be handed the same gate object.
+ * Implementations decide from (now, request, ready set, cluster state)
+ * only — the loop's own state. Hand both execution paths the same gate
+ * object to compare them.
  */
 class ArrivalAdmission
 {

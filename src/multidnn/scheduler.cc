@@ -46,7 +46,232 @@ mergedTotalTrace(const std::vector<gpusim::GpuSimulator> &sims)
     return merged;
 }
 
+/**
+ * What the live and preload backends share: the outcome and one
+ * simulator per cluster device. A completed run is recorded as the
+ * solo profile that priced it, at the times the loop placed it;
+ * completions arrive in dispatch order, and runs killed by a fault
+ * never do.
+ */
+class ScheduledRuns
+{
+  public:
+    ScheduledRuns(const SchedulingPolicy &policy,
+                  const DeviceCluster &cluster,
+                  const gpusim::DeviceProfile &dev, std::size_t requests)
+    {
+        out.policy = policy.name();
+        out.runs.reserve(requests);
+        sims.reserve(static_cast<std::size_t>(cluster.deviceCount()));
+        for (int i = 0; i < cluster.deviceCount(); ++i)
+            sims.emplace_back(dev);
+    }
+
+    void
+    dropped(const ReadyRequest &r, SimTime now, DropReason reason)
+    {
+        out.shed.push_back({r.queueIndex, r.model, r.arrival,
+                            r.latencyBound, now, reason});
+    }
+
+    /** Finalize makespan, memory, energy, trace and per-device rows. */
+    ScheduleOutcome
+    finish(const DeviceCluster &cluster)
+    {
+        for (const auto &r : out.runs)
+            out.makespan = std::max(out.makespan, r.end);
+        out.trace = sims.size() == 1
+                        ? sims.front().memory().totalTrace()
+                        : mergedTotalTrace(sims);
+        out.devices = cluster.utilization(out.makespan);
+        if (out.runs.empty())
+            return std::move(out);
+        for (std::size_t i = 0; i < sims.size(); ++i) {
+            const auto &mem = sims[i].memory();
+            Bytes peak = mem.peakOver(0, out.makespan);
+            double energy = sims[i].energyJoules(out.makespan);
+            out.devices[i].peakMemory = peak;
+            out.devices[i].energyJoules = energy;
+            // Devices are distinct hardware: the cluster peak is the
+            // worst per-device peak, energy and average live bytes sum.
+            out.peakMemory = std::max(out.peakMemory, peak);
+            out.avgMemoryBytes += mem.averageBytes(0, out.makespan);
+            out.energyJoules += energy;
+        }
+        return std::move(out);
+    }
+
+    ScheduleOutcome out;
+    std::vector<gpusim::GpuSimulator> sims;
+
+  protected:
+    /** Record @p r, the solo profile of a completed run, at the run's
+     * actual (possibly stall-shifted) times. */
+    void
+    record(const ReadyRequest &req, const DispatchedRun &run,
+           core::RunResult r)
+    {
+        r.arrival = req.arrival;
+        r.start = run.times.start;
+        r.initDone = run.times.initDone;
+        r.end = run.times.end;
+        r.latencyBound = req.latencyBound;
+        r.degraded = req.degraded;
+        r.device = run.device;
+        if (req.degraded)
+            ++out.degradedRuns;
+        out.runs.push_back(std::move(r));
+    }
+};
+
+/** The preload backend: one solo cold start per model prices every
+ * request of it, and each placed run executes the framework on its
+ * device's simulator. */
+class PreloadRuns : public ScheduledRuns
+{
+  public:
+    PreloadRuns(baselines::FrameworkId framework,
+                const gpusim::DeviceProfile &dev,
+                const SchedulingPolicy &policy,
+                const DeviceCluster &cluster, std::size_t requests)
+        : ScheduledRuns(policy, cluster, dev, requests),
+          fw_(framework, dev), dev_(dev)
+    {}
+
+    SimTime
+    estimate(models::ModelId model)
+    {
+        return coldStart(model).profile.integratedLatency();
+    }
+
+    RunService
+    service(const ReadyRequest &picked, const std::vector<ReadyRequest> &,
+            SimTime)
+    {
+        const auto &p = coldStart(picked.model).profile;
+        return {0, p.initLatency(), p.execLatency()};
+    }
+
+    void
+    placed(const ReadyRequest &picked, const DispatchedRun &run,
+           std::uint64_t)
+    {
+        fw_.run(sims[static_cast<std::size_t>(run.device)],
+                coldStart(picked.model).graph, run.times.start);
+    }
+
+    void
+    completed(const ReadyRequest &req, const DispatchedRun &run,
+              std::uint64_t)
+    {
+        record(req, run, coldStart(req.model).profile);
+    }
+
+  private:
+    struct ColdStart
+    {
+        graph::Graph graph;
+        core::RunResult profile;
+    };
+
+    const ColdStart &
+    coldStart(models::ModelId model)
+    {
+        auto it = models_.find(model);
+        if (it != models_.end())
+            return it->second;
+        auto g = models::buildModel(model);
+        FM_ASSERT(fw_.supports(g) == baselines::SupportStatus::Supported,
+                  fw_.name(), " cannot run ", g.name());
+        gpusim::GpuSimulator scratch(dev_);
+        auto profile = fw_.run(scratch, g, 0);
+        return models_.emplace(model, ColdStart{std::move(g), profile})
+            .first->second;
+    }
+
+    baselines::PreloadFramework fw_;
+    const gpusim::DeviceProfile &dev_;
+    std::map<models::ModelId, ColdStart> models_;
+};
+
 } // namespace
+
+/** The live FlashMem backend: a run costs the solo profile of its
+ * (model, budget) artifact — the memory-aware share or the degraded
+ * budget — and each placed run executes on its device's simulator for
+ * the memory and energy traces. */
+class EventScheduler::FlashMemRuns : public ScheduledRuns
+{
+  public:
+    FlashMemRuns(EventScheduler &sched, const SchedulingPolicy &policy,
+                 const DeviceCluster &cluster, std::size_t requests)
+        : ScheduledRuns(policy, cluster, sched.fm_.device(), requests),
+          sched_(sched), policy_(policy)
+    {}
+
+    SimTime
+    estimate(models::ModelId model)
+    {
+        return sched_.profileFor(model, basePeak(), out)
+            .integratedLatency();
+    }
+
+    RunService
+    service(const ReadyRequest &picked,
+            const std::vector<ReadyRequest> &ready, SimTime now)
+    {
+        Bytes budget = basePeak();
+        if (policy_.memoryAware()) {
+            // Co-resident working sets: the dispatched model plus
+            // every distinct model still waiting in the ready set.
+            std::vector<models::ModelId> distinct{picked.model};
+            for (const auto &r : ready) {
+                if (std::find(distinct.begin(), distinct.end(),
+                              r.model) == distinct.end())
+                    distinct.push_back(r.model);
+            }
+            budget = sched_.admissionBudget(
+                static_cast<int>(distinct.size()));
+        }
+        if (picked.degraded) {
+            // Degraded dispatch: the policy's reduced budget frees
+            // shared capacity instead of dropping the request.
+            budget = std::min(budget,
+                              sched_.clampQuantize(
+                                  policy_.degradedBudget(basePeak())));
+        }
+        // Any on-device re-plan for this budget happens here, traced
+        // at this dispatch.
+        const auto &p =
+            sched_.profileFor(picked.model, budget, out, now);
+        return {budget, p.initLatency(), p.execLatency()};
+    }
+
+    void
+    placed(const ReadyRequest &picked, const DispatchedRun &run,
+           std::uint64_t)
+    {
+        // The execution keeps the device's memory and energy traces;
+        // the run's times are the loop's.
+        sched_.fm_.execute(
+            sims[static_cast<std::size_t>(run.device)],
+            sched_.compiledFor(picked.model, run.budget, out),
+            run.times.start);
+    }
+
+    void
+    completed(const ReadyRequest &req, const DispatchedRun &run,
+              std::uint64_t)
+    {
+        record(req, run, sched_.profileFor(req.model, run.budget, out));
+    }
+
+  private:
+    Bytes basePeak() const { return sched_.fm_.options().opg.mPeak; }
+
+    EventScheduler &sched_;
+    const SchedulingPolicy &policy_;
+};
 
 SimTime
 ScheduleOutcome::meanLatency() const
@@ -116,116 +341,6 @@ EventScheduler::EventScheduler(const core::FlashMem &fm,
     cfg_.budgetQuantum = std::max<Bytes>(cfg_.budgetQuantum, 1);
 }
 
-void
-EventScheduler::summarize(const std::vector<gpusim::GpuSimulator> &sims,
-                          const DeviceCluster &cluster,
-                          ScheduleOutcome &out)
-{
-    for (const auto &r : out.runs)
-        out.makespan = std::max(out.makespan, r.end);
-    out.trace = sims.size() == 1
-                    ? sims.front().memory().totalTrace()
-                    : mergedTotalTrace(sims);
-    out.devices = cluster.utilization(out.makespan);
-    if (out.runs.empty())
-        return;
-    for (std::size_t i = 0; i < sims.size(); ++i) {
-        const auto &mem = sims[i].memory();
-        Bytes peak = mem.peakOver(0, out.makespan);
-        double energy = sims[i].energyJoules(out.makespan);
-        out.devices[i].peakMemory = peak;
-        out.devices[i].energyJoules = energy;
-        // Devices are distinct hardware: the cluster peak is the
-        // worst per-device peak, energy and average live bytes sum.
-        out.peakMemory = std::max(out.peakMemory, peak);
-        out.avgMemoryBytes += mem.averageBytes(0, out.makespan);
-        out.energyJoules += energy;
-    }
-}
-
-ScheduleOutcome
-EventScheduler::drain(DeviceCluster &cluster,
-                      const std::vector<ModelRequest> &queue,
-                      const SchedulingPolicy &policy,
-                      const std::map<models::ModelId, SimTime> &estimates,
-                      const DispatchFn &dispatch,
-                      const FaultPlan *faults,
-                      const RecoveryConfig &recovery,
-                      const ArrivalAdmission *arrival,
-                      obs::TraceRecorder *trace)
-{
-    ScheduleOutcome out;
-    out.policy = policy.name();
-    out.runs.reserve(queue.size());
-    // Results computed at dispatch, keyed by run id until the loop
-    // resolves the run: completions land in out.runs (in dispatch
-    // order — the loop delivers onComplete in run-id order), runs
-    // killed by a fault never do.
-    std::map<std::uint64_t, core::RunResult> pending;
-
-    drainClusterQueue(
-        queue, policy, cluster,
-        [&](std::size_t seq) {
-            const auto &req = queue[seq];
-            auto est = estimates.find(req.model);
-            ReadyRequest r;
-            r.queueIndex = seq;
-            r.model = req.model;
-            r.arrival = req.arrival;
-            r.priority = req.priority;
-            r.estimatedLatency =
-                est != estimates.end() ? est->second : 0;
-            r.latencyBound = req.latencyBound;
-            return r;
-        },
-        [&](const ReadyRequest &picked,
-            const std::vector<ReadyRequest> &ready, SimTime now,
-            std::uint64_t run_id) {
-            // Co-resident working sets: the dispatched model plus
-            // every distinct model still waiting in the ready set.
-            std::vector<models::ModelId> distinct{picked.model};
-            for (const auto &r : ready) {
-                if (std::find(distinct.begin(), distinct.end(),
-                              r.model) == distinct.end())
-                    distinct.push_back(r.model);
-            }
-
-            auto d = dispatch(picked, now,
-                              static_cast<int>(distinct.size()));
-            d.run.arrival = picked.arrival;
-            d.run.latencyBound = picked.latencyBound;
-            d.run.degraded = picked.degraded;
-            d.run.device = d.device;
-            DispatchedRun placed{d.device,
-                                 {d.run.start, d.run.initDone,
-                                  d.run.end}};
-            pending.emplace(run_id, std::move(d.run));
-            return placed;
-        },
-        [&](const ReadyRequest &picked, const DispatchedRun &run,
-            std::uint64_t run_id) {
-            auto it = pending.find(run_id);
-            FM_ASSERT(it != pending.end(),
-                      "completion for an unknown run id");
-            auto r = std::move(it->second);
-            pending.erase(it);
-            // A stall may have shifted the run while it was in
-            // flight; the loop's placed times are the actual ones.
-            r.initDone = run.times.initDone;
-            r.end = run.times.end;
-            if (picked.degraded)
-                ++out.degradedRuns;
-            out.runs.push_back(std::move(r));
-        },
-        [&](const ReadyRequest &r, SimTime now, DropReason reason) {
-            out.shed.push_back({r.queueIndex, r.model, r.arrival,
-                                r.latencyBound, now, reason});
-        },
-        /*ready_limit=*/0, faults, recovery, &out.faults, arrival,
-        trace);
-    return out;
-}
-
 Bytes
 quantizeBudgetShare(Bytes share, const SchedulerConfig &cfg,
                     Bytes chunk_floor, Bytes mPeak)
@@ -256,7 +371,7 @@ EventScheduler::admissionBudget(int co_resident) const
 
 const core::CompiledModel &
 EventScheduler::compiledFor(models::ModelId model, Bytes budget,
-                            ScheduleOutcome &out)
+                            ScheduleOutcome &out, SimTime now)
 {
     auto key = std::make_pair(model, budget);
     auto it = compiled_.find(key);
@@ -285,140 +400,52 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
                          replanned.stats.stageSeconds +
                          replanned.stats.solveSeconds +
                          replanned.stats.mergeSeconds;
+    if (cfg_.trace) {
+        const auto &st = replanned.stats;
+        cfg_.trace->replan(now, static_cast<std::int32_t>(model),
+                           static_cast<std::int64_t>(budget),
+                           static_cast<std::int64_t>(st.memoHits),
+                           st.windows);
+        for (const auto &w : st.windowSummaries)
+            cfg_.trace->solverWindow(
+                now, static_cast<std::uint64_t>(w.window),
+                static_cast<std::int32_t>(model),
+                static_cast<std::int64_t>(w.conflicts),
+                static_cast<std::int64_t>(w.restarts),
+                static_cast<std::int64_t>(w.propagations),
+                !w.usedGreedy && w.status == solver::SolveStatus::Optimal
+                    ? 1
+                    : 0);
+    }
     it = compiled_.emplace(key, std::move(replanned)).first;
     return it->second;
 }
 
 const core::RunResult &
 EventScheduler::profileFor(models::ModelId model, Bytes budget,
-                           ScheduleOutcome &out)
+                           ScheduleOutcome &out, SimTime now)
 {
     auto key = std::make_pair(model, budget);
     auto it = profiles_.find(key);
     if (it != profiles_.end())
         return it->second;
-    const auto &compiled = compiledFor(model, budget, out);
+    const auto &compiled = compiledFor(model, budget, out, now);
     gpusim::GpuSimulator scratch(fm_.device());
     it = profiles_.emplace(key, fm_.execute(scratch, compiled, 0))
              .first;
     return it->second;
 }
 
-SimTime
-EventScheduler::estimateFor(models::ModelId model, ScheduleOutcome &out)
-{
-    // Warm estimate: one run on a scratch simulator at the base budget.
-    return profileFor(model, fm_.options().opg.mPeak, out)
-        .integratedLatency();
-}
-
 ScheduleOutcome
 EventScheduler::run(const std::vector<ModelRequest> &queue,
                     const SchedulingPolicy &policy)
 {
-    ScheduleOutcome replan_acc; // collects offline/replan counters
-    // Offline stage: estimate each distinct model's warm latency —
-    // only when the policy actually keys on it (SJF).
-    std::map<models::ModelId, SimTime> estimates;
-    if (policy.needsEstimates()) {
-        for (const auto &req : queue) {
-            if (!estimates.count(req.model))
-                estimates.emplace(req.model,
-                                  estimateFor(req.model, replan_acc));
-        }
-    }
-
-    const bool memory_aware = policy.memoryAware();
-    const bool faulty = !cfg_.faults.empty();
     DeviceCluster cluster(cfg_.cluster);
-    std::vector<gpusim::GpuSimulator> sims;
-    sims.reserve(static_cast<std::size_t>(cluster.deviceCount()));
-    for (int i = 0; i < cluster.deviceCount(); ++i)
-        sims.emplace_back(fm_.device());
-
-    auto out = drain(
-        cluster, queue, policy, estimates,
-        [&](const ReadyRequest &picked, SimTime now,
-            int co_resident) -> DeviceRun {
-            Bytes budget = fm_.options().opg.mPeak;
-            if (memory_aware)
-                budget = admissionBudget(co_resident);
-            if (picked.degraded) {
-                // Degraded dispatch: the policy's reduced budget frees
-                // shared capacity instead of dropping the request.
-                budget = std::min(
-                    budget,
-                    clampQuantize(policy.degradedBudget(
-                        fm_.options().opg.mPeak)));
-            }
-            int dev = cluster.pickDevice(now);
-            auto &sim = sims[static_cast<std::size_t>(dev)];
-            // Any on-device re-plan for this (model, budget) happens
-            // inside this call; a bumped counter means the returned
-            // artifact was just re-planned and its stats describe
-            // that solve — emit the planner-side trace events at the
-            // dispatch instant that triggered them.
-            const int replans_before = replan_acc.replans;
-            const auto &cm = compiledFor(picked.model, budget,
-                                         replan_acc);
-            if (cfg_.trace && replan_acc.replans > replans_before) {
-                const auto &st = cm.stats;
-                cfg_.trace->replan(
-                    now, static_cast<std::int32_t>(picked.model),
-                    static_cast<std::int64_t>(budget),
-                    static_cast<std::int64_t>(st.memoHits),
-                    st.windows);
-                for (const auto &w : st.windowSummaries)
-                    cfg_.trace->solverWindow(
-                        now, static_cast<std::uint64_t>(w.window),
-                        static_cast<std::int32_t>(picked.model),
-                        static_cast<std::int64_t>(w.conflicts),
-                        static_cast<std::int64_t>(w.restarts),
-                        static_cast<std::int64_t>(w.propagations),
-                        !w.usedGreedy &&
-                                w.status ==
-                                    solver::SolveStatus::Optimal
-                            ? 1
-                            : 0);
-            }
-            core::RunResult r;
-            if (!cluster.overlap() && !faulty) {
-                // Serialized device: the streamed execution runs on a
-                // fully idle simulator, so its own times are final.
-                r = fm_.execute(sim, cm, now);
-            } else {
-                // Cross-request overlap and/or fault injection: the
-                // run's timeline follows the cluster's two-resource
-                // model, with the measured solo init/exec split of
-                // this (model, budget) — under faults this routes
-                // even the serialized device through planTimes, so
-                // slowdown scaling applies identically on both
-                // execution paths. The execution on the device
-                // simulator keeps the memory and energy traces real
-                // (its kernels queue behind the previous run's on the
-                // shared compute timeline).
-                const auto &prof =
-                    profileFor(picked.model, budget, replan_acc);
-                auto t = cluster.planTimes(dev, now,
-                                           prof.initLatency(),
-                                           prof.execLatency());
-                fm_.execute(sim, cm, t.start);
-                r = prof;
-                r.start = t.start;
-                r.initDone = t.initDone;
-                r.end = t.end;
-            }
-            cluster.commit(dev, picked.model, budget,
-                           {r.start, r.initDone, r.end});
-            return {dev, std::move(r)};
-        },
-        faulty ? &cfg_.faults : nullptr, cfg_.recovery,
-        cfg_.arrivalAdmission, cfg_.trace);
-    summarize(sims, cluster, out);
-    out.replans += replan_acc.replans;
-    out.replanMemoHits += replan_acc.replanMemoHits;
-    out.replanSeconds += replan_acc.replanSeconds;
-    return out;
+    FlashMemRuns runs(*this, policy, cluster, queue.size());
+    drainClusterQueue(queue, policy, cluster, runs, /*ready_limit=*/0,
+                      &cfg_.faults, &runs.out.faults,
+                      cfg_.arrivalAdmission, cfg_.trace);
+    return runs.finish(cluster);
 }
 
 ScheduleOutcome
@@ -431,43 +458,10 @@ EventScheduler::runPreload(baselines::FrameworkId framework,
     // Baselines re-initialize per request on the compute path; there
     // is no streamed DMA-queue init to overlap with execution.
     cluster_cfg.overlapInitWithExec = false;
-
-    baselines::PreloadFramework fw(framework, dev);
-    std::map<models::ModelId, graph::Graph> graphs;
-    std::map<models::ModelId, SimTime> estimates;
-    for (const auto &req : queue) {
-        if (graphs.count(req.model))
-            continue;
-        graphs.emplace(req.model, models::buildModel(req.model));
-        const auto &g = graphs.at(req.model);
-        FM_ASSERT(fw.supports(g) == baselines::SupportStatus::Supported,
-                  fw.name(), " cannot run ", g.name());
-        if (policy.needsEstimates()) {
-            // Cold-start estimate: preloading pays init per request.
-            gpusim::GpuSimulator scratch(dev);
-            estimates.emplace(
-                req.model, fw.run(scratch, g, 0).integratedLatency());
-        }
-    }
-
     DeviceCluster cluster(cluster_cfg);
-    std::vector<gpusim::GpuSimulator> sims;
-    sims.reserve(static_cast<std::size_t>(cluster.deviceCount()));
-    for (int i = 0; i < cluster.deviceCount(); ++i)
-        sims.emplace_back(dev);
-
-    auto out = drain(
-        cluster, queue, policy, estimates,
-        [&](const ReadyRequest &picked, SimTime now, int) -> DeviceRun {
-            int d = cluster.pickDevice(now);
-            auto r = fw.run(sims[static_cast<std::size_t>(d)],
-                            graphs.at(picked.model), now);
-            cluster.commit(d, picked.model, 0,
-                           {r.start, r.initDone, r.end});
-            return {d, std::move(r)};
-        });
-    summarize(sims, cluster, out);
-    return out;
+    PreloadRuns runs(framework, dev, policy, cluster, queue.size());
+    drainClusterQueue(queue, policy, cluster, runs);
+    return runs.finish(cluster);
 }
 
 } // namespace flashmem::multidnn

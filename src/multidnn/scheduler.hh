@@ -2,18 +2,21 @@
  * @file
  * Event-driven multi-DNN scheduling (paper Figure 1c / Section 5.3).
  *
- * A simulation-clock event loop drains a queue of inference requests
- * against a DeviceCluster (multidnn/device.hh): arrival events feed a
- * ready set, completion events free device pipeline slots, and on
- * every dispatch opportunity a pluggable SchedulingPolicy picks the
- * next request and the cluster places it on the least-loaded device.
- * Under FlashMem the swap-in is the streamed overlap plan; under
- * preloading baselines it is a full cold-start init — the repeated-
- * load overhead the paper targets. With
- * ClusterConfig::overlapInitWithExec the scheduler additionally
- * overlaps a request's streamed init (preload DMA) with the previous
- * request's compute on the same device — the paper's memory-hierarchy
- * overlap applied across requests.
+ * EventScheduler drains a queue of inference requests through the
+ * cluster event loop (multidnn/event_loop.hh) against a DeviceCluster
+ * (multidnn/device.hh): arrivals feed a ready set, a pluggable
+ * SchedulingPolicy picks the next request at every dispatch
+ * opportunity, and the loop places it on the least-loaded device.
+ * The scheduler is the loop's live backend: it prices each run with
+ * the measured solo profile of the compiled (model, budget) artifact
+ * and executes every placed run on its device's GpuSimulator for the
+ * memory and energy traces. Under FlashMem the swap-in is the streamed
+ * overlap plan; under preloading baselines (runPreload) it is a full
+ * cold-start init — the repeated-load overhead the paper targets. With
+ * ClusterConfig::overlapInitWithExec the loop additionally overlaps a
+ * request's streamed init (preload DMA) with the previous request's
+ * compute on the same device — the paper's memory-hierarchy overlap
+ * applied across requests.
  *
  * Memory-aware policies additionally enable **on-device re-planning**:
  * the scheduler caps the sum of co-resident working-set budgets at a
@@ -28,7 +31,6 @@
 #ifndef FLASHMEM_MULTIDNN_SCHEDULER_HH
 #define FLASHMEM_MULTIDNN_SCHEDULER_HH
 
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -64,14 +66,10 @@ struct SchedulerConfig
     /** Deterministic fault schedule injected into the drain (empty =
      * fault-free; see multidnn/faults.hh). */
     FaultPlan faults;
-    /** Stuck-clock guard of the fault-tolerant loop. */
-    RecoveryConfig recovery;
     /**
      * Arrival-time admission gate (null = dispatch-point admission
      * only). Not owned; must outlive the scheduler. Hand the SAME
-     * gate to ServingSimParams::arrival for the fast-sim-vs-real
-     * cross-validation to stay bit-exact (the gate sees identical
-     * cluster state and ready sets on both paths by construction).
+     * gate to ServingSimParams::arrival to compare the two paths.
      */
     const ArrivalAdmission *arrivalAdmission = nullptr;
     /**
@@ -174,10 +172,11 @@ class EventScheduler
                             SchedulerConfig cfg = {});
 
     /**
-     * Drain @p queue under @p policy. Compiled artifacts (per model,
-     * per budget) and latency estimates persist across run() calls, so
-     * per-policy comparisons pay the offline stage once; results are
-     * unaffected because plans are deterministic per (model, budget).
+     * Drain @p queue under @p policy. Compiled artifacts and their
+     * solo profiles (per model, per budget) persist across run()
+     * calls, so per-policy comparisons pay the offline stage once;
+     * results are unaffected because plans are deterministic per
+     * (model, budget).
      */
     ScheduleOutcome run(const std::vector<ModelRequest> &queue,
                         const SchedulingPolicy &policy);
@@ -197,60 +196,28 @@ class EventScheduler
                                       const SchedulingPolicy &policy,
                                       ClusterConfig cluster = {});
 
-    const SchedulerConfig &config() const { return cfg_; }
-
   private:
-    /** Places and runs one picked request on a cluster device. */
-    struct DeviceRun
-    {
-        int device = 0;
-        core::RunResult run;
-    };
-    using DispatchFn = std::function<DeviceRun(
-        const ReadyRequest &, SimTime now, int co_resident_models)>;
-
-    /**
-     * The simulation-clock event loop shared by the FlashMem and
-     * preload paths (multidnn/event_loop.hh): arrivals enter the ready
-     * set, completions free device pipeline slots, @p policy picks on
-     * every dispatch opportunity, @p dispatch places and executes the
-     * pick (and commits it to @p cluster). @p faults, when non-null,
-     * injects the deterministic fault schedule; killed dispatches are
-     * retried (kMaxRetries) and never reach ScheduleOutcome::runs.
-     */
-    static ScheduleOutcome drain(
-        DeviceCluster &cluster,
-        const std::vector<ModelRequest> &queue,
-        const SchedulingPolicy &policy,
-        const std::map<models::ModelId, SimTime> &estimates,
-        const DispatchFn &dispatch,
-        const FaultPlan *faults = nullptr,
-        const RecoveryConfig &recovery = {},
-        const ArrivalAdmission *arrival = nullptr,
-        obs::TraceRecorder *trace = nullptr);
-
-    /** Finalize makespan/memory/energy/trace/per-device rows. */
-    static void summarize(const std::vector<gpusim::GpuSimulator> &sims,
-                          const DeviceCluster &cluster,
-                          ScheduleOutcome &out);
+    /** The live backend of the event loop (scheduler.cc). */
+    class FlashMemRuns;
 
     /** Compiled artifact for (model, budget), compiling/re-planning on
-     * first use. Re-plans are counted into @p out. */
+     * first use. Re-plans are counted into @p out and traced (Replan
+     * plus one SolverWindow per window) at @p now, the dispatch that
+     * asked for the budget. */
     const core::CompiledModel &compiledFor(models::ModelId model,
                                            Bytes budget,
-                                           ScheduleOutcome &out);
+                                           ScheduleOutcome &out,
+                                           SimTime now = 0);
 
     /** Measured solo run of (model, budget) on a scratch simulator —
-     * the init/exec split the cross-request overlap model places runs
-     * with, and the source of warm latency estimates. Cached;
+     * the init/exec split every dispatch of the artifact is placed
+     * with, and (at the base budget) the model's estimate. Cached;
      * executions are start-time invariant so one measurement covers
-     * every dispatch. */
+     * every dispatch. Compiles through compiledFor(..., @p now). */
     const core::RunResult &profileFor(models::ModelId model,
                                       Bytes budget,
-                                      ScheduleOutcome &out);
-
-    /** Warm single-run latency estimate (scratch simulator). */
-    SimTime estimateFor(models::ModelId model, ScheduleOutcome &out);
+                                      ScheduleOutcome &out,
+                                      SimTime now = 0);
 
     /** Admission budget for a model when @p co_resident distinct
      * models currently share the capacity budget. */

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/logging.hh"
 #include "models/model_zoo.hh"
 
 namespace flashmem::obs {
@@ -414,50 +413,6 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
         }
     }
     os << "\n],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-void
-CounterRegistry::add(const std::string &name, std::int64_t delta)
-{
-    FM_ASSERT(delta >= 0, "counters are monotonic; use a gauge");
-    counters_[name] += delta;
-}
-
-void
-CounterRegistry::setGauge(const std::string &name, std::int64_t value)
-{
-    gauges_[name] = value;
-}
-
-std::int64_t
-CounterRegistry::value(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    if (it != counters_.end())
-        return it->second;
-    auto git = gauges_.find(name);
-    return git != gauges_.end() ? git->second : 0;
-}
-
-std::vector<std::pair<std::string, std::int64_t>>
-CounterRegistry::snapshot() const
-{
-    std::vector<std::pair<std::string, std::int64_t>> out;
-    out.reserve(counters_.size() + gauges_.size());
-    for (const auto &kv : counters_)
-        out.push_back(kv);
-    for (const auto &kv : gauges_)
-        out.push_back(kv);
-    return out;
-}
-
-void
-CounterRegistry::writeText(std::ostream &os) const
-{
-    for (const auto &[name, v] : counters_)
-        os << "counter " << name << " = " << v << '\n';
-    for (const auto &[name, v] : gauges_)
-        os << "gauge " << name << " = " << v << '\n';
 }
 
 } // namespace flashmem::obs

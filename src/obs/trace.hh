@@ -38,7 +38,6 @@
 #define FLASHMEM_OBS_TRACE_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -295,43 +294,6 @@ class TraceRecorder
     }
 
     std::vector<TraceEvent> events_;
-};
-
-/**
- * Named monotonic counters and gauges with deterministic snapshot
- * order (lexicographic by name — the backing store is a std::map, so
- * iteration order is the snapshot order by construction, per the
- * determinism lint's ordered-container rule).
- */
-class CounterRegistry
-{
-  public:
-    /** Bump the monotonic counter @p name by @p delta (>= 0). */
-    void add(const std::string &name, std::int64_t delta = 1);
-
-    /** Set the gauge @p name to @p value (last write wins). */
-    void setGauge(const std::string &name, std::int64_t value);
-
-    /** Current value of counter or gauge @p name (0 when absent;
-     * counters shadow gauges on a name collision). */
-    std::int64_t value(const std::string &name) const;
-
-    bool empty() const
-    {
-        return counters_.empty() && gauges_.empty();
-    }
-
-    /** All counters then all gauges, each sorted by name. */
-    std::vector<std::pair<std::string, std::int64_t>> snapshot()
-        const;
-
-    /** "counter <name> = <v>" / "gauge <name> = <v>" lines in
-     * snapshot order. */
-    void writeText(std::ostream &os) const;
-
-  private:
-    std::map<std::string, std::int64_t> counters_;
-    std::map<std::string, std::int64_t> gauges_;
 };
 
 } // namespace flashmem::obs

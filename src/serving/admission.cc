@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "obs/trace.hh"
 #include "profiler/features.hh"
 #include "profiler/gbt.hh"
 
@@ -256,23 +255,6 @@ AdmissionController::admitAtArrival(
     }
     ++decisions_.shed;
     return multidnn::Admission::Shed;
-}
-
-void
-AdmissionController::exportCounters(obs::CounterRegistry &registry)
-    const
-{
-    registry.add("admission.admitted",
-                 static_cast<std::int64_t>(decisions_.admitted));
-    registry.add("admission.shed",
-                 static_cast<std::int64_t>(decisions_.shed));
-    registry.add("admission.tier_calibrated",
-                 static_cast<std::int64_t>(decisions_.tierCalibrated));
-    registry.add("admission.tier_predicted",
-                 static_cast<std::int64_t>(decisions_.tierPredicted));
-    registry.add(
-        "admission.tier_pessimistic",
-        static_cast<std::int64_t>(decisions_.tierPessimistic));
 }
 
 ModelMix

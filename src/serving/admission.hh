@@ -36,12 +36,9 @@
  * moment a model ships. Follows the paper's own GBT latency predictor
  * (Section 4.2) one level up, per ROADMAP open item 3.
  *
- * Bit-exact cross-validation: the controller decides from (now,
- * request, ready set, cluster state) only — identical between the
- * fast simulator and the real EventScheduler at every arrival by
- * construction — and computes every estimate itself (it never reads
- * ReadyRequest::estimatedLatency, which the two paths populate
- * differently for cold models). Hand the SAME controller to
+ * The controller decides from (now, request, ready set, cluster state)
+ * only — the event loop's own state — and computes every estimate
+ * itself from its ladder. Hand the SAME controller to
  * ServingSimParams::arrival and SchedulerConfig::arrivalAdmission and
  * the decision streams match exactly.
  */
@@ -56,10 +53,6 @@
 #include "multidnn/policies.hh"
 #include "serving/slo.hh"
 #include "serving/trace_gen.hh"
-
-namespace flashmem::obs {
-class CounterRegistry;
-} // namespace flashmem::obs
 
 namespace flashmem::serving {
 
@@ -165,15 +158,6 @@ class AdmissionController : public multidnn::ArrivalAdmission
     /** Zero the decision counters (e.g. between the two runs of a
      * cross-validation pair sharing one controller). */
     void resetDecisions() { decisions_ = {}; }
-
-    /**
-     * Export the decision counters into @p registry under
-     * "admission.*" names (obs instrumentation hook; the per-request
-     * AdmissionVerdict trace events are emitted by the event loop,
-     * which carries the per-path recorder — a gate object is shared
-     * across both execution paths by contract).
-     */
-    void exportCounters(obs::CounterRegistry &registry) const;
 
   private:
     const ServiceEstimator &estimator_;

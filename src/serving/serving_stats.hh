@@ -57,7 +57,6 @@ class ServingStats
     /** @} */
 
     double meanLatencyMs() const { return latency_ms_.mean(); }
-    double maxLatencyMs() const { return latency_ms_.max(); }
     double meanQueueDelayMs() const { return queue_ms_.mean(); }
 
   private:

@@ -56,15 +56,6 @@ calibrateServices(const core::FlashMem &fm,
     return table;
 }
 
-std::map<models::ModelId, SimTime>
-serviceEstimates(const ServiceTable &table)
-{
-    std::map<models::ModelId, SimTime> out;
-    for (const auto &[id, profile] : table)
-        out.emplace(id, profile.service);
-    return out;
-}
-
 SimTime
 meanService(const ServiceTable &table,
             const std::vector<std::pair<models::ModelId, double>>
@@ -83,25 +74,6 @@ meanService(const ServiceTable &table,
     if (total_weight == 0.0)
         return 0;
     return static_cast<SimTime>(weighted / total_weight);
-}
-
-void
-applyLatencyBound(std::vector<multidnn::ModelRequest> &trace,
-                  SimTime bound)
-{
-    for (auto &r : trace)
-        r.latencyBound = bound;
-}
-
-void
-applyLatencyBounds(std::vector<multidnn::ModelRequest> &trace,
-                   const std::map<models::ModelId, SimTime> &bounds)
-{
-    for (auto &r : trace) {
-        auto it = bounds.find(r.model);
-        if (it != bounds.end())
-            r.latencyBound = it->second;
-    }
 }
 
 } // namespace flashmem::serving

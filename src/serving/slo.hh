@@ -83,24 +83,10 @@ ServiceTable calibrateServices(const core::FlashMem &fm,
                                const multidnn::SchedulerConfig &cfg =
                                    {});
 
-/** Full-budget estimates keyed by model (closed-loop generator input). */
-std::map<models::ModelId, SimTime> serviceEstimates(
-    const ServiceTable &table);
-
 /** Mean full-budget service time over @p mix, weight-averaged. */
 SimTime meanService(const ServiceTable &table,
                     const std::vector<std::pair<models::ModelId,
                                                 double>> &weights);
-
-/** Stamp a uniform latency bound on every request (replayed traces). */
-void applyLatencyBound(std::vector<multidnn::ModelRequest> &trace,
-                       SimTime bound);
-
-/** Stamp per-model latency bounds; models absent from @p bounds keep
- * their current bound. */
-void applyLatencyBounds(std::vector<multidnn::ModelRequest> &trace,
-                        const std::map<models::ModelId, SimTime>
-                            &bounds);
 
 } // namespace flashmem::serving
 

@@ -12,10 +12,79 @@ using multidnn::DeviceCluster;
 using multidnn::DispatchedRun;
 using multidnn::ModelRequest;
 using multidnn::ReadyRequest;
+using multidnn::RunService;
 
-/** The fast drain over the shared cluster event loop: dispatch is a
- * service-table lookup placed through DeviceCluster::planTimes — the
- * same timing rule the real EventScheduler commits runs with. */
+namespace {
+
+/** The calibrated-table backend of the cluster event loop: a run
+ * costs its model's calibrated init/exec split (degraded figures for a
+ * degraded run), and a placed run records its calibrated peak. */
+struct CalibratedTable
+{
+    const ServiceTable &services;
+    ServingOutcome &out;
+    /** Largest calibrated peak placed on each device. */
+    std::vector<Bytes> devicePeak;
+    /** Peak of the run the last service() call priced. */
+    Bytes peak = 0;
+
+    SimTime
+    estimate(models::ModelId model) const
+    {
+        auto it = services.find(model);
+        FM_ASSERT(it != services.end(),
+                  "simulateServing: model missing from the service "
+                  "table");
+        return it->second.service;
+    }
+
+    RunService
+    service(const ReadyRequest &picked, const std::vector<ReadyRequest> &,
+            SimTime)
+    {
+        const auto &p = services.at(picked.model);
+        if (picked.degraded) {
+            peak = p.degradedPeakBytes;
+            return {p.degradedPlanBudget, p.degradedInitService,
+                    p.degradedExecService()};
+        }
+        peak = p.peakBytes;
+        return {p.planBudget, p.initService, p.execService()};
+    }
+
+    void
+    placed(const ReadyRequest &, const DispatchedRun &run, std::uint64_t)
+    {
+        out.peakMemory = std::max(out.peakMemory, peak);
+        auto &dpeak = devicePeak[static_cast<std::size_t>(run.device)];
+        dpeak = std::max(dpeak, peak);
+    }
+
+    void
+    completed(const ReadyRequest &req, const DispatchedRun &run,
+              std::uint64_t)
+    {
+        // Stats are recorded when a run survives to completion —
+        // killed dispatches retry or shed instead — with the actual
+        // (possibly stall-shifted) timeline, in dispatch order.
+        SimTime latency = run.times.end - req.arrival;
+        bool met = req.latencyBound <= 0 || latency <= req.latencyBound;
+        out.stats.recordCompletion(latency, run.times.start - req.arrival,
+                                   met, req.degraded);
+        out.makespan = std::max(out.makespan, run.times.end);
+    }
+
+    void
+    dropped(const ReadyRequest &, SimTime, multidnn::DropReason reason)
+    {
+        if (reason == multidnn::DropReason::ArrivalShed)
+            ++out.arrivalSheds;
+        out.stats.recordShed();
+    }
+};
+
+} // namespace
+
 ServingOutcome
 simulateServing(const std::vector<ModelRequest> &trace,
                 const multidnn::SchedulingPolicy &policy,
@@ -27,78 +96,18 @@ simulateServing(const std::vector<ModelRequest> &trace,
     out.submitted = trace.size();
 
     DeviceCluster cluster(params.cluster);
-    std::vector<Bytes> device_peak(
-        static_cast<std::size_t>(cluster.deviceCount()), 0);
-
+    CalibratedTable table{
+        services, out,
+        std::vector<Bytes>(
+            static_cast<std::size_t>(cluster.deviceCount()), 0)};
     bool stable = multidnn::drainClusterQueue(
-        trace, policy, cluster,
-        [&](std::size_t seq) {
-            const auto &req = trace[seq];
-            auto it = services.find(req.model);
-            FM_ASSERT(it != services.end(),
-                      "simulateServing: model missing from the "
-                      "service table");
-            ReadyRequest r;
-            r.queueIndex = seq;
-            r.model = req.model;
-            r.arrival = req.arrival;
-            r.priority = req.priority;
-            r.estimatedLatency = it->second.service;
-            r.latencyBound = req.latencyBound;
-            return r;
-        },
-        [&](const ReadyRequest &picked,
-            const std::vector<ReadyRequest> &, SimTime now,
-            std::uint64_t) {
-            const auto &profile = services.at(picked.model);
-            Bytes budget = picked.degraded ? profile.degradedPlanBudget
-                                           : profile.planBudget;
-            int dev = cluster.pickDevice(now);
-            SimTime init = picked.degraded
-                               ? profile.degradedInitService
-                               : profile.initService;
-            SimTime exec = picked.degraded
-                               ? profile.degradedExecService()
-                               : profile.execService();
-            auto t = cluster.planTimes(dev, now, init, exec);
-            cluster.commit(dev, picked.model, budget, t);
-
-            Bytes peak = picked.degraded ? profile.degradedPeakBytes
-                                         : profile.peakBytes;
-            out.peakMemory = std::max(out.peakMemory, peak);
-            auto &dpeak = device_peak[static_cast<std::size_t>(dev)];
-            dpeak = std::max(dpeak, peak);
-            return DispatchedRun{dev, t};
-        },
-        [&](const ReadyRequest &req, const DispatchedRun &run,
-            std::uint64_t) {
-            // Stats are recorded when a run survives to completion —
-            // killed dispatches retry or shed instead — with the
-            // actual (possibly stall-shifted) timeline. The loop
-            // delivers completions in dispatch order, so the P²
-            // insertion order matches the real scheduler's
-            // dispatch-ordered runs exactly.
-            SimTime latency = run.times.end - req.arrival;
-            bool met = req.latencyBound <= 0 ||
-                       latency <= req.latencyBound;
-            out.stats.recordCompletion(latency,
-                                       run.times.start - req.arrival,
-                                       met, req.degraded);
-            out.makespan = std::max(out.makespan, run.times.end);
-        },
-        [&](const ReadyRequest &, SimTime, multidnn::DropReason reason) {
-            if (reason == multidnn::DropReason::ArrivalShed)
-                ++out.arrivalSheds;
-            out.stats.recordShed();
-        },
-        params.readyLimit,
-        params.faults.empty() ? nullptr : &params.faults,
-        params.recovery, &out.faults, params.arrival, params.trace);
+        trace, policy, cluster, table, params.readyLimit, &params.faults,
+        &out.faults, params.arrival, params.trace);
 
     out.unstable = !stable;
     out.devices = cluster.utilization(out.makespan);
     for (std::size_t i = 0; i < out.devices.size(); ++i)
-        out.devices[i].peakMemory = device_peak[i];
+        out.devices[i].peakMemory = table.devicePeak[i];
     return out;
 }
 

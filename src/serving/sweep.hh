@@ -3,15 +3,17 @@
  * Request-level serving simulator + streaming-percentile capacity
  * sweeps.
  *
- * simulateServing() runs the EventScheduler's own event loop
- * (multidnn/event_loop.hh — literally the same template, not a copy)
- * over a DeviceCluster, but dispatch costs one table lookup into
- * calibrated per-model service times (serving/slo.hh) instead of a
- * full streamed execution. That makes million-request runs cheap
- * (O(1) arithmetic per request) while staying grounded in real
- * planner/runtime numbers, and bit-identical to the real scheduler
- * for a given trace — including multi-device sharding and
- * cross-request init/exec overlap (ServingSimParams::cluster).
+ * simulateServing() drains a trace through the cluster event loop
+ * (multidnn/event_loop.hh) that the live EventScheduler runs, with a
+ * calibrated service table (serving/slo.hh) as its backend: a run
+ * costs one table lookup instead of a streamed execution. The loop
+ * places every run itself, so the two paths differ only in where a
+ * run's service times come from. That makes million-request runs
+ * cheap (O(1) arithmetic per request) while staying grounded in real
+ * planner/runtime numbers, and equal to the live scheduler for a given
+ * trace when the table is calibrated on the same FlashMem — including
+ * multi-device sharding, cross-request init/exec overlap
+ * (ServingSimParams::cluster) and faults.
  *
  * findMaxSustainableQps() locates the capacity knee per policy: the
  * largest offered QPS whose probe run still meets the SloSpec (p99
@@ -58,13 +60,10 @@ struct ServingSimParams
      * in shape to multidnn::SchedulerConfig::faults so a fast-sim run
      * and a real EventScheduler run see the same timeline. */
     multidnn::FaultPlan faults;
-    /** Stuck-clock guard of the fault-tolerant loop. */
-    multidnn::RecoveryConfig recovery;
     /**
      * Arrival-time admission gate (null = dispatch-point admission
      * only; see serving/admission.hh). Not owned. Hand the SAME gate
-     * to SchedulerConfig::arrivalAdmission on the real path for the
-     * cross-validation to stay bit-exact.
+     * to SchedulerConfig::arrivalAdmission to compare the two paths.
      */
     const multidnn::ArrivalAdmission *arrival = nullptr;
     /**

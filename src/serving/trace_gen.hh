@@ -90,9 +90,9 @@ std::vector<multidnn::ModelRequest> diurnalTrace(
  * Closed-loop arrivals: @p users concurrent users, each issuing its
  * next request an exponential think time after its previous request
  * completed. Completion times are approximated against a serialized
- * FIFO server with the calibrated @p service_estimates (see
- * serving::serviceEstimates), which is exact for FIFO draining and a
- * close upper bound otherwise.
+ * FIFO server with @p service_estimates (a calibrated table's
+ * ModelServiceProfile::service per model), which is exact for FIFO
+ * draining and a close upper bound otherwise.
  */
 struct ClosedLoopParams
 {

@@ -13,6 +13,7 @@
 
 #include "core/flashmem.hh"
 #include "graph/builder.hh"
+#include "multidnn/event_loop.hh"
 #include "multidnn/scheduler.hh"
 
 namespace flashmem::multidnn {
@@ -40,60 +41,96 @@ TEST(EventScheduler, EmptyQueueIsANoOp)
     EXPECT_TRUE(out.trace.empty());
 }
 
-TEST(EventScheduler, FifoPolicyMatchesSeedFifoDrain)
+/**
+ * Replay the seed FIFO scheduler (run in order, start at max(arrival,
+ * device free)) on one shared simulator, executing model m at t with
+ * @p exec(sim, m, t), and hold @p out to it run for run. The scheduler
+ * reports each run as the solo profile of its model placed at its
+ * dispatch, so every execution on the shared simulator must also have
+ * the peak, average memory and duration of a solo run on a fresh one:
+ * they may not depend on the device's history, even when one run's
+ * last trace point and the next run's first collapse into one
+ * (back-to-back runs, which the queue must mostly be).
+ */
+template <typename ExecFn>
+void
+expectSeedFifoDrain(const std::vector<ModelRequest> &queue,
+                    const ScheduleOutcome &out, ExecFn &&exec)
 {
-    // The event-driven drain under the FIFO policy must reproduce the
-    // seed scheduler (compile once, run in order, start at
-    // max(arrival, device free)) exactly. Each run's memory numbers and
-    // duration must also equal a solo run of the same compiled model on
-    // a fresh simulator: they may not depend on the device's history,
-    // even when one run's last trace point and the next run's first
-    // collapse into one (back-to-back runs).
-    FlashMem fm(DeviceProfile::onePlus12());
-    auto queue = interleavedWorkload(
-        {ModelId::ResNet50, ModelId::DepthAnythingS, ModelId::ViT}, 40,
-        milliseconds(20), 11);
-    ASSERT_EQ(queue.size(), 120u);
-
-    EventScheduler sched(fm);
-    auto out = sched.run(queue, FifoPolicy{});
+    const auto dev = DeviceProfile::onePlus12();
     ASSERT_EQ(out.runs.size(), queue.size());
-
-    // Reference drain, replicating the seed FIFO scheduler inline.
-    std::map<ModelId, core::CompiledModel> compiled;
     std::map<ModelId, core::RunResult> solo;
     for (const auto &req : queue) {
-        if (compiled.count(req.model))
+        if (solo.count(req.model))
             continue;
-        const auto &c =
-            compiled
-                .emplace(req.model,
-                         fm.compile(models::buildModel(req.model)))
-                .first->second;
-        GpuSimulator fresh(fm.device());
-        solo.emplace(req.model, fm.execute(fresh, c, 0));
+        GpuSimulator fresh(dev);
+        solo.emplace(req.model, exec(fresh, req.model, 0));
     }
-    GpuSimulator sim(fm.device());
+    GpuSimulator sim(dev);
     SimTime free_at = 0;
     std::size_t back_to_back = 0;
     for (std::size_t i = 0; i < queue.size(); ++i) {
         SimTime start = std::max(queue[i].arrival, free_at);
         back_to_back += i > 0 && start == free_at;
-        auto r = fm.execute(sim, compiled.at(queue[i].model), start);
+        auto r = exec(sim, queue[i].model, start);
         const auto &run = out.runs[i];
-        EXPECT_EQ(run.model, r.model);
-        EXPECT_EQ(run.start, r.start);
-        EXPECT_EQ(run.end, r.end);
-        EXPECT_EQ(run.arrival, queue[i].arrival);
         const auto &s = solo.at(queue[i].model);
+        EXPECT_EQ(run.model, r.model) << "run " << i;
+        EXPECT_EQ(run.arrival, queue[i].arrival) << "run " << i;
+        EXPECT_EQ(run.start, r.start) << "run " << i;
+        EXPECT_EQ(run.initDone, r.initDone) << "run " << i;
+        EXPECT_EQ(run.end, r.end) << "run " << i;
+        EXPECT_EQ(r.peakMemory, s.peakMemory) << "run " << i;
+        EXPECT_EQ(r.avgMemoryBytes, s.avgMemoryBytes) << "run " << i;
+        EXPECT_EQ(r.end - r.start, s.end - s.start) << "run " << i;
         EXPECT_EQ(run.peakMemory, s.peakMemory) << "run " << i;
         EXPECT_EQ(run.avgMemoryBytes, s.avgMemoryBytes) << "run " << i;
-        EXPECT_EQ(run.end - run.start, s.end - s.start) << "run " << i;
         free_at = r.end;
     }
     EXPECT_EQ(out.makespan, free_at);
-    // The queue exercises the back-to-back collapse, not just idle gaps.
     EXPECT_GT(back_to_back, queue.size() / 2);
+}
+
+TEST(EventScheduler, FifoPolicyMatchesSeedFifoDrain)
+{
+    // Under FIFO the event-driven drain must reproduce the seed
+    // scheduler (compile once, run in order) exactly.
+    FlashMem fm(DeviceProfile::onePlus12());
+    auto queue = interleavedWorkload(
+        {ModelId::ResNet50, ModelId::DepthAnythingS, ModelId::ViT}, 40,
+        milliseconds(20), 11);
+    ASSERT_EQ(queue.size(), 120u);
+    EventScheduler sched(fm);
+    auto out = sched.run(queue, FifoPolicy{});
+
+    std::map<ModelId, core::CompiledModel> compiled;
+    expectSeedFifoDrain(queue, out,
+                        [&](GpuSimulator &sim, ModelId m, SimTime t) {
+                            if (!compiled.count(m))
+                                compiled.emplace(
+                                    m, fm.compile(models::buildModel(m)));
+                            return fm.execute(sim, compiled.at(m), t);
+                        });
+}
+
+TEST(EventScheduler, PreloadRunsMatchSoloColdStarts)
+{
+    // The same for the preload path, whose runs are solo cold starts.
+    auto dev = DeviceProfile::onePlus12();
+    auto queue = interleavedWorkload(
+        {ModelId::ResNet50, ModelId::DepthAnythingS, ModelId::ViT}, 4,
+        milliseconds(20), 11);
+    auto out = EventScheduler::runPreload(baselines::FrameworkId::MNN,
+                                          dev, queue, FifoPolicy{});
+
+    baselines::PreloadFramework fw(baselines::FrameworkId::MNN, dev);
+    std::map<ModelId, graph::Graph> graphs;
+    expectSeedFifoDrain(queue, out,
+                        [&](GpuSimulator &sim, ModelId m, SimTime t) {
+                            if (!graphs.count(m))
+                                graphs.emplace(m, models::buildModel(m));
+                            return fw.run(sim, graphs.at(m), t);
+                        });
 }
 
 TEST(EventScheduler, TraceLivesInTheOutcome)
@@ -830,11 +867,8 @@ TEST(Faults, StallWithinBudgetCompletesLateNotKilled)
     FlashMem fm(DeviceProfile::onePlus12());
     std::vector<ModelRequest> queue{{ModelId::ResNet50, 0, 0, 0}};
 
-    // Fault-free reference (forced through the fault dispatch route
-    // by an inert far-future fault, so timing rules are identical).
-    SchedulerConfig ref_cfg;
-    ref_cfg.faults = singleStall(0, seconds(1000), 1);
-    EventScheduler ref_sched(fm, ref_cfg);
+    // Fault-free reference.
+    EventScheduler ref_sched(fm);
     auto ref = ref_sched.run(queue, FifoPolicy{});
     ASSERT_EQ(ref.runs.size(), 1u);
     const SimTime service = ref.runs[0].end - ref.runs[0].start;
@@ -955,18 +989,41 @@ TEST(Faults, FlappingDeviceNeverDeadlocksOrLosesRequests)
     EXPECT_EQ(out.devices[1].downTime, 0);
 }
 
+/** A backend in which every run takes 10 ms: drives the event loop
+ * directly, with a stuck-clock limit of one event per instant. */
+struct TenMsRuns
+{
+    SimTime estimate(ModelId) const { return milliseconds(10); }
+    RunService
+    service(const ReadyRequest &, const std::vector<ReadyRequest> &,
+            SimTime) const
+    {
+        return {0, 0, milliseconds(10)};
+    }
+    void placed(const ReadyRequest &, const DispatchedRun &,
+                std::uint64_t) {}
+    void completed(const ReadyRequest &, const DispatchedRun &,
+                   std::uint64_t) {}
+    void dropped(const ReadyRequest &, SimTime, DropReason) {}
+};
+
+void
+drainWithStuckLimitOne(const std::vector<ModelRequest> &queue)
+{
+    DeviceCluster cluster(ClusterConfig{});
+    TenMsRuns runs;
+    drainClusterQueue(queue, FifoPolicy{}, cluster, runs,
+                      /*ready_limit=*/0, /*faults=*/nullptr,
+                      /*counters=*/nullptr, /*arrival=*/nullptr,
+                      /*trace=*/nullptr, /*stuck_limit=*/1);
+}
+
 TEST(Faults, StuckClockGuardPanicsLoudly)
 {
-    FlashMem fm(DeviceProfile::onePlus12());
     // Three simultaneous arrivals share one instant; a stuck limit of
     // one event per instant trips the guard deterministically.
-    std::vector<ModelRequest> queue{{ModelId::ResNet50, 0, 0, 0},
-                                    {ModelId::ResNet50, 0, 0, 0},
-                                    {ModelId::ResNet50, 0, 0, 0}};
-    SchedulerConfig cfg;
-    cfg.recovery.stuckEventLimit = 1;
-    EventScheduler sched(fm, cfg);
-    EXPECT_DEATH(sched.run(queue, FifoPolicy{}), "event loop stuck");
+    std::vector<ModelRequest> queue(3, {ModelId::ResNet50, 0, 0, 0});
+    EXPECT_DEATH(drainWithStuckLimitOne(queue), "event loop stuck");
 }
 
 TEST(Faults, StuckClockDiagnosticCountsArrivalsNotYetConsumed)
@@ -974,12 +1031,8 @@ TEST(Faults, StuckClockDiagnosticCountsArrivalsNotYetConsumed)
     // Arrivals stream from the queue, not the event heap, and the
     // panic's pendingEvents counts both: four simultaneous arrivals
     // trip a one-event limit at the second, with two still to come.
-    FlashMem fm(DeviceProfile::onePlus12());
     std::vector<ModelRequest> queue(4, {ModelId::ResNet50, 0, 0, 0});
-    SchedulerConfig cfg;
-    cfg.recovery.stuckEventLimit = 1;
-    EventScheduler sched(fm, cfg);
-    EXPECT_DEATH(sched.run(queue, FifoPolicy{}),
+    EXPECT_DEATH(drainWithStuckLimitOne(queue),
                  "ready=1 pendingEvents=2 inFlight=0");
 }
 

@@ -4,8 +4,8 @@
  * trace-determinism property (byte-identical text export across
  * planner thread counts; fast-sim vs EventScheduler Stream::Serving
  * equality under a mixed fault + admission schedule), Chrome JSON
- * structural sanity, CounterRegistry semantics, and the
- * severity-leveled logging helpers (common/logging.hh).
+ * structural sanity, and the severity-leveled logging helpers
+ * (common/logging.hh).
  */
 
 #include <gtest/gtest.h>
@@ -120,37 +120,6 @@ TEST(TraceRecorder, ChromeJsonHasTracksAndBalancedBraces)
     EXPECT_EQ(brackets, 0);
 }
 
-// -------------------------------------------------- counter registry
-
-TEST(CounterRegistry, SnapshotIsSortedCountersThenGauges)
-{
-    CounterRegistry reg;
-    EXPECT_TRUE(reg.empty());
-    reg.add("zeta");
-    reg.add("alpha", 2);
-    reg.add("alpha", 3);
-    reg.setGauge("beta", 9);
-    reg.setGauge("beta", 4); // last write wins
-
-    EXPECT_EQ(reg.value("alpha"), 5);
-    EXPECT_EQ(reg.value("zeta"), 1);
-    EXPECT_EQ(reg.value("beta"), 4);
-    EXPECT_EQ(reg.value("missing"), 0);
-    EXPECT_FALSE(reg.empty());
-
-    auto snap = reg.snapshot();
-    ASSERT_EQ(snap.size(), 3u);
-    EXPECT_EQ(snap[0].first, "alpha"); // counters sorted first
-    EXPECT_EQ(snap[1].first, "zeta");
-    EXPECT_EQ(snap[2].first, "beta"); // then gauges
-
-    std::ostringstream os;
-    reg.writeText(os);
-    EXPECT_EQ(os.str(), "counter alpha = 5\n"
-                        "counter zeta = 1\n"
-                        "gauge beta = 4\n");
-}
-
 // ------------------------------------------------------- logging
 
 TEST(Logging, LevelRoundTripsAndRestores)
@@ -160,22 +129,6 @@ TEST(Logging, LevelRoundTripsAndRestores)
     EXPECT_EQ(logLevel(), LogLevel::Debug);
     setLogLevel(LogLevel::Silent);
     EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setLogLevel(before);
-}
-
-TEST(Logging, RateLimitedWarnCountsAndSuppresses)
-{
-    auto before = logLevel();
-    setLogLevel(LogLevel::Silent); // counters only, no stderr noise
-    RateLimitedWarn limited(/*limit=*/3);
-    for (int i = 0; i < 10; ++i)
-        limited("recurring condition ", i);
-    EXPECT_EQ(limited.seen(), 10u);
-    EXPECT_EQ(limited.suppressed(), 7u);
-
-    RateLimitedWarn quiet;
-    EXPECT_EQ(quiet.seen(), 0u);
-    EXPECT_EQ(quiet.suppressed(), 0u);
     setLogLevel(before);
 }
 
@@ -310,13 +263,6 @@ TEST(TraceDeterminism, FastSimMatchesEventSchedulerServingStream)
 
     EXPECT_EQ(fast_text, real_rec.text(Stream::Serving));
     EXPECT_EQ(real.runs.size(), fast.stats.completed());
-
-    // The admission counters export deterministically.
-    CounterRegistry reg;
-    gate.exportCounters(reg);
-    EXPECT_EQ(reg.value("admission.admitted") +
-                  reg.value("admission.shed"),
-              static_cast<std::int64_t>(gate.decisions().total()));
 }
 
 } // namespace

@@ -5,8 +5,9 @@
  * request-level simulator (exact hand-checked timelines, SLO
  * admission, instability abort), capacity sweeps (monotonicity,
  * thread-count determinism), service calibration against the real
- * FlashMem planner, and drains that must not depend on the order a
- * replayed queue lists its requests in.
+ * FlashMem planner, the fast simulator against the live
+ * EventScheduler over a scenario table, and drains that must not
+ * depend on the order a replayed queue lists its requests in.
  */
 
 #include <gtest/gtest.h>
@@ -607,167 +608,6 @@ TEST(Calibration, MeasuresRealPlansAtBothBudgets)
     gpusim::GpuSimulator sim(fm.device());
     auto r = fm.execute(sim, compiled, 0);
     EXPECT_EQ(p.service, r.integratedLatency());
-
-    // The estimates view feeds the closed-loop generator.
-    auto est = serviceEstimates(table);
-    EXPECT_EQ(est.at(ModelId::ResNet50), p.service);
-}
-
-TEST(Calibration, FastSimulatorCrossValidatesAgainstEventScheduler)
-{
-    // The fast request-level simulator claims to mirror the real
-    // EventScheduler's event loop exactly; hold it to that. Same
-    // generated trace, same policy, services calibrated from the same
-    // FlashMem: dispatch count, shed count, goodput, and every
-    // per-request (start, end) must agree — the real scheduler's
-    // executions are start-time invariant, so calibrated service
-    // times reproduce its timeline.
-    core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
-    ModelMix mix;
-    mix.entries = {{ModelId::ResNet50, 2.0, milliseconds(150), 0},
-                   {ModelId::DepthAnythingS, 1.0, milliseconds(400),
-                    0}};
-    auto services = calibrateServices(fm, mix.distinctModels());
-
-    // ~2x the mix capacity, so queues build and admission sheds.
-    auto trace = poissonTrace(mix, 30.0, 30, /*seed=*/41);
-    multidnn::DeadlinePolicy policy;
-    auto fast = simulateServing(trace, policy, services);
-
-    multidnn::EventScheduler sched(fm);
-    auto real = sched.run(trace, policy);
-
-    EXPECT_EQ(real.runs.size(), fast.stats.completed());
-    EXPECT_EQ(real.shed.size(), fast.stats.shedCount());
-    EXPECT_EQ(real.goodput(), fast.stats.goodput());
-    EXPECT_EQ(real.makespan, fast.makespan);
-    ASSERT_FALSE(real.runs.empty());
-    ASSERT_GT(fast.stats.shedCount(), 0u); // contention exercised
-}
-
-TEST(Calibration, FastSimulatorCrossValidatesAtScale)
-{
-    // The tens-of-requests cross-validation above could hide rare
-    // divergence; drive thousands of requests through both paths at
-    // 2x overload and hold them to *exact* agreement — counts,
-    // makespan, goodput, and the full streaming-percentile state
-    // (the P² estimators are pure functions of the observation
-    // order, so matching p50/p95/p99 bit for bit means the two
-    // paths produced identical per-request latencies in identical
-    // order).
-    core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
-    ModelMix mix;
-    mix.entries = {{ModelId::ResNet50, 2.0, milliseconds(150), 0},
-                   {ModelId::DepthAnythingS, 1.0, milliseconds(400),
-                    0}};
-    auto services = calibrateServices(fm, mix.distinctModels());
-
-    auto trace = poissonTrace(mix, 30.0, 2500, /*seed=*/43);
-    multidnn::DeadlinePolicy policy;
-    ServingSimParams params;
-    params.readyLimit = 0; // the real path never aborts
-    auto fast = simulateServing(trace, policy, services, params);
-
-    multidnn::EventScheduler sched(fm);
-    auto real = sched.run(trace, policy);
-    auto real_stats = ServingStats::fromOutcome(real);
-
-    ASSERT_GT(real.runs.size(), 1000u);
-    ASSERT_GT(real.shed.size(), 100u); // overload exercised
-    EXPECT_EQ(real.runs.size(), fast.stats.completed());
-    EXPECT_EQ(real.shed.size(), fast.stats.shedCount());
-    EXPECT_EQ(real.goodput(), fast.stats.goodput());
-    EXPECT_EQ(real.makespan, fast.makespan);
-    EXPECT_EQ(real_stats.p50(), fast.stats.p50());
-    EXPECT_EQ(real_stats.p95(), fast.stats.p95());
-    EXPECT_EQ(real_stats.p99(), fast.stats.p99());
-    EXPECT_DOUBLE_EQ(real_stats.meanLatencyMs(),
-                     fast.stats.meanLatencyMs());
-}
-
-TEST(Calibration, ShardedFastSimCrossValidatesAgainstEventScheduler)
-{
-    // The N-device loop must mirror exactly too: same trace, same
-    // policy, two devices, overload. Placement, admission, and
-    // per-request timelines all agree because both paths run the
-    // shared cluster event loop over the same calibrated times.
-    core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
-    ModelMix mix;
-    mix.entries = {{ModelId::ResNet50, 2.0, milliseconds(150), 0},
-                   {ModelId::DepthAnythingS, 1.0, milliseconds(400),
-                    0}};
-    auto services = calibrateServices(fm, mix.distinctModels());
-
-    auto trace = poissonTrace(mix, 60.0, 600, /*seed=*/47);
-    multidnn::DeadlinePolicy policy;
-    ServingSimParams params;
-    params.readyLimit = 0;
-    params.cluster.deviceCount = 2;
-    auto fast = simulateServing(trace, policy, services, params);
-
-    multidnn::SchedulerConfig cfg;
-    cfg.cluster.deviceCount = 2;
-    multidnn::EventScheduler sched(fm, cfg);
-    auto real = sched.run(trace, policy);
-    auto real_stats = ServingStats::fromOutcome(real);
-
-    ASSERT_GT(fast.stats.shedCount(), 0u);
-    EXPECT_EQ(real.runs.size(), fast.stats.completed());
-    EXPECT_EQ(real.shed.size(), fast.stats.shedCount());
-    EXPECT_EQ(real.makespan, fast.makespan);
-    EXPECT_EQ(real_stats.p50(), fast.stats.p50());
-    EXPECT_EQ(real_stats.p95(), fast.stats.p95());
-    EXPECT_EQ(real_stats.p99(), fast.stats.p99());
-    // Both devices did work, and the paths agree per device.
-    ASSERT_EQ(real.devices.size(), 2u);
-    ASSERT_EQ(fast.devices.size(), 2u);
-    for (int d = 0; d < 2; ++d) {
-        EXPECT_GT(real.devices[d].dispatched, 0u);
-        EXPECT_EQ(real.devices[d].dispatched,
-                  fast.devices[d].dispatched);
-        EXPECT_EQ(real.devices[d].computeBusyTime,
-                  fast.devices[d].computeBusyTime);
-        EXPECT_EQ(real.devices[d].dmaBusyTime,
-                  fast.devices[d].dmaBusyTime);
-    }
-}
-
-TEST(Calibration, OverlapCrossValidatesAgainstEventScheduler)
-{
-    // Cross-request overlap: the real scheduler places runs with its
-    // measured solo profiles, the fast path with the calibrated
-    // table — both through DeviceCluster::planTimes. Solo executions
-    // are deterministic, so the two must agree exactly.
-    core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
-    ModelMix mix;
-    mix.entries = {{ModelId::GPTNeoS, 1.0, 0, 0},
-                   {ModelId::ResNet50, 1.0, 0, 0}};
-    auto services = calibrateServices(fm, mix.distinctModels());
-    ASSERT_GT(services.at(ModelId::GPTNeoS).initService, 0);
-
-    auto trace = poissonTrace(mix, 12.0, 40, /*seed=*/53);
-    multidnn::FifoPolicy policy;
-    ServingSimParams params;
-    params.readyLimit = 0;
-    params.cluster.overlapInitWithExec = true;
-    auto fast = simulateServing(trace, policy, services, params);
-
-    multidnn::SchedulerConfig cfg;
-    cfg.cluster.overlapInitWithExec = true;
-    multidnn::EventScheduler sched(fm, cfg);
-    auto real = sched.run(trace, policy);
-    auto real_stats = ServingStats::fromOutcome(real);
-
-    EXPECT_EQ(real.runs.size(), fast.stats.completed());
-    EXPECT_EQ(real.makespan, fast.makespan);
-    EXPECT_EQ(real_stats.p50(), fast.stats.p50());
-    EXPECT_EQ(real_stats.p99(), fast.stats.p99());
-    // Overlap actually engaged: some run's preload started before
-    // its predecessor's completion.
-    bool overlapped = false;
-    for (std::size_t i = 1; i < real.runs.size(); ++i)
-        overlapped |= real.runs[i].start < real.runs[i - 1].end;
-    EXPECT_TRUE(overlapped);
 }
 
 // ------------------------------------------------- fault tolerance
@@ -834,97 +674,17 @@ TEST(FaultServing, FaultCountersRideTheOutcome)
     EXPECT_EQ(out.faults.crashes, 0);
 }
 
-TEST(FaultServing, CrossValidatesAgainstEventSchedulerUnderFaults)
+TEST(FaultServing, FaultOnAMissingDeviceFailsLoudly)
 {
-    // The tentpole invariant: with an injected fault schedule, the
-    // fast simulator and the real EventScheduler run the SAME shared
-    // event loop over the SAME cluster state machine, so their entire
-    // observable outcome — completions, sheds, retries, failovers,
-    // per-request latency order (held via the order-sensitive P²
-    // estimators), per-device dispatch counts and downtime — must
-    // agree exactly at scale, faults included.
-    core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
-    ModelMix mix;
-    // Bounded and unbounded flavors: bounded requests exercise the
-    // retry-vs-readmission interplay (a doomed retry is shed), the
-    // unbounded share guarantees surviving failover dispatches.
-    mix.entries = {{ModelId::ResNet50, 2.0, milliseconds(150), 0},
-                   {ModelId::DepthAnythingS, 1.0, milliseconds(400),
-                    0},
-                   {ModelId::ResNet50, 1.0, 0, 0}};
-    auto services = calibrateServices(fm, mix.distinctModels());
-
-    auto trace = poissonTrace(mix, 60.0, 2500, /*seed=*/61);
-
-    // A mixed schedule: a mid-run crash with rejoin, a thermal
-    // slowdown, a watchdog-tripping stall, and a seeded background of
-    // stalls and transient DMA errors on both devices.
-    multidnn::FaultPlanParams fp;
-    fp.stallsPerSecond = 0.5;
-    fp.meanStall = milliseconds(40);
-    fp.dmaErrorsPerSecond = 1.0;
-    auto plan = multidnn::crashAndRejoin(0, milliseconds(500),
-                                         milliseconds(400));
-    plan = multidnn::mergeFaultPlans(
-        plan, multidnn::singleSlowdown(1, milliseconds(200),
-                                       milliseconds(600), 3.0));
-    plan = multidnn::mergeFaultPlans(
-        plan,
-        multidnn::singleStall(1, seconds(2), seconds(3)));
-    plan = multidnn::mergeFaultPlans(
-        plan, multidnn::generateFaultPlan(fp, 2, seconds(30), 7));
-
-    multidnn::DeadlinePolicy policy;
+    // A fault plan built for a larger cluster names a device this one
+    // does not have: the drain refuses it up front instead of
+    // indexing past the cluster's devices.
+    std::vector<ModelRequest> trace{{ModelId::ResNet50, 0, 0, 0}};
     ServingSimParams params;
-    params.readyLimit = 0;
-    params.cluster.deviceCount = 2;
-    params.cluster.overlapInitWithExec = true;
-    params.faults = plan;
-    auto fast = simulateServing(trace, policy, services, params);
-
-    multidnn::SchedulerConfig cfg;
-    cfg.cluster.deviceCount = 2;
-    cfg.cluster.overlapInitWithExec = true;
-    cfg.faults = plan;
-    multidnn::EventScheduler sched(fm, cfg);
-    auto real = sched.run(trace, policy);
-    auto real_stats = ServingStats::fromOutcome(real);
-
-    // The faults actually bit: kills, retries, failovers, downtime.
-    ASSERT_GT(real.runs.size(), 1000u);
-    ASSERT_GT(real.faults.crashes, 0);
-    ASSERT_GT(real.faults.retries, 0);
-    ASSERT_GT(real.faults.failovers, 0);
-
-    EXPECT_EQ(real.runs.size(), fast.stats.completed());
-    EXPECT_EQ(real.shed.size(), fast.stats.shedCount());
-    EXPECT_EQ(real.goodput(), fast.stats.goodput());
-    EXPECT_EQ(real.makespan, fast.makespan);
-    EXPECT_EQ(real_stats.p50(), fast.stats.p50());
-    EXPECT_EQ(real_stats.p95(), fast.stats.p95());
-    EXPECT_EQ(real_stats.p99(), fast.stats.p99());
-    EXPECT_DOUBLE_EQ(real_stats.meanLatencyMs(),
-                     fast.stats.meanLatencyMs());
-
-    EXPECT_EQ(real.faults.crashes, fast.faults.crashes);
-    EXPECT_EQ(real.faults.timeouts, fast.faults.timeouts);
-    EXPECT_EQ(real.faults.dmaAborts, fast.faults.dmaAborts);
-    EXPECT_EQ(real.faults.retries, fast.faults.retries);
-    EXPECT_EQ(real.faults.failovers, fast.faults.failovers);
-    EXPECT_EQ(real.faults.faultSheds, fast.faults.faultSheds);
-    EXPECT_EQ(real.faults.starved, fast.faults.starved);
-
-    ASSERT_EQ(real.devices.size(), 2u);
-    ASSERT_EQ(fast.devices.size(), 2u);
-    for (int d = 0; d < 2; ++d) {
-        EXPECT_EQ(real.devices[d].dispatched,
-                  fast.devices[d].dispatched);
-        EXPECT_EQ(real.devices[d].downTime, fast.devices[d].downTime);
-        EXPECT_EQ(real.devices[d].computeBusyTime,
-                  fast.devices[d].computeBusyTime);
-        EXPECT_EQ(real.devices[d].dmaBusyTime,
-                  fast.devices[d].dmaBusyTime);
-    }
+    params.faults = multidnn::singleCrash(3, milliseconds(2));
+    EXPECT_DEATH(
+        simulateServing(trace, FifoPolicy{}, handTable(), params),
+        "fault event 0 targets device 3 of a 1-device cluster");
 }
 
 // ------------------------------------------------------ queue order
@@ -963,32 +723,52 @@ shuffledReplay(const std::vector<ModelRequest> &sorted,
 struct Observed
 {
     std::size_t completed = 0;
+    std::size_t goodput = 0;
     /** (sorted index, drop time, reason) per dropped request, in drop
      * order. */
     std::vector<std::tuple<std::size_t, SimTime, int>> sheds;
     SimTime p50 = 0, p95 = 0, p99 = 0, makespan = 0;
+    double meanLatencyMs = 0.0;
     multidnn::FaultCounters faults;
+    /** Per device: dispatches, busy time per resource, downtime. */
     std::vector<std::size_t> dispatched;
+    std::vector<SimTime> computeBusy, dmaBusy, downTime;
 };
+
+/** The fields both outcomes share. */
+Observed
+observeCommon(const ServingStats &stats, SimTime makespan,
+              const multidnn::FaultCounters &faults,
+              const std::vector<multidnn::DeviceUtilization> &devices)
+{
+    Observed v;
+    v.completed = stats.completed();
+    v.goodput = stats.goodput();
+    v.p50 = stats.p50();
+    v.p95 = stats.p95();
+    v.p99 = stats.p99();
+    v.makespan = makespan;
+    v.meanLatencyMs = stats.meanLatencyMs();
+    v.faults = faults;
+    for (const auto &d : devices) {
+        v.dispatched.push_back(d.dispatched);
+        v.computeBusy.push_back(d.computeBusyTime);
+        v.dmaBusy.push_back(d.dmaBusyTime);
+        v.downTime.push_back(d.downTime);
+    }
+    return v;
+}
 
 Observed
 observe(const ServingOutcome &o, const obs::TraceRecorder &rec,
         const std::vector<std::size_t> &to_sorted)
 {
-    Observed v;
-    v.completed = o.stats.completed();
+    Observed v = observeCommon(o.stats, o.makespan, o.faults, o.devices);
     for (const auto &e : rec.events()) {
         if (e.kind == obs::EventKind::RequestShed)
             v.sheds.emplace_back(to_sorted[e.id], e.time,
                                  static_cast<int>(e.a));
     }
-    v.p50 = o.stats.p50();
-    v.p95 = o.stats.p95();
-    v.p99 = o.stats.p99();
-    v.makespan = o.makespan;
-    v.faults = o.faults;
-    for (const auto &d : o.devices)
-        v.dispatched.push_back(d.dispatched);
     return v;
 }
 
@@ -996,39 +776,36 @@ Observed
 observe(const multidnn::ScheduleOutcome &o,
         const std::vector<std::size_t> &to_sorted)
 {
-    auto stats = ServingStats::fromOutcome(o);
-    Observed v;
-    v.completed = o.runs.size();
+    Observed v = observeCommon(ServingStats::fromOutcome(o), o.makespan,
+                               o.faults, o.devices);
     for (const auto &d : o.shed)
         v.sheds.emplace_back(to_sorted[d.queueIndex], d.shedAt,
                              static_cast<int>(d.reason));
-    v.p50 = stats.p50();
-    v.p95 = stats.p95();
-    v.p99 = stats.p99();
-    v.makespan = o.makespan;
-    v.faults = o.faults;
-    for (const auto &d : o.devices)
-        v.dispatched.push_back(d.dispatched);
     return v;
 }
 
 void
-expectSameDrain(const Observed &sorted, const Observed &shuffled)
+expectSameDrain(const Observed &a, const Observed &b)
 {
-    EXPECT_EQ(sorted.completed, shuffled.completed);
-    EXPECT_EQ(sorted.sheds, shuffled.sheds);
-    EXPECT_EQ(sorted.p50, shuffled.p50);
-    EXPECT_EQ(sorted.p95, shuffled.p95);
-    EXPECT_EQ(sorted.p99, shuffled.p99);
-    EXPECT_EQ(sorted.makespan, shuffled.makespan);
-    EXPECT_EQ(sorted.faults.crashes, shuffled.faults.crashes);
-    EXPECT_EQ(sorted.faults.timeouts, shuffled.faults.timeouts);
-    EXPECT_EQ(sorted.faults.dmaAborts, shuffled.faults.dmaAborts);
-    EXPECT_EQ(sorted.faults.retries, shuffled.faults.retries);
-    EXPECT_EQ(sorted.faults.failovers, shuffled.faults.failovers);
-    EXPECT_EQ(sorted.faults.faultSheds, shuffled.faults.faultSheds);
-    EXPECT_EQ(sorted.faults.starved, shuffled.faults.starved);
-    EXPECT_EQ(sorted.dispatched, shuffled.dispatched);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.goodput, b.goodput);
+    EXPECT_EQ(a.sheds, b.sheds);
+    EXPECT_EQ(a.p50, b.p50);
+    EXPECT_EQ(a.p95, b.p95);
+    EXPECT_EQ(a.p99, b.p99);
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_DOUBLE_EQ(a.meanLatencyMs, b.meanLatencyMs);
+    EXPECT_EQ(a.faults.crashes, b.faults.crashes);
+    EXPECT_EQ(a.faults.timeouts, b.faults.timeouts);
+    EXPECT_EQ(a.faults.dmaAborts, b.faults.dmaAborts);
+    EXPECT_EQ(a.faults.retries, b.faults.retries);
+    EXPECT_EQ(a.faults.failovers, b.faults.failovers);
+    EXPECT_EQ(a.faults.faultSheds, b.faults.faultSheds);
+    EXPECT_EQ(a.faults.starved, b.faults.starved);
+    EXPECT_EQ(a.dispatched, b.dispatched);
+    EXPECT_EQ(a.computeBusy, b.computeBusy);
+    EXPECT_EQ(a.dmaBusy, b.dmaBusy);
+    EXPECT_EQ(a.downTime, b.downTime);
 }
 
 TEST(QueueOrder, ShuffledReplayDrainsLikeTheSortedTrace)
@@ -1150,6 +927,160 @@ TEST(QueueOrder, SameInstantArrivalsEnterInQueueIndexOrder)
     EXPECT_EQ(verdicts, (std::vector<std::uint32_t>{3, 1, 2, 0}));
 }
 
+// ------------------------------------- fast sim vs live scheduler
+
+/** One drain both execution paths run, with what it must exercise. */
+struct CrossScenario
+{
+    const char *name = "";
+    std::vector<ModelMix::Entry> mix;
+    double qps = 0.0;
+    std::size_t requests = 0;
+    std::uint64_t seed = 0;
+    multidnn::PolicyKind policy = multidnn::PolicyKind::Fifo;
+    int devices = 1;
+    bool overlap = false;
+    /** Inject a mixed crash/slowdown/stall/DMA-error schedule. */
+    bool faults = false;
+    /** The fast path's backlog bound (the live path never aborts). */
+    std::size_t readyLimit = 0;
+    /** Preconditions on the live drain. @{ */
+    std::size_t minCompleted = 1;
+    std::size_t minSheds = 0;
+    /** @} */
+};
+
+void
+PrintTo(const CrossScenario &s, std::ostream *os)
+{
+    *os << s.name;
+}
+
+const std::vector<ModelMix::Entry> kBoundedMix = {
+    {ModelId::ResNet50, 2.0, milliseconds(150), 0},
+    {ModelId::DepthAnythingS, 1.0, milliseconds(400), 0}};
+
+std::vector<CrossScenario>
+crossScenarios()
+{
+    using multidnn::PolicyKind;
+    auto faulty_mix = kBoundedMix;
+    faulty_mix.push_back({ModelId::ResNet50, 1.0, 0, 0});
+    return {
+        // ~2x the mix capacity: queues build and admission sheds.
+        {.name = "Contention", .mix = kBoundedMix, .qps = 30.0,
+         .requests = 30, .seed = 41, .policy = PolicyKind::Deadline,
+         .readyLimit = 4096, .minSheds = 1},
+        // Thousands of requests, so rare divergence cannot hide; the
+        // P² quantiles depend on observation order, so equal
+        // percentiles mean equal latencies in equal order.
+        {.name = "AtScale", .mix = kBoundedMix, .qps = 30.0,
+         .requests = 2500, .seed = 43, .policy = PolicyKind::Deadline,
+         .minCompleted = 1001, .minSheds = 101},
+        {.name = "Sharded", .mix = kBoundedMix, .qps = 60.0,
+         .requests = 600, .seed = 47, .policy = PolicyKind::Deadline,
+         .devices = 2, .minSheds = 1},
+        {.name = "Overlap",
+         .mix = {{ModelId::GPTNeoS, 1.0, 0, 0},
+                 {ModelId::ResNet50, 1.0, 0, 0}},
+         .qps = 12.0, .requests = 40, .seed = 53, .overlap = true},
+        // Bounded requests exercise retry re-admission (a doomed retry
+        // is shed); the unbounded share guarantees failovers.
+        {.name = "Faults", .mix = faulty_mix, .qps = 60.0,
+         .requests = 2500, .seed = 61, .policy = PolicyKind::Deadline,
+         .devices = 2, .overlap = true, .faults = true,
+         .minCompleted = 1001},
+    };
+}
+
+class CrossValidation : public testing::TestWithParam<CrossScenario>
+{};
+
+TEST_P(CrossValidation, FastSimMatchesEventScheduler)
+{
+    // Both paths drain the trace through the one event loop and differ
+    // only in where a run's service times come from: the calibrated
+    // table, or the live scheduler's compiled profiles on the FlashMem
+    // the table was calibrated on. Every observable must agree:
+    // completions, goodput, every shed (request, instant, reason), the
+    // latency quantiles and mean, makespan, all fault counters, and
+    // per-device dispatches, busy times and downtime.
+    const auto &row = GetParam();
+    core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
+    ModelMix mix;
+    mix.entries = row.mix;
+    auto services = calibrateServices(fm, mix.distinctModels());
+    auto trace = poissonTrace(mix, row.qps, row.requests, row.seed);
+    auto policy = multidnn::makePolicy(row.policy);
+
+    multidnn::FaultPlan plan;
+    if (row.faults) {
+        // A mid-run crash with rejoin, a thermal slowdown, a
+        // watchdog-tripping stall, and a seeded background of stalls
+        // and transient DMA errors on both devices.
+        multidnn::FaultPlanParams fp;
+        fp.stallsPerSecond = 0.5;
+        fp.meanStall = milliseconds(40);
+        fp.dmaErrorsPerSecond = 1.0;
+        plan = multidnn::crashAndRejoin(0, milliseconds(500),
+                                        milliseconds(400));
+        plan = multidnn::mergeFaultPlans(
+            plan, multidnn::singleSlowdown(1, milliseconds(200),
+                                           milliseconds(600), 3.0));
+        plan = multidnn::mergeFaultPlans(
+            plan, multidnn::singleStall(1, seconds(2), seconds(3)));
+        plan = multidnn::mergeFaultPlans(
+            plan, multidnn::generateFaultPlan(fp, 2, seconds(30), 7));
+    }
+
+    obs::TraceRecorder rec;
+    ServingSimParams params;
+    params.readyLimit = row.readyLimit;
+    params.cluster.deviceCount = row.devices;
+    params.cluster.overlapInitWithExec = row.overlap;
+    params.faults = plan;
+    params.trace = &rec;
+    auto fast = simulateServing(trace, *policy, services, params);
+
+    multidnn::SchedulerConfig cfg;
+    cfg.cluster = params.cluster;
+    cfg.faults = plan;
+    multidnn::EventScheduler sched(fm, cfg);
+    auto real = sched.run(trace, *policy);
+
+    std::vector<std::size_t> identity(trace.size());
+    std::iota(identity.begin(), identity.end(), std::size_t{0});
+    auto live = observe(real, identity);
+
+    // The drain exercised what its row is about.
+    ASSERT_GE(live.completed, row.minCompleted);
+    ASSERT_GE(live.sheds.size(), row.minSheds);
+    for (auto n : live.dispatched)
+        ASSERT_GT(n, 0u);
+    if (row.overlap) {
+        ASSERT_TRUE(std::any_of(
+            services.begin(), services.end(),
+            [](const auto &e) { return e.second.initService > 0; }));
+        // Some run's preload started before its predecessor's end.
+        bool overlapped = false;
+        for (std::size_t i = 1; i < real.runs.size(); ++i)
+            overlapped |= real.runs[i].start < real.runs[i - 1].end;
+        ASSERT_TRUE(overlapped);
+    }
+    if (row.faults) {
+        ASSERT_GT(live.faults.crashes, 0);
+        ASSERT_GT(live.faults.retries, 0);
+        ASSERT_GT(live.faults.failovers, 0);
+    }
+    expectSameDrain(observe(fast, rec, identity), live);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, CrossValidation, testing::ValuesIn(crossScenarios()),
+    [](const testing::TestParamInfo<CrossScenario> &info) {
+        return std::string(info.param.name);
+    });
+
 TEST(Sweep, DeviceCountsScaleThroughput)
 {
     ModelMix mix;
@@ -1207,14 +1138,6 @@ TEST(Calibration, SloHelpersStampBounds)
     // 0.75 * 10ms + 0.25 * 40ms = 17.5 ms.
     EXPECT_EQ(meanService(table, w),
               static_cast<SimTime>(milliseconds(17.5)));
-
-    std::vector<ModelRequest> trace{{ModelId::ResNet50, 0, 0, 0},
-                                    {ModelId::ViT, 10, 0, 0}};
-    applyLatencyBound(trace, milliseconds(99));
-    EXPECT_EQ(trace[0].latencyBound, milliseconds(99));
-    applyLatencyBounds(trace, {{ModelId::ViT, milliseconds(123)}});
-    EXPECT_EQ(trace[0].latencyBound, milliseconds(99));
-    EXPECT_EQ(trace[1].latencyBound, milliseconds(123));
 }
 
 } // namespace

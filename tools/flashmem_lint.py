@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """flashmem_lint — static enforcement of FlashMem's determinism rules.
 
-The repo's headline guarantee — the fast serving simulator and the real
-EventScheduler are bit-exact, and plans are byte-identical across thread
-counts — is enforced dynamically by cross-validation tests at a handful
-of seeds.  This tool enforces the same invariants *statically*, as named
-checks over the whole tree, so one unordered-container iteration or
-wall-clock read on an emit path fails the build instead of waiting for a
-2.5k-request repro to notice.
+The repo's headline guarantees — the fast serving simulator and the live
+EventScheduler agree bit for bit (one event loop; they differ only in
+where a run's service times come from), and plans are byte-identical
+across thread counts — are checked dynamically by cross-validation tests
+at a handful of seeds.  This tool enforces the same invariants
+*statically*, as named checks over the whole tree, so one
+unordered-container iteration or wall-clock read on an emit path fails
+the build instead of waiting for a 2.5k-request repro to notice.
 
 Checks (see tools/README.md for the full catalog):
 
