@@ -51,7 +51,6 @@ runPhaseBreakdown()
         for (int threads : arms) {
             core::OpgParams params;
             params.solverDecisionsPerWindow = 20000;
-            params.restartConflictBase = 1024;
             params.parallel.threads = threads;
             core::LcOpgPlanner planner(*m.graph, cap, km, params);
             core::PlanStats stats;

@@ -253,9 +253,6 @@ main(int argc, char **argv)
         // Scale per-window budget so the whole-model budget mirrors
         // the paper's 150 s limit across ~60 windows.
         params.solverDecisionsPerWindow = 20000;
-        // Budget-truncated windows: Luby restarts + solution phase
-        // saving keep incumbent quality under the same budget.
-        params.restartConflictBase = 1024;
         core::LcOpgPlanner planner(*e.graph, cap, km, params);
         core::PlanStats stats;
         auto plan = planner.plan(&stats);
@@ -275,7 +272,6 @@ main(int argc, char **argv)
                   pub.p_status});
         json << "    {\"model\": \"" << e.name
              << "\", \"decisions\": " << stats.solverDecisions
-             << ", \"restarts\": " << stats.solverRestarts
              << ", \"rebalanced_chunks\": " << stats.rebalancedChunks
              << ", \"status\": \"" << status << "\"}"
              << (i + 1 < t4models.size() ? "," : "") << "\n";
@@ -313,7 +309,6 @@ main(int argc, char **argv)
         for (int threads : {1, 2, 4}) {
             core::OpgParams params;
             params.solverDecisionsPerWindow = 20000;
-            params.restartConflictBase = 1024;
             params.parallel.threads = threads;
             core::LcOpgPlanner planner(*llama70b.graph, cap, km, params);
             auto t0 = std::chrono::steady_clock::now();
@@ -336,7 +331,7 @@ main(int argc, char **argv)
 
     // ------------------------------------------------------------------
     // Part 3: plan memo — planning GPTN-S a second time through one
-    // caller-owned memo completes window rounds from the stored
+    // caller-owned memo completes windows from the stored
     // finished solves instead of searching, and must ship the same
     // plan with the same decision count.
     // ------------------------------------------------------------------
@@ -364,8 +359,8 @@ main(int argc, char **argv)
               << cold_stats.solverDecisions << " decisions; repeat: "
               << formatDouble(repeat_stats.solveSeconds, 3) << " s, "
               << repeat_stats.solverDecisions << " decisions ("
-              << repeat_stats.memoHits << " rounds reused across "
-              << repeat_stats.windows << " windows)\n";
+              << repeat_stats.memoHits << " of " << repeat_stats.windows
+              << " windows reused)\n";
     std::cout << "Memo reuse (hits > 0, identical plan and decisions): "
               << (memo_ok ? "PASS" : "FAIL") << "\n";
     json << "  \"plan_memo\": {\"memo_hits\": " << repeat_stats.memoHits
@@ -390,7 +385,6 @@ main(int argc, char **argv)
         const auto &e = t4models[i];
         core::OpgParams params;
         params.solverDecisionsPerWindow = 20000;
-        params.restartConflictBase = 1024;
         params.mPeak = mib(1024);
         params.lambda = 0.5;
 

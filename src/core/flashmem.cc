@@ -156,9 +156,12 @@ FlashMem::replan(const CompiledModel &compiled, Bytes mPeak) const
     out.replans = compiled.replans + 1;
     out.planBudget = mPeak;
 
-    LcOpgPlanner planner(out.fusedGraph, capacity_, kernel_model_,
-                         options_.opg);
-    out.plan = planner.replan(mPeak, &out.stats);
+    FM_ASSERT(mPeak >= options_.opg.chunkBytes,
+              "re-plan budget below one chunk (", mPeak, " bytes)");
+    OpgParams params = options_.opg;
+    params.mPeak = mPeak;
+    LcOpgPlanner planner(out.fusedGraph, capacity_, kernel_model_, params);
+    out.plan = planner.plan(&out.stats);
     out.totalSolveSeconds = out.stats.solveSeconds;
     out.totalSolverDecisions = out.stats.solverDecisions;
     out.planMemoHits = out.stats.memoHits;

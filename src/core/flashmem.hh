@@ -63,7 +63,7 @@ struct CompiledModel
     /** @name Aggregates across all adaptive-fusion rounds. @{ */
     double totalSolveSeconds = 0.0;
     std::uint64_t totalSolverDecisions = 0;
-    std::uint64_t planMemoHits = 0; ///< rounds reused from the memo
+    std::uint64_t planMemoHits = 0; ///< windows reused from the memo
     /** @} */
 
     /** Fraction of weight bytes streamed rather than preloaded. */

@@ -25,9 +25,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 /** Objective scaling: lambda/mu mapped onto integer coefficients. */
 constexpr std::int64_t kObjScale = 100;
 
-/** C4 tier-2 (forced preload) rounds per window. */
-constexpr int kMaxForcedRounds = 2;
-
 /**
  * Ledger-checked chunk placement step shared by the greedy warm start,
  * the merge-time clamp, and the re-balancing pass: take up to @p want
@@ -74,14 +71,12 @@ void
 LcOpgPlanner::processNodes()
 {
     const auto layers = static_cast<graph::NodeId>(g_.layerCount());
-    specs_.reserve(layers);
     capacity_chunks_.assign(layers, 0);
     for (graph::NodeId l = 0; l < layers; ++l) {
         auto spec = gpusim::kernelSpecFor(g_, l, true);
         spec.pipelined = true;
         capacity_chunks_[l] =
             capacity_.capacityChunks(spec, params_.chunkBytes);
-        specs_.push_back(std::move(spec));
     }
     chunk_count_.resize(g_.weightCount());
     for (std::size_t w = 0; w < g_.weightCount(); ++w)
@@ -210,9 +205,8 @@ LcOpgPlanner::stageWindow(graph::NodeId start, graph::NodeId end,
     return in;
 }
 
-LcOpgPlanner::RoundModel
-LcOpgPlanner::buildWindowModel(const WindowInput &in,
-                               const std::vector<bool> &forced) const
+LcOpgPlanner::WindowModel
+LcOpgPlanner::buildWindowModel(const WindowInput &in) const
 {
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto build_t0 = std::chrono::steady_clock::now();
@@ -225,12 +219,12 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in,
     const graph::NodeId end = in.end;
     const graph::NodeId min_cand = in.minCand;
 
-    RoundModel rm;
-    solver::CpModel &m = rm.model;
-    std::vector<solver::VarId> &y_vars = rm.y_vars;
-    std::vector<solver::VarId> &z_vars = rm.z_vars;
-    std::vector<std::vector<solver::VarId>> &x_vars = rm.x_vars;
-    std::vector<std::int64_t> &hint = rm.hint;
+    WindowModel wm;
+    solver::CpModel &m = wm.model;
+    std::vector<solver::VarId> &y_vars = wm.y_vars;
+    std::vector<solver::VarId> &z_vars = wm.z_vars;
+    std::vector<std::vector<solver::VarId>> &x_vars = wm.x_vars;
+    std::vector<std::int64_t> &hint = wm.hint;
     y_vars.resize(weights.size());
     z_vars.assign(weights.size(), -1);
     x_vars.resize(weights.size());
@@ -239,9 +233,8 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in,
     for (std::size_t k = 0; k < weights.size(); ++k) {
         const auto &w = g_.weight(weights[k]);
         std::int64_t t_w = chunk_count_[weights[k]];
-        std::int64_t y_lo = forced[k] ? t_w : 0;
-        y_vars[k] = m.newIntVar(y_lo, t_w, w.name + ".preload");
-        hint.push_back(forced[k] ? t_w : greedy.preload[k]);
+        y_vars[k] = m.newIntVar(0, t_w, w.name + ".preload");
+        hint.push_back(greedy.preload[k]);
         // lambda-weighted preload cost.
         objective.push_back(
             {y_vars[k], static_cast<std::int64_t>(
@@ -257,11 +250,9 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in,
             // Tie-break: transform close to the consumer.
             objective.push_back({x, w.consumer - l - 1});
             std::int64_t hint_x = 0;
-            if (!forced[k]) {
-                for (auto &[gl, gc] : greedy.assignments[k]) {
-                    if (gl == l)
-                        hint_x = gc;
-                }
+            for (auto &[gl, gc] : greedy.assignments[k]) {
+                if (gl == l)
+                    hint_x = gc;
             }
             hint.push_back(hint_x);
         }
@@ -283,10 +274,8 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in,
                                      cands[k][j]);
             }
             graph::NodeId hint_z = w.consumer;
-            if (!forced[k] && !greedy.assignments[k].empty()) {
-                for (auto &[gl, gc] : greedy.assignments[k])
-                    hint_z = std::min(hint_z, gl);
-            }
+            for (auto &[gl, gc] : greedy.assignments[k])
+                hint_z = std::min(hint_z, gl);
             hint.push_back(hint_z);
         }
     }
@@ -326,97 +315,45 @@ LcOpgPlanner::buildWindowModel(const WindowInput &in,
     }
 
     m.minimize(objective);
-    rm.buildSeconds = secondsSince(build_t0);
-    return rm;
+    wm.buildSeconds = secondsSince(build_t0);
+    return wm;
 }
 
-bool
-LcOpgPlanner::interpretRound(WindowSolveState &st,
-                             const solver::SolveResult &r) const
+void
+LcOpgPlanner::extractWindow(const WindowInput &in, const WindowModel &wm,
+                            const solver::SolveResult &r,
+                            WindowOutput &out) const
 {
-    const WindowInput &in = *st.in;
-    WindowResult &result = st.out.result;
-
-    result.buildSeconds += st.rm.buildSeconds;
-    result.solveSeconds += r.wallSeconds;
-    result.decisions += r.decisions;
-    result.propagations += r.propagations;
-    result.conflicts += r.backtracks;
-    result.restarts += r.restarts;
+    WindowResult &result = out.result;
+    result.buildSeconds = wm.buildSeconds;
+    result.solveSeconds = r.wallSeconds;
+    result.decisions = r.decisions;
+    result.propagations = r.propagations;
+    result.conflicts = r.backtracks;
     result.status = r.status;
-    // The hint satisfies the model (lc_opg.hh, "C4 fallback"), so the
-    // search starts with an incumbent and C4 tier 1 never triggers.
-    FM_ASSERT(r.feasible(), "window at layer ", in.start, " round ",
-              st.round, " has no solution despite its greedy hint");
+    // The hint satisfies the model (lc_opg.hh, "One search per
+    // window"), so the search starts with an incumbent.
+    FM_ASSERT(r.feasible(), "window at layer ", in.start,
+              " has no solution despite its greedy hint");
 
-    // Extract candidate solution.
     const auto &weights = in.weights;
-    auto &extracted_preload = st.out.preload;
-    auto &extracted_assign = st.out.assign;
-    auto &extracted_z = st.out.z;
-    extracted_preload.assign(weights.size(), 0);
-    extracted_assign.assign(weights.size(), {});
-    Bytes window_bytes = 0, preload_bytes = 0;
+    out.preload.assign(weights.size(), 0);
+    out.assign.assign(weights.size(), {});
+    out.z.assign(weights.size(), graph::kInvalidNode);
     for (std::size_t k = 0; k < weights.size(); ++k) {
-        extracted_preload[k] = r.value(st.rm.y_vars[k]);
-        window_bytes += g_.weight(weights[k]).bytes();
-        preload_bytes += slicer_.bytesForChunks(g_.weight(weights[k]),
-                                                extracted_preload[k]);
+        out.preload[k] = r.value(wm.y_vars[k]);
         for (std::size_t j = 0; j < in.cands[k].size(); ++j) {
-            auto v = r.value(st.rm.x_vars[k][j]);
+            auto v = r.value(wm.x_vars[k][j]);
             if (v > 0)
-                extracted_assign[k].push_back({in.cands[k][j], v});
+                out.assign[k].push_back({in.cands[k][j], v});
         }
-        if (st.rm.z_vars[k] >= 0 && !extracted_assign[k].empty())
-            extracted_z[k] = static_cast<graph::NodeId>(
-                r.value(st.rm.z_vars[k]));
+        if (wm.z_vars[k] >= 0 && !out.assign[k].empty())
+            out.z[k] = static_cast<graph::NodeId>(r.value(wm.z_vars[k]));
     }
-
-    // Tier 2: if capacity pressure forced most of the window into W,
-    // pin the heaviest offender and re-solve so the solver
-    // redistributes the rest.
-    double preload_frac =
-        window_bytes ? static_cast<double>(preload_bytes) / window_bytes
-                     : 0.0;
-    if (preload_frac > 0.8 && st.round < kMaxForcedRounds) {
-        std::size_t worst = 0;
-        std::int64_t worst_chunks = -1;
-        for (std::size_t k = 0; k < weights.size(); ++k) {
-            if (!st.forced[k] && extracted_preload[k] > worst_chunks) {
-                worst_chunks = extracted_preload[k];
-                worst = k;
-            }
-        }
-        if (worst_chunks > 0) {
-            st.forced[worst] = true;
-            ++result.forcedPreloads;
-            ++st.round;
-            return false;
-        }
-    }
-    return true;
 }
 
 void
-LcOpgPlanner::applyGreedy(const WindowInput &in, WindowOutput &out) const
-{
-    out.result.usedGreedy = true;
-    out.preload = in.greedy.preload;
-    out.assign = in.greedy.assignments;
-    if (out.z.size() != in.weights.size())
-        out.z.assign(in.weights.size(), graph::kInvalidNode);
-    for (std::size_t k = 0; k < in.weights.size(); ++k) {
-        graph::NodeId z = g_.weight(in.weights[k]).consumer;
-        for (auto &[l, c] : out.assign[k])
-            z = std::min(z, l);
-        out.z[k] =
-            out.assign[k].empty() ? graph::kInvalidNode : z;
-    }
-    out.result.status = solver::SolveStatus::Feasible;
-}
-
-void
-LcOpgPlanner::commitWindow(const WindowInput &in, WindowOutput &out,
+LcOpgPlanner::commitWindow(const WindowInput &in, const WindowOutput &out,
                            OverlapPlan &plan)
 {
     const std::int64_t mpeak_chunks = static_cast<std::int64_t>(
@@ -457,11 +394,6 @@ LcOpgPlanner::commitWindow(const WindowInput &in, WindowOutput &out,
             plan.setEarliestLoad(wid, z);
         }
     }
-
-    // Flush buffered memo writes in window order.
-    for (auto &s : out.solveStores)
-        params_.memo->storeSolve(std::move(s.key), std::move(s.result));
-    out.solveStores.clear();
 }
 
 void
@@ -526,12 +458,7 @@ LcOpgPlanner::plan(PlanStats *stats)
     PlanStats local;
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto t0 = std::chrono::steady_clock::now();
-    if (!processed_) {
-        processNodes();
-        processed_ = true;
-    }
-    // Authoritative ledgers are per-plan state, reset on every call so
-    // replan() can reuse the (budget-independent) graph analysis.
+    processNodes();
     residual_capacity_ = capacity_chunks_;
     inflight_used_.assign(g_.layerCount(), 0);
     local.processNodesSeconds = secondsSince(t0);
@@ -564,11 +491,10 @@ LcOpgPlanner::plan(PlanStats *stats)
     }
     local.stageSeconds = secondsSince(stage_t0);
 
-    // Phase 2 — solve: one solve task per window round runs
-    // concurrently on one pool; the main thread drives each window's
-    // fallback-round state machine and consumes results in submission
-    // (window) order, so downstream phases never observe completion
-    // order.
+    // Phase 2 — solve: every window is one search of its model from
+    // its staged greedy hint. The searches run concurrently on one
+    // pool; the main thread consumes them in submission (window)
+    // order, so downstream phases never observe completion order.
     const int threads =
         params_.parallel.threads > 0
             ? params_.parallel.threads
@@ -576,86 +502,59 @@ LcOpgPlanner::plan(PlanStats *stats)
     local.threads = threads;
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto solve_t0 = std::chrono::steady_clock::now();
-    std::vector<WindowOutput> outputs;
-    outputs.reserve(inputs.size());
+    std::vector<WindowOutput> outputs(inputs.size());
     {
-        ThreadPool pool(threads);
+        // Declared before the pool, whose destructor joins the workers
+        // whose tasks read them.
         std::vector<WindowSolveState> states(inputs.size());
+        ThreadPool pool(threads);
         solver::SolverParams sp;
         sp.maxDecisions = params_.solverDecisionsPerWindow;
-        sp.restartConflictBase = params_.restartConflictBase;
-        auto submitRound = [&](WindowSolveState &st) {
-            st.rm = buildWindowModel(*st.in, st.forced);
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            if (inputs[i].weights.empty())
+                continue;
+            WindowSolveState &st = states[i];
+            st.wm = buildWindowModel(inputs[i]);
             if (params_.memo) {
                 // Stored solves come from earlier plans only — this
-                // plan's are buffered until the ordered merge, so no
-                // result depends on solve completion order — and a hit
+                // plan's are stored after every lookup — and a hit
                 // that does not satisfy this model (a fingerprint
                 // collision) is ignored.
-                st.solveKey = {st.rm.model.canonicalFingerprint(),
-                               st.rm.hint, sp.maxDecisions,
-                               sp.restartConflictBase};
+                st.solveKey = {st.wm.model.canonicalFingerprint(),
+                               st.wm.hint, sp.maxDecisions};
                 st.reused = params_.memo->lookupSolve(st.solveKey);
                 if (st.reused &&
-                    st.rm.model.satisfiedBy(st.reused->values)) {
+                    st.wm.model.satisfiedBy(st.reused->values)) {
                     st.reused->wallSeconds = 0.0; // no search ran
-                    return;
+                    continue;
                 }
                 st.reused.reset();
             }
             st.future = pool.submit([&st, sp]() {
-                return solver::CpSolver(sp).solve(st.rm.model,
-                                                  &st.rm.hint);
+                return solver::CpSolver(sp).solve(st.wm.model,
+                                                  &st.wm.hint);
             });
-        };
-        for (std::size_t i = 0; i < inputs.size(); ++i) {
-            WindowSolveState &st = states[i];
-            st.in = &inputs[i];
-            const auto &in = inputs[i];
-            if (in.weights.empty()) {
-                st.done = true;
-                continue;
-            }
-            st.forced.assign(in.weights.size(), false);
-            st.out.z.assign(in.weights.size(), graph::kInvalidNode);
-            // Tier 3 guard: skip the solver outright for degenerate
-            // over-wide windows (solver cost grows superlinearly).
-            std::size_t var_estimate = 0;
-            for (const auto &c : in.cands)
-                var_estimate += c.size() + 2;
-            if (var_estimate > 2000) {
-                applyGreedy(in, st.out);
-                st.done = true;
-                continue;
-            }
-            submitRound(st);
         }
         for (std::size_t i = 0; i < inputs.size(); ++i) {
+            if (inputs[i].weights.empty())
+                continue;
             WindowSolveState &st = states[i];
-            while (!st.done) {
-                solver::SolveResult r;
-                if (st.reused) {
-                    r = std::move(*st.reused);
-                    st.reused.reset();
-                    ++st.out.result.memoHits;
-                } else {
-                    r = st.future.get();
-                    if (params_.memo)
-                        st.out.solveStores.push_back(
-                            {std::move(st.solveKey), r});
-                }
-                if (interpretRound(st, r))
-                    st.done = true;
-                else
-                    submitRound(st);
+            solver::SolveResult r;
+            if (st.reused) {
+                r = std::move(*st.reused);
+                outputs[i].result.memoHit = true;
+            } else {
+                r = st.future.get();
+                if (params_.memo)
+                    params_.memo->storeSolve(std::move(st.solveKey), r);
             }
-            outputs.push_back(std::move(st.out));
+            extractWindow(inputs[i], st.wm, r, outputs[i]);
         }
     }
     local.solveSeconds = secondsSince(solve_t0);
 
     // Phase 3 — merge: commit in window order into the plan and the
-    // authoritative ledgers (and flush the buffered memo writes).
+    // authoritative ledgers.
     // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
     auto merge_t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < inputs.size(); ++i)
@@ -672,11 +571,9 @@ LcOpgPlanner::plan(PlanStats *stats)
         PlanStats::WindowSolveSummary s;
         s.window = local.windows;
         s.status = wr.status;
-        s.usedGreedy = wr.usedGreedy;
         s.decisions = wr.decisions;
         s.propagations = wr.propagations;
         s.conflicts = wr.conflicts;
-        s.restarts = wr.restarts;
         local.windowSummaries.push_back(s);
         ++local.windows;
         local.buildModelSeconds += wr.buildSeconds;
@@ -684,18 +581,13 @@ LcOpgPlanner::plan(PlanStats *stats)
         local.solverDecisions += wr.decisions;
         local.solverPropagations += wr.propagations;
         local.solverConflicts += wr.conflicts;
-        local.solverRestarts += wr.restarts;
-        local.forcedPreloads += wr.forcedPreloads;
-        local.memoHits += wr.memoHits;
-        if (wr.usedGreedy) {
-            ++local.greedyWindows;
-        } else if (wr.status == solver::SolveStatus::Optimal) {
+        local.memoHits += wr.memoHit;
+        if (wr.status == solver::SolveStatus::Optimal)
             ++local.optimalWindows;
-        } else {
+        else
             ++local.feasibleWindows;
-        }
     }
-    local.overallStatus = (local.feasibleWindows + local.greedyWindows)
+    local.overallStatus = local.feasibleWindows
                               ? solver::SolveStatus::Feasible
                               : solver::SolveStatus::Optimal;
 
@@ -703,15 +595,6 @@ LcOpgPlanner::plan(PlanStats *stats)
     if (stats)
         *stats = local;
     return plan;
-}
-
-OverlapPlan
-LcOpgPlanner::replan(Bytes mPeak, PlanStats *stats)
-{
-    FM_ASSERT(mPeak >= params_.chunkBytes,
-              "re-plan budget below one chunk (", mPeak, " bytes)");
-    params_.mPeak = mPeak;
-    return plan(stats);
 }
 
 } // namespace flashmem::core

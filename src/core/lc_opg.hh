@@ -18,18 +18,18 @@
  * decision budget is the only search limit, so a plan is a pure
  * function of (graph, device, options).
  *
- * C4 fallback. The paper's tiers (soft-threshold relaxation ->
- * incremental preloading -> greedy backup) return a plan within a time
- * limit when the search finds none. Here every round has a solution:
- * its hint is the staged greedy, which assigns only candidate layers,
- * takes from copies of the same residual and in-flight snapshots that
- * bound the C3 and C2 rows, and sets z_w to its earliest assigned
- * layer; a tier-2 round only moves weights from the hint into W. So
- * tier 1 is unreachable and is not implemented (a round without a
- * solution is an assertion failure). Tier 2 re-solves a window that
- * preloads most of its bytes with its heaviest weight forced into W,
- * and tier 3 is the guard that hands over-wide windows to the greedy
- * without a search.
+ * One search per window. The paper's C4 tiers (soft-threshold
+ * relaxation -> incremental preloading -> greedy backup) return a plan
+ * within a time limit when the search finds none. Here no window can
+ * end without a solution: its hint is the staged greedy, which assigns
+ * only candidate layers, takes from copies of the same residual and
+ * in-flight snapshots that bound the C3 and C2 rows, and sets z_w to
+ * its earliest assigned layer, so the hint satisfies the model and the
+ * search starts from it as its incumbent (a window without a solution
+ * is an assertion failure). So every window is exactly one search of
+ * its model from that hint under solverDecisionsPerWindow, and its
+ * solution never scores worse on the window objective than the greedy
+ * backup itself.
  *
  * Whole-plan generation is a three-phase pipeline (PR 2):
  *   1. stage  — sequential: each window's inputs (weight slice,
@@ -87,7 +87,7 @@ struct OpgParams
     /** How many layers before i_w a chunk may be transformed. */
     int maxLoadDistance = 24;
     /**
-     * CP-SAT search budget per window round, in decisions; must be
+     * CP-SAT search budget per window, in decisions; must be
      * positive. It is the only limit on a window search, so planning
      * is bit-deterministic across hosts and loads.
      */
@@ -101,12 +101,11 @@ struct OpgParams
      */
     double minPreloadFraction = 0.0;
     /**
-     * Plan memo to consult for every window round; nullptr means no
-     * memo. A round whose (canonical model, hint, decision budget,
-     * restart base) was solved before takes the stored result instead
-     * of searching (PlanMemo::lookupSolve). It is exactly what the
-     * search would return, so it saves host time and never changes a
-     * plan.
+     * Plan memo to consult for every window; nullptr means no memo.
+     * A window whose (canonical model, hint, decision budget) was
+     * solved before takes the stored result instead of searching
+     * (PlanMemo::lookupSolve). It is exactly what the search would
+     * return, so it saves host time and never changes a plan.
      */
     PlanMemo *memo = nullptr;
     /**
@@ -120,14 +119,6 @@ struct OpgParams
      * authoritative ledgers.
      */
     bool mergeRebalance = true;
-    /**
-     * Luby restart base (conflicts) for window solves; 0 = off.
-     * Useful on budget-truncated (FEASIBLE) windows, where restarts
-     * with solution phase saving keep incumbent quality under the same
-     * decision budget; leave off when windows are expected to prove
-     * optimality (restart overhead delays exhaustion proofs).
-     */
-    std::uint64_t restartConflictBase = 0;
     /** Window-solve parallelism (plan stays byte-identical). */
     ParallelPlanParams parallel;
 };
@@ -145,11 +136,9 @@ struct PlanStats
     {
         int window = 0;
         solver::SolveStatus status = solver::SolveStatus::Optimal;
-        bool usedGreedy = false;
         std::uint64_t decisions = 0;
         std::uint64_t propagations = 0;
         std::uint64_t conflicts = 0; ///< search backtracks
-        std::uint64_t restarts = 0;
     };
 
     double processNodesSeconds = 0.0;   ///< graph analysis + capacities
@@ -164,21 +153,21 @@ struct PlanStats
     int windows = 0;
     int optimalWindows = 0;
     int feasibleWindows = 0;
-    /** C4 tier-1 events: always 0, since every round's hint satisfies
-     * its model (file comment, "C4 fallback"). Kept because perfbench
-     * reports it as lc_opg.soft_relaxations. */
+    /** @name Always 0: every window is one search (file comment, "One
+     * search per window"). Kept because perfbench reports them as
+     * lc_opg.soft_relaxations, lc_opg.greedy_windows and
+     * solver.restarts. @{ */
     int softRelaxations = 0;
-    int forcedPreloads = 0;             ///< C4 tier-2 rounds
-    /** C4 tier 3: windows the wide-window guard handed to the greedy. */
     int greedyWindows = 0;
+    std::uint64_t solverRestarts = 0;
+    /** @} */
     int threads = 1;                    ///< worker threads used to solve
     /** @name Merge-time re-balancing (second merge pass). @{ */
     std::int64_t rebalancedChunks = 0;  ///< chunks moved W -> streamed
     int rebalancedWeights = 0;          ///< truncated weights topped up
     /** @} */
     std::uint64_t solverDecisions = 0;
-    std::uint64_t solverRestarts = 0;   ///< Luby restarts across windows
-    /** Rounds completed from the plan memo instead of a search (the
+    /** Windows completed from the plan memo instead of a search (the
      * only counter a reuse changes). */
     std::uint64_t memoHits = 0;
     std::uint64_t solverPropagations = 0; ///< constraint revisions
@@ -204,19 +193,6 @@ class LcOpgPlanner
     /** Run LC-OPG; always returns a valid plan. */
     OverlapPlan plan(PlanStats *stats = nullptr);
 
-    /**
-     * Re-plan under a different in-flight memory budget (on-device
-     * re-planning: the multi-DNN scheduler shifts a model's residual
-     * capacity share when co-resident models are admitted or evicted).
-     * Reuses the graph analysis of the first plan() call — only the
-     * staging/solve/merge phases re-run. Through the configured
-     * PlanMemo, a window whose budget share cannot bind it reuses the
-     * finished solve of an earlier plan exactly (no search), so
-     * re-plans land well under a second. Deterministic for any thread
-     * count, like plan().
-     */
-    OverlapPlan replan(Bytes mPeak, PlanStats *stats = nullptr);
-
     /** Per-layer capacities in chunks (after analysis). */
     const std::vector<std::int64_t> &layerCapacities() const
     {
@@ -226,23 +202,20 @@ class LcOpgPlanner
   private:
     struct WindowResult
     {
-        bool usedGreedy = false;
-        int forcedPreloads = 0;
         solver::SolveStatus status = solver::SolveStatus::Optimal;
         std::uint64_t decisions = 0;
         std::uint64_t propagations = 0;
         std::uint64_t conflicts = 0; ///< search backtracks
-        std::uint64_t restarts = 0;
         double buildSeconds = 0.0;
         double solveSeconds = 0.0;
-        std::uint64_t memoHits = 0;
+        bool memoHit = false;
     };
 
     /**
      * Greedy latest-feasible chunk placement for the given weights;
      * returns per-weight (assignments, preload leftovers). Used as the
-     * warm start, the tier-3 wide-window plan, and the staged capacity
-     * reservation that decouples windows for parallel solving.
+     * warm start and as the staged capacity reservation that decouples
+     * windows for parallel solving.
      */
     struct GreedyOut
     {
@@ -272,14 +245,7 @@ class LcOpgPlanner
         std::vector<std::int64_t> inflight;         // staged snapshot
     };
 
-    /** Deferred PlanMemo write (flushed in window order at merge). */
-    struct SolveStore
-    {
-        SolveKey key;
-        solver::SolveResult result;
-    };
-
-    /** Extracted window solution + stats + buffered memo writes. */
+    /** Extracted window solution + stats. */
     struct WindowOutput
     {
         WindowResult result;
@@ -287,10 +253,9 @@ class LcOpgPlanner
         std::vector<std::vector<std::pair<graph::NodeId, std::int64_t>>>
             assign;
         std::vector<graph::NodeId> z;
-        std::vector<SolveStore> solveStores;
     };
 
-    /** Analyze graph: kernel specs, capacities, chunk counts. */
+    /** Analyze graph: per-layer capacities, chunk counts, pinned W. */
     void processNodes();
 
     /**
@@ -305,11 +270,11 @@ class LcOpgPlanner
         const;
 
     /**
-     * One window round's CP model, built on the driver thread:
-     * the window model (C0-C3) and its greedy warm-start hint. Once
-     * built it is immutable, so a pool worker can solve it.
+     * One window's CP model, built on the calling thread: the window
+     * model (C0-C3) and its greedy warm-start hint. Once built it is
+     * immutable, so a pool worker can solve it.
      */
-    struct RoundModel
+    struct WindowModel
     {
         solver::CpModel model;
         std::vector<std::int64_t> hint;
@@ -320,42 +285,28 @@ class LcOpgPlanner
     };
 
     /**
-     * Per-window driver state for the flattened solve phase: plan()
-     * submits one task per (window, round) to the shared pool and
-     * interprets round results in window order, so the C4 tier-2
-     * rounds advance exactly as they did when each window ran its
-     * rounds inside one task.
+     * Per-window state of the solve phase: plan() submits one search
+     * per window to the shared pool and consumes the results in
+     * window order.
      */
     struct WindowSolveState
     {
-        const WindowInput *in = nullptr;
-        bool done = false;
-        int round = 0;
-        std::vector<bool> forced;
-        RoundModel rm;
+        WindowModel wm;
         std::future<solver::SolveResult> future;
-        /** This round's finished-solve key, and its stored result on
-         * a hit (no task is submitted then). */
+        /** The window's finished-solve key, and its stored result on a
+         * hit (no task is submitted then). */
         SolveKey solveKey;
         std::optional<solver::SolveResult> reused;
-        WindowOutput out;
     };
 
-    /** Build one round's model for @p in (pure; see RoundModel). */
-    RoundModel buildWindowModel(const WindowInput &in,
-                                const std::vector<bool> &forced) const;
+    /** Build the model for @p in (pure; see WindowModel). */
+    WindowModel buildWindowModel(const WindowInput &in) const;
 
-    /**
-     * Fold one round's solve result into @p st: accumulate stats and
-     * extract the solution. @return false when C4 tier 2 forces a
-     * weight into W and the window needs another round.
-     */
-    bool interpretRound(WindowSolveState &st,
-                        const solver::SolveResult &r) const;
-
-    /** Fill @p out from the staged greedy solution (tier 3: the
-     * wide-window guard). */
-    void applyGreedy(const WindowInput &in, WindowOutput &out) const;
+    /** Fill @p out from the solve result @p r of window @p in: its
+     * stats and its extracted solution. */
+    void extractWindow(const WindowInput &in, const WindowModel &wm,
+                       const solver::SolveResult &r,
+                       WindowOutput &out) const;
 
     /**
      * Merge one window's solution into the plan and the authoritative
@@ -365,7 +316,7 @@ class LcOpgPlanner
      * staged for it) are clamped, with the overflow moved to the
      * preload set — validity is unconditional.
      */
-    void commitWindow(const WindowInput &in, WindowOutput &out,
+    void commitWindow(const WindowInput &in, const WindowOutput &out,
                       OverlapPlan &plan);
 
     /**
@@ -389,10 +340,7 @@ class LcOpgPlanner
     OpgParams params_;
     WeightSlicer slicer_;
 
-    // processNodes() outputs (budget-independent; computed once and
-    // reused across replan() calls).
-    bool processed_ = false;
-    std::vector<gpusim::KernelSpec> specs_;          // per layer
+    // processNodes() outputs.
     std::vector<std::int64_t> capacity_chunks_;      // C_l per layer
     std::vector<std::int64_t> chunk_count_;          // T(w) per weight
     std::vector<bool> pinned_preload_;               // explicit W list

@@ -232,7 +232,6 @@ solveKeyHash(const SolveKey &key)
     Fnv1a sum;
     sum.addPod(key.canonicalFingerprint);
     sum.addPod(key.maxDecisions);
-    sum.addPod(key.restartConflictBase);
     sum.add(key.hint.data(), key.hint.size() * sizeof(std::int64_t));
     return sum.digest();
 }

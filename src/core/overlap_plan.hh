@@ -110,7 +110,6 @@ struct SolveKey
     std::uint64_t canonicalFingerprint = 0;
     std::vector<std::int64_t> hint;
     std::uint64_t maxDecisions = 0;
-    std::uint64_t restartConflictBase = 0;
 
     bool operator==(const SolveKey &) const = default;
 };

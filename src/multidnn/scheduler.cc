@@ -411,11 +411,8 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
                 now, static_cast<std::uint64_t>(w.window),
                 static_cast<std::int32_t>(model),
                 static_cast<std::int64_t>(w.conflicts),
-                static_cast<std::int64_t>(w.restarts),
                 static_cast<std::int64_t>(w.propagations),
-                !w.usedGreedy && w.status == solver::SolveStatus::Optimal
-                    ? 1
-                    : 0);
+                w.status == solver::SolveStatus::Optimal ? 1 : 0);
     }
     it = compiled_.emplace(key, std::move(replanned)).first;
     return it->second;

@@ -127,7 +127,7 @@ struct ScheduleOutcome
 
     /** @name On-device re-planning counters (memory-aware policies). @{ */
     int replans = 0;                  ///< FlashMem::replan invocations
-    std::uint64_t replanMemoHits = 0; ///< rounds reused from the memo
+    std::uint64_t replanMemoHits = 0; ///< windows reused from the memo
     double replanSeconds = 0.0;       ///< wall time spent re-planning
     /** @} */
 

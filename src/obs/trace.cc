@@ -222,14 +222,13 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
           case EventKind::SolverWindow:
             std::snprintf(buf, sizeof(buf),
                           "[t=%lld] solver_window window=%llu "
-                          "model=%s conflicts=%lld restarts=%lld "
+                          "model=%s conflicts=%lld "
                           "propagations=%lld proven_optimal=%lld",
                           static_cast<long long>(e.time),
                           static_cast<unsigned long long>(e.id),
                           modelName(e.model),
                           static_cast<long long>(e.a),
                           static_cast<long long>(e.b),
-                          static_cast<long long>(e.c),
                           static_cast<long long>(e.flag));
             break;
         }

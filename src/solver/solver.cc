@@ -46,30 +46,12 @@ objectiveOf(const CpModel &model, const std::vector<std::int64_t> &values)
 }
 
 /**
- * Luby restart sequence (Luby/Sinclair/Zuckerman 1993), 1-indexed:
- * 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, ...
- */
-std::uint64_t
-luby(std::uint64_t i)
-{
-    for (;;) {
-        std::uint64_t k = 1;
-        while ((1ull << k) - 1 < i)
-            ++k;
-        if ((1ull << k) - 1 == i)
-            return 1ull << (k - 1);
-        i -= (1ull << (k - 1)) - 1;
-    }
-}
-
-/**
  * Trail-based DFS branch and bound. Per-node cost is proportional to
  * the number of bound changes, not to V or to the constraint count:
  * backtracking rewinds the trail, propagation drains a dirty queue fed
  * by per-variable watch lists, the objective lower bound AND every
  * linear row's smin/smax are maintained incrementally (sum-restore
  * entries on the trail), and variable selection pops a lazy heap.
- * Optional Luby restarts with solution phase saving (see SolverParams).
  */
 struct TrailSearch
 {
@@ -142,14 +124,10 @@ struct TrailSearch
     std::vector<char> varDirty;
     std::vector<VarId> dirtyVars;
 
-    // Stats / limits / restarts.
+    // Stats / limits.
     std::uint64_t decisions = 0;
     std::uint64_t propagations = 0;
     std::uint64_t backtracks = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t conflictLimit = 0; ///< next restart point (conflicts)
-    std::uint64_t restarts = 0;
-    bool restartPending = false;
     bool limitHit = false;
 
     /** The decision budget is the only limit (0 = none). */
@@ -159,15 +137,6 @@ struct TrailSearch
         if (params.maxDecisions && decisions >= params.maxDecisions)
             limitHit = true;
         return limitHit;
-    }
-
-    /** Conflict bookkeeping shared by propagation and branching. */
-    void
-    noteConflict()
-    {
-        ++conflicts;
-        if (params.restartConflictBase && conflicts >= conflictLimit)
-            restartPending = true;
     }
 
     void
@@ -554,20 +523,14 @@ struct TrailSearch
         }
     }
 
-    /**
-     * DFS with trail-rewind backtracking. @return true if exhausted.
-     * A pending restart unwinds like a limit hit (every level returns
-     * false and rewinds its mark), landing back at the root state; the
-     * driver in solve() then re-enters search().
-     */
+    /** DFS with trail-rewind backtracking. @return true if exhausted. */
     bool
     search()
     {
-        if (budgetSpent() || restartPending)
+        if (budgetSpent())
             return false;
         if (!propagate()) {
             ++backtracks;
-            noteConflict();
             return true;
         }
         VarId v = pickVariable();
@@ -581,22 +544,17 @@ struct TrailSearch
             return true;
         }
 
-        // Value ordering: under restarts with an incumbent, follow the
-        // saved solution phase (branch toward the incumbent's value)
-        // so re-descents revisit the good region first. Otherwise,
-        // objective-aware: positive-coefficient objective variables
-        // prefer small values; negative prefer large.
+        // Value ordering, objective-aware: positive-coefficient
+        // objective variables prefer small values; negative prefer
+        // large.
         const std::int64_t saved_lb = dom.lb(v);
         const std::int64_t saved_ub = dom.ub(v);
-        const bool low_first =
-            (params.restartConflictBase && haveIncumbent)
-                ? best[v] <= saved_lb
-                : objCoef[v] >= 0;
+        const bool low_first = objCoef[v] >= 0;
         const std::size_t node_mark = dom.mark();
 
         for (int side = 0; side < 2; ++side) {
             ++decisions;
-            if (budgetSpent() || restartPending)
+            if (budgetSpent())
                 return false;
             bool try_low = (side == 0) == low_first;
             bool ok;
@@ -610,10 +568,8 @@ struct TrailSearch
                 ok = tightenLb(v, saved_lb + 1);
             }
             bool exhausted = !ok || search();
-            if (!ok) {
+            if (!ok)
                 ++backtracks;
-                noteConflict();
-            }
             rewindTo(node_mark);
             if (!exhausted)
                 return false;
@@ -621,29 +577,6 @@ struct TrailSearch
                 return true;
         }
         return true;
-    }
-
-    /**
-     * Search to exhaustion or a limit, restarting on the Luby schedule
-     * when enabled. @return true if the search space was exhausted.
-     */
-    bool
-    run()
-    {
-        if (!params.restartConflictBase)
-            return search();
-        for (std::uint64_t i = 1;; ++i) {
-            conflictLimit =
-                conflicts + luby(i) * params.restartConflictBase;
-            restartPending = false;
-            if (search())
-                return true; // exhausted (or satisfied)
-            if (limitHit)
-                return false;
-            // Restart: the unwind already rewound to the root state;
-            // re-descend with the saved solution phase.
-            ++restarts;
-        }
     }
 };
 
@@ -680,13 +613,12 @@ CpSolver::solve(const CpModel &model,
         st.best = *hint;
         st.bestObjective = objectiveOf(model, *hint);
     }
-    const bool exhausted = st.run();
+    const bool exhausted = st.search();
 
     SolveResult result;
     result.decisions = st.decisions;
     result.propagations = st.propagations;
     result.backtracks = st.backtracks;
-    result.restarts = st.restarts;
     result.wallSeconds =
         // FMLINT(allow:no-wall-clock) reported wall time only; solve results never depend on it
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -39,20 +39,6 @@ struct SolverParams
 {
     /** Decision budget, the only search limit; 0 = run to exhaustion. */
     std::uint64_t maxDecisions = 0;
-    /**
-     * Luby restart base, in conflicts (0 disables).
-     * Restart i aborts the current dive after luby(i) * base conflicts
-     * and re-descends from the root with solution phase saving: value
-     * ordering follows the incumbent, so restarted searches keep (and
-     * typically improve) incumbent quality under the same decision
-     * budget. Restarting is conflict-counted, hence deterministic.
-     * The strategy stays complete: the limit grows without bound, so
-     * an exhaustive pass eventually fits inside one restart window —
-     * but proving optimality can take more decisions than a single
-     * uninterrupted dive, which is why LC-OPG only switches restarts
-     * on for budget-truncated (FEASIBLE) window solves.
-     */
-    std::uint64_t restartConflictBase = 0;
 };
 
 /** Result of a solve: status, assignment, objective, search stats. */
@@ -65,8 +51,6 @@ struct SolveResult
     /** Constraint revisions (linear rows and implications). */
     std::uint64_t propagations = 0;
     std::uint64_t backtracks = 0;
-    /** Luby restarts taken (restartConflictBase > 0). */
-    std::uint64_t restarts = 0;
     double wallSeconds = 0.0; ///< reported only; no limit reads it
 
     bool

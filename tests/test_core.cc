@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the FlashMem core: weight slicing, overlap-plan invariants
- * and serialization, LC-OPG planning (C0-C4), adaptive fusion, kernel
- * rewriting, the streaming runtime, and the facade's ablation behaviour.
+ * and serialization, LC-OPG planning (C0-C3, one search per window),
+ * adaptive fusion, kernel rewriting, the streaming runtime, and the
+ * facade's ablation behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -286,12 +287,12 @@ TEST(LcOpg, TinyMPeakForcesPreload)
 TEST(LcOpg, OneChunkBudgetPlansAreValidAndThreadIndependent)
 {
     // At mPeak = one chunk C2 binds in every window, so the greedy
-    // hint each round starts from is at its most constrained; every
-    // round must still have a solution (the planner asserts it), and
-    // capacity pressure must reach C4 tier 2.
+    // hint each window starts from is at its most constrained; every
+    // window must still have a solution (the planner asserts it), and
+    // every window is one search within its decision budget: a fresh
+    // memo stores at most one solve per window.
     KernelModel km(DeviceProfile::onePlus12());
     profiler::AnalyticCapacityProvider cap(km);
-    int forced = 0;
     for (auto id : {models::ModelId::ResNet50,
                     models::ModelId::DepthAnythingS,
                     models::ModelId::GPTNeoS}) {
@@ -300,19 +301,24 @@ TEST(LcOpg, OneChunkBudgetPlansAreValidAndThreadIndependent)
         std::string ref;
         for (int threads : {1, 4}) {
             SCOPED_TRACE(threads);
+            PlanMemo memo;
             OpgParams params;
             params.mPeak = params.chunkBytes;
             params.parallel.threads = threads;
+            params.memo = &memo;
             PlanStats stats;
             const auto plan = LcOpgPlanner(g, cap, km, params).plan(&stats);
             EXPECT_TRUE(plan.validate(g, false));
             if (ref.empty())
                 ref = plan.serialize();
             EXPECT_EQ(plan.serialize(), ref);
-            forced += stats.forcedPreloads;
+            EXPECT_LE(memo.solveCount(),
+                      static_cast<std::size_t>(stats.windows));
+            for (const auto &w : stats.windowSummaries)
+                EXPECT_LE(w.decisions, params.solverDecisionsPerWindow)
+                    << "window " << w.window;
         }
     }
-    EXPECT_GT(forced, 0);
 }
 
 TEST(LcOpg, RejectsZeroDecisionBudget)
@@ -375,9 +381,7 @@ TEST(LcOpg, StatsAccountAllWindows)
     PlanStats stats;
     LcOpgPlanner planner(g, cap, km);
     planner.plan(&stats);
-    EXPECT_EQ(stats.windows,
-              stats.optimalWindows + stats.feasibleWindows +
-                  stats.greedyWindows);
+    EXPECT_EQ(stats.windows, stats.optimalWindows + stats.feasibleWindows);
     EXPECT_GT(stats.solveSeconds, 0.0);
     EXPECT_GT(stats.processNodesSeconds, 0.0);
 }
@@ -398,7 +402,7 @@ feasibleResult(std::int64_t value)
 TEST(PlanMemo, SolveStoreIsExactAndBoundedLru)
 {
     PlanMemo memo(2);
-    auto key = [](std::uint64_t fp) { return SolveKey{fp, {4, 5}, 100, 0}; };
+    auto key = [](std::uint64_t fp) { return SolveKey{fp, {4, 5}, 100}; };
     memo.storeSolve(key(1), feasibleResult(10));
     memo.storeSolve(key(2), feasibleResult(20));
     // Every key component takes part: no near miss is a hit.
@@ -406,9 +410,7 @@ TEST(PlanMemo, SolveStoreIsExactAndBoundedLru)
     other_hint.hint.back() = 6;
     auto other_budget = key(1);
     other_budget.maxDecisions = 101;
-    auto other_restarts = key(1);
-    other_restarts.restartConflictBase = 1024;
-    for (const auto &k : {other_hint, other_budget, other_restarts})
+    for (const auto &k : {other_hint, other_budget})
         EXPECT_FALSE(memo.lookupSolve(k).has_value());
 
     auto hit = memo.lookupSolve(key(1)); // 1 is now most recent
@@ -478,31 +480,6 @@ TEST(LcOpg, ParallelPlansAreByteIdentical)
     }
 }
 
-TEST(LcOpg, ParallelPlansWithRestartsAreByteIdentical)
-{
-    auto g = toyGraph(6);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-
-    std::string ref;
-    solver::SolveStatus ref_status = solver::SolveStatus::Unknown;
-    for (int threads : {1, 4}) {
-        OpgParams params;
-        params.chunkBytes = kib(256);
-        params.restartConflictBase = 256;
-        params.parallel.threads = threads;
-        LcOpgPlanner planner(g, cap, km, params);
-        PlanStats stats;
-        auto s = planner.plan(&stats).serialize();
-        if (ref.empty()) {
-            ref = s;
-            ref_status = stats.overallStatus;
-        }
-        EXPECT_EQ(s, ref) << "threads=" << threads;
-        EXPECT_EQ(stats.overallStatus, ref_status);
-    }
-}
-
 // ------------------------------------- Merge re-balancing + re-planning
 
 TEST(LcOpg, MergeRebalanceTopsUpTruncatedWindows)
@@ -518,7 +495,6 @@ TEST(LcOpg, MergeRebalanceTopsUpTruncatedWindows)
     OpgParams params;
     params.mPeak = mib(1024);
     params.lambda = 0.5;
-    params.restartConflictBase = 1024;
 
     params.mergeRebalance = false;
     PlanStats off_stats;
@@ -550,7 +526,6 @@ TEST(LcOpg, RebalancedPlanRespectsCapacitiesAndInflight)
     OpgParams params;
     params.mPeak = mib(1024);
     params.lambda = 0.5;
-    params.restartConflictBase = 1024;
     PlanStats stats;
     LcOpgPlanner planner(g, cap, km, params);
     auto plan = planner.plan(&stats);
@@ -583,39 +558,6 @@ TEST(LcOpg, RebalancedPlanRespectsCapacitiesAndInflight)
     EXPECT_LE(worst_inflight, mpeak_chunks);
 }
 
-TEST(LcOpg, ReplanMatchesFreshPlannerAtThatBudget)
-{
-    // replan() reuses the first plan()'s graph analysis but must reset
-    // the capacity/in-flight ledgers: the result has to be
-    // byte-identical to a fresh planner constructed at the new budget.
-    auto g = toyGraph(3);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-    OpgParams params;
-    params.chunkBytes = kib(256);
-    params.solverDecisionsPerWindow = 2000000;
-
-    PlanMemo memo_a(1024), memo_b(1024);
-    params.memo = &memo_a;
-    LcOpgPlanner planner(g, cap, km, params);
-    PlanStats first_stats;
-    auto first = planner.plan(&first_stats);
-    ASSERT_EQ(first_stats.overallStatus, solver::SolveStatus::Optimal);
-    PlanStats replan_stats;
-    auto replanned = planner.replan(mib(1), &replan_stats);
-    EXPECT_TRUE(replanned.validate(g, false));
-
-    params.memo = &memo_b;
-    params.mPeak = mib(1);
-    LcOpgPlanner fresh(g, cap, km, params);
-    auto expected = fresh.plan();
-    EXPECT_EQ(replanned.serialize(), expected.serialize());
-    // And re-planning back to the original budget restores the
-    // original plan bit for bit.
-    auto restored = planner.replan(OpgParams{}.mPeak);
-    EXPECT_EQ(restored.serialize(), first.serialize());
-}
-
 /** Every PlanStats field a memo hit must leave unchanged: all but
  * host times and memoHits itself. */
 std::string
@@ -624,15 +566,12 @@ reuseInvariantStats(const PlanStats &s)
     std::ostringstream os;
     os << static_cast<int>(s.overallStatus) << ' ' << s.windows << ' '
        << s.optimalWindows << ' ' << s.feasibleWindows << ' '
-       << s.softRelaxations << ' ' << s.forcedPreloads << ' '
-       << s.greedyWindows << ' ' << s.threads << ' '
-       << s.rebalancedChunks << ' ' << s.rebalancedWeights << ' '
-       << s.solverDecisions << ' ' << s.solverRestarts << ' '
+       << s.threads << ' ' << s.rebalancedChunks << ' '
+       << s.rebalancedWeights << ' ' << s.solverDecisions << ' '
        << s.solverPropagations << ' ' << s.solverConflicts << '\n';
     for (const auto &w : s.windowSummaries) {
         os << w.window << ' ' << static_cast<int>(w.status) << ' '
-           << w.usedGreedy << ' ' << w.decisions << ' '
-           << w.propagations << ' ' << w.conflicts << ' ' << w.restarts
+           << w.decisions << ' ' << w.propagations << ' ' << w.conflicts
            << '\n';
     }
     return os.str();
@@ -641,12 +580,12 @@ reuseInvariantStats(const PlanStats &s)
 TEST(LcOpg, ReplanReusesTruncatedWindowSolvesExactly)
 {
     // Budget-truncated windows at the default decision budget: a
-    // re-plan reuses the finished solve of every window its budget
-    // cannot bind, and must still equal a fresh planner without a memo
-    // at the new budget in plan, counters and summaries. 250 MiB
-    // binds no window; 3 MiB binds in-flight rows that leave the
-    // greedy hint unchanged, so only the entailment test keeps those
-    // windows from reusing a 500 MiB solve.
+    // plan at a new budget through the memo of a 500 MiB plan reuses
+    // the finished solve of every window that budget cannot bind, and
+    // must still equal a plan without a memo at that budget in plan,
+    // counters and summaries. 250 MiB binds no window; 3 MiB binds
+    // in-flight rows that leave the greedy hint unchanged, so only the
+    // entailment test keeps those windows from reusing a 500 MiB solve.
     auto g = models::buildModel(models::ModelId::DepthAnythingS);
     KernelModel km(DeviceProfile::onePlus12());
     profiler::AnalyticCapacityProvider cap(km);
@@ -657,27 +596,29 @@ TEST(LcOpg, ReplanReusesTruncatedWindowSolvesExactly)
         ASSERT_EQ(params.mPeak, mib(500));
         PlanMemo memo;
         params.memo = &memo;
-        LcOpgPlanner planner(g, cap, km, params);
+        auto planAt = [&](Bytes budget, const OpgParams &base,
+                          PlanStats *stats) {
+            OpgParams at = base;
+            at.mPeak = budget;
+            return LcOpgPlanner(g, cap, km, at).plan(stats).serialize();
+        };
         PlanStats first_stats;
-        const auto first = planner.plan(&first_stats).serialize();
+        const auto first = planAt(mib(500), params, &first_stats);
         ASSERT_GT(first_stats.feasibleWindows, 0);
         EXPECT_EQ(first_stats.memoHits, 0u);
+        OpgParams no_memo = params;
+        no_memo.memo = nullptr;
         for (Bytes budget : {mib(250), mib(3)}) {
             SCOPED_TRACE(budget);
             PlanStats replan_stats, fresh_stats;
-            const auto replanned =
-                planner.replan(budget, &replan_stats).serialize();
-            OpgParams fresh_params = params;
-            fresh_params.memo = nullptr;
-            fresh_params.mPeak = budget;
-            LcOpgPlanner fresh(g, cap, km, fresh_params);
-            EXPECT_EQ(replanned, fresh.plan(&fresh_stats).serialize());
+            const auto replanned = planAt(budget, params, &replan_stats);
+            EXPECT_EQ(replanned, planAt(budget, no_memo, &fresh_stats));
             EXPECT_EQ(reuseInvariantStats(replan_stats),
                       reuseInvariantStats(fresh_stats));
             EXPECT_GT(replan_stats.memoHits, 0u);
             EXPECT_EQ(fresh_stats.memoHits, 0u);
         }
-        EXPECT_EQ(planner.replan(mib(500)).serialize(), first);
+        EXPECT_EQ(planAt(mib(500), params, nullptr), first);
     }
 }
 
@@ -691,7 +632,7 @@ TEST(PlanMemo, ConcurrentHammer)
     // Entries encode the key in the value, so readers can check they
     // never observe torn or misfiled entries.
     auto solve_key = [](std::uint64_t fp) {
-        return SolveKey{fp, {static_cast<std::int64_t>(fp)}, 1, 0};
+        return SolveKey{fp, {static_cast<std::int64_t>(fp)}, 1};
     };
 
     std::vector<std::thread> workers;

@@ -161,7 +161,9 @@ TEST(Integration, WarmStartCrossoverVsSmartMem)
 TEST(Integration, AlwaysValidPlansAcrossHyperparameterGrid)
 {
     // Property sweep: every hyper-parameter combination must yield a
-    // valid, runnable plan (the C4 fallback guarantee).
+    // valid, runnable plan (every window's search starts from a greedy
+    // hint that satisfies its model; lc_opg.hh, "One search per
+    // window").
     auto g = models::buildModel(ModelId::GPTNeoS);
     auto dev = DeviceProfile::onePlus12();
     for (Bytes chunk : {kib(256), mib(1), mib(4)}) {

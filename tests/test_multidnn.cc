@@ -404,7 +404,7 @@ tinyReplanModel()
 TEST(Replanning, ReplanIsByteIdenticalAcrossWarmMemo)
 {
     // Re-planning the same budget twice through the FlashMem's memo:
-    // the second pass completes its window rounds from the first's
+    // the second pass completes its windows from the first's
     // finished solves and must reproduce the plan byte for byte.
     auto g = tinyReplanModel();
     FlashMemOptions opt;

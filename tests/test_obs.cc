@@ -61,7 +61,7 @@ TEST(TraceRecorder, ServingStreamExcludesPlannerEvents)
     rec.replan(0, static_cast<std::int32_t>(ModelId::ViT), mib(256),
                0, 3);
     rec.solverWindow(0, 0, static_cast<std::int32_t>(ModelId::ViT),
-                     1, 2, 3, 1);
+                     1, 3, 1);
     rec.requestShed(0, 7, static_cast<std::int32_t>(ModelId::ViT),
                     /*reason=*/0, /*attempts=*/0);
 

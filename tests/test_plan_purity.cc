@@ -5,7 +5,7 @@
  * Table-6 model, at planner threads 1 and 4, one FlashMem compiles the
  * model three times and a second FlashMem with a fresh memo compiles
  * it once. Every compile must ship the same plan bytes and the same
- * planner counters, and the repeats must complete window rounds from
+ * planner counters, and the repeats must complete windows from
  * the memo.
  */
 
@@ -55,14 +55,12 @@ plannerCounters(const CompiledModel &cm)
        << cm.totalSolverDecisions << '\n'
        << static_cast<int>(s.overallStatus) << ' ' << s.windows << ' '
        << s.optimalWindows << ' ' << s.feasibleWindows << ' '
-       << s.softRelaxations << ' ' << s.forcedPreloads << ' '
-       << s.greedyWindows << ' ' << s.rebalancedChunks << ' '
-       << s.rebalancedWeights << ' ' << s.solverDecisions << ' '
-       << s.solverRestarts << ' ' << s.solverPropagations << ' ' << s.solverConflicts << '\n';
+       << s.rebalancedChunks << ' ' << s.rebalancedWeights << ' '
+       << s.solverDecisions << ' ' << s.solverPropagations << ' '
+       << s.solverConflicts << '\n';
     for (const auto &w : s.windowSummaries) {
         os << w.window << ' ' << static_cast<int>(w.status) << ' '
-           << w.usedGreedy << ' ' << w.decisions << ' '
-           << w.propagations << ' ' << w.conflicts << ' ' << w.restarts
+           << w.decisions << ' ' << w.propagations << ' ' << w.conflicts
            << '\n';
     }
     return os.str();

@@ -355,7 +355,6 @@ TEST(CpModel, EntailedRowBoundsNeverChangeTheSearch)
         SolverParams truncated;
         truncated.maxDecisions =
             static_cast<std::uint64_t>(rng.uniformInt(1, 12));
-        truncated.restartConflictBase = 1;
         for (const auto &params : {SolverParams{}, truncated}) {
             auto a = CpSolver(params).solve(tight, &hint);
             auto b = CpSolver(params).solve(loose, &hint);
@@ -365,7 +364,6 @@ TEST(CpModel, EntailedRowBoundsNeverChangeTheSearch)
             EXPECT_EQ(a.decisions, b.decisions);
             EXPECT_EQ(a.propagations, b.propagations);
             EXPECT_EQ(a.backtracks, b.backtracks);
-            EXPECT_EQ(a.restarts, b.restarts);
         }
     }
 }
@@ -531,57 +529,13 @@ TEST(DomainTrail, SumRestoreEntriesRewindWithBounds)
     EXPECT_EQ(dom.ub(1), 10);
 }
 
-// -------------------------------------------------------------- Restarts
+// -------------------------------------------------------- Anytime bound
 
-/** Budget-truncated OPG-ish model for restart tests. */
-CpModel
-restartModel(int weights, int layers, int tw, int cap)
-{
-    CpModel m;
-    for (int w = 0; w < weights; ++w) {
-        std::vector<LinearTerm> row;
-        for (int l = 0; l < layers; ++l)
-            row.push_back({m.newIntVar(0, tw), 1});
-        m.addEquality(row, tw);
-    }
-    std::vector<LinearTerm> obj;
-    for (int w = 0; w < weights; ++w) {
-        std::vector<LinearTerm> col;
-        for (int l = 0; l < layers; ++l) {
-            VarId v = w * layers + l;
-            col.push_back({v, 1});
-            obj.push_back({v, layers - l});
-        }
-    }
-    for (int l = 0; l < layers; ++l) {
-        std::vector<LinearTerm> col;
-        for (int w = 0; w < weights; ++w)
-            col.push_back({w * layers + l, 1});
-        m.addLessOrEqual(col, cap);
-    }
-    m.minimize(obj);
-    return m;
-}
+CpModel windowModel(int weights, int layers, int tw, int cap);
 
-TEST(CpSolver, RestartsAreDeterministic)
+TEST(CpSolver, TruncatedSearchNeverScoresWorseThanItsHint)
 {
-    auto m = restartModel(18, 7, 4, 12);
-    SolverParams params;
-    params.maxDecisions = 30000;
-    params.restartConflictBase = 64;
-    auto r1 = CpSolver(params).solve(m);
-    auto r2 = CpSolver(params).solve(m);
-    EXPECT_GT(r1.restarts, 0u); // the schedule actually fired
-    EXPECT_EQ(r1.status, r2.status);
-    EXPECT_EQ(r1.objective, r2.objective);
-    EXPECT_EQ(r1.decisions, r2.decisions);
-    EXPECT_EQ(r1.restarts, r2.restarts);
-    EXPECT_EQ(r1.values, r2.values);
-}
-
-TEST(CpSolver, RestartsKeepIncumbentQualityUnderBudget)
-{
-    auto m = restartModel(18, 7, 4, 12);
+    auto m = windowModel(18, 7, 4, 12);
     // A deliberately poor but feasible hint: each weight dumps all its
     // chunks on one early layer (3 weights per layer x 4 chunks fills
     // the capacity of layers 0..5 exactly).
@@ -595,27 +549,11 @@ TEST(CpSolver, RestartsKeepIncumbentQualityUnderBudget)
 
     SolverParams params;
     params.maxDecisions = 30000;
-    params.restartConflictBase = 64;
     auto r = CpSolver(params).solve(m, &hint);
-    ASSERT_TRUE(r.feasible());
-    // Solution phase saving: restarted searches never lose the
-    // incumbent, so the anytime bound holds.
+    // The budget runs out before the proof, and the hint is the first
+    // incumbent, so the search can only improve on it.
+    ASSERT_EQ(r.status, SolveStatus::Feasible);
     EXPECT_LE(r.objective, hint_obj);
-}
-
-CpModel windowModel(int weights, int layers, int tw, int cap);
-
-TEST(CpSolver, RestartsPreserveOptimalityProofs)
-{
-    auto m = windowModel(6, 4, 2, 4);
-    SolverParams plain;
-    SolverParams restarting;
-    restarting.restartConflictBase = 32;
-    auto r_plain = CpSolver(plain).solve(m);
-    auto r_restart = CpSolver(restarting).solve(m);
-    ASSERT_EQ(r_plain.status, SolveStatus::Optimal);
-    ASSERT_EQ(r_restart.status, SolveStatus::Optimal);
-    EXPECT_EQ(r_plain.objective, r_restart.objective);
 }
 
 // ------------------------------------------------------------ Watch lists
