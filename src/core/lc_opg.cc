@@ -54,10 +54,10 @@ takeAtLayer(graph::NodeId l, graph::NodeId consumer, std::int64_t want,
 
 LcOpgPlanner::LcOpgPlanner(const graph::Graph &g,
                            const profiler::CapacityProvider &capacity,
-                           const gpusim::KernelModel &kernel_model,
+                           const gpusim::KernelModel &,
                            OpgParams params)
-    : g_(g), capacity_(capacity), kernel_model_(kernel_model),
-      params_(params), slicer_(params.chunkBytes)
+    : g_(g), capacity_(capacity), params_(params),
+      slicer_(params.chunkBytes)
 {
     FM_ASSERT(params_.windowLayers > 0 && params_.maxLoadDistance > 0,
               "bad OPG window parameters");

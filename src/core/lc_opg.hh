@@ -182,22 +182,19 @@ class LcOpgPlanner
     /**
      * @param g graph to plan (post-fusion).
      * @param capacity provider of per-layer load capacities.
-     * @param kernel_model device kernel model (for specs).
      * @param params hyper-parameters.
+     *
+     * The unnamed gpusim::KernelModel parameter is unused: every
+     * per-layer cost the planner reads comes through @p capacity. It
+     * stays only because perfbench, which is frozen, passes one; it
+     * goes with the next change to the benchmark.
      */
     LcOpgPlanner(const graph::Graph &g,
                  const profiler::CapacityProvider &capacity,
-                 const gpusim::KernelModel &kernel_model,
-                 OpgParams params = {});
+                 const gpusim::KernelModel &, OpgParams params = {});
 
     /** Run LC-OPG; always returns a valid plan. */
     OverlapPlan plan(PlanStats *stats = nullptr);
-
-    /** Per-layer capacities in chunks (after analysis). */
-    const std::vector<std::int64_t> &layerCapacities() const
-    {
-        return capacity_chunks_;
-    }
 
   private:
     struct WindowResult
@@ -336,7 +333,6 @@ class LcOpgPlanner
 
     const graph::Graph &g_;
     const profiler::CapacityProvider &capacity_;
-    const gpusim::KernelModel &kernel_model_;
     OpgParams params_;
     WeightSlicer slicer_;
 

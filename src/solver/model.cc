@@ -14,8 +14,6 @@ CpModel::newIntVar(std::int64_t lb, std::int64_t ub, std::string name)
     lbs_.push_back(lb);
     ubs_.push_back(ub);
     names_.push_back(std::move(name));
-    varConstraints_.emplace_back();
-    varImplications_.emplace_back();
     return static_cast<VarId>(lbs_.size()) - 1;
 }
 
@@ -39,14 +37,6 @@ CpModel::addLinear(std::vector<LinearTerm> terms, std::int64_t lo,
 {
     FM_ASSERT(lo <= hi, "addLinear with lo > hi");
     checkTerms(terms);
-    const auto ci = static_cast<std::int32_t>(constraints_.size());
-    for (const auto &t : terms) {
-        auto &list = varConstraints_[t.var];
-        // Guard against a variable appearing twice in one constraint:
-        // one watch entry is enough.
-        if (list.empty() || list.back() != ci)
-            list.push_back(ci);
-    }
     constraints_.push_back({std::move(terms), lo, hi});
 }
 
@@ -76,10 +66,6 @@ CpModel::addImplicationGeLe(VarId x, std::int64_t x_threshold, VarId y,
 {
     checkVar(x);
     checkVar(y);
-    const auto ii = static_cast<std::int32_t>(implications_.size());
-    varImplications_[x].push_back(ii);
-    if (y != x)
-        varImplications_[y].push_back(ii);
     implications_.push_back({x, x_threshold, y, y_bound});
 }
 
@@ -88,20 +74,6 @@ CpModel::minimize(std::vector<LinearTerm> objective)
 {
     checkTerms(objective);
     objective_ = std::move(objective);
-}
-
-const std::vector<std::int32_t> &
-CpModel::constraintsWatching(VarId v) const
-{
-    checkVar(v);
-    return varConstraints_[v];
-}
-
-const std::vector<std::int32_t> &
-CpModel::implicationsWatching(VarId v) const
-{
-    checkVar(v);
-    return varImplications_[v];
 }
 
 bool

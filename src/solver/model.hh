@@ -91,18 +91,6 @@ class CpModel
     bool hasObjective() const { return !objective_.empty(); }
     /** @} */
 
-    /** @name Propagation watch lists. @{ */
-    /**
-     * Constraint indices whose terms mention @p v. The solver's
-     * dirty-queue propagation only revisits these when v's bounds
-     * change, instead of re-scanning every constraint. Maintained
-     * eagerly as the model is built, so const access is safe to share.
-     */
-    const std::vector<std::int32_t> &constraintsWatching(VarId v) const;
-    /** Implication indices where @p v appears as x or y. */
-    const std::vector<std::int32_t> &implicationsWatching(VarId v) const;
-    /** @} */
-
     /**
      * True when @p values is a complete assignment satisfying every
      * domain, constraint, and implication.
@@ -136,10 +124,6 @@ class CpModel
     std::vector<LinearConstraint> constraints_;
     std::vector<Implication> implications_;
     std::vector<LinearTerm> objective_;
-
-    // Eagerly maintained watch lists (see constraintsWatching()).
-    std::vector<std::vector<std::int32_t>> varConstraints_;
-    std::vector<std::vector<std::int32_t>> varImplications_;
 };
 
 } // namespace flashmem::solver

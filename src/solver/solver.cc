@@ -1,6 +1,5 @@
 #include "solver/solver.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -12,9 +11,6 @@ namespace flashmem::solver {
 namespace {
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-
-/** Multiplicative activity bump applied per conflict (VSIDS-style). */
-constexpr double kActivityDecay = 1.05;
 
 /** Floor division robust to negative operands. */
 std::int64_t
@@ -49,9 +45,11 @@ objectiveOf(const CpModel &model, const std::vector<std::int64_t> &values)
  * Trail-based DFS branch and bound. Per-node cost is proportional to
  * the number of bound changes, not to V or to the constraint count:
  * backtracking rewinds the trail, propagation drains a dirty queue fed
- * by per-variable watch lists, the objective lower bound AND every
- * linear row's smin/smax are maintained incrementally (sum-restore
- * entries on the trail), and variable selection pops a lazy heap.
+ * by per-variable watch lists, the objective lower bound and every
+ * linear row's smin/smax move by delta on each tighten and back on
+ * each undo, a row revision walks only the row's unfixed terms, and
+ * variable selection reads the top of an indexed heap
+ * (src/solver/README.md, "Per-node mechanics").
  */
 struct TrailSearch
 {
@@ -65,20 +63,53 @@ struct TrailSearch
     /** Incremental objective lower bound over current domains. */
     std::int64_t objMin = 0;
 
-    /**
-     * Trailed per-constraint partial sums: slot 2*ci holds smin (the
-     * row's minimum over current domains), slot 2*ci+1 holds smax.
-     * Updated by delta on every bound change via varCons and restored
-     * exactly on rewind, so reviseLinear never re-sums a full row.
-     */
-    std::vector<std::int64_t> conSums;
-    /** (constraint, coef) for every term mentioning a variable. */
-    struct VarCon
+    /** A linear row's bounds and its range over current domains. */
+    struct Row
     {
-        std::int32_t con = -1;
+        std::int64_t lo = 0;
+        std::int64_t hi = 0;
+        std::int64_t smin = 0; ///< sum of the terms' minima
+        std::int64_t smax = 0; ///< sum of the terms' maxima
+    };
+    std::vector<Row> rows;
+    std::int32_t ncons = 0;
+
+    /**
+     * Term nodes. Node k is the k-th term over all rows in row order;
+     * node termCount + ci is row ci's list head. Each row's unfixed
+     * terms form a circular doubly linked list in term order (dancing
+     * links): a variable's nodes are unlinked when a tighten fixes it
+     * and relinked, in reverse, when the undo of that tighten un-fixes
+     * it. An unlinked node keeps its links, so a walk that unlinks the
+     * node it stands on still reaches the rest of the row.
+     */
+    std::vector<LinearTerm> nodeTerm;
+    struct Link
+    {
+        std::int32_t prev = -1;
+        std::int32_t next = -1;
+    };
+    std::vector<Link> links;
+    std::int32_t termCount = 0;
+
+    /** One term of a row that mentions a variable. */
+    struct Occurrence
+    {
+        std::int32_t row = -1;
+        std::int32_t node = -1;
         std::int64_t coef = 0;
     };
-    std::vector<std::vector<VarCon>> varCons;
+    /** Occurrences of v, in node order: occ[occStart[v], occStart[v+1]). */
+    std::vector<std::int32_t> occStart;
+    std::vector<Occurrence> occ;
+    /**
+     * Queue ids woken by a change of v, in
+     * watch[watchStart[v], watchStart[v+1]): the rows that mention v
+     * (ascending, once each), then ncons + each implication with v as
+     * x or y (ascending).
+     */
+    std::vector<std::int32_t> watchStart;
+    std::vector<std::int32_t> watch;
 
     // Incumbent.
     bool haveIncumbent = false;
@@ -91,36 +122,22 @@ struct TrailSearch
     std::size_t queueHead = 0;
     std::vector<char> inQueue;
 
-    // Lazy first-fail heap: entries go stale when a domain changes; a
-    // fresh entry is pushed on every change, so the newest entry for a
-    // variable always reflects its current size and stale ones are
-    // discarded on pop (validated against the live domain).
-    struct HeapEntry
+    /**
+     * Indexed binary min-heap of the unfixed variables, each once,
+     * keyed by (domain size, variable id); heapPos[v] is v's slot or
+     * -1. A key is the size recorded at v's last refresh, so the heap
+     * stays valid while domains move between two selections.
+     */
+    struct HeapItem
     {
         std::int64_t size = 0;
-        double activity = 0.0;
         VarId var = -1;
     };
-    struct HeapWorse
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            if (a.size != b.size)
-                return a.size > b.size; // smallest domain first
-            if (a.activity != b.activity)
-                return a.activity < b.activity; // then most active
-            return a.var > b.var; // then smallest id
-        }
-    };
-    std::vector<HeapEntry> heap;
-    std::vector<double> activity;
-    double activityInc = 1.0;
+    std::vector<HeapItem> heap;
+    std::vector<std::int32_t> heapPos;
     // Deferred heap maintenance: changed variables are only marked
-    // here; flushDirtyVars() pushes one fresh entry per variable right
-    // before selection. A variable tightened several times between two
-    // decisions costs one push instead of one per change, and the lazy
-    // validity check on pop keeps selection order identical.
+    // here; flushDirtyVars() re-keys each one once, right before
+    // selection, however often it changed in between.
     std::vector<char> varDirty;
     std::vector<VarId> dirtyVars;
 
@@ -143,9 +160,9 @@ struct TrailSearch
     init(const CpModel &m)
     {
         model = &m;
-        const auto n = m.varCount();
+        const auto n = static_cast<VarId>(m.varCount());
         std::vector<std::int64_t> lb(n), ub(n);
-        for (VarId v = 0; v < static_cast<VarId>(n); ++v) {
+        for (VarId v = 0; v < n; ++v) {
             lb[v] = m.lowerBound(v);
             ub[v] = m.upperBound(v);
         }
@@ -155,41 +172,102 @@ struct TrailSearch
         for (const auto &t : m.objective())
             objCoef[t.var] += t.coef;
         objMin = 0;
-        for (VarId v = 0; v < static_cast<VarId>(n); ++v) {
+        for (VarId v = 0; v < n; ++v) {
             objMin += objCoef[v] *
                       (objCoef[v] >= 0 ? dom.lb(v) : dom.ub(v));
         }
 
-        // Root partial sums per constraint + the var -> (row, coef)
-        // adjacency that keeps them incremental from here on.
-        const auto ncons = m.constraints().size();
-        conSums.assign(2 * ncons, 0);
-        varCons.assign(n, {});
-        for (std::size_t ci = 0; ci < ncons; ++ci) {
-            const auto &c = m.constraints()[ci];
+        // Rows: root sums, term nodes, and lists of the unfixed terms.
+        const auto &cons = m.constraints();
+        ncons = static_cast<std::int32_t>(cons.size());
+        termCount = 0;
+        for (const auto &c : cons)
+            termCount += static_cast<std::int32_t>(c.terms.size());
+        rows.assign(cons.size(), {});
+        nodeTerm.resize(termCount);
+        links.assign(static_cast<std::size_t>(termCount) + cons.size(),
+                     {});
+        occStart.assign(n + 1, 0);
+        std::int32_t node = 0;
+        for (std::int32_t ci = 0; ci < ncons; ++ci) {
+            const auto &c = cons[ci];
+            Row &r = rows[ci];
+            r.lo = c.lo;
+            r.hi = c.hi;
+            const std::int32_t head = termCount + ci;
+            std::int32_t last = head;
             for (const auto &t : c.terms) {
                 if (t.coef >= 0) {
-                    conSums[2 * ci] += t.coef * dom.lb(t.var);
-                    conSums[2 * ci + 1] += t.coef * dom.ub(t.var);
+                    r.smin += t.coef * dom.lb(t.var);
+                    r.smax += t.coef * dom.ub(t.var);
                 } else {
-                    conSums[2 * ci] += t.coef * dom.ub(t.var);
-                    conSums[2 * ci + 1] += t.coef * dom.lb(t.var);
+                    r.smin += t.coef * dom.ub(t.var);
+                    r.smax += t.coef * dom.lb(t.var);
                 }
-                varCons[t.var].push_back(
-                    {static_cast<std::int32_t>(ci), t.coef});
+                nodeTerm[node] = t;
+                ++occStart[t.var + 1];
+                // A variable fixed at the root never un-fixes, so its
+                // nodes never join a list.
+                if (!dom.fixed(t.var)) {
+                    links[last].next = node;
+                    links[node].prev = last;
+                    last = node;
+                }
+                ++node;
             }
+            links[last].next = head;
+            links[head].prev = last;
         }
-        dom.trackSums(&conSums);
 
-        activity.assign(n, 0.0);
+        // Variable -> occurrence adjacency, in node order.
+        for (VarId v = 0; v < n; ++v)
+            occStart[v + 1] += occStart[v];
+        occ.resize(termCount);
+        std::vector<std::int32_t> fill(occStart.begin(),
+                                       occStart.end() - 1);
+        node = 0;
+        for (std::int32_t ci = 0; ci < ncons; ++ci) {
+            for (const auto &t : cons[ci].terms)
+                occ[fill[t.var]++] = {ci, node++, t.coef};
+        }
+
+        // Watch lists: a variable's rows, then its implications.
+        const auto &imps = m.implications();
+        std::vector<std::vector<std::int32_t>> impsOf(n);
+        for (std::int32_t ii = 0;
+             ii < static_cast<std::int32_t>(imps.size()); ++ii) {
+            impsOf[imps[ii].x].push_back(ii);
+            if (imps[ii].y != imps[ii].x)
+                impsOf[imps[ii].y].push_back(ii);
+        }
+        watchStart.assign(n + 1, 0);
+        watch.clear();
+        for (VarId v = 0; v < n; ++v) {
+            watchStart[v] = static_cast<std::int32_t>(watch.size());
+            std::int32_t last_row = -1;
+            for (auto k = occStart[v]; k < occStart[v + 1]; ++k) {
+                if (occ[k].row != last_row) {
+                    last_row = occ[k].row;
+                    watch.push_back(last_row);
+                }
+            }
+            for (auto ii : impsOf[v])
+                watch.push_back(ncons + ii);
+        }
+        watchStart[n] = static_cast<std::int32_t>(watch.size());
+
         varDirty.assign(n, 0);
         dirtyVars.clear();
+        heapPos.assign(n, -1);
         heap.clear();
-        heap.reserve(n);
-        for (VarId v = 0; v < static_cast<VarId>(n); ++v) {
-            if (dom.domainSize(v) > 0)
-                pushHeap(v);
+        for (VarId v = 0; v < n; ++v) {
+            if (dom.domainSize(v) > 0) {
+                heapPos[v] = static_cast<std::int32_t>(heap.size());
+                heap.push_back({dom.domainSize(v), v});
+            }
         }
+        for (std::size_t i = heap.size() / 2; i-- > 0;)
+            siftDown(i);
 
         const auto total =
             m.constraints().size() + m.implications().size();
@@ -201,11 +279,68 @@ struct TrailSearch
             enqueue(static_cast<std::int32_t>(id));
     }
 
-    void
-    pushHeap(VarId v)
+    static bool
+    ranksBefore(const HeapItem &a, const HeapItem &b)
     {
-        heap.push_back({dom.domainSize(v), activity[v], v});
-        std::push_heap(heap.begin(), heap.end(), HeapWorse{});
+        if (a.size != b.size)
+            return a.size < b.size; // smallest domain first
+        return a.var < b.var;       // then smallest id
+    }
+
+    void
+    placeAt(std::size_t i, const HeapItem &e)
+    {
+        heap[i] = e;
+        heapPos[e.var] = static_cast<std::int32_t>(i);
+    }
+
+    void
+    siftUp(std::size_t i)
+    {
+        const HeapItem e = heap[i];
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / 2;
+            if (!ranksBefore(e, heap[parent]))
+                break;
+            placeAt(i, heap[parent]);
+            i = parent;
+        }
+        placeAt(i, e);
+    }
+
+    void
+    siftDown(std::size_t i)
+    {
+        const HeapItem e = heap[i];
+        const std::size_t n = heap.size();
+        for (;;) {
+            std::size_t child = 2 * i + 1;
+            if (child >= n)
+                break;
+            if (child + 1 < n && ranksBefore(heap[child + 1], heap[child]))
+                ++child;
+            if (!ranksBefore(heap[child], e))
+                break;
+            placeAt(i, heap[child]);
+            i = child;
+        }
+        placeAt(i, e);
+    }
+
+    /** Drop the variable in slot @p i from the heap. */
+    void
+    removeAt(std::size_t i)
+    {
+        heapPos[heap[i].var] = -1;
+        const HeapItem last = heap.back();
+        heap.pop_back();
+        if (i == heap.size())
+            return;
+        placeAt(i, last);
+        if (i > 0 && ranksBefore(last, heap[(i - 1) / 2]))
+            siftUp(i);
+        else
+            siftDown(i);
     }
 
     /** Mark @p v for a heap refresh at the next selection point. */
@@ -218,47 +353,42 @@ struct TrailSearch
         }
     }
 
-    /** Push one fresh entry per dirty, still-unfixed variable. */
+    /**
+     * Re-key every dirty variable to its live domain size: insert it
+     * when it is unfixed and absent, drop it when fixed.
+     */
     void
     flushDirtyVars()
     {
         for (auto v : dirtyVars) {
             varDirty[v] = 0;
-            if (dom.domainSize(v) > 0)
-                pushHeap(v);
+            const std::int64_t size = dom.domainSize(v);
+            const std::int32_t slot = heapPos[v];
+            if (size > 0) {
+                if (slot < 0) {
+                    heap.push_back({size, v});
+                    siftUp(heap.size() - 1);
+                } else if (size != heap[slot].size) {
+                    const bool shrank = size < heap[slot].size;
+                    heap[slot].size = size;
+                    if (shrank)
+                        siftUp(static_cast<std::size_t>(slot));
+                    else
+                        siftDown(static_cast<std::size_t>(slot));
+                }
+            } else if (slot >= 0) {
+                removeAt(static_cast<std::size_t>(slot));
+            }
         }
         dirtyVars.clear();
     }
 
-    /** Pop the unfixed variable with the smallest current domain. */
+    /** The unfixed variable with the smallest (domain size, id). */
     VarId
     pickVariable()
     {
         flushDirtyVars();
-        while (!heap.empty()) {
-            HeapEntry e = heap.front();
-            std::pop_heap(heap.begin(), heap.end(), HeapWorse{});
-            heap.pop_back();
-            // Valid only if it still describes the live domain.
-            if (e.size > 0 && dom.domainSize(e.var) == e.size)
-                return e.var;
-        }
-        return -1;
-    }
-
-    /** Rebuild the heap from live domains when stale entries pile up. */
-    void
-    compactHeapIfNeeded()
-    {
-        if (heap.size() <=
-            std::max<std::size_t>(64, 8 * dom.varCount()))
-            return;
-        heap.clear();
-        for (VarId v = 0; v < static_cast<VarId>(dom.varCount()); ++v) {
-            if (dom.domainSize(v) > 0)
-                heap.push_back({dom.domainSize(v), activity[v], v});
-        }
-        std::make_heap(heap.begin(), heap.end(), HeapWorse{});
+        return heap.empty() ? -1 : heap.front().var;
     }
 
     void
@@ -274,16 +404,49 @@ struct TrailSearch
     void
     onVarChanged(VarId v)
     {
-        const auto ncons =
-            static_cast<std::int32_t>(model->constraints().size());
-        for (auto c : model->constraintsWatching(v))
-            enqueue(c);
-        for (auto i : model->implicationsWatching(v))
-            enqueue(ncons + i);
+        for (auto k = watchStart[v]; k < watchStart[v + 1]; ++k)
+            enqueue(watch[k]);
         markDirty(v);
     }
 
-    /** @return false when the domain wipes out (conflict). */
+    void
+    unlinkNode(std::int32_t x)
+    {
+        links[links[x].prev].next = links[x].next;
+        links[links[x].next].prev = links[x].prev;
+    }
+
+    void
+    relinkNode(std::int32_t x)
+    {
+        links[links[x].prev].next = x;
+        links[links[x].next].prev = x;
+    }
+
+    /**
+     * Shared tail of a tighten by @p delta: move the sums of @p v's
+     * rows (a lower bound feeds smin where coef >= 0 and smax where
+     * coef < 0; an upper bound the reverse) and, if the tighten fixed
+     * @p v, unlink its term nodes.
+     * @return false when the domain wipes out (conflict).
+     */
+    bool
+    afterTighten(VarId v, bool isUpper, std::int64_t delta)
+    {
+        const bool fixedNow = dom.fixed(v);
+        for (auto k = occStart[v]; k < occStart[v + 1]; ++k) {
+            const Occurrence &o = occ[k];
+            Row &r = rows[o.row];
+            ((o.coef >= 0) == isUpper ? r.smax : r.smin) += o.coef * delta;
+            if (fixedNow)
+                unlinkNode(o.node);
+        }
+        if (dom.empty(v))
+            return false;
+        onVarChanged(v);
+        return true;
+    }
+
     bool
     tightenLb(VarId v, std::int64_t x)
     {
@@ -292,17 +455,8 @@ struct TrailSearch
         const std::int64_t delta = x - dom.lb(v);
         if (objCoef[v] > 0)
             objMin += objCoef[v] * delta;
-        // A raised lb moves smin for coef >= 0 rows (smin tracks lb
-        // there) and smax for coef < 0 rows (smax tracks lb there).
-        for (const auto &vc : varCons[v]) {
-            dom.addToSum(vc.coef >= 0 ? 2 * vc.con : 2 * vc.con + 1,
-                         vc.coef * delta);
-        }
         dom.tightenLb(v, x);
-        if (dom.empty(v))
-            return false;
-        onVarChanged(v);
-        return true;
+        return afterTighten(v, false, delta);
     }
 
     bool
@@ -313,66 +467,40 @@ struct TrailSearch
         const std::int64_t delta = x - dom.ub(v);
         if (objCoef[v] < 0)
             objMin += objCoef[v] * delta;
-        for (const auto &vc : varCons[v]) {
-            dom.addToSum(vc.coef >= 0 ? 2 * vc.con + 1 : 2 * vc.con,
-                         vc.coef * delta);
-        }
         dom.tightenUb(v, x);
-        if (dom.empty(v))
-            return false;
-        onVarChanged(v);
-        return true;
+        return afterTighten(v, true, delta);
     }
 
-    /** Undo observer: keeps objMin and the heap in sync with rewinds. */
+    /**
+     * Undo observer, called before the bound goes back from @p cur to
+     * @p old: applies the inverse of the tighten's deltas to objMin and
+     * the row sums, relinks the variable's term nodes (in reverse) when
+     * the undo un-fixes it, and marks it for a heap refresh.
+     */
     void
     onUndo(VarId v, bool isUpper, std::int64_t cur, std::int64_t old)
     {
-        if (isUpper) {
-            if (objCoef[v] < 0)
-                objMin += objCoef[v] * (old - cur);
-        } else {
-            if (objCoef[v] > 0)
-                objMin += objCoef[v] * (old - cur);
+        const std::int64_t delta = old - cur;
+        if (isUpper ? objCoef[v] < 0 : objCoef[v] > 0)
+            objMin += objCoef[v] * delta;
+        const bool unfixes = dom.fixed(v);
+        for (auto k = occStart[v + 1]; k-- > occStart[v];) {
+            const Occurrence &o = occ[k];
+            Row &r = rows[o.row];
+            ((o.coef >= 0) == isUpper ? r.smax : r.smin) += o.coef * delta;
+            if (unfixes)
+                relinkNode(o.node);
         }
+        markDirty(v);
     }
 
     void
     rewindTo(std::size_t mark)
     {
-        // Restored vars are marked dirty so each gets one fresh heap
-        // entry (reflecting its re-grown domain) at the next pick.
         dom.rewindTo(mark, [&](VarId v, bool isUpper, std::int64_t cur,
                                std::int64_t old) {
             onUndo(v, isUpper, cur, old);
-            markDirty(v);
         });
-        compactHeapIfNeeded();
-    }
-
-    /** Bump activity of the variables in the conflicting row. */
-    void
-    bumpConflict(std::int32_t id)
-    {
-        const auto ncons =
-            static_cast<std::int32_t>(model->constraints().size());
-        auto bump = [&](VarId v) {
-            activity[v] += activityInc;
-            if (activity[v] > 1e100) {
-                for (auto &a : activity)
-                    a *= 1e-100;
-                activityInc *= 1e-100;
-            }
-        };
-        if (id < ncons) {
-            for (const auto &t : model->constraints()[id].terms)
-                bump(t.var);
-        } else {
-            const auto &imp = model->implications()[id - ncons];
-            bump(imp.x);
-            bump(imp.y);
-        }
-        activityInc *= kActivityDecay;
     }
 
     void
@@ -386,72 +514,72 @@ struct TrailSearch
 
     /**
      * One bounds-consistency revision of linear constraint @p ci.
-     * The row's smin/smax come from the trailed partial sums, so the
-     * conflict and entailment checks are O(1); only a row that can
-     * actually tighten something pays a per-term pass, and the sums
-     * stay consistent automatically because tightenLb/Ub route every
-     * delta through dom.addToSum().
+     * The row's smin/smax are kept current by every tighten and undo,
+     * so the conflict and entailment checks are O(1); only a row that
+     * can actually tighten something pays a per-term pass, and that
+     * pass walks only the row's unfixed terms.
      */
     bool
     reviseLinear(std::int32_t ci)
     {
-        const auto &c = model->constraints()[ci];
-        {
-            const std::int64_t smin = conSums[2 * ci];
-            const std::int64_t smax = conSums[2 * ci + 1];
-            if (smin > c.hi || smax < c.lo)
-                return false;
-            // Entailed: no term can be tightened (coef*v <= c.hi -
-            // others_min is implied by smax <= c.hi, and symmetrically
-            // for lo), so skip the per-term division pass entirely.
-            if (smin >= c.lo && smax <= c.hi)
-                return true;
-        }
+        Row &r = rows[ci];
+        if (r.smin > r.hi || r.smax < r.lo)
+            return false;
+        // Entailed: no term can be tightened (coef*v <= hi - others_min
+        // is implied by smax <= hi, and symmetrically for lo), so skip
+        // the per-term division pass entirely.
+        if (r.smin >= r.lo && r.smax <= r.hi)
+            return true;
 
-        for (const auto &t : c.terms) {
-            const std::int64_t lb_v = dom.lb(t.var);
-            const std::int64_t ub_v = dom.ub(t.var);
+        const std::int32_t head = termCount + ci;
+        for (std::int32_t node = links[head].next; node != head;
+             node = links[node].next) {
+            const VarId var = nodeTerm[node].var;
+            const std::int64_t coef = nodeTerm[node].coef;
+            const std::int64_t lb_v = dom.lb(var);
+            const std::int64_t ub_v = dom.ub(var);
+            // Fixed during this pass (the walk may step through nodes
+            // it unlinked): nothing to tighten.
             if (lb_v == ub_v)
-                continue; // fixed: nothing to tighten
+                continue;
             // Bounds of the sum excluding this term, against the live
             // sums (earlier iterations may have tightened them).
             std::int64_t tmin, tmax;
-            if (t.coef >= 0) {
-                tmin = t.coef * lb_v;
-                tmax = t.coef * ub_v;
+            if (coef >= 0) {
+                tmin = coef * lb_v;
+                tmax = coef * ub_v;
             } else {
-                tmin = t.coef * ub_v;
-                tmax = t.coef * lb_v;
+                tmin = coef * ub_v;
+                tmax = coef * lb_v;
             }
             // One-multiply tightenability filter: the term's value
             // coef*v spans [tmin, tmax]; the row only forces
-            // coef*v - tmin <= c.hi - smin and tmax - coef*v <= smax -
-            // c.lo, so unless the span exceeds one of those slacks the
+            // coef*v - tmin <= hi - smin and tmax - coef*v <= smax -
+            // lo, so unless the span exceeds one of those slacks the
             // division pass below cannot change anything.
             const std::int64_t width = tmax - tmin;
-            if (width <= c.hi - conSums[2 * ci] &&
-                width <= conSums[2 * ci + 1] - c.lo)
+            if (width <= r.hi - r.smin && width <= r.smax - r.lo)
                 continue;
-            std::int64_t others_min = conSums[2 * ci] - tmin;
-            std::int64_t others_max = conSums[2 * ci + 1] - tmax;
-            // c.lo - others_max <= coef*v <= c.hi - others_min.
-            std::int64_t lo_num = c.lo == -kInf ? -kInf : c.lo - others_max;
-            std::int64_t hi_num = c.hi == kInf ? kInf : c.hi - others_min;
+            std::int64_t others_min = r.smin - tmin;
+            std::int64_t others_max = r.smax - tmax;
+            // lo - others_max <= coef*v <= hi - others_min.
+            std::int64_t lo_num = r.lo == -kInf ? -kInf : r.lo - others_max;
+            std::int64_t hi_num = r.hi == kInf ? kInf : r.hi - others_min;
             std::int64_t new_lb, new_ub;
-            if (t.coef > 0) {
-                new_lb = lo_num <= -kInf ? dom.lb(t.var)
-                                         : divCeil(lo_num, t.coef);
-                new_ub = hi_num >= kInf ? dom.ub(t.var)
-                                        : divFloor(hi_num, t.coef);
-            } else if (t.coef < 0) {
-                new_lb = hi_num >= kInf ? dom.lb(t.var)
-                                        : divCeil(hi_num, t.coef);
-                new_ub = lo_num <= -kInf ? dom.ub(t.var)
-                                         : divFloor(lo_num, t.coef);
+            if (coef > 0) {
+                new_lb = lo_num <= -kInf ? dom.lb(var)
+                                         : divCeil(lo_num, coef);
+                new_ub = hi_num >= kInf ? dom.ub(var)
+                                        : divFloor(hi_num, coef);
+            } else if (coef < 0) {
+                new_lb = hi_num >= kInf ? dom.lb(var)
+                                        : divCeil(hi_num, coef);
+                new_ub = lo_num <= -kInf ? dom.ub(var)
+                                         : divFloor(lo_num, coef);
             } else {
                 continue;
             }
-            if (!tightenLb(t.var, new_lb) || !tightenUb(t.var, new_ub))
+            if (!tightenLb(var, new_lb) || !tightenUb(var, new_ub))
                 return false;
         }
         return true;
@@ -491,12 +619,9 @@ struct TrailSearch
             auto id = queue[queueHead++];
             inQueue[id] = 0;
             ++propagations;
-            const auto ncons =
-                static_cast<std::int32_t>(model->constraints().size());
             bool ok = id < ncons ? reviseLinear(id)
                                  : reviseImplication(id - ncons);
             if (!ok) {
-                bumpConflict(id);
                 clearQueue();
                 return false;
             }

@@ -5,11 +5,13 @@
  * The search keeps a trail-based undo stack (only changed bounds are
  * recorded and rewound on backtrack), propagates through a watch-list
  * dirty queue (only constraints whose variables changed are revisited),
- * maintains the objective lower bound incrementally, and selects
- * variables first-fail from a heap with activity tie-breaking
+ * keeps the objective lower bound and each row's sum range current by
+ * delta on every tighten and undo, revises a row over its unfixed terms
+ * only, and selects variables from an indexed heap
  * (src/solver/README.md).
  *
- * Search: first-fail variable selection, objective-aware value ordering,
+ * Search: first-fail variable selection (smallest domain, then smallest
+ * variable id), objective-aware value ordering,
  * incumbent-driven bounding, and a decision budget as the only limit,
  * so a result never depends on host speed. Statuses mirror CP-SAT:
  * Optimal (search exhausted with incumbent), Feasible (budget spent

@@ -8,16 +8,12 @@
  * trail, restoring the previous state in time proportional to the number
  * of changes — typically a handful per node instead of thousands.
  *
- * The rewind observer lets the solver keep derived state (incremental
- * objective bound, variable-selection heap) consistent without the trail
- * knowing about it.
- *
- * Besides bound changes the trail can also record *sum-restore* entries
- * for an external array of per-constraint partial sums (trackSums /
- * addToSum): the solver keeps each linear row's smin/smax incrementally
- * up to date as bounds tighten, and rewinding restores the sums in the
- * exact reverse order, interleaved with the bound undos. This is what
- * makes reviseLinear O(changed terms) instead of O(terms).
+ * The rewind observer lets the solver keep derived state consistent
+ * without the trail knowing about it: the objective bound, each linear
+ * row's smin/smax (the observer applies the inverse of the tighten's
+ * delta), the rows' unfixed-term lists and the variable heap. Only
+ * bounds are recorded, so a tighten that moves the sums of ten rows
+ * still costs one trail entry.
  */
 
 #ifndef FLASHMEM_SOLVER_TRAIL_HH
@@ -35,9 +31,9 @@ namespace flashmem::solver {
 /** One recorded change: enough to undo it. */
 struct TrailEntry
 {
-    enum class Kind : std::uint8_t { Lower, Upper, Sum };
+    enum class Kind : std::uint8_t { Lower, Upper };
 
-    /** Variable id (Lower/Upper) or sum-slot index (Sum). */
+    /** Variable id. */
     std::int32_t index = -1;
     Kind kind = Kind::Lower;
     std::int64_t old = 0;
@@ -55,23 +51,6 @@ class DomainTrail
         lb_ = std::move(lb);
         ub_ = std::move(ub);
         trail_.clear();
-        sums_ = nullptr;
-    }
-
-    /**
-     * Register an external array of trailed sums (the solver's
-     * per-constraint smin/smax slots). Mutate it only through
-     * addToSum() so every change is recorded and rewound.
-     */
-    void trackSums(std::vector<std::int64_t> *sums) { sums_ = sums; }
-
-    /** Trailed update of sum slot @p slot: records the old value. */
-    void
-    addToSum(std::int32_t slot, std::int64_t delta)
-    {
-        auto &s = (*sums_)[static_cast<std::size_t>(slot)];
-        trail_.push_back({slot, TrailEntry::Kind::Sum, s});
-        s += delta;
     }
 
     std::size_t varCount() const { return lb_.size(); }
@@ -114,9 +93,8 @@ class DomainTrail
      * Undo every change recorded after @p mark, newest first.
      * @p onUndo is called as onUndo(var, isUpper, currentValue,
      * restoredValue) *before* the bound is restored, so observers can
-     * update derived state (objective bound deltas, heap entries).
-     * Sum-restore entries are applied silently: the tracked slot is set
-     * back to its recorded value without invoking the observer.
+     * update derived state (objective bound and row-sum deltas, term
+     * lists, heap keys).
      */
     template <typename F>
     void
@@ -125,18 +103,12 @@ class DomainTrail
         while (trail_.size() > mark) {
             const TrailEntry e = trail_.back();
             trail_.pop_back();
-            switch (e.kind) {
-              case TrailEntry::Kind::Upper:
+            if (e.kind == TrailEntry::Kind::Upper) {
                 onUndo(e.index, true, ub_[e.index], e.old);
                 ub_[e.index] = e.old;
-                break;
-              case TrailEntry::Kind::Lower:
+            } else {
                 onUndo(e.index, false, lb_[e.index], e.old);
                 lb_[e.index] = e.old;
-                break;
-              case TrailEntry::Kind::Sum:
-                (*sums_)[static_cast<std::size_t>(e.index)] = e.old;
-                break;
             }
         }
     }
@@ -152,7 +124,6 @@ class DomainTrail
   private:
     std::vector<std::int64_t> lb_, ub_;
     std::vector<TrailEntry> trail_;
-    std::vector<std::int64_t> *sums_ = nullptr; // see trackSums()
 };
 
 } // namespace flashmem::solver

@@ -2,12 +2,14 @@
  * @file
  * Tests for the CP-SAT-style solver: propagation, implications,
  * optimality on knapsack-like problems, status reporting, limits, the
- * trail/watch-list machinery behind the search, and randomized
- * equivalence checks against brute-force enumeration.
+ * domain trail behind the search, randomized equivalence checks against
+ * brute-force enumeration, and a reference DFS that pins the search
+ * tree.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hh"
@@ -195,18 +197,83 @@ TEST(CpSolver, DecisionLimitYieldsFeasibleOrUnknown)
                 r.status == SolveStatus::Unknown);
 }
 
-/** Small random model: nvars variables over [0, dom], 1-4 rows, maybe
- * an implication, and a linear objective. */
+/** Small random model with a linear objective (see randomInstance). */
 struct RandomInstance
 {
     CpModel model;
     int nvars = 0;
-    std::int64_t dom = 0;
+    std::int64_t dom = 0; ///< seeds 0-59: every domain is [0, dom]
 };
 
+/**
+ * Seeds 60-119: the edge cases no planner model hits. Root domains may
+ * be negative or a single value (fixed before search), every row
+ * repeats a variable, and a self-implication (x >= t) => (x <= b)
+ * with b < t caps x below t. Row bounds sit around a planted
+ * assignment that the self-implication allows, so every model is
+ * feasible and the search goes deep enough to backtrack through it.
+ */
+RandomInstance
+edgeInstance(int seed)
+{
+    Rng rng(7000 + seed);
+    RandomInstance inst;
+    inst.nvars = static_cast<int>(rng.uniformInt(3, 6));
+    const int nvars = inst.nvars;
+    CpModel &m = inst.model;
+    std::vector<std::int64_t> planted;
+    for (int i = 0; i < nvars; ++i) {
+        const auto kind = rng.uniformInt(0, 2);
+        std::int64_t lo = 0, hi = 0;
+        if (kind == 0) {
+            hi = rng.uniformInt(1, 5);
+        } else if (kind == 1) {
+            lo = rng.uniformInt(-4, -1);
+            hi = lo + rng.uniformInt(1, 5);
+        } else {
+            lo = hi = rng.uniformInt(-3, 3);
+        }
+        m.newIntVar(lo, hi);
+        planted.push_back(rng.uniformInt(lo, hi));
+    }
+    auto randomCoef = [&] {
+        const auto magnitude = rng.uniformInt(1, 3);
+        return rng.uniform() < 0.5 ? -magnitude : magnitude;
+    };
+    const int ncons = static_cast<int>(rng.uniformInt(1, 4));
+    for (int c = 0; c < ncons; ++c) {
+        std::vector<LinearTerm> terms;
+        const auto nterms = rng.uniformInt(1, 2 * nvars);
+        for (std::int64_t k = 0; k < nterms; ++k) {
+            terms.push_back(
+                {static_cast<VarId>(rng.uniformInt(0, nvars - 1)),
+                 randomCoef()});
+        }
+        terms.push_back({terms.front().var, randomCoef()});
+        std::int64_t at_planted = 0;
+        for (const auto &t : terms)
+            at_planted += t.coef * planted[t.var];
+        const auto lo = at_planted - rng.uniformInt(0, 2);
+        m.addLinear(std::move(terms), lo,
+                    at_planted + rng.uniformInt(0, 2));
+    }
+    const auto x = static_cast<VarId>(rng.uniformInt(0, nvars - 1));
+    const auto t = rng.uniformInt(planted[x] + 1, m.upperBound(x) + 1);
+    m.addImplicationGeLe(x, t, x, t - rng.uniformInt(1, 2));
+    std::vector<LinearTerm> obj;
+    for (int i = 0; i < nvars; ++i)
+        obj.push_back({i, rng.uniformInt(-4, 4)});
+    m.minimize(obj);
+    return inst;
+}
+
+/** Seeds 0-59: nvars variables over [0, dom], 1-4 rows over distinct
+ * variables, maybe an implication. Seeds 60-119: edgeInstance(). */
 RandomInstance
 randomInstance(int seed)
 {
+    if (seed >= 60)
+        return edgeInstance(seed);
     Rng rng(1000 + seed);
     RandomInstance inst;
     inst.nvars = static_cast<int>(rng.uniformInt(2, 5));
@@ -253,12 +320,13 @@ TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
 {
     const auto inst = randomInstance(GetParam());
     const CpModel &m = inst.model;
-    const int nvars = inst.nvars;
-    const std::int64_t dom = inst.dom;
+    const auto nvars = static_cast<VarId>(m.varCount());
     const auto &obj = m.objective();
 
-    // Brute force.
-    std::vector<std::int64_t> assign(nvars, 0);
+    // Brute force over every assignment within the root domains.
+    std::vector<std::int64_t> assign(nvars);
+    for (VarId v = 0; v < nvars; ++v)
+        assign[v] = m.lowerBound(v);
     bool bf_feasible = false;
     std::int64_t bf_best = 0;
     auto feasible = [&](const std::vector<std::int64_t> &vals) {
@@ -276,23 +344,21 @@ TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
         }
         return true;
     };
-    std::uint64_t total = 1;
-    for (int i = 0; i < nvars; ++i)
-        total *= (dom + 1);
-    for (std::uint64_t code = 0; code < total; ++code) {
-        std::uint64_t c = code;
-        for (int i = 0; i < nvars; ++i) {
-            assign[i] = static_cast<std::int64_t>(c % (dom + 1));
-            c /= (dom + 1);
+    for (bool more = true; more;) {
+        if (feasible(assign)) {
+            std::int64_t o = 0;
+            for (const auto &t : obj)
+                o += t.coef * assign[t.var];
+            if (!bf_feasible || o < bf_best) {
+                bf_feasible = true;
+                bf_best = o;
+            }
         }
-        if (!feasible(assign))
-            continue;
-        std::int64_t o = 0;
-        for (const auto &t : obj)
-            o += t.coef * assign[t.var];
-        if (!bf_feasible || o < bf_best) {
-            bf_feasible = true;
-            bf_best = o;
+        // Next assignment, odometer style; stops after the last one.
+        more = false;
+        for (VarId v = 0; v < nvars && !more; ++v) {
+            more = assign[v] < m.upperBound(v);
+            assign[v] = more ? assign[v] + 1 : m.lowerBound(v);
         }
     }
 
@@ -308,7 +374,7 @@ TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SolverVsBruteForce,
-                         ::testing::Range(0, 60));
+                         ::testing::Range(0, 120));
 
 // A row the declared domains entail stays entailed at every node, so
 // it never prunes or conflicts: a solve cannot depend on its bounds,
@@ -493,42 +559,6 @@ TEST(DomainTrail, RandomizedRewindMatchesSnapshots)
     }
 }
 
-TEST(DomainTrail, SumRestoreEntriesRewindWithBounds)
-{
-    DomainTrail dom;
-    dom.init({0, 0}, {10, 10});
-    std::vector<std::int64_t> sums = {100, 200};
-    dom.trackSums(&sums);
-
-    auto root = dom.mark();
-    dom.tightenLb(0, 4);
-    dom.addToSum(0, 4);   // smin-style delta for the lb raise
-    dom.addToSum(1, -7);
-    dom.tightenUb(1, 6);
-    EXPECT_EQ(sums[0], 104);
-    EXPECT_EQ(sums[1], 193);
-
-    auto inner = dom.mark();
-    dom.addToSum(0, 10);
-    dom.tightenLb(1, 2);
-    EXPECT_EQ(sums[0], 114);
-
-    dom.rewindTo(inner);
-    EXPECT_EQ(sums[0], 104); // inner sum delta undone
-    EXPECT_EQ(sums[1], 193); // outer delta survives
-    EXPECT_EQ(dom.lb(1), 0);
-
-    int bound_undos = 0;
-    dom.rewindTo(root, [&](VarId, bool, std::int64_t, std::int64_t) {
-        ++bound_undos; // sum entries restore silently
-    });
-    EXPECT_EQ(bound_undos, 2);
-    EXPECT_EQ(sums[0], 100);
-    EXPECT_EQ(sums[1], 200);
-    EXPECT_EQ(dom.lb(0), 0);
-    EXPECT_EQ(dom.ub(1), 10);
-}
-
 // -------------------------------------------------------- Anytime bound
 
 CpModel windowModel(int weights, int layers, int tw, int cap);
@@ -554,43 +584,6 @@ TEST(CpSolver, TruncatedSearchNeverScoresWorseThanItsHint)
     // incumbent, so the search can only improve on it.
     ASSERT_EQ(r.status, SolveStatus::Feasible);
     EXPECT_LE(r.objective, hint_obj);
-}
-
-// ------------------------------------------------------------ Watch lists
-
-TEST(CpModel, WatchListsCoverEveryOccurrence)
-{
-    CpModel m;
-    auto a = m.newIntVar(0, 5);
-    auto b = m.newIntVar(0, 5);
-    auto c = m.newIntVar(0, 5);
-    m.addLessOrEqual({{a, 1}, {b, 2}}, 7);        // constraint 0
-    m.addGreaterOrEqual({{b, 1}, {c, -1}}, 0);    // constraint 1
-    m.addImplicationGeLe(a, 1, c, 3);             // implication 0
-
-    EXPECT_EQ(m.constraintsWatching(a),
-              (std::vector<std::int32_t>{0}));
-    EXPECT_EQ(m.constraintsWatching(b),
-              (std::vector<std::int32_t>{0, 1}));
-    EXPECT_EQ(m.constraintsWatching(c),
-              (std::vector<std::int32_t>{1}));
-    EXPECT_EQ(m.implicationsWatching(a),
-              (std::vector<std::int32_t>{0}));
-    EXPECT_TRUE(m.implicationsWatching(b).empty());
-    EXPECT_EQ(m.implicationsWatching(c),
-              (std::vector<std::int32_t>{0}));
-}
-
-TEST(CpModel, WatchListsMaintainedAcrossMutation)
-{
-    CpModel m;
-    auto a = m.newIntVar(0, 5);
-    m.addLessOrEqual({{a, 1}}, 4);
-    EXPECT_EQ(m.constraintsWatching(a).size(), 1u);
-    // Watch lists are maintained eagerly: constraints added after a
-    // query show up too.
-    m.addGreaterOrEqual({{a, 1}}, 1);
-    EXPECT_EQ(m.constraintsWatching(a).size(), 2u);
 }
 
 // ------------------------------------------------------------ Fingerprint
@@ -716,6 +709,320 @@ TEST(CpSolver, ScalesToOpgWindowSizedProblems)
     // 240 chunks over layers of capacity 40: the optimal late packing
     // fills layers 7..2, costing 40 * (1+2+3+4+5+6) = 840.
     EXPECT_LE(r.objective, 840 + 120); // within 1 layer-shift of optimal
+}
+
+// ------------------------------------------------- Reference search tree
+
+std::int64_t
+floorDiv(std::int64_t a, std::int64_t b)
+{
+    const std::int64_t q = a / b;
+    return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
+}
+
+std::int64_t
+ceilDiv(std::int64_t a, std::int64_t b)
+{
+    const std::int64_t q = a / b;
+    return (a % b != 0 && (a < 0) == (b < 0)) ? q + 1 : q;
+}
+
+/**
+ * The solver's search restated as a plain recursive DFS. Each node
+ * copies the domains and re-derives every row and implication to a
+ * fixpoint from scratch with the same bounds rule, then branches on
+ * the unfixed variable with the smallest (ub - lb), then the smallest
+ * id, trying the objective-preferred side first. Value order, decision
+ * counting, the budget check and `objMin >= best` pruning follow
+ * CpSolver. Bounds propagation reaches one fixpoint whatever order it
+ * revises in, so every node, decision, backtrack and incumbent must
+ * match the solver's; only the propagation count depends on the order.
+ */
+class ReferenceDfs
+{
+  public:
+    ReferenceDfs(const CpModel &m, std::uint64_t max_decisions)
+        : m_(m), maxDecisions_(max_decisions), objCoef_(m.varCount(), 0)
+    {
+        for (const auto &t : m.objective())
+            objCoef_[t.var] += t.coef;
+    }
+
+    SolveResult
+    solve(const std::vector<std::int64_t> *hint)
+    {
+        if (hint && m_.satisfiedBy(*hint)) {
+            haveIncumbent_ = true;
+            best_ = *hint;
+            bestObjective_ = 0;
+            for (const auto &t : m_.objective())
+                bestObjective_ += t.coef * (*hint)[t.var];
+        }
+        Box root{{}, {}};
+        for (VarId v = 0; v < static_cast<VarId>(m_.varCount()); ++v) {
+            root.lb.push_back(m_.lowerBound(v));
+            root.ub.push_back(m_.upperBound(v));
+        }
+        const bool exhausted = search(root);
+        SolveResult r;
+        r.decisions = decisions_;
+        r.backtracks = backtracks_;
+        if (haveIncumbent_) {
+            r.status = exhausted ? SolveStatus::Optimal
+                                 : SolveStatus::Feasible;
+            r.values = best_;
+            r.objective = bestObjective_;
+        } else {
+            r.status = exhausted ? SolveStatus::Infeasible
+                                 : SolveStatus::Unknown;
+        }
+        return r;
+    }
+
+  private:
+    struct Box
+    {
+        std::vector<std::int64_t> lb, ub;
+    };
+
+    /** Tighten to the fixpoint; @return false when a domain empties or
+     * a row cannot be met. */
+    bool
+    propagate(Box &d) const
+    {
+        for (bool changed = true; changed;) {
+            changed = false;
+            for (const auto &c : m_.constraints()) {
+                std::int64_t smin = 0, smax = 0;
+                auto range = [&] {
+                    smin = smax = 0;
+                    for (const auto &t : c.terms) {
+                        const auto a = t.coef * d.lb[t.var];
+                        const auto b = t.coef * d.ub[t.var];
+                        smin += std::min(a, b);
+                        smax += std::max(a, b);
+                    }
+                };
+                range();
+                if (smin > c.hi || smax < c.lo)
+                    return false;
+                for (const auto &t : c.terms) {
+                    if (t.coef == 0 || d.lb[t.var] == d.ub[t.var])
+                        continue;
+                    const auto a = t.coef * d.lb[t.var];
+                    const auto b = t.coef * d.ub[t.var];
+                    // lo - others_max <= coef * v <= hi - others_min.
+                    const auto low = c.lo - (smax - std::max(a, b));
+                    const auto high = c.hi - (smin - std::min(a, b));
+                    const auto new_lb = t.coef > 0 ? ceilDiv(low, t.coef)
+                                                   : ceilDiv(high, t.coef);
+                    const auto new_ub = t.coef > 0
+                                            ? floorDiv(high, t.coef)
+                                            : floorDiv(low, t.coef);
+                    if (new_lb <= d.lb[t.var] && new_ub >= d.ub[t.var])
+                        continue;
+                    d.lb[t.var] = std::max(d.lb[t.var], new_lb);
+                    d.ub[t.var] = std::min(d.ub[t.var], new_ub);
+                    if (d.lb[t.var] > d.ub[t.var])
+                        return false;
+                    changed = true;
+                    range();
+                }
+            }
+            for (const auto &imp : m_.implications()) {
+                VarId v = -1;
+                std::int64_t cap = 0;
+                if (d.lb[imp.x] >= imp.xThreshold) {
+                    v = imp.y;
+                    cap = imp.yBound;
+                } else if (d.lb[imp.y] > imp.yBound) {
+                    v = imp.x;
+                    cap = imp.xThreshold - 1;
+                }
+                if (v < 0 || d.ub[v] <= cap)
+                    continue;
+                d.ub[v] = cap;
+                if (d.lb[v] > d.ub[v])
+                    return false;
+                changed = true;
+            }
+        }
+        return true;
+    }
+
+    std::int64_t
+    objMin(const Box &d) const
+    {
+        std::int64_t s = 0;
+        for (std::size_t v = 0; v < objCoef_.size(); ++v)
+            s += objCoef_[v] * (objCoef_[v] >= 0 ? d.lb[v] : d.ub[v]);
+        return s;
+    }
+
+    bool
+    budgetSpent()
+    {
+        return maxDecisions_ != 0 && decisions_ >= maxDecisions_;
+    }
+
+    /** @return true when the subtree was exhausted. */
+    bool
+    search(Box d)
+    {
+        if (budgetSpent())
+            return false;
+        if (!propagate(d) || (haveIncumbent_ && m_.hasObjective() &&
+                              objMin(d) >= bestObjective_)) {
+            ++backtracks_;
+            return true;
+        }
+        VarId v = -1;
+        for (VarId u = 0; u < static_cast<VarId>(d.lb.size()); ++u) {
+            const auto size = d.ub[u] - d.lb[u];
+            if (size > 0 && (v < 0 || size < d.ub[v] - d.lb[v]))
+                v = u;
+        }
+        if (v < 0) {
+            const auto objective = objMin(d);
+            if (!haveIncumbent_ || objective < bestObjective_) {
+                haveIncumbent_ = true;
+                bestObjective_ = objective;
+                best_ = d.lb;
+            }
+            if (!m_.hasObjective())
+                return true;
+            ++backtracks_;
+            return true;
+        }
+        const bool low_first = objCoef_[v] >= 0;
+        for (int side = 0; side < 2; ++side) {
+            ++decisions_;
+            if (budgetSpent())
+                return false;
+            Box child = d;
+            if ((side == 0) == low_first)
+                child.ub[v] = d.lb[v];
+            else
+                child.lb[v] = d.lb[v] + 1;
+            if (!search(std::move(child)))
+                return false;
+            if (!m_.hasObjective() && haveIncumbent_)
+                return true;
+        }
+        return true;
+    }
+
+    const CpModel &m_;
+    const std::uint64_t maxDecisions_;
+    std::vector<std::int64_t> objCoef_;
+    bool haveIncumbent_ = false;
+    std::vector<std::int64_t> best_;
+    std::int64_t bestObjective_ = 0;
+    std::uint64_t decisions_ = 0;
+    std::uint64_t backtracks_ = 0;
+};
+
+void
+expectSameSearchTree(const CpModel &m,
+                     const std::vector<std::int64_t> *hint,
+                     std::uint64_t max_decisions)
+{
+    SCOPED_TRACE(::testing::Message() << "budget " << max_decisions);
+    SolverParams params;
+    params.maxDecisions = max_decisions;
+    const auto got = CpSolver(params).solve(m, hint);
+    const auto want = ReferenceDfs(m, max_decisions).solve(hint);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.objective, want.objective);
+    EXPECT_EQ(got.values, want.values);
+    EXPECT_EQ(got.decisions, want.decisions);
+    EXPECT_EQ(got.backtracks, want.backtracks);
+}
+
+/**
+ * An LC-OPG window in miniature, shaped like the planner's: weight w's
+ * tw chunks go to its preload variable y_w or to the layers before its
+ * consumer (x_{w,l}), z_w is capped at the earliest layer that loads a
+ * chunk (implications x_{w,l} >= 1 => z_w <= l), per-layer rows cap
+ * the chunks loaded there, and the hint is the greedy latest-feasible
+ * placement.
+ */
+std::pair<CpModel, std::vector<std::int64_t>>
+opgWindowModel(int weights, int layers, std::int64_t tw, std::int64_t cap,
+               std::uint64_t seed)
+{
+    Rng rng(seed);
+    CpModel m;
+    std::vector<int> consumer(weights);
+    for (auto &c : consumer)
+        c = 1 + static_cast<int>(rng.uniformInt(1, layers - 1));
+    std::vector<VarId> y(weights), z(weights);
+    std::vector<std::vector<VarId>> x(weights);
+    std::vector<LinearTerm> obj;
+    for (int w = 0; w < weights; ++w) {
+        y[w] = m.newIntVar(0, tw);
+        std::vector<LinearTerm> row{{y[w], 1}};
+        for (int l = 0; l < consumer[w]; ++l) {
+            x[w].push_back(m.newIntVar(0, tw));
+            row.push_back({x[w].back(), 1});
+            obj.push_back({x[w].back(), consumer[w] - l - 1});
+        }
+        m.addEquality(row, tw);
+        z[w] = m.newIntVar(0, consumer[w]);
+        for (int l = 0; l < consumer[w]; ++l)
+            m.addImplicationGeLe(x[w][l], 1, z[w], l);
+        obj.push_back({y[w], 90});
+        obj.push_back({z[w], -10});
+    }
+    for (int l = 0; l < layers; ++l) {
+        std::vector<LinearTerm> col;
+        for (int w = 0; w < weights; ++w) {
+            if (l < consumer[w])
+                col.push_back({x[w][l], 1});
+        }
+        if (!col.empty())
+            m.addLessOrEqual(col, cap);
+    }
+    m.minimize(obj);
+
+    std::vector<std::int64_t> hint(m.varCount(), 0);
+    std::vector<std::int64_t> residual(layers, cap);
+    for (int w = 0; w < weights; ++w) {
+        std::int64_t rem = tw;
+        hint[z[w]] = consumer[w];
+        for (int l = consumer[w] - 1; l >= 0 && rem > 0; --l) {
+            const auto take = std::min(rem, residual[l]);
+            if (take <= 0)
+                continue;
+            residual[l] -= take;
+            hint[x[w][l]] = take;
+            rem -= take;
+            hint[z[w]] = l;
+        }
+        hint[y[w]] = rem;
+    }
+    return {std::move(m), std::move(hint)};
+}
+
+// Pins the search tree: the solver's selection order, value order,
+// propagation fixpoints and pruning, node by node. A heap that breaks
+// size ties the other way, a row revision that skips an unfixed term or
+// a row sum that drifts on undo changes some decision or backtrack
+// count here.
+TEST(CpSolver, SearchTreeMatchesReferenceDfs)
+{
+    for (int seed = 0; seed < 120; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        const auto inst = randomInstance(seed);
+        expectSameSearchTree(inst.model, nullptr, 0);
+        expectSameSearchTree(inst.model, nullptr, 7);
+    }
+    expectSameSearchTree(windowModel(6, 4, 2, 4), nullptr, 0);
+    expectSameSearchTree(windowModel(18, 7, 4, 12), nullptr, 30000);
+
+    const auto [opg, hint] = opgWindowModel(7, 3, 2, 5, 3);
+    ASSERT_TRUE(opg.satisfiedBy(hint));
+    expectSameSearchTree(opg, &hint, 0);
 }
 
 } // namespace
