@@ -33,7 +33,7 @@ main()
         core::FlashMem fm(dev);
         for (auto id : targets) {
             const auto &g = cachedModel(id);
-            auto flash = runFlash(fm, g);
+            auto flash = fm.runOnce(g);
             ok &= !flash.oom;
 
             auto smem = runBaseline(FrameworkId::SmartMem, g, dev);

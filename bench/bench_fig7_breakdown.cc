@@ -131,7 +131,7 @@ main(int argc, char **argv)
         double prev_speedup = 0.0;
         for (const auto &step : steps) {
             core::FlashMem fm(dev, step.opt);
-            auto r = runFlash(fm, g);
+            auto r = fm.runOnce(g);
             double speedup =
                 smem_lat / static_cast<double>(r.integratedLatency());
             double reduction = smem_mem / r.avgMemoryBytes;

@@ -164,14 +164,6 @@ runBaseline(FrameworkId fw, const graph::Graph &g,
     return framework.run(sim, g);
 }
 
-core::RunResult
-runFlash(const core::FlashMem &fm, const graph::Graph &g)
-{
-    auto compiled = fm.compile(g);
-    gpusim::GpuSimulator sim(fm.device());
-    return fm.execute(sim, compiled);
-}
-
 std::string
 cellMs(const std::optional<core::RunResult> &r, bool init)
 {

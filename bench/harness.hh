@@ -67,10 +67,6 @@ std::optional<core::RunResult> runBaseline(
     FrameworkId fw, const graph::Graph &g,
     const gpusim::DeviceProfile &dev);
 
-/** Compile + run FlashMem on a fresh simulator. */
-core::RunResult runFlash(const core::FlashMem &fm,
-                         const graph::Graph &g);
-
 /** "123 ms" / "-" / "OOM" cell formatting. */
 std::string cellMs(const std::optional<core::RunResult> &r, bool init);
 

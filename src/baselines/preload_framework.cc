@@ -177,14 +177,4 @@ PreloadFramework::run(gpusim::GpuSimulator &sim, const graph::Graph &g,
     return result;
 }
 
-SimTime
-PreloadFramework::warmExecLatency(const graph::Graph &g) const
-{
-    SimTime total = 0;
-    for (graph::NodeId l = 0;
-         l < static_cast<graph::NodeId>(g.layerCount()); ++l)
-        total += kernelLatency(g, l);
-    return total;
-}
-
 } // namespace flashmem::baselines

@@ -44,13 +44,6 @@ class PreloadFramework
     core::RunResult run(gpusim::GpuSimulator &sim, const graph::Graph &g,
                         SimTime arrival = 0) const;
 
-    /**
-     * Warm inference only (weights already resident); used for the
-     * FIFO multi-DNN study and the warm-start discussion.
-     */
-    SimTime warmExecLatency(const graph::Graph &g) const;
-
-    const FrameworkTraits &traits() const { return traits_; }
     const std::string &name() const { return traits_.name; }
 
   private:

@@ -8,6 +8,9 @@ namespace flashmem {
 
 namespace {
 
+/** Verbosity levels of FLASHMEM_LOG_LEVEL. */
+enum class LogLevel { Silent, Error, Warn, Info, Debug };
+
 /** FLASHMEM_LOG_LEVEL: silent|error|warn|info|debug (default warn,
  * so benches stay clean); unknown values fall back to warn with a
  * note, so a typo cannot silently mute diagnostics. */
@@ -37,26 +40,14 @@ levelFromEnv()
 
 /** Function-local static so the env read happens on first use, not
  * at some unspecified static-init point. */
-LogLevel &
-levelRef()
+LogLevel
+logLevel()
 {
-    static LogLevel level = levelFromEnv();
+    static const LogLevel level = levelFromEnv();
     return level;
 }
 
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    levelRef() = level;
-}
-
-LogLevel
-logLevel()
-{
-    return levelRef();
-}
 
 namespace detail {
 
@@ -75,31 +66,10 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-errorImpl(const std::string &msg)
-{
-    if (levelRef() >= LogLevel::Error)
-        std::fprintf(stderr, "error: %s\n", msg.c_str());
-}
-
-void
 warnImpl(const std::string &msg)
 {
-    if (levelRef() >= LogLevel::Warn)
+    if (logLevel() >= LogLevel::Warn)
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (levelRef() >= LogLevel::Info)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-debugImpl(const std::string &msg)
-{
-    if (levelRef() >= LogLevel::Debug)
-        std::fprintf(stderr, "debug: %s\n", msg.c_str());
 }
 
 } // namespace detail

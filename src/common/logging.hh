@@ -3,7 +3,9 @@
  * Status/error reporting in the gem5 style.
  *
  * fatal() is for user errors (bad configuration); panic() is for internal
- * invariant violations. Both terminate. warn()/inform() never terminate.
+ * invariant violations. Both terminate. warn() never terminates; the
+ * FLASHMEM_LOG_LEVEL environment variable (silent|error|warn|info|debug,
+ * default warn) mutes it below warn.
  */
 
 #ifndef FLASHMEM_COMMON_LOGGING_HH
@@ -14,30 +16,13 @@
 
 namespace flashmem {
 
-/** Verbosity levels for the global logger. */
-enum class LogLevel { Silent, Error, Warn, Info, Debug };
-
-/**
- * Set the process-wide verbosity. The initial level comes from the
- * FLASHMEM_LOG_LEVEL environment variable
- * (silent|error|warn|info|debug), defaulting to Warn so benches stay
- * clean; this setter overrides it for the rest of the process.
- */
-void setLogLevel(LogLevel level);
-
-/** Current process-wide verbosity. */
-LogLevel logLevel();
-
 namespace detail {
 
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-void errorImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 /** Concatenate a parameter pack through an ostringstream. */
 template <typename... Args>
@@ -67,36 +52,12 @@ panic(const char *file, int line, Args &&...args)
     detail::panicImpl(file, line, detail::concat(std::forward<Args>(args)...));
 }
 
-/** Non-fatal error report (survivable, but louder than a warning). */
-template <typename... Args>
-void
-error(Args &&...args)
-{
-    detail::errorImpl(detail::concat(std::forward<Args>(args)...));
-}
-
 /** Non-fatal warning about suspicious but survivable conditions. */
 template <typename... Args>
 void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Informational progress message. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Verbose diagnostic message, suppressed unless LogLevel::Debug. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    detail::debugImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace flashmem

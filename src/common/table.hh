@@ -28,6 +28,7 @@ class Table
     void addRule();
 
     /** Number of data rows added so far. */
+    // FMLINT(allow:test-only-api) tests observe how many rows a table holds
     std::size_t rowCount() const { return rows_.size(); }
 
     /** Render with column alignment to @p os. */

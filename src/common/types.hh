@@ -25,12 +25,6 @@ inline constexpr SimTime kTimeNever = std::numeric_limits<SimTime>::max();
 
 /** @name Time-unit constructors. @{ */
 constexpr SimTime
-nanoseconds(double ns)
-{
-    return static_cast<SimTime>(ns);
-}
-
-constexpr SimTime
 microseconds(double us)
 {
     return static_cast<SimTime>(us * 1e3);
@@ -94,11 +88,6 @@ toMiB(Bytes b)
     return static_cast<double>(b) / (1024.0 * 1024.0);
 }
 
-constexpr double
-toGiB(Bytes b)
-{
-    return static_cast<double>(b) / (1024.0 * 1024.0 * 1024.0);
-}
 /** @} */
 
 /**

@@ -72,20 +72,6 @@ __kernel void {{name}}(__read_only image2d_t tensor_a,
 
 } // namespace
 
-const char *
-kernelTemplateName(KernelTemplate tmpl)
-{
-    switch (tmpl) {
-      case KernelTemplate::Plain:
-        return "plain";
-      case KernelTemplate::BranchyOverlap:
-        return "branchy_overlap";
-      case KernelTemplate::PipelinedBranchFree:
-        return "pipelined_branch_free";
-    }
-    return "?";
-}
-
 const std::string &
 KernelRewriter::templateText(KernelTemplate tmpl)
 {

@@ -33,9 +33,6 @@ enum class KernelTemplate
     PipelinedBranchFree ///< FlashMem rewrite (Figure 5b)
 };
 
-/** Human name of a template. */
-const char *kernelTemplateName(KernelTemplate tmpl);
-
 /** One rewritten dispatch ready for the runtime. */
 struct RewrittenKernel
 {

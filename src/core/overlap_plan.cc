@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 
 namespace flashmem::core {
 
@@ -168,17 +167,6 @@ OverlapPlan::validate(const graph::Graph &g, bool fatal_on_error) const
 }
 
 std::string
-OverlapPlan::summary(const graph::Graph &g) const
-{
-    std::ostringstream os;
-    os << "plan[" << g.name() << "]: preload "
-       << formatBytes(preloadBytes(g)) << ", streamed "
-       << formatBytes(streamedBytes(g)) << " ("
-       << formatDouble(100.0 * overlapFraction(g), 1) << "% overlap)";
-    return os.str();
-}
-
-std::string
 OverlapPlan::serialize() const
 {
     std::ostringstream os;
@@ -269,51 +257,6 @@ PlanMemo::storeSolve(SolveKey key, solver::SolveResult result)
         solves_.erase(victim);
     }
     solves_[slot] = {std::move(key), std::move(result), ++clock_};
-}
-
-OverlapPlan
-OverlapPlan::deserialize(const std::string &text)
-{
-    OverlapPlan plan;
-    plan.schedules_.clear();
-    plan.by_layer_.clear();
-
-    std::istringstream is(text);
-    std::string tag;
-    std::size_t layers = 0;
-    std::vector<ChunkAssignment> pending;
-    while (is >> tag) {
-        if (tag == "chunk") {
-            is >> plan.chunk_bytes_;
-        } else if (tag == "layers") {
-            is >> layers;
-        } else if (tag == "w") {
-            WeightSchedule s;
-            is >> s.weight >> s.preloadChunks >> s.earliestLoadLayer;
-            if (!is.fail() && s.preloadChunks < 0)
-                FM_FATAL("overlap plan: weight ", s.weight,
-                         " preloads ", s.preloadChunks, " chunks");
-            plan.schedules_.push_back(s);
-        } else if (tag == "x") {
-            ChunkAssignment a;
-            is >> a.weight >> a.layer >> a.chunks;
-            if (!is.fail() && a.chunks <= 0)
-                FM_FATAL("overlap plan: assignment of ", a.chunks,
-                         " chunks at layer ", a.layer);
-            pending.push_back(a);
-        } else {
-            FM_FATAL("overlap plan: unknown record '", tag, "'");
-        }
-        FM_ASSERT(!is.fail(), "overlap plan: malformed record");
-    }
-    plan.by_layer_.resize(layers);
-    for (const auto &a : pending) {
-        if (a.layer < 0 || static_cast<std::size_t>(a.layer) >= layers)
-            FM_FATAL("overlap plan: assignment layer ", a.layer,
-                     " outside [0, ", layers, ")");
-        plan.by_layer_[a.layer].push_back(a);
-    }
-    return plan;
 }
 
 } // namespace flashmem::core

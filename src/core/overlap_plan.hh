@@ -84,13 +84,8 @@ class OverlapPlan
      */
     bool validate(const graph::Graph &g, bool fatal_on_error = true) const;
 
-    /** One-line human summary. */
-    std::string summary(const graph::Graph &g) const;
-
     /** Stable text serialization (one record per line). */
     std::string serialize() const;
-    /** Parse serialize() output; fatal on malformed input. */
-    static OverlapPlan deserialize(const std::string &text);
 
   private:
     Bytes chunk_bytes_ = mib(1);
@@ -148,6 +143,7 @@ class PlanMemo
      */
     void storeSolve(SolveKey key, solver::SolveResult result);
 
+    // FMLINT(allow:test-only-api) tests count the solves the memo stored
     std::size_t
     solveCount() const
     {

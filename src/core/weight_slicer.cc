@@ -36,13 +36,4 @@ WeightSlicer::bytesForChunks(const graph::Weight &w,
     return static_cast<Bytes>(chunks) * chunk_bytes_;
 }
 
-std::int64_t
-WeightSlicer::totalChunks(const graph::Graph &g) const
-{
-    std::int64_t total = 0;
-    for (const auto &w : g.weights())
-        total += chunkCount(w);
-    return total;
-}
-
 } // namespace flashmem::core

@@ -35,9 +35,6 @@ class WeightSlicer
     Bytes bytesForChunks(const graph::Weight &w,
                          std::int64_t chunks) const;
 
-    /** Total chunks over all weights of @p g. */
-    std::int64_t totalChunks(const graph::Graph &g) const;
-
   private:
     Bytes chunk_bytes_;
 };

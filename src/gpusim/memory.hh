@@ -61,7 +61,9 @@ class MemoryTracker
     Bytes peakOver(SimTime start, SimTime end) const;
 
     /** @name Live / aggregate queries. @{ */
+    // FMLINT(allow:test-only-api) tests check every allocation is freed
     Bytes used() const { return total_; }
+    // FMLINT(allow:test-only-api) tests check live bytes per memory kind
     Bytes used(MemKind kind) const;
     Bytes peak() const { return peak_; }
     Bytes peak(MemKind kind) const;
@@ -74,6 +76,7 @@ class MemoryTracker
     double averageBytes(SimTime start, SimTime end) const;
 
     /** True once any allocation pushed the total above the budget. */
+    // FMLINT(allow:test-only-api) tests observe the over-budget flag
     bool oomOccurred() const { return oom_; }
     Bytes budget() const { return budget_; }
 

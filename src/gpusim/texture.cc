@@ -1,35 +1,8 @@
 #include "gpusim/texture.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace flashmem::gpusim {
-
-Bytes
-TextureLayout::paddedBytes(Precision p) const
-{
-    return static_cast<Bytes>(texels()) * kChannels * elementSize(p);
-}
-
-TextureLayout
-TextureLayout::forTensor(const graph::TensorDesc &desc,
-                         std::int64_t max_width)
-{
-    std::int64_t elems = desc.shape.elements();
-    std::int64_t texel_count = (elems + kChannels - 1) / kChannels;
-
-    TextureLayout layout;
-    // Near-square tiling preserves 2D spatial locality for the texture
-    // cache; hardware clamps the image width.
-    auto side = static_cast<std::int64_t>(
-        std::ceil(std::sqrt(static_cast<double>(texel_count))));
-    layout.width = std::min(std::max<std::int64_t>(side, 1), max_width);
-    layout.height = (texel_count + layout.width - 1) / layout.width;
-    FM_ASSERT(layout.texels() >= texel_count, "texture layout too small");
-    return layout;
-}
 
 TransformCost
 dedicatedTransformCost(const DeviceProfile &dev, Bytes tensor_bytes,
@@ -42,15 +15,6 @@ dedicatedTransformCost(const DeviceProfile &dev, Bytes tensor_bytes,
     // Staging keeps an fp32-widened copy live alongside source and
     // destination while the transform runs.
     cost.scratchBytes = tensor_bytes * 2;
-    return cost;
-}
-
-TransformCost
-inlineTransformCost(const DeviceProfile &dev, Bytes chunk_bytes)
-{
-    TransformCost cost;
-    cost.time = dev.umToTm.transferTime(chunk_bytes);
-    cost.scratchBytes = 0;
     return cost;
 }
 

@@ -1,45 +1,23 @@
 /**
  * @file
- * 2.5D texture-memory layout model.
+ * Cost of a preloading framework's texture-layout transform.
  *
  * Mobile GPUs organize texture memory as 2D tiles of texels with four
- * scalar channels (paper Section 2.1). Tensors are reorganized into
- * W x H x 4 layouts; the padding waste and the cost of transforming a
- * linear unified-memory tensor into this layout are modeled here.
+ * scalar channels (paper Section 2.1), so a linear unified-memory
+ * tensor must be reorganized before texture kernels can read it.
+ * Preloading frameworks do that in dedicated transform dispatches,
+ * costed here. FlashMem folds the transform into the compute kernel
+ * instead; the runtime charges that as in-kernel streaming
+ * (KernelModel::inlineLoadPenalty).
  */
 
 #ifndef FLASHMEM_GPUSIM_TEXTURE_HH
 #define FLASHMEM_GPUSIM_TEXTURE_HH
 
-#include <cstdint>
-
 #include "common/types.hh"
 #include "gpusim/device.hh"
-#include "graph/tensor.hh"
 
 namespace flashmem::gpusim {
-
-/** A tensor mapped onto a 2.5D texture. */
-struct TextureLayout
-{
-    std::int64_t width = 0;     ///< texels per row
-    std::int64_t height = 0;    ///< rows
-    static constexpr int kChannels = 4;
-
-    /** Texels actually allocated (width * height). */
-    std::int64_t texels() const { return width * height; }
-
-    /** Bytes including padding waste. */
-    Bytes paddedBytes(Precision p) const;
-
-    /**
-     * Map @p desc to a texture: the innermost dimension packs into the
-     * 4-wide channel axis, remaining elements tile a near-square 2D
-     * extent clamped to @p max_width (hardware image-width limit).
-     */
-    static TextureLayout forTensor(const graph::TensorDesc &desc,
-                                   std::int64_t max_width = 16384);
-};
 
 /** Cost of one unified-memory -> texture layout transformation. */
 struct TransformCost
@@ -60,14 +38,6 @@ struct TransformCost
 TransformCost dedicatedTransformCost(const DeviceProfile &dev,
                                      Bytes tensor_bytes,
                                      Bandwidth effective_bw, int passes);
-
-/**
- * Cost of FlashMem's in-kernel vectorized transform (vload4 +
- * write_image inside the compute kernel): streams at the UM->TM DMA
- * bandwidth with no dedicated dispatch and no staging copy.
- */
-TransformCost inlineTransformCost(const DeviceProfile &dev,
-                                  Bytes chunk_bytes);
 
 } // namespace flashmem::gpusim
 

@@ -45,6 +45,7 @@ class Timeline
     SimTime busyTime() const { return busy_time_; }
 
     /** Number of reservations made. */
+    // FMLINT(allow:test-only-api) tests observe how often a queue was booked
     std::size_t reservations() const { return reservations_; }
 
     const std::string &name() const { return name_; }
@@ -80,7 +81,6 @@ class BandwidthTimeline
     SimTime freeAt() const { return timeline_.freeAt(); }
     SimTime busyTime() const { return timeline_.busyTime(); }
     Bytes bytesMoved() const { return bytes_moved_; }
-    Bandwidth bandwidth() const { return bandwidth_; }
 
     void reset();
 

@@ -114,27 +114,6 @@ GraphBuilder::conv2d(NodeId in, std::int64_t out_channels, int kernel,
 }
 
 NodeId
-GraphBuilder::dwConv2d(NodeId in, int kernel, int stride, int padding,
-                       const std::string &name)
-{
-    const TensorShape &in_shape = shapeOf(in);
-    FM_ASSERT(in_shape.rank() == 4, "dwConv2d expects NCHW");
-    std::int64_t n = in_shape.dim(0);
-    std::int64_t c = in_shape.dim(1);
-    std::int64_t h = in_shape.dim(2);
-    std::int64_t w = in_shape.dim(3);
-    std::int64_t oh = (h + 2 * padding - kernel) / stride + 1;
-    std::int64_t ow = (w + 2 * padding - kernel) / stride + 1;
-
-    auto macs =
-        static_cast<std::uint64_t>(n) * c * oh * ow * kernel * kernel;
-    NodeId id = emit(OpKind::DepthwiseConv2D, {in},
-                     TensorShape{n, c, oh, ow}, macs, name);
-    addWeight(id, {c, 1, kernel, kernel}, name + ".weight");
-    return id;
-}
-
-NodeId
 GraphBuilder::add(NodeId a, NodeId b, const std::string &name)
 {
     // Allow numpy-style broadcast of the smaller operand.
@@ -173,12 +152,6 @@ NodeId
 GraphBuilder::scale(NodeId in, const std::string &name)
 {
     return emit(OpKind::Scale, {in}, shapeOf(in), 0, name);
-}
-
-NodeId
-GraphBuilder::rope(NodeId in, const std::string &name)
-{
-    return emit(OpKind::RoPE, {in}, shapeOf(in), 0, name);
 }
 
 NodeId

@@ -47,10 +47,6 @@ class GraphBuilder
     NodeId conv2d(NodeId in, std::int64_t out_channels, int kernel,
                   int stride, int padding, const std::string &name,
                   bool bias = true);
-
-    /** Depthwise NCHW convolution with square kernel. */
-    NodeId dwConv2d(NodeId in, int kernel, int stride, int padding,
-                    const std::string &name);
     /** @} */
 
     /** @name Elemental operators. @{ */
@@ -59,7 +55,6 @@ class GraphBuilder
     NodeId biasAdd(NodeId in, const std::string &name);
     NodeId activation(NodeId in, OpKind kind, const std::string &name);
     NodeId scale(NodeId in, const std::string &name);
-    NodeId rope(NodeId in, const std::string &name);
     /** Token embedding lookup: ids -> [tokens, dim]. */
     NodeId embedding(std::int64_t tokens, std::int64_t vocab,
                      std::int64_t dim, const std::string &name);

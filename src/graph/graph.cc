@@ -45,14 +45,6 @@ Graph::node(NodeId id) const
     return nodes_[id];
 }
 
-Node &
-Graph::mutableNode(NodeId id)
-{
-    FM_ASSERT(id >= 0 && id < static_cast<NodeId>(nodes_.size()),
-              "bad node id ", id);
-    return nodes_[id];
-}
-
 const Weight &
 Graph::weight(WeightId id) const
 {

@@ -56,6 +56,7 @@ struct Node
     /** Weights consumed by this node (indices into Graph weights). */
     std::vector<WeightId> weights;
 
+    // FMLINT(allow:test-only-api) tests observe which nodes fusion merged
     bool isFused() const { return fusedKinds.size() > 1; }
 };
 
@@ -86,13 +87,13 @@ class Graph
     std::size_t layerCount() const { return nodes_.size(); }
     const std::vector<Node> &nodes() const { return nodes_; }
     const Node &node(NodeId id) const;
-    Node &mutableNode(NodeId id);
 
     std::size_t weightCount() const { return weights_.size(); }
     const std::vector<Weight> &weights() const { return weights_; }
     const Weight &weight(WeightId id) const;
 
     /** Node ids that read the output of @p id. */
+    // FMLINT(allow:test-only-api) tests check the topology fusion leaves
     std::vector<NodeId> consumersOf(NodeId id) const;
     /** @} */
 

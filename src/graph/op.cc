@@ -11,39 +11,37 @@ namespace {
 struct OpInfo
 {
     OpKind kind;
-    const char *name;
     OpClass cls;
-    bool weighted;
 };
 
 constexpr std::array<OpInfo, static_cast<std::size_t>(OpKind::NumKinds)>
 kOpInfo{{
-    {OpKind::MatMul, "matmul", OpClass::Reusable, true},
-    {OpKind::Conv2D, "conv2d", OpClass::Reusable, true},
-    {OpKind::DepthwiseConv2D, "dwconv2d", OpClass::Reusable, true},
-    {OpKind::AttentionMatMul, "attn_matmul", OpClass::Reusable, false},
-    {OpKind::Add, "add", OpClass::Elemental, false},
-    {OpKind::Mul, "mul", OpClass::Elemental, false},
-    {OpKind::BiasAdd, "bias_add", OpClass::Elemental, true},
-    {OpKind::ReLU, "relu", OpClass::Elemental, false},
-    {OpKind::GeLU, "gelu", OpClass::Elemental, false},
-    {OpKind::SiLU, "silu", OpClass::Elemental, false},
-    {OpKind::Sigmoid, "sigmoid", OpClass::Elemental, false},
-    {OpKind::Tanh, "tanh", OpClass::Elemental, false},
-    {OpKind::Scale, "scale", OpClass::Elemental, false},
-    {OpKind::Embedding, "embedding", OpClass::Elemental, true},
-    {OpKind::Pooling, "pooling", OpClass::Elemental, false},
-    {OpKind::Upsample, "upsample", OpClass::Elemental, false},
-    {OpKind::RoPE, "rope", OpClass::Elemental, false},
-    {OpKind::Softmax, "softmax", OpClass::Hierarchical, false},
-    {OpKind::LayerNorm, "layernorm", OpClass::Hierarchical, true},
-    {OpKind::GroupNorm, "groupnorm", OpClass::Hierarchical, true},
-    {OpKind::RMSNorm, "rmsnorm", OpClass::Hierarchical, true},
-    {OpKind::Reshape, "reshape", OpClass::Movement, false},
-    {OpKind::Transpose, "transpose", OpClass::Movement, false},
-    {OpKind::Concat, "concat", OpClass::Movement, false},
-    {OpKind::Split, "split", OpClass::Movement, false},
-    {OpKind::Slice, "slice", OpClass::Movement, false},
+    {OpKind::MatMul, OpClass::Reusable},
+    {OpKind::Conv2D, OpClass::Reusable},
+    {OpKind::DepthwiseConv2D, OpClass::Reusable},
+    {OpKind::AttentionMatMul, OpClass::Reusable},
+    {OpKind::Add, OpClass::Elemental},
+    {OpKind::Mul, OpClass::Elemental},
+    {OpKind::BiasAdd, OpClass::Elemental},
+    {OpKind::ReLU, OpClass::Elemental},
+    {OpKind::GeLU, OpClass::Elemental},
+    {OpKind::SiLU, OpClass::Elemental},
+    {OpKind::Sigmoid, OpClass::Elemental},
+    {OpKind::Tanh, OpClass::Elemental},
+    {OpKind::Scale, OpClass::Elemental},
+    {OpKind::Embedding, OpClass::Elemental},
+    {OpKind::Pooling, OpClass::Elemental},
+    {OpKind::Upsample, OpClass::Elemental},
+    {OpKind::RoPE, OpClass::Elemental},
+    {OpKind::Softmax, OpClass::Hierarchical},
+    {OpKind::LayerNorm, OpClass::Hierarchical},
+    {OpKind::GroupNorm, OpClass::Hierarchical},
+    {OpKind::RMSNorm, OpClass::Hierarchical},
+    {OpKind::Reshape, OpClass::Movement},
+    {OpKind::Transpose, OpClass::Movement},
+    {OpKind::Concat, OpClass::Movement},
+    {OpKind::Split, OpClass::Movement},
+    {OpKind::Slice, OpClass::Movement},
 }};
 
 const OpInfo &
@@ -64,12 +62,6 @@ opClass(OpKind kind)
 }
 
 const char *
-opKindName(OpKind kind)
-{
-    return info(kind).name;
-}
-
-const char *
 opClassName(OpClass cls)
 {
     switch (cls) {
@@ -83,22 +75,6 @@ opClassName(OpClass cls)
         return "movement";
     }
     return "?";
-}
-
-bool
-opUsuallyWeighted(OpKind kind)
-{
-    return info(kind).weighted;
-}
-
-OpKind
-opKindFromName(const std::string &name)
-{
-    for (const auto &entry : kOpInfo) {
-        if (name == entry.name)
-            return entry.kind;
-    }
-    FM_FATAL("unknown operator name '", name, "'");
 }
 
 } // namespace flashmem::graph

@@ -17,8 +17,6 @@
 #ifndef FLASHMEM_GRAPH_OP_HH
 #define FLASHMEM_GRAPH_OP_HH
 
-#include <string>
-
 namespace flashmem::graph {
 
 /** Low-level operator kinds after graph lowering. */
@@ -70,17 +68,8 @@ enum class OpClass
 /** Behavioural class of @p kind. */
 OpClass opClass(OpKind kind);
 
-/** Stable lowercase mnemonic, e.g. "matmul". */
-const char *opKindName(OpKind kind);
-
 /** Human name of an operator class, e.g. "reusable". */
 const char *opClassName(OpClass cls);
-
-/** True if the operator kind carries trainable weights. */
-bool opUsuallyWeighted(OpKind kind);
-
-/** Parse the mnemonic produced by opKindName(); fatal on unknown names. */
-OpKind opKindFromName(const std::string &name);
 
 } // namespace flashmem::graph
 

@@ -126,19 +126,6 @@ shapeOps(GraphBuilder &b, NodeId x, int count, const std::string &prefix)
 }
 
 NodeId
-convBnRelu(GraphBuilder &b, NodeId x, std::int64_t out_channels, int kernel,
-           int stride, int padding, const std::string &prefix, bool relu)
-{
-    auto y = b.conv2d(x, out_channels, kernel, stride, padding,
-                      prefix + ".conv");
-    // Inference-time BN folds to a per-channel scale (elemental).
-    y = b.scale(y, prefix + ".bn");
-    if (relu)
-        y = b.activation(y, OpKind::ReLU, prefix + ".relu");
-    return y;
-}
-
-NodeId
 sdResBlock(GraphBuilder &b, NodeId x, std::int64_t out_channels,
            const std::string &prefix)
 {

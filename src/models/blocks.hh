@@ -77,11 +77,6 @@ NodeId transformerBlock(GraphBuilder &b, NodeId x,
 void shapeOps(GraphBuilder &b, NodeId x, int count,
               const std::string &prefix);
 
-/** conv -> (folded BN as scale) -> ReLU stage used by CNN backbones. */
-NodeId convBnRelu(GraphBuilder &b, NodeId x, std::int64_t out_channels,
-                  int kernel, int stride, int padding,
-                  const std::string &prefix, bool relu = true);
-
 /** Stable-Diffusion-style residual block: GN-SiLU-conv x2 + skip. */
 NodeId sdResBlock(GraphBuilder &b, NodeId x, std::int64_t out_channels,
                   const std::string &prefix);

@@ -27,20 +27,6 @@ lessLoaded(const DeviceState &a, const DeviceState &b)
 
 } // namespace
 
-const char *
-deviceHealthName(DeviceHealth health)
-{
-    switch (health) {
-      case DeviceHealth::Healthy:
-        return "healthy";
-      case DeviceHealth::Suspect:
-        return "suspect";
-      case DeviceHealth::Down:
-        return "down";
-    }
-    return "unknown";
-}
-
 DeviceCluster::DeviceCluster(ClusterConfig cfg)
     : cfg_(cfg)
 {

@@ -45,9 +45,6 @@ enum class DeviceHealth
     Down,
 };
 
-/** Human name of a device health state. */
-const char *deviceHealthName(DeviceHealth health);
-
 /** Cluster shape of the execution layer. */
 struct ClusterConfig
 {

@@ -24,15 +24,14 @@
  *
  * Two event sources feed that order. Arrivals stream from the queue
  * through a cursor in (arrival, queue index) order; a stable-sorted
- * index is built only when the queue is out of arrival order (a
- * replayed trace file). Everything else — faults, retries, DMA-frees,
- * completions, watchdog events — waits in a min-heap. Each step takes
- * whichever source orders first; an arrival never ties with a heap
- * event (their kinds differ), so the merged stream follows exactly
- * the order above. The heap holds only the fault plan and in-flight
- * events, never the arrival backlog: on perfbench's 1M-request
- * serve_overload drain it peaks at 15 entries, so its sift walks stay
- * in cache.
+ * index is built only when the caller's queue is out of arrival order.
+ * Everything else — faults, retries, DMA-frees, completions, watchdog
+ * events — waits in a min-heap. Each step takes whichever source
+ * orders first; an arrival never ties with a heap event (their kinds
+ * differ), so the merged stream follows exactly the order above. The
+ * heap holds only the fault plan and in-flight events, never the
+ * arrival backlog: on perfbench's 1M-request serve_overload drain it
+ * peaks at 15 entries, so its sift walks stay in cache.
  *
  * Fault tolerance: the loop tracks every dispatched run in flight and
  * consumes the FaultPlan through the heap. A crash kills the

@@ -2,14 +2,13 @@
  * @file
  * Deterministic fault injection for the device cluster.
  *
- * A FaultPlan is a seeded, pre-computed schedule of per-device fault
- * events — crash / rejoin, stall, slowdown, transient DMA error —
- * generated from common/rng exactly like the serving trace generators,
- * so a fault timeline is a pure function of (params, devices, horizon,
- * seed). The plan is consumed by the shared cluster event loop
- * (multidnn/event_loop.hh); because the real EventScheduler and the
- * fast serving simulator run that same loop, both paths observe a
- * bit-identical fault timeline by construction.
+ * A FaultPlan is a pre-computed schedule of per-device fault events —
+ * crash / rejoin, stall, slowdown, transient DMA error — built from
+ * the hand fixtures below or drawn by the seeded generator in
+ * tests/fault_plan_gen.hh. The plan is consumed by the shared cluster
+ * event loop (multidnn/event_loop.hh); because the real EventScheduler
+ * and the fast serving simulator run that same loop, both paths
+ * observe a bit-identical fault timeline by construction.
  *
  * Fault semantics (the recovery decision table lives in
  * src/multidnn/README.md):
@@ -54,9 +53,6 @@ enum class FaultKind
     DmaError, ///< the preload active at this instant aborts
 };
 
-/** Human name of a fault kind. */
-const char *faultKindName(FaultKind kind);
-
 /** One scheduled fault on one device. */
 struct FaultEvent
 {
@@ -81,34 +77,7 @@ struct FaultPlan
     void normalize();
 };
 
-/** Rates for the seeded fault-plan generator (per device). Crash
- * downtimes and slowdown windows draw from fixed means (faults.cc). */
-struct FaultPlanParams
-{
-    /** Crash arrivals per device-second (0 = none). */
-    double crashesPerSecond = 0.0;
-    double stallsPerSecond = 0.0;
-    SimTime meanStall = milliseconds(100);
-    double slowdownsPerSecond = 0.0;
-    double dmaErrorsPerSecond = 0.0;
-};
-
-/**
- * Generate a seeded fault plan over @p device_count devices and a
- * @p horizon of simulated time. Each device draws from an independent
- * deterministic stream, so plans are bit-reproducible and stable under
- * changes to the device count (device i's timeline never shifts).
- * Stalls, slowdowns, and DMA errors falling inside a crash's down
- * window are suppressed (a dead device cannot misbehave further).
- */
-FaultPlan generateFaultPlan(const FaultPlanParams &params,
-                            int device_count, SimTime horizon,
-                            std::uint64_t seed);
-
 /** @name Hand-built scenario plans (bench / test fixtures). @{ */
-
-/** One crash at @p at on @p device; never rejoins. */
-FaultPlan singleCrash(int device, SimTime at);
 
 /** One crash at @p at, rejoining @p downFor later. */
 FaultPlan crashAndRejoin(int device, SimTime at, SimTime downFor);
@@ -116,9 +85,6 @@ FaultPlan crashAndRejoin(int device, SimTime at, SimTime downFor);
 /** One slowdown window on @p device. */
 FaultPlan singleSlowdown(int device, SimTime at, SimTime duration,
                          double factor);
-
-/** One stall of @p duration at @p at on @p device. */
-FaultPlan singleStall(int device, SimTime at, SimTime duration);
 
 /** @p cycles crash/rejoin pairs: crash at @p firstCrash, down for
  * @p downFor, next crash one @p period after the previous. */
@@ -156,9 +122,6 @@ enum class DropReason
     Starved,     ///< queue drained with no device ever accepting again
     ArrivalShed, ///< shed at arrival by the backlog admission gate
 };
-
-/** Human name of a drop reason. */
-const char *dropReasonName(DropReason reason);
 
 /** Fault-recovery accounting shared by ScheduleOutcome and
  * ServingOutcome. */

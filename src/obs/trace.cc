@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 #include "models/model_zoo.hh"
 
@@ -48,24 +47,6 @@ formatMicros(char *buf, std::size_t n, SimTime ns)
 }
 
 } // namespace
-
-const char *
-eventKindName(EventKind kind)
-{
-    switch (kind) {
-      case EventKind::RequestArrival: return "request_arrival";
-      case EventKind::AdmissionVerdict: return "admission_verdict";
-      case EventKind::RequestDispatch: return "request_dispatch";
-      case EventKind::RequestComplete: return "request_complete";
-      case EventKind::RequestShed: return "request_shed";
-      case EventKind::RetryScheduled: return "retry_scheduled";
-      case EventKind::FaultInjected: return "fault_injected";
-      case EventKind::DeviceHealthChange: return "device_health";
-      case EventKind::Replan: return "replan";
-      case EventKind::SolverWindow: return "solver_window";
-    }
-    return "?";
-}
 
 const char *
 admissionVerdictCodeName(std::int64_t code)
@@ -234,14 +215,6 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
         }
         os << buf << '\n';
     }
-}
-
-std::string
-TraceRecorder::text(Stream stream) const
-{
-    std::ostringstream os;
-    writeText(os, stream);
-    return os.str();
 }
 
 void

@@ -62,9 +62,6 @@ enum class EventKind : std::int8_t
     SolverWindow = 9,       ///< per-window solver summary
 };
 
-/** Lowercase snake_case name of @p kind (the text-export tag). */
-const char *eventKindName(EventKind kind);
-
 /** @name Payload-code names.
  * The codes mirror multidnn enums (pinned by static_asserts in
  * event_loop.hh); unknown codes render as "?". @{ */
@@ -255,11 +252,9 @@ class TraceRecorder
      * at the same instant keep append order, which the event loop
      * makes deterministic). Byte-identical for identical runs.
      */
+    // FMLINT(allow:test-only-api) the diffable trace; tests compare runs
     void writeText(std::ostream &os, Stream stream = Stream::Full)
         const;
-
-    /** writeText() into a string (test/diff convenience). */
-    std::string text(Stream stream = Stream::Full) const;
 
     /**
      * Chrome trace-event JSON (the format ui.perfetto.dev loads):

@@ -44,18 +44,6 @@ kernelFeatures(const gpusim::KernelSpec &spec, double extra_ratio)
     };
 }
 
-const std::vector<std::string> &
-graphFeatureNames()
-{
-    static const std::vector<std::string> names = {
-        "log_total_macs",      "log_weight_bytes",
-        "log_params",          "log_peak_activation_bytes",
-        "log_layers",          "log_weights",
-        "compute_intensity",   "log_macs_per_layer",
-    };
-    return names;
-}
-
 std::vector<double>
 graphFeatures(const graph::Graph &g)
 {

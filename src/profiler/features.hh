@@ -28,9 +28,6 @@ const std::vector<std::string> &kernelFeatureNames();
 std::vector<double> kernelFeatures(const gpusim::KernelSpec &spec,
                                    double extra_ratio);
 
-/** Names of the feature columns, aligned with graphFeatures(). */
-const std::vector<std::string> &graphFeatureNames();
-
 /**
  * Model-level feature row from whole-graph aggregates — the inputs of
  * the cold-model service-time predictor (serving/admission.hh).

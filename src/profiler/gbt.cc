@@ -1,7 +1,6 @@
 #include "profiler/gbt.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -174,21 +173,6 @@ GbtRegressor::predict(const std::vector<double> &x) const
     for (const auto &tree : trees_)
         out += params_.learningRate * tree.predict(x);
     return out;
-}
-
-double
-GbtRegressor::rmse(const std::vector<std::vector<double>> &x,
-                   const std::vector<double> &y) const
-{
-    FM_ASSERT(!x.empty(), "GBT rmse: empty evaluation set");
-    FM_ASSERT(x.size() == y.size(), "GBT rmse: ", x.size(), " rows vs ",
-              y.size(), " labels");
-    double se = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        double d = predict(x[i]) - y[i];
-        se += d * d;
-    }
-    return std::sqrt(se / static_cast<double>(x.size()));
 }
 
 double

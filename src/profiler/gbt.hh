@@ -48,15 +48,11 @@ class GbtRegressor
     bool trained() const { return trained_; }
     std::size_t treeCount() const { return trees_.size(); }
     /** Feature dimensionality the ensemble was fitted on. */
+    // FMLINT(allow:test-only-api) tests observe the width fit() recorded
     std::size_t featureCount() const { return feature_count_; }
 
-    /** Root-mean-square error over a labelled set; fatal on an empty
-     * set, mismatched row/label counts, or ragged rows. */
-    double rmse(const std::vector<std::vector<double>> &x,
-                const std::vector<double> &y) const;
-
-    /** Coefficient of determination (R^2) over a labelled set; same
-     * input validation as rmse(). */
+    /** Coefficient of determination (R^2) over a labelled set; fatal
+     * on an empty set, mismatched row/label counts, or ragged rows. */
     double r2(const std::vector<std::vector<double>> &x,
               const std::vector<double> &y) const;
 

@@ -9,20 +9,6 @@
 
 namespace flashmem::serving {
 
-const char *
-estimateTierName(EstimateTier tier)
-{
-    switch (tier) {
-      case EstimateTier::Calibrated:
-        return "calibrated";
-      case EstimateTier::Predicted:
-        return "predicted";
-      case EstimateTier::Pessimistic:
-        return "pessimistic";
-    }
-    return "unknown";
-}
-
 namespace {
 
 /** Quantile of the leave-one-out |log-residual| distribution the

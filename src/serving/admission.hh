@@ -64,9 +64,6 @@ enum class EstimateTier
     Pessimistic, ///< no predictor: multiple of the slowest calibrated
 };
 
-/** Human name of an estimate tier. */
-const char *estimateTierName(EstimateTier tier);
-
 /** One model's admission-facing service estimate. */
 struct ServiceEstimate
 {

@@ -32,6 +32,7 @@ class ServingStats
 
     /** Ingest a drained ScheduleOutcome (real-scheduler runs report
      * through the same stats type as the fast simulator). */
+    // FMLINT(allow:test-only-api) tests compare live and fast drains' stats
     static ServingStats fromOutcome(const multidnn::ScheduleOutcome &o);
 
     /** @name Counters. @{ */
@@ -56,6 +57,7 @@ class ServingStats
     double p99Ms() const { return toMilliseconds(p99()); }
     /** @} */
 
+    // FMLINT(allow:test-only-api) tests compare mean latency across paths
     double meanLatencyMs() const { return latency_ms_.mean(); }
     double meanQueueDelayMs() const { return queue_ms_.mean(); }
 

@@ -48,13 +48,6 @@ CpModel::addLessOrEqual(std::vector<LinearTerm> terms, std::int64_t hi)
 }
 
 void
-CpModel::addGreaterOrEqual(std::vector<LinearTerm> terms, std::int64_t lo)
-{
-    addLinear(std::move(terms), lo,
-              std::numeric_limits<std::int64_t>::max() / 4);
-}
-
-void
 CpModel::addEquality(std::vector<LinearTerm> terms, std::int64_t value)
 {
     addLinear(std::move(terms), value, value);

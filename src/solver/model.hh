@@ -60,10 +60,6 @@ class CpModel
     /** Add expr <= hi. */
     void addLessOrEqual(std::vector<LinearTerm> terms, std::int64_t hi);
 
-    /** Add expr >= lo. */
-    void addGreaterOrEqual(std::vector<LinearTerm> terms,
-                           std::int64_t lo);
-
     /** Add expr == value. */
     void addEquality(std::vector<LinearTerm> terms, std::int64_t value);
 
@@ -78,6 +74,7 @@ class CpModel
     std::size_t varCount() const { return lbs_.size(); }
     std::int64_t lowerBound(VarId v) const { return lbs_[v]; }
     std::int64_t upperBound(VarId v) const { return ubs_[v]; }
+    // FMLINT(allow:test-only-api) tests observe the names given to variables
     const std::string &varName(VarId v) const { return names_[v]; }
     const std::vector<LinearConstraint> &constraints() const
     {

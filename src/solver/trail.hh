@@ -61,6 +61,7 @@ class DomainTrail
     std::int64_t domainSize(VarId v) const { return ub_[v] - lb_[v]; }
     bool empty(VarId v) const { return lb_[v] > ub_[v]; }
     const std::vector<std::int64_t> &lbs() const { return lb_; }
+    // FMLINT(allow:test-only-api) tests snapshot the domains' upper bounds
     const std::vector<std::int64_t> &ubs() const { return ub_; }
 
     /**

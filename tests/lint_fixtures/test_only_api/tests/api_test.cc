@@ -1,0 +1,12 @@
+// Calls from tests/ never count as callers.
+#include "../src/api.hh"
+#include "../src/unjustified.hh"
+
+int
+main()
+{
+    fixture::Counter c;
+    c.bump();
+    return fixture::onlyTestsCall() + fixture::alsoOnlyTestsCall() +
+           fixture::benchCalls() + c.count();
+}

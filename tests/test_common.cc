@@ -38,7 +38,6 @@ TEST(Types, ByteUnits)
     EXPECT_EQ(mib(1), 1024u * 1024u);
     EXPECT_EQ(gib(1), 1024ull * 1024 * 1024);
     EXPECT_DOUBLE_EQ(toMiB(mib(512)), 512.0);
-    EXPECT_DOUBLE_EQ(toGiB(gib(3)), 3.0);
 }
 
 TEST(Types, BandwidthTransferTime)

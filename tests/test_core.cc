@@ -81,16 +81,6 @@ TEST(WeightSlicer, BytesForChunksHandlesShortTail)
     EXPECT_EQ(s.bytesForChunks(w, 3), w.bytes()); // exact tail
 }
 
-TEST(WeightSlicer, TotalChunksSumsGraph)
-{
-    auto g = toyGraph(2);
-    WeightSlicer s(kib(64));
-    std::int64_t manual = 0;
-    for (const auto &w : g.weights())
-        manual += s.chunkCount(w);
-    EXPECT_EQ(s.totalChunks(g), manual);
-}
-
 // ------------------------------------------------------------ OverlapPlan
 
 TEST(OverlapPlan, ValidatesCompleteCoverage)
@@ -146,49 +136,6 @@ TEST(OverlapPlan, RejectsC1Violation)
     // z_w after the first transforming layer: C1 violated.
     plan.setEarliestLoad(w->id, w->consumer - 1);
     EXPECT_FALSE(plan.validate(g, false));
-}
-
-TEST(OverlapPlan, SerializationRoundTrip)
-{
-    auto g = toyGraph(2);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-    OpgParams params;
-    params.chunkBytes = kib(256);
-    LcOpgPlanner planner(g, cap, km, params);
-    auto plan = planner.plan();
-
-    auto restored = OverlapPlan::deserialize(plan.serialize());
-    EXPECT_TRUE(restored.validate(g, false));
-    EXPECT_EQ(restored.chunkBytes(), plan.chunkBytes());
-    EXPECT_EQ(restored.preloadBytes(g), plan.preloadBytes(g));
-    EXPECT_DOUBLE_EQ(restored.overlapFraction(g),
-                     plan.overlapFraction(g));
-}
-
-TEST(OverlapPlan, DeserializeRejectsAssignmentLayerOutOfRange)
-{
-    const std::string head = "chunk 1048576\nlayers 2\nw 0 0 -1\n";
-    EXPECT_DEATH(OverlapPlan::deserialize(head + "x 0 -3 1\n"),
-                 "outside \\[0, 2\\)");
-    EXPECT_DEATH(OverlapPlan::deserialize(head + "x 0 2 1\n"),
-                 "outside \\[0, 2\\)");
-}
-
-TEST(OverlapPlan, DeserializeRejectsNonPositiveAssignment)
-{
-    const std::string head = "chunk 1048576\nlayers 2\nw 0 0 -1\n";
-    EXPECT_DEATH(OverlapPlan::deserialize(head + "x 0 1 0\n"),
-                 "assignment of 0 chunks");
-    EXPECT_DEATH(OverlapPlan::deserialize(head + "x 0 1 -4\n"),
-                 "assignment of -4 chunks");
-}
-
-TEST(OverlapPlan, DeserializeRejectsNegativePreload)
-{
-    EXPECT_DEATH(OverlapPlan::deserialize(
-                     "chunk 1048576\nlayers 2\nw 0 -1 -1\n"),
-                 "preloads -1 chunks");
 }
 
 // --------------------------------------------------------------- LC-OPG

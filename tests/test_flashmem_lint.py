@@ -10,8 +10,10 @@ Run directly or via ctest (flashmem_lint_selftest).
 """
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import unittest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -111,6 +113,55 @@ class SuppressionWorks(unittest.TestCase):
         self.assertIn("[no-wall-clock]", out)
 
 
+class TestOnlyApi(unittest.TestCase):
+    """test-only-api over a fixture source tree of its own: a header
+    under src/, callers under tests/, bench/ and perfbench/."""
+
+    TREE = fixture("test_only_api")
+
+    def lint_api(self, tree):
+        return run_lint(os.path.join(tree, "src", "api.hh"), "-v")
+
+    def test_fires_on_function_only_tests_call(self):
+        rc, out, _ = self.lint_api(self.TREE)
+        self.assertEqual(rc, 1, out)
+        found = [ln for ln in out.splitlines()
+                 if "[test-only-api]" in ln and "suppressed" not in ln]
+        self.assertEqual(len(found), 1, out)
+        self.assertIn("api.hh:9:", found[0])
+        self.assertIn("'onlyTestsCall'", found[0])
+
+    def test_quiet_when_a_non_test_file_calls_it(self):
+        # bench/ calls benchCalls(), perfbench/ perfbenchCalls(), and
+        # api.cc ownFileCalls(); none of them is reported.
+        rc, out, _ = self.lint_api(self.TREE)
+        for name in ("benchCalls", "perfbenchCalls", "ownFileCalls",
+                     "step", "bump"):
+            self.assertNotIn(f"'{name}'", out)
+
+    def test_perfbench_callers_count(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = os.path.join(tmp, "tree")
+            shutil.copytree(self.TREE, tree)
+            shutil.rmtree(os.path.join(tree, "perfbench"))
+            rc, out, _ = self.lint_api(tree)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("'perfbenchCalls'", out)
+
+    def test_justified_suppression_silences(self):
+        rc, out, _ = self.lint_api(self.TREE)
+        self.assertIn("api.hh:20: suppressed [test-only-api]", out)
+        self.assertNotIn("'count'", out)
+
+    def test_unjustified_suppression_is_reported(self):
+        rc, out, _ = run_lint(
+            os.path.join(self.TREE, "src", "unjustified.hh"))
+        self.assertEqual(rc, 1, out)
+        self.assertIn("[bad-suppression]", out)
+        self.assertIn("without a justification", out)
+        self.assertIn("[test-only-api] 'alsoOnlyTestsCall'", out)
+
+
 class CliBehaviour(unittest.TestCase):
     def test_list_checks(self):
         rc, out, _ = run_lint("--list-checks")
@@ -118,7 +169,7 @@ class CliBehaviour(unittest.TestCase):
         for check in ("no-unordered-iteration", "no-wall-clock",
                       "no-pointer-order", "uninitialized-member",
                       "float-accumulation-order", "no-raw-cast",
-                      "cross-thread-state"):
+                      "cross-thread-state", "test-only-api"):
             self.assertIn(check, out)
 
     def test_check_subset_filters(self):
@@ -177,9 +228,10 @@ class CliBehaviour(unittest.TestCase):
 class WholeTreeGate(unittest.TestCase):
     def test_repo_tree_is_clean(self):
         """The same invocation ctest runs: zero unsuppressed findings
-        over src/, bench/, tests/, tools/ (fixtures excluded)."""
+        over src/, bench/, tests/, tools/, examples/ (fixtures
+        excluded)."""
         rc, out, err = run_lint("src", "bench", "tests", "tools",
-                                "--exclude", "lint_fixtures")
+                                "examples", "--exclude", "lint_fixtures")
         self.assertEqual(rc, 0,
                          f"tree has unsuppressed findings:\n{out}{err}")
 

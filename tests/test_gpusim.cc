@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the mobile-GPU simulator: timelines, memory tracking,
- * texture layout + cache, the kernel latency model and its Figure-2
+ * the texture transform cost, the kernel latency model and its Figure-2
  * overlap-penalty curves, device profiles, and the power model.
  */
 
@@ -14,7 +14,6 @@
 #include "gpusim/power.hh"
 #include "gpusim/simulator.hh"
 #include "gpusim/texture.hh"
-#include "gpusim/texture_cache.hh"
 #include "gpusim/timeline.hh"
 
 namespace flashmem::gpusim {
@@ -126,90 +125,16 @@ TEST(MemoryTracker, OverFreeDies)
 
 // ----------------------------------------------------------------- texture
 
-TEST(TextureLayout, PacksFourChannels)
-{
-    graph::TensorDesc d{{1024, 1024}, Precision::FP16};
-    auto layout = TextureLayout::forTensor(d);
-    // 1M elements -> 256K texels; near-square -> 512 x 512.
-    EXPECT_EQ(layout.width, 512);
-    EXPECT_EQ(layout.height, 512);
-    EXPECT_GE(layout.paddedBytes(Precision::FP16), d.bytes());
-}
-
-TEST(TextureLayout, RespectsMaxWidth)
-{
-    graph::TensorDesc d{{4096, 4096 * 64}, Precision::FP16};
-    auto layout = TextureLayout::forTensor(d, 16384);
-    EXPECT_LE(layout.width, 16384);
-    EXPECT_GE(static_cast<Bytes>(layout.texels()) * 4,
-              static_cast<Bytes>(d.shape.elements()));
-}
-
-TEST(TextureLayout, PaddingWasteIsBounded)
-{
-    // Odd-sized tensors pad at most one extra row + channel remainder.
-    graph::TensorDesc d{{999, 37}, Precision::FP16};
-    auto layout = TextureLayout::forTensor(d);
-    double waste = static_cast<double>(layout.paddedBytes(
-                       Precision::FP16)) /
-                   static_cast<double>(d.bytes());
-    EXPECT_LT(waste, 1.10);
-}
-
 TEST(TransformCost, DedicatedSlowerThanInline)
 {
     auto dev = DeviceProfile::onePlus12();
     Bytes bytes = mib(16);
     auto dedicated =
         dedicatedTransformCost(dev, bytes, Bandwidth::mbps(150), 2);
-    auto inline_cost = inlineTransformCost(dev, bytes);
-    EXPECT_GT(dedicated.time, 10 * inline_cost.time);
+    // FlashMem transforms inside the compute kernel, streaming at the
+    // UM->TM DMA bandwidth with no dispatch and no staging copy.
+    EXPECT_GT(dedicated.time, 10 * dev.umToTm.transferTime(bytes));
     EXPECT_GT(dedicated.scratchBytes, 0u);
-    EXPECT_EQ(inline_cost.scratchBytes, 0u);
-}
-
-// ----------------------------------------------------------- texture cache
-
-TEST(TextureCache, HitsOnRepeatedAccess)
-{
-    TextureCache cache(kib(64), 64, 4);
-    EXPECT_FALSE(cache.access(0));
-    EXPECT_TRUE(cache.access(0));
-    EXPECT_TRUE(cache.access(32)); // same line
-    EXPECT_FALSE(cache.access(64)); // next line
-    EXPECT_EQ(cache.hits(), 2u);
-    EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(TextureCache, LruEvictsOldest)
-{
-    // 2 sets x 2 ways x 64B lines = 256 B cache.
-    TextureCache cache(256, 64, 2);
-    EXPECT_EQ(cache.sets(), 2u);
-    // Fill set 0 (addresses 0 and 128 map to set 0).
-    cache.access(0);
-    cache.access(128);
-    cache.access(0);        // refresh 0
-    cache.access(256);      // evicts 128 (LRU)
-    EXPECT_TRUE(cache.access(0));
-    EXPECT_FALSE(cache.access(128));
-}
-
-TEST(TextureCache, TiledSweepBeatsStridedSweep)
-{
-    graph::TensorDesc d{{768, 3072}, Precision::FP16};
-    auto layout = TextureLayout::forTensor(d);
-
-    TextureCache cache(kib(128), 64, 8);
-    double tiled = simulateTiledSweep(cache, layout, Precision::FP16, 8,
-                                      8);
-    TextureCache cache2(kib(128), 64, 8);
-    double strided = simulateStridedSweep(cache2, d.bytes(), 3072 * 2, 2);
-
-    // The 2.5D tiled layout exploits 2D locality; a strided buffer walk
-    // thrashes. This is the premise of texture-memory optimization.
-    EXPECT_GT(tiled, 0.70);
-    EXPECT_LT(strided, 0.30);
 }
 
 // ------------------------------------------------------------ kernel model

@@ -28,23 +28,6 @@ TEST(Op, ClassificationMatchesPaperTable5)
     EXPECT_EQ(opClass(OpKind::Transpose), OpClass::Movement);
 }
 
-TEST(Op, NameRoundTrip)
-{
-    for (int i = 0; i < static_cast<int>(OpKind::NumKinds); ++i) {
-        auto kind = static_cast<OpKind>(i);
-        EXPECT_EQ(opKindFromName(opKindName(kind)), kind);
-    }
-}
-
-TEST(Op, WeightedKinds)
-{
-    EXPECT_TRUE(opUsuallyWeighted(OpKind::MatMul));
-    EXPECT_TRUE(opUsuallyWeighted(OpKind::Conv2D));
-    EXPECT_TRUE(opUsuallyWeighted(OpKind::Embedding));
-    EXPECT_FALSE(opUsuallyWeighted(OpKind::Softmax));
-    EXPECT_FALSE(opUsuallyWeighted(OpKind::Add));
-}
-
 TEST(Tensor, ShapeElementsAndBytes)
 {
     TensorShape s{1, 197, 768};
@@ -86,16 +69,6 @@ TEST(Builder, ConvShapeInference)
     Graph g = b.build();
     // MACs = 64 * 112*112 * 3 * 7 * 7.
     EXPECT_EQ(g.totalMacs(), 64ull * 112 * 112 * 3 * 7 * 7);
-}
-
-TEST(Builder, DepthwiseConvParamsAndMacs)
-{
-    GraphBuilder b("toy", Precision::FP16);
-    auto x = b.input({1, 32, 56, 56});
-    b.dwConv2d(x, 3, 1, 1, "dw");
-    Graph g = b.build();
-    EXPECT_EQ(g.totalParams(), 32 * 3 * 3);
-    EXPECT_EQ(g.totalMacs(), 32ull * 56 * 56 * 3 * 3);
 }
 
 TEST(Builder, WeightsAttachToConsumer)

@@ -36,25 +36,6 @@ TEST(Integration, Fp32DoublesTrafficAndSlowsRuns)
     // less in flight despite the doubled weights.
 }
 
-TEST(Integration, PlanSurvivesSerializationThroughRuntime)
-{
-    auto dev = DeviceProfile::onePlus12();
-    FlashMem fm(dev);
-    auto compiled = fm.compile(models::buildModel(ModelId::GPTNeoS));
-
-    // Round-trip the plan as a deployment artifact and re-execute.
-    auto restored =
-        core::OverlapPlan::deserialize(compiled.plan.serialize());
-    GpuSimulator s1(dev), s2(dev);
-    auto r1 = core::StreamingRuntime(s1, compiled.fusedGraph,
-                                     compiled.plan)
-                  .run();
-    auto r2 = core::StreamingRuntime(s2, compiled.fusedGraph, restored)
-                  .run();
-    EXPECT_EQ(r1.integratedLatency(), r2.integratedLatency());
-    EXPECT_EQ(r1.peakMemory, r2.peakMemory);
-}
-
 TEST(Integration, SlowerDevicesRunSlower)
 {
     auto g = models::buildModel(ModelId::ViT);
@@ -144,7 +125,8 @@ TEST(Integration, WarmStartCrossoverVsSmartMem)
                                      dev);
     GpuSimulator sim(dev);
     auto cold = smem.run(sim, g);
-    SimTime warm = smem.warmExecLatency(g);
+    // Its exec phase: every kernel with the weights resident.
+    SimTime warm = cold.end - cold.initDone;
 
     // One cold start is slower than FlashMem...
     EXPECT_GT(cold.integratedLatency(), flash.integratedLatency());

@@ -16,6 +16,8 @@
 #include "multidnn/event_loop.hh"
 #include "multidnn/scheduler.hh"
 
+#include "fault_plan_gen.hh"
+
 namespace flashmem::multidnn {
 namespace {
 
@@ -840,7 +842,8 @@ TEST(Faults, CrashMidRunFailsOverToSurvivingDevice)
 
     SchedulerConfig cfg;
     cfg.cluster.deviceCount = 2;
-    cfg.faults = singleCrash(0, /*at=*/1); // 1 ns in: mid-first-run
+    // One crash 1 ns in: mid-first-run.
+    cfg.faults.events = {{.time = 1, .device = 0, .kind = FaultKind::Crash}};
     EventScheduler sched(fm, cfg);
     auto out = sched.run(queue, FifoPolicy{});
 
@@ -877,7 +880,8 @@ TEST(Faults, StallWithinBudgetCompletesLateNotKilled)
     // exactly its duration — no watchdog, no retry.
     const SimTime stall = service; // 2x service < 3x budget
     SchedulerConfig cfg;
-    cfg.faults = singleStall(0, /*at=*/1, stall);
+    cfg.faults.events = {{.time = 1, .device = 0, .kind = FaultKind::Stall,
+                           .duration = stall}};
     EventScheduler sched(fm, cfg);
     auto out = sched.run(queue, FifoPolicy{});
 
@@ -896,7 +900,8 @@ TEST(Faults, StallBeyondBudgetTriggersWatchdogFailover)
     SchedulerConfig cfg;
     cfg.cluster.deviceCount = 2;
     // A multi-second wedge blows the 3x timeout budget of any model.
-    cfg.faults = singleStall(0, /*at=*/1, seconds(5));
+    cfg.faults.events = {{.time = 1, .device = 0, .kind = FaultKind::Stall,
+                           .duration = seconds(5)}};
     EventScheduler sched(fm, cfg);
     auto out = sched.run(queue, FifoPolicy{});
 
@@ -948,7 +953,7 @@ TEST(Faults, StarvedRequestsAreRecordedNotSilentlyDropped)
     // The only device crashes and never rejoins: the in-flight run's
     // retry and the queued arrival both end the drain starved.
     SchedulerConfig cfg;
-    cfg.faults = singleCrash(0, /*at=*/1);
+    cfg.faults.events = {{.time = 1, .device = 0, .kind = FaultKind::Crash}};
     EventScheduler sched(fm, cfg);
     auto out = sched.run(queue, FifoPolicy{});
 

@@ -3,21 +3,21 @@
  * Tests for the observability layer (obs/trace.hh): the
  * trace-determinism property (byte-identical text export across
  * planner thread counts; fast-sim vs EventScheduler Stream::Serving
- * equality under a mixed fault + admission schedule), Chrome JSON
- * structural sanity, and the severity-leveled logging helpers
- * (common/logging.hh).
+ * equality under a mixed fault + admission schedule) and Chrome JSON
+ * structural sanity.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "common/logging.hh"
 #include "core/flashmem.hh"
 #include "multidnn/scheduler.hh"
 #include "obs/trace.hh"
 #include "serving/admission.hh"
 #include "serving/sweep.hh"
+
+#include "fault_plan_gen.hh"
 
 namespace flashmem::obs {
 namespace {
@@ -32,6 +32,15 @@ using serving::poissonTrace;
 using serving::ServingSimParams;
 using serving::simulateServing;
 
+/** @p rec's text export of @p stream as a string. */
+std::string
+textOf(const TraceRecorder &rec, Stream stream = Stream::Full)
+{
+    std::ostringstream os;
+    rec.writeText(os, stream);
+    return os.str();
+}
+
 // ------------------------------------------------ recorder basics
 
 TEST(TraceRecorder, TextExportIsSortedAndTagged)
@@ -45,7 +54,7 @@ TEST(TraceRecorder, TextExportIsSortedAndTagged)
                        static_cast<std::int32_t>(ModelId::ResNet50),
                        milliseconds(150));
 
-    auto text = rec.text();
+    auto text = textOf(rec);
     auto arrival = text.find("request_arrival");
     auto complete = text.find("request_complete");
     ASSERT_NE(arrival, std::string::npos);
@@ -65,11 +74,11 @@ TEST(TraceRecorder, ServingStreamExcludesPlannerEvents)
     rec.requestShed(0, 7, static_cast<std::int32_t>(ModelId::ViT),
                     /*reason=*/0, /*attempts=*/0);
 
-    auto full = rec.text(Stream::Full);
+    auto full = textOf(rec, Stream::Full);
     EXPECT_NE(full.find("replan"), std::string::npos);
     EXPECT_NE(full.find("solver_window"), std::string::npos);
 
-    auto serving = rec.text(Stream::Serving);
+    auto serving = textOf(rec, Stream::Serving);
     EXPECT_EQ(serving.find("replan"), std::string::npos) << serving;
     EXPECT_EQ(serving.find("solver_window"), std::string::npos);
     EXPECT_NE(serving.find("request_shed"), std::string::npos);
@@ -120,18 +129,6 @@ TEST(TraceRecorder, ChromeJsonHasTracksAndBalancedBraces)
     EXPECT_EQ(brackets, 0);
 }
 
-// ------------------------------------------------------- logging
-
-TEST(Logging, LevelRoundTripsAndRestores)
-{
-    auto before = logLevel();
-    setLogLevel(LogLevel::Debug);
-    EXPECT_EQ(logLevel(), LogLevel::Debug);
-    setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setLogLevel(before);
-}
-
 // ------------------------------------- the determinism property
 
 /** The fig6 determinism workload: memory-aware re-planning under a
@@ -164,13 +161,13 @@ TEST(TraceDeterminism, SchedulerTraceIdenticalAcrossPlannerThreads)
     // window solves — the part thread count could plausibly perturb.
     ASSERT_GT(out1.replans, 0);
     ASSERT_EQ(out1.replans, out4.replans);
-    auto text1 = rec1.text();
+    auto text1 = textOf(rec1);
     ASSERT_NE(text1.find("replan "), std::string::npos);
     ASSERT_NE(text1.find("solver_window"), std::string::npos);
     ASSERT_NE(text1.find("request_dispatch"), std::string::npos);
 
     // Byte-identical export for any planner thread count.
-    EXPECT_EQ(text1, rec4.text());
+    EXPECT_EQ(text1, textOf(rec4));
 }
 
 TEST(TraceDeterminism, FastSimMatchesEventSchedulerServingStream)
@@ -255,13 +252,13 @@ TEST(TraceDeterminism, FastSimMatchesEventSchedulerServingStream)
     // The schedule actually bit: faults, retries, and verdicts all
     // appear in the stream being compared.
     ASSERT_GT(real.faults.retries, 0);
-    auto fast_text = fast_rec.text(Stream::Serving);
+    auto fast_text = textOf(fast_rec, Stream::Serving);
     ASSERT_NE(fast_text.find("fault_injected"), std::string::npos);
     ASSERT_NE(fast_text.find("retry_scheduled"), std::string::npos);
     ASSERT_NE(fast_text.find("admission_verdict"), std::string::npos);
     ASSERT_NE(fast_text.find("device_health"), std::string::npos);
 
-    EXPECT_EQ(fast_text, real_rec.text(Stream::Serving));
+    EXPECT_EQ(fast_text, textOf(real_rec, Stream::Serving));
     EXPECT_EQ(real.runs.size(), fast.stats.completed());
 }
 

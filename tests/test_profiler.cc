@@ -58,6 +58,19 @@ TEST(Gbt, FitsNonlinearInteraction)
     EXPECT_GT(gbt.r2(x, y), 0.95);
 }
 
+/** Root-mean-square error of @p gbt over a labelled set. */
+double
+rmse(const GbtRegressor &gbt, const std::vector<std::vector<double>> &x,
+     const std::vector<double> &y)
+{
+    double se = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        double d = gbt.predict(x[i]) - y[i];
+        se += d * d;
+    }
+    return std::sqrt(se / static_cast<double>(x.size()));
+}
+
 TEST(Gbt, RobustToLabelNoise)
 {
     Rng rng(3);
@@ -75,7 +88,7 @@ TEST(Gbt, RobustToLabelNoise)
     }
     GbtRegressor gbt;
     gbt.fit(x, y);
-    EXPECT_LT(gbt.rmse(xt, yt), 1.0);
+    EXPECT_LT(rmse(gbt, xt, yt), 1.0);
 }
 
 TEST(Gbt, PredictBeforeFitDies)
@@ -137,8 +150,6 @@ TEST(Gbt, MetricsRejectEmptyAndRaggedEvaluationSets)
     std::vector<std::vector<double>> x = {{1.0}, {2.0}};
     std::vector<double> y = {1.0, 2.0};
     gbt.fit(x, y);
-    EXPECT_DEATH(gbt.rmse({}, {}), "empty evaluation set");
-    EXPECT_DEATH(gbt.rmse(x, {1.0}), "rows vs");
     EXPECT_DEATH(gbt.r2({}, {}), "empty evaluation set");
     EXPECT_DEATH(gbt.r2(x, {1.0}), "rows vs");
 }

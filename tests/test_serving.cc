@@ -1,23 +1,18 @@
 /**
  * @file
- * Tests for the serving harness: arrival-trace generators (statistical
- * shape + determinism), CSV/JSONL replay round-trips, the fast
- * request-level simulator (exact hand-checked timelines, SLO
- * admission, instability abort), capacity sweeps (monotonicity,
- * thread-count determinism), service calibration against the real
- * FlashMem planner, the fast simulator against the live
- * EventScheduler over a scenario table, and drains that must not
- * depend on the order a replayed queue lists its requests in.
+ * Tests for the serving harness: the Poisson arrival-trace generator
+ * (statistical shape + determinism), the fast request-level simulator
+ * (exact hand-checked timelines, SLO admission, instability abort),
+ * capacity sweeps (monotonicity, thread-count determinism), service
+ * calibration against the real FlashMem planner, the fast simulator
+ * against the live EventScheduler over a scenario table, and drains
+ * that must not depend on the order a queue lists its requests in.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <limits>
 #include <numeric>
-#include <sstream>
 #include <tuple>
 
 #include "common/rng.hh"
@@ -25,6 +20,8 @@
 #include "obs/trace.hh"
 #include "serving/admission.hh"
 #include "serving/sweep.hh"
+
+#include "fault_plan_gen.hh"
 
 namespace flashmem::serving {
 namespace {
@@ -97,173 +94,6 @@ TEST(TraceGen, PoissonStampsMixBoundsAndPriorities)
         EXPECT_EQ(r.priority, 2);
         EXPECT_EQ(r.deadline(), r.arrival + milliseconds(30));
     }
-}
-
-TEST(TraceGen, MmppIsBurstierThanPoisson)
-{
-    auto mix = simpleMix();
-    MmppParams mm;
-    mm.qpsLow = 20.0;
-    mm.qpsHigh = 400.0;
-    mm.meanDwell = milliseconds(200);
-    auto bursty = mmppTrace(mix, mm, 20000, 11);
-    auto smooth = poissonTrace(mix, 100.0, 20000, 11);
-    ASSERT_EQ(bursty.size(), 20000u);
-    for (std::size_t i = 1; i < bursty.size(); ++i)
-        EXPECT_GE(bursty[i].arrival, bursty[i - 1].arrival);
-
-    // Index of dispersion of counts over fixed windows: ~1 for
-    // Poisson, well above for the modulated process (deterministic
-    // seeds, so the margin is stable).
-    auto dispersion = [](const std::vector<ModelRequest> &t,
-                         SimTime window) {
-        std::vector<double> counts;
-        std::size_t i = 0;
-        for (SimTime start = 0; start < t.back().arrival;
-             start += window) {
-            double c = 0;
-            while (i < t.size() && t[i].arrival < start + window) {
-                ++c;
-                ++i;
-            }
-            counts.push_back(c);
-        }
-        RunningStat st;
-        for (double c : counts)
-            st.add(c);
-        return st.mean() > 0 ? st.variance() / st.mean() : 0.0;
-    };
-    double d_bursty = dispersion(bursty, milliseconds(100));
-    double d_smooth = dispersion(smooth, milliseconds(100));
-    EXPECT_LT(d_smooth, 2.0);
-    EXPECT_GT(d_bursty, 3.0 * d_smooth);
-}
-
-TEST(TraceGen, DiurnalModulatesTheRate)
-{
-    auto mix = simpleMix();
-    DiurnalParams dp;
-    dp.baseQps = 100.0;
-    dp.amplitude = 0.8;
-    dp.period = seconds(20);
-    auto t = diurnalTrace(mix, dp, 20000, 13);
-    for (std::size_t i = 1; i < t.size(); ++i)
-        EXPECT_GE(t[i].arrival, t[i - 1].arrival);
-    // First half-period (sin > 0) sees far more arrivals than the
-    // second (sin < 0).
-    auto count_in = [&](SimTime lo, SimTime hi) {
-        return std::count_if(t.begin(), t.end(),
-                             [&](const ModelRequest &r) {
-                                 return r.arrival >= lo &&
-                                        r.arrival < hi;
-                             });
-    };
-    auto up = count_in(0, seconds(10));
-    auto down = count_in(seconds(10), seconds(20));
-    EXPECT_GT(up, 2 * down);
-}
-
-TEST(TraceGen, ClosedLoopRespectsConcurrencyAndService)
-{
-    ModelMix mix;
-    mix.entries = {{ModelId::ResNet50, 1.0, 0, 0}};
-    std::map<ModelId, SimTime> service{
-        {ModelId::ResNet50, milliseconds(10)}};
-    ClosedLoopParams cl;
-    cl.users = 1;
-    cl.meanThink = milliseconds(5);
-    auto t = closedLoopTrace(mix, cl, service, 500, 17);
-    ASSERT_EQ(t.size(), 500u);
-    // A single user cannot issue faster than service completes: every
-    // inter-arrival is at least the service time.
-    for (std::size_t i = 1; i < t.size(); ++i)
-        EXPECT_GE(t[i].arrival - t[i - 1].arrival, milliseconds(10));
-
-    // With K users, at most K requests can ever be in flight: the
-    // arrival rate stays below K / service.
-    cl.users = 4;
-    cl.meanThink = 0;
-    auto t4 = closedLoopTrace(mix, cl, service, 2000, 17);
-    double qps = static_cast<double>(t4.size()) /
-                 toSeconds(t4.back().arrival);
-    EXPECT_LE(qps, 4.0 / 0.010 * 1.05);
-}
-
-// ------------------------------------------------------------ replay
-
-TEST(TraceReplay, CsvRoundTripsExactly)
-{
-    ModelMix mix;
-    mix.entries = {{ModelId::ResNet50, 2.0, milliseconds(25), 1},
-                   {ModelId::GPTNeoS, 1.0, 0, -2}};
-    auto trace = poissonTrace(mix, 80.0, 200, 23);
-
-    std::stringstream ss;
-    writeCsvTrace(ss, trace);
-    auto parsed = parseCsvTrace(ss);
-    ASSERT_EQ(parsed.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(parsed[i].arrival, trace[i].arrival);
-        EXPECT_EQ(parsed[i].model, trace[i].model);
-        EXPECT_EQ(parsed[i].priority, trace[i].priority);
-        EXPECT_EQ(parsed[i].latencyBound, trace[i].latencyBound);
-    }
-}
-
-TEST(TraceReplay, JsonlRoundTripsExactly)
-{
-    ModelMix mix;
-    mix.entries = {{ModelId::ViT, 1.0, milliseconds(50), 3}};
-    auto trace = poissonTrace(mix, 40.0, 100, 29);
-
-    std::stringstream ss;
-    writeJsonlTrace(ss, trace);
-    auto parsed = parseJsonlTrace(ss);
-    ASSERT_EQ(parsed.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(parsed[i].arrival, trace[i].arrival);
-        EXPECT_EQ(parsed[i].model, trace[i].model);
-        EXPECT_EQ(parsed[i].priority, trace[i].priority);
-        EXPECT_EQ(parsed[i].latencyBound, trace[i].latencyBound);
-    }
-}
-
-TEST(TraceReplay, JsonlDefaultsOptionalFields)
-{
-    std::stringstream ss;
-    ss << "{\"arrival_ns\": 1000, \"model\": \"ResNet50\"}\n";
-    auto parsed = parseJsonlTrace(ss);
-    ASSERT_EQ(parsed.size(), 1u);
-    EXPECT_EQ(parsed[0].arrival, 1000);
-    EXPECT_EQ(parsed[0].model, ModelId::ResNet50);
-    EXPECT_EQ(parsed[0].priority, 0);
-    EXPECT_EQ(parsed[0].latencyBound, 0);
-}
-
-TEST(TraceReplay, OutOfRangePriorityFailsLoudly)
-{
-    auto csv = [](const std::string &priority) {
-        std::stringstream ss;
-        ss << "arrival_ns,model,priority,slo_ns\n1000,ResNet50,"
-           << priority << ",0\n";
-        return parseCsvTrace(ss);
-    };
-    auto jsonl = [](const std::string &priority) {
-        std::stringstream ss;
-        ss << "{\"arrival_ns\": 1000, \"model\": \"ResNet50\", "
-           << "\"priority\": " << priority << "}\n";
-        return parseJsonlTrace(ss);
-    };
-    // The int bounds themselves still parse.
-    EXPECT_EQ(csv("2147483647")[0].priority,
-              std::numeric_limits<int>::max());
-    EXPECT_EQ(jsonl("-2147483648")[0].priority,
-              std::numeric_limits<int>::min());
-    // One past either bound would wrap through the int cast.
-    EXPECT_DEATH(csv("4294967297"), "priority out of range");
-    EXPECT_DEATH(csv("-4294967295"), "priority out of range");
-    EXPECT_DEATH(jsonl("2147483648"), "priority out of range");
-    EXPECT_DEATH(jsonl("-2147483649"), "priority out of range");
 }
 
 // ----------------------------------------------------- serving stats
@@ -620,7 +450,9 @@ TEST(FaultServing, RetryAfterFailoverStillMeetsBoundAndCountsGoodput)
         {ModelId::ResNet50, 0, 0, milliseconds(100)}};
     ServingSimParams params;
     params.cluster.deviceCount = 2;
-    params.faults = multidnn::singleCrash(0, milliseconds(2));
+    params.faults.events = {{.time = milliseconds(2),
+                             .device = 0,
+                             .kind = multidnn::FaultKind::Crash}};
     auto out =
         simulateServing(trace, DeadlinePolicy{}, handTable(), params);
 
@@ -646,7 +478,9 @@ TEST(FaultServing, DoomedRetryIsShedNotRetriedForever)
         {ModelId::ResNet50, 0, 0, milliseconds(12)}};
     ServingSimParams params;
     params.cluster.deviceCount = 2;
-    params.faults = multidnn::singleCrash(0, milliseconds(2));
+    params.faults.events = {{.time = milliseconds(2),
+                             .device = 0,
+                             .kind = multidnn::FaultKind::Crash}};
     auto out =
         simulateServing(trace, DeadlinePolicy{}, handTable(), params);
 
@@ -681,7 +515,9 @@ TEST(FaultServing, FaultOnAMissingDeviceFailsLoudly)
     // indexing past the cluster's devices.
     std::vector<ModelRequest> trace{{ModelId::ResNet50, 0, 0, 0}};
     ServingSimParams params;
-    params.faults = multidnn::singleCrash(3, milliseconds(2));
+    params.faults.events = {{.time = milliseconds(2),
+                             .device = 3,
+                             .kind = multidnn::FaultKind::Crash}};
     EXPECT_DEATH(
         simulateServing(trace, FifoPolicy{}, handTable(), params),
         "fault event 0 targets device 3 of a 1-device cluster");
@@ -689,13 +525,12 @@ TEST(FaultServing, FaultOnAMissingDeviceFailsLoudly)
 
 // ------------------------------------------------------ queue order
 
-/** @p sorted listed in a seeded random order, written as CSV and read
- * back through loadTrace. @p to_sorted receives, for each index of the
- * returned queue, the request's index in @p sorted. */
+/** @p sorted listed in a seeded random order. @p to_sorted receives,
+ * for each index of the returned queue, the request's index in
+ * @p sorted. */
 std::vector<ModelRequest>
-shuffledReplay(const std::vector<ModelRequest> &sorted,
-               std::uint64_t seed, const std::string &name,
-               std::vector<std::size_t> &to_sorted)
+shuffledQueue(const std::vector<ModelRequest> &sorted, std::uint64_t seed,
+              std::vector<std::size_t> &to_sorted)
 {
     to_sorted.resize(sorted.size());
     std::iota(to_sorted.begin(), to_sorted.end(), std::size_t{0});
@@ -707,15 +542,7 @@ shuffledReplay(const std::vector<ModelRequest> &sorted,
     std::vector<ModelRequest> shuffled;
     for (std::size_t k : to_sorted)
         shuffled.push_back(sorted[k]);
-
-    std::string path = testing::TempDir() + name + ".csv";
-    {
-        std::ofstream out(path);
-        writeCsvTrace(out, shuffled);
-    }
-    auto replayed = loadTrace(path);
-    std::remove(path.c_str());
-    return replayed;
+    return shuffled;
 }
 
 /** What one drain did, with every queue index mapped to the request's
@@ -811,7 +638,7 @@ expectSameDrain(const Observed &a, const Observed &b)
 TEST(QueueOrder, ShuffledReplayDrainsLikeTheSortedTrace)
 {
     // The loop streams arrivals in (arrival, queue index) order, so a
-    // replayed file that lists the same requests in another order
+    // queue that lists the same requests in another order
     // must drain to the same outcome, request for request, on both
     // execution paths: same sheds at the same instants for the same
     // reasons, same latency order, same fault accounting.
@@ -867,12 +694,9 @@ TEST(QueueOrder, ShuffledReplayDrainsLikeTheSortedTrace)
         for (std::size_t i = 1; i < sorted.size(); ++i)
             ASSERT_LT(sorted[i - 1].arrival, sorted[i].arrival);
         std::vector<std::size_t> to_sorted;
-        auto replayed = shuffledReplay(
-            sorted, 71, "queue_order_" + std::to_string(requests),
-            to_sorted);
-        ASSERT_EQ(replayed.size(), sorted.size());
+        auto shuffled = shuffledQueue(sorted, 71, to_sorted);
         ASSERT_FALSE(std::is_sorted(
-            replayed.begin(), replayed.end(),
+            shuffled.begin(), shuffled.end(),
             [](const ModelRequest &a, const ModelRequest &b) {
                 return a.arrival < b.arrival;
             }));
@@ -880,7 +704,7 @@ TEST(QueueOrder, ShuffledReplayDrainsLikeTheSortedTrace)
         std::iota(identity.begin(), identity.end(), std::size_t{0});
 
         auto a = drain(sorted, identity);
-        auto b = drain(replayed, to_sorted);
+        auto b = drain(shuffled, to_sorted);
         // The run exercised what order could disturb: arrival and
         // dispatch sheds, crashes and retries.
         ASSERT_GT(a.completed, requests / 2);
@@ -1028,7 +852,10 @@ TEST_P(CrossValidation, FastSimMatchesEventScheduler)
             plan, multidnn::singleSlowdown(1, milliseconds(200),
                                            milliseconds(600), 3.0));
         plan = multidnn::mergeFaultPlans(
-            plan, multidnn::singleStall(1, seconds(2), seconds(3)));
+            plan, {{{.time = seconds(2),
+                     .device = 1,
+                     .kind = multidnn::FaultKind::Stall,
+                     .duration = seconds(3)}}});
         plan = multidnn::mergeFaultPlans(
             plan, multidnn::generateFaultPlan(fp, 2, seconds(30), 7));
     }

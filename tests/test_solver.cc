@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hh"
 #include "solver/model.hh"
@@ -19,6 +20,15 @@
 
 namespace flashmem::solver {
 namespace {
+
+/** Add expr >= lo. */
+void
+addGreaterOrEqual(CpModel &m, std::vector<LinearTerm> terms,
+                  std::int64_t lo)
+{
+    m.addLinear(std::move(terms), lo,
+                std::numeric_limits<std::int64_t>::max() / 4);
+}
 
 TEST(CpModel, VariableBookkeeping)
 {
@@ -55,7 +65,7 @@ TEST(CpSolver, DetectsInfeasibility)
 {
     CpModel m;
     auto x = m.newIntVar(0, 5);
-    m.addGreaterOrEqual({{x, 1}}, 3);
+    addGreaterOrEqual(m, {{x, 1}}, 3);
     m.addLessOrEqual({{x, 1}}, 2);
     auto r = CpSolver().solve(m);
     EXPECT_EQ(r.status, SolveStatus::Infeasible);
@@ -67,7 +77,7 @@ TEST(CpSolver, MinimizesLinearObjective)
     CpModel m;
     auto x = m.newIntVar(0, 10);
     auto y = m.newIntVar(0, 10);
-    m.addGreaterOrEqual({{x, 1}, {y, 1}}, 6);
+    addGreaterOrEqual(m, {{x, 1}, {y, 1}}, 6);
     m.minimize({{x, 3}, {y, 1}});
 
     auto r = CpSolver().solve(m);
@@ -156,7 +166,7 @@ TEST(CpSolver, WarmStartHintAccepted)
     CpModel m;
     auto x = m.newIntVar(0, 100);
     auto y = m.newIntVar(0, 100);
-    m.addGreaterOrEqual({{x, 1}, {y, 2}}, 50);
+    addGreaterOrEqual(m, {{x, 1}, {y, 2}}, 50);
     m.minimize({{x, 1}, {y, 1}});
 
     std::vector<std::int64_t> hint = {50, 0};
@@ -189,7 +199,7 @@ TEST(CpSolver, DecisionLimitYieldsFeasibleOrUnknown)
     std::vector<LinearTerm> sum;
     for (auto v : vars)
         sum.push_back({v, 1});
-    m.addGreaterOrEqual(sum, 100);
+    addGreaterOrEqual(m, sum, 100);
     m.minimize(sum);
 
     auto r = CpSolver(params).solve(m);
@@ -300,8 +310,11 @@ randomInstance(int seed)
         m.addLinear(terms, lo, hi);
     }
     if (rng.uniform() < 0.5 && nvars >= 2) {
-        m.addImplicationGeLe(0, rng.uniformInt(1, dom), 1,
-                             rng.uniformInt(0, dom - 1));
+        // Bound before threshold: the order seeds 0-59's models were
+        // built with.
+        const auto bound = rng.uniformInt(0, dom - 1);
+        const auto threshold = rng.uniformInt(1, dom);
+        m.addImplicationGeLe(0, threshold, 1, bound);
     }
     std::vector<LinearTerm> obj;
     for (int i = 0; i < nvars; ++i)
@@ -405,8 +418,12 @@ TEST(CpModel, EntailedRowBoundsNeverChangeTheSearch)
             return m;
         };
         const CpModel tight = with_row(smin, smax);
-        const CpModel loose = with_row(smin - rng.uniformInt(1, 9),
-                                       smax + rng.uniformInt(1, 9));
+        // Upper slack before lower: the order every seed's loose row
+        // was built with.
+        const auto upper_slack = rng.uniformInt(1, 9);
+        const auto lower_slack = rng.uniformInt(1, 9);
+        const CpModel loose =
+            with_row(smin - lower_slack, smax + upper_slack);
         EXPECT_EQ(tight.canonicalFingerprint(),
                   loose.canonicalFingerprint());
         // A row that can bind keeps its bounds in the canonical key.

@@ -48,6 +48,15 @@ Checks (see tools/README.md for the full catalog):
                            atomics broadcast only monotone,
                            order-independent facts).  src/ has no
                            atomics today.
+  test-only-api            a function declared in a src/ header that no
+                           code outside tests/ calls: its name appears
+                           in src/, bench/, tools/, examples/ and
+                           perfbench/ only in its own declaration and
+                           definition.  perfbench/ is read for callers
+                           but not linted.  An accessor that tests use
+                           to observe product state carries a justified
+                           suppression; anything else is deleted, moved
+                           into test code, or given a real caller.
   bad-suppression          an FMLINT annotation with an empty or missing
                            justification (always fatal; the suppression
                            policy itself is machine-enforced).
@@ -86,6 +95,7 @@ CHECK_NAMES = [
     "float-accumulation-order",
     "no-raw-cast",
     "cross-thread-state",
+    "test-only-api",
 ]
 
 # Multi-character punctuators, longest first so the lexer is greedy.
@@ -435,6 +445,8 @@ class SymbolTable:
         # iterated in another (the .cc), so declared-unordered names
         # are collected globally.
         self.unordered_names: set[str] = set()
+        # Source-tree root -> caller_counts(root), built on first use.
+        self.callers: dict[str, dict[str, int]] = {}
 
     def collect(self, unit: FileUnit):
         toks = unit.tokens
@@ -1052,6 +1064,168 @@ def check_cross_thread_state(unit, symbols, findings):
                 "broadcast)"))
 
 
+# Directories of a source tree whose code counts as a caller of a src/
+# header function.  perfbench/ is read for callers but never linted:
+# it is the benchmark harness and is frozen between benchmark changes.
+# tests/ never counts.
+CALLER_DIRS = ("src", "bench", "tools", "examples", "perfbench")
+TREE_ROLES = set(CALLER_DIRS) | {"tests"}
+
+TYPE_KEYWORDS = {"void", "bool", "char", "short", "int", "long",
+                 "unsigned", "signed", "float", "double", "auto"}
+
+
+def tree_split(path):
+    """(root, role) for @p path: role is the innermost directory named
+    in TREE_ROLES, root the path above it.  A fixture tree nested under
+    tests/ thus gets its own src/, tests/ and bench/."""
+    parts = path.replace(os.sep, "/").split("/")[:-1]
+    for k in range(len(parts) - 1, -1, -1):
+        if parts[k] in TREE_ROLES:
+            return "/".join(parts[:k]), parts[k]
+    return None, None
+
+
+def declaration_scopes(toks, pairs):
+    """Per token: the name of the class whose body encloses it, "" at
+    namespace scope, or None inside a function body, initializer or
+    enum, where a declarator-like token is a statement, not an API."""
+    out = []
+    stack = [""]
+    for i, t in enumerate(toks):
+        out.append(stack[-1])
+        if t.text == "}" and t.kind == "punct" and len(stack) > 1:
+            stack.pop()
+        if t.text != "{" or t.kind != "punct":
+            continue
+        head = []
+        j = i - 1
+        while j >= 0 and toks[j].kind != "pp" and \
+                toks[j].text not in (";", "{", "}"):
+            if toks[j].text == ")" and j in pairs:
+                head.append("(")
+                j = pairs[j]
+            else:
+                head.append(toks[j].text)
+            j -= 1
+        head.reverse()
+        kind = None
+        if stack[-1] is not None:
+            if "namespace" in head or (head[:1] == ["extern"]):
+                kind = ""
+            elif ("enum" not in head and "(" not in head
+                  and "=" not in head):
+                # The class key, not a template parameter's 'class'.
+                for k, s in enumerate(head[:-1]):
+                    if (s in ("struct", "class", "union")
+                            and (k == 0 or head[k - 1] not in ("<", ","))):
+                        kind = head[k + 1]
+                        break
+        stack.append(kind)
+    return out
+
+
+def declares(toks, i, scope):
+    """Is the identifier at @p i the name being declared (a function,
+    a variable or a parameter), rather than a use?  The token before
+    its qualifier chain decides: a type ends there."""
+    j = i - 1
+    while j >= 1 and toks[j].text == "::" and toks[j - 1].kind == "id":
+        j -= 2
+    if j < 0:
+        return False
+    p = toks[j]
+    if p.kind == "id":
+        return p.text not in KEYWORDS or p.text in TYPE_KEYWORDS
+    if scope is None:
+        return False   # '*', '&' and '>' are operators in a body
+    if p.text in ("*", "&", "&&"):
+        q = toks[j - 1] if j >= 1 else None
+        return bool(q) and (q.kind == "id" or
+                            q.text in (">", ">>", "*", "&"))
+    return p.text in (">", ">>")
+
+
+def api_declarations(unit):
+    """(name, line) of each function a header declares or defines at
+    namespace or class scope; constructors, destructors, operators
+    and deleted functions are not API names."""
+    toks = unit.tokens
+    scopes = declaration_scopes(toks, unit.pairs)
+    out = []
+    for i, t in enumerate(toks):
+        if (t.kind != "id" or t.text in KEYWORDS or scopes[i] is None
+                or i + 1 >= len(toks) or toks[i + 1].text != "("
+                or t.text == scopes[i] or not declares(toks, i, "")):
+            continue
+        if toks[i - 1].text == "::" and toks[i - 2].text == t.text:
+            continue   # out-of-class constructor
+        close = unit.pairs.get(i + 1, i + 1)
+        if (close + 2 < len(toks) and toks[close + 1].text == "="
+                and toks[close + 2].text == "delete"):
+            continue
+        # Report on the line the declaration starts on (its return
+        # type), where a suppression comment sits directly above.
+        j = i
+        while j > 0 and toks[j - 1].kind != "pp" and \
+                toks[j - 1].text not in (";", "{", "}", ":"):
+            j -= 1
+        out.append((t.text, toks[j].line))
+    return out
+
+
+def caller_counts(root):
+    """Identifier -> number of non-declaring occurrences in the code
+    that counts as a caller (CALLER_DIRS under @p root)."""
+    counts: dict[str, int] = {}
+    for d in CALLER_DIRS:
+        top = os.path.join(root, d) if root else d
+        if not os.path.isdir(top):
+            continue
+        for path in gather_files([top], []):
+            try:
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    toks, _ = lex(f.read())
+            except LexError:
+                continue   # reported when the file itself is linted
+            scopes = declaration_scopes(toks, match_pairs(toks, path))
+            for i, t in enumerate(toks):
+                if t.kind == "pp":
+                    # A macro body calls what it names (FM_ASSERT ->
+                    # panic); the lexer keeps directives whole.
+                    m = re.match(r"#\s*define\s+\w+", t.text)
+                    if m:
+                        for mt in lex(t.text[m.end():])[0]:
+                            if mt.kind == "id":
+                                counts[mt.text] = \
+                                    counts.get(mt.text, 0) + 1
+                elif (t.kind == "id" and t.text not in KEYWORDS
+                        and not declares(toks, i, scopes[i])):
+                    counts[t.text] = counts.get(t.text, 0) + 1
+    return counts
+
+
+def check_test_only_api(unit, symbols, findings):
+    """A function declared in a src/ header that no code outside tests/
+    calls: its own declaration and definition are not calls, a call
+    from its own .hh or .cc is."""
+    if not unit.path.endswith((".hh", ".h", ".hpp")):
+        return
+    root, role = tree_split(unit.path)
+    if role != "src":
+        return
+    if root not in symbols.callers:
+        symbols.callers[root] = caller_counts(root)
+    counts = symbols.callers[root]
+    for name, line in api_declarations(unit):
+        if counts.get(name, 0) == 0:
+            findings.append(Finding(
+                unit.path, line, "test-only-api",
+                f"'{name}' has no caller outside tests/ (only its "
+                "declaration and definition name it); delete it, move "
+                "it into test code or give it a real caller"))
+
+
 BUILTIN_CHECKS = {
     "no-unordered-iteration": check_unordered_iteration,
     "no-pointer-order": check_pointer_order,
@@ -1059,6 +1233,7 @@ BUILTIN_CHECKS = {
     "float-accumulation-order": check_float_accumulation,
     "no-raw-cast": check_raw_cast,
     "cross-thread-state": check_cross_thread_state,
+    "test-only-api": check_test_only_api,
 }
 
 

@@ -41,7 +41,7 @@ stage() {
 cd "$repo_root"
 
 stage "flashmem_lint (determinism rules)" \
-    python3 tools/flashmem_lint.py src bench tests tools \
+    python3 tools/flashmem_lint.py src bench tests tools examples \
             --exclude lint_fixtures
 
 stage "flashmem_lint self-test (fixture corpus)" \
