@@ -15,7 +15,9 @@
  * counters (decisions, propagations, backtracks) next to wall time;
  * the regression gate holds the counters exactly, so a change that
  * makes the search do more work fails on any host. Part 2 also prints
- * Llama2-70B planner wall time at 1, 2 and 4 threads. Parts 3 and 4
+ * Llama2-70B planner wall time at 1, 2 and 4 threads, after a plan
+ * quality table: latency, peak and preload of every zoo model's
+ * shipped plan at default options. Parts 3 and 4
  * demonstrate the plan memo (re-planning an unchanged model reuses
  * its finished window solves) and merge-time re-balancing.
  *
@@ -293,6 +295,48 @@ main(int argc, char **argv)
     std::cout << "\nShape check (all plans feasible, cost grows with "
                  "scale): "
               << (ok ? "PASS" : "FAIL") << "\n";
+
+    // ------------------------------------------------------------------
+    // Plan quality: the shipped plan of every zoo model (the 11 Table-6
+    // models plus the three synthetic Table-4 models), each from one
+    // default-options compile and one execute on a fresh simulator.
+    // The gate holds latency and peak per model, so a planner change
+    // that ships slower or fatter plans fails here even when no
+    // serving number moves.
+    // ------------------------------------------------------------------
+    printHeading(std::cout, "Plan quality: shipped plans, default options");
+    {
+        std::vector<std::pair<std::string, const graph::Graph *>> zoo;
+        for (const auto &spec : models::modelZoo())
+            zoo.emplace_back(spec.abbr, &cachedModel(spec.id));
+        for (const auto &e : t4models) {
+            if (e.name == "ViT-8B" || e.name == "Llama2-13B" ||
+                e.name == "Llama2-70B")
+                zoo.emplace_back(e.name, e.graph);
+        }
+        const auto dev = gpusim::DeviceProfile::onePlus12();
+        Table q({"Model", "Latency (ms)", "Peak (MB)", "Preload (MB)"});
+        json << "  \"plan_quality\": [\n";
+        for (std::size_t i = 0; i < zoo.size(); ++i) {
+            core::FlashMem fm(dev);
+            const auto cm = fm.compile(*zoo[i].second);
+            gpusim::GpuSimulator sim(dev);
+            const auto r = fm.execute(sim, cm);
+            ok &= cm.plan.validate(cm.fusedGraph, false) && !r.oom;
+            const double latency = toMilliseconds(r.integratedLatency());
+            const double peak = toMiB(r.peakMemory);
+            const double preload = toMiB(cm.plan.preloadBytes(cm.fusedGraph));
+            q.addRow({zoo[i].first, formatDouble(latency, 2),
+                      formatDouble(peak, 2), formatDouble(preload, 2)});
+            json << "    {\"model\": \"" << zoo[i].first
+                 << "\", \"latency_ms\": " << latency
+                 << ", \"peak_mb\": " << peak
+                 << ", \"preload_mb\": " << preload << "}"
+                 << (i + 1 < zoo.size() ? "," : "") << "\n";
+        }
+        q.print(std::cout);
+        json << "  ],\n";
+    }
 
     // Planner wall time by thread count (printed only: host time).
     // No memo, so every arm searches; the plan must not depend on the

@@ -32,6 +32,8 @@ RULES = [
     ("solver_comparison.instances", ("name",), "propagations", "higher",
      0),
     ("table4", ("model",), "status", "later", 0),
+    ("plan_quality", ("model",), "latency_ms", "higher", "2%"),
+    ("plan_quality", ("model",), "peak_mb", "higher", "5%"),
     ("fig6_policies", ("policy",), "makespan_ms", "higher", "10%"),
     ("fig6_policies", ("policy",), "mean_latency_ms", "higher", "10%"),
     ("serving.policies", ("policy",), "p95_ms", "higher", "10%"),
