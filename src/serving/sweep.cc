@@ -141,6 +141,35 @@ probe(const ModelMix &mix, const multidnn::SchedulingPolicy &policy,
     return pt;
 }
 
+/**
+ * QPS at which the SLO criteria that failing probe @p hi breaks reach
+ * their bounds, interpolated geometrically in QPS between passing
+ * probe @p lo and @p hi on each criterion's margin (goodput above
+ * minGoodput, p99 under p99Bound); the lowest crossing wins. An
+ * unstable, aborted @p hi has no margin, so the crossing is @p lo.
+ */
+double
+sloCrossing(const ProbePoint &lo, const ProbePoint &hi,
+            const SloSpec &slo)
+{
+    if (hi.unstable)
+        return lo.qps;
+    std::vector<std::pair<double, double>> margins{
+        {lo.goodputRate - slo.minGoodput, hi.goodputRate - slo.minGoodput}};
+    if (slo.p99Bound > 0) {
+        const double bound = toMilliseconds(slo.p99Bound);
+        margins.push_back({bound - lo.p99Ms, bound - hi.p99Ms});
+    }
+    double crossing = hi.qps;
+    for (const auto &[at_lo, at_hi] : margins) {
+        if (at_hi >= 0.0)
+            continue;
+        const double t = std::max(at_lo, 0.0) / (std::max(at_lo, 0.0) - at_hi);
+        crossing = std::min(crossing, lo.qps * std::pow(hi.qps / lo.qps, t));
+    }
+    return crossing;
+}
+
 } // namespace
 
 SweepResult
@@ -178,37 +207,36 @@ findMaxSustainableQps(const ModelMix &mix,
 
     // Bracket [lo, hi): lo = last sustainable rung before the first
     // unsustainable one, hi = that first unsustainable rung.
-    double lo = 0.0, hi = 0.0;
+    ProbePoint lo, hi;
     for (const auto &pt : result.probes) {
         if (pt.sustainable) {
-            lo = pt.qps;
+            lo = pt;
         } else {
-            hi = pt.qps;
+            hi = pt;
             break;
         }
     }
-    if (lo == 0.0) {
+    if (lo.qps == 0.0) {
         // Even the lowest rung failed the SLO.
         result.maxSustainableQps = 0.0;
         return result;
     }
-    if (hi == 0.0) {
+    if (hi.qps == 0.0) {
         // Everything up to the cap sustained.
         result.maxSustainableQps = params.hiQps;
         return result;
     }
 
-    // Geometric binary search inside the bracket.
-    while ((hi - lo) / lo > kSweepResolution) {
-        double mid = std::sqrt(lo * hi);
-        auto pt = probe(mix, policy, services, params, mid);
+    // Geometric binary search inside the bracket, then the SLO
+    // crossing inside the last bracket: a pass/fail verdict alone
+    // would move the result by whole brackets on a tiny input change.
+    while ((hi.qps - lo.qps) / lo.qps > kSweepResolution) {
+        auto pt = probe(mix, policy, services, params,
+                        std::sqrt(lo.qps * hi.qps));
         result.probes.push_back(pt);
-        if (pt.sustainable)
-            lo = mid;
-        else
-            hi = mid;
+        (pt.sustainable ? lo : hi) = pt;
     }
-    result.maxSustainableQps = lo;
+    result.maxSustainableQps = sloCrossing(lo, hi, params.slo);
     return result;
 }
 

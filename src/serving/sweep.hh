@@ -16,8 +16,9 @@
  * (ServingSimParams::cluster) and faults.
  *
  * findMaxSustainableQps() locates the capacity knee per policy: the
- * largest offered QPS whose probe run still meets the SloSpec (p99
- * under the bound, goodput above the floor). Probes are pure
+ * offered QPS at which a probe run stops meeting the SloSpec (p99
+ * under the bound, goodput above the floor), interpolated between the
+ * last passing and the first failing probe. Probes are pure
  * functions of (mix, qps, seed, cluster), so the bracketing ladder
  * can run concurrently on a ThreadPool with no effect on the result.
  * sweepDeviceCounts() repeats the sweep across cluster sizes with
@@ -136,7 +137,10 @@ struct SweepParams
 /** Result of one policy's capacity sweep. */
 struct SweepResult
 {
-    /** Largest probed QPS meeting the SLO (0 if even loQps fails). */
+    /** QPS where the SLO margin crosses zero between the last passing
+     * and the first failing probe; the passing probe's QPS when the
+     * failing one aborted as unstable, hiQps when every ladder rung
+     * passes, 0 if even loQps fails. */
     double maxSustainableQps = 0.0;
     /** Every probe evaluated, in evaluation order. */
     std::vector<ProbePoint> probes;

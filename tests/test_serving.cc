@@ -369,6 +369,37 @@ TEST(Sweep, FindsTheCapacityKnee)
     EXPECT_LT(res_slow.maxSustainableQps, res.maxSustainableQps);
 }
 
+TEST(Sweep, CapacityTracksASmallServiceTimeChange)
+{
+    // The FindsTheCapacityKnee setup with the model 0.5%, 1% and 2%
+    // slower. Each step must lower the reported capacity, and by a
+    // few percent at most: a bracket verdict alone stays put on some
+    // steps and jumps a whole 5% bracket on others.
+    ModelMix mix;
+    mix.entries = {{ModelId::ResNet50, 1.0, milliseconds(100), 0}};
+    SweepParams sp;
+    sp.loQps = 2.0;
+    sp.hiQps = 512.0;
+    sp.requestsPerProbe = 20000;
+    sp.seed = 5;
+    sp.slo.p99Bound = milliseconds(100);
+    double prev = 0.0;
+    for (double scale : {1.0, 1.005, 1.01, 1.02}) {
+        SCOPED_TRACE(scale);
+        ServiceTable table = handTable();
+        table[ModelId::ResNet50].service = static_cast<SimTime>(
+            scale * static_cast<double>(milliseconds(10)));
+        const double qps =
+            findMaxSustainableQps(mix, FifoPolicy{}, table, sp)
+                .maxSustainableQps;
+        if (prev > 0.0) {
+            EXPECT_LT(qps, prev);
+            EXPECT_GT(qps, 0.97 * prev);
+        }
+        prev = qps;
+    }
+}
+
 TEST(Sweep, ThreadPoolDoesNotChangeTheResult)
 {
     ModelMix mix;
