@@ -8,43 +8,33 @@ namespace flashmem {
 
 namespace {
 
-/** Verbosity levels of FLASHMEM_LOG_LEVEL. */
-enum class LogLevel { Silent, Error, Warn, Info, Debug };
-
-/** FLASHMEM_LOG_LEVEL: silent|error|warn|info|debug (default warn,
- * so benches stay clean); unknown values fall back to warn with a
- * note, so a typo cannot silently mute diagnostics. */
-LogLevel
-levelFromEnv()
+/** FLASHMEM_LOG_LEVEL: silent|warn (default warn). warn() is the
+ * only leveled message, so these are the only two levels; any other
+ * value falls back to warn with a note, so a typo cannot silently
+ * mute diagnostics. */
+bool
+warningsFromEnv()
 {
     // FMLINT(allow:no-wall-clock) getenv is process config, not time
     const char *env = std::getenv("FLASHMEM_LOG_LEVEL");
-    if (!env || !*env)
-        return LogLevel::Warn;
+    if (!env || !*env || !std::strcmp(env, "warn"))
+        return true;
     if (!std::strcmp(env, "silent"))
-        return LogLevel::Silent;
-    if (!std::strcmp(env, "error"))
-        return LogLevel::Error;
-    if (!std::strcmp(env, "warn"))
-        return LogLevel::Warn;
-    if (!std::strcmp(env, "info"))
-        return LogLevel::Info;
-    if (!std::strcmp(env, "debug"))
-        return LogLevel::Debug;
+        return false;
     std::fprintf(stderr,
                  "warn: FLASHMEM_LOG_LEVEL='%s' not recognized "
-                 "(silent|error|warn|info|debug); using warn\n",
+                 "(silent|warn); using warn\n",
                  env);
-    return LogLevel::Warn;
+    return true;
 }
 
 /** Function-local static so the env read happens on first use, not
  * at some unspecified static-init point. */
-LogLevel
-logLevel()
+bool
+warningsOn()
 {
-    static const LogLevel level = levelFromEnv();
-    return level;
+    static const bool on = warningsFromEnv();
+    return on;
 }
 
 } // namespace
@@ -68,7 +58,7 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (logLevel() >= LogLevel::Warn)
+    if (warningsOn())
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 

@@ -4,8 +4,8 @@
  *
  * fatal() is for user errors (bad configuration); panic() is for internal
  * invariant violations. Both terminate. warn() never terminates; the
- * FLASHMEM_LOG_LEVEL environment variable (silent|error|warn|info|debug,
- * default warn) mutes it below warn.
+ * FLASHMEM_LOG_LEVEL environment variable (silent|warn, default warn)
+ * mutes it when set to silent.
  */
 
 #ifndef FLASHMEM_COMMON_LOGGING_HH

@@ -48,7 +48,6 @@ KernelModel::computeTime(const KernelSpec &spec) const
     double eff;
     switch (spec.kind) {
       case OpKind::Conv2D:
-      case OpKind::DepthwiseConv2D:
         eff = dev_.convEfficiency;
         break;
       default:
@@ -124,11 +123,7 @@ KernelModel::inlineLoadPenalty(const KernelSpec &spec,
         // slack; only issue overhead and the unhidden tail remain.
         // Convolution weights additionally need Winograd-style
         // repacking that cannot be overlapped (paper Section 5.2).
-        double repack =
-            (spec.kind == OpKind::Conv2D ||
-             spec.kind == OpKind::DepthwiseConv2D)
-                ? 1.6
-                : 1.0;
+        double repack = spec.kind == OpKind::Conv2D ? 1.6 : 1.0;
         SimTime slack =
             std::max<SimTime>(computeTime(spec) - memoryTime(spec), 0);
         SimTime hidden = std::min<SimTime>(

@@ -18,7 +18,6 @@ constexpr std::array<OpInfo, static_cast<std::size_t>(OpKind::NumKinds)>
 kOpInfo{{
     {OpKind::MatMul, OpClass::Reusable},
     {OpKind::Conv2D, OpClass::Reusable},
-    {OpKind::DepthwiseConv2D, OpClass::Reusable},
     {OpKind::AttentionMatMul, OpClass::Reusable},
     {OpKind::Add, OpClass::Elemental},
     {OpKind::Mul, OpClass::Elemental},
@@ -32,7 +31,6 @@ kOpInfo{{
     {OpKind::Embedding, OpClass::Elemental},
     {OpKind::Pooling, OpClass::Elemental},
     {OpKind::Upsample, OpClass::Elemental},
-    {OpKind::RoPE, OpClass::Elemental},
     {OpKind::Softmax, OpClass::Hierarchical},
     {OpKind::LayerNorm, OpClass::Hierarchical},
     {OpKind::GroupNorm, OpClass::Hierarchical},

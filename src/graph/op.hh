@@ -25,7 +25,6 @@ enum class OpKind
     // Reusable: multi-dimensional compute with data reuse.
     MatMul,
     Conv2D,
-    DepthwiseConv2D,
     AttentionMatMul,    // QK^T and PV batched matmuls
     // Elemental: memory-bound, element-wise or near element-wise.
     Add,
@@ -40,7 +39,6 @@ enum class OpKind
     Embedding,
     Pooling,
     Upsample,
-    RoPE,               // rotary position embedding applied elementwise
     // Hierarchical: staged reductions with intra-kernel synchronization.
     Softmax,
     LayerNorm,
