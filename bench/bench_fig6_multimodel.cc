@@ -15,8 +15,8 @@
  * BENCH_table4.json's fig6_policies section (tools/run_benchmarks.sh).
  *
  * `--determinism`: instead of the figure, run the memory-aware
- * re-planning scheduler with planner thread counts 1 and 4 (each
- * FlashMem owning its plan memo) and fail unless the outcomes
+ * re-planning scheduler with planner thread counts 1 and 4 (one
+ * FlashMem each) and fail unless the outcomes
  * (timelines, re-plan counts, memory) are identical — the
  * ctest-registered scheduler determinism check.
  *
@@ -63,7 +63,7 @@ outcomesIdentical(const multidnn::ScheduleOutcome &a,
 /**
  * Scheduler determinism: the same queue under the memory-aware
  * re-planning policy must produce bit-identical outcomes for any
- * planner thread count (each arm's FlashMem owns its plan memo).
+ * planner thread count (one FlashMem per arm).
  */
 int
 runDeterminismCheck()
@@ -92,7 +92,6 @@ runDeterminismCheck()
     std::cout << "scheduler determinism (threads 1 vs 4): "
               << (identical ? "identical" : "DIVERGED") << ", "
               << t1.replans << " re-plans ("
-              << t1.replanMemoHits << " memo hits, "
               << formatDouble(t1.replanSeconds, 3) << " s)\n";
     std::cout << "re-planning exercised: "
               << (replanned ? "yes" : "NO") << "\n";
@@ -239,7 +238,7 @@ main(int argc, char **argv)
              << ", \"replans\": " << o.replans << "}";
     };
     Table pt({"Policy", "Makespan", "Mean latency", "Mean queue",
-              "Peak mem", "Re-plans", "Memo hits"});
+              "Peak mem", "Re-plans"});
     const auto &kinds = multidnn::allPolicyKinds();
     std::vector<multidnn::ScheduleOutcome> outcomes;
     for (std::size_t i = 0; i < kinds.size(); ++i) {
@@ -249,8 +248,7 @@ main(int argc, char **argv)
                    formatMs(o.meanLatency()),
                    formatMs(o.meanQueueDelay()),
                    formatBytes(o.peakMemory),
-                   std::to_string(o.replans),
-                   std::to_string(o.replanMemoHits)});
+                   std::to_string(o.replans)});
         jsonRow(o.policy, o);
         json << ",\n";
         outcomes.push_back(std::move(o));

@@ -50,7 +50,6 @@ runPhaseBreakdown()
         std::string ref_plan;
         for (int threads : arms) {
             core::OpgParams params;
-            params.solverDecisionsPerWindow = 20000;
             params.parallel.threads = threads;
             core::LcOpgPlanner planner(*m.graph, cap, km, params);
             core::PlanStats stats;

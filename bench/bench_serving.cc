@@ -16,7 +16,7 @@
  *
  * `--determinism`: run the headline 1M-request trace and a capacity
  * sweep under (planner threads, pool threads) = (1,1) and (4,4) on
- * isolated PlanMemos and fail unless every policy's p50/p95/p99, shed
+ * separate FlashMems and fail unless every policy's p50/p95/p99, shed
  * and degraded counts, goodput, makespan, and max sustainable QPS are
  * bit-identical — the ctest-registered serving determinism check.
  *
@@ -96,12 +96,11 @@ struct Arm
 /** Calibrate the model mix on a fresh FlashMem at @p planner_threads
  * and derive the offered-load operating points from it. */
 Arm
-calibrateArm(core::PlanMemo &memo, int planner_threads)
+calibrateArm(int planner_threads)
 {
     auto dev = gpusim::DeviceProfile::onePlus12();
     core::FlashMemOptions opt;
     opt.opg.parallel.threads = planner_threads;
-    opt.opg.memo = &memo;
     core::FlashMem fm(dev, opt);
 
     Arm arm;
@@ -410,16 +409,15 @@ struct AdmissionStudy
  * gated-vs-ungated is a pure timing comparison.
  */
 AdmissionStudy
-runAdmissionStudy(const Arm &arm, core::PlanMemo &memo,
-                  int planner_threads)
+runAdmissionStudy(const Arm &arm, int planner_threads)
 {
     // Oracle calibration of the cold models the warm table never saw
-    // (same device profile / memo as the warm arm, so the merged table
-    // is what one calibration pass over all six models would yield).
+    // (same device profile and options as the warm arm, so the merged
+    // table is what one calibration pass over all six models would
+    // yield).
     auto dev = gpusim::DeviceProfile::onePlus12();
     core::FlashMemOptions opt;
     opt.opg.parallel.threads = planner_threads;
-    opt.opg.memo = &memo;
     core::FlashMem fm(dev, opt);
     const std::vector<models::ModelId> cold_models = {
         ModelId::DeepViT, ModelId::DepthAnythingL};
@@ -650,8 +648,7 @@ constexpr std::size_t kTraceExportRequests = 5000;
 int
 runTraceExport(const char *path)
 {
-    core::PlanMemo memo(1024);
-    auto arm = calibrateArm(memo, ThreadPool::defaultThreadCount());
+    auto arm = calibrateArm(ThreadPool::defaultThreadCount());
     const double qps =
         kAdmissionOverload * arm.capacityQps * kFaultDevices;
     const SimTime horizon = seconds(
@@ -738,8 +735,7 @@ int
 runShardingDeterminismCheck()
 {
     auto run_study = [&](int threads) {
-        core::PlanMemo memo(1024);
-        auto arm = calibrateArm(memo, threads);
+        auto arm = calibrateArm(threads);
         ThreadPool pool(threads);
         return runShardingStudy(arm, pool, /*sweep_requests=*/50000,
                                 /*headline_requests=*/100000);
@@ -771,8 +767,7 @@ int
 runDeterminismCheck()
 {
     auto run_arm = [&](int threads) {
-        core::PlanMemo memo(1024);
-        auto arm = calibrateArm(memo, threads);
+        auto arm = calibrateArm(threads);
         ThreadPool pool(threads);
         return runArm(arm, pool, kHeadlineRequests,
                       /*sweep_requests=*/100000);
@@ -822,8 +817,7 @@ main(int argc, char **argv)
     printHeading(std::cout,
                  "Serving harness: 1M-request capacity study");
 
-    core::PlanMemo memo(1024);
-    auto arm = calibrateArm(memo, ThreadPool::defaultThreadCount());
+    auto arm = calibrateArm(ThreadPool::defaultThreadCount());
 
     std::cout << "calibrated capacity "
               << formatDouble(arm.capacityQps, 1) << " QPS, headline "
@@ -1095,7 +1089,7 @@ main(int argc, char **argv)
 
     // ------------------------------------------- admission study
     auto admission =
-        runAdmissionStudy(arm, memo, ThreadPool::defaultThreadCount());
+        runAdmissionStudy(arm, ThreadPool::defaultThreadCount());
     auto [admission_ok, ajson] = reportAdmissionStudy(admission);
     ok &= admission_ok;
 

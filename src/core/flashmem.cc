@@ -20,10 +20,6 @@ FlashMem::FlashMem(const gpusim::DeviceProfile &device,
     : device_(device), options_(options), kernel_model_(device_),
       capacity_(kernel_model_, options_.thresholds)
 {
-    if (!options_.opg.memo) {
-        owned_memo_ = std::make_unique<PlanMemo>();
-        options_.opg.memo = owned_memo_.get();
-    }
 }
 
 double
@@ -72,11 +68,8 @@ FlashMem::compile(const graph::Graph &model) const
         LcOpgPlanner planner(out.fusedGraph, capacity_, kernel_model_,
                              options_.opg);
         out.plan = planner.plan(&out.stats);
-        // Rounds whose windows reuse finished solves (splits leave
-        // most of the model untouched) show up as planMemoHits.
         out.totalSolveSeconds += out.stats.solveSeconds;
         out.totalSolverDecisions += out.stats.solverDecisions;
-        out.planMemoHits += out.stats.memoHits;
 
         if (!options_.adaptiveFusion || round == kMaxFusionRounds)
             break;
@@ -164,7 +157,6 @@ FlashMem::replan(const CompiledModel &compiled, Bytes mPeak) const
     out.plan = planner.plan(&out.stats);
     out.totalSolveSeconds = out.stats.solveSeconds;
     out.totalSolverDecisions = out.stats.solverDecisions;
-    out.planMemoHits = out.stats.memoHits;
 
     KernelRewriter rewriter(out.fusedGraph, out.plan,
                             options_.kernelRewriting);

@@ -18,7 +18,6 @@
 #ifndef FLASHMEM_CORE_FLASHMEM_HH
 #define FLASHMEM_CORE_FLASHMEM_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,8 +61,7 @@ struct CompiledModel
     int groupsSplit = 0;
     /** @name Aggregates across all adaptive-fusion rounds. @{ */
     double totalSolveSeconds = 0.0;
-    std::uint64_t totalSolverDecisions = 0;
-    std::uint64_t planMemoHits = 0; ///< windows reused from the memo
+    std::uint64_t totalSolverDecisions = 0; ///< flow augmentations
     /** @} */
 
     /** Fraction of weight bytes streamed rather than preloaded. */
@@ -76,12 +74,8 @@ struct CompiledModel
 
 /**
  * The FlashMem framework for one device profile. Every plan it ships
- * is a pure function of (graph, device, options): a per-window
- * decision budget is the planner's only search limit.
- * Planning goes through options.opg.memo when the caller passes one;
- * otherwise this FlashMem owns a PlanMemo, so repeat compiles,
- * adaptive-fusion rounds and re-plans reuse finished window solves
- * instead of searching again.
+ * is a pure function of (graph, device, options): each planner window
+ * is one min-cost flow, with no search limit and no memo.
  */
 class FlashMem
 {
@@ -97,9 +91,8 @@ class FlashMem
      * overlap plan is solved under @p mPeak instead of the budget it
      * shipped with. The fused graph is reused as-is (fusion decisions
      * are budget-independent; skipping the adaptive-fusion loop keeps
-     * re-plans well under a second). Through the plan memo, windows
-     * the new budget cannot bind reuse their finished solves exactly,
-     * so repeated budget shifts — the multi-DNN scheduler
+     * re-plans well under a second). Every window is one flow, so
+     * repeated budget shifts — the multi-DNN scheduler
      * admitting/evicting co-resident models — are cheap and
      * bit-deterministic for any thread count.
      */
@@ -125,9 +118,6 @@ class FlashMem
 
     gpusim::DeviceProfile device_;
     FlashMemOptions options_;
-    /** The memo options_.opg.memo points at when the caller passed
-     * none. */
-    std::unique_ptr<PlanMemo> owned_memo_;
     gpusim::KernelModel kernel_model_;
     profiler::AnalyticCapacityProvider capacity_;
 };

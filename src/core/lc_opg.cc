@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "solver/model.hh"
 
 namespace flashmem::core {
 
@@ -26,7 +25,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 constexpr std::int64_t kObjScale = 100;
 
 /**
- * Ledger-checked chunk placement step shared by the greedy warm start,
+ * Ledger-checked chunk placement step shared by the greedy placement,
  * the merge-time clamp, and the re-balancing pass: take up to @p want
  * chunks of a weight consumed at @p consumer at layer @p l, bounded by
  * the layer's residual capacity and the in-flight headroom over
@@ -61,10 +60,6 @@ LcOpgPlanner::LcOpgPlanner(const graph::Graph &g,
 {
     FM_ASSERT(params_.windowLayers > 0 && params_.maxLoadDistance > 0,
               "bad OPG window parameters");
-    // The decision budget is the only search limit: 0 would leave every
-    // window search unbounded.
-    FM_ASSERT(params_.solverDecisionsPerWindow > 0,
-              "solverDecisionsPerWindow must be positive");
 }
 
 void
@@ -192,7 +187,7 @@ LcOpgPlanner::stageWindow(graph::NodeId start, graph::NodeId end,
 
     // Reserve the greedy's capacity in the staging ledgers: windows
     // staged after this one see the expected usage of this window, so
-    // their solves can start before this window's solver finishes.
+    // their solves can start before this window's solve finishes.
     const auto &w_list = in.weights;
     for (std::size_t k = 0; k < w_list.size(); ++k) {
         const auto consumer = g_.weight(w_list[k]).consumer;
@@ -205,150 +200,72 @@ LcOpgPlanner::stageWindow(graph::NodeId start, graph::NodeId end,
     return in;
 }
 
-LcOpgPlanner::WindowModel
-LcOpgPlanner::buildWindowModel(const WindowInput &in) const
+solver::WindowNetwork
+LcOpgPlanner::windowNetwork(const WindowInput &in) const
 {
-    // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
-    auto build_t0 = std::chrono::steady_clock::now();
     const std::int64_t mpeak_chunks = static_cast<std::int64_t>(
         params_.mPeak / params_.chunkBytes);
+    solver::WindowNetwork net;
+    net.firstLayer = in.minCand;
+    net.endLayer = in.end;
+    for (std::size_t k = 0; k < in.weights.size(); ++k) {
+        net.weights.push_back({g_.weight(in.weights[k]).consumer,
+                               chunk_count_[in.weights[k]], in.cands[k]});
+    }
+    net.residual = in.residual;
+    net.headroom.resize(in.inflight.size());
+    for (std::size_t p = 0; p < in.inflight.size(); ++p)
+        net.headroom[p] =
+            std::max<std::int64_t>(mpeak_chunks - in.inflight[p], 0);
+    net.lambdaS = static_cast<std::int64_t>(params_.lambda * kObjScale);
+    net.muS = static_cast<std::int64_t>(kMu * kObjScale);
+    return net;
+}
 
-    const auto &weights = in.weights;
-    const auto &cands = in.cands;
-    const auto &greedy = in.greedy;
-    const graph::NodeId end = in.end;
-    const graph::NodeId min_cand = in.minCand;
-
-    WindowModel wm;
-    solver::CpModel &m = wm.model;
-    std::vector<solver::VarId> &y_vars = wm.y_vars;
-    std::vector<solver::VarId> &z_vars = wm.z_vars;
-    std::vector<std::vector<solver::VarId>> &x_vars = wm.x_vars;
-    std::vector<std::int64_t> &hint = wm.hint;
-    y_vars.resize(weights.size());
-    z_vars.assign(weights.size(), -1);
-    x_vars.resize(weights.size());
-
-    std::vector<solver::LinearTerm> objective;
-    for (std::size_t k = 0; k < weights.size(); ++k) {
-        const auto &w = g_.weight(weights[k]);
-        std::int64_t t_w = chunk_count_[weights[k]];
-        y_vars[k] = m.newIntVar(0, t_w, w.name + ".preload");
-        hint.push_back(greedy.preload[k]);
-        // lambda-weighted preload cost.
-        objective.push_back(
-            {y_vars[k], static_cast<std::int64_t>(
-                            params_.lambda * kObjScale)});
-
-        std::vector<solver::LinearTerm> coverage{{y_vars[k], 1}};
-        for (auto l : cands[k]) {
-            auto x = m.newIntVar(
-                0, std::min<std::int64_t>(
-                       {t_w, in.residual[l], mpeak_chunks}));
-            x_vars[k].push_back(x);
-            coverage.push_back({x, 1});
-            // Tie-break: transform close to the consumer.
-            objective.push_back({x, w.consumer - l - 1});
-            std::int64_t hint_x = 0;
-            for (auto &[gl, gc] : greedy.assignments[k]) {
-                if (gl == l)
-                    hint_x = gc;
-            }
-            hint.push_back(hint_x);
-        }
-        // C0: completeness of allocation.
-        m.addEquality(coverage, t_w);
-
-        // z_w and C1 implications (streamed weights only).
-        if (!cands[k].empty()) {
-            graph::NodeId z_lo = std::max<graph::NodeId>(
-                0, w.consumer - params_.maxLoadDistance);
-            z_vars[k] =
-                m.newIntVar(z_lo, w.consumer, w.name + ".z");
-            // mu-weighted loading distance i_w - z_w.
-            objective.push_back(
-                {z_vars[k],
-                 -static_cast<std::int64_t>(kMu * kObjScale)});
-            for (std::size_t j = 0; j < cands[k].size(); ++j) {
-                m.addImplicationGeLe(x_vars[k][j], 1, z_vars[k],
-                                     cands[k][j]);
-            }
-            graph::NodeId hint_z = w.consumer;
-            for (auto &[gl, gc] : greedy.assignments[k])
-                hint_z = std::min(hint_z, gl);
-            hint.push_back(hint_z);
+solver::WindowPlan
+LcOpgPlanner::greedyPlan(const WindowInput &in)
+{
+    solver::WindowPlan x(in.weights.size());
+    for (std::size_t k = 0; k < in.weights.size(); ++k) {
+        x[k].assign(in.cands[k].size(), 0);
+        for (const auto &[l, c] : in.greedy.assignments[k]) {
+            // The greedy takes only from layers with staged residual
+            // capacity, which are exactly the candidates.
+            auto it = std::lower_bound(in.cands[k].begin(),
+                                       in.cands[k].end(), l);
+            FM_ASSERT(it != in.cands[k].end() && *it == l,
+                      "greedy placement at a non-candidate layer ", l);
+            x[k][static_cast<std::size_t>(it - in.cands[k].begin())] = c;
         }
     }
-
-    // C3: per-layer load capacity.
-    for (graph::NodeId l = min_cand; l < end && min_cand < end;
-         ++l) {
-        std::vector<solver::LinearTerm> col;
-        for (std::size_t k = 0; k < weights.size(); ++k) {
-            for (std::size_t j = 0; j < cands[k].size(); ++j) {
-                if (cands[k][j] == l)
-                    col.push_back({x_vars[k][j], 1});
-            }
-        }
-        if (!col.empty())
-            m.addLessOrEqual(col, in.residual[l]);
-    }
-
-    // C2: in-flight transformed-but-unconsumed memory.
-    for (graph::NodeId p = min_cand; p < end && min_cand < end;
-         ++p) {
-        std::vector<solver::LinearTerm> inflight;
-        for (std::size_t k = 0; k < weights.size(); ++k) {
-            if (g_.weight(weights[k]).consumer <= p)
-                continue;
-            for (std::size_t j = 0; j < cands[k].size(); ++j) {
-                if (cands[k][j] <= p)
-                    inflight.push_back({x_vars[k][j], 1});
-            }
-        }
-        if (!inflight.empty()) {
-            m.addLessOrEqual(inflight, std::max<std::int64_t>(
-                                           mpeak_chunks -
-                                               in.inflight[p],
-                                           0));
-        }
-    }
-
-    m.minimize(objective);
-    wm.buildSeconds = secondsSince(build_t0);
-    return wm;
+    return x;
 }
 
 void
-LcOpgPlanner::extractWindow(const WindowInput &in, const WindowModel &wm,
-                            const solver::SolveResult &r,
+LcOpgPlanner::extractWindow(const WindowInput &in,
+                            const solver::WindowSolution &sol,
                             WindowOutput &out) const
 {
-    WindowResult &result = out.result;
-    result.buildSeconds = wm.buildSeconds;
-    result.solveSeconds = r.wallSeconds;
-    result.decisions = r.decisions;
-    result.propagations = r.propagations;
-    result.conflicts = r.backtracks;
-    result.status = r.status;
-    // The hint satisfies the model (lc_opg.hh, "One search per
-    // window"), so the search starts with an incumbent.
-    FM_ASSERT(r.feasible(), "window at layer ", in.start,
-              " has no solution despite its greedy hint");
+    out.summary.status = sol.status;
+    out.summary.objective = sol.objective;
+    out.summary.greedyObjective = sol.greedyObjective;
+    out.summary.bound = sol.bound;
+    out.summary.augmentations = sol.augmentations;
 
     const auto &weights = in.weights;
     out.preload.assign(weights.size(), 0);
     out.assign.assign(weights.size(), {});
     out.z.assign(weights.size(), graph::kInvalidNode);
     for (std::size_t k = 0; k < weights.size(); ++k) {
-        out.preload[k] = r.value(wm.y_vars[k]);
+        std::int64_t streamed = 0;
         for (std::size_t j = 0; j < in.cands[k].size(); ++j) {
-            auto v = r.value(wm.x_vars[k][j]);
-            if (v > 0)
-                out.assign[k].push_back({in.cands[k][j], v});
+            if (sol.x[k][j] > 0)
+                out.assign[k].push_back({in.cands[k][j], sol.x[k][j]});
+            streamed += sol.x[k][j];
         }
-        if (wm.z_vars[k] >= 0 && !out.assign[k].empty())
-            out.z[k] = static_cast<graph::NodeId>(r.value(wm.z_vars[k]));
+        out.preload[k] = chunk_count_[weights[k]] - streamed;
+        if (!out.assign[k].empty())
+            out.z[k] = out.assign[k].front().first;
     }
 }
 
@@ -385,9 +302,8 @@ LcOpgPlanner::commitWindow(const WindowInput &in, const WindowOutput &out,
         for (auto &[l, c] : kept)
             plan.addAssignment(wid, l, c);
         if (!kept.empty()) {
-            // z_w from the solver when it survives the clamp (C1
-            // guarantees z <= first assigned layer); first kept layer
-            // otherwise.
+            // z_w is the shipped plan's first used layer, which is no
+            // later than the first layer the clamp kept (C1).
             graph::NodeId z = out.z[k];
             if (z == graph::kInvalidNode || z > first_kept)
                 z = first_kept;
@@ -426,7 +342,7 @@ LcOpgPlanner::rebalanceMerge(OverlapPlan &plan, PlanStats &stats)
         graph::NodeId first_added = graph::kInvalidNode;
         graph::NodeId lo = std::max<graph::NodeId>(
             0, w.consumer - params_.maxLoadDistance);
-        // Latest-feasible placement, mirroring the greedy warm start.
+        // Latest-feasible placement, mirroring the greedy placement.
         for (graph::NodeId l = w.consumer - 1; l >= lo && preload > 0;
              --l) {
             std::int64_t take =
@@ -491,8 +407,8 @@ LcOpgPlanner::plan(PlanStats *stats)
     }
     local.stageSeconds = secondsSince(stage_t0);
 
-    // Phase 2 — solve: every window is one search of its model from
-    // its staged greedy hint. The searches run concurrently on one
+    // Phase 2 — solve: every window is one flow of its network, scored
+    // against its staged greedy. The flows run concurrently on one
     // pool; the main thread consumes them in submission (window)
     // order, so downstream phases never observe completion order.
     const int threads =
@@ -504,51 +420,38 @@ LcOpgPlanner::plan(PlanStats *stats)
     auto solve_t0 = std::chrono::steady_clock::now();
     std::vector<WindowOutput> outputs(inputs.size());
     {
+        struct Task
+        {
+            solver::WindowNetwork net;
+            solver::WindowPlan greedy;
+            std::future<std::pair<solver::WindowSolution, double>> future;
+        };
         // Declared before the pool, whose destructor joins the workers
         // whose tasks read them.
-        std::vector<WindowSolveState> states(inputs.size());
+        std::vector<Task> tasks(inputs.size());
         ThreadPool pool(threads);
-        solver::SolverParams sp;
-        sp.maxDecisions = params_.solverDecisionsPerWindow;
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             if (inputs[i].weights.empty())
                 continue;
-            WindowSolveState &st = states[i];
-            st.wm = buildWindowModel(inputs[i]);
-            if (params_.memo) {
-                // Stored solves come from earlier plans only — this
-                // plan's are stored after every lookup — and a hit
-                // that does not satisfy this model (a fingerprint
-                // collision) is ignored.
-                st.solveKey = {st.wm.model.canonicalFingerprint(),
-                               st.wm.hint, sp.maxDecisions};
-                st.reused = params_.memo->lookupSolve(st.solveKey);
-                if (st.reused &&
-                    st.wm.model.satisfiedBy(st.reused->values)) {
-                    st.reused->wallSeconds = 0.0; // no search ran
-                    continue;
-                }
-                st.reused.reset();
-            }
-            st.future = pool.submit([&st, sp]() {
-                return solver::CpSolver(sp).solve(st.wm.model,
-                                                  &st.wm.hint);
+            // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
+            auto build_t0 = std::chrono::steady_clock::now();
+            Task &task = tasks[i];
+            task.net = windowNetwork(inputs[i]);
+            task.greedy = greedyPlan(inputs[i]);
+            outputs[i].buildSeconds = secondsSince(build_t0);
+            task.future = pool.submit([&task]() {
+                // FMLINT(allow:no-wall-clock) reported PlanStats timings only; plan content never reads the clock
+                auto t0 = std::chrono::steady_clock::now();
+                auto sol = solver::solveWindow(task.net, task.greedy);
+                return std::make_pair(std::move(sol), secondsSince(t0));
             });
         }
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             if (inputs[i].weights.empty())
                 continue;
-            WindowSolveState &st = states[i];
-            solver::SolveResult r;
-            if (st.reused) {
-                r = std::move(*st.reused);
-                outputs[i].result.memoHit = true;
-            } else {
-                r = st.future.get();
-                if (params_.memo)
-                    params_.memo->storeSolve(std::move(st.solveKey), r);
-            }
-            extractWindow(inputs[i], st.wm, r, outputs[i]);
+            auto [sol, seconds] = tasks[i].future.get();
+            outputs[i].solveSeconds = seconds;
+            extractWindow(inputs[i], sol, outputs[i]);
         }
     }
     local.solveSeconds = secondsSince(solve_t0);
@@ -559,30 +462,22 @@ LcOpgPlanner::plan(PlanStats *stats)
     auto merge_t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < inputs.size(); ++i)
         commitWindow(inputs[i], outputs[i], plan);
-    // Second merge pass: top up budget-truncated windows from capacity
-    // earlier windows reserved greedily but did not use.
+    // Second merge pass: top up preloaded chunks from capacity earlier
+    // windows reserved greedily but did not use.
     if (params_.mergeRebalance)
         rebalanceMerge(plan, local);
     local.mergeSeconds = secondsSince(merge_t0);
 
     local.windowSummaries.reserve(outputs.size());
     for (const auto &out : outputs) {
-        const auto &wr = out.result;
-        PlanStats::WindowSolveSummary s;
+        PlanStats::WindowSolveSummary s = out.summary;
         s.window = local.windows;
-        s.status = wr.status;
-        s.decisions = wr.decisions;
-        s.propagations = wr.propagations;
-        s.conflicts = wr.conflicts;
         local.windowSummaries.push_back(s);
         ++local.windows;
-        local.buildModelSeconds += wr.buildSeconds;
-        local.solveCpuSeconds += wr.solveSeconds;
-        local.solverDecisions += wr.decisions;
-        local.solverPropagations += wr.propagations;
-        local.solverConflicts += wr.conflicts;
-        local.memoHits += wr.memoHit;
-        if (wr.status == solver::SolveStatus::Optimal)
+        local.buildModelSeconds += out.buildSeconds;
+        local.solveCpuSeconds += out.solveSeconds;
+        local.solverDecisions += s.augmentations;
+        if (s.status == solver::SolveStatus::Optimal)
             ++local.optimalWindows;
         else
             ++local.feasibleWindows;

@@ -13,32 +13,29 @@
  * hold (C2, C3).
  *
  * The planner follows the paper's implementation notes: incremental
- * scheduling over a rolling layer window keeps each CP-SAT instance
- * small, and a greedy warm start seeds the search. A per-window
- * decision budget is the only search limit, so a plan is a pure
- * function of (graph, device, options).
+ * scheduling over a rolling layer window, with a greedy latest-feasible
+ * placement staged per window as its capacity reservation.
  *
- * One search per window. The paper's C4 tiers (soft-threshold
- * relaxation -> incremental preloading -> greedy backup) return a plan
- * within a time limit when the search finds none. Here no window can
- * end without a solution: its hint is the staged greedy, which assigns
- * only candidate layers, takes from copies of the same residual and
- * in-flight snapshots that bound the C3 and C2 rows, and sets z_w to
- * its earliest assigned layer, so the hint satisfies the model and the
- * search starts from it as its incumbent (a window without a solution
- * is an assertion failure). So every window is exactly one search of
- * its model from that hint under solverDecisionsPerWindow, and its
- * solution never scores worse on the window objective than the greedy
- * backup itself.
+ * One flow per window. Inside a window the model, set aside z_w and
+ * C1, is a min-cost network flow (src/solver/flow.hh): layers form a
+ * line whose arcs hold the unused in-flight headroom (C2), and a
+ * streamed chunk is a bypass through its layer's residual capacity
+ * (C3) to its weight's consumer (C0). One integral flow solve gives a
+ * plan and a lower bound on the window objective. The window ships
+ * whichever of the flow plan and the staged greedy scores lower on the
+ * exact objective (the greedy on a tie), so no window scores worse
+ * than its greedy, and a window is Optimal when its objective meets
+ * the bound. There is no search, budget or memo: a plan is a pure
+ * function of (graph, device, options).
  *
  * Whole-plan generation is a three-phase pipeline (PR 2):
  *   1. stage  — sequential: each window's inputs (weight slice,
- *      candidates, greedy warm start, residual-capacity snapshot) are
+ *      candidates, greedy placement, residual-capacity snapshot) are
  *      computed up front, with the greedy acting as the staged
  *      capacity reservation for windows that follow;
- *   2. solve  — parallel: windows solve concurrently on a ThreadPool
- *      (ParallelPlanParams::threads), each a pure function of its
- *      staged input;
+ *   2. solve  — parallel: window flows solve concurrently on a
+ *      ThreadPool (ParallelPlanParams::threads), each a pure function
+ *      of its staged input;
  *   3. merge  — sequential, in window order: solutions commit into the
  *      authoritative capacity ledgers with clamping, so the final plan
  *      is valid and byte-identical for any thread count.
@@ -48,14 +45,12 @@
 #define FLASHMEM_CORE_LC_OPG_HH
 
 #include <cstdint>
-#include <future>
-#include <optional>
 #include <vector>
 
 #include "core/overlap_plan.hh"
 #include "gpusim/kernel.hh"
 #include "profiler/capacity.hh"
-#include "solver/solver.hh"
+#include "solver/flow.hh"
 
 namespace flashmem::core {
 
@@ -87,12 +82,6 @@ struct OpgParams
     /** How many layers before i_w a chunk may be transformed. */
     int maxLoadDistance = 24;
     /**
-     * CP-SAT search budget per window, in decisions; must be
-     * positive. It is the only limit on a window search, so planning
-     * is bit-deterministic across hosts and loads.
-     */
-    std::uint64_t solverDecisionsPerWindow = 20000;
-    /**
      * Explicit preload list (paper Section 5.4: "weights can also be
      * explicitly specified by directly adding their names to the
      * preload list |W|"): weights are pinned into W, in consumer
@@ -101,17 +90,16 @@ struct OpgParams
      */
     double minPreloadFraction = 0.0;
     /**
-     * Plan memo to consult for every window; nullptr means no memo.
-     * A window whose (canonical model, hint, decision budget) was
-     * solved before takes the stored result instead of searching
-     * (PlanMemo::lookupSolve). It is exactly what the search would
-     * return, so it saves host time and never changes a plan.
+     * Ignored: the planner keeps no memo, because a window flow costs
+     * less than looking a stored solve up did (src/solver/README.md).
+     * Kept because perfbench, which is frozen, sets it; it goes with
+     * the next change to the benchmark.
      */
     PlanMemo *memo = nullptr;
     /**
      * Merge-time capacity re-balancing (second merge pass): after the
-     * ordered commit, weights that were budget-truncated into the
-     * preload set are topped up from capacity that earlier windows
+     * ordered commit, weights left with chunks in the preload set are
+     * topped up from capacity that earlier windows
      * reserved greedily but did not use. Deterministic (sequential,
      * consumer order) and purely plan-improving: every moved chunk
      * lowers |W| without violating C2/C3, since it only consumes
@@ -130,20 +118,22 @@ struct PlanStats
      * Per-window solve summary, in window (layer) order — the order
      * futures are consumed in, so the vector is identical for any
      * solver thread count. Consumed by the obs tracing layer
-     * (SolverWindow events) and available for triage.
+     * (SolverWindow events) and available for triage. A window
+     * without weights reads all zeros.
      */
     struct WindowSolveSummary
     {
         int window = 0;
         solver::SolveStatus status = solver::SolveStatus::Optimal;
-        std::uint64_t decisions = 0;
-        std::uint64_t propagations = 0;
-        std::uint64_t conflicts = 0; ///< search backtracks
+        std::int64_t objective = 0;       ///< shipped window objective
+        std::int64_t greedyObjective = 0; ///< the staged greedy's
+        std::int64_t bound = 0;           ///< flow lower bound
+        std::uint64_t augmentations = 0;  ///< flow shortest paths
     };
 
     double processNodesSeconds = 0.0;   ///< graph analysis + capacities
     double stageSeconds = 0.0;          ///< window staging (sequential)
-    double buildModelSeconds = 0.0;     ///< CP model construction (CPU, summed)
+    double buildModelSeconds = 0.0;     ///< window network input (CPU, summed)
     /** Wall-clock of the (parallel) solve phase — the Table-4 column. */
     double solveSeconds = 0.0;
     /** Per-window solve time summed across workers (CPU-ish). */
@@ -153,8 +143,8 @@ struct PlanStats
     int windows = 0;
     int optimalWindows = 0;
     int feasibleWindows = 0;
-    /** @name Always 0: every window is one search (file comment, "One
-     * search per window"). Kept because perfbench reports them as
+    /** @name Always 0: every window is one flow (file comment, "One
+     * flow per window"). Kept because perfbench reports them as
      * lc_opg.soft_relaxations, lc_opg.greedy_windows and
      * solver.restarts. @{ */
     int softRelaxations = 0;
@@ -166,12 +156,16 @@ struct PlanStats
     std::int64_t rebalancedChunks = 0;  ///< chunks moved W -> streamed
     int rebalancedWeights = 0;          ///< truncated weights topped up
     /** @} */
+    /** Flow shortest paths augmented, summed over windows: the
+     * planner's unit of work (perfbench's solver.decisions). */
     std::uint64_t solverDecisions = 0;
-    /** Windows completed from the plan memo instead of a search (the
-     * only counter a reuse changes). */
+    /** @name Always 0: there is no memo and no search. Kept because
+     * perfbench reports them as lc_opg.memo_hits, solver.propagations
+     * and solver.conflicts. @{ */
     std::uint64_t memoHits = 0;
-    std::uint64_t solverPropagations = 0; ///< constraint revisions
-    std::uint64_t solverConflicts = 0;    ///< search backtracks
+    std::uint64_t solverPropagations = 0;
+    std::uint64_t solverConflicts = 0;
+    /** @} */
     std::vector<WindowSolveSummary> windowSummaries;
 };
 
@@ -197,22 +191,11 @@ class LcOpgPlanner
     OverlapPlan plan(PlanStats *stats = nullptr);
 
   private:
-    struct WindowResult
-    {
-        solver::SolveStatus status = solver::SolveStatus::Optimal;
-        std::uint64_t decisions = 0;
-        std::uint64_t propagations = 0;
-        std::uint64_t conflicts = 0; ///< search backtracks
-        double buildSeconds = 0.0;
-        double solveSeconds = 0.0;
-        bool memoHit = false;
-    };
-
     /**
      * Greedy latest-feasible chunk placement for the given weights;
      * returns per-weight (assignments, preload leftovers). Used as the
-     * warm start and as the staged capacity reservation that decouples
-     * windows for parallel solving.
+     * quality floor of every window and as the staged capacity
+     * reservation that decouples windows for parallel solving.
      */
     struct GreedyOut
     {
@@ -225,8 +208,8 @@ class LcOpgPlanner
     /**
      * Everything one window solve needs, captured up front by the
      * sequential staging pass: the weight slice, candidate layers,
-     * greedy warm start, and snapshots of the staged residual-capacity
-     * and in-flight ledgers. Once staged, solveWindow() is a pure
+     * greedy placement, and snapshots of the staged residual-capacity
+     * and in-flight ledgers. Once staged, a window's solve is a pure
      * function of this struct (plus the read-only planner fields), so
      * windows solve concurrently and deterministically.
      */
@@ -242,10 +225,12 @@ class LcOpgPlanner
         std::vector<std::int64_t> inflight;         // staged snapshot
     };
 
-    /** Extracted window solution + stats. */
+    /** The shipped window plan, as commitWindow() merges it. */
     struct WindowOutput
     {
-        WindowResult result;
+        PlanStats::WindowSolveSummary summary;
+        double buildSeconds = 0.0;
+        double solveSeconds = 0.0;
         std::vector<std::int64_t> preload;          // per weight
         std::vector<std::vector<std::pair<graph::NodeId, std::int64_t>>>
             assign;
@@ -257,7 +242,7 @@ class LcOpgPlanner
 
     /**
      * Stage one window [start, end): collect its weights/candidates,
-     * compute the greedy warm start against the staging ledgers, then
+     * compute the greedy placement against the staging ledgers, then
      * reserve the greedy's capacity in them (so later windows stage
      * against this window's expected usage).
      */
@@ -266,43 +251,15 @@ class LcOpgPlanner
                             std::vector<std::int64_t> &staging_inflight)
         const;
 
-    /**
-     * One window's CP model, built on the calling thread: the window
-     * model (C0-C3) and its greedy warm-start hint. Once built it is
-     * immutable, so a pool worker can solve it.
-     */
-    struct WindowModel
-    {
-        solver::CpModel model;
-        std::vector<std::int64_t> hint;
-        std::vector<solver::VarId> y_vars;
-        std::vector<solver::VarId> z_vars; // -1 when fully preloaded
-        std::vector<std::vector<solver::VarId>> x_vars;
-        double buildSeconds = 0.0;
-    };
+    /** @p in as the flow solver's plain-data window network. */
+    solver::WindowNetwork windowNetwork(const WindowInput &in) const;
 
-    /**
-     * Per-window state of the solve phase: plan() submits one search
-     * per window to the shared pool and consumes the results in
-     * window order.
-     */
-    struct WindowSolveState
-    {
-        WindowModel wm;
-        std::future<solver::SolveResult> future;
-        /** The window's finished-solve key, and its stored result on a
-         * hit (no task is submitted then). */
-        SolveKey solveKey;
-        std::optional<solver::SolveResult> reused;
-    };
+    /** @p in's staged greedy placement, per candidate. */
+    static solver::WindowPlan greedyPlan(const WindowInput &in);
 
-    /** Build the model for @p in (pure; see WindowModel). */
-    WindowModel buildWindowModel(const WindowInput &in) const;
-
-    /** Fill @p out from the solve result @p r of window @p in: its
-     * stats and its extracted solution. */
-    void extractWindow(const WindowInput &in, const WindowModel &wm,
-                       const solver::SolveResult &r,
+    /** Fill @p out with window @p in's shipped plan from @p sol. */
+    void extractWindow(const WindowInput &in,
+                       const solver::WindowSolution &sol,
                        WindowOutput &out) const;
 
     /**
@@ -318,8 +275,8 @@ class LcOpgPlanner
 
     /**
      * Second merge pass (cross-window capacity re-balancing): walk the
-     * committed plan in consumer order and move budget-truncated
-     * preload chunks into residual capacity that earlier windows
+     * committed plan in consumer order and move preload chunks into
+     * residual capacity that earlier windows
      * reserved but did not use. Runs after every window committed, so
      * the authoritative ledgers are final; every top-up is validated
      * against them (and the in-flight headroom) before it lands.

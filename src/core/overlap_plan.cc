@@ -184,79 +184,4 @@ OverlapPlan::serialize() const
     return os.str();
 }
 
-namespace {
-
-/** FNV-1a, the slot hash of the solve store. */
-class Fnv1a
-{
-  public:
-    void
-    add(const void *data, std::size_t n)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            hash_ ^= p[i];
-            hash_ *= 0x100000001B3ull;
-        }
-    }
-
-    template <typename T>
-    void
-    addPod(const T &value)
-    {
-        add(&value, sizeof(value));
-    }
-
-    std::uint64_t digest() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
-
-/** Map slot of a SolveKey; lookups still compare the whole key. */
-std::uint64_t
-solveKeyHash(const SolveKey &key)
-{
-    Fnv1a sum;
-    sum.addPod(key.canonicalFingerprint);
-    sum.addPod(key.maxDecisions);
-    sum.add(key.hint.data(), key.hint.size() * sizeof(std::int64_t));
-    return sum.digest();
-}
-
-} // namespace
-
-std::optional<solver::SolveResult>
-PlanMemo::lookupSolve(const SolveKey &key)
-{
-    const auto slot = solveKeyHash(key);
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = solves_.find(slot);
-    if (it == solves_.end() || it->second.key != key)
-        return std::nullopt;
-    it->second.lastUse = ++clock_;
-    return it->second.result;
-}
-
-void
-PlanMemo::storeSolve(SolveKey key, solver::SolveResult result)
-{
-    const auto slot = solveKeyHash(key);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!solves_.count(slot) && solves_.size() >= capacity_) {
-        // Evict the least recently used entry, ties broken on the slot
-        // so the victim never depends on hash-table iteration order
-        // (linear scan: eviction is rare, the map small).
-        auto victim = solves_.begin();
-        for (auto it = solves_.begin(); it != solves_.end(); ++it) {
-            if (it->second.lastUse < victim->second.lastUse ||
-                (it->second.lastUse == victim->second.lastUse &&
-                 it->first < victim->first))
-                victim = it;
-        }
-        solves_.erase(victim);
-    }
-    solves_[slot] = {std::move(key), std::move(result), ++clock_};
-}
-
 } // namespace flashmem::core

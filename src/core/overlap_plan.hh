@@ -10,17 +10,12 @@
 #ifndef FLASHMEM_CORE_OVERLAP_PLAN_HH
 #define FLASHMEM_CORE_OVERLAP_PLAN_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/weight_slicer.hh"
 #include "graph/graph.hh"
-#include "solver/solver.hh"
 
 namespace flashmem::core {
 
@@ -94,76 +89,14 @@ class OverlapPlan
 };
 
 /**
- * Exact key of one finished window solve: everything a
- * single-configuration search is a function of (the decision budget
- * is its only limit). Models with equal canonical fingerprints differ
- * only in the bounds of rows their domains entail, which the search
- * never reads (CpModel::canonicalFingerprint()).
+ * Empty: the planner keeps no memo, because a window flow costs less
+ * than looking a stored solve up did (src/solver/README.md). Kept so
+ * that perfbench, which is frozen and constructs one for
+ * OpgParams::memo, compiles; it goes with the next change to the
+ * benchmark.
  */
-struct SolveKey
+struct PlanMemo
 {
-    std::uint64_t canonicalFingerprint = 0;
-    std::vector<std::int64_t> hint;
-    std::uint64_t maxDecisions = 0;
-
-    bool operator==(const SolveKey &) const = default;
-};
-
-/**
- * Plan memo: finished window solves, keyed exactly by SolveKey. A hit
- * is the result the search would return, so reusing it skips the
- * search without changing any plan, counter or trace: repeat
- * compiles, adaptive-fusion rounds that leave a window untouched, and
- * re-plans whose budget share cannot bind a window all reuse that
- * window's solve, and planning stays a pure function of (graph,
- * device, options).
- *
- * Bounded LRU at @p capacity entries. Internally synchronized
- * (lookups hand back copies, never pointers into the map), so
- * concurrent planners can share one memo.
- */
-class PlanMemo
-{
-  public:
-    explicit PlanMemo(std::size_t capacity = 1024)
-        : capacity_(std::max<std::size_t>(capacity, 1))
-    {
-    }
-
-    PlanMemo(const PlanMemo &) = delete;
-    PlanMemo &operator=(const PlanMemo &) = delete;
-
-    /** Finished solve stored under exactly @p key, if any. */
-    std::optional<solver::SolveResult> lookupSolve(const SolveKey &key);
-
-    /**
-     * Remember @p result as the finished solve for @p key, replacing
-     * any entry under the same key. The caller stores only feasible
-     * results, which carry values for the satisfiedBy guard.
-     */
-    void storeSolve(SolveKey key, solver::SolveResult result);
-
-    // FMLINT(allow:test-only-api) tests count the solves the memo stored
-    std::size_t
-    solveCount() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return solves_.size();
-    }
-
-  private:
-    struct SolveEntry
-    {
-        SolveKey key;
-        solver::SolveResult result;
-        std::uint64_t lastUse = 0;
-    };
-
-    const std::size_t capacity_;
-    mutable std::mutex mu_;
-    std::uint64_t clock_ = 0;
-    /** Finished solves by a hash of their SolveKey. */
-    std::unordered_map<std::uint64_t, SolveEntry> solves_;
 };
 
 } // namespace flashmem::core

@@ -389,13 +389,10 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
         return it->second;
     }
 
-    // On-device re-plan: shrunken/grown residual budget. Through the
-    // FlashMem's plan memo, windows this budget cannot bind reuse their
-    // finished solves exactly.
+    // On-device re-plan: shrunken/grown residual budget.
     const auto &base = compiledFor(model, base_budget, out);
     auto replanned = fm_.replan(base, budget);
     ++out.replans;
-    out.replanMemoHits += replanned.stats.memoHits;
     out.replanSeconds += replanned.stats.processNodesSeconds +
                          replanned.stats.stageSeconds +
                          replanned.stats.solveSeconds +
@@ -409,9 +406,8 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
         for (const auto &w : st.windowSummaries)
             cfg_.trace->solverWindow(
                 now, static_cast<std::uint64_t>(w.window),
-                static_cast<std::int32_t>(model),
-                static_cast<std::int64_t>(w.conflicts),
-                static_cast<std::int64_t>(w.propagations),
+                static_cast<std::int32_t>(model), w.objective - w.bound,
+                static_cast<std::int64_t>(w.augmentations),
                 w.status == solver::SolveStatus::Optimal ? 1 : 0);
     }
     it = compiled_.emplace(key, std::move(replanned)).first;

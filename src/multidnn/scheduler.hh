@@ -22,9 +22,8 @@
  * the scheduler caps the sum of co-resident working-set budgets at a
  * shared capacity budget, and when a model's share shifts — because
  * other models were admitted to or evicted from the ready set — the
- * model is re-planned at its new budget via FlashMem::replan().
- * Through the FlashMem's plan memo, windows the new share cannot bind
- * reuse their finished solves exactly, so re-plans land well under a
+ * model is re-planned at its new budget via FlashMem::replan(). Every
+ * planner window is one min-cost flow, so re-plans land well under a
  * second and are bit-deterministic for any planner thread count.
  */
 
@@ -127,7 +126,9 @@ struct ScheduleOutcome
 
     /** @name On-device re-planning counters (memory-aware policies). @{ */
     int replans = 0;                  ///< FlashMem::replan invocations
-    std::uint64_t replanMemoHits = 0; ///< windows reused from the memo
+    /** Always 0: the planner keeps no memo. Kept because perfbench,
+     * which is frozen, compiles against it. */
+    std::uint64_t replanMemoHits = 0;
     double replanSeconds = 0.0;       ///< wall time spent re-planning
     /** @} */
 

@@ -203,8 +203,8 @@ TraceRecorder::writeText(std::ostream &os, Stream stream) const
           case EventKind::SolverWindow:
             std::snprintf(buf, sizeof(buf),
                           "[t=%lld] solver_window window=%llu "
-                          "model=%s conflicts=%lld "
-                          "propagations=%lld proven_optimal=%lld",
+                          "model=%s gap=%lld "
+                          "augmentations=%lld proven_optimal=%lld",
                           static_cast<long long>(e.time),
                           static_cast<unsigned long long>(e.id),
                           modelName(e.model),
@@ -376,7 +376,7 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
             break;
           case EventKind::SolverWindow:
             std::snprintf(name, sizeof(name),
-                          "window %llu (conflicts=%lld%s)",
+                          "window %llu (gap=%lld%s)",
                           static_cast<unsigned long long>(e.id),
                           static_cast<long long>(e.a),
                           e.flag != 0 ? ", optimal" : "");

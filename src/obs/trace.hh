@@ -230,13 +230,13 @@ class TraceRecorder
 
     void
     solverWindow(SimTime t, std::uint64_t window, std::int32_t model,
-                 std::int64_t conflicts, std::int64_t propagations,
+                 std::int64_t gap, std::int64_t augmentations,
                  std::int64_t proven_optimal)
     {
         TraceEvent e = makeEvent(t, EventKind::SolverWindow, window,
                                  -1, -1, model);
-        e.a = conflicts;
-        e.b = propagations;
+        e.a = gap;
+        e.b = augmentations;
         e.flag = proven_optimal != 0;
         events_.push_back(e);
     }

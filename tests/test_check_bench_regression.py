@@ -173,7 +173,7 @@ class MissingRowField(unittest.TestCase):
 
     def setUp(self):
         snap = good()
-        del snap["solver_comparison"]["instances"][0]["objective"]
+        del snap["plan_quality"][0]["latency_ms"]
         del snap["table4"][0]["status"]
         del snap["fig6_policies"][0]["policy"]
         self.rc, _, self.err = gate_fresh(snap)
@@ -181,8 +181,8 @@ class MissingRowField(unittest.TestCase):
     def test_named_failure_not_a_traceback(self):
         self.assertEqual(self.rc, 1)
         self.assertNotIn("Traceback", self.err)
-        self.assertIn("solver_comparison.instances[name=vit-8b]: field "
-                      "'objective' missing from the fresh run", self.err)
+        self.assertIn("plan_quality[model=GPTN-S]: field 'latency_ms' "
+                      "missing from the fresh run", self.err)
         self.assertIn("table4[model=ViT-8B]: field 'status' missing "
                       "from the fresh run", self.err)
 

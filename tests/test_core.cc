@@ -1,19 +1,16 @@
 /**
  * @file
  * Tests for the FlashMem core: weight slicing, overlap-plan invariants
- * and serialization, LC-OPG planning (C0-C3, one search per window),
+ * and serialization, LC-OPG planning (C0-C3, one flow per window),
  * adaptive fusion, kernel rewriting, the streaming runtime, and the
  * facade's ablation behaviour.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <sstream>
-#include <thread>
 
-#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "core/flashmem.hh"
 #include "core/fusion.hh"
@@ -233,11 +230,10 @@ TEST(LcOpg, TinyMPeakForcesPreload)
 
 TEST(LcOpg, OneChunkBudgetPlansAreValidAndThreadIndependent)
 {
-    // At mPeak = one chunk C2 binds in every window, so the greedy
-    // hint each window starts from is at its most constrained; every
-    // window must still have a solution (the planner asserts it), and
-    // every window is one search within its decision budget: a fresh
-    // memo stores at most one solve per window.
+    // At mPeak = one chunk C2 binds in every window, so every window
+    // network is at its most constrained; each window's flow must still
+    // route its whole supply (the planner asserts it), and the plan
+    // must not depend on the thread count.
     KernelModel km(DeviceProfile::onePlus12());
     profiler::AnalyticCapacityProvider cap(km);
     for (auto id : {models::ModelId::ResNet50,
@@ -248,36 +244,16 @@ TEST(LcOpg, OneChunkBudgetPlansAreValidAndThreadIndependent)
         std::string ref;
         for (int threads : {1, 4}) {
             SCOPED_TRACE(threads);
-            PlanMemo memo;
             OpgParams params;
             params.mPeak = params.chunkBytes;
             params.parallel.threads = threads;
-            params.memo = &memo;
-            PlanStats stats;
-            const auto plan = LcOpgPlanner(g, cap, km, params).plan(&stats);
+            const auto plan = LcOpgPlanner(g, cap, km, params).plan();
             EXPECT_TRUE(plan.validate(g, false));
             if (ref.empty())
                 ref = plan.serialize();
             EXPECT_EQ(plan.serialize(), ref);
-            EXPECT_LE(memo.solveCount(),
-                      static_cast<std::size_t>(stats.windows));
-            for (const auto &w : stats.windowSummaries)
-                EXPECT_LE(w.decisions, params.solverDecisionsPerWindow)
-                    << "window " << w.window;
         }
     }
-}
-
-TEST(LcOpg, RejectsZeroDecisionBudget)
-{
-    // Without a budget every window search would run to exhaustion.
-    auto g = toyGraph(1);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-    OpgParams params;
-    params.solverDecisionsPerWindow = 0;
-    EXPECT_DEATH(LcOpgPlanner(g, cap, km, params),
-                 "solverDecisionsPerWindow must be positive");
 }
 
 TEST(LcOpg, LargerMPeakNeverReducesOverlap)
@@ -333,66 +309,64 @@ TEST(LcOpg, StatsAccountAllWindows)
     EXPECT_GT(stats.processNodesSeconds, 0.0);
 }
 
-// --------------------------------------------------------------- PlanMemo
-
-solver::SolveResult
-feasibleResult(std::int64_t value)
+/** The 14 zoo models: the 11 Table-6 models plus the synthetic ViT-8B,
+ * Llama2-13B and Llama2-70B of the Table-4 bench. */
+std::vector<graph::Graph>
+zooModels()
 {
-    solver::SolveResult r;
-    r.status = solver::SolveStatus::Feasible;
-    r.values = {value};
-    r.objective = value;
-    r.decisions = static_cast<std::uint64_t>(value);
-    return r;
+    std::vector<graph::Graph> out;
+    for (const auto &spec : models::modelZoo())
+        out.push_back(models::buildModel(spec.id));
+    models::SyntheticTransformerCfg vit8b;
+    vit8b.name = "vit_8b";
+    vit8b.blocks = 40;
+    vit8b.dModel = 4096;
+    vit8b.heads = 32;
+    vit8b.vocab = 1000;
+    models::SyntheticTransformerCfg llama13;
+    llama13.name = "llama2_13b";
+    llama13.blocks = 40;
+    llama13.dModel = 5120;
+    llama13.heads = 40;
+    llama13.ffnHidden = 13824;
+    llama13.llamaStyle = true;
+    models::SyntheticTransformerCfg llama70;
+    llama70.name = "llama2_70b";
+    llama70.blocks = 80;
+    llama70.dModel = 8192;
+    llama70.heads = 64;
+    llama70.ffnHidden = 28672;
+    llama70.kvDim = 1024;
+    llama70.llamaStyle = true;
+    for (const auto &cfg : {vit8b, llama13, llama70})
+        out.push_back(models::buildSyntheticTransformer(cfg, Precision::FP16));
+    return out;
 }
 
-TEST(PlanMemo, SolveStoreIsExactAndBoundedLru)
+TEST(LcOpg, EveryWindowShipsBetweenItsBoundAndItsGreedy)
 {
-    PlanMemo memo(2);
-    auto key = [](std::uint64_t fp) { return SolveKey{fp, {4, 5}, 100}; };
-    memo.storeSolve(key(1), feasibleResult(10));
-    memo.storeSolve(key(2), feasibleResult(20));
-    // Every key component takes part: no near miss is a hit.
-    auto other_hint = key(1);
-    other_hint.hint.back() = 6;
-    auto other_budget = key(1);
-    other_budget.maxDecisions = 101;
-    for (const auto &k : {other_hint, other_budget})
-        EXPECT_FALSE(memo.lookupSolve(k).has_value());
-
-    auto hit = memo.lookupSolve(key(1)); // 1 is now most recent
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->values, (std::vector<std::int64_t>{10}));
-    EXPECT_EQ(hit->decisions, 10u);
-    memo.storeSolve(key(3), feasibleResult(30)); // evicts 2
-    EXPECT_EQ(memo.solveCount(), 2u);
-    EXPECT_TRUE(memo.lookupSolve(key(1)).has_value());
-    EXPECT_FALSE(memo.lookupSolve(key(2)).has_value());
-    // Storing under a present key replaces it without evicting.
-    memo.storeSolve(key(3), feasibleResult(31));
-    EXPECT_EQ(memo.solveCount(), 2u);
-    EXPECT_EQ(memo.lookupSolve(key(3))->values,
-              (std::vector<std::int64_t>{31}));
-}
-
-TEST(LcOpg, PlanMemoDisabledStillMatches)
-{
-    // A plan completed from the memo equals one planned with no memo
-    // (a null OpgParams::memo) at all.
-    auto g = toyGraph(4);
-    KernelModel km(DeviceProfile::onePlus12());
-    profiler::AnalyticCapacityProvider cap(km);
-
-    PlanMemo memo;
-    OpgParams with_memo;
-    with_memo.memo = &memo;
-    LcOpgPlanner(g, cap, km, with_memo).plan();
-    PlanStats reused, no_memo;
-    auto plan1 = LcOpgPlanner(g, cap, km, with_memo).plan(&reused);
-    auto plan2 = LcOpgPlanner(g, cap, km, OpgParams{}).plan(&no_memo);
-    EXPECT_GT(reused.memoHits, 0u);
-    EXPECT_EQ(no_memo.memoHits, 0u);
-    EXPECT_EQ(plan1.serialize(), plan2.serialize());
+    // The window guarantee on real plans: every window of every zoo
+    // model's shipped plan scores no worse than its staged greedy and
+    // no better than its flow bound, and is Optimal exactly when it
+    // meets the bound.
+    FlashMem fm(DeviceProfile::onePlus12());
+    const auto zoo = zooModels();
+    ASSERT_EQ(zoo.size(), 14u);
+    for (const auto &g : zoo) {
+        SCOPED_TRACE(g.name());
+        const auto cm = fm.compile(g);
+        EXPECT_TRUE(cm.plan.validate(cm.fusedGraph, false));
+        const auto &st = cm.stats;
+        ASSERT_EQ(st.windowSummaries.size(),
+                  static_cast<std::size_t>(st.windows));
+        for (const auto &w : st.windowSummaries) {
+            SCOPED_TRACE(w.window);
+            EXPECT_LE(w.bound, w.objective);
+            EXPECT_LE(w.objective, w.greedyObjective);
+            EXPECT_EQ(w.status == solver::SolveStatus::Optimal,
+                      w.objective == w.bound);
+        }
+    }
 }
 
 // ----------------------------------------- Parallel window planning
@@ -505,115 +479,50 @@ TEST(LcOpg, RebalancedPlanRespectsCapacitiesAndInflight)
     EXPECT_LE(worst_inflight, mpeak_chunks);
 }
 
-/** Every PlanStats field a memo hit must leave unchanged: all but
- * host times and memoHits itself. */
+/** Every PlanStats counter: all but host times. */
 std::string
-reuseInvariantStats(const PlanStats &s)
+planCounters(const PlanStats &s)
 {
     std::ostringstream os;
     os << static_cast<int>(s.overallStatus) << ' ' << s.windows << ' '
        << s.optimalWindows << ' ' << s.feasibleWindows << ' '
        << s.threads << ' ' << s.rebalancedChunks << ' '
-       << s.rebalancedWeights << ' ' << s.solverDecisions << ' '
-       << s.solverPropagations << ' ' << s.solverConflicts << '\n';
+       << s.rebalancedWeights << ' ' << s.solverDecisions << '\n';
     for (const auto &w : s.windowSummaries) {
         os << w.window << ' ' << static_cast<int>(w.status) << ' '
-           << w.decisions << ' ' << w.propagations << ' ' << w.conflicts
-           << '\n';
+           << w.objective << ' ' << w.greedyObjective << ' ' << w.bound
+           << ' ' << w.augmentations << '\n';
     }
     return os.str();
 }
 
-TEST(LcOpg, ReplanReusesTruncatedWindowSolvesExactly)
+TEST(LcOpg, ReplanEqualsAFreshPlanAtItsBudget)
 {
-    // Budget-truncated windows at the default decision budget: a
-    // plan at a new budget through the memo of a 500 MiB plan reuses
-    // the finished solve of every window that budget cannot bind, and
-    // must still equal a plan without a memo at that budget in plan,
-    // counters and summaries. 250 MiB binds no window; 3 MiB binds
-    // in-flight rows that leave the greedy hint unchanged, so only the
-    // entailment test keeps those windows from reusing a 500 MiB solve.
+    // FlashMem::replan at a new budget ships what a fresh planner
+    // ships on the same fused graph at that budget, in plan, counters
+    // and window summaries, for any thread count. 250 MiB binds no
+    // window of the 500 MiB plan; 3 MiB binds C2 in most of them.
     auto g = models::buildModel(models::ModelId::DepthAnythingS);
     KernelModel km(DeviceProfile::onePlus12());
     profiler::AnalyticCapacityProvider cap(km);
     for (int threads : {1, 4}) {
         SCOPED_TRACE(threads);
-        OpgParams params;
-        params.parallel.threads = threads;
-        ASSERT_EQ(params.mPeak, mib(500));
-        PlanMemo memo;
-        params.memo = &memo;
-        auto planAt = [&](Bytes budget, const OpgParams &base,
-                          PlanStats *stats) {
-            OpgParams at = base;
-            at.mPeak = budget;
-            return LcOpgPlanner(g, cap, km, at).plan(stats).serialize();
-        };
-        PlanStats first_stats;
-        const auto first = planAt(mib(500), params, &first_stats);
-        ASSERT_GT(first_stats.feasibleWindows, 0);
-        EXPECT_EQ(first_stats.memoHits, 0u);
-        OpgParams no_memo = params;
-        no_memo.memo = nullptr;
+        FlashMemOptions opt;
+        opt.opg.parallel.threads = threads;
+        ASSERT_EQ(opt.opg.mPeak, mib(500));
+        FlashMem fm(DeviceProfile::onePlus12(), opt);
+        const auto compiled = fm.compile(g);
         for (Bytes budget : {mib(250), mib(3)}) {
             SCOPED_TRACE(budget);
-            PlanStats replan_stats, fresh_stats;
-            const auto replanned = planAt(budget, params, &replan_stats);
-            EXPECT_EQ(replanned, planAt(budget, no_memo, &fresh_stats));
-            EXPECT_EQ(reuseInvariantStats(replan_stats),
-                      reuseInvariantStats(fresh_stats));
-            EXPECT_GT(replan_stats.memoHits, 0u);
-            EXPECT_EQ(fresh_stats.memoHits, 0u);
-        }
-        EXPECT_EQ(planAt(mib(500), params, nullptr), first);
-    }
-}
-
-TEST(PlanMemo, ConcurrentHammer)
-{
-    PlanMemo memo(32); // small: forces LRU eviction under contention
-    constexpr int kThreads = 8;
-    constexpr int kOpsPerThread = 4000;
-    // FMLINT(allow:cross-thread-state) test-only failure latch: writers only ever increment, final zero-check is order-independent
-    std::atomic<std::uint64_t> corrupt{0};
-    // Entries encode the key in the value, so readers can check they
-    // never observe torn or misfiled entries.
-    auto solve_key = [](std::uint64_t fp) {
-        return SolveKey{fp, {static_cast<std::int64_t>(fp)}, 1};
-    };
-
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&memo, &corrupt, &solve_key, t]() {
-            Rng rng(1234 + t);
-            for (int i = 0; i < kOpsPerThread; ++i) {
-                auto fp = static_cast<std::uint64_t>(
-                    rng.uniformInt(0, 99));
-                const auto key = static_cast<std::int64_t>(fp);
-                if (rng.uniform() < 0.5) {
-                    memo.storeSolve(solve_key(fp), feasibleResult(key));
-                } else {
-                    auto r = memo.lookupSolve(solve_key(fp));
-                    if (r && (r->values.size() != 1 ||
-                              r->values[0] != key))
-                        ++corrupt;
-                }
-            }
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-
-    EXPECT_EQ(corrupt.load(), 0u);
-    // More than 32 distinct keys were stored: the store is full and
-    // bounded.
-    EXPECT_EQ(memo.solveCount(), 32u);
-    // Entries that survived still satisfy the key-in-value invariant.
-    for (std::uint64_t fp = 0; fp < 100; ++fp) {
-        auto r = memo.lookupSolve(solve_key(fp));
-        if (r) {
-            ASSERT_EQ(r->values.size(), 1u);
-            EXPECT_EQ(r->values[0], static_cast<std::int64_t>(fp));
+            const auto replanned = fm.replan(compiled, budget);
+            OpgParams at = opt.opg;
+            at.mPeak = budget;
+            PlanStats fresh_stats;
+            const auto fresh = LcOpgPlanner(compiled.fusedGraph, cap, km, at)
+                                   .plan(&fresh_stats);
+            EXPECT_EQ(replanned.plan.serialize(), fresh.serialize());
+            EXPECT_EQ(planCounters(replanned.stats),
+                      planCounters(fresh_stats));
         }
     }
 }
@@ -983,19 +892,6 @@ TEST(FlashMemFacade, FullSystemFastestAmongAblations)
     // never regress materially.
     EXPECT_LT(static_cast<double>(ful.integrated),
               1.03 * static_cast<double>(opg.integrated));
-}
-
-TEST(FlashMemFacade, RecompilationReusesPlanMemo)
-{
-    // The FlashMem owns a memo: a repeat compile completes its window
-    // rounds from it and ships the plan a search would have.
-    core::FlashMem fm(DeviceProfile::onePlus12());
-    auto g = models::buildModel(models::ModelId::GPTNeoS);
-    auto first = fm.compile(g);
-    auto second = fm.compile(g);
-    EXPECT_GT(second.planMemoHits, 0u);
-    EXPECT_EQ(first.plan.serialize(), second.plan.serialize());
-    EXPECT_EQ(first.totalSolverDecisions, second.totalSolverDecisions);
 }
 
 TEST(FlashMemFacade, RunsGpt27BWithinOnePlus12Budget)

@@ -84,14 +84,14 @@ TEST(Integration, EnergyConsistentWithPowerAndTime)
 
 TEST(Integration, CompileIsDeviceSpecific)
 {
-    // Capacities depend on the device, so plans differ across phones.
+    // Load capacities depend on the device, so plans differ across
+    // phones. Which phone preloads more is not fixed: the two devices'
+    // per-layer capacities are not ordered layer by layer, and under
+    // windowed staging no order of the preload sets follows from them.
     auto g = models::buildModel(ModelId::GPTNeoS);
     auto fast = FlashMem(DeviceProfile::onePlus12()).compile(g);
     auto slow = FlashMem(DeviceProfile::xiaomiMi6()).compile(g);
-    // The slower GPU has less compute slack to hide loads, so it must
-    // preload at least as much.
-    EXPECT_GE(slow.plan.preloadBytes(slow.fusedGraph),
-              fast.plan.preloadBytes(fast.fusedGraph));
+    EXPECT_NE(slow.plan.serialize(), fast.plan.serialize());
 }
 
 TEST(Integration, EndToEndDeterminism)

@@ -870,18 +870,20 @@ TEST_P(CrossValidation, FastSimMatchesEventScheduler)
 
     multidnn::FaultPlan plan;
     if (row.faults) {
-        // A mid-run crash with rejoin, a thermal slowdown, a
-        // watchdog-tripping stall, and a seeded background of stalls
-        // and transient DMA errors on both devices.
+        // A thermal slowdown, a watchdog-tripping stall, and a seeded
+        // background of crashes with rejoin, stalls and transient DMA
+        // errors on both devices. A failover needs a crash that kills
+        // an unbounded run and a retry that dispatches before the
+        // crashed device rejoins, so one hand-placed crash fails over
+        // only at some instants. About a dozen crashes per device fail
+        // over on every generator seed from 1 to 10, not just this one.
         multidnn::FaultPlanParams fp;
+        fp.crashesPerSecond = 0.5;
         fp.stallsPerSecond = 0.5;
         fp.meanStall = milliseconds(40);
         fp.dmaErrorsPerSecond = 1.0;
-        plan = multidnn::crashAndRejoin(0, milliseconds(500),
-                                        milliseconds(400));
-        plan = multidnn::mergeFaultPlans(
-            plan, multidnn::singleSlowdown(1, milliseconds(200),
-                                           milliseconds(600), 3.0));
+        plan = multidnn::singleSlowdown(1, milliseconds(200),
+                                        milliseconds(600), 3.0);
         plan = multidnn::mergeFaultPlans(
             plan, {{{.time = seconds(2),
                      .device = 1,

@@ -24,8 +24,7 @@ main(int argc, char **argv)
     core::FlashMem fm(gpusim::DeviceProfile::onePlus12());
 
     Table t({"Model", "Integrated", "Init", "Exec", "Stall", "Peak",
-             "Avg", "Overlap%", "FusedLayers", "Windows", "Solve(s)",
-             "MemoHits"});
+             "Avg", "Overlap%", "FusedLayers", "Windows", "Solve(s)"});
     for (const auto &spec : models::modelZoo()) {
         auto g = models::buildModel(spec.id);
         auto compiled = fm.compile(g);
@@ -38,8 +37,7 @@ main(int argc, char **argv)
                   formatDouble(100 * compiled.overlapFraction(), 1),
                   std::to_string(compiled.fusedGraph.layerCount()),
                   std::to_string(compiled.stats.windows),
-                  formatDouble(compiled.stats.solveSeconds, 2),
-                  std::to_string(compiled.planMemoHits)});
+                  formatDouble(compiled.stats.solveSeconds, 2)});
     }
     t.print(std::cout);
     return 0;

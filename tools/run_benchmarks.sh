@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Build Release and emit BENCH_table4.json: solver work counters,
-# Table-4 plan statuses, plan-memo reuse, merge-time re-balancing, the
-# Fig-6 per-policy scheduler section, and the serving, fault,
+# Build Release and emit BENCH_table4.json: Table-4 plan statuses and
+# flow augmentations, per-model plan quality, merge-time re-balancing,
+# the Fig-6 per-policy scheduler section, and the serving, fault,
 # admission and sharding sections. Every value is simulated or
 # counted, so any host reproduces the snapshot byte for byte unless
 # behaviour changed. Run from anywhere; artifacts land in the repo root.
@@ -12,7 +12,7 @@
 #
 # Pass --only SECTION[,SECTION...] to re-run a subset of the benches,
 # one section per bench binary: `solver` (bench_table4_solver_runtime:
-# solver instances, Table 4, plan memo, re-balancing),
+# Table 4, plan quality, re-balancing),
 # `fig6` (bench_fig6_multimodel) and `serving` (bench_serving: serving,
 # faults, admission, sharding). The sections not re-run
 # are carried over from the committed snapshot, so the merged result
