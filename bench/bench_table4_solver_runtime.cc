@@ -91,9 +91,9 @@ main(int argc, char **argv)
                   formatDouble(stats.stageSeconds, 3),
                   formatDouble(stats.buildModelSeconds, 3),
                   formatDouble(pub.p_build, 3),
-                  formatDouble(stats.solveSeconds, 2),
+                  formatDouble(stats.solveSeconds, 4),
                   formatDouble(pub.p_solve, 2),
-                  formatDouble(stats.solveCpuSeconds, 2),
+                  formatDouble(stats.solveCpuSeconds, 4),
                   formatDouble(stats.mergeSeconds, 3), status,
                   pub.p_status});
         json << "    {\"model\": \"" << e.name

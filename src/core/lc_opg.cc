@@ -255,7 +255,6 @@ LcOpgPlanner::extractWindow(const WindowInput &in,
     const auto &weights = in.weights;
     out.preload.assign(weights.size(), 0);
     out.assign.assign(weights.size(), {});
-    out.z.assign(weights.size(), graph::kInvalidNode);
     for (std::size_t k = 0; k < weights.size(); ++k) {
         std::int64_t streamed = 0;
         for (std::size_t j = 0; j < in.cands[k].size(); ++j) {
@@ -264,8 +263,6 @@ LcOpgPlanner::extractWindow(const WindowInput &in,
             streamed += sol.x[k][j];
         }
         out.preload[k] = chunk_count_[weights[k]] - streamed;
-        if (!out.assign[k].empty())
-            out.z[k] = out.assign[k].front().first;
     }
 }
 
@@ -284,7 +281,6 @@ LcOpgPlanner::commitWindow(const WindowInput &in, const WindowOutput &out,
         auto wid = in.weights[k];
         const auto &w = g_.weight(wid);
         std::int64_t preload = out.preload[k];
-        graph::NodeId first_kept = graph::kInvalidNode;
         std::vector<std::pair<graph::NodeId, std::int64_t>> kept;
         kept.reserve(out.assign[k].size());
         for (auto &[l, c] : out.assign[k]) {
@@ -295,19 +291,15 @@ LcOpgPlanner::commitWindow(const WindowInput &in, const WindowOutput &out,
             if (take <= 0)
                 continue;
             kept.push_back({l, take});
-            if (first_kept == graph::kInvalidNode || l < first_kept)
-                first_kept = l;
         }
         plan.setPreloadChunks(wid, preload);
         for (auto &[l, c] : kept)
             plan.addAssignment(wid, l, c);
         if (!kept.empty()) {
-            // z_w is the shipped plan's first used layer, which is no
-            // later than the first layer the clamp kept (C1).
-            graph::NodeId z = out.z[k];
-            if (z == graph::kInvalidNode || z > first_kept)
-                z = first_kept;
-            plan.setEarliestLoad(wid, z);
+            // z_w is the shipped plan's first used layer (assignments
+            // run in layer order), no later than any layer the clamp
+            // kept (C1).
+            plan.setEarliestLoad(wid, out.assign[k].front().first);
         }
     }
 }

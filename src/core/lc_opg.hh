@@ -25,8 +25,7 @@
  * whichever of the flow plan and the staged greedy scores lower on the
  * exact objective (the greedy on a tie), so no window scores worse
  * than its greedy, and a window is Optimal when its objective meets
- * the bound. There is no search, budget or memo: a plan is a pure
- * function of (graph, device, options).
+ * the bound. A plan is a pure function of (graph, device, options).
  *
  * Whole-plan generation is a three-phase pipeline (PR 2):
  *   1. stage  — sequential: each window's inputs (weight slice,
@@ -232,9 +231,9 @@ class LcOpgPlanner
         double buildSeconds = 0.0;
         double solveSeconds = 0.0;
         std::vector<std::int64_t> preload;          // per weight
+        /** Per weight, (layer, chunks) in layer order. */
         std::vector<std::vector<std::pair<graph::NodeId, std::int64_t>>>
             assign;
-        std::vector<graph::NodeId> z;
     };
 
     /** Analyze graph: per-layer capacities, chunk counts, pinned W. */
