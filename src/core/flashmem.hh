@@ -75,7 +75,7 @@ struct CompiledModel
 /**
  * The FlashMem framework for one device profile. Every plan it ships
  * is a pure function of (graph, device, options): each planner window
- * is one min-cost flow, with no search limit and no memo.
+ * is one min-cost flow.
  */
 class FlashMem
 {

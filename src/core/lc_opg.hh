@@ -89,8 +89,8 @@ struct OpgParams
      */
     double minPreloadFraction = 0.0;
     /**
-     * Ignored: the planner keeps no memo, because a window flow costs
-     * less than looking a stored solve up did (src/solver/README.md).
+     * Ignored: the planner keeps no memo, because solving a window's
+     * flow again is cheap (src/solver/README.md).
      * Kept because perfbench, which is frozen, sets it; it goes with
      * the next change to the benchmark.
      */

@@ -89,8 +89,8 @@ class OverlapPlan
 };
 
 /**
- * Empty: the planner keeps no memo, because a window flow costs less
- * than looking a stored solve up did (src/solver/README.md). Kept so
+ * Empty: the planner keeps no memo, because solving a window's flow
+ * again is cheap (src/solver/README.md, "Why the memo went"). Kept so
  * that perfbench, which is frozen and constructs one for
  * OpgParams::memo, compiles; it goes with the next change to the
  * benchmark.

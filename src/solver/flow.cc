@@ -140,14 +140,7 @@ ceilScaled(std::int64_t a)
                   : -(-a / kFlowCostScale);
 }
 
-} // namespace
-
-const char *
-solveStatusName(SolveStatus status)
-{
-    return status == SolveStatus::Optimal ? "OPTIMAL" : "FEASIBLE";
-}
-
+/** The exact window objective of @p x (solveWindow). */
 std::int64_t
 windowObjective(const WindowNetwork &net, const WindowPlan &x)
 {
@@ -170,6 +163,14 @@ windowObjective(const WindowNetwork &net, const WindowPlan &x)
             obj -= net.muS * z;
     }
     return obj;
+}
+
+} // namespace
+
+const char *
+solveStatusName(SolveStatus status)
+{
+    return status == SolveStatus::Optimal ? "OPTIMAL" : "FEASIBLE";
 }
 
 WindowSolution

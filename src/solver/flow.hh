@@ -93,17 +93,12 @@ struct WindowSolution
 };
 
 /**
- * Exact window objective of @p x: lambdaS * sum(y) +
- * sum(x * (c - l - 1)) - muS * sum(z), where y_k = T_k - sum_j x[k][j]
- * and z_k is k's first used candidate (c_k when none is used), summed
- * over the weights that have candidates.
- */
-std::int64_t windowObjective(const WindowNetwork &net,
-                             const WindowPlan &x);
-
-/**
  * Solve @p net's min-cost flow and ship whichever of its plan and
- * @p greedy scores lower on windowObjective(); a tie keeps @p greedy.
+ * @p greedy scores lower on the exact window objective
+ * lambdaS * sum(y) + sum(x * (c - l - 1)) - muS * sum(z), where
+ * y_k = T_k - sum_j x[k][j] and z_k is k's first used candidate (c_k
+ * when none is used), summed over the weights that have candidates;
+ * a tie keeps @p greedy.
  * @p greedy must satisfy C0-C3 on @p net, so the shipped objective is
  * never above the greedy's, nor below the bound.
  */
