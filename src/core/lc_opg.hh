@@ -132,7 +132,7 @@ struct PlanStats
 
     double processNodesSeconds = 0.0;   ///< graph analysis + capacities
     double stageSeconds = 0.0;          ///< window staging (sequential)
-    double buildModelSeconds = 0.0;     ///< window network input (CPU, summed)
+    double buildModelSeconds = 0.0;     ///< network inputs (CPU, summed)
     /** Wall-clock of the (parallel) solve phase — the Table-4 column. */
     double solveSeconds = 0.0;
     /** Per-window solve time summed across workers (CPU-ish). */

@@ -154,8 +154,11 @@ sloCrossing(const ProbePoint &lo, const ProbePoint &hi,
 {
     if (hi.unstable)
         return lo.qps;
+    // (margin at lo, margin at hi); lo passed, so every margin at lo
+    // is non-negative.
     std::vector<std::pair<double, double>> margins{
-        {lo.goodputRate - slo.minGoodput, hi.goodputRate - slo.minGoodput}};
+        {lo.goodputRate - slo.minGoodput,
+         hi.goodputRate - slo.minGoodput}};
     if (slo.p99Bound > 0) {
         const double bound = toMilliseconds(slo.p99Bound);
         margins.push_back({bound - lo.p99Ms, bound - hi.p99Ms});
@@ -164,8 +167,9 @@ sloCrossing(const ProbePoint &lo, const ProbePoint &hi,
     for (const auto &[at_lo, at_hi] : margins) {
         if (at_hi >= 0.0)
             continue;
-        const double t = std::max(at_lo, 0.0) / (std::max(at_lo, 0.0) - at_hi);
-        crossing = std::min(crossing, lo.qps * std::pow(hi.qps / lo.qps, t));
+        const double t = at_lo / (at_lo - at_hi);
+        crossing =
+            std::min(crossing, lo.qps * std::pow(hi.qps / lo.qps, t));
     }
     return crossing;
 }
