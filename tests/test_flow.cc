@@ -211,11 +211,13 @@ ceilScaled(std::int64_t a)
     return q * kFlowCostScale < a ? q + 1 : q;
 }
 
-class FlowVsBruteForce : public ::testing::TestWithParam<int>
+// The window solver against brute-force enumeration, one generated
+// window per seed.
+class SolverVsBruteForce : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(FlowVsBruteForce, MatchesExhaustiveEnumeration)
+TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
 {
     const auto c = generate(GetParam());
     const auto &net = c.net;
@@ -248,7 +250,7 @@ TEST_P(FlowVsBruteForce, MatchesExhaustiveEnumeration)
     EXPECT_TRUE(feasible(net, sol.x));
 }
 
-INSTANTIATE_TEST_SUITE_P(GeneratedWindows, FlowVsBruteForce,
+INSTANTIATE_TEST_SUITE_P(RandomInstances, SolverVsBruteForce,
                          ::testing::Range(0, kSeeds));
 
 TEST(FlowWindows, SeedsCoverTheEdgeCasesAndBothShipRuleOutcomes)
