@@ -24,7 +24,8 @@
  * re-planning policy with a TraceRecorder attached and export
  * Chrome/Perfetto trace-event JSON (ui.perfetto.dev) — the planner
  * track carries the replan and per-window solver events this bench
- * uniquely exercises.
+ * uniquely exercises — plus the text export next to it (same stem,
+ * `.trace`), the input of tools/trace_diff.py.
  */
 
 #include "bench/harness.hh"
@@ -120,16 +121,16 @@ runTraceExport(const char *path)
         /*iterations=*/3, /*gap=*/0, /*seed=*/99);
     auto out = sched.run(queue, multidnn::MemoryAwarePolicy{});
 
-    std::ofstream os(path);
-    rec.writeChromeJson(os);
-    bool ok = os.good();
+    std::string text_path;
+    bool ok = writeTraceExports(rec, path, &text_path);
     std::size_t solver_windows = 0;
     for (const auto &e : rec.events())
         solver_windows += e.kind == obs::EventKind::SolverWindow;
     std::cout << "perfetto trace: " << queue.size()
               << " requests, " << out.replans << " re-plans, "
               << solver_windows << " solver windows, " << rec.size()
-              << " events -> " << path << "\n";
+              << " events -> " << path << " (text: " << text_path
+              << ")\n";
     // The export must carry the planner-side events this bench is
     // the canonical producer of.
     ok &= out.replans > 0 && solver_windows > 0;

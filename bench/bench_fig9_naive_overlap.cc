@@ -40,12 +40,12 @@ main()
 
         gpusim::GpuSimulator s1(dev);
         auto same_plan = baselines::sameOpTypePlan(g);
-        auto same = core::StreamingRuntime(s1, g, same_plan)
-                        .run(naive_cfg);
+        auto same = core::StreamingRuntime(g, same_plan)
+                        .run(s1, naive_cfg);
         gpusim::GpuSimulator s2(dev);
         auto next_plan = baselines::alwaysNextPlan(g);
-        auto always = core::StreamingRuntime(s2, g, next_plan)
-                          .run(naive_cfg);
+        auto always = core::StreamingRuntime(g, next_plan)
+                          .run(s2, naive_cfg);
 
         double same_r =
             static_cast<double>(same.integratedLatency()) /

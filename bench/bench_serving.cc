@@ -38,7 +38,9 @@
  * whose cold estimates ride the GBT predicted tier.
  *
  * `--trace PATH` exports a Chrome/Perfetto trace (ui.perfetto.dev) of
- * a representative faulty overload run with the arrival gate engaged.
+ * a representative faulty overload run with the arrival gate engaged,
+ * plus its text export next to it (same stem, `.trace`) for
+ * tools/trace_diff.py.
  * Tracing cost is perfbench's obs.trace_on_ratio; that a traced run's
  * outcome equals the untraced one is a ctest case (test_obs.cc).
  *
@@ -643,7 +645,8 @@ constexpr std::size_t kTraceExportRequests = 5000;
  * `--trace PATH`: one representative faulty overload run — 2x
  * overload on the 4-device overlap cluster, a mid-run crash plus a
  * thermal slowdown, deadline policy behind the arrival gate — traced
- * and exported as Chrome trace-event JSON for ui.perfetto.dev.
+ * and exported as Chrome trace-event JSON for ui.perfetto.dev and as
+ * the diffable text export.
  */
 int
 runTraceExport(const char *path)
@@ -674,13 +677,13 @@ runTraceExport(const char *path)
     auto out =
         serving::simulateServing(trace, policy, arm.services, params);
 
-    std::ofstream os(path);
-    rec.writeChromeJson(os);
-    bool ok = os.good();
+    std::string text_path;
+    bool ok = writeTraceExports(rec, path, &text_path);
     std::cout << "perfetto trace: " << kTraceExportRequests
               << " requests at " << formatDouble(qps, 1)
               << " QPS (2x overload, crash + slowdown), "
-              << rec.size() << " events -> " << path << "\n"
+              << rec.size() << " events -> " << path << " (text: "
+              << text_path << ")\n"
               << "  completed " << out.stats.completed() << ", shed "
               << out.stats.shedCount() << ", arrival sheds "
               << out.arrivalSheds << ", retries "

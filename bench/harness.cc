@@ -1,5 +1,8 @@
 #include "bench/harness.hh"
 
+#include <filesystem>
+#include <fstream>
+
 #include "common/logging.hh"
 
 namespace flashmem::bench {
@@ -250,6 +253,20 @@ cachedCompiled(const core::FlashMem &fm, ModelId id)
     if (it == cache.end())
         it = cache.emplace(key, fm.compile(cachedModel(id))).first;
     return it->second;
+}
+
+bool
+writeTraceExports(const obs::TraceRecorder &rec,
+                  const std::string &json_path, std::string *text_path)
+{
+    *text_path = std::filesystem::path(json_path)
+                     .replace_extension(".trace")
+                     .string();
+    std::ofstream json(json_path);
+    rec.writeChromeJson(json);
+    std::ofstream text(*text_path);
+    rec.writeText(text);
+    return json.good() && text.good();
 }
 
 } // namespace flashmem::bench

@@ -25,6 +25,7 @@
 #include "core/flashmem.hh"
 #include "metrics/report.hh"
 #include "models/model_zoo.hh"
+#include "obs/trace.hh"
 
 namespace flashmem::bench {
 
@@ -91,6 +92,16 @@ const std::vector<Table4Model> &table4ModelSet();
 /** Cache of FlashMem compilations per device name. */
 const core::CompiledModel &cachedCompiled(const core::FlashMem &fm,
                                           ModelId id);
+
+/**
+ * `--trace PATH` exports: Chrome trace-event JSON to @p json_path and
+ * the diffable text export (tools/trace_diff.py's input) next to it,
+ * same stem with extension `.trace`, whose path lands in @p text_path.
+ * False when either write fails.
+ */
+bool writeTraceExports(const obs::TraceRecorder &rec,
+                       const std::string &json_path,
+                       std::string *text_path);
 
 } // namespace flashmem::bench
 

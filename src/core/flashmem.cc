@@ -132,6 +132,7 @@ FlashMem::compile(const graph::Graph &model) const
         out.groupsSplit += split_count;
     }
 
+    out.runtime = StreamingRuntime(out.fusedGraph, out.plan);
     KernelRewriter rewriter(out.fusedGraph, out.plan,
                             options_.kernelRewriting);
     out.kernels = rewriter.rewriteAll();
@@ -158,6 +159,7 @@ FlashMem::replan(const CompiledModel &compiled, Bytes mPeak) const
     out.totalSolveSeconds = out.stats.solveSeconds;
     out.totalSolverDecisions = out.stats.solverDecisions;
 
+    out.runtime = StreamingRuntime(out.fusedGraph, out.plan);
     KernelRewriter rewriter(out.fusedGraph, out.plan,
                             options_.kernelRewriting);
     out.kernels = rewriter.rewriteAll();
@@ -168,11 +170,11 @@ RunResult
 FlashMem::execute(gpusim::GpuSimulator &sim,
                   const CompiledModel &compiled, SimTime arrival) const
 {
-    StreamingRuntime runtime(sim, compiled.fusedGraph, compiled.plan);
+    compiled.plan.validate(compiled.fusedGraph);
     RunConfig cfg;
     cfg.arrival = arrival;
     cfg.branchFreeKernels = options_.kernelRewriting;
-    return runtime.run(cfg);
+    return compiled.runtime.run(sim, cfg);
 }
 
 RunResult

@@ -9,8 +9,8 @@
  *   feedback loop, and template kernel rewriting; produces a reusable
  *   CompiledModel.
  *
- *   Online — FlashMem::execute(): streams the model through a
- *   GpuSimulator following the overlap plan.
+ *   Online — FlashMem::execute(): replays the artifact's stream
+ *   program (built once, at compile) on a GpuSimulator.
  *
  * Ablation toggles (Figure 7) select which optimizations participate.
  */
@@ -44,11 +44,19 @@ struct FlashMemOptions
     bool kernelRewriting = true;
 };
 
-/** Offline-stage artifact: plan + kernels for one model on one device. */
+/**
+ * Offline-stage artifact for one model on one device. Its fused graph,
+ * the overlap plan for that graph and the stream program built from the
+ * two form one immutable whole: FlashMem::compile and FlashMem::replan
+ * build the program once, and every FlashMem::execute validates the
+ * plan and replays the program. Edit none of them after compile.
+ */
 struct CompiledModel
 {
     graph::Graph fusedGraph;
     OverlapPlan plan;
+    /** The stream program of (fusedGraph, plan). */
+    StreamingRuntime runtime;
     std::vector<RewrittenKernel> kernels;
     /** Stats of the final planning round (the plan that shipped). */
     PlanStats stats;
@@ -99,7 +107,8 @@ class FlashMem
     CompiledModel replan(const CompiledModel &compiled,
                          Bytes mPeak) const;
 
-    /** Online stage: execute a compiled model on @p sim. */
+    /** Online stage: validate @p compiled's plan, then replay its
+     * stream program on @p sim. */
     RunResult execute(gpusim::GpuSimulator &sim,
                       const CompiledModel &compiled,
                       SimTime arrival = 0) const;

@@ -116,8 +116,15 @@ KernelRewriter::renderTemplate(
 
 KernelRewriter::KernelRewriter(const graph::Graph &g,
                                const OverlapPlan &plan, bool branch_free)
-    : g_(g), plan_(plan), branch_free_(branch_free)
+    : g_(g), branch_free_(branch_free), inline_bytes_(g.layerCount(), 0)
 {
+    auto moved = plan.movedBytes(g);
+    std::size_t i = 0;
+    for (graph::NodeId l = 0;
+         l < static_cast<graph::NodeId>(g.layerCount()); ++l) {
+        for (std::size_t k = 0; k < plan.assignmentsAt(l).size(); ++k)
+            inline_bytes_[l] += moved[i++];
+    }
 }
 
 RewrittenKernel
@@ -126,7 +133,7 @@ KernelRewriter::rewrite(graph::NodeId layer) const
     RewrittenKernel rk;
     rk.layer = layer;
     rk.spec = gpusim::kernelSpecFor(g_, layer, true);
-    rk.inlineLoadBytes = plan_.inlineBytesAt(g_, layer);
+    rk.inlineLoadBytes = inline_bytes_[layer];
 
     if (rk.inlineLoadBytes == 0) {
         rk.tmpl = KernelTemplate::Plain;

@@ -73,8 +73,9 @@ class KernelRewriter
 
   private:
     const graph::Graph &g_;
-    const OverlapPlan &plan_;
     bool branch_free_;
+    /** Bytes each layer moves inline (OverlapPlan::movedBytes). */
+    std::vector<Bytes> inline_bytes_;
 };
 
 } // namespace flashmem::core

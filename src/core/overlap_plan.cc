@@ -90,18 +90,33 @@ OverlapPlan::overlapFraction(const graph::Graph &g) const
            static_cast<double>(total);
 }
 
-Bytes
-OverlapPlan::inlineBytesAt(const graph::Graph &g, graph::NodeId l) const
+std::vector<Bytes>
+OverlapPlan::movedBytes(const graph::Graph &g) const
 {
+    FM_ASSERT(schedules_.size() == g.weightCount(),
+              "plan shape does not match graph '", g.name(), "'");
     WeightSlicer slicer(chunk_bytes_);
-    Bytes total = 0;
-    for (const auto &a : assignmentsAt(l)) {
-        const auto &w = g.weight(a.weight);
-        // Bound by the weight's true bytes (short last chunk).
-        total += std::min<Bytes>(
-            static_cast<Bytes>(a.chunks) * chunk_bytes_, w.bytes());
+    std::vector<Bytes> left(g.weightCount());
+    for (const auto &s : schedules_) {
+        const auto &w = g.weight(s.weight);
+        left[s.weight] =
+            w.bytes() - slicer.bytesForChunks(w, s.preloadChunks);
     }
-    return total;
+    std::vector<Bytes> moved;
+    for (const auto &layer : by_layer_) {
+        for (const auto &a : layer) {
+            FM_ASSERT(a.weight >= 0 &&
+                          a.weight < static_cast<graph::WeightId>(
+                                         left.size()),
+                      "assignment references bad weight ", a.weight);
+            Bytes m = std::min<Bytes>(
+                static_cast<Bytes>(a.chunks) * chunk_bytes_,
+                left[a.weight]);
+            left[a.weight] -= m;
+            moved.push_back(m);
+        }
+    }
+    return moved;
 }
 
 bool

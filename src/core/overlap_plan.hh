@@ -66,8 +66,15 @@ class OverlapPlan
     Bytes streamedBytes(const graph::Graph &g) const;
     /** Fraction of weight bytes streamed via overlap (Figure 8). */
     double overlapFraction(const graph::Graph &g) const;
-    /** Inline bytes layer @p l transforms. */
-    Bytes inlineBytesAt(const graph::Graph &g, graph::NodeId l) const;
+    /**
+     * Bytes each assignment moves from unified into texture memory, in
+     * execution order (layer by layer, each layer's assignments in
+     * weight order): its chunks, capped at what is left of its weight's
+     * streamed bytes (a weight's last chunk may be short). A layer's
+     * inline bytes are the sum over its assignments; over a valid plan
+     * they sum to streamedBytes().
+     */
+    std::vector<Bytes> movedBytes(const graph::Graph &g) const;
     /** @} */
 
     /**

@@ -8,160 +8,112 @@ namespace flashmem::core {
 
 using gpusim::MemKind;
 
-StreamingRuntime::StreamingRuntime(gpusim::GpuSimulator &sim,
-                                   const graph::Graph &g,
+StreamingRuntime::StreamingRuntime(const graph::Graph &g,
                                    const OverlapPlan &plan)
-    : sim_(sim), g_(g), plan_(plan)
+    : model_(g.name())
 {
-    plan_.validate(g_);
+    plan.validate(g);
+    const auto layers = static_cast<graph::NodeId>(g.layerCount());
 
-    loads_at_.resize(g_.layerCount());
-    WeightSlicer slicer(plan_.chunkBytes());
-    for (const auto &w : g_.weights()) {
-        const auto &s = plan_.schedule(w.id);
+    // Framework residency: CL context, command buffers, graph metadata
+    // and IO staging that any runtime keeps live for a loaded model.
+    base_overhead_ =
+        mib(60) + static_cast<Bytes>(g.layerCount()) * kib(30);
+
+    // FlashMem treats initialization and execution as a whole:
+    // execution starts immediately, and preload reads are interleaved
+    // with streamed reads in consumer order. A layer issues its reads
+    // in weight order.
+    struct Issue
+    {
+        graph::NodeId layer;
+        DiskIssue read;
+    };
+    std::vector<Issue> issues;
+    std::vector<std::uint32_t> preload_slot(g.weightCount());
+    std::vector<std::uint32_t> stream_slot(g.weightCount());
+    std::vector<graph::NodeId> stream_layer(g.weightCount(),
+                                            graph::kInvalidNode);
+    std::vector<std::int64_t> stream_chunks(g.weightCount(), 0);
+    WeightSlicer slicer(plan.chunkBytes());
+    for (const auto &w : g.weights()) {
+        const auto &s = plan.schedule(w.id);
+        Bytes pb = slicer.bytesForChunks(w, s.preloadChunks);
         if (s.preloadChunks > 0) {
             // Preload reads are sequenced by consumer with a large
             // lead, so early layers are never blocked behind weights
             // needed much later.
-            graph::NodeId z = std::max<graph::NodeId>(
-                0, w.consumer - kPreloadLeadLayers);
-            loads_at_[z].push_back({w.id, true});
+            preload_slot[w.id] = preload_slots_++;
+            issues.push_back({std::max<graph::NodeId>(
+                                  0, w.consumer - kPreloadLeadLayers),
+                              {pb, preload_slot[w.id], true}});
         }
+        stream_chunks[w.id] = slicer.chunkCount(w) - s.preloadChunks;
         if (s.earliestLoadLayer != graph::kInvalidNode &&
-            slicer.chunkCount(w) > s.preloadChunks)
-            loads_at_[s.earliestLoadLayer].push_back({w.id, false});
+            stream_chunks[w.id] > 0) {
+            stream_slot[w.id] = stream_slots_++;
+            stream_layer[w.id] = s.earliestLoadLayer;
+            issues.push_back({s.earliestLoadLayer,
+                              {w.bytes() - pb, stream_slot[w.id], false}});
+        }
     }
+    std::stable_sort(issues.begin(), issues.end(),
+                     [](const Issue &a, const Issue &b) {
+                         return a.layer < b.layer;
+                     });
 
-    last_consumer_.assign(g_.layerCount(), graph::kInvalidNode);
-    for (const auto &n : g_.nodes()) {
+    std::vector<graph::NodeId> last_consumer(g.layerCount(),
+                                             graph::kInvalidNode);
+    for (const auto &n : g.nodes()) {
         for (auto in : n.inputs)
-            last_consumer_[in] = std::max(last_consumer_[in], n.id);
-    }
-}
-
-RunResult
-StreamingRuntime::run(const RunConfig &cfg)
-{
-    auto &mem = sim_.memory();
-    const auto &km = sim_.kernelModel();
-    WeightSlicer slicer(plan_.chunkBytes());
-
-    RunResult result;
-    result.model = g_.name();
-    result.arrival = cfg.arrival;
-    result.start = cfg.arrival;
-
-    // Framework residency: CL context, command buffers, graph metadata
-    // and IO staging that any runtime keeps live for a loaded model.
-    Bytes base_overhead =
-        mib(60) + static_cast<Bytes>(g_.layerCount()) * kib(30);
-    mem.alloc(MemKind::Scratch, base_overhead, cfg.arrival);
-
-    // FlashMem treats initialization and execution as a whole:
-    // execution starts immediately; preload reads are interleaved with
-    // streamed reads in consumer order (see loads_at_ construction) and
-    // each preloaded weight becomes texture-resident as its bytes pass
-    // through the DMA transform queue.
-    std::vector<SimTime> preload_ready(g_.weightCount(), cfg.arrival);
-    SimTime init_done = cfg.arrival;
-
-    // ---- Streamed execution. ------------------------------------------
-    const auto layers = static_cast<graph::NodeId>(g_.layerCount());
-    // Per-weight streaming state.
-    std::vector<gpusim::Interval> disk_iv(g_.weightCount());
-    std::vector<bool> disk_issued(g_.weightCount(), false);
-    std::vector<std::int64_t> chunks_done(g_.weightCount(), 0);
-    std::vector<Bytes> um_remaining(g_.weightCount(), 0);
-    std::vector<std::int64_t> stream_chunks(g_.weightCount(), 0);
-    for (const auto &w : g_.weights()) {
-        stream_chunks[w.id] = slicer.chunkCount(w) -
-                              plan_.schedule(w.id).preloadChunks;
+            last_consumer[in] = std::max(last_consumer[in], n.id);
     }
 
-    SimTime prev_end = cfg.arrival;
+    const auto moved = plan.movedBytes(g);
+    std::vector<std::int64_t> chunks_done(g.weightCount(), 0);
+    std::size_t next_issue = 0;
+    std::size_t next_move = 0;
+    layers_.reserve(g.layerCount());
     for (graph::NodeId l = 0; l < layers; ++l) {
-        const auto &node = g_.node(l);
+        const auto &node = g.node(l);
+        Layer layer;
+        for (; next_issue < issues.size() &&
+               issues[next_issue].layer == l;
+             ++next_issue)
+            issues_.push_back(issues[next_issue].read);
 
-        // Issue disk reads scheduled for this layer.
-        for (const auto &issue : loads_at_[l]) {
-            const auto &w = g_.weight(issue.weight);
-            Bytes pb = slicer.bytesForChunks(
-                w, plan_.schedule(issue.weight).preloadChunks);
-            if (issue.preload) {
-                auto iv = sim_.disk().transfer(prev_end, pb);
-                mem.alloc(MemKind::UnifiedWeights, pb, prev_end);
-                auto xf = sim_.transformQueue().transfer(iv.end, pb);
-                preload_ready[issue.weight] = xf.end;
-                init_done = std::max(init_done, xf.end);
-                mem.free(MemKind::UnifiedWeights, pb, xf.end);
-                mem.alloc(MemKind::TextureWeights, pb, xf.end);
-                continue;
-            }
-            Bytes stream_bytes = w.bytes() - pb;
-            disk_iv[issue.weight] =
-                sim_.disk().transfer(prev_end, stream_bytes);
-            disk_issued[issue.weight] = true;
-            um_remaining[issue.weight] = stream_bytes;
-            mem.alloc(MemKind::UnifiedWeights, stream_bytes, prev_end);
-        }
-
-        // Readiness: inline chunks must be on unified memory; weights
-        // consumed here must be fully resident in texture memory —
-        // streamed chunks were transformed by earlier kernels (plan
-        // validation), preloaded bytes arrive with the init stream.
-        SimTime ready = prev_end;
+        // Readiness: weights consumed here must be fully resident in
+        // texture memory — streamed chunks were transformed by earlier
+        // kernels (plan validation), preloaded bytes arrive with the
+        // init stream; inline chunks must be on unified memory.
         for (auto wid : node.weights) {
-            if (plan_.schedule(wid).preloadChunks > 0)
-                ready = std::max(ready, preload_ready[wid]);
+            if (plan.schedule(wid).preloadChunks > 0)
+                waits_.push_back(preload_slot[wid]);
         }
-        Bytes inline_bytes = 0;
-        const auto &assigns = plan_.assignmentsAt(l);
-        for (const auto &a : assigns) {
-            FM_ASSERT(disk_issued[a.weight],
+        for (const auto &a : plan.assignmentsAt(l)) {
+            FM_ASSERT(stream_layer[a.weight] != graph::kInvalidNode &&
+                          stream_layer[a.weight] <= l,
                       "transform before disk issue for weight ",
                       a.weight);
-            const auto &iv = disk_iv[a.weight];
-            double frac =
-                static_cast<double>(chunks_done[a.weight] + a.chunks) /
-                static_cast<double>(stream_chunks[a.weight]);
-            auto avail = iv.start + static_cast<SimTime>(
-                                        frac * static_cast<double>(
-                                                   iv.duration()));
-            ready = std::max(ready, avail);
-            inline_bytes += std::min<Bytes>(
-                static_cast<Bytes>(a.chunks) * plan_.chunkBytes(),
-                um_remaining[a.weight]);
-        }
-
-        // Kernel dispatch.
-        auto spec = gpusim::kernelSpecFor(g_, l, true);
-        spec.pipelined = cfg.branchFreeKernels && inline_bytes > 0;
-        SimTime duration = km.baseLatency(spec) +
-                           km.inlineLoadPenalty(spec, inline_bytes);
-        auto k_iv = sim_.computeQueue().reserve(ready, duration);
-        result.stallTime += std::max<SimTime>(k_iv.start - prev_end, 0);
-        ++result.kernels;
-
-        mem.alloc(MemKind::Activations, node.output.bytes(), k_iv.start);
-
-        // Inline transforms retire with the kernel: UM -> TM.
-        for (const auto &a : assigns) {
-            Bytes moved = std::min<Bytes>(
-                static_cast<Bytes>(a.chunks) * plan_.chunkBytes(),
-                um_remaining[a.weight]);
             chunks_done[a.weight] += a.chunks;
-            um_remaining[a.weight] -= moved;
-            mem.free(MemKind::UnifiedWeights, moved, k_iv.end);
-            mem.alloc(MemKind::TextureWeights, moved, k_iv.end);
+            InlineMove m;
+            m.frac = static_cast<double>(chunks_done[a.weight]) /
+                     static_cast<double>(stream_chunks[a.weight]);
+            m.bytes = moved[next_move++];
+            m.stream = stream_slot[a.weight];
+            layer.inlineBytes += m.bytes;
+            moves_.push_back(m);
         }
+
+        layer.spec = gpusim::kernelSpecFor(g, l, true);
+        layer.activationBytes = node.output.bytes();
 
         // Texture weights retire after their (single) consumer — both
         // the streamed chunks and this weight's share of the preload
         // set; inference uses each weight once.
         for (auto wid : node.weights) {
-            const auto &w = g_.weight(wid);
-            if (w.bytes() > 0)
-                mem.free(MemKind::TextureWeights, w.bytes(), k_iv.end);
+            if (g.weight(wid).bytes() > 0)
+                texture_frees_.push_back(g.weight(wid).bytes());
         }
 
         // Retire activations whose last consumer ran (dedup repeated
@@ -171,29 +123,112 @@ StreamingRuntime::run(const RunConfig &cfg)
             if (std::find(node.inputs.begin(), node.inputs.begin() + i,
                           in) != node.inputs.begin() + i)
                 continue;
-            if (last_consumer_[in] == l) {
-                mem.free(MemKind::Activations,
-                         g_.node(in).output.bytes(), k_iv.end);
-            }
+            if (last_consumer[in] == l)
+                activation_frees_.push_back(g.node(in).output.bytes());
         }
 
+        layer.issuesEnd = static_cast<std::uint32_t>(issues_.size());
+        layer.waitsEnd = static_cast<std::uint32_t>(waits_.size());
+        layer.movesEnd = static_cast<std::uint32_t>(moves_.size());
+        layer.textureFreesEnd =
+            static_cast<std::uint32_t>(texture_frees_.size());
+        layer.activationFreesEnd =
+            static_cast<std::uint32_t>(activation_frees_.size());
+        layers_.push_back(layer);
+    }
+
+    // Unconsumed outputs unload with the model.
+    for (const auto &n : g.nodes()) {
+        if (last_consumer[n.id] == graph::kInvalidNode)
+            final_frees_.push_back(n.output.bytes());
+    }
+}
+
+RunResult
+StreamingRuntime::run(gpusim::GpuSimulator &sim,
+                      const RunConfig &cfg) const
+{
+    auto &mem = sim.memory();
+    const auto &km = sim.kernelModel();
+
+    RunResult result;
+    result.model = model_;
+    result.arrival = cfg.arrival;
+    result.start = cfg.arrival;
+    mem.alloc(MemKind::Scratch, base_overhead_, cfg.arrival);
+
+    // Each preloaded weight becomes texture-resident as its bytes pass
+    // through the DMA transform queue.
+    std::vector<SimTime> preload_ready(preload_slots_, cfg.arrival);
+    std::vector<gpusim::Interval> disk_iv(stream_slots_);
+    SimTime init_done = cfg.arrival;
+    SimTime prev_end = cfg.arrival;
+    std::size_t issue = 0, wait = 0, move = 0, tex = 0, act = 0;
+    for (const auto &layer : layers_) {
+        for (; issue < layer.issuesEnd; ++issue) {
+            const auto &d = issues_[issue];
+            if (d.preload) {
+                auto iv = sim.disk().transfer(prev_end, d.bytes);
+                mem.alloc(MemKind::UnifiedWeights, d.bytes, prev_end);
+                auto xf = sim.transformQueue().transfer(iv.end, d.bytes);
+                preload_ready[d.slot] = xf.end;
+                init_done = std::max(init_done, xf.end);
+                mem.free(MemKind::UnifiedWeights, d.bytes, xf.end);
+                mem.alloc(MemKind::TextureWeights, d.bytes, xf.end);
+                continue;
+            }
+            disk_iv[d.slot] = sim.disk().transfer(prev_end, d.bytes);
+            mem.alloc(MemKind::UnifiedWeights, d.bytes, prev_end);
+        }
+
+        SimTime ready = prev_end;
+        for (; wait < layer.waitsEnd; ++wait)
+            ready = std::max(ready, preload_ready[waits_[wait]]);
+        const std::size_t first_move = move;
+        for (; move < layer.movesEnd; ++move) {
+            const auto &m = moves_[move];
+            const auto &iv = disk_iv[m.stream];
+            ready = std::max(
+                ready, iv.start + static_cast<SimTime>(
+                                      m.frac * static_cast<double>(
+                                                   iv.duration())));
+        }
+
+        // Kernel dispatch.
+        auto spec = layer.spec;
+        spec.pipelined = cfg.branchFreeKernels && layer.inlineBytes > 0;
+        SimTime duration = km.baseLatency(spec) +
+                           km.inlineLoadPenalty(spec, layer.inlineBytes);
+        auto k_iv = sim.computeQueue().reserve(ready, duration);
+        result.stallTime += std::max<SimTime>(k_iv.start - prev_end, 0);
+        ++result.kernels;
+
+        mem.alloc(MemKind::Activations, layer.activationBytes,
+                  k_iv.start);
+        // Inline transforms retire with the kernel: UM -> TM.
+        for (std::size_t i = first_move; i < move; ++i) {
+            mem.free(MemKind::UnifiedWeights, moves_[i].bytes, k_iv.end);
+            mem.alloc(MemKind::TextureWeights, moves_[i].bytes, k_iv.end);
+        }
+        for (; tex < layer.textureFreesEnd; ++tex)
+            mem.free(MemKind::TextureWeights, texture_frees_[tex],
+                     k_iv.end);
+        for (; act < layer.activationFreesEnd; ++act)
+            mem.free(MemKind::Activations, activation_frees_[act],
+                     k_iv.end);
         prev_end = k_iv.end;
     }
 
-    // Unconsumed outputs + the persistent preload set unload with the
-    // model.
-    for (const auto &n : g_.nodes()) {
-        if (last_consumer_[n.id] == graph::kInvalidNode)
-            mem.free(MemKind::Activations, n.output.bytes(), prev_end);
-    }
-    mem.free(MemKind::Scratch, base_overhead, prev_end);
+    for (auto bytes : final_frees_)
+        mem.free(MemKind::Activations, bytes, prev_end);
+    mem.free(MemKind::Scratch, base_overhead_, prev_end);
 
     result.initDone = std::min(init_done, prev_end);
     result.end = prev_end;
     result.peakMemory = mem.peakOver(result.start, result.end);
     result.avgMemoryBytes = mem.averageBytes(result.start, result.end);
-    result.oom = result.peakMemory > sim_.device().appMemoryBudget &&
-                 sim_.device().appMemoryBudget > 0;
+    result.oom = result.peakMemory > sim.device().appMemoryBudget &&
+                 sim.device().appMemoryBudget > 0;
     return result;
 }
 

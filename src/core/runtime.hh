@@ -2,22 +2,32 @@
  * @file
  * The FlashMem streaming runtime (paper Section 4, "Online Execution").
  *
- * Executes a graph against the GPU simulator following an overlap plan:
- * the preload set W is loaded + transformed at initialization; streamed
- * weights are read from disk starting at their z_w layer on the DMA
- * queue while compute proceeds; each layer's rewritten kernel carries
- * its x_{w,l} chunk transforms inline. Memory events (unified/texture
- * weights, activations) are timestamped against the simulated clock,
- * producing the traces behind Tables 1/8 and Figure 6.
+ * Like the overlap plan it follows, an execution's schedule is fixed
+ * offline; only the clock is left for the device. So a StreamingRuntime
+ * is built once per (graph, plan): the build validates the plan and
+ * lays out, in flat per-layer arrays, everything an execution does that
+ * does not depend on time — the disk reads each layer issues (preload
+ * portions, which become texture-resident through the DMA transform
+ * queue, and streamed portions), the preloaded weights each kernel
+ * waits on, each inline assignment's bytes and the fraction of its
+ * weight's stream it needs on unified memory, each kernel's spec and
+ * inline bytes, and every texture, activation and final free.
+ *
+ * run() replays that program on a GpuSimulator: it reserves the disk,
+ * transform and compute timelines and records the unified/texture
+ * weight and activation allocations against the simulated clock,
+ * producing the traces behind Tables 1/8 and Figure 6. Kernel
+ * durations come from the simulator's kernel model, so one program runs
+ * on any device profile.
  */
 
 #ifndef FLASHMEM_CORE_RUNTIME_HH
 #define FLASHMEM_CORE_RUNTIME_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/kernel_rewriter.hh"
 #include "core/overlap_plan.hh"
 #include "gpusim/simulator.hh"
 
@@ -81,39 +91,80 @@ struct RunResult
     std::size_t kernels = 0;
 };
 
-/** Executes compiled models on a simulated device. */
+/** A model's stream program: built once, replayed by every run. */
 class StreamingRuntime
 {
   public:
-    /**
-     * @param sim simulator (shared across runs in multi-DNN pipelines).
-     * @param g (fused) graph to execute.
-     * @param plan overlap plan for @p g (validated on construction).
-     */
-    StreamingRuntime(gpusim::GpuSimulator &sim, const graph::Graph &g,
-                     const OverlapPlan &plan);
+    /** The program of a graph with no layers. */
+    StreamingRuntime() = default;
 
-    /** Execute once; timelines/memory persist across calls. */
-    RunResult run(const RunConfig &cfg = {});
+    /**
+     * Build the program of @p g under @p plan (validated here; fatal
+     * when invalid). Keeps no reference to either.
+     */
+    StreamingRuntime(const graph::Graph &g, const OverlapPlan &plan);
+
+    /** Execute once on @p sim, whose timelines and memory persist
+     * across calls (multi-DNN pipelines share one simulator). */
+    RunResult run(gpusim::GpuSimulator &sim,
+                  const RunConfig &cfg = {}) const;
 
   private:
     /** How many layers ahead of the consumer preload reads issue. */
     static constexpr graph::NodeId kPreloadLeadLayers = 64;
 
-    /** One scheduled disk read (preload portion or streamed portion). */
-    struct LoadIssue
+    /** One disk read a layer issues as it starts. */
+    struct DiskIssue
     {
-        graph::WeightId weight = -1;
+        Bytes bytes = 0;
+        /** Preload: index of the weight's texture-ready time; stream:
+         * index of the weight's disk interval. */
+        std::uint32_t slot = 0;
         bool preload = false;
     };
 
-    gpusim::GpuSimulator &sim_;
-    const graph::Graph &g_;
-    const OverlapPlan &plan_;
-    /** Disk reads triggered when each layer starts, in consumer order. */
-    std::vector<std::vector<LoadIssue>> loads_at_;
-    /** Last consuming layer per node (activation lifetime). */
-    std::vector<graph::NodeId> last_consumer_;
+    /** One inline assignment x_{w,l}. */
+    struct InlineMove
+    {
+        /** Share of the weight's streamed read that must be on unified
+         * memory before the kernel starts. */
+        double frac = 0.0;
+        /** Bytes the kernel moves from unified into texture memory. */
+        Bytes bytes = 0;
+        std::uint32_t stream = 0; ///< disk-interval index
+    };
+
+    /** One kernel, plus where its entries end in the flat arrays (each
+     * range starts where the previous layer's ends). */
+    struct Layer
+    {
+        gpusim::KernelSpec spec;
+        Bytes inlineBytes = 0;
+        Bytes activationBytes = 0; ///< output, allocated at kernel start
+        std::uint32_t issuesEnd = 0;
+        std::uint32_t waitsEnd = 0;
+        std::uint32_t movesEnd = 0;
+        std::uint32_t textureFreesEnd = 0;
+        std::uint32_t activationFreesEnd = 0;
+    };
+
+    std::string model_;
+    /** Framework residency held for the whole run. */
+    Bytes base_overhead_ = 0;
+    std::uint32_t preload_slots_ = 0;
+    std::uint32_t stream_slots_ = 0;
+    std::vector<Layer> layers_;
+    std::vector<DiskIssue> issues_;
+    /** Texture-ready indices of the preloaded weights each kernel
+     * consumes. */
+    std::vector<std::uint32_t> waits_;
+    std::vector<InlineMove> moves_;
+    /** Weights retired after their consuming kernel. */
+    std::vector<Bytes> texture_frees_;
+    /** Inputs whose last consumer is the kernel. */
+    std::vector<Bytes> activation_frees_;
+    /** Outputs nothing consumes, freed when the run ends. */
+    std::vector<Bytes> final_frees_;
 };
 
 } // namespace flashmem::core

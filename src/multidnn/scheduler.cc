@@ -74,19 +74,17 @@ class ScheduledRuns
                             r.latencyBound, now, reason});
     }
 
-    /** Finalize makespan, memory, energy, trace and per-device rows. */
+    /** Finalize makespan, memory, energy, trace and per-device rows;
+     * a single device's trace moves into the outcome, so no query may
+     * follow. */
     ScheduleOutcome
     finish(const DeviceCluster &cluster)
     {
         for (const auto &r : out.runs)
             out.makespan = std::max(out.makespan, r.end);
-        out.trace = sims.size() == 1
-                        ? sims.front().memory().totalTrace()
-                        : mergedTotalTrace(sims);
         out.devices = cluster.utilization(out.makespan);
-        if (out.runs.empty())
-            return std::move(out);
-        for (std::size_t i = 0; i < sims.size(); ++i) {
+        for (std::size_t i = 0; !out.runs.empty() && i < sims.size();
+             ++i) {
             const auto &mem = sims[i].memory();
             Bytes peak = mem.peakOver(0, out.makespan);
             double energy = sims[i].energyJoules(out.makespan);
@@ -98,6 +96,9 @@ class ScheduledRuns
             out.avgMemoryBytes += mem.averageBytes(0, out.makespan);
             out.energyJoules += energy;
         }
+        out.trace = sims.size() == 1
+                        ? sims.front().memory().releaseTotalTrace()
+                        : mergedTotalTrace(sims);
         return std::move(out);
     }
 

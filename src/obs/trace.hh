@@ -252,7 +252,6 @@ class TraceRecorder
      * at the same instant keep append order, which the event loop
      * makes deterministic). Byte-identical for identical runs.
      */
-    // FMLINT(allow:test-only-api) the diffable trace; tests compare runs
     void writeText(std::ostream &os, Stream stream = Stream::Full)
         const;
 

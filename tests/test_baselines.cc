@@ -273,14 +273,14 @@ TEST(NaiveOverlap, Figure9Ordering)
 
     GpuSimulator s1(dev);
     auto next_plan = alwaysNextPlan(g);
-    auto always = core::StreamingRuntime(s1, g, next_plan)
-                      .run(naive_cfg)
+    auto always = core::StreamingRuntime(g, next_plan)
+                      .run(s1, naive_cfg)
                       .integratedLatency();
 
     GpuSimulator s2(dev);
     auto same_plan = sameOpTypePlan(g);
-    auto same = core::StreamingRuntime(s2, g, same_plan)
-                    .run(naive_cfg)
+    auto same = core::StreamingRuntime(g, same_plan)
+                    .run(s2, naive_cfg)
                     .integratedLatency();
 
     EXPECT_LT(flash, same);

@@ -718,8 +718,8 @@ TEST(Runtime, MemoryFullyRetiredAfterRun)
     auto plan = planner.plan();
 
     GpuSimulator sim(DeviceProfile::onePlus12());
-    StreamingRuntime runtime(sim, g, plan);
-    auto r = runtime.run();
+    StreamingRuntime runtime(g, plan);
+    auto r = runtime.run(sim);
     EXPECT_GT(r.integratedLatency(), 0);
     // Every byte allocated during the run must have been freed.
     EXPECT_EQ(sim.memory().used(), 0u);
@@ -734,8 +734,8 @@ TEST(Runtime, IntegratedCoversInitAndExec)
     auto plan = planner.plan();
 
     GpuSimulator sim(DeviceProfile::onePlus12());
-    StreamingRuntime runtime(sim, g, plan);
-    auto r = runtime.run();
+    StreamingRuntime runtime(g, plan);
+    auto r = runtime.run(sim);
     EXPECT_EQ(r.integratedLatency(),
               r.initLatency() + r.execLatency());
     EXPECT_EQ(r.kernels, g.layerCount());
@@ -750,12 +750,12 @@ TEST(Runtime, ArrivalShiftsTimelineNotDuration)
     auto plan = planner.plan();
 
     GpuSimulator sim1(DeviceProfile::onePlus12());
-    auto r1 = StreamingRuntime(sim1, g, plan).run();
+    auto r1 = StreamingRuntime(g, plan).run(sim1);
 
     GpuSimulator sim2(DeviceProfile::onePlus12());
     RunConfig cfg;
     cfg.arrival = seconds(2.0);
-    auto r2 = StreamingRuntime(sim2, g, plan).run(cfg);
+    auto r2 = StreamingRuntime(g, plan).run(sim2, cfg);
 
     EXPECT_EQ(r2.start, seconds(2.0));
     EXPECT_EQ(r1.integratedLatency(), r2.integratedLatency());
@@ -770,12 +770,12 @@ TEST(Runtime, SlowDiskIncreasesStalls)
     auto plan = planner.plan();
 
     GpuSimulator fast(DeviceProfile::onePlus12());
-    auto fast_r = StreamingRuntime(fast, g, plan).run();
+    auto fast_r = StreamingRuntime(g, plan).run(fast);
 
     auto slow_dev = DeviceProfile::onePlus12();
     slow_dev.diskToUm = Bandwidth::mbps(300);
     GpuSimulator slow(slow_dev);
-    auto slow_r = StreamingRuntime(slow, g, plan).run();
+    auto slow_r = StreamingRuntime(g, plan).run(slow);
 
     EXPECT_GT(slow_r.stallTime, fast_r.stallTime);
     EXPECT_GT(slow_r.integratedLatency(), fast_r.integratedLatency());
@@ -792,12 +792,12 @@ TEST(Runtime, BranchFreeBeatsBranchy)
     GpuSimulator s1(DeviceProfile::onePlus12());
     RunConfig piped;
     piped.branchFreeKernels = true;
-    auto r1 = StreamingRuntime(s1, g, plan).run(piped);
+    auto r1 = StreamingRuntime(g, plan).run(s1, piped);
 
     GpuSimulator s2(DeviceProfile::onePlus12());
     RunConfig branchy;
     branchy.branchFreeKernels = false;
-    auto r2 = StreamingRuntime(s2, g, plan).run(branchy);
+    auto r2 = StreamingRuntime(g, plan).run(s2, branchy);
 
     EXPECT_LT(r1.integratedLatency(), r2.integratedLatency());
 }
@@ -811,9 +811,9 @@ TEST(Runtime, DeterministicAcrossRuns)
     auto plan = planner.plan();
 
     GpuSimulator s1(DeviceProfile::onePlus12());
-    auto r1 = StreamingRuntime(s1, g, plan).run();
+    auto r1 = StreamingRuntime(g, plan).run(s1);
     GpuSimulator s2(DeviceProfile::onePlus12());
-    auto r2 = StreamingRuntime(s2, g, plan).run();
+    auto r2 = StreamingRuntime(g, plan).run(s2);
     EXPECT_EQ(r1.integratedLatency(), r2.integratedLatency());
     EXPECT_EQ(r1.peakMemory, r2.peakMemory);
     EXPECT_DOUBLE_EQ(r1.avgMemoryBytes, r2.avgMemoryBytes);

@@ -22,8 +22,10 @@
 # trace-event JSON of representative runs (bench_serving --trace for
 # the faulty overload serving path, bench_fig6_multimodel --trace for
 # the re-planning scheduler with its planner track) into DIR; load
-# the files in ui.perfetto.dev. The exports ride alongside whatever
-# sections run — they don't participate in the snapshot merge.
+# the .json files in ui.perfetto.dev. Each run also writes its text
+# export next to the JSON (same stem, .trace), the input of
+# tools/trace_diff.py. The exports ride alongside whatever sections
+# run — they don't participate in the snapshot merge.
 #
 # Usage: tools/run_benchmarks.sh [--no-gate] [--only SECTIONS]
 #        [--trace-dir DIR] [output.json]
@@ -114,8 +116,12 @@ if [[ -n "${trace_dir}" ]]; then
         "${trace_dir}/serving_trace.json"
     "${build_dir}/bench_fig6_multimodel" --trace \
         "${trace_dir}/fig6_trace.json"
-    echo "perfetto traces written to ${trace_dir}" \
-         "(load in ui.perfetto.dev)"
+    echo "traces written to ${trace_dir} (load the .json files in" \
+         "ui.perfetto.dev; compare .trace files with tools/trace_diff.py):"
+    for f in serving_trace fig6_trace; do
+        echo "  ${trace_dir}/${f}.json"
+        echo "  ${trace_dir}/${f}.trace"
+    done
 fi
 
 if ! command -v python3 >/dev/null; then
