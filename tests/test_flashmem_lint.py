@@ -203,21 +203,20 @@ class CliBehaviour(unittest.TestCase):
 
     def test_wallclock_default_deny_covers_obs(self):
         """A wall-clock read under src/obs/ must flag under the
-        default deny list, even with a whitelist naming src/."""
-        victim = os.path.join(REPO, "src", "obs",
-                              "wallclock_probe_selftest.cc")
-        try:
+        default deny list, even with a whitelist naming src/. The
+        probe lives in a scratch tree, not the repo's src/obs/, where
+        the concurrently running flashmem_lint ctest would read it."""
+        with tempfile.TemporaryDirectory() as tmp:
+            victim = os.path.join(tmp, "src", "obs",
+                                  "wallclock_probe_selftest.cc")
+            os.makedirs(os.path.dirname(victim))
             with open(victim, "w", encoding="utf-8") as f:
                 f.write("#include <chrono>\n"
                         "auto now() { return std::chrono::"
                         "system_clock::now(); }\n")
-            rc, out, _ = run_lint(
-                os.path.relpath(victim, REPO),
-                "--wallclock-whitelist", "src/")
+            rc, out, _ = run_lint(victim, "--wallclock-whitelist", "src/")
             self.assertEqual(rc, 1, out)
             self.assertIn("[no-wall-clock]", out)
-        finally:
-            os.unlink(victim)
 
     def test_exclude(self):
         rc, _, err = run_lint(FIXTURES, "--exclude", "lint_fixtures")
