@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 
 #include "common/logging.hh"
 
@@ -262,6 +263,12 @@ writeTraceExports(const obs::TraceRecorder &rec,
     *text_path = std::filesystem::path(json_path)
                      .replace_extension(".trace")
                      .string();
+    if (*text_path == json_path) {
+        std::cerr << "--trace " << json_path
+                  << ": the text export would overwrite the JSON; give "
+                     "the JSON another extension\n";
+        return false;
+    }
     std::ofstream json(json_path);
     rec.writeChromeJson(json);
     std::ofstream text(*text_path);

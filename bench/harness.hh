@@ -97,7 +97,8 @@ const core::CompiledModel &cachedCompiled(const core::FlashMem &fm,
  * `--trace PATH` exports: Chrome trace-event JSON to @p json_path and
  * the diffable text export (tools/trace_diff.py's input) next to it,
  * same stem with extension `.trace`, whose path lands in @p text_path.
- * False when either write fails.
+ * False when either write fails, and, writing nothing, when
+ * @p json_path itself ends in `.trace`.
  */
 bool writeTraceExports(const obs::TraceRecorder &rec,
                        const std::string &json_path,

@@ -1,5 +1,7 @@
 #include "core/kernel_rewriter.hh"
 
+#include <numeric>
+
 #include "common/logging.hh"
 #include "common/strutil.hh"
 
@@ -116,15 +118,11 @@ KernelRewriter::renderTemplate(
 
 KernelRewriter::KernelRewriter(const graph::Graph &g,
                                const OverlapPlan &plan, bool branch_free)
-    : g_(g), branch_free_(branch_free), inline_bytes_(g.layerCount(), 0)
+    : g_(g), branch_free_(branch_free)
 {
-    auto moved = plan.movedBytes(g);
-    std::size_t i = 0;
-    for (graph::NodeId l = 0;
-         l < static_cast<graph::NodeId>(g.layerCount()); ++l) {
-        for (std::size_t k = 0; k < plan.assignmentsAt(l).size(); ++k)
-            inline_bytes_[l] += moved[i++];
-    }
+    for (const auto &row : plan.movedBytes(g))
+        inline_bytes_.push_back(
+            std::accumulate(row.begin(), row.end(), Bytes{0}));
 }
 
 RewrittenKernel

@@ -74,7 +74,8 @@ class KernelRewriter
   private:
     const graph::Graph &g_;
     bool branch_free_;
-    /** Bytes each layer moves inline (OverlapPlan::movedBytes). */
+    /** Bytes each layer moves inline: the sums of the
+     * OverlapPlan::movedBytes rows. */
     std::vector<Bytes> inline_bytes_;
 };
 

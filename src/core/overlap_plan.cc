@@ -90,10 +90,11 @@ OverlapPlan::overlapFraction(const graph::Graph &g) const
            static_cast<double>(total);
 }
 
-std::vector<Bytes>
+std::vector<std::vector<Bytes>>
 OverlapPlan::movedBytes(const graph::Graph &g) const
 {
-    FM_ASSERT(schedules_.size() == g.weightCount(),
+    FM_ASSERT(schedules_.size() == g.weightCount() &&
+                  by_layer_.size() == g.layerCount(),
               "plan shape does not match graph '", g.name(), "'");
     WeightSlicer slicer(chunk_bytes_);
     std::vector<Bytes> left(g.weightCount());
@@ -102,9 +103,10 @@ OverlapPlan::movedBytes(const graph::Graph &g) const
         left[s.weight] =
             w.bytes() - slicer.bytesForChunks(w, s.preloadChunks);
     }
-    std::vector<Bytes> moved;
-    for (const auto &layer : by_layer_) {
-        for (const auto &a : layer) {
+    std::vector<std::vector<Bytes>> moved(by_layer_.size());
+    for (std::size_t l = 0; l < by_layer_.size(); ++l) {
+        moved[l].reserve(by_layer_[l].size());
+        for (const auto &a : by_layer_[l]) {
             FM_ASSERT(a.weight >= 0 &&
                           a.weight < static_cast<graph::WeightId>(
                                          left.size()),
@@ -113,7 +115,7 @@ OverlapPlan::movedBytes(const graph::Graph &g) const
                 static_cast<Bytes>(a.chunks) * chunk_bytes_,
                 left[a.weight]);
             left[a.weight] -= m;
-            moved.push_back(m);
+            moved[l].push_back(m);
         }
     }
     return moved;

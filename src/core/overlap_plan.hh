@@ -57,7 +57,8 @@ class OverlapPlan
 
     /** @name Queries (runtime-side). @{ */
     const WeightSchedule &schedule(graph::WeightId w) const;
-    /** Assignments executed by layer @p l, in weight order. */
+    /** Assignments executed by layer @p l, in the order they were
+     * added. */
     const std::vector<ChunkAssignment> &assignmentsAt(
         graph::NodeId l) const;
     /** Total bytes the init phase preloads (the |W| memory term). */
@@ -67,14 +68,14 @@ class OverlapPlan
     /** Fraction of weight bytes streamed via overlap (Figure 8). */
     double overlapFraction(const graph::Graph &g) const;
     /**
-     * Bytes each assignment moves from unified into texture memory, in
-     * execution order (layer by layer, each layer's assignments in
-     * weight order): its chunks, capped at what is left of its weight's
-     * streamed bytes (a weight's last chunk may be short). A layer's
-     * inline bytes are the sum over its assignments; over a valid plan
-     * they sum to streamedBytes().
+     * Bytes each assignment moves from unified into texture memory: one
+     * row per layer, entry k for assignmentsAt(l)[k]. An assignment
+     * moves its chunks, capped at what the assignments before it in
+     * execution order left of its weight's streamed bytes (a weight's
+     * last chunk may be short). A layer's inline bytes are its row's
+     * sum; over a valid plan all rows sum to streamedBytes().
      */
-    std::vector<Bytes> movedBytes(const graph::Graph &g) const;
+    std::vector<std::vector<Bytes>> movedBytes(const graph::Graph &g) const;
     /** @} */
 
     /**

@@ -72,7 +72,6 @@ StreamingRuntime::StreamingRuntime(const graph::Graph &g,
     const auto moved = plan.movedBytes(g);
     std::vector<std::int64_t> chunks_done(g.weightCount(), 0);
     std::size_t next_issue = 0;
-    std::size_t next_move = 0;
     layers_.reserve(g.layerCount());
     for (graph::NodeId l = 0; l < layers; ++l) {
         const auto &node = g.node(l);
@@ -90,16 +89,20 @@ StreamingRuntime::StreamingRuntime(const graph::Graph &g,
             if (plan.schedule(wid).preloadChunks > 0)
                 waits_.push_back(preload_slot[wid]);
         }
-        for (const auto &a : plan.assignmentsAt(l)) {
+        const auto &assigns = plan.assignmentsAt(l);
+        for (std::size_t k = 0; k < assigns.size(); ++k) {
+            const auto &a = assigns[k];
             FM_ASSERT(stream_layer[a.weight] != graph::kInvalidNode &&
                           stream_layer[a.weight] <= l,
                       "transform before disk issue for weight ",
                       a.weight);
+            // A weight assigned twice here needs both assignments'
+            // chunks on unified memory, so the share accumulates.
             chunks_done[a.weight] += a.chunks;
             InlineMove m;
             m.frac = static_cast<double>(chunks_done[a.weight]) /
                      static_cast<double>(stream_chunks[a.weight]);
-            m.bytes = moved[next_move++];
+            m.bytes = moved[l][k];
             m.stream = stream_slot[a.weight];
             layer.inlineBytes += m.bytes;
             moves_.push_back(m);

@@ -9,6 +9,12 @@
  * program was built once per artifact, kept so tests can check that a
  * replay (core::StreamingRuntime::run) makes the same timeline
  * reservations and memory events at the same times.
+ *
+ * They differ on one plan shape: a weight assigned twice in one layer.
+ * Here each assignment waits for its own share of the weight's stream
+ * plus what earlier layers took, and the kernel's inline bytes cap each
+ * assignment at what earlier layers left; the replay counts both
+ * assignments in the share and caps them one after the other.
  */
 
 #ifndef FLASHMEM_TESTS_REFERENCE_RUNTIME_HH

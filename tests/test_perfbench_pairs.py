@@ -3,20 +3,23 @@
 
 The pair comparison decides whether a change may claim a gain and
 whether a metric got worse than its BENCHMARK.json bound, so its
-quartiles, wins and verdicts are checked on canned results here; the
-benchmark runs themselves are not.
+quartiles, wins and verdicts are checked on canned results here, and
+so is the check that a kept parent export holds the requested commit;
+the benchmark runs and git itself are not.
 
 Run directly or via ctest (perfbench_pairs_selftest).
 """
 
 import os
 import sys
+import tempfile
 import unittest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "tools"))
 from perfbench_pairs import (  # noqa: E402
-    format_rows, quartiles, summarize, worse_share)
+    EXPORT_STAMP, ensure_export, format_rows, quartiles, summarize,
+    worse_share)
 
 DRAIN = {"name": "drain_s", "unit": "ref_s", "better": "lower",
          "bound": 0.25}
@@ -115,17 +118,62 @@ class Summarize(unittest.TestCase):
         self.assertEqual(r["name"], "drain_s")
         self.assertEqual(r["pairs"], 1)
 
+    def test_fewer_than_ten_pairs_is_no_gain(self):
+        r = self.row(DRAIN, self.PARENT[:9], [0.10] * 9)
+        self.assertEqual(r["wins"], 9)
+        self.assertFalse(r["gain"])
+
     def test_report_names_each_verdict(self):
         rows = summarize([DRAIN, RPS], [
             ({"drain_s": 0.2, "serve_rps": 100.0},
-             {"drain_s": 0.1, "serve_rps": 50.0})])
+             {"drain_s": 0.1, "serve_rps": 50.0})] * 10)
         text = format_rows("multi_dnn_churn", rows)
-        self.assertIn("multi_dnn_churn (1 pairs)", text)
+        self.assertIn("multi_dnn_churn (10 pairs)", text)
         drain, rps = text.splitlines()[2:]
         self.assertIn("0.2 [0.2, 0.2]", drain)
-        self.assertIn("1/1", drain)
+        self.assertIn("10/10", drain)
         self.assertIn("gain", drain)
         self.assertIn("WORSE than bound 0.25 (+50.0%)", rps)
+
+
+class EnsureExport(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.dest = os.path.join(self.tmp.name, "parent")
+        self.extracted = []
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def extract(self, commit, dest):
+        self.extracted.append(commit)
+        with open(os.path.join(dest, "BENCHMARK.json"), "w") as f:
+            f.write(commit)
+
+    def test_exports_once_and_reuses_the_same_commit(self):
+        ensure_export("aaa", self.dest, self.extract)
+        with open(os.path.join(self.dest, EXPORT_STAMP)) as f:
+            self.assertEqual(f.read(), "aaa\n")
+        ensure_export("aaa", self.dest, self.extract)
+        self.assertEqual(self.extracted, ["aaa"])
+
+    def test_refuses_an_export_of_another_commit(self):
+        ensure_export("aaa", self.dest, self.extract)
+        with self.assertRaisesRegex(ValueError, "aaa, not bbb"):
+            ensure_export("bbb", self.dest, self.extract)
+        self.assertEqual(self.extracted, ["aaa"])
+
+    def test_refuses_an_unstamped_directory(self):
+        # An export written before the stamp existed, or cut short.
+        os.makedirs(self.dest)
+        self.extract("aaa", self.dest)
+        with self.assertRaisesRegex(ValueError, "no export stamp"):
+            ensure_export("aaa", self.dest, self.extract)
+
+    def test_exports_into_an_empty_directory(self):
+        os.makedirs(self.dest)
+        ensure_export("aaa", self.dest, self.extract)
+        self.assertEqual(self.extracted, ["aaa"])
 
 
 if __name__ == "__main__":

@@ -8,17 +8,23 @@
  * branchy kernels, on fresh simulators of two devices and back to back
  * on one shared simulator, every RunResult field, every total-trace
  * point, the activity totals and the per-kind peaks must be equal.
+ *
+ * The one plan shape on which the two differ, a weight assigned twice
+ * in one layer, is pinned on a hand-built plan: the replay treats the
+ * two assignments as one.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/flashmem.hh"
 #include "gpusim/memory.hh"
+#include "graph/builder.hh"
 #include "models/model_zoo.hh"
 #include "reference_runtime.hh"
 
@@ -101,6 +107,21 @@ expectSameSimulator(const GpuSimulator &a, const GpuSimulator &b)
     }
 }
 
+/** True when some layer of @p plan assigns one weight twice. */
+bool
+assignsAWeightTwiceInALayer(const graph::Graph &g, const OverlapPlan &plan)
+{
+    for (graph::NodeId l = 0;
+         l < static_cast<graph::NodeId>(g.layerCount()); ++l) {
+        std::set<graph::WeightId> seen;
+        for (const auto &a : plan.assignmentsAt(l)) {
+            if (!seen.insert(a.weight).second)
+                return true;
+        }
+    }
+    return false;
+}
+
 class StreamProgram : public ::testing::TestWithParam<Table6Model>
 {
   protected:
@@ -120,6 +141,12 @@ class StreamProgram : public ::testing::TestWithParam<Table6Model>
 TEST_P(StreamProgram, ReplaysTheReferenceRuntime)
 {
     const CompiledModel *artifacts[] = {&compiled_, &replanned_};
+    // The reference gives such a layer other timings than the replay
+    // (HandBuiltPlan.WeightAssignedTwiceInOneLayer).
+    for (const auto *cm : artifacts) {
+        ASSERT_FALSE(assignsAWeightTwiceInALayer(cm->fusedGraph, cm->plan))
+            << (cm->replans ? "re-planned" : "compiled");
+    }
     for (bool branch_free : {true, false}) {
         SCOPED_TRACE(branch_free ? "branch-free" : "branchy");
         RunConfig cfg;
@@ -184,6 +211,58 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+TEST(HandBuiltPlan, WeightAssignedTwiceInOneLayer)
+{
+    // input -> fc. fc's 1280 x 1024 FP16 weight is 2.5 MiB: chunks of
+    // 1, 1 and 0.5 MiB. It streams whole, read as layer 0 starts, and
+    // layer 0 transforms it as two assignments, 1 chunk then 2.
+    graph::GraphBuilder b("twice", Precision::FP16);
+    b.matmul(b.input({16, 1280}), 1024, "fc", /*bias=*/false);
+    const auto g = b.build();
+    ASSERT_EQ(g.weightCount(), 1u);
+    const auto &w = g.weight(0);
+    ASSERT_EQ(w.bytes(), mib(2) + kib(512));
+    OverlapPlan twice(g, mib(1)), once(g, mib(1));
+    for (auto *plan : {&twice, &once})
+        plan->setEarliestLoad(w.id, 0);
+    twice.addAssignment(w.id, 0, 1);
+    twice.addAssignment(w.id, 0, 2);
+    once.addAssignment(w.id, 0, 3);
+    ASSERT_TRUE(twice.validate(g, false));
+
+    // Each layer's moved bytes: the second assignment is capped at the
+    // 1.5 MiB the first left, so layer 0 moves the weight once.
+    const auto moved = twice.movedBytes(g);
+    ASSERT_EQ(moved.size(), 2u);
+    EXPECT_EQ(moved[0], (std::vector<Bytes>{mib(1), mib(1) + kib(512)}));
+    EXPECT_TRUE(moved[1].empty());
+    const auto kernels = KernelRewriter(g, twice).rewriteAll();
+    ASSERT_EQ(kernels.size(), 2u);
+    EXPECT_EQ(kernels[0].inlineLoadBytes, w.bytes());
+    EXPECT_EQ(kernels[1].inlineLoadBytes, 0u);
+    EXPECT_EQ(kernels[0].inlineLoadBytes + kernels[1].inlineLoadBytes,
+              twice.streamedBytes(g));
+
+    // Kernel 0 needs both assignments' chunks, the whole read, on
+    // unified memory: it starts when the read ends, and kernel 1
+    // follows it without a stall.
+    const auto dev = DeviceProfile::onePlus12();
+    GpuSimulator disk_only(dev);
+    const auto read = disk_only.disk().transfer(0, w.bytes());
+    GpuSimulator sim(dev);
+    const auto r = StreamingRuntime(g, twice).run(sim);
+    EXPECT_EQ(r.stallTime, read.end);
+    EXPECT_EQ(sim.memory().used(), 0u);
+
+    // So the replay equals one 3-chunk assignment, which the reference
+    // runtime gives the same timings.
+    GpuSimulator merged(dev), reference(dev);
+    expectSameResult(r, StreamingRuntime(g, once).run(merged));
+    expectSameSimulator(sim, merged);
+    expectSameResult(r, referenceRun(reference, g, once));
+    expectSameSimulator(sim, reference);
+}
 
 TEST(StreamProgramDeathTest, ExecuteDiesOnAPlanEditedAfterCompile)
 {

@@ -2,24 +2,28 @@
 """Compare the pipeline benchmark between a parent revision and this tree.
 
     python3 tools/perfbench_pairs.py PARENT_REV [--workload W ...]
-        [--seeds N] [--seconds S] [--export-dir DIR] [--json OUT]
+        [--export-dir DIR] [--json OUT]
 
-Exports PARENT_REV with `git archive` and, for seeds 1..N (default 10),
-runs `python3 perfbench/run.py --workload W --seed S --seconds S
---trace 0` in the export and in the working tree, alternating which
-side goes first (the parent on odd seeds). For each workload and each
-end-to-end metric of BENCHMARK.json it prints both sides' medians and
-quartiles, the change's wins out of the pairs, and whether the change's
-median is worse than the parent's by more than the metric's bound. A
-metric the change improves on at least 9 of 10 pairs, with medians
-further apart than the parent's interquartile range, is marked `gain`.
+Exports PARENT_REV with `git archive` and, for seeds 1..10, runs
+`python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
+(T is BENCHMARK.json's run_seconds) in the export and in the working
+tree, alternating which side goes first (the parent on odd seeds). For
+each workload and each end-to-end metric of BENCHMARK.json it prints
+both sides' medians and quartiles, the change's wins out of the pairs,
+and whether the change's median is worse than the parent's by more than
+the metric's bound. A metric the change improves on at least 9 of 10
+pairs, with medians further apart than the parent's interquartile
+range, is marked `gain`; fewer than 10 pairs (a run failed) never are.
 
 Each side builds its own perfbench under its own .bench_build/; nothing
 under perfbench/ is written. The export goes to a temporary directory
-that is removed afterwards, unless --export-dir names one to keep (and
-reuse its build on the next call). --json writes every run's metrics.
-Exit status: 0, or 1 when a run failed or a median is worse than its
-bound.
+that is removed afterwards, unless --export-dir names one to keep, so
+the next call reuses its build. A kept export records its commit, and a
+later call for another commit refuses it rather than compare against
+the wrong parent. --json writes every run's metrics. Exit status: 0;
+1 when a run failed or a median is worse than its bound; 2 when
+PARENT_REV names no commit or the export directory holds something
+else.
 """
 
 import argparse
@@ -35,7 +39,12 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPEC = os.path.join(ROOT, "BENCHMARK.json")
+SEEDS = range(1, 11)
 GAIN_WIN_SHARE = 0.9
+# Fewer pairs cannot resolve a 9-of-10 win share.
+GAIN_MIN_PAIRS = 10
+# Written into a kept export: the commit it holds.
+EXPORT_STAMP = ".perfbench_pairs_commit"
 
 
 def quartiles(values):
@@ -85,7 +94,8 @@ def summarize(metrics, pairs):
             "bound": m["bound"], "pairs": len(both), "wins": wins,
             "parent": parent, "change": change, "worse": worse,
             "over_bound": worse > m["bound"],
-            "gain": (wins >= math.ceil(GAIN_WIN_SHARE * len(both)) and
+            "gain": (len(both) >= GAIN_MIN_PAIRS and
+                     wins >= math.ceil(GAIN_WIN_SHARE * len(both)) and
                      worse < 0 and abs(change[1] - parent[1]) > iqr),
         })
     return rows
@@ -113,13 +123,42 @@ def format_rows(workload, rows):
     return "\n".join(lines)
 
 
-def export(rev, dest):
-    """Extract @p rev of this repository into @p dest."""
-    data = subprocess.run(["git", "archive", "--format=tar", rev],
+def resolve(rev):
+    """The full commit id @p rev names in this repository."""
+    return subprocess.run(
+        ["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
+        stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
+
+
+def export(commit, dest):
+    """Extract @p commit of this repository into @p dest."""
+    data = subprocess.run(["git", "archive", "--format=tar", commit],
                           cwd=ROOT, stdout=subprocess.PIPE,
                           check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest)
+
+
+def ensure_export(commit, dest, extract=export):
+    """Make @p dest hold an export of @p commit: extract it (with
+    @p extract) into an empty or missing @p dest and stamp it, or reuse
+    a @p dest stamped with @p commit. ValueError when @p dest holds
+    another commit's export or unstamped files."""
+    stamp = os.path.join(dest, EXPORT_STAMP)
+    if os.path.exists(stamp):
+        with open(stamp) as f:
+            held = f.read().strip()
+        if held != commit:
+            raise ValueError("%s holds an export of %s, not %s" % (
+                dest, held, commit))
+        return
+    os.makedirs(dest, exist_ok=True)
+    if os.listdir(dest):
+        raise ValueError("%s is not empty and holds no export stamp" %
+                         dest)
+    extract(commit, dest)
+    with open(stamp, "w") as f:
+        f.write(commit + "\n")
 
 
 def run_side(root, workload, seed, seconds):
@@ -144,8 +183,6 @@ def main():
     parser.add_argument("parent_rev")
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable; default all)")
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--export-dir")
     parser.add_argument("--json", help="write every run's results here")
     args = parser.parse_args()
@@ -155,23 +192,26 @@ def main():
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     export_dir = args.export_dir or tempfile.mkdtemp(
         prefix="perfbench-parent-")
-    if not os.path.exists(os.path.join(export_dir, "BENCHMARK.json")):
-        export(args.parent_rev, export_dir)
 
     status = 0
     raw = {}
     try:
+        try:
+            ensure_export(resolve(args.parent_rev), export_dir)
+        except (ValueError, subprocess.CalledProcessError) as e:
+            print("error: %s" % e, file=sys.stderr)
+            return 2
         for workload in workloads:
             pairs, failed = [], {"parent": 0, "change": 0}
             ops = {"parent": [0, 0], "change": [0, 0]}
-            for seed in range(1, args.seeds + 1):
+            for seed in SEEDS:
                 sides = [("parent", export_dir), ("change", ROOT)]
                 if seed % 2 == 0:
                     sides.reverse()
                 got = {}
                 for side, root in sides:
                     got[side] = run_side(root, workload, seed,
-                                         args.seconds)
+                                         spec["run_seconds"])
                     if got[side] is None:
                         failed[side] += 1
                         print("%s seed %d: %s run failed" % (
