@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "common/logging.hh"
@@ -40,6 +39,9 @@ class Network
      * @p topo, so the empty flow's residual graph is a DAG: one pass in
      * that order gives potentials that make every reduced cost
      * non-negative, and each path after that is a Dijkstra search.
+     * The search stops once @p t is settled and shifts only the settled
+     * nodes' potentials, by their distance less t's: every other node
+     * is at least as far as t, so reduced costs stay non-negative.
      * @return (units routed, paths augmented).
      */
     std::pair<std::int64_t, std::uint64_t>
@@ -62,23 +64,29 @@ class Network
         std::uint64_t paths = 0;
         std::vector<std::int64_t> dist(n);
         std::vector<int> via(n);
+        std::vector<int> settled;
         using Entry = std::pair<std::int64_t, int>;
+        std::vector<Entry> heap;
+        const std::greater<Entry> later;
         for (;;) {
             // Nodes the empty flow cannot reach from s never become
             // reachable: an augmentation only adds reverse arcs between
             // nodes on its path.
             std::fill(dist.begin(), dist.end(), kInf);
             std::fill(via.begin(), via.end(), -1);
-            std::priority_queue<Entry, std::vector<Entry>,
-                                std::greater<Entry>>
-                heap;
+            settled.clear();
+            heap.clear();
             dist[s] = 0;
-            heap.push({0, s});
+            heap.push_back({0, s});
             while (!heap.empty()) {
-                auto [d, u] = heap.top();
-                heap.pop();
+                std::pop_heap(heap.begin(), heap.end(), later);
+                const auto [d, u] = heap.back();
+                heap.pop_back();
                 if (d > dist[u])
                     continue;
+                settled.push_back(u);
+                if (u == t)
+                    break;
                 for (int a : out_[u]) {
                     const Arc &arc = arcs_[a];
                     if (arc.cap <= 0)
@@ -88,16 +96,15 @@ class Network
                     if (nd < dist[arc.to]) {
                         dist[arc.to] = nd;
                         via[arc.to] = a;
-                        heap.push({nd, arc.to});
+                        heap.push_back({nd, arc.to});
+                        std::push_heap(heap.begin(), heap.end(), later);
                     }
                 }
             }
             if (dist[t] == kInf)
                 break;
-            for (int v = 0; v < n; ++v) {
-                if (dist[v] != kInf)
-                    pot[v] += dist[v];
-            }
+            for (int v : settled)
+                pot[v] += dist[v] - dist[t];
             std::int64_t push = kInf;
             for (int v = t; v != s; v = arcs_[via[v] ^ 1].to)
                 push = std::min(push, arcs_[via[v]].cap);
@@ -222,10 +229,15 @@ solveWindow(const WindowNetwork &net, const WindowPlan &greedy)
         for (auto l : w.cands) {
             FM_ASSERT(l >= first && l < w.consumer && w.consumer < end,
                       "candidate layer ", l, " outside its window");
-            x_arc[k].push_back(g.addArc(
-                bypass(l), entry(k),
-                std::min(w.chunks, residual[l]),
-                chunkCost(net, w, l)));
+            // A chunk on a bypass of positive cost would cost less on
+            // the line, which has room for it, so no min-cost flow uses
+            // the arc; leaving it out changes neither flow nor bound.
+            const std::int64_t cost = chunkCost(net, w, l);
+            x_arc[k].push_back(
+                cost > 0 ? -1
+                         : g.addArc(bypass(l), entry(k),
+                                    std::min(w.chunks, residual[l]),
+                                    cost));
         }
         g.addArc(entry(k), line(w.consumer), w.chunks, 0); // C0
     }
@@ -257,7 +269,7 @@ solveWindow(const WindowNetwork &net, const WindowPlan &greedy)
     for (std::size_t k = 0; k < net.weights.size(); ++k) {
         const auto &w = net.weights[k];
         for (std::size_t j = 0; j < x_arc[k].size(); ++j) {
-            const std::int64_t v = g.flow(x_arc[k][j]);
+            const std::int64_t v = x_arc[k][j] < 0 ? 0 : g.flow(x_arc[k][j]);
             flow_x[k].push_back(v);
             sol.flowCost += v * chunkCost(net, w, w.cands[j]);
         }

@@ -18,7 +18,8 @@
  *
  * solveWindow() takes the network as plain data, solves it with
  * successive shortest paths (one topological pass for the potentials,
- * then Dijkstra), scores the flow plan and the caller's greedy plan on
+ * then Dijkstra, stopped at the sink; bypasses of positive cost are
+ * left out, since no min-cost flow uses them), scores the flow plan and the caller's greedy plan on
  * the exact window objective, and ships the lower. Costs are integers
  * and arcs are visited in a fixed order, so a window's result is a pure
  * function of its input.
