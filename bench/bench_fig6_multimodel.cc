@@ -15,9 +15,8 @@
  * BENCH_table4.json's fig6_policies section (tools/run_benchmarks.sh).
  *
  * `--determinism`: instead of the figure, run the memory-aware
- * re-planning scheduler with planner thread counts 1 and 4 (one
- * FlashMem each) and fail unless the outcomes
- * (timelines, re-plan counts, memory) are identical — the
+ * re-planning scheduler twice (one FlashMem each) and fail unless the
+ * outcomes (timelines, re-plan counts, memory) are identical — the
  * ctest-registered scheduler determinism check.
  *
  * `--trace PATH`: run the five-model queue under the memory-aware
@@ -63,8 +62,8 @@ outcomesIdentical(const multidnn::ScheduleOutcome &a,
 
 /**
  * Scheduler determinism: the same queue under the memory-aware
- * re-planning policy must produce bit-identical outcomes for any
- * planner thread count (one FlashMem per arm).
+ * re-planning policy must produce bit-identical outcomes on separate
+ * FlashMems.
  */
 int
 runDeterminismCheck()
@@ -74,10 +73,8 @@ runDeterminismCheck()
         {ModelId::ResNet50, ModelId::GPTNeoS, ModelId::DepthAnythingS},
         /*iterations=*/2, /*gap=*/milliseconds(10), /*seed=*/17);
 
-    auto run_arm = [&](int threads) {
-        core::FlashMemOptions opt;
-        opt.opg.parallel.threads = threads;
-        core::FlashMem fm(dev, opt);
+    auto run_arm = [&]() {
+        core::FlashMem fm(dev);
         multidnn::SchedulerConfig cfg;
         // Tight shared budget: admission shrinks per-model shares, so
         // every distinct model re-plans at least once.
@@ -86,11 +83,11 @@ runDeterminismCheck()
         return sched.run(queue, multidnn::MemoryAwarePolicy{});
     };
 
-    auto t1 = run_arm(1);
-    auto t4 = run_arm(4);
-    bool identical = outcomesIdentical(t1, t4);
+    auto t1 = run_arm();
+    auto t2 = run_arm();
+    bool identical = outcomesIdentical(t1, t2);
     bool replanned = t1.replans > 0;
-    std::cout << "scheduler determinism (threads 1 vs 4): "
+    std::cout << "scheduler determinism (two runs): "
               << (identical ? "identical" : "DIVERGED") << ", "
               << t1.replans << " re-plans ("
               << formatDouble(t1.replanSeconds, 3) << " s)\n";

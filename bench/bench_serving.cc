@@ -15,8 +15,8 @@
  * regression-gated by tools/check_bench_regression.py.
  *
  * `--determinism`: run the headline 1M-request trace and a capacity
- * sweep under (planner threads, pool threads) = (1,1) and (4,4) on
- * separate FlashMems and fail unless every policy's p50/p95/p99, shed
+ * sweep on pools of 1 and 4 threads, each calibrated on its own
+ * FlashMem, and fail unless every policy's p50/p95/p99, shed
  * and degraded counts, goodput, makespan, and max sustainable QPS are
  * bit-identical — the ctest-registered serving determinism check.
  *
@@ -26,8 +26,8 @@
  * per-device utilization, plus the single-device overlap demo — a
  * back-to-back LLM trace whose makespan shrinks when each request's
  * streamed preload overlaps the previous request's compute.
- * `--sharding-determinism` repeats the study at (1,1) vs (4,4)
- * planner/pool threads and fails on any bit difference.
+ * `--sharding-determinism` repeats the study on pools of 1 and 4
+ * threads and fails on any bit difference.
  *
  * The admission study (`serving_admission` JSON section) compares
  * dispatch-point-only admission against the arrival-time backlog gate
@@ -95,15 +95,13 @@ struct Arm
     SimTime p99Bound = 0;
 };
 
-/** Calibrate the model mix on a fresh FlashMem at @p planner_threads
- * and derive the offered-load operating points from it. */
+/** Calibrate the model mix on a fresh FlashMem and derive the
+ * offered-load operating points from it. */
 Arm
-calibrateArm(int planner_threads)
+calibrateArm()
 {
     auto dev = gpusim::DeviceProfile::onePlus12();
-    core::FlashMemOptions opt;
-    opt.opg.parallel.threads = planner_threads;
-    core::FlashMem fm(dev, opt);
+    core::FlashMem fm(dev);
 
     Arm arm;
     arm.mix.entries = {
@@ -411,16 +409,14 @@ struct AdmissionStudy
  * gated-vs-ungated is a pure timing comparison.
  */
 AdmissionStudy
-runAdmissionStudy(const Arm &arm, int planner_threads)
+runAdmissionStudy(const Arm &arm)
 {
     // Oracle calibration of the cold models the warm table never saw
     // (same device profile and options as the warm arm, so the merged
     // table is what one calibration pass over all six models would
     // yield).
     auto dev = gpusim::DeviceProfile::onePlus12();
-    core::FlashMemOptions opt;
-    opt.opg.parallel.threads = planner_threads;
-    core::FlashMem fm(dev, opt);
+    core::FlashMem fm(dev);
     const std::vector<models::ModelId> cold_models = {
         ModelId::DeepViT, ModelId::DepthAnythingL};
     auto cold_services = serving::calibrateServices(
@@ -651,7 +647,7 @@ constexpr std::size_t kTraceExportRequests = 5000;
 int
 runTraceExport(const char *path)
 {
-    auto arm = calibrateArm(ThreadPool::defaultThreadCount());
+    auto arm = calibrateArm();
     const double qps =
         kAdmissionOverload * arm.capacityQps * kFaultDevices;
     const SimTime horizon = seconds(
@@ -738,7 +734,7 @@ int
 runShardingDeterminismCheck()
 {
     auto run_study = [&](int threads) {
-        auto arm = calibrateArm(threads);
+        auto arm = calibrateArm();
         ThreadPool pool(threads);
         return runShardingStudy(arm, pool, /*sweep_requests=*/50000,
                                 /*headline_requests=*/100000);
@@ -746,8 +742,7 @@ runShardingDeterminismCheck()
     auto t1 = run_study(1);
     auto t4 = run_study(4);
     bool identical = shardingIdentical(t1, t4);
-    std::cout << "serving sharding determinism (planner+pool threads "
-                 "1 vs 4): "
+    std::cout << "serving sharding determinism (pool threads 1 vs 4): "
               << (identical ? "identical" : "DIVERGED") << "\n";
     for (const auto &p : t1.points) {
         std::cout << "  " << p.devices << " device(s), overlap "
@@ -770,7 +765,7 @@ int
 runDeterminismCheck()
 {
     auto run_arm = [&](int threads) {
-        auto arm = calibrateArm(threads);
+        auto arm = calibrateArm();
         ThreadPool pool(threads);
         return runArm(arm, pool, kHeadlineRequests,
                       /*sweep_requests=*/100000);
@@ -786,7 +781,7 @@ runDeterminismCheck()
         exercised = exercised || f.headline.stats.shedCount() > 0 ||
                     f.headline.stats.degradedCount() > 0;
     }
-    std::cout << "serving determinism (planner+pool threads 1 vs 4): "
+    std::cout << "serving determinism (pool threads 1 vs 4): "
               << (identical ? "identical" : "DIVERGED") << "\n";
     for (const auto &f : t1) {
         std::cout << "  " << f.policy << ": p99 "
@@ -820,7 +815,7 @@ main(int argc, char **argv)
     printHeading(std::cout,
                  "Serving harness: 1M-request capacity study");
 
-    auto arm = calibrateArm(ThreadPool::defaultThreadCount());
+    auto arm = calibrateArm();
 
     std::cout << "calibrated capacity "
               << formatDouble(arm.capacityQps, 1) << " QPS, headline "
@@ -1091,8 +1086,7 @@ main(int argc, char **argv)
     fjson << "    ]\n  },\n"; // serving_admission section follows
 
     // ------------------------------------------- admission study
-    auto admission =
-        runAdmissionStudy(arm, ThreadPool::defaultThreadCount());
+    auto admission = runAdmissionStudy(arm);
     auto [admission_ok, ajson] = reportAdmissionStudy(admission);
     ok &= admission_ok;
 

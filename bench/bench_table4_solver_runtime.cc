@@ -11,24 +11,20 @@
  *
  * After Table 4 comes a plan-quality table: latency, peak and preload
  * of every zoo model's shipped plan at default options, which the
- * regression gate holds per model. Then Llama2-70B planner wall time
- * at 1, 2 and 4 threads (the plan must not depend on the count), and
- * merge-time re-balancing.
+ * regression gate holds per model.
  *
  * With an argument, also writes the host-independent results as JSON
  * (consumed by tools/run_benchmarks.sh -> BENCH_table4.json):
- * statuses, augmentations, plan quality and re-balancing figures.
+ * statuses, augmentations, re-balanced chunks and plan quality.
  * Every host time is printed only; perfbench's zoo_compile compile_s
  * and lc_opg.* spans measure planner time.
  */
 
 #include "bench/harness.hh"
 
-#include <chrono>
 #include <fstream>
 #include <iterator>
 #include <sstream>
-#include <thread>
 
 #include "common/logging.hh"
 #include "core/lc_opg.hh"
@@ -71,9 +67,8 @@ main(int argc, char **argv)
     gpusim::KernelModel km(gpusim::DeviceProfile::onePlus12());
     profiler::AnalyticCapacityProvider cap(km);
 
-    Table t({"Model", "Process (s)", "(paper)", "Stage (s)", "Build (s)",
-             "(paper)", "Solve (s)", "(paper)", "Solve CPU (s)",
-             "Merge (s)", "Status", "(paper)"});
+    Table t({"Model", "Process (s)", "(paper)", "Build (s)", "(paper)",
+             "Solve (s)", "(paper)", "Merge (s)", "Status", "(paper)"});
     std::uint64_t augmentations_70b = 0, augmentations_s = 0;
     json << "  \"table4\": [\n";
     for (std::size_t i = 0; i < t4models.size(); ++i) {
@@ -88,12 +83,10 @@ main(int argc, char **argv)
             solver::solveStatusName(stats.overallStatus);
         t.addRow({e.name, formatDouble(stats.processNodesSeconds, 3),
                   formatDouble(pub.p_process, 3),
-                  formatDouble(stats.stageSeconds, 3),
                   formatDouble(stats.buildModelSeconds, 3),
                   formatDouble(pub.p_build, 3),
                   formatDouble(stats.solveSeconds, 4),
                   formatDouble(pub.p_solve, 2),
-                  formatDouble(stats.solveCpuSeconds, 4),
                   formatDouble(stats.mergeSeconds, 3), status,
                   pub.p_status});
         json << "    {\"model\": \"" << e.name
@@ -156,95 +149,8 @@ main(int argc, char **argv)
                  << (i + 1 < zoo.size() ? "," : "") << "\n";
         }
         q.print(std::cout);
-        json << "  ],\n";
     }
 
-    // Planner wall time by thread count (printed only: host time); the
-    // plan must not depend on the count.
-    {
-        const auto &llama70b = t4models.back();
-        FM_ASSERT(llama70b.name == "Llama2-70B",
-                  "table4ModelSet() order changed");
-        std::string first_plan;
-        bool same = true;
-        std::cout << "Llama2-70B plan wall time by planner threads ("
-                  << std::thread::hardware_concurrency()
-                  << " hardware threads):";
-        for (int threads : {1, 2, 4}) {
-            core::OpgParams params;
-            params.parallel.threads = threads;
-            core::LcOpgPlanner planner(*llama70b.graph, cap, km, params);
-            auto t0 = std::chrono::steady_clock::now();
-            auto plan = planner.plan().serialize();
-            double wall = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-            std::cout << " " << threads << " -> "
-                      << formatDouble(wall, 2) << " s"
-                      << (threads < 4 ? "," : "");
-            if (first_plan.empty())
-                first_plan = std::move(plan);
-            else
-                same &= plan == first_plan;
-        }
-        ok &= same;
-        std::cout << "; plans identical: " << (same ? "PASS" : "FAIL")
-                  << "\n";
-    }
-
-    // ------------------------------------------------------------------
-    // Merge-time re-balancing. Under the latency-priority
-    // configuration (the Figure-6 study: 1 GiB in-flight budget,
-    // lambda 0.5) some windows preload chunks even though earlier
-    // windows reserved capacity greedily and did not use it; the
-    // second merge pass moves those chunks back into the stream. The
-    // check: at least one Table-4 model gets topped up, and topping up
-    // never increases the preload set.
-    // ------------------------------------------------------------------
-    printHeading(std::cout,
-                 "Merge-time re-balancing: preloaded chunks topped up");
-    Table rt({"Model", "Rebalanced chunks", "Weights", "Preload (off)",
-              "Preload (on)"});
-    bool reb_any = false;
-    json << "  \"rebalance\": [\n";
-    for (std::size_t i = 0; i < 2; ++i) { // GPTN-S, GPTN-1.3B
-        const auto &e = t4models[i];
-        core::OpgParams params;
-        params.mPeak = mib(1024);
-        params.lambda = 0.5;
-
-        params.mergeRebalance = false;
-        core::PlanStats stats_off;
-        core::LcOpgPlanner off(*e.graph, cap, km, params);
-        auto plan_off = off.plan(&stats_off);
-
-        params.mergeRebalance = true;
-        core::PlanStats stats_on;
-        core::LcOpgPlanner on(*e.graph, cap, km, params);
-        auto plan_on = on.plan(&stats_on);
-
-        Bytes pre_off = plan_off.preloadBytes(*e.graph);
-        Bytes pre_on = plan_on.preloadBytes(*e.graph);
-        ok &= plan_on.validate(*e.graph, false);
-        ok &= pre_on <= pre_off;
-        reb_any |= stats_on.rebalancedChunks > 0;
-        rt.addRow({e.name, std::to_string(stats_on.rebalancedChunks),
-                   std::to_string(stats_on.rebalancedWeights),
-                   formatBytes(pre_off), formatBytes(pre_on)});
-        json << "    {\"model\": \"" << e.name
-             << "\", \"rebalanced_chunks\": "
-             << stats_on.rebalancedChunks
-             << ", \"rebalanced_weights\": "
-             << stats_on.rebalancedWeights
-             << ", \"preload_mb_off\": " << toMiB(pre_off)
-             << ", \"preload_mb_on\": " << toMiB(pre_on) << "}"
-             << (i + 1 < 2 ? "," : "") << "\n";
-    }
-    rt.print(std::cout);
-    ok &= reb_any;
-    std::cout << "\nRe-balancing pass (>=1 model topped up, preload "
-                 "never grows): "
-              << (reb_any ? "PASS" : "FAIL") << "\n";
     json << "  ]\n}\n";
     if (argc > 1) {
         std::ofstream out(argv[1]);

@@ -3,7 +3,7 @@
  * Reusable fixed-size worker pool: a mutex-protected work queue drained
  * by N threads, with std::future-based result retrieval.
  *
- * Built for the parallel window-planning pipeline in LcOpgPlanner but
+ * Runs the serving capacity sweep's probes (serving/sweep.hh) and is
  * deliberately generic: submit() accepts any nullary callable and hands
  * back a future for its result. Tasks run in submission order (FIFO
  * pickup), but completion order is up to the scheduler — callers that

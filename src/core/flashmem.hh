@@ -102,7 +102,7 @@ class FlashMem
      * re-plans well under a second). Every window is one flow, so
      * repeated budget shifts — the multi-DNN scheduler
      * admitting/evicting co-resident models — are cheap and
-     * bit-deterministic for any thread count.
+     * bit-deterministic.
      */
     CompiledModel replan(const CompiledModel &compiled,
                          Bytes mPeak) const;

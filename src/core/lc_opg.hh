@@ -13,31 +13,24 @@
  * hold (C2, C3).
  *
  * The planner follows the paper's implementation notes: incremental
- * scheduling over a rolling layer window, with a greedy latest-feasible
- * placement staged per window as its capacity reservation.
+ * scheduling over a rolling window of 32 layers, solved in layer order
+ * on one thread. Each window's weights may stream from
+ * earlier windows' layers through whatever capacity those left, so a
+ * window solves against the residual-capacity and in-flight ledgers as
+ * the windows before it left them, and commits its plan straight into
+ * the plan and the ledgers before the next window starts.
  *
  * One flow per window. Inside a window the model, set aside z_w and
  * C1, is a min-cost network flow (src/solver/flow.hh): layers form a
  * line whose arcs hold the unused in-flight headroom (C2), and a
  * streamed chunk is a bypass through its layer's residual capacity
- * (C3) to its weight's consumer (C0). One integral flow solve gives a
- * plan and a lower bound on the window objective. The window ships
- * whichever of the flow plan and the staged greedy scores lower on the
- * exact objective (the greedy on a tie), so no window scores worse
- * than its greedy, and a window is Optimal when its objective meets
- * the bound. A plan is a pure function of (graph, device, options).
- *
- * Whole-plan generation is a three-phase pipeline (PR 2):
- *   1. stage  — sequential: each window's inputs (weight slice,
- *      candidates, greedy placement, residual-capacity snapshot) are
- *      computed up front, with the greedy acting as the staged
- *      capacity reservation for windows that follow;
- *   2. solve  — parallel: window flows solve concurrently on a
- *      ThreadPool (ParallelPlanParams::threads), each a pure function
- *      of its staged input;
- *   3. merge  — sequential, in window order: solutions commit into the
- *      authoritative capacity ledgers with clamping, so the final plan
- *      is valid and byte-identical for any thread count.
+ * (C3) to its weight's consumer (C0). One integral flow solve gives
+ * the window's plan and a lower bound on the window objective; a
+ * window is Optimal when its plan meets the bound. The flow honours
+ * the live ledgers, so every take fits where it lands (the commit
+ * asserts it). After the last window, a re-balancing pass tops up
+ * preloaded chunks from capacity the windows left unused. A plan is a
+ * pure function of (graph, device, options).
  */
 
 #ifndef FLASHMEM_CORE_LC_OPG_HH
@@ -53,15 +46,11 @@
 
 namespace flashmem::core {
 
-/**
- * Parallel window-solving knobs. Whole-plan generation runs as a
- * three-phase pipeline — stage (sequential), solve (parallel on a
- * ThreadPool), merge (sequential, in window order) — so the merged
- * OverlapPlan is byte-identical for any thread count.
- */
+/** Ignored: windows solve in order on one thread (file comment).
+ * Kept because perfbench, which is frozen, sets @c threads; it goes
+ * with the next change to the benchmark. */
 struct ParallelPlanParams
 {
-    /** Worker threads for window solves; 0 = hardware_concurrency. */
     int threads = 0;
 };
 
@@ -76,8 +65,6 @@ struct OpgParams
     Bytes mPeak = mib(500);             ///< M_peak (memory priority)
     /** Preload-vs-distance balance; ~0.9 prioritizes low memory. */
     double lambda = 0.9;
-    /** Rolling-window length in layers (incremental scheduling). */
-    int windowLayers = 32;
     /** How many layers before i_w a chunk may be transformed. */
     int maxLoadDistance = 24;
     /**
@@ -95,18 +82,7 @@ struct OpgParams
      * the next change to the benchmark.
      */
     PlanMemo *memo = nullptr;
-    /**
-     * Merge-time capacity re-balancing (second merge pass): after the
-     * ordered commit, weights left with chunks in the preload set are
-     * topped up from capacity that earlier windows
-     * reserved greedily but did not use. Deterministic (sequential,
-     * consumer order) and purely plan-improving: every moved chunk
-     * lowers |W| without violating C2/C3, since it only consumes
-     * residual capacity and in-flight headroom left in the
-     * authoritative ledgers.
-     */
-    bool mergeRebalance = true;
-    /** Window-solve parallelism (plan stays byte-identical). */
+    /** Ignored (ParallelPlanParams). */
     ParallelPlanParams parallel;
 };
 
@@ -114,30 +90,30 @@ struct OpgParams
 struct PlanStats
 {
     /**
-     * Per-window solve summary, in window (layer) order — the order
-     * futures are consumed in, so the vector is identical for any
-     * solver thread count. Consumed by the obs tracing layer
-     * (SolverWindow events) and available for triage. A window
-     * without weights reads all zeros.
+     * Per-window solve summary, in window (layer) order. Consumed by
+     * the obs tracing layer (SolverWindow events) and available for
+     * triage. A window without weights reads all zeros.
      */
     struct WindowSolveSummary
     {
         int window = 0;
         solver::SolveStatus status = solver::SolveStatus::Optimal;
         std::int64_t objective = 0;       ///< shipped window objective
-        std::int64_t greedyObjective = 0; ///< the staged greedy's
         std::int64_t bound = 0;           ///< flow lower bound
         std::uint64_t augmentations = 0;  ///< flow shortest paths
     };
 
+    /** @name Host seconds per phase, summed over windows. Kept, with
+     * their phase split, because perfbench reports them as
+     * lc_opg.stage_s, build_s, solve_s, solve_cpu_s and merge_s. @{ */
     double processNodesSeconds = 0.0;   ///< graph analysis + capacities
-    double stageSeconds = 0.0;          ///< window staging (sequential)
-    double buildModelSeconds = 0.0;     ///< network inputs (CPU, summed)
-    /** Wall-clock of the (parallel) solve phase — the Table-4 column. */
-    double solveSeconds = 0.0;
-    /** Per-window solve time summed across workers (CPU-ish). */
+    double stageSeconds = 0.0;          ///< window weights + candidates
+    double buildModelSeconds = 0.0;     ///< window networks
+    double solveSeconds = 0.0;          ///< window flows (Table-4 column)
+    /** Equal to solveSeconds: the flows run on one thread. */
     double solveCpuSeconds = 0.0;
-    double mergeSeconds = 0.0;          ///< ordered commit + validation bookkeeping
+    double mergeSeconds = 0.0;          ///< commits + re-balancing
+    /** @} */
     solver::SolveStatus overallStatus = solver::SolveStatus::Optimal;
     int windows = 0;
     int optimalWindows = 0;
@@ -150,8 +126,7 @@ struct PlanStats
     int greedyWindows = 0;
     std::uint64_t solverRestarts = 0;
     /** @} */
-    int threads = 1;                    ///< worker threads used to solve
-    /** @name Merge-time re-balancing (second merge pass). @{ */
+    /** @name Re-balancing after the last window. @{ */
     std::int64_t rebalancedChunks = 0;  ///< chunks moved W -> streamed
     int rebalancedWeights = 0;          ///< truncated weights topped up
     /** @} */
@@ -190,102 +165,48 @@ class LcOpgPlanner
     OverlapPlan plan(PlanStats *stats = nullptr);
 
   private:
-    /**
-     * Greedy latest-feasible chunk placement for the given weights;
-     * returns per-weight (assignments, preload leftovers). Used as the
-     * quality floor of every window and as the staged capacity
-     * reservation that decouples windows for parallel solving.
-     */
-    struct GreedyOut
+    /** One window's weights and where each may stream from. */
+    struct Window
     {
-        // Parallel to the weight list handed in.
-        std::vector<std::vector<std::pair<graph::NodeId, std::int64_t>>>
-            assignments;
-        std::vector<std::int64_t> preload;
-    };
-
-    /**
-     * Everything one window solve needs, captured up front by the
-     * sequential staging pass: the weight slice, candidate layers,
-     * greedy placement, and snapshots of the staged residual-capacity
-     * and in-flight ledgers. Once staged, a window's solve is a pure
-     * function of this struct (plus the read-only planner fields), so
-     * windows solve concurrently and deterministically.
-     */
-    struct WindowInput
-    {
-        graph::NodeId start = 0;
-        graph::NodeId end = 0;
-        std::vector<graph::WeightId> weights;       // consumer order
+        graph::NodeId end = 0;                      ///< past the last layer
+        std::vector<graph::WeightId> weights;       ///< consumer order
+        /** Per weight: layers within maxLoadDistance before its
+         * consumer with residual capacity left, ascending. */
         std::vector<std::vector<graph::NodeId>> cands;
-        graph::NodeId minCand = 0;
-        GreedyOut greedy;
-        std::vector<std::int64_t> residual;         // staged snapshot
-        std::vector<std::int64_t> inflight;         // staged snapshot
-    };
-
-    /** The shipped window plan, as commitWindow() merges it. */
-    struct WindowOutput
-    {
-        PlanStats::WindowSolveSummary summary;
-        double buildSeconds = 0.0;
-        double solveSeconds = 0.0;
-        std::vector<std::int64_t> preload;          // per weight
-        /** Per weight, (layer, chunks) in layer order. */
-        std::vector<std::vector<std::pair<graph::NodeId, std::int64_t>>>
-            assign;
+        graph::NodeId minCand = 0; ///< first candidate (end if none)
     };
 
     /** Analyze graph: per-layer capacities, chunk counts, pinned W. */
     void processNodes();
 
-    /**
-     * Stage one window [start, end): collect its weights/candidates,
-     * compute the greedy placement against the staging ledgers, then
-     * reserve the greedy's capacity in them (so later windows stage
-     * against this window's expected usage).
-     */
-    WindowInput stageWindow(graph::NodeId start, graph::NodeId end,
-                            std::vector<std::int64_t> &staging_residual,
-                            std::vector<std::int64_t> &staging_inflight)
-        const;
+    /** The weights consumed in [start, end) that are not pinned, and
+     * their candidates against the current ledgers. */
+    Window windowAt(graph::NodeId start, graph::NodeId end) const;
 
-    /** @p in as the flow solver's plain-data window network. */
-    solver::WindowNetwork windowNetwork(const WindowInput &in) const;
-
-    /** @p in's staged greedy placement, per candidate. */
-    static solver::WindowPlan greedyPlan(const WindowInput &in);
-
-    /** Fill @p out with window @p in's shipped plan from @p sol. */
-    void extractWindow(const WindowInput &in,
-                       const solver::WindowSolution &sol,
-                       WindowOutput &out) const;
+    /** @p win against the current ledgers, as the flow solver's
+     * plain-data window network. */
+    solver::WindowNetwork windowNetwork(const Window &win) const;
 
     /**
-     * Merge one window's solution into the plan and the authoritative
-     * residual/in-flight ledgers, in window order. Assignments that
-     * exceed the real residual capacity (possible when a window's
-     * solver used more of a shared layer than the greedy reservation
-     * staged for it) are clamped, with the overflow moved to the
-     * preload set — validity is unconditional.
+     * Commit @p win's flow plan @p x into @p plan and the ledgers. The
+     * flow honours the ledgers' residual capacities (C3) and in-flight
+     * headroom (C2), so every take must fit; a take that does not is a
+     * solver bug and fails loudly.
      */
-    void commitWindow(const WindowInput &in, const WindowOutput &out,
+    void commitWindow(const Window &win, const solver::WindowPlan &x,
                       OverlapPlan &plan);
 
     /**
-     * Second merge pass (cross-window capacity re-balancing): walk the
-     * committed plan in consumer order and move preload chunks into
-     * residual capacity that earlier windows
-     * reserved but did not use. Runs after every window committed, so
-     * the authoritative ledgers are final; every top-up is validated
-     * against them (and the in-flight headroom) before it lands.
+     * Re-balancing pass after the last window: walk the plan in
+     * consumer order and stream preloaded chunks, latest-feasible,
+     * through the load capacity (C3) and in-flight headroom (C2) the
+     * windows left unused. A window's flow preloads a chunk wherever
+     * streaming it would raise the window objective, so this pass
+     * lowers |W| at the objective's expense (src/solver/README.md says
+     * why it stays). Every top-up is checked against the ledgers
+     * before it lands.
      */
     void rebalanceMerge(OverlapPlan &plan, PlanStats &stats);
-
-    GreedyOut greedyAssign(
-        const std::vector<graph::WeightId> &weights,
-        const std::vector<std::int64_t> &residual_capacity,
-        const std::vector<std::int64_t> &inflight_used) const;
 
     const graph::Graph &g_;
     const profiler::CapacityProvider &capacity_;
@@ -296,7 +217,7 @@ class LcOpgPlanner
     std::vector<std::int64_t> capacity_chunks_;      // C_l per layer
     std::vector<std::int64_t> chunk_count_;          // T(w) per weight
     std::vector<bool> pinned_preload_;               // explicit W list
-    // Authoritative cross-window ledgers (written only at merge).
+    // Cross-window ledgers, updated as each window commits.
     std::vector<std::int64_t> residual_capacity_;    // C_l minus spent
     std::vector<std::int64_t> inflight_used_;        // M_peak usage/layer
 };

@@ -23,8 +23,9 @@
  * shared capacity budget, and when a model's share shifts — because
  * other models were admitted to or evicted from the ready set — the
  * model is re-planned at its new budget via FlashMem::replan(). Every
- * planner window is one min-cost flow, so re-plans land well under a
- * second and are bit-deterministic for any planner thread count.
+ * planner window is one min-cost flow, solved in layer order on one
+ * thread, so re-plans land well under a second and are
+ * bit-deterministic.
  */
 
 #ifndef FLASHMEM_MULTIDNN_SCHEDULER_HH

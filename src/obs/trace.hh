@@ -6,7 +6,7 @@
  * sequence numbers, run ids, device ids, fault/window indices) and
  * simulation timestamps — never wall clock — so two runs with the
  * same seed and configuration produce byte-identical trace exports
- * regardless of planner/pool thread counts. That makes the trace
+ * regardless of pool thread counts. That makes the trace
  * itself a regression-gateable artifact: the cross-validation tests
  * compare the fast simulator's event stream against the
  * EventScheduler's with a plain string equality, and

@@ -13,8 +13,7 @@
  * fast request-level simulator runs on: one FlashMem compile + execute
  * per model at the full budget, and one FlashMem::replan + execute at
  * the degraded budget — so million-request sweeps are grounded in the
- * actual planner/runtime behaviour, bit-deterministically for any
- * planner thread count.
+ * actual planner/runtime behaviour, bit-deterministically.
  */
 
 #ifndef FLASHMEM_SERVING_SLO_HH

@@ -181,7 +181,7 @@ solveStatusName(SolveStatus status)
 }
 
 WindowSolution
-solveWindow(const WindowNetwork &net, const WindowPlan &greedy)
+solveWindow(const WindowNetwork &net)
 {
     const std::int32_t first = net.firstLayer;
     const std::int32_t end = net.endLayer;
@@ -265,27 +265,19 @@ solveWindow(const WindowNetwork &net, const WindowPlan &greedy)
               supply, " units");
     sol.augmentations = paths;
 
-    WindowPlan flow_x(net.weights.size());
+    sol.x.resize(net.weights.size());
     for (std::size_t k = 0; k < net.weights.size(); ++k) {
         const auto &w = net.weights[k];
         for (std::size_t j = 0; j < x_arc[k].size(); ++j) {
             const std::int64_t v = x_arc[k][j] < 0 ? 0 : g.flow(x_arc[k][j]);
-            flow_x[k].push_back(v);
+            sol.x[k].push_back(v);
             sol.flowCost += v * chunkCost(net, w, w.cands[j]);
         }
     }
     sol.bound = constant + ceilScaled(sol.flowCost);
-    sol.flowObjective = windowObjective(net, flow_x);
-    sol.greedyObjective = windowObjective(net, greedy);
-    if (sol.flowObjective < sol.greedyObjective) {
-        sol.x = std::move(flow_x);
-        sol.objective = sol.flowObjective;
-    } else {
-        sol.x = greedy;
-        sol.objective = sol.greedyObjective;
-    }
+    sol.objective = windowObjective(net, sol.x);
     FM_ASSERT(sol.bound <= sol.objective, "window bound ", sol.bound,
-              " above the shipped objective ", sol.objective);
+              " above the flow plan's objective ", sol.objective);
     sol.status = sol.objective == sol.bound ? SolveStatus::Optimal
                                             : SolveStatus::Feasible;
     return sol;

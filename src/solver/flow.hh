@@ -19,10 +19,10 @@
  * solveWindow() takes the network as plain data, solves it with
  * successive shortest paths (one topological pass for the potentials,
  * then Dijkstra, stopped at the sink; bypasses of positive cost are
- * left out, since no min-cost flow uses them), scores the flow plan and the caller's greedy plan on
- * the exact window objective, and ships the lower. Costs are integers
- * and arcs are visited in a fixed order, so a window's result is a pure
- * function of its input.
+ * left out, since no min-cost flow uses them), and scores the flow plan
+ * on the exact window objective. Costs are integers and arcs are
+ * visited in a fixed order, so a window's result is a pure function of
+ * its input.
  */
 
 #ifndef FLASHMEM_SOLVER_FLOW_HH
@@ -77,13 +77,11 @@ struct WindowNetwork
 /** x[k][j]: chunks of weight k transformed at its candidate j. */
 using WindowPlan = std::vector<std::vector<std::int64_t>>;
 
-/** What solveWindow() ships, and the numbers it decided on. */
+/** What solveWindow() ships. */
 struct WindowSolution
 {
-    WindowPlan x{};                   ///< the shipped plan
+    WindowPlan x{};                   ///< the flow plan
     std::int64_t objective = 0;       ///< window objective of x
-    std::int64_t flowObjective = 0;   ///< ... of the flow plan
-    std::int64_t greedyObjective = 0; ///< ... of the greedy plan
     /** Minimum network cost, in kFlowCostScale units. */
     std::int64_t flowCost = 0;
     /** Lower bound on the window objective: the constant terms plus
@@ -94,17 +92,14 @@ struct WindowSolution
 };
 
 /**
- * Solve @p net's min-cost flow and ship whichever of its plan and
- * @p greedy scores lower on the exact window objective
- * lambdaS * sum(y) + sum(x * (c - l - 1)) - muS * sum(z), where
- * y_k = T_k - sum_j x[k][j] and z_k is k's first used candidate (c_k
- * when none is used), summed over the weights that have candidates;
- * a tie keeps @p greedy.
- * @p greedy must satisfy C0-C3 on @p net, so the shipped objective is
- * never above the greedy's, nor below the bound.
+ * Solve @p net's min-cost flow and score its plan on the exact window
+ * objective lambdaS * sum(y) + sum(x * (c - l - 1)) - muS * sum(z),
+ * where y_k = T_k - sum_j x[k][j] and z_k is k's first used candidate
+ * (c_k when none is used), summed over the weights that have
+ * candidates. The plan satisfies C0-C3 on @p net, and its objective is
+ * never below the bound.
  */
-WindowSolution solveWindow(const WindowNetwork &net,
-                           const WindowPlan &greedy);
+WindowSolution solveWindow(const WindowNetwork &net);
 
 } // namespace flashmem::solver
 

@@ -86,8 +86,9 @@ TEST(Integration, CompileIsDeviceSpecific)
 {
     // Load capacities depend on the device, so plans differ across
     // phones. Which phone preloads more is not fixed: the two devices'
-    // per-layer capacities are not ordered layer by layer, and under
-    // windowed staging no order of the preload sets follows from them.
+    // per-layer capacities are not ordered layer by layer, and with
+    // windows solved in order no order of the preload sets follows
+    // from them.
     auto g = models::buildModel(ModelId::GPTNeoS);
     auto fast = FlashMem(DeviceProfile::onePlus12()).compile(g);
     auto slow = FlashMem(DeviceProfile::xiaomiMi6()).compile(g);
@@ -143,25 +144,23 @@ TEST(Integration, WarmStartCrossoverVsSmartMem)
 TEST(Integration, AlwaysValidPlansAcrossHyperparameterGrid)
 {
     // Property sweep: every hyper-parameter combination must yield a
-    // valid, runnable plan (every window's search starts from a greedy
-    // hint that satisfies its model; lc_opg.hh, "One search per
-    // window").
+    // valid, runnable plan (every window's flow plan fits the ledgers
+    // the windows before it left; lc_opg.hh, "One flow per window").
     auto g = models::buildModel(ModelId::GPTNeoS);
     auto dev = DeviceProfile::onePlus12();
     for (Bytes chunk : {kib(256), mib(1), mib(4)}) {
         for (Bytes mpeak : {mib(8), mib(500)}) {
-            for (int window : {8, 48}) {
+            for (int distance : {4, 24}) {
                 core::FlashMemOptions opt;
                 opt.opg.chunkBytes = chunk;
                 opt.opg.mPeak = mpeak;
-                opt.opg.windowLayers = window;
-                opt.opg.maxLoadDistance = window / 2;
+                opt.opg.maxLoadDistance = distance;
                 FlashMem fm(dev, opt);
                 auto compiled = fm.compile(g);
                 EXPECT_TRUE(compiled.plan.validate(compiled.fusedGraph,
                                                    false))
                     << "chunk=" << chunk << " mpeak=" << mpeak
-                    << " window=" << window;
+                    << " distance=" << distance;
                 GpuSimulator sim(dev);
                 auto r = fm.execute(sim, compiled);
                 EXPECT_GT(r.integratedLatency(), 0);
