@@ -60,10 +60,16 @@ def rows_at(snap, path):
     return node if isinstance(node, list) else [node]
 
 
+# A status no planner window takes; the gate ranks it after every
+# status in STATUS_ORDER.
+OUTSIDE_ORDER = "UNKNOWN"
+assert OUTSIDE_ORDER not in STATUS_ORDER
+
+
 def tolerance_edge(was, worse, tol):
     """(the worst value a RULES row passes, the next value past it)."""
     if worse == "later":
-        return was, STATUS_ORDER[STATUS_ORDER.index(was) + 1]
+        return was, OUTSIDE_ORDER
     if isinstance(tol, str):
         frac = float(tol.rstrip("%")) / 100
         at = was * (1 + frac) if worse == "higher" else was * (1 - frac)

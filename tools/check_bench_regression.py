@@ -63,7 +63,7 @@ BOUNDS = [
      1.0),
 ]
 
-STATUS_ORDER = ("OPTIMAL", "FEASIBLE", "UNKNOWN", "INFEASIBLE")
+STATUS_ORDER = ("OPTIMAL", "FEASIBLE")
 OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le,
        "==": operator.eq}
 COMMITTED, FRESH = "the committed snapshot", "the fresh run"

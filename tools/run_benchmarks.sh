@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Build Release and emit BENCH_table4.json: Table-4 plan statuses and
-# flow augmentations, per-model plan quality, merge-time re-balancing,
+# Build Release and emit BENCH_table4.json: Table-4 plan statuses,
+# flow augmentations and re-balanced chunks, per-model plan quality,
 # the Fig-6 per-policy scheduler section, and the serving, fault,
 # admission and sharding sections. Every value is simulated or
 # counted, so any host reproduces the snapshot byte for byte unless
@@ -12,7 +12,7 @@
 #
 # Pass --only SECTION[,SECTION...] to re-run a subset of the benches,
 # one section per bench binary: `solver` (bench_table4_solver_runtime:
-# Table 4, plan quality, re-balancing),
+# Table 4 and plan quality),
 # `fig6` (bench_fig6_multimodel) and `serving` (bench_serving: serving,
 # faults, admission, sharding). The sections not re-run
 # are carried over from the committed snapshot, so the merged result
@@ -26,6 +26,10 @@
 # export next to the JSON (same stem, .trace), the input of
 # tools/trace_diff.py. The exports ride alongside whatever sections
 # run — they don't participate in the snapshot merge.
+#
+# Each bench's stdout goes to a temp file (the solver bench's is shown
+# after it passes). A bench that exits non-zero stops the script with
+# its name and its PASS/FAIL check lines on stderr.
 #
 # Usage: tools/run_benchmarks.sh [--no-gate] [--only SECTIONS]
 #        [--trace-dir DIR] [output.json]
@@ -74,17 +78,32 @@ fi
 # Install the cleanup trap before the first mktemp so an early exit
 # (set -e between the mktemp calls, ctrl-C) cannot strand temp files.
 solver_json=""; fig6_json=""; serving_json=""; merged_json=""
+bench_log=""
 cleanup() {
     rm -f ${solver_json:+"${solver_json}"} \
           ${fig6_json:+"${fig6_json}"} \
           ${serving_json:+"${serving_json}"} \
-          ${merged_json:+"${merged_json}"}
+          ${merged_json:+"${merged_json}"} \
+          ${bench_log:+"${bench_log}"}
 }
 trap cleanup EXIT
 solver_json="$(mktemp /tmp/bench_table4.XXXXXX.json)"
 fig6_json="$(mktemp /tmp/bench_fig6.XXXXXX.json)"
 serving_json="$(mktemp /tmp/bench_serving.XXXXXX.json)"
 merged_json="$(mktemp /tmp/bench_merged.XXXXXX.json)"
+bench_log="$(mktemp /tmp/bench_stdout.XXXXXX.log)"
+
+# Run one bench binary with its stdout in ${bench_log}; on a non-zero
+# exit, name the bench and print its check lines.
+run_bench() {
+    local name="$1"; shift
+    if ! "${build_dir}/${name}" "$@" >"${bench_log}"; then
+        echo "error: ${name} failed; its check lines:" >&2
+        grep -E 'PASS|FAIL' "${bench_log}" >&2 ||
+            echo "  (no PASS/FAIL line; see its output)" >&2
+        exit 1
+    fi
+}
 
 targets=()
 [[ ${run_solver} -eq 1 ]] && targets+=(bench_table4_solver_runtime)
@@ -99,15 +118,16 @@ cmake --build "${build_dir}" -j "$(nproc)" --target "${targets[@]}"
 
 fresh=()
 if [[ ${run_solver} -eq 1 ]]; then
-    "${build_dir}/bench_table4_solver_runtime" "${solver_json}"
+    run_bench bench_table4_solver_runtime "${solver_json}"
+    cat "${bench_log}"
     fresh+=("${solver_json}")
 fi
 if [[ ${run_fig6} -eq 1 ]]; then
-    "${build_dir}/bench_fig6_multimodel" "${fig6_json}" >/dev/null
+    run_bench bench_fig6_multimodel "${fig6_json}"
     fresh+=("${fig6_json}")
 fi
 if [[ ${run_serving} -eq 1 ]]; then
-    "${build_dir}/bench_serving" "${serving_json}" >/dev/null
+    run_bench bench_serving "${serving_json}"
     fresh+=("${serving_json}")
 fi
 if [[ -n "${trace_dir}" ]]; then
