@@ -254,7 +254,6 @@ LcOpgPlanner::rebalanceMerge(OverlapPlan &plan, PlanStats &stats)
         }
         if (preload == before)
             continue;
-        ++stats.rebalancedWeights;
         plan.setPreloadChunks(wid, preload);
         // C1: z_w covers the new (possibly earlier) first transform.
         graph::NodeId z = s.earliestLoadLayer;

@@ -126,10 +126,8 @@ struct PlanStats
     int greedyWindows = 0;
     std::uint64_t solverRestarts = 0;
     /** @} */
-    /** @name Re-balancing after the last window. @{ */
-    std::int64_t rebalancedChunks = 0;  ///< chunks moved W -> streamed
-    int rebalancedWeights = 0;          ///< truncated weights topped up
-    /** @} */
+    /** Chunks the re-balancing pass moved from W to streamed. */
+    std::int64_t rebalancedChunks = 0;
     /** Flow shortest paths augmented, summed over windows: the
      * planner's unit of work (perfbench's solver.decisions). */
     std::uint64_t solverDecisions = 0;

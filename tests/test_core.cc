@@ -434,8 +434,7 @@ planCounters(const PlanStats &s)
     std::ostringstream os;
     os << static_cast<int>(s.overallStatus) << ' ' << s.windows << ' '
        << s.optimalWindows << ' ' << s.feasibleWindows << ' '
-       << s.rebalancedChunks << ' ' << s.rebalancedWeights << ' '
-       << s.solverDecisions << '\n';
+       << s.rebalancedChunks << ' ' << s.solverDecisions << '\n';
     for (const auto &w : s.windowSummaries) {
         os << w.window << ' ' << static_cast<int>(w.status) << ' '
            << w.objective << ' ' << w.bound << ' ' << w.augmentations

@@ -52,8 +52,7 @@ plannerCounters(const CompiledModel &cm)
        << cm.totalSolverDecisions << '\n'
        << static_cast<int>(s.overallStatus) << ' ' << s.windows << ' '
        << s.optimalWindows << ' ' << s.feasibleWindows << ' '
-       << s.rebalancedChunks << ' ' << s.rebalancedWeights << ' '
-       << s.solverDecisions << '\n';
+       << s.rebalancedChunks << ' ' << s.solverDecisions << '\n';
     for (const auto &w : s.windowSummaries) {
         os << w.window << ' ' << static_cast<int>(w.status) << ' '
            << w.objective << ' ' << w.bound << ' ' << w.augmentations

@@ -3,7 +3,7 @@
 # and run the test suite under each. Catches the failure classes the
 # fault-tolerance machinery is most exposed to: use-after-free on
 # killed in-flight runs, rollback bugs in the one-deep commit undo,
-# and data races in the planner thread pool's exception propagation.
+# and data races in the thread pool's exception propagation.
 #
 # Each sanitizer gets its own build directory (build-asan /
 # build-tsan) so instrumented objects never mix with the plain build.
