@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -142,6 +143,16 @@ P2Quantile::value() const
         return sorted[rank - 1];
     }
     return q_[2];
+}
+
+TimeSeries::TimeSeries(std::vector<Point> points)
+    : points_(std::move(points))
+{
+    FM_ASSERT(std::adjacent_find(points_.begin(), points_.end(),
+                                 [](const Point &a, const Point &b) {
+                                     return a.time >= b.time;
+                                 }) == points_.end(),
+              "TimeSeries points must strictly increase in time");
 }
 
 void

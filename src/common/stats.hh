@@ -96,6 +96,11 @@ class TimeSeries
         double value = 0.0;
     };
 
+    TimeSeries() = default;
+    /** The series of @p points as given (none collapse); their times
+     * must strictly increase. */
+    explicit TimeSeries(std::vector<Point> points);
+
     /** Record that the series holds @p value from @p time onwards. */
     void record(SimTime time, double value);
 

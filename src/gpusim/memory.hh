@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <utility>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -72,9 +71,6 @@ class MemoryTracker
 
     /** Total live bytes over time (the Figure-6 trace). */
     const TimeSeries &totalTrace() const { return total_trace_; }
-    /** Move the total trace out, leaving this tracker's empty: for a
-     * finished device whose peak and average were read already. */
-    TimeSeries releaseTotalTrace() { return std::move(total_trace_); }
 
     /** Time-weighted average of total live bytes over [start, end]. */
     double averageBytes(SimTime start, SimTime end) const;

@@ -3,9 +3,10 @@
  * The one serving core: the cluster event loop both execution paths
  * run.
  *
- * multidnn::EventScheduler (live FlashMem or preload runs on the
- * device simulators) and the fast serving simulator (serving/sweep.cc,
- * calibrated service tables) drain their queues through this single
+ * multidnn::EventScheduler (live FlashMem or preload runs, each the
+ * recorded solo run of its artifact spliced at the loop's times) and
+ * the fast serving simulator (serving/sweep.cc, calibrated service
+ * tables) drain their queues through this single
  * template. The loop owns every decision: event ordering, the arrival
  * gate, dispatch-point admission, policy selection, device placement,
  * the timing rule and — with a FaultPlan — the fault timeline and its
@@ -120,7 +121,7 @@ struct DispatchedRun
  * Drain @p queue against @p cluster under @p policy.
  *
  * @param backend the execution path, statically dispatched. It
- *     answers three questions and hears two outcomes:
+ *     answers two questions and hears four notices:
  *     - `SimTime estimate(models::ModelId model)`: the model's
  *       full-budget service estimate, stamped on every arrival as
  *       ReadyRequest::estimatedLatency. Asked once per model.
@@ -137,6 +138,13 @@ struct DispatchedRun
  *       survived to completion. Delivered in runId (dispatch) order;
  *       run.times carries the actual (possibly stall-shifted)
  *       timeline.
+ *     - `void killed(const ReadyRequest &req, const DispatchedRun &run,
+ *       std::uint64_t runId, SimTime now)`: a fault killed the run at
+ *       @p now (a crash, a watchdog, or a DMA error aborting its
+ *       preload); run.times is its timeline as placed, possibly
+ *       stall-shifted, and @p now may precede run.times.start. Heard
+ *       at once, before the request is retried or fault-shed, so kills
+ *       and completions interleave out of runId order.
  *     - `void dropped(const ReadyRequest &r, SimTime now,
  *       DropReason reason)`: the request left without completing —
  *       SLO admission shed, arrival shed, fault-retry budget
@@ -332,6 +340,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
         auto &f = flight(run_id);
         FM_ASSERT(f.state == Flight::Live, "killing a resolved run");
         f.state = Flight::Killed;
+        backend.killed(f.req, f.run, run_id, now);
         ReadyRequest req = f.req;
         req.attempts += 1;
         req.lastFailedDevice = f.run.device;

@@ -9,49 +9,66 @@ namespace flashmem::multidnn {
 
 namespace {
 
-/** Sum of the devices' total-memory step functions (cluster trace). */
-TimeSeries
-mergedTotalTrace(const std::vector<gpusim::GpuSimulator> &sims)
-{
-    struct Cursor
-    {
-        const std::vector<TimeSeries::Point> *points;
-        std::size_t next = 0;
-        double value = 0.0;
-    };
-    std::vector<Cursor> cursors;
-    for (const auto &sim : sims)
-        cursors.push_back({&sim.memory().totalTrace().points()});
+using Point = TimeSeries::Point;
 
-    TimeSeries merged;
-    for (;;) {
-        SimTime t = kTimeNever;
-        for (const auto &c : cursors) {
-            if (c.next < c.points->size())
-                t = std::min(t, (*c.points)[c.next].time);
-        }
-        if (t == kTimeNever)
-            break;
-        double total = 0.0;
-        for (auto &c : cursors) {
-            while (c.next < c.points->size() &&
-                   (*c.points)[c.next].time <= t) {
-                c.value = (*c.points)[c.next].value;
-                ++c.next;
-            }
-            total += c.value;
-        }
-        merged.record(t, total);
-    }
-    return merged;
+/** One solo execution of an artifact at time 0 on a scratch simulator
+ * of @p dev: @p exec runs it and returns its result. */
+template <typename Exec>
+SoloRun
+soloRun(const gpusim::DeviceProfile &dev, Exec &&exec)
+{
+    gpusim::GpuSimulator scratch(dev);
+    SoloRun solo;
+    solo.result = exec(scratch);
+    solo.trace = scratch.memory().totalTrace().points();
+    solo.activity = scratch.activity(solo.result.end);
+    FM_ASSERT(!solo.trace.empty() && solo.trace.back().value == 0.0,
+              solo.result.model, "'s solo run leaves bytes live");
+    return solo;
 }
 
 /**
- * What the live and preload backends share: the outcome and one
- * simulator per cluster device. A completed run is recorded as the
- * solo profile that priced it, at the times the loop placed it;
- * completions arrive in dispatch order, and runs killed by a fault
- * never do.
+ * Add the step function @p steps (points of strictly increasing time)
+ * into @p total, another one's points. The sum has one point at every
+ * time either has: a run that starts where the previous one ended
+ * appends its points verbatim, its first point overwriting the
+ * previous run's last, as one simulator running both would record
+ * them. Bytes are integers well below 2^53, so every sum is exact and
+ * the total does not depend on the order runs are added in.
+ */
+void
+addSteps(std::vector<Point> &total, const std::vector<Point> &steps)
+{
+    if (steps.empty())
+        return;
+    auto first = std::lower_bound(
+        total.begin(), total.end(), steps.front().time,
+        [](const Point &p, SimTime t) { return p.time < t; });
+    const std::vector<Point> tail(first, total.end());
+    double held = first == total.begin() ? 0.0 : std::prev(first)->value;
+    total.erase(first, total.end());
+    double added = 0.0;
+    std::size_t i = 0, j = 0;
+    while (i < tail.size() || j < steps.size()) {
+        SimTime t = std::min(i < tail.size() ? tail[i].time : kTimeNever,
+                             j < steps.size() ? steps[j].time
+                                              : kTimeNever);
+        if (i < tail.size() && tail[i].time == t)
+            held = tail[i++].value;
+        if (j < steps.size() && steps[j].time == t)
+            added = steps[j++].value;
+        total.push_back({t, held + added});
+    }
+}
+
+/**
+ * What the live and preload backends share: the outcome and each
+ * device's ledger of runs. A run is the solo run that priced it,
+ * spliced at the times the loop gave it: its init part (the points
+ * before the solo initDone) from its start on, its exec part ending at
+ * its end — a plain shift for a serialized run nothing slowed down —
+ * and cut at its kill, where its live bytes drop to zero. Completed
+ * runs arrive in dispatch order, killed runs when they die.
  */
 class ScheduledRuns
 {
@@ -59,13 +76,16 @@ class ScheduledRuns
     ScheduledRuns(const SchedulingPolicy &policy,
                   const DeviceCluster &cluster,
                   const gpusim::DeviceProfile &dev, std::size_t requests)
+        : power_(dev),
+          devices_(static_cast<std::size_t>(cluster.deviceCount()))
     {
         out.policy = policy.name();
         out.runs.reserve(requests);
-        sims.reserve(static_cast<std::size_t>(cluster.deviceCount()));
-        for (int i = 0; i < cluster.deviceCount(); ++i)
-            sims.emplace_back(dev);
     }
+
+    /** A run is spliced when it completes or dies, not when placed. */
+    void placed(const ReadyRequest &, const DispatchedRun &, std::uint64_t)
+    {}
 
     void
     dropped(const ReadyRequest &r, SimTime now, DropReason reason)
@@ -74,44 +94,59 @@ class ScheduledRuns
                             r.latencyBound, now, reason});
     }
 
-    /** Finalize makespan, memory, energy, trace and per-device rows;
-     * a single device's trace moves into the outcome, so no query may
-     * follow. */
+    /** Finalize makespan, memory, energy, trace and per-device rows.
+     * A device's energy is base power over the makespan plus its runs'
+     * activity; its trace is the sum of its runs. */
     ScheduleOutcome
     finish(const DeviceCluster &cluster)
     {
         for (const auto &r : out.runs)
             out.makespan = std::max(out.makespan, r.end);
         out.devices = cluster.utilization(out.makespan);
-        for (std::size_t i = 0; !out.runs.empty() && i < sims.size();
-             ++i) {
-            const auto &mem = sims[i].memory();
-            Bytes peak = mem.peakOver(0, out.makespan);
-            double energy = sims[i].energyJoules(out.makespan);
-            out.devices[i].peakMemory = peak;
-            out.devices[i].energyJoules = energy;
-            // Devices are distinct hardware: the cluster peak is the
-            // worst per-device peak, energy and average live bytes sum.
-            out.peakMemory = std::max(out.peakMemory, peak);
-            out.avgMemoryBytes += mem.averageBytes(0, out.makespan);
-            out.energyJoules += energy;
+        std::vector<Point> cluster_points;
+        for (std::size_t i = 0; i < devices_.size(); ++i) {
+            TimeSeries trace(devices_[i].points());
+            if (!out.runs.empty()) {
+                Bytes peak =
+                    static_cast<Bytes>(trace.maxOver(0, out.makespan));
+                auto activity = devices_[i].activity;
+                activity.makespan = out.makespan;
+                double energy = power_.energyJoules(activity);
+                out.devices[i].peakMemory = peak;
+                out.devices[i].energyJoules = energy;
+                // Devices are distinct hardware: the cluster peak is
+                // the worst per-device peak, energy and average live
+                // bytes sum.
+                out.peakMemory = std::max(out.peakMemory, peak);
+                out.avgMemoryBytes +=
+                    trace.timeWeightedAverage(0, out.makespan);
+                out.energyJoules += energy;
+            }
+            if (devices_.size() == 1)
+                out.trace = std::move(trace);
+            else
+                addSteps(cluster_points, trace.points());
         }
-        out.trace = sims.size() == 1
-                        ? sims.front().memory().releaseTotalTrace()
-                        : mergedTotalTrace(sims);
+        if (devices_.size() > 1) {
+            // The cluster trace keeps only the points where the sum
+            // changes.
+            for (const auto &p : cluster_points)
+                out.trace.record(p.time, p.value);
+        }
         return std::move(out);
     }
 
     ScheduleOutcome out;
-    std::vector<gpusim::GpuSimulator> sims;
 
   protected:
-    /** Record @p r, the solo profile of a completed run, at the run's
-     * actual (possibly stall-shifted) times. */
+    /** Record @p solo, the solo run that priced a completed run, at the
+     * run's actual (possibly stall-shifted) times. */
     void
     record(const ReadyRequest &req, const DispatchedRun &run,
-           core::RunResult r)
+           const SoloRun &solo)
     {
+        splice(run, solo, kTimeNever);
+        core::RunResult r = solo.result;
         r.arrival = req.arrival;
         r.start = run.times.start;
         r.initDone = run.times.initDone;
@@ -123,11 +158,89 @@ class ScheduledRuns
             ++out.degradedRuns;
         out.runs.push_back(std::move(r));
     }
+
+    /**
+     * Splice @p solo for @p run, cut at @p kill. A killed run is charged
+     * the share of its solo activity that the elapsed share of its
+     * placed span [start, end) stands for at the kill, rounded down.
+     */
+    void
+    splice(const DispatchedRun &run, const SoloRun &solo, SimTime kill)
+    {
+        auto &d = devices_[static_cast<std::size_t>(run.device)];
+        d.ledger.push_back({&solo, run.times, kill});
+        double done = 1.0;
+        if (kill < run.times.end) {
+            done = kill <= run.times.start
+                       ? 0.0
+                       : static_cast<double>(kill - run.times.start) /
+                             static_cast<double>(run.times.end -
+                                                 run.times.start);
+        }
+        // Busy times and bytes are far below 2^53: a whole share is
+        // exact.
+        auto share = [done](auto busy) {
+            return static_cast<decltype(busy)>(static_cast<double>(busy) *
+                                               done);
+        };
+        const auto &a = solo.activity;
+        d.activity.computeBusy += share(a.computeBusy);
+        d.activity.diskBusy += share(a.diskBusy);
+        d.activity.bytesMoved += share(a.bytesMoved);
+    }
+
+  private:
+    /** One run on a device: its solo run, placed times and kill
+     * (kTimeNever when it completed). */
+    struct Spliced
+    {
+        const SoloRun *solo = nullptr;
+        PlacedTimes times;
+        SimTime kill = kTimeNever;
+    };
+
+    struct Device
+    {
+        std::vector<Spliced> ledger;
+        gpusim::ActivitySummary activity;
+
+        /** The device's total-memory trace: its runs' points at their
+         * spliced times, summed. */
+        std::vector<Point>
+        points() const
+        {
+            std::size_t count = 0;
+            for (const auto &s : ledger)
+                count += s.solo->trace.size();
+            std::vector<Point> total, run;
+            total.reserve(count);
+            for (const auto &s : ledger) {
+                const auto &r = s.solo->result;
+                const SimTime exec_shift = s.times.end - r.end;
+                run.clear();
+                for (const auto &p : s.solo->trace) {
+                    SimTime t = p.time < r.initDone
+                                    ? s.times.start + p.time
+                                    : exec_shift + p.time;
+                    if (t >= s.kill) {
+                        if (!run.empty())
+                            run.push_back({s.kill, 0.0});
+                        break;
+                    }
+                    run.push_back({t, p.value});
+                }
+                addSteps(total, run);
+            }
+            return total;
+        }
+    };
+
+    gpusim::PowerModel power_;
+    std::vector<Device> devices_;
 };
 
 /** The preload backend: one solo cold start per model prices every
- * request of it, and each placed run executes the framework on its
- * device's simulator. */
+ * request of it, and every run of the model splices it. */
 class PreloadRuns : public ScheduledRuns
 {
   public:
@@ -142,40 +255,33 @@ class PreloadRuns : public ScheduledRuns
     SimTime
     estimate(models::ModelId model)
     {
-        return coldStart(model).profile.integratedLatency();
+        return coldStart(model).result.integratedLatency();
     }
 
     RunService
     service(const ReadyRequest &picked, const std::vector<ReadyRequest> &,
             SimTime)
     {
-        const auto &p = coldStart(picked.model).profile;
+        const auto &p = coldStart(picked.model).result;
         return {0, p.initLatency(), p.execLatency()};
-    }
-
-    void
-    placed(const ReadyRequest &picked, const DispatchedRun &run,
-           std::uint64_t)
-    {
-        fw_.run(sims[static_cast<std::size_t>(run.device)],
-                coldStart(picked.model).graph, run.times.start);
     }
 
     void
     completed(const ReadyRequest &req, const DispatchedRun &run,
               std::uint64_t)
     {
-        record(req, run, coldStart(req.model).profile);
+        record(req, run, coldStart(req.model));
+    }
+
+    void
+    killed(const ReadyRequest &req, const DispatchedRun &run,
+           std::uint64_t, SimTime now)
+    {
+        splice(run, coldStart(req.model), now);
     }
 
   private:
-    struct ColdStart
-    {
-        graph::Graph graph;
-        core::RunResult profile;
-    };
-
-    const ColdStart &
+    const SoloRun &
     coldStart(models::ModelId model)
     {
         auto it = models_.find(model);
@@ -184,23 +290,22 @@ class PreloadRuns : public ScheduledRuns
         auto g = models::buildModel(model);
         FM_ASSERT(fw_.supports(g) == baselines::SupportStatus::Supported,
                   fw_.name(), " cannot run ", g.name());
-        gpusim::GpuSimulator scratch(dev_);
-        auto profile = fw_.run(scratch, g, 0);
-        return models_.emplace(model, ColdStart{std::move(g), profile})
-            .first->second;
+        auto solo = soloRun(dev_, [&](gpusim::GpuSimulator &scratch) {
+            return fw_.run(scratch, g, 0);
+        });
+        return models_.emplace(model, std::move(solo)).first->second;
     }
 
     baselines::PreloadFramework fw_;
     const gpusim::DeviceProfile &dev_;
-    std::map<models::ModelId, ColdStart> models_;
+    std::map<models::ModelId, SoloRun> models_;
 };
 
 } // namespace
 
-/** The live FlashMem backend: a run costs the solo profile of its
- * (model, budget) artifact — the memory-aware share or the degraded
- * budget — and each placed run executes on its device's simulator for
- * the memory and energy traces. */
+/** The live FlashMem backend: a run costs the solo run of its (model,
+ * budget) artifact — the memory-aware share or the degraded budget —
+ * and splices it. */
 class EventScheduler::FlashMemRuns : public ScheduledRuns
 {
   public:
@@ -214,7 +319,7 @@ class EventScheduler::FlashMemRuns : public ScheduledRuns
     estimate(models::ModelId model)
     {
         return sched_.profileFor(model, basePeak(), out)
-            .integratedLatency();
+            .result.integratedLatency();
     }
 
     RunService
@@ -244,20 +349,8 @@ class EventScheduler::FlashMemRuns : public ScheduledRuns
         // Any on-device re-plan for this budget happens here, traced
         // at this dispatch.
         const auto &p =
-            sched_.profileFor(picked.model, budget, out, now);
+            sched_.profileFor(picked.model, budget, out, now).result;
         return {budget, p.initLatency(), p.execLatency()};
-    }
-
-    void
-    placed(const ReadyRequest &picked, const DispatchedRun &run,
-           std::uint64_t)
-    {
-        // The execution keeps the device's memory and energy traces;
-        // the run's times are the loop's.
-        sched_.fm_.execute(
-            sims[static_cast<std::size_t>(run.device)],
-            sched_.compiledFor(picked.model, run.budget, out),
-            run.times.start);
     }
 
     void
@@ -265,6 +358,13 @@ class EventScheduler::FlashMemRuns : public ScheduledRuns
               std::uint64_t)
     {
         record(req, run, sched_.profileFor(req.model, run.budget, out));
+    }
+
+    void
+    killed(const ReadyRequest &req, const DispatchedRun &run,
+           std::uint64_t, SimTime now)
+    {
+        splice(run, sched_.profileFor(req.model, run.budget, out), now);
     }
 
   private:
@@ -396,6 +496,7 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
     ++out.replans;
     out.replanSeconds += replanned.stats.processNodesSeconds +
                          replanned.stats.stageSeconds +
+                         replanned.stats.buildModelSeconds +
                          replanned.stats.solveSeconds +
                          replanned.stats.mergeSeconds;
     if (cfg_.trace) {
@@ -415,7 +516,7 @@ EventScheduler::compiledFor(models::ModelId model, Bytes budget,
     return it->second;
 }
 
-const core::RunResult &
+const SoloRun &
 EventScheduler::profileFor(models::ModelId model, Bytes budget,
                            ScheduleOutcome &out, SimTime now)
 {
@@ -424,10 +525,10 @@ EventScheduler::profileFor(models::ModelId model, Bytes budget,
     if (it != profiles_.end())
         return it->second;
     const auto &compiled = compiledFor(model, budget, out, now);
-    gpusim::GpuSimulator scratch(fm_.device());
-    it = profiles_.emplace(key, fm_.execute(scratch, compiled, 0))
-             .first;
-    return it->second;
+    auto solo = soloRun(fm_.device(), [&](gpusim::GpuSimulator &scratch) {
+        return fm_.execute(scratch, compiled, 0);
+    });
+    return profiles_.emplace(key, std::move(solo)).first->second;
 }
 
 ScheduleOutcome

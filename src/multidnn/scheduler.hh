@@ -7,12 +7,17 @@
  * (multidnn/device.hh): arrivals feed a ready set, a pluggable
  * SchedulingPolicy picks the next request at every dispatch
  * opportunity, and the loop places it on the least-loaded device.
- * The scheduler is the loop's live backend: it prices each run with
- * the measured solo profile of the compiled (model, budget) artifact
- * and executes every placed run on its device's GpuSimulator for the
- * memory and energy traces. Under FlashMem the swap-in is the streamed
- * overlap plan; under preloading baselines (runPreload) it is a full
- * cold-start init — the repeated-load overhead the paper targets. With
+ * The scheduler is the loop's live backend. FlashMem fixes each
+ * model's loading schedule offline, so an artifact's memory and
+ * activity do not depend on when it runs: the scheduler executes each
+ * compiled (model, budget) artifact once, solo, on a scratch
+ * GpuSimulator, prices every run of it with that run's init/exec split,
+ * and splices its recorded memory trace and activity into its device's
+ * ledger at the times the loop gives the run — cut at the kill when a
+ * fault kills it. No placed run executes again. Under FlashMem the
+ * swap-in is the streamed overlap plan; under preloading baselines
+ * (runPreload) it is a full cold-start init — the repeated-load
+ * overhead the paper targets. With
  * ClusterConfig::overlapInitWithExec the loop additionally overlaps a
  * request's streamed init (preload DMA) with the previous request's
  * compute on the same device — the paper's memory-hierarchy overlap
@@ -36,6 +41,7 @@
 
 #include "baselines/preload_framework.hh"
 #include "core/flashmem.hh"
+#include "gpusim/power.hh"
 #include "multidnn/device.hh"
 #include "multidnn/faults.hh"
 #include "multidnn/policies.hh"
@@ -106,6 +112,20 @@ struct ShedRecord
     DropReason reason = DropReason::Admission;
 };
 
+/**
+ * One solo execution of an artifact at time 0 on a scratch simulator:
+ * its result (the init/exec split every run of the artifact is priced
+ * with), its total-memory trace points (ending at zero) and its
+ * activity. Executions are start-time invariant, so every run of the
+ * artifact is this one spliced at the loop's times.
+ */
+struct SoloRun
+{
+    core::RunResult result;
+    std::vector<TimeSeries::Point> trace;
+    gpusim::ActivitySummary activity;
+};
+
 /** Outcome of draining one request queue. */
 struct ScheduleOutcome
 {
@@ -121,8 +141,9 @@ struct ScheduleOutcome
     Bytes peakMemory = 0;        ///< peak over the whole queue
     double avgMemoryBytes = 0.0; ///< time-weighted average
     double energyJoules = 0.0;
-    /** Total-memory trace of this run (Figure 6 plots). Owned by the
-     * outcome — schedulers keep no mutable global state. */
+    /** Total-memory trace of this run (Figure 6 plots): the sum of
+     * the spliced runs. Owned by the outcome — schedulers keep no
+     * mutable global state. */
     TimeSeries trace;
 
     /** @name On-device re-planning counters (memory-aware policies). @{ */
@@ -211,15 +232,14 @@ class EventScheduler
                                            ScheduleOutcome &out,
                                            SimTime now = 0);
 
-    /** Measured solo run of (model, budget) on a scratch simulator —
-     * the init/exec split every dispatch of the artifact is placed
-     * with, and (at the base budget) the model's estimate. Cached;
-     * executions are start-time invariant so one measurement covers
-     * every dispatch. Compiles through compiledFor(..., @p now). */
-    const core::RunResult &profileFor(models::ModelId model,
-                                      Bytes budget,
-                                      ScheduleOutcome &out,
-                                      SimTime now = 0);
+    /** Solo run of (model, budget) on a scratch simulator — the
+     * init/exec split every dispatch of the artifact is placed with,
+     * the trace and activity every run of it splices, and (at the base
+     * budget) the model's estimate. Cached; executions are start-time
+     * invariant so one measurement covers every dispatch. Compiles
+     * through compiledFor(..., @p now). */
+    const SoloRun &profileFor(models::ModelId model, Bytes budget,
+                              ScheduleOutcome &out, SimTime now = 0);
 
     /** Admission budget for a model when @p co_resident distinct
      * models currently share the capacity budget. */
@@ -234,8 +254,7 @@ class EventScheduler
     std::map<models::ModelId, graph::Graph> graphs_;
     std::map<std::pair<models::ModelId, Bytes>, core::CompiledModel>
         compiled_;
-    std::map<std::pair<models::ModelId, Bytes>, core::RunResult>
-        profiles_;
+    std::map<std::pair<models::ModelId, Bytes>, SoloRun> profiles_;
 };
 
 } // namespace flashmem::multidnn

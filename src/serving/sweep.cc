@@ -75,6 +75,11 @@ struct CalibratedTable
     }
 
     void
+    killed(const ReadyRequest &, const DispatchedRun &, std::uint64_t,
+           SimTime)
+    {}
+
+    void
     dropped(const ReadyRequest &, SimTime, multidnn::DropReason reason)
     {
         if (reason == multidnn::DropReason::ArrivalShed)

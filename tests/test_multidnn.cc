@@ -52,7 +52,10 @@ TEST(EventScheduler, EmptyQueueIsANoOp)
  * the peak, average memory and duration of a solo run on a fresh one:
  * they may not depend on the device's history, even when one run's
  * last trace point and the next run's first collapse into one
- * (back-to-back runs, which the queue must mostly be).
+ * (back-to-back runs, which the queue must mostly be). The outcome
+ * splices each run's solo trace and activity instead of executing it,
+ * so its trace, peak, average memory and energy must equal the
+ * replay's exactly.
  */
 template <typename ExecFn>
 void
@@ -91,6 +94,18 @@ expectSeedFifoDrain(const std::vector<ModelRequest> &queue,
     }
     EXPECT_EQ(out.makespan, free_at);
     EXPECT_GT(back_to_back, queue.size() / 2);
+
+    const auto &spliced = out.trace.points();
+    const auto &replayed = sim.memory().totalTrace().points();
+    ASSERT_EQ(spliced.size(), replayed.size());
+    for (std::size_t i = 0; i < spliced.size(); ++i) {
+        ASSERT_EQ(spliced[i].time, replayed[i].time) << "point " << i;
+        ASSERT_EQ(spliced[i].value, replayed[i].value) << "point " << i;
+    }
+    EXPECT_EQ(out.peakMemory, sim.memory().peakOver(0, out.makespan));
+    EXPECT_EQ(out.avgMemoryBytes,
+              sim.memory().averageBytes(0, out.makespan));
+    EXPECT_EQ(out.energyJoules, sim.energyJoules(out.makespan));
 }
 
 TEST(EventScheduler, FifoPolicyMatchesSeedFifoDrain)
@@ -853,6 +868,27 @@ TEST(Faults, CrashMidRunFailsOverToSurvivingDevice)
     ASSERT_EQ(out.devices.size(), 2u);
     EXPECT_EQ(out.devices[0].downTime, out.makespan - 1);
     EXPECT_GT(out.devices[0].downFraction, 0.9);
+
+    // The killed run charges device 0 only up to its kill: its peak is
+    // the largest value of ResNet50's solo trace in [0, 1 ns], its
+    // energy base power over the makespan plus the share of the solo
+    // activity that 1 ns of the run's placed span stands for.
+    GpuSimulator solo(fm.device());
+    auto r = fm.execute(
+        solo, fm.compile(models::buildModel(ModelId::ResNet50)), 0);
+    EXPECT_EQ(out.devices[0].peakMemory,
+              static_cast<Bytes>(solo.memory().totalTrace().maxOver(0, 1)));
+    const auto a = solo.activity(out.makespan);
+    const double done = 1.0 / static_cast<double>(r.integratedLatency());
+    const gpusim::ActivitySummary before{
+        out.makespan,
+        static_cast<SimTime>(static_cast<double>(a.computeBusy) * done),
+        static_cast<SimTime>(static_cast<double>(a.diskBusy) * done),
+        static_cast<Bytes>(static_cast<double>(a.bytesMoved) * done)};
+    EXPECT_EQ(out.devices[0].energyJoules,
+              gpusim::PowerModel(fm.device()).energyJoules(before));
+    EXPECT_LT(out.devices[0].peakMemory, out.devices[1].peakMemory);
+    EXPECT_LT(out.devices[0].energyJoules, out.devices[1].energyJoules);
 }
 
 TEST(Faults, StallWithinBudgetCompletesLateNotKilled)
@@ -999,6 +1035,8 @@ struct TenMsRuns
                 std::uint64_t) {}
     void completed(const ReadyRequest &, const DispatchedRun &,
                    std::uint64_t) {}
+    void killed(const ReadyRequest &, const DispatchedRun &,
+                std::uint64_t, SimTime) {}
     void dropped(const ReadyRequest &, SimTime, DropReason) {}
 };
 

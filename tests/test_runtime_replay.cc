@@ -12,6 +12,13 @@
  * The one plan shape on which the two differ, a weight assigned twice
  * in one layer, is pinned on a hand-built plan: the replay treats the
  * two assignments as one.
+ *
+ * Executions are start-time invariant: a run started later on a fresh
+ * simulator records the same trace shifted, with equal busy times and
+ * bytes moved. The multi-DNN scheduler rests on that when it splices
+ * one solo run of an artifact at every dispatch of it; it is pinned
+ * for every Table-6 model, compiled and re-planned, and for MNN's cold
+ * start of each model MNN supports.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/preload_framework.hh"
 #include "core/flashmem.hh"
 #include "gpusim/memory.hh"
 #include "graph/builder.hh"
@@ -122,21 +130,77 @@ assignsAWeightTwiceInALayer(const graph::Graph &g, const OverlapPlan &plan)
     return false;
 }
 
+/**
+ * Run @p exec(sim, start) on fresh simulators at 0 and at a later
+ * start: the later run must record the first one's trace shifted, with
+ * equal busy times and bytes moved.
+ */
+template <typename Exec>
+void
+expectStartTimeInvariant(Exec &&exec)
+{
+    const SimTime later = seconds(7) + 3;
+    GpuSimulator early_sim(DeviceProfile::onePlus12());
+    GpuSimulator late_sim(DeviceProfile::onePlus12());
+    const RunResult early = exec(early_sim, 0);
+    const RunResult late = exec(late_sim, later);
+    EXPECT_EQ(late.start, early.start + later);
+    EXPECT_EQ(late.initDone, early.initDone + later);
+    EXPECT_EQ(late.end, early.end + later);
+    const auto &pe = early_sim.memory().totalTrace().points();
+    const auto &pl = late_sim.memory().totalTrace().points();
+    ASSERT_EQ(pe.size(), pl.size());
+    for (std::size_t i = 0; i < pe.size(); ++i) {
+        if (pl[i].time != pe[i].time + later ||
+            pl[i].value != pe[i].value) {
+            ADD_FAILURE() << "trace point " << i << " of " << pe.size()
+                          << ": (" << pe[i].time << ", " << pe[i].value
+                          << ") then (" << pl[i].time << ", "
+                          << pl[i].value << ")";
+            return;
+        }
+    }
+    const auto ae = early_sim.activity(early.end);
+    const auto al = late_sim.activity(late.end);
+    EXPECT_EQ(ae.computeBusy, al.computeBusy);
+    EXPECT_EQ(ae.diskBusy, al.diskBusy);
+    EXPECT_EQ(ae.bytesMoved, al.bytesMoved);
+}
+
 class StreamProgram : public ::testing::TestWithParam<Table6Model>
 {
   protected:
     void
     SetUp() override
     {
-        const auto g = models::buildModel(GetParam().id);
-        compiled_ = fm_.compile(g);
+        graph_ = models::buildModel(GetParam().id);
+        compiled_ = fm_.compile(graph_);
         replanned_ = fm_.replan(compiled_, kTightBudget);
     }
 
     FlashMem fm_{DeviceProfile::onePlus12()};
+    graph::Graph graph_;
     CompiledModel compiled_;
     CompiledModel replanned_;
 };
+
+TEST_P(StreamProgram, RunsAreStartTimeInvariant)
+{
+    for (const auto *cm : {&compiled_, &replanned_}) {
+        SCOPED_TRACE(cm->replans ? "re-planned" : "compiled");
+        expectStartTimeInvariant([&](GpuSimulator &sim, SimTime start) {
+            return fm_.execute(sim, *cm, start);
+        });
+    }
+    baselines::PreloadFramework mnn(baselines::FrameworkId::MNN,
+                                    fm_.device());
+    if (mnn.supports(graph_) == baselines::SupportStatus::Supported) {
+        SCOPED_TRACE("MNN cold start");
+        expectStartTimeInvariant([&](GpuSimulator &sim, SimTime start) {
+            return mnn.run(sim, graph_, start);
+        });
+    }
+}
 
 TEST_P(StreamProgram, ReplaysTheReferenceRuntime)
 {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <tuple>
 
@@ -848,6 +849,80 @@ crossScenarios()
     };
 }
 
+/**
+ * Every point of @p live's memory trace lies inside a placed run's
+ * span [start, end): the trace is zero outside their union, and never
+ * above the sum of the solo peaks (a model's larger calibrated peak,
+ * full or degraded) of the runs whose spans hold it. The spans come
+ * from the drain's dispatch events in @p rec; a completed run's ends
+ * at its completion, a killed run's at its kill — the retry or fault
+ * shed of its request that follows the dispatch.
+ */
+void
+expectTraceInsidePlacedSpans(const multidnn::ScheduleOutcome &live,
+                             const obs::TraceRecorder &rec,
+                             const ServiceTable &services)
+{
+    struct Span
+    {
+        SimTime start = 0;
+        SimTime end = kTimeNever;
+        Bytes peak = 0;
+    };
+    std::map<std::int32_t, Span> spans;         // by run id
+    std::map<std::uint32_t, std::int32_t> open; // request -> live run
+    for (const auto &e : rec.events()) {
+        switch (e.kind) {
+          case obs::EventKind::RequestDispatch: {
+            const auto &p =
+                services.at(static_cast<ModelId>(e.model));
+            spans[e.runId] = {e.a, kTimeNever,
+                              std::max(p.peakBytes, p.degradedPeakBytes)};
+            open[e.id] = e.runId;
+            break;
+          }
+          case obs::EventKind::RequestComplete:
+            spans.at(e.runId).end = e.time;
+            open.erase(e.id);
+            break;
+          case obs::EventKind::RetryScheduled:
+          case obs::EventKind::RequestShed:
+            if (auto it = open.find(e.id); it != open.end()) {
+                spans.at(it->second).end = e.time;
+                open.erase(it);
+            }
+            break;
+          default:
+            break;
+        }
+    }
+    ASSERT_TRUE(open.empty()) << open.size() << " runs never ended";
+
+    // Sweep the points against the spans' starts and ends in time order.
+    std::vector<std::pair<SimTime, std::int64_t>> edges; // (time, +-peak)
+    for (const auto &[id, s] : spans) {
+        if (s.start >= s.end)
+            continue; // killed before it started
+        edges.push_back({s.start, static_cast<std::int64_t>(s.peak)});
+        edges.push_back({s.end, -static_cast<std::int64_t>(s.peak)});
+    }
+    std::sort(edges.begin(), edges.end());
+    std::size_t next = 0;
+    std::ptrdiff_t live_spans = 0;
+    std::int64_t bound = 0;
+    for (const auto &p : live.trace.points()) {
+        for (; next < edges.size() && edges[next].first <= p.time; ++next) {
+            bound += edges[next].second;
+            live_spans += edges[next].second > 0 ? 1 : -1;
+        }
+        if (live_spans == 0)
+            ASSERT_EQ(p.value, 0.0) << "outside every span at " << p.time;
+        else
+            ASSERT_LE(p.value, static_cast<double>(bound))
+                << "above the solo peaks at " << p.time;
+    }
+}
+
 class CrossValidation : public testing::TestWithParam<CrossScenario>
 {};
 
@@ -902,9 +977,11 @@ TEST_P(CrossValidation, FastSimMatchesEventScheduler)
     params.trace = &rec;
     auto fast = simulateServing(trace, *policy, services, params);
 
+    obs::TraceRecorder live_rec;
     multidnn::SchedulerConfig cfg;
     cfg.cluster = params.cluster;
     cfg.faults = plan;
+    cfg.trace = &live_rec;
     multidnn::EventScheduler sched(fm, cfg);
     auto real = sched.run(trace, *policy);
 
@@ -933,6 +1010,7 @@ TEST_P(CrossValidation, FastSimMatchesEventScheduler)
         ASSERT_GT(live.faults.failovers, 0);
     }
     expectSameDrain(observe(fast, rec, identity), live);
+    expectTraceInsidePlacedSpans(real, live_rec, services);
 }
 
 INSTANTIATE_TEST_SUITE_P(
