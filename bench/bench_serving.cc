@@ -1046,8 +1046,7 @@ main(int argc, char **argv)
     fault_ok &= crash.outcome.faults.crashes == 1;
     fault_ok &= flap.outcome.faults.crashes >= 2;
     fault_ok &= ff.outcome.faults.crashes == 0 &&
-                ff.outcome.faults.retries == 0 &&
-                ff.outcome.faults.timeouts == 0;
+                ff.outcome.faults.retries == 0;
     std::cout << "crash_midrun goodput ratio vs fault_free: "
               << formatDouble(crash_goodput_ratio, 4) << "\n"
               << "Fault shape check (crash costs < 35% goodput, "
@@ -1071,8 +1070,6 @@ main(int argc, char **argv)
               << ", \"p99_ms\": " << s.p99Ms()
               << ", \"shed\": " << s.shedCount()
               << ", \"crashes\": " << fc.crashes
-              << ", \"timeouts\": " << fc.timeouts
-              << ", \"dma_aborts\": " << fc.dmaAborts
               << ", \"retries\": " << fc.retries
               << ", \"failovers\": " << fc.failovers
               << ", \"fault_sheds\": " << fc.faultSheds

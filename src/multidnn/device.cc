@@ -114,12 +114,6 @@ DeviceCluster::commit(int device, models::ModelId model,
     // Exec phase begins once the preload set is resident and the
     // previous run retired (equals t.initDone when overlap is off).
     SimTime compute_start = std::max(t.initDone, d.computeBusyUntil);
-    d.undo.valid = true;
-    d.undo.prevComputeBusyUntil = d.computeBusyUntil;
-    d.undo.prevDmaBusyUntil = d.dmaBusyUntil;
-    d.undo.dmaBusyDelta = t.initDone - t.start;
-    d.undo.computeBusyDelta = t.end - compute_start;
-    d.undo.model = model;
     d.dmaBusyUntil = t.initDone;
     d.computeBusyUntil = t.end;
     ++d.inFlight;
@@ -129,10 +123,7 @@ DeviceCluster::commit(int device, models::ModelId model,
 
     auto [it, inserted] =
         d.residentPlanBudget.try_emplace(model, planBudget);
-    d.undo.hadResidency = !inserted;
-    d.undo.prevBudget = inserted ? 0 : it->second;
-    d.undo.countedSwitch = inserted || it->second != planBudget;
-    if (d.undo.countedSwitch) {
+    if (inserted || it->second != planBudget) {
         ++d.planSwitches;
         it->second = planBudget;
     }
@@ -146,52 +137,26 @@ DeviceCluster::complete(int device)
     --d.inFlight;
 }
 
-namespace {
-
-/** Shared Down transition: the loop has already killed the in-flight
- * runs, so the pipeline empties and the horizons collapse to now. */
-void
-takeDown(DeviceState &d, SimTime now, bool crashed)
-{
-    d.health = DeviceHealth::Down;
-    d.crashDown = crashed;
-    d.downSince = now;
-    d.inFlight = 0;
-    d.computeBusyUntil = now;
-    d.dmaBusyUntil = now;
-    d.undo.valid = false;
-}
-
-} // namespace
-
 void
 DeviceCluster::crash(int device, SimTime now)
 {
     auto &d = devices_[static_cast<std::size_t>(device)];
     FM_ASSERT(d.health != DeviceHealth::Down,
               "crash on a device already down");
-    takeDown(d, now, /*crashed=*/true);
-    // Device memory is gone with the device: every resident plan must
-    // be re-planned after the rejoin.
+    // The loop has already killed the in-flight runs, so the pipeline
+    // empties and the horizons collapse to now. Device memory is gone
+    // with the device: every resident plan must be re-planned after
+    // the rejoin.
+    d.health = DeviceHealth::Down;
+    d.downSince = now;
+    d.inFlight = 0;
+    d.computeBusyUntil = now;
+    d.dmaBusyUntil = now;
     d.residentPlanBudget.clear();
     if (trace_)
-        trace_->deviceHealthChange(
-            now, d.id, static_cast<std::int64_t>(d.health),
-            d.crashDown ? 1 : 0, d.probationUntil);
-}
-
-void
-DeviceCluster::markDown(int device, SimTime now)
-{
-    auto &d = devices_[static_cast<std::size_t>(device)];
-    FM_ASSERT(d.health != DeviceHealth::Down,
-              "markDown on a device already down");
-    // Wedged, not dead: plan residency survives the outage.
-    takeDown(d, now, /*crashed=*/false);
-    if (trace_)
-        trace_->deviceHealthChange(
-            now, d.id, static_cast<std::int64_t>(d.health),
-            d.crashDown ? 1 : 0, d.probationUntil);
+        trace_->deviceHealthChange(now, d.id,
+                                   static_cast<std::int64_t>(d.health),
+                                   /*crash_down=*/1, d.probationUntil);
 }
 
 void
@@ -202,26 +167,14 @@ DeviceCluster::rejoin(int device, SimTime now, SimTime probation)
               "rejoin on a device that is not down");
     d.downTime += now - d.downSince;
     d.health = DeviceHealth::Suspect;
-    d.crashDown = false;
     d.probationUntil = now + probation;
     d.inFlight = 0;
     d.computeBusyUntil = now;
     d.dmaBusyUntil = now;
-    d.undo.valid = false;
     if (trace_)
         trace_->deviceHealthChange(
             now, d.id, static_cast<std::int64_t>(d.health),
             /*crash_down=*/0, d.probationUntil);
-}
-
-void
-DeviceCluster::delay(int device, SimTime now, SimTime duration)
-{
-    auto &d = devices_[static_cast<std::size_t>(device)];
-    // A frozen device makes no progress: busy horizons slide by the
-    // stall, and an idle resource stays unavailable until it clears.
-    d.computeBusyUntil = std::max(d.computeBusyUntil, now) + duration;
-    d.dmaBusyUntil = std::max(d.dmaBusyUntil, now) + duration;
 }
 
 void
@@ -231,28 +184,6 @@ DeviceCluster::setSlowdown(int device, double factor, SimTime until)
     FM_ASSERT(factor >= 1.0, "slowdown factor must be >= 1");
     d.slowFactor = factor;
     d.slowUntil = until;
-}
-
-void
-DeviceCluster::abortLastCommit(int device)
-{
-    auto &d = devices_[static_cast<std::size_t>(device)];
-    FM_ASSERT(d.undo.valid, "abortLastCommit without a valid undo");
-    FM_ASSERT(d.inFlight > 0, "abortLastCommit on an idle device");
-    d.computeBusyUntil = d.undo.prevComputeBusyUntil;
-    d.dmaBusyUntil = d.undo.prevDmaBusyUntil;
-    d.dmaBusyTime -= d.undo.dmaBusyDelta;
-    d.computeBusyTime -= d.undo.computeBusyDelta;
-    --d.inFlight;
-    --d.dispatched;
-    if (d.undo.countedSwitch) {
-        --d.planSwitches;
-        if (d.undo.hadResidency)
-            d.residentPlanBudget[d.undo.model] = d.undo.prevBudget;
-        else
-            d.residentPlanBudget.erase(d.undo.model);
-    }
-    d.undo.valid = false;
 }
 
 std::vector<DeviceUtilization>

@@ -89,9 +89,6 @@ struct DeviceState
 
     /** @name Fault state (driven by the event loop's fault events). @{ */
     DeviceHealth health = DeviceHealth::Healthy;
-    /** Down because of a crash (recovered by a Rejoin fault event)
-     * rather than a watchdog wedge (recovered by a Recover event). */
-    bool crashDown = false;
     SimTime downSince = 0;      ///< when the current Down began
     SimTime probationUntil = 0; ///< Suspect until this instant
     SimTime downTime = 0;       ///< closed Down intervals, summed
@@ -100,29 +97,6 @@ struct DeviceState
     double slowFactor = 1.0;
     SimTime slowUntil = 0;
     /** @} */
-
-    /**
-     * One-deep undo for the youngest commit, consumed when a
-     * transient DMA error aborts the preload it placed (the aborted
-     * run is always the youngest commit: any later commit's preload
-     * would start after the aborted one's initDone). Horizons are
-     * restored as saved absolutes and busy times as deltas; a stall
-     * delaying the device between commit and abort makes the restored
-     * horizons approximate (never unsafe — only placement timing).
-     */
-    struct CommitUndo
-    {
-        bool valid = false;
-        SimTime prevComputeBusyUntil = 0;
-        SimTime prevDmaBusyUntil = 0;
-        SimTime dmaBusyDelta = 0;
-        SimTime computeBusyDelta = 0;
-        models::ModelId model{};
-        bool countedSwitch = false;
-        bool hadResidency = false;
-        Bytes prevBudget = 0;
-    };
-    CommitUndo undo;
 };
 
 /** Per-device utilization summary exposed on outcomes. */
@@ -136,13 +110,13 @@ struct DeviceUtilization
     /** Busy fractions over the outcome's makespan (0 when empty). */
     double computeUtilization = 0.0;
     double dmaUtilization = 0.0;
-    /** Peak memory on this device: live on its simulator for the
-     * EventScheduler, the largest calibrated peak placed on it for the
-     * fast simulator. */
+    /** Peak memory on this device: the peak of its spliced runs'
+     * memory trace for the EventScheduler, the largest calibrated peak
+     * placed on it for the fast simulator. */
     Bytes peakMemory = 0;
     double energyJoules = 0.0;
-    /** Time this device spent Down (crashed or wedged), including an
-     * interval still open at the makespan. */
+    /** Time this device spent Down (crashed), including an interval
+     * still open at the makespan. */
     SimTime downTime = 0;
     /** downTime over the outcome's makespan (0 when empty). */
     double downFraction = 0.0;
@@ -234,26 +208,9 @@ class DeviceCluster
      */
     void rejoin(int device, SimTime now, SimTime probation);
 
-    /**
-     * Watchdog variant of crash(): the device is wedged (a stalled
-     * run blew its timeout budget) but its memory is intact, so plan
-     * residency survives while the device sits Down.
-     */
-    void markDown(int device, SimTime now);
-
-    /** Freeze @p device for @p duration from @p now: both resource
-     * horizons shift by the stall (an idle horizon becomes
-     * @p now + @p duration), blocking dispatches during the window. */
-    void delay(int device, SimTime now, SimTime duration);
-
     /** Scale dispatches placed on @p device before @p until by
      * @p factor (>= 1; thermal-throttle model). */
     void setSlowdown(int device, double factor, SimTime until);
-
-    /** Roll back the youngest commit on @p device (transient DMA
-     * abort). The undo must still be valid — the aborted preload is
-     * always the youngest commit. */
-    void abortLastCommit(int device);
     /** @} */
 
     /** Utilization rows over @p makespan (fractions 0 when 0);

@@ -19,31 +19,29 @@
  * at time T kills the runs in flight at T before anything else
  * happens at T), then arrivals and retry re-entries (a dispatch point
  * always sees every request that is ready by then), then DMA-free
- * wakes, completions, and finally the watchdog/recovery events; ties
- * break on the event's sequence id. The clock is integer nanoseconds,
- * so the loop is exactly deterministic.
+ * wakes, and finally completions; ties break on the event's sequence
+ * id. The clock is integer nanoseconds, so the loop is exactly
+ * deterministic.
  *
  * Two event sources feed that order. Arrivals stream from the queue
  * through a cursor in (arrival, queue index) order; a stable-sorted
  * index is built only when the caller's queue is out of arrival order.
- * Everything else — faults, retries, DMA-frees, completions, watchdog
- * events — waits in a min-heap. Each step takes whichever source
- * orders first; an arrival never ties with a heap event (their kinds
- * differ), so the merged stream follows exactly the order above. The
- * heap holds only the fault plan and in-flight events, never the
- * arrival backlog: on perfbench's 1M-request serve_overload drain it
- * peaks at 15 entries, so its sift walks stay in cache.
+ * Everything else — faults, retries, DMA-frees, completions — waits
+ * in a min-heap. Each step takes whichever source orders first; an
+ * arrival never ties with a heap event (their kinds differ), so the
+ * merged stream follows exactly the order above. The heap holds only
+ * the fault plan and in-flight events, never the arrival backlog: on
+ * perfbench's 1M-request serve_overload drain it peaks at 15 entries,
+ * so its sift walks stay in cache.
  *
  * Fault tolerance: the loop tracks every dispatched run in flight and
  * consumes the FaultPlan through the heap. A crash kills the
  * victims and re-dispatches them to surviving devices with capped
- * exponential backoff; a stall shifts in-flight completions unless a
- * run blows its per-dispatch timeout budget, in which case a watchdog
- * (DeviceDown) kills everything on the wedged device; a transient DMA
- * error rolls the youngest dispatch back off the device. Requests
- * whose retry budget is exhausted are fault-shed; requests still
- * queued when no device can ever accept again are starvation-dropped
- * — the loop never ends with a request unaccounted for.
+ * exponential backoff; a slowdown stretches the runs placed while it
+ * lasts. Requests whose retry budget is exhausted are fault-shed;
+ * requests still queued when no device can ever accept again are
+ * starvation-dropped — the loop never ends with a request unaccounted
+ * for.
  *
  * Completion hand-off: the backend hears of each surviving run once,
  * in dispatch (runId) order — not completion order — via an internal
@@ -89,9 +87,7 @@ static_assert(static_cast<int>(DropReason::Admission) == 0 &&
               "obs::dropReasonCodeName mirrors these values");
 static_assert(static_cast<int>(FaultKind::Crash) == 0 &&
                   static_cast<int>(FaultKind::Rejoin) == 1 &&
-                  static_cast<int>(FaultKind::Stall) == 2 &&
-                  static_cast<int>(FaultKind::Slowdown) == 3 &&
-                  static_cast<int>(FaultKind::DmaError) == 4,
+                  static_cast<int>(FaultKind::Slowdown) == 2,
               "obs::faultKindCodeName mirrors these values");
 static_assert(static_cast<int>(DeviceHealth::Healthy) == 0 &&
                   static_cast<int>(DeviceHealth::Suspect) == 1 &&
@@ -135,16 +131,14 @@ struct DispatchedRun
  *       priced. A retried request dispatches under a fresh id.
  *     - `void completed(const ReadyRequest &req,
  *       const DispatchedRun &run, std::uint64_t runId)`: the run
- *       survived to completion. Delivered in runId (dispatch) order;
- *       run.times carries the actual (possibly stall-shifted)
- *       timeline.
+ *       survived to completion. Delivered in runId (dispatch) order.
  *     - `void killed(const ReadyRequest &req, const DispatchedRun &run,
- *       std::uint64_t runId, SimTime now)`: a fault killed the run at
- *       @p now (a crash, a watchdog, or a DMA error aborting its
- *       preload); run.times is its timeline as placed, possibly
- *       stall-shifted, and @p now may precede run.times.start. Heard
- *       at once, before the request is retried or fault-shed, so kills
- *       and completions interleave out of runId order.
+ *       std::uint64_t runId, SimTime now)`: a crash killed the run at
+ *       @p now, which may precede run.times.start. Heard at once,
+ *       before the request is retried or fault-shed, so kills and
+ *       completions interleave out of runId order. No fault moves a
+ *       placed run, so each one is heard of exactly once more, by
+ *       completed or killed, with the very DispatchedRun placed got.
  *     - `void dropped(const ReadyRequest &r, SimTime now,
  *       DropReason reason)`: the request left without completing —
  *       SLO admission shed, arrival shed, fault-retry budget
@@ -187,9 +181,9 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
     {
         SimTime time = 0;
         /** Faults order before arrivals/retries, which order before
-         * DMA-frees, completions, and watchdog events at equal
-         * times. Only the arrival cursor makes Arrival events; the
-         * heap holds every other kind. */
+         * DMA-frees and completions at equal times. Only the arrival
+         * cursor makes Arrival events; the heap holds every other
+         * kind. */
         enum Kind
         {
             Fault = 0,
@@ -197,8 +191,6 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
             Retry = 2,
             DmaFree = 3,
             Completion = 4,
-            DeviceDown = 5, ///< watchdog fired: stall blew a timeout
-            Recover = 6,    ///< stall wedge cleared; device may rejoin
         } kind = Arrival;
         /** Queue index (arrival) / fault index (fault) / retry-pool
          * index (retry) / device id (others); the deterministic
@@ -314,7 +306,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
     };
 
     // Live run ids per device, in dispatch order (the completion
-    // matcher and the per-device kill sweeps key on this).
+    // matcher and the crash sweep key on this).
     std::vector<std::vector<std::uint64_t>> device_runs(
         static_cast<std::size_t>(cluster.deviceCount()));
 
@@ -335,7 +327,7 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
 
     // Kill one live run: resolve its window entry and either schedule
     // a backoff retry or fault-shed the request. Cluster-side state
-    // (inFlight, horizons, residency) is the fault handler's job.
+    // (inFlight, horizons, residency) is the crash handler's job.
     auto killRun = [&](std::uint64_t run_id, SimTime now) {
         auto &f = flight(run_id);
         FM_ASSERT(f.state == Flight::Live, "killing a resolved run");
@@ -363,16 +355,6 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                                   req.lastFailedDevice);
         events.push({now + backoff, Event::Retry, retry_pool.size()});
         retry_pool.push_back(req);
-    };
-
-    auto killAllOn = [&](int dev, SimTime now, bool timeout) {
-        auto &runs = device_runs[static_cast<std::size_t>(dev)];
-        for (std::uint64_t id : std::vector<std::uint64_t>(runs)) {
-            if (timeout && counters)
-                ++counters->timeouts;
-            killRun(id, now);
-        }
-        runs.clear();
     };
 
     // Stuck-clock guard: a bounded number of events may legitimately
@@ -467,9 +449,8 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
             break;
           case Event::Completion: {
             // Match the oldest live run on this device ending now.
-            // No match means the event went stale (its run was killed
-            // or stall-shifted); completions of shifted runs were
-            // rescheduled when the shift happened.
+            // No match means the event went stale: a crash killed its
+            // run.
             auto &runs = device_runs[ev.seq];
             auto it = std::find_if(
                 runs.begin(), runs.end(), [&](std::uint64_t id) {
@@ -494,120 +475,31 @@ drainClusterQueue(const std::vector<ModelRequest> &queue,
                     static_cast<std::int64_t>(fe.kind), fe.duration,
                     std::llround(fe.factor * 1000.0));
             switch (fe.kind) {
-              case FaultKind::Crash:
+              case FaultKind::Crash: {
                 if (dev.health == DeviceHealth::Down)
                     break;
                 if (counters)
                     ++counters->crashes;
-                killAllOn(fe.device, now, /*timeout=*/false);
+                auto &runs =
+                    device_runs[static_cast<std::size_t>(fe.device)];
+                for (std::uint64_t id : runs)
+                    killRun(id, now);
+                runs.clear();
                 cluster.crash(fe.device, now);
                 flushWindow();
                 break;
+              }
               case FaultKind::Rejoin:
-                // Only a crashed device rejoins here; a watchdog-down
-                // (wedged) device recovers through its Recover event.
-                if (dev.health == DeviceHealth::Down && dev.crashDown)
+                if (dev.health == DeviceHealth::Down)
                     cluster.rejoin(fe.device, now, kProbation);
                 break;
-              case FaultKind::Stall: {
-                if (dev.health == DeviceHealth::Down)
-                    break;
-                // Freeze the device: shift its horizons and every
-                // in-flight completion by the stall. A run whose
-                // shifted end blows its timeout budget arms the
-                // watchdog at the earliest blown deadline instead.
-                cluster.delay(fe.device, now, fe.duration);
-                SimTime fire = kTimeNever;
-                SimTime clear = now + fe.duration;
-                for (std::uint64_t id : device_runs[static_cast<
-                         std::size_t>(fe.device)]) {
-                    auto &f = flight(id);
-                    SimTime service =
-                        f.run.times.end - f.run.times.start;
-                    SimTime budget_at =
-                        f.run.times.start +
-                        std::llround(kTimeoutFactor *
-                                     static_cast<double>(service));
-                    f.run.times.end += fe.duration;
-                    if (f.run.times.initDone > now)
-                        f.run.times.initDone += fe.duration;
-                    events.push({f.run.times.end, Event::Completion,
-                                 static_cast<std::size_t>(fe.device)});
-                    if (cluster.overlap() &&
-                        f.run.times.initDone > now &&
-                        f.run.times.initDone < f.run.times.end)
-                        events.push({f.run.times.initDone,
-                                     Event::DmaFree,
-                                     static_cast<std::size_t>(
-                                         fe.device)});
-                    if (f.run.times.end > budget_at)
-                        fire = std::min(fire,
-                                        std::max(budget_at, now + 1));
-                    clear = std::max(clear, f.run.times.end);
-                }
-                if (fire != kTimeNever) {
-                    events.push({fire, Event::DeviceDown,
-                                 static_cast<std::size_t>(fe.device)});
-                    events.push({std::max(clear, fire + 1),
-                                 Event::Recover,
-                                 static_cast<std::size_t>(fe.device)});
-                }
-                break;
-              }
               case FaultKind::Slowdown:
                 cluster.setSlowdown(fe.device, fe.factor,
                                     now + fe.duration);
                 break;
-              case FaultKind::DmaError: {
-                if (dev.health == DeviceHealth::Down)
-                    break;
-                // Abort the preload in flight right now, if any. The
-                // aborted run is provably the device's youngest
-                // commit (any later commit's preload would start
-                // after this one's initDone), so a one-deep undo on
-                // the cluster rolls the dispatch back exactly.
-                auto &runs = device_runs[static_cast<std::size_t>(
-                    fe.device)];
-                auto it = std::find_if(
-                    runs.begin(), runs.end(), [&](std::uint64_t id) {
-                        const auto &t = flight(id).run.times;
-                        return t.start <= now && now < t.initDone;
-                    });
-                if (it == runs.end())
-                    break; // transient error with no preload active
-                std::uint64_t id = *it;
-                runs.erase(it);
-                if (counters)
-                    ++counters->dmaAborts;
-                cluster.abortLastCommit(fe.device);
-                killRun(id, now);
-                flushWindow();
-                break;
-              }
             }
             break;
           }
-          case Event::DeviceDown:
-            // Watchdog: a stalled run blew its timeout budget. The
-            // whole device is declared wedged — every in-flight run
-            // is killed and re-dispatched — but device memory is
-            // intact, so plan residency survives for the recovery.
-            if (cluster.devices()[ev.seq].health !=
-                DeviceHealth::Down) {
-                killAllOn(static_cast<int>(ev.seq), now,
-                          /*timeout=*/true);
-                cluster.markDown(static_cast<int>(ev.seq), now);
-                flushWindow();
-            }
-            break;
-          case Event::Recover:
-            // The stall wedge cleared; rejoin unless a real crash
-            // intervened (then only its Rejoin event recovers it).
-            if (cluster.devices()[ev.seq].health ==
-                    DeviceHealth::Down &&
-                !cluster.devices()[ev.seq].crashDown)
-                cluster.rejoin(static_cast<int>(ev.seq), now, kProbation);
-            break;
           case Event::DmaFree:
             // No state change; a DMA-free exists to wake the dispatch
             // pass when a preload queue frees mid-compute.

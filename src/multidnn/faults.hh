@@ -3,12 +3,12 @@
  * Deterministic fault injection for the device cluster.
  *
  * A FaultPlan is a pre-computed schedule of per-device fault events —
- * crash / rejoin, stall, slowdown, transient DMA error — built from
- * the hand fixtures below or drawn by the seeded generator in
- * tests/fault_plan_gen.hh. The plan is consumed by the shared cluster
- * event loop (multidnn/event_loop.hh); because the real EventScheduler
- * and the fast serving simulator run that same loop, both paths
- * observe a bit-identical fault timeline by construction.
+ * crash / rejoin and slowdown — built from the hand fixtures below or
+ * drawn by the seeded generator in tests/fault_plan_gen.hh. The plan
+ * is consumed by the shared cluster event loop
+ * (multidnn/event_loop.hh); because the real EventScheduler and the
+ * fast serving simulator run that same loop, both paths observe a
+ * bit-identical fault timeline by construction.
  *
  * Fault semantics (the recovery decision table lives in
  * src/multidnn/README.md):
@@ -18,19 +18,12 @@
  *    is Down until its Rejoin event, then Suspect for a probation
  *    window (pipeline depth capped at 1 — the heartbeat probe) before
  *    returning to Healthy.
- *  - Stall: in-flight runs on the device stop progressing for the
- *    stall's duration. If the delay keeps every run within its
- *    per-dispatch timeout budget (kTimeoutFactor x expected service)
- *    the runs simply complete late; otherwise the watchdog fires at
- *    the earliest blown timeout, every in-flight run is killed and
- *    retried elsewhere, and the device is Down until the wedge clears
- *    (plan residency survives — device memory was not lost).
  *  - Slowdown: requests *dispatched* while the window is active run
  *    with init and exec scaled by the factor (thermal throttling
  *    model); in-flight runs are unaffected and health is unchanged.
- *  - DmaError: the preload in flight at the event time aborts; the
- *    request retries with backoff and the dispatch is rolled back.
- *    Transient — health is unchanged; a no-op if no preload is active.
+ *
+ * No fault moves a placed run: a run either ends at the time the loop
+ * placed it at or is killed by a crash.
  */
 
 #ifndef FLASHMEM_MULTIDNN_FAULTS_HH
@@ -48,9 +41,7 @@ enum class FaultKind
 {
     Crash,    ///< device dies; Down until the paired Rejoin
     Rejoin,   ///< crashed device comes back (probation before Healthy)
-    Stall,    ///< in-flight work frozen for @c duration
     Slowdown, ///< dispatches scaled by @c factor for @c duration
-    DmaError, ///< the preload active at this instant aborts
 };
 
 /** One scheduled fault on one device. */
@@ -59,7 +50,7 @@ struct FaultEvent
     SimTime time = 0;
     int device = 0;
     FaultKind kind = FaultKind::Crash;
-    /** Stall / slowdown window length (unused otherwise). */
+    /** Slowdown window length (unused otherwise). */
     SimTime duration = 0;
     /** Slowdown service-time multiplier (>= 1; unused otherwise). */
     double factor = 1.0;
@@ -95,15 +86,7 @@ FaultPlan flappingDevice(int device, SimTime firstCrash, SimTime period,
 /** Merge @p b's events into @p a (re-normalized). */
 FaultPlan mergeFaultPlans(FaultPlan a, const FaultPlan &b);
 
-/** @name Fixed detection and recovery constants of the event loop.
- * @{ */
-/**
- * Per-dispatch timeout budget as a multiple of the expected (placed)
- * service time: a stalled run whose completion would slip past
- * start + kTimeoutFactor x expected is declared dead by the watchdog
- * and re-dispatched.
- */
-inline constexpr double kTimeoutFactor = 3.0;
+/** @name Fixed recovery constants of the event loop. @{ */
 /** Re-dispatch attempts per request before it is fault-shed. */
 inline constexpr int kMaxRetries = 3;
 /** First retry backoff; doubles per attempt up to kBackoffCap. */
@@ -128,8 +111,6 @@ enum class DropReason
 struct FaultCounters
 {
     int crashes = 0;     ///< crash events applied to a live device
-    int timeouts = 0;    ///< watchdog kills (stall beyond budget)
-    int dmaAborts = 0;   ///< transient DMA preload aborts
     int retries = 0;     ///< re-dispatches scheduled after a kill
     int failovers = 0;   ///< retries that landed on a different device
     int faultSheds = 0;  ///< requests dropped: retry budget exhausted

@@ -95,8 +95,9 @@ class ScheduledRuns
     }
 
     /** Finalize makespan, memory, energy, trace and per-device rows.
-     * A device's energy is base power over the makespan plus its runs'
-     * activity; its trace is the sum of its runs. */
+     * A device's trace is the sum of its runs, completed and killed,
+     * and its peak that trace's peak; its energy is base power over the
+     * makespan plus its runs' activity. */
     ScheduleOutcome
     finish(const DeviceCluster &cluster)
     {
@@ -106,22 +107,17 @@ class ScheduledRuns
         std::vector<Point> cluster_points;
         for (std::size_t i = 0; i < devices_.size(); ++i) {
             TimeSeries trace(devices_[i].points());
-            if (!out.runs.empty()) {
-                Bytes peak =
-                    static_cast<Bytes>(trace.maxOver(0, out.makespan));
-                auto activity = devices_[i].activity;
-                activity.makespan = out.makespan;
-                double energy = power_.energyJoules(activity);
-                out.devices[i].peakMemory = peak;
-                out.devices[i].energyJoules = energy;
-                // Devices are distinct hardware: the cluster peak is
-                // the worst per-device peak, energy and average live
-                // bytes sum.
-                out.peakMemory = std::max(out.peakMemory, peak);
-                out.avgMemoryBytes +=
-                    trace.timeWeightedAverage(0, out.makespan);
-                out.energyJoules += energy;
-            }
+            Bytes peak = static_cast<Bytes>(trace.peak());
+            auto activity = devices_[i].activity;
+            activity.makespan = out.makespan;
+            double energy = power_.energyJoules(activity);
+            out.devices[i].peakMemory = peak;
+            out.devices[i].energyJoules = energy;
+            // Devices are distinct hardware: the cluster peak is the
+            // worst per-device peak, energy and average live bytes sum.
+            out.peakMemory = std::max(out.peakMemory, peak);
+            out.avgMemoryBytes += trace.timeWeightedAverage(0, out.makespan);
+            out.energyJoules += energy;
             if (devices_.size() == 1)
                 out.trace = std::move(trace);
             else
@@ -140,7 +136,7 @@ class ScheduledRuns
 
   protected:
     /** Record @p solo, the solo run that priced a completed run, at the
-     * run's actual (possibly stall-shifted) times. */
+     * run's placed times. */
     void
     record(const ReadyRequest &req, const DispatchedRun &run,
            const SoloRun &solo)

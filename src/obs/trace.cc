@@ -77,9 +77,7 @@ faultKindCodeName(std::int64_t code)
     switch (code) {
       case 0: return "crash";
       case 1: return "rejoin";
-      case 2: return "stall";
-      case 3: return "slowdown";
-      case 4: return "dma_error";
+      case 2: return "slowdown";
     }
     return "?";
 }

@@ -57,7 +57,7 @@ enum class EventKind : std::int8_t
     RequestShed = 4,        ///< dropped without completing
     RetryScheduled = 5,     ///< killed run re-queued with backoff
     FaultInjected = 6,      ///< FaultPlan event delivered
-    DeviceHealthChange = 7, ///< crash / watchdog-down / rejoin
+    DeviceHealthChange = 7, ///< crash / rejoin
     Replan = 8,             ///< planner produced a budget-replanned plan
     SolverWindow = 9,       ///< per-window solver summary
 };

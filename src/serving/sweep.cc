@@ -65,8 +65,8 @@ struct CalibratedTable
               std::uint64_t)
     {
         // Stats are recorded when a run survives to completion —
-        // killed dispatches retry or shed instead — with the actual
-        // (possibly stall-shifted) timeline, in dispatch order.
+        // killed dispatches retry or shed instead — at its placed
+        // times, in dispatch order.
         SimTime latency = run.times.end - req.arrival;
         bool met = req.latencyBound <= 0 || latency <= req.latencyBound;
         out.stats.recordCompletion(latency, run.times.start - req.arrival,

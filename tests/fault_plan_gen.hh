@@ -30,10 +30,8 @@ struct FaultPlanParams
 {
     /** Crash arrivals per device-second (0 = none). */
     double crashesPerSecond = 0.0;
-    double stallsPerSecond = 0.0;
-    SimTime meanStall = milliseconds(100);
+    /** Slowdown-window arrivals per device-second (0 = none). */
     double slowdownsPerSecond = 0.0;
-    double dmaErrorsPerSecond = 0.0;
 };
 
 namespace fault_gen {
@@ -88,8 +86,8 @@ struct DownWindows
  * @p horizon of simulated time. Each device draws from an independent
  * deterministic stream, so plans are bit-reproducible and stable under
  * changes to the device count (device i's timeline never shifts).
- * Stalls, slowdowns, and DMA errors falling inside a crash's down
- * window are suppressed (a dead device cannot misbehave further).
+ * Slowdowns falling inside a crash's down window are suppressed (a
+ * dead device cannot throttle).
  */
 inline FaultPlan
 generateFaultPlan(const FaultPlanParams &params, int device_count,
@@ -126,35 +124,23 @@ generateFaultPlan(const FaultPlanParams &params, int device_count,
             }
         }
 
-        auto inject = [&](std::uint64_t stream, double per_second,
-                          FaultKind kind, SimTime mean_duration,
-                          double factor) {
-            if (per_second <= 0.0)
-                return;
-            Rng rng(dev_seed ^ stream);
+        if (params.slowdownsPerSecond > 0.0) {
+            Rng rng(dev_seed ^ 0x510Dull);
             SimTime t = 0;
             for (;;) {
-                t += exponentialGap(rng, per_second);
+                t += exponentialGap(rng, params.slowdownsPerSecond);
                 if (t >= horizon)
                     break;
                 SimTime dur =
-                    mean_duration > 0
-                        ? exponentialDuration(rng, mean_duration)
-                        : 0;
-                // A crashed device cannot stall, throttle, or flip a
-                // DMA bit — suppress events inside down windows.
+                    exponentialDuration(rng, kMeanSlowdownDuration);
+                // A crashed device cannot throttle: suppress windows
+                // that open inside a down window.
                 if (down.covers(t))
                     continue;
-                plan.events.push_back({t, dev, kind, dur, factor});
+                plan.events.push_back(
+                    {t, dev, FaultKind::Slowdown, dur, kSlowdownFactor});
             }
-        };
-        inject(0x57A11ull, params.stallsPerSecond, FaultKind::Stall,
-               params.meanStall, 1.0);
-        inject(0x510Dull, params.slowdownsPerSecond,
-               FaultKind::Slowdown, kMeanSlowdownDuration,
-               kSlowdownFactor);
-        inject(0xD3AEull, params.dmaErrorsPerSecond,
-               FaultKind::DmaError, 0, 1.0);
+        }
     }
     plan.normalize();
     return plan;

@@ -6,5 +6,6 @@ main()
 {
     fixture::Counter c;
     c.bump();
-    return fixture::benchCalls();
+    return fixture::benchCalls() +
+           fixture::modeCost(fixture::Mode::Bench);
 }

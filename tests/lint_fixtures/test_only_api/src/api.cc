@@ -26,4 +26,18 @@ ownFileCalls()
     return 4;
 }
 
+static_assert(static_cast<int>(Mode::OnlyTests) == 1, "pinned value");
+
+int
+modeCost(Mode mode)
+{
+    switch (mode) {
+      case Mode::Bench:
+        return 5;
+      case fixture::Mode::OnlyTests:
+        return 6;
+    }
+    return 0;
+}
+
 } // namespace fixture

@@ -8,5 +8,6 @@ main()
     fixture::Counter c;
     c.bump();
     return fixture::onlyTestsCall() + fixture::alsoOnlyTestsCall() +
-           fixture::benchCalls() + c.count();
+           fixture::benchCalls() + c.count() +
+           fixture::modeCost(fixture::Mode::OnlyTests);
 }

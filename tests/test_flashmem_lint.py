@@ -122,21 +122,35 @@ class TestOnlyApi(unittest.TestCase):
     def lint_api(self, tree):
         return run_lint(os.path.join(tree, "src", "api.hh"), "-v")
 
+    def findings(self, out):
+        return [ln for ln in out.splitlines()
+                if "[test-only-api]" in ln and "suppressed" not in ln]
+
     def test_fires_on_function_only_tests_call(self):
         rc, out, _ = self.lint_api(self.TREE)
         self.assertEqual(rc, 1, out)
-        found = [ln for ln in out.splitlines()
-                 if "[test-only-api]" in ln and "suppressed" not in ln]
-        self.assertEqual(len(found), 1, out)
-        self.assertIn("api.hh:9:", found[0])
+        found = self.findings(out)
+        self.assertEqual(len(found), 2, out)
+        self.assertIn("api.hh:11:", found[0])
         self.assertIn("'onlyTestsCall'", found[0])
 
+    def test_fires_on_enumerator_src_only_switches_on(self):
+        # api.cc names Mode::OnlyTests in a case label and a
+        # static_assert; only tests/ makes one.
+        rc, out, _ = self.lint_api(self.TREE)
+        self.assertEqual(rc, 1, out)
+        found = self.findings(out)
+        self.assertEqual(len(found), 2, out)
+        self.assertIn("api.hh:32:", found[1])
+        self.assertIn("'Mode::OnlyTests'", found[1])
+
     def test_quiet_when_a_non_test_file_calls_it(self):
-        # bench/ calls benchCalls(), perfbench/ perfbenchCalls(), and
-        # api.cc ownFileCalls(); none of them is reported.
+        # bench/ calls benchCalls() and makes Mode::Bench, perfbench/
+        # calls perfbenchCalls(), and api.cc ownFileCalls(); none of
+        # them is reported.
         rc, out, _ = self.lint_api(self.TREE)
         for name in ("benchCalls", "perfbenchCalls", "ownFileCalls",
-                     "step", "bump"):
+                     "step", "bump", "modeCost", "Mode::Bench"):
             self.assertNotIn(f"'{name}'", out)
 
     def test_perfbench_callers_count(self):
@@ -150,7 +164,7 @@ class TestOnlyApi(unittest.TestCase):
 
     def test_justified_suppression_silences(self):
         rc, out, _ = self.lint_api(self.TREE)
-        self.assertIn("api.hh:20: suppressed [test-only-api]", out)
+        self.assertIn("api.hh:22: suppressed [test-only-api]", out)
         self.assertNotIn("'count'", out)
 
     def test_unjustified_suppression_is_reported(self):
@@ -169,8 +183,10 @@ class CliBehaviour(unittest.TestCase):
         for check in ("no-unordered-iteration", "no-wall-clock",
                       "no-pointer-order", "uninitialized-member",
                       "float-accumulation-order", "no-raw-cast",
-                      "cross-thread-state", "test-only-api"):
+                      "cross-thread-state", "test-only-api",
+                      "bad-suppression"):
             self.assertIn(check, out)
+        self.assertIn("enum class enumerator", out)
 
     def test_check_subset_filters(self):
         rc, out, _ = run_lint(

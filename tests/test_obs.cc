@@ -184,9 +184,8 @@ TEST(TraceDeterminism, FastSimMatchesEventSchedulerServingStream)
     auto trace = poissonTrace(mix, 60.0, 2500, /*seed=*/61);
 
     multidnn::FaultPlanParams fp;
-    fp.stallsPerSecond = 0.5;
-    fp.meanStall = milliseconds(40);
-    fp.dmaErrorsPerSecond = 1.0;
+    fp.crashesPerSecond = 0.5;
+    fp.slowdownsPerSecond = 0.5;
     auto plan = multidnn::crashAndRejoin(0, milliseconds(500),
                                          milliseconds(400));
     plan = multidnn::mergeFaultPlans(
@@ -226,8 +225,6 @@ TEST(TraceDeterminism, FastSimMatchesEventSchedulerServingStream)
     EXPECT_EQ(plain.stats.p99(), fast.stats.p99());
     EXPECT_EQ(plain.makespan, fast.makespan);
     EXPECT_EQ(plain.faults.crashes, fast.faults.crashes);
-    EXPECT_EQ(plain.faults.timeouts, fast.faults.timeouts);
-    EXPECT_EQ(plain.faults.dmaAborts, fast.faults.dmaAborts);
     EXPECT_EQ(plain.faults.retries, fast.faults.retries);
     EXPECT_EQ(plain.faults.failovers, fast.faults.failovers);
     EXPECT_EQ(plain.faults.faultSheds, fast.faults.faultSheds);

@@ -52,11 +52,15 @@ Checks (see tools/README.md for the full catalog):
                            code outside tests/ calls: its name appears
                            in src/, bench/, tools/, examples/ and
                            perfbench/ only in its own declaration and
-                           definition.  perfbench/ is read for callers
-                           but not linted.  An accessor that tests use
-                           to observe product state carries a justified
-                           suppression; anything else is deleted, moved
-                           into test code, or given a real caller.
+                           definition; or an enum class enumerator
+                           declared there that code outside tests/
+                           names only in case labels and
+                           static_asserts.  perfbench/ is read for
+                           callers but not linted.  An accessor that
+                           tests use to observe product state carries
+                           a justified suppression; anything else is
+                           deleted, moved into test code, or given a
+                           real caller.
   bad-suppression          an FMLINT annotation with an empty or missing
                            justification (always fatal; the suppression
                            policy itself is machine-enforced).
@@ -1174,9 +1178,60 @@ def api_declarations(unit):
     return out
 
 
+def enum_declarations(unit):
+    """(enum, enumerator, line) of each enumerator of an enum class
+    (or enum struct) the file defines."""
+    toks = unit.tokens
+    out = []
+    for i in range(len(toks) - 2):
+        if toks[i].text != "enum" or \
+                toks[i + 1].text not in ("class", "struct"):
+            continue
+        j = i + 3
+        while j < len(toks) and toks[j].text not in ("{", ";"):
+            j += 1
+        if j == len(toks) or toks[j].text != "{" or j not in unit.pairs:
+            continue   # an opaque declaration names no enumerators
+        expect = True
+        k = j + 1
+        while k < unit.pairs[j]:
+            t = toks[k]
+            if t.text in ("(", "[", "{") and k in unit.pairs:
+                k = unit.pairs[k]   # an initializer's own commas
+            elif t.text == ",":
+                expect = True
+            elif expect and t.kind == "id":
+                out.append((toks[i + 2].text, t.text, t.line))
+                expect = False
+            k += 1
+    return out
+
+
+def enumerator_uses(toks, pairs):
+    """'Enum::name' for each qualified name outside a case label and a
+    static_assert: a switch that handles an enumerator, or an assert
+    that pins its value, does not make one."""
+    pinned = set()
+    for i, t in enumerate(toks):
+        if t.text == "static_assert" and i + 1 in pairs:
+            pinned.update(range(i + 1, pairs[i + 1]))
+    for i in range(2, len(toks)):
+        if (toks[i].kind != "id" or toks[i - 1].text != "::"
+                or toks[i - 2].kind != "id" or i in pinned):
+            continue
+        j = i - 2
+        while j >= 2 and toks[j - 1].text == "::" and \
+                toks[j - 2].kind == "id":
+            j -= 2
+        if j >= 1 and toks[j - 1].text == "case":
+            continue
+        yield f"{toks[i - 2].text}::{toks[i].text}"
+
+
 def caller_counts(root):
     """Identifier -> number of non-declaring occurrences in the code
-    that counts as a caller (CALLER_DIRS under @p root)."""
+    that counts as a caller (CALLER_DIRS under @p root), and
+    'Enum::name' -> number of uses that enumerator_uses counts."""
     counts: dict[str, int] = {}
     for d in CALLER_DIRS:
         top = os.path.join(root, d) if root else d
@@ -1188,7 +1243,10 @@ def caller_counts(root):
                     toks, _ = lex(f.read())
             except LexError:
                 continue   # reported when the file itself is linted
-            scopes = declaration_scopes(toks, match_pairs(toks, path))
+            pairs = match_pairs(toks, path)
+            for key in enumerator_uses(toks, pairs):
+                counts[key] = counts.get(key, 0) + 1
+            scopes = declaration_scopes(toks, pairs)
             for i, t in enumerate(toks):
                 if t.kind == "pp":
                     # A macro body calls what it names (FM_ASSERT ->
@@ -1208,7 +1266,9 @@ def caller_counts(root):
 def check_test_only_api(unit, symbols, findings):
     """A function declared in a src/ header that no code outside tests/
     calls: its own declaration and definition are not calls, a call
-    from its own .hh or .cc is."""
+    from its own .hh or .cc is.  Likewise an enum class enumerator
+    that code outside tests/ names only in case labels and
+    static_asserts: src/ handles it, but only tests make it."""
     if not unit.path.endswith((".hh", ".h", ".hpp")):
         return
     root, role = tree_split(unit.path)
@@ -1224,6 +1284,13 @@ def check_test_only_api(unit, symbols, findings):
                 f"'{name}' has no caller outside tests/ (only its "
                 "declaration and definition name it); delete it, move "
                 "it into test code or give it a real caller"))
+    for enum, name, line in enum_declarations(unit):
+        if counts.get(f"{enum}::{name}", 0) == 0:
+            findings.append(Finding(
+                unit.path, line, "test-only-api",
+                f"'{enum}::{name}' is made only by tests/ (outside "
+                "tests/ only case labels and static_asserts name it); "
+                "delete it or give it a real producer"))
 
 
 BUILTIN_CHECKS = {
@@ -1335,8 +1402,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     if args.list_checks:
-        for c in CHECK_NAMES:
-            print(c)
+        # The docstring's catalog: each check and what it flags.
+        print(__doc__[__doc__.index("  no-unordered-iteration"):
+                      __doc__.index("\nSuppressing")].rstrip())
         return 0
     if not args.paths:
         ap.error("no paths given")

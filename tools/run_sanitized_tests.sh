@@ -2,8 +2,8 @@
 # Build the tree under AddressSanitizer (+UBSan) and ThreadSanitizer
 # and run the test suite under each. Catches the failure classes the
 # fault-tolerance machinery is most exposed to: use-after-free on
-# killed in-flight runs, rollback bugs in the one-deep commit undo,
-# and data races in the thread pool's exception propagation.
+# killed in-flight runs and data races in the thread pool's exception
+# propagation.
 #
 # Each sanitizer gets its own build directory (build-asan /
 # build-tsan) so instrumented objects never mix with the plain build.
