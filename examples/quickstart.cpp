@@ -55,7 +55,7 @@ main(int argc, char **argv)
         if (k.tmpl == core::KernelTemplate::PipelinedBranchFree) {
             std::cout << "Example rewritten kernel (layer " << k.layer
                       << ", inline load " << formatBytes(k.inlineLoadBytes)
-                      << "):\n" << k.source << "\n";
+                      << "):\n" << k.source() << "\n";
             break;
         }
     }

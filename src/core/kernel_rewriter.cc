@@ -116,6 +116,19 @@ KernelRewriter::renderTemplate(
     return out;
 }
 
+std::string
+RewrittenKernel::source() const
+{
+    return KernelRewriter::renderTemplate(
+        KernelRewriter::templateText(tmpl),
+        {
+            {"name", name},
+            {"k_tiles", std::to_string(kTiles)},
+            {"load_tiles", std::to_string(loadTiles)},
+            {"comp_size", std::to_string(compSize)},
+        });
+}
+
 KernelRewriter::KernelRewriter(const graph::Graph &g,
                                const OverlapPlan &plan, bool branch_free)
     : g_(g), branch_free_(branch_free)
@@ -145,19 +158,11 @@ KernelRewriter::rewrite(graph::NodeId layer) const
     }
 
     const auto &node = g_.node(layer);
-    std::int64_t k_tiles =
+    rk.name = node.name;
+    rk.kTiles =
         std::max<std::int64_t>(node.output.shape.elements() / 4096, 1);
-    std::int64_t load_tiles = static_cast<std::int64_t>(
-        rk.inlineLoadBytes / 64);
-
-    rk.source = renderTemplate(
-        templateText(rk.tmpl),
-        {
-            {"name", node.name},
-            {"k_tiles", std::to_string(k_tiles)},
-            {"load_tiles", std::to_string(load_tiles)},
-            {"comp_size", std::to_string(rk.spec.gwsX * rk.spec.gwsY)},
-        });
+    rk.loadTiles = static_cast<std::int64_t>(rk.inlineLoadBytes / 64);
+    rk.compSize = rk.spec.gwsX * rk.spec.gwsY;
     return rk;
 }
 

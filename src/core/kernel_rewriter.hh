@@ -9,12 +9,16 @@
  * arithmetic. A branchy variant (thread-id conditionals) exists for the
  * ablation study, and a plain template covers layers with no inline
  * loads. Templates render to OpenCL-style source via {{placeholder}}
- * substitution (the paper uses Jinja).
+ * substitution (the paper uses Jinja). A rewritten kernel keeps only
+ * the values its placeholders take, and RewrittenKernel::source()
+ * renders the text when asked: the runtime reads the spec, never the
+ * text.
  */
 
 #ifndef FLASHMEM_CORE_KERNEL_REWRITER_HH
 #define FLASHMEM_CORE_KERNEL_REWRITER_HH
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,7 +44,15 @@ struct RewrittenKernel
     KernelTemplate tmpl = KernelTemplate::Plain;
     gpusim::KernelSpec spec;
     Bytes inlineLoadBytes = 0;
-    std::string source; ///< generated OpenCL-style kernel text
+    /** What source() fills the template's placeholders with. */
+    std::string name;           ///< the layer's node name
+    std::int64_t kTiles = 0;    ///< compute tiles
+    std::int64_t loadTiles = 0; ///< weight tiles loaded inline
+    std::int64_t compSize = 0;  ///< compute threads (global work size)
+
+    /** The generated OpenCL-style kernel text, rendered on each call:
+     * only a reader of the text pays for it. */
+    std::string source() const;
 };
 
 /** Instantiates kernels for a graph + overlap plan. */

@@ -95,28 +95,32 @@ class ScheduledRuns
     }
 
     /** Finalize makespan, memory, energy, trace and per-device rows.
-     * A device's trace is the sum of its runs, completed and killed,
-     * and its peak that trace's peak; its energy is base power over the
-     * makespan plus its runs' activity. */
+     * The makespan is the last completion; the utilization rows use
+     * it. Runs are resident until the later of it and the last kill,
+     * so the average memory and the base power run over [0, that
+     * horizon]. A device's trace is the sum of its runs, completed and
+     * killed, and its peak that trace's peak; its energy is base power
+     * over the horizon plus its runs' activity. */
     ScheduleOutcome
     finish(const DeviceCluster &cluster)
     {
         for (const auto &r : out.runs)
             out.makespan = std::max(out.makespan, r.end);
         out.devices = cluster.utilization(out.makespan);
+        const SimTime horizon = std::max(out.makespan, last_kill_);
         std::vector<Point> cluster_points;
         for (std::size_t i = 0; i < devices_.size(); ++i) {
             TimeSeries trace(devices_[i].points());
             Bytes peak = static_cast<Bytes>(trace.peak());
             auto activity = devices_[i].activity;
-            activity.makespan = out.makespan;
+            activity.makespan = horizon;
             double energy = power_.energyJoules(activity);
             out.devices[i].peakMemory = peak;
             out.devices[i].energyJoules = energy;
             // Devices are distinct hardware: the cluster peak is the
             // worst per-device peak, energy and average live bytes sum.
             out.peakMemory = std::max(out.peakMemory, peak);
-            out.avgMemoryBytes += trace.timeWeightedAverage(0, out.makespan);
+            out.avgMemoryBytes += trace.timeWeightedAverage(0, horizon);
             out.energyJoules += energy;
             if (devices_.size() == 1)
                 out.trace = std::move(trace);
@@ -165,6 +169,8 @@ class ScheduledRuns
     {
         auto &d = devices_[static_cast<std::size_t>(run.device)];
         d.ledger.push_back({&solo, run.times, kill});
+        if (kill != kTimeNever)
+            last_kill_ = std::max(last_kill_, kill);
         double done = 1.0;
         if (kill < run.times.end) {
             done = kill <= run.times.start
@@ -233,6 +239,7 @@ class ScheduledRuns
 
     gpusim::PowerModel power_;
     std::vector<Device> devices_;
+    SimTime last_kill_ = 0; ///< the latest kill of any run
 };
 
 /** The preload backend: one solo cold start per model prices every

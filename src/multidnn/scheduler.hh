@@ -139,7 +139,9 @@ struct ScheduleOutcome
     std::vector<core::RunResult> runs;
     SimTime makespan = 0;        ///< last completion
     Bytes peakMemory = 0;        ///< peak over the whole queue
-    double avgMemoryBytes = 0.0; ///< time-weighted average
+    /** Time-weighted average over [0, the later of the makespan and
+     * the last kill]; energyJoules' base power covers the same span. */
+    double avgMemoryBytes = 0.0;
     double energyJoules = 0.0;
     /** Total-memory trace of this run (Figure 6 plots): the sum of
      * the spliced runs. Owned by the outcome — schedulers keep no

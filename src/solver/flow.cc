@@ -1,7 +1,7 @@
 #include "solver/flow.hh"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -17,7 +17,7 @@ constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
 class Network
 {
   public:
-    explicit Network(int nodes) : out_(nodes) {}
+    explicit Network(int nodes) : first_(nodes + 1, 0) {}
 
     int
     addArc(int from, int to, std::int64_t cap, std::int64_t cost)
@@ -25,8 +25,8 @@ class Network
         const int id = static_cast<int>(arcs_.size());
         arcs_.push_back({to, cap, cost});
         arcs_.push_back({from, 0, -cost});
-        out_[from].push_back(id);
-        out_[to].push_back(id + 1);
+        ++first_[from + 1];
+        ++first_[to + 1];
         return id;
     }
 
@@ -42,19 +42,36 @@ class Network
      * The search stops once @p t is settled and shifts only the settled
      * nodes' potentials, by their distance less t's: every other node
      * is at least as far as t, so reduced costs stay non-negative.
+     *
+     * The search pops by distance level. The open nodes at the lowest
+     * distance d are one bitset over node ids, popped lowest id first;
+     * the nodes reached beyond d wait in a list, and when the bitset
+     * empties one scan of that list finds the next level. With
+     * non-negative reduced costs no relaxation opens a node below d, so
+     * nodes settle in (distance, node id) order, as a binary heap of
+     * such pairs would pop them. Call once, after the last addArc.
      * @return (units routed, paths augmented).
      */
     std::pair<std::int64_t, std::uint64_t>
     minCostFlow(int s, int t, const std::vector<int> &topo)
     {
-        const int n = static_cast<int>(out_.size());
+        const int n = static_cast<int>(first_.size()) - 1;
+        // Flat adjacency: node u's arcs are out_[first_[u], first_[u+1]),
+        // in addArc order. Arc a leaves the head of its reverse a ^ 1.
+        for (int u = 0; u < n; ++u)
+            first_[u + 1] += first_[u];
+        out_.resize(arcs_.size());
+        std::vector<int> slot(first_.begin(), first_.end() - 1);
+        for (int a = 0; a < static_cast<int>(arcs_.size()); ++a)
+            out_[slot[arcs_[a ^ 1].to]++] = a;
+
         std::vector<std::int64_t> pot(n, kInf);
         pot[s] = 0;
         for (int u : topo) {
             if (pot[u] == kInf)
                 continue;
-            for (int a : out_[u]) {
-                const Arc &arc = arcs_[a];
+            for (int i = first_[u]; i < first_[u + 1]; ++i) {
+                const Arc &arc = arcs_[out_[i]];
                 if (arc.cap > 0 && pot[u] + arc.cost < pot[arc.to])
                     pot[arc.to] = pot[u] + arc.cost;
             }
@@ -65,39 +82,66 @@ class Network
         std::vector<std::int64_t> dist(n);
         std::vector<int> via(n);
         std::vector<int> settled;
-        using Entry = std::pair<std::int64_t, int>;
-        std::vector<Entry> heap;
-        const std::greater<Entry> later;
+        std::vector<int> beyond; // reached, at a distance above the level
+        std::vector<std::uint64_t> level((n + 63) / 64);
         for (;;) {
             // Nodes the empty flow cannot reach from s never become
             // reachable: an augmentation only adds reverse arcs between
-            // nodes on its path.
+            // nodes on its path. via is read only along the path found.
             std::fill(dist.begin(), dist.end(), kInf);
-            std::fill(via.begin(), via.end(), -1);
+            std::fill(level.begin(), level.end(), 0);
             settled.clear();
-            heap.clear();
+            beyond.clear();
             dist[s] = 0;
-            heap.push_back({0, s});
-            while (!heap.empty()) {
-                std::pop_heap(heap.begin(), heap.end(), later);
-                const auto [d, u] = heap.back();
-                heap.pop_back();
-                if (d > dist[u])
+            std::int64_t d = 0;
+            std::size_t word = 0; // no set bit below this word
+            auto open = [&](int v) {
+                level[v >> 6] |= std::uint64_t{1} << (v & 63);
+                word = std::min(word, static_cast<std::size_t>(v >> 6));
+            };
+            open(s);
+            for (;;) {
+                while (word < level.size() && level[word] == 0)
+                    ++word;
+                if (word == level.size()) {
+                    std::int64_t next = kInf;
+                    for (int v : beyond) {
+                        if (dist[v] > d)
+                            next = std::min(next, dist[v]);
+                    }
+                    if (next == kInf)
+                        break;
+                    d = next;
+                    std::size_t kept = 0;
+                    for (int v : beyond) {
+                        if (dist[v] == d)
+                            open(v);
+                        else if (dist[v] > d)
+                            beyond[kept++] = v;
+                    }
+                    beyond.resize(kept);
                     continue;
+                }
+                const int u = static_cast<int>(word) * 64 +
+                              std::countr_zero(level[word]);
+                level[word] &= level[word] - 1;
                 settled.push_back(u);
                 if (u == t)
                     break;
-                for (int a : out_[u]) {
+                for (int i = first_[u]; i < first_[u + 1]; ++i) {
+                    const int a = out_[i];
                     const Arc &arc = arcs_[a];
                     if (arc.cap <= 0)
                         continue;
                     const std::int64_t nd =
                         d + arc.cost + pot[u] - pot[arc.to];
                     if (nd < dist[arc.to]) {
+                        if (nd == d)
+                            open(arc.to);
+                        else if (dist[arc.to] == kInf)
+                            beyond.push_back(arc.to);
                         dist[arc.to] = nd;
                         via[arc.to] = a;
-                        heap.push_back({nd, arc.to});
-                        std::push_heap(heap.begin(), heap.end(), later);
                     }
                 }
             }
@@ -127,7 +171,9 @@ class Network
     };
 
     std::vector<Arc> arcs_;
-    std::vector<std::vector<int>> out_;
+    /** Per node, its arc count (addArc), then its first slot in out_. */
+    std::vector<int> first_;
+    std::vector<int> out_;
 };
 
 /** Scaled cost of streaming one chunk of @p w from layer @p l. */

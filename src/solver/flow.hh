@@ -20,9 +20,11 @@
  * successive shortest paths (one topological pass for the potentials,
  * then Dijkstra, stopped at the sink; bypasses of positive cost are
  * left out, since no min-cost flow uses them), and scores the flow plan
- * on the exact window objective. Costs are integers and arcs are
- * visited in a fixed order, so a window's result is a pure function of
- * its input.
+ * on the exact window objective. Each Dijkstra pops its nodes by
+ * distance level, lowest node id first within a level, which is the
+ * (distance, node) order of a binary heap. Costs are integers and arcs
+ * are visited in a fixed order, so a window's result is a pure function
+ * of its input.
  */
 
 #ifndef FLASHMEM_SOLVER_FLOW_HH

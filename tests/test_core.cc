@@ -619,7 +619,7 @@ TEST(KernelRewriter, SelectsTemplatesByPlan)
             ++pipelined;
             EXPECT_GT(k.inlineLoadBytes, 0u);
             EXPECT_TRUE(k.spec.pipelined);
-            EXPECT_NE(k.source.find("drain loop"), std::string::npos);
+            EXPECT_NE(k.source().find("drain loop"), std::string::npos);
         } else if (k.tmpl == KernelTemplate::Plain) {
             ++plain;
             EXPECT_EQ(k.inlineLoadBytes, 0u);
@@ -643,7 +643,7 @@ TEST(KernelRewriter, BranchyModeForAblation)
         if (k.inlineLoadBytes > 0) {
             EXPECT_EQ(k.tmpl, KernelTemplate::BranchyOverlap);
             EXPECT_FALSE(k.spec.pipelined);
-            EXPECT_NE(k.source.find("divergent"), std::string::npos);
+            EXPECT_NE(k.source().find("divergent"), std::string::npos);
             saw_branchy = true;
         }
     }

@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the window flow (src/solver/flow.hh) on generated tiny
- * windows: 2-3 weights of at most 3 chunks over 2-4 layers, with zero
- * headroom, zero residual capacity, weights without candidates and
- * one-chunk weights among them. A brute-force enumerator over every
- * C0-C3-feasible x checks, per seed, that the flow's cost is the
+ * Tests for the window flow (src/solver/flow.hh) on generated windows.
+ *
+ * Tiny windows (2-3 weights of at most 3 chunks over 2-4 layers, with
+ * zero headroom, zero residual capacity, weights without candidates
+ * and one-chunk weights among them): a brute-force enumerator over
+ * every C0-C3-feasible x checks, per seed, that the flow's cost is the
  * minimum of the same linear cost, that bound <= exact optimum <=
  * shipped objective, and that the shipped plan satisfies C0-C3.
+ *
+ * Windows at planner scale: the solver must take the very augmenting
+ * paths of a pair-heap Dijkstra (tests/flow_reference.hh), so its plan,
+ * bound and path count equal the reference's, not just its optimum.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "flow_reference.hh"
 #include "solver/flow.hh"
 
 namespace flashmem::solver {
@@ -204,6 +210,124 @@ TEST_P(SolverVsBruteForce, AgreesOnRandomInstances)
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SolverVsBruteForce,
                          ::testing::Range(0, kSeeds));
+
+constexpr int kPlannerScaleSeeds = 240;
+
+/**
+ * A window at planner scale: up to 56 layers and 40 weights (up to 155
+ * nodes), up to 200 chunks a weight, headroom 0-1,024 with a run of
+ * zeros mid-window in half the seeds, residual capacity 0-50, and each
+ * weight's candidates the layers with capacity among the 24 before its
+ * consumer, as the planner picks them, so candidate sets overlap and
+ * bypass costs tie across weights.
+ */
+WindowNetwork
+generatePlannerScale(int seed)
+{
+    Rng rng(static_cast<std::uint64_t>(seed) + 1000);
+    WindowNetwork net;
+    const auto lead = static_cast<std::int32_t>(rng.uniformInt(0, 8));
+    const auto span = static_cast<std::int32_t>(rng.uniformInt(2, 56));
+    net.endLayer = lead + span;
+    const std::vector<std::int64_t> lambdas{90, 90, 50, 10};
+    const std::vector<std::int64_t> mus{10, 10, 0, 30};
+    net.lambdaS = lambdas[rng.uniformInt(0, 3)];
+    net.muS = mus[rng.uniformInt(0, 3)];
+    const std::int64_t most = rng.uniformInt(0, 1024);
+    for (std::int32_t l = 0; l < net.endLayer; ++l) {
+        const std::int64_t residual =
+            rng.uniformInt(0, 4) == 0 ? 0 : rng.uniformInt(0, 50);
+        net.residual.push_back(residual);
+        const std::int64_t headroom =
+            rng.uniformInt(0, 9) == 0 ? 0 : rng.uniformInt(0, most);
+        net.headroom.push_back(headroom);
+    }
+    if (rng.uniformInt(0, 1) == 1) {
+        const auto from = rng.uniformInt(lead, net.endLayer - 1);
+        const auto to = std::min<std::int64_t>(
+            from + rng.uniformInt(1, 6), net.endLayer);
+        for (auto p = from; p < to; ++p)
+            net.headroom[p] = 0;
+    }
+    const auto weights = rng.uniformInt(0, 40);
+    net.firstLayer = net.endLayer;
+    for (std::int64_t k = 0; k < weights; ++k) {
+        WindowWeight w;
+        w.consumer = static_cast<std::int32_t>(rng.uniformInt(
+            std::max(lead + 1, net.endLayer - 32), net.endLayer - 1));
+        w.chunks = rng.uniformInt(0, 3) == 0 ? rng.uniformInt(1, 4)
+                                             : rng.uniformInt(1, 200);
+        const auto reach = std::max(lead, w.consumer - 24);
+        for (auto l = reach; l < w.consumer; ++l) {
+            if (net.residual[l] > 0) {
+                w.cands.push_back(l);
+                net.firstLayer = std::min(net.firstLayer, l);
+            }
+        }
+        net.weights.push_back(w);
+    }
+    return net;
+}
+
+// The window solver against the pair-heap reference: the same paths,
+// so the same plan, flow cost, bound, status and path count.
+class SolverMatchesPairHeapReference : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SolverMatchesPairHeapReference, SamePlanBoundAndPaths)
+{
+    const auto net = generatePlannerScale(GetParam());
+    const auto sol = solveWindow(net);
+    const auto ref = reference::solveWindow(net);
+    EXPECT_EQ(sol.x, ref.x);
+    EXPECT_EQ(sol.flowCost, ref.flowCost);
+    EXPECT_EQ(sol.bound, ref.bound);
+    EXPECT_EQ(sol.objective, ref.objective);
+    EXPECT_EQ(sol.status, ref.status);
+    EXPECT_EQ(sol.augmentations, ref.augmentations);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, SolverMatchesPairHeapReference,
+                         ::testing::Range(0, kPlannerScaleSeeds));
+
+TEST(FlowWindows, PlannerScaleSeedsCoverWideNetworksDipsAndTies)
+{
+    // Networks past one and two 64-bit words of node ids, chunk counts
+    // above 150, headroom above 1,000, a layer without headroom after
+    // one with it, weights sharing candidate layers, and both statuses.
+    int over_64 = 0, over_128 = 0, big_weight = 0, full_headroom = 0;
+    int dips = 0, shared_cands = 0, optimal = 0, feasible_only = 0;
+    for (int seed = 0; seed < kPlannerScaleSeeds; ++seed) {
+        const auto net = generatePlannerScale(seed);
+        const auto span = net.endLayer - net.firstLayer;
+        const auto nodes = 3 + 2 * std::max(span, 0) +
+                           static_cast<int>(net.weights.size());
+        over_64 += nodes > 64;
+        over_128 += nodes > 128;
+        full_headroom += *std::max_element(net.headroom.begin(),
+                                           net.headroom.end()) > 1000;
+        for (auto p = net.firstLayer + 1; p + 1 < net.endLayer; ++p)
+            dips += net.headroom[p] == 0 && net.headroom[p - 1] > 0;
+        std::vector<int> users(net.endLayer, 0);
+        for (const auto &w : net.weights) {
+            big_weight += w.chunks > 150;
+            for (auto l : w.cands)
+                shared_cands += ++users[l] == 2;
+        }
+        const auto sol = solveWindow(net);
+        optimal += sol.status == SolveStatus::Optimal;
+        feasible_only += sol.status == SolveStatus::Feasible;
+    }
+    EXPECT_GT(over_64, 0);
+    EXPECT_GT(over_128, 0);
+    EXPECT_GT(big_weight, 0);
+    EXPECT_GT(full_headroom, 0);
+    EXPECT_GT(dips, 0);
+    EXPECT_GT(shared_cands, 0);
+    EXPECT_GT(optimal, 0);
+    EXPECT_GT(feasible_only, 0);
+}
 
 TEST(FlowWindows, SeedsCoverTheEdgeCasesAndBothStatuses)
 {

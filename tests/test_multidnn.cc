@@ -915,9 +915,27 @@ TEST(Faults, StarvedRequestsAreRecordedNotSilentlyDropped)
     EXPECT_EQ(out.faults.crashes, 1);
     EXPECT_EQ(out.faults.retries, 1); // the kill scheduled one retry
     // No run completed, yet the killed one was resident until its
-    // kill: the outcome's peak is its trace's.
+    // kill: the outcome's peak is its trace's, and its average memory
+    // and base power run to the kill, past the makespan.
     EXPECT_GT(out.peakMemory, 0u);
     EXPECT_EQ(out.peakMemory, static_cast<Bytes>(out.trace.peak()));
+    EXPECT_EQ(out.makespan, 0);
+    EXPECT_GT(out.avgMemoryBytes, 0.0);
+    EXPECT_EQ(out.avgMemoryBytes, out.trace.timeWeightedAverage(0, 1));
+
+    // Energy: base power over [0, 1 ns] plus the share of ResNet50's
+    // solo activity that 1 ns of its placed span stands for.
+    GpuSimulator solo(fm.device());
+    auto r = fm.execute(
+        solo, fm.compile(models::buildModel(ModelId::ResNet50)), 0);
+    const auto a = solo.activity(r.end);
+    const double done = 1.0 / static_cast<double>(r.integratedLatency());
+    const gpusim::ActivitySummary charged{
+        1, static_cast<SimTime>(static_cast<double>(a.computeBusy) * done),
+        static_cast<SimTime>(static_cast<double>(a.diskBusy) * done),
+        static_cast<Bytes>(static_cast<double>(a.bytesMoved) * done)};
+    EXPECT_EQ(out.energyJoules,
+              gpusim::PowerModel(fm.device()).energyJoules(charged));
 }
 
 TEST(Faults, FlappingDeviceNeverDeadlocksOrLosesRequests)

@@ -4,8 +4,9 @@
 The pair comparison decides whether a change may claim a gain and
 whether a metric got worse than its BENCHMARK.json bound, so its
 quartiles, wins and verdicts are checked on canned results here, and
-so is the check that a kept parent export holds the requested commit;
-the benchmark runs and git itself are not.
+so are the line saying whether simulated values repeat and the check
+that a kept parent export holds the requested commit; the benchmark
+runs and git itself are not.
 
 Run directly or via ctest (perfbench_pairs_selftest).
 """
@@ -18,8 +19,8 @@ import unittest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "tools"))
 from perfbench_pairs import (  # noqa: E402
-    EXPORT_STAMP, ensure_export, format_rows, quartiles, summarize,
-    worse_share)
+    EXPORT_STAMP, ensure_export, format_rows, quartiles, simulated_line,
+    summarize, worse_share)
 
 DRAIN = {"name": "drain_s", "unit": "ref_s", "better": "lower",
          "bound": 0.25}
@@ -134,6 +135,43 @@ class Summarize(unittest.TestCase):
         self.assertIn("10/10", drain)
         self.assertIn("gain", drain)
         self.assertIn("WORSE than bound 0.25 (+50.0%)", rps)
+
+
+class SimulatedLine(unittest.TestCase):
+    METRICS = [DRAIN, RPS, SHED,
+               {"name": "sim_p50_ms", "unit": "sim_ms", "better": "lower",
+                "bound": 0.1},
+               {"name": "host_rss_mb", "unit": "MiB", "better": "lower",
+                "bound": 0.25}]
+
+    @staticmethod
+    def side(drain, p50, shed=0.1, rss=50.0):
+        return {"drain_s": drain, "serve_rps": 1.0 / drain,
+                "shed_frac": shed, "sim_p50_ms": p50, "host_rss_mb": rss}
+
+    def test_all_equal_while_host_metrics_move(self):
+        runs = [(seed, self.side(0.2, 750.0, rss=50.0),
+                 self.side(0.1, 750.0, rss=40.0)) for seed in (1, 2, 3)]
+        self.assertEqual(simulated_line(self.METRICS, runs),
+                         "  simulated metrics equal on 3 of 3 pairs")
+
+    def test_one_metric_differing_names_its_seed(self):
+        runs = [(1, self.side(0.2, 750.0), self.side(0.1, 750.0)),
+                (2, self.side(0.2, 750.0), self.side(0.2, 771.4))]
+        self.assertEqual(
+            simulated_line(self.METRICS, runs),
+            "  simulated metrics equal on 1 of 2 pairs; "
+            "differ: seed 2 (sim_p50_ms)")
+
+    def test_a_missing_side_differs(self):
+        runs = [(1, self.side(0.2, 750.0), self.side(0.1, 750.0)),
+                (2, self.side(0.2, 750.0), None),
+                (3, None, self.side(0.1, 750.0))]
+        self.assertEqual(
+            simulated_line(self.METRICS, runs),
+            "  simulated metrics equal on 1 of 3 pairs; "
+            "differ: seed 2 (change side missing); "
+            "seed 3 (parent side missing)")
 
 
 class EnsureExport(unittest.TestCase):

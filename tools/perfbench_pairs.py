@@ -14,6 +14,9 @@ and whether the change's median is worse than the parent's by more than
 the metric's bound. A metric the change improves on at least 9 of 10
 pairs, with medians further apart than the parent's interquartile
 range, is marked `gain`; fewer than 10 pairs (a run failed) never are.
+It then says whether the simulated metrics (every end-to-end metric
+not measured on the host) repeat: `simulated metrics equal on N of N
+pairs`, or the seeds and metrics that differ.
 
 Each side builds its own perfbench under its own .bench_build/; nothing
 under perfbench/ is written. The export goes to a temporary directory
@@ -45,6 +48,11 @@ GAIN_WIN_SHARE = 0.9
 GAIN_MIN_PAIRS = 10
 # Written into a kept export: the commit it holds.
 EXPORT_STAMP = ".perfbench_pairs_commit"
+# End-to-end metrics measured on the host: these units, and the RSS.
+# Every other one is simulated, so it repeats per seed unless the
+# change moved behaviour.
+HOST_UNITS = ("s", "ref_s", "requests/ref_s")
+HOST_METRICS = ("host_rss_mb",)
 
 
 def quartiles(values):
@@ -121,6 +129,28 @@ def format_rows(workload, rows):
             r["name"], r["unit"], side[0], side[1],
             "%d/%d" % (r["wins"], r["pairs"]), verdict))
     return "\n".join(lines)
+
+
+def simulated_line(metrics, runs):
+    """Whether the simulated metrics of @p metrics (BENCHMARK.json
+    end_to_end entries) repeat over @p runs, a list of (seed, parent,
+    change): each side a dict mapping metric name to value, or None
+    when its run failed. A missing side or value differs too."""
+    names = [m["name"] for m in metrics
+             if m["unit"] not in HOST_UNITS and
+             m["name"] not in HOST_METRICS]
+    differ = []
+    for seed, parent, change in runs:
+        if parent is None or change is None:
+            differ.append("seed %d (%s side missing)" % (
+                seed, "parent" if parent is None else "change"))
+            continue
+        moved = [n for n in names if parent.get(n) != change.get(n)]
+        if moved:
+            differ.append("seed %d (%s)" % (seed, ", ".join(moved)))
+    line = "  simulated metrics equal on %d of %d pairs" % (
+        len(runs) - len(differ), len(runs))
+    return line + ("; differ: " + "; ".join(differ) if differ else "")
 
 
 def resolve(rev):
@@ -202,7 +232,7 @@ def main():
             print("error: %s" % e, file=sys.stderr)
             return 2
         for workload in workloads:
-            pairs, failed = [], {"parent": 0, "change": 0}
+            sims, failed = [], {"parent": 0, "change": 0}
             ops = {"parent": [0, 0], "change": [0, 0]}
             for seed in SEEDS:
                 sides = [("parent", export_dir), ("change", ROOT)]
@@ -221,13 +251,14 @@ def main():
                     ops[side][1] += got[side]["attempted"]
                 raw.setdefault(workload, []).append(
                     {"seed": seed, **got})
-                if got["parent"] and got["change"]:
-                    pairs.append(tuple(
-                        {k: v["value"]
-                         for k, v in got[s]["metrics"].items()}
-                        for s in ("parent", "change")))
+                sims.append((seed, *(
+                    {k: v["value"] for k, v in got[s]["metrics"].items()}
+                    if got[s] else None for s in ("parent", "change"))))
+            pairs = [(p, c) for _, p, c in sims
+                     if p is not None and c is not None]
             rows = summarize(spec["end_to_end"], pairs)
             print(format_rows(workload, rows))
+            print(simulated_line(spec["end_to_end"], sims))
             print("  failed operations: parent %d of %d, change %d of %d"
                   % (*ops["parent"], *ops["change"]))
             if failed["parent"] or failed["change"]:
